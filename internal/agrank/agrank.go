@@ -138,8 +138,10 @@ func rankSession(sc *model.Scenario, s model.SessionID, ledger cost.LedgerAPI, o
 	// N(u): top n_ngbr nearest agents per user; N(s): their union.
 	inSet := make(map[model.AgentID]bool)
 	nearest := make(map[model.UserID][]model.AgentID, len(members))
+	near := make([]model.AgentID, 0, len(members)*opts.NNgbr)
 	for _, u := range members {
-		prox := sc.AgentsByProximity(u)[:opts.NNgbr]
+		near = sc.AppendNearestAgents(near, u, opts.NNgbr)
+		prox := near[len(near)-opts.NNgbr:]
 		nearest[u] = prox
 		for _, l := range prox {
 			inSet[l] = true

@@ -29,12 +29,11 @@ type Assignment struct {
 	// the scenario's canonical flow order, or Unassigned. The demanded
 	// representation of each flow is fixed by the scenario (γ's r index).
 	flowAgent []model.AgentID
-	// flowIndex maps a flow to its index in flowAgent.
-	flowIndex map[model.Flow]int
 	// flows is the canonical ordering of all transcoding flows. Flows are
 	// grouped by session: flowStart[s] .. flowStart[s+1] delimit session s's
 	// flows, which lets hot paths enumerate them without scanning or
-	// allocating.
+	// allocating. Within a session the order is the scenario plan's
+	// (model.PlanPair.Flow), so a flow resolves to its slot by arithmetic.
 	flows     []model.Flow
 	flowStart []int
 }
@@ -52,16 +51,14 @@ func New(sc *model.Scenario) *Assignment {
 		sc:        sc,
 		userAgent: make([]model.AgentID, sc.NumUsers()),
 		flowAgent: make([]model.AgentID, len(flows)),
-		flowIndex: make(map[model.Flow]int, len(flows)),
 		flows:     flows,
 		flowStart: flowStart,
 	}
 	for i := range a.userAgent {
 		a.userAgent[i] = Unassigned
 	}
-	for i, f := range flows {
+	for i := range a.flowAgent {
 		a.flowAgent[i] = Unassigned
-		a.flowIndex[f] = i
 	}
 	return a
 }
@@ -75,7 +72,6 @@ func (a *Assignment) Clone() *Assignment {
 		sc:        a.sc,
 		userAgent: append([]model.AgentID(nil), a.userAgent...),
 		flowAgent: append([]model.AgentID(nil), a.flowAgent...),
-		flowIndex: a.flowIndex,
 		flows:     a.flows,
 		flowStart: a.flowStart,
 	}
@@ -93,17 +89,30 @@ func (a *Assignment) SetUserAgent(u model.UserID, l model.AgentID) {
 // FlowAgent returns γ for transcoding flow f: the agent transcoding it.
 // The second return is false if f is not a transcoding flow of the scenario.
 func (a *Assignment) FlowAgent(f model.Flow) (model.AgentID, bool) {
-	i, ok := a.flowIndex[f]
-	if !ok {
+	i := a.flowSlot(f)
+	if i < 0 {
 		return Unassigned, false
 	}
 	return a.flowAgent[i], true
 }
 
+// flowSlot returns f's index in flowAgent, or -1 if f is not a transcoding
+// flow of the scenario.
+func (a *Assignment) flowSlot(f model.Flow) int {
+	if int(f.Src) < 0 || int(f.Src) >= len(a.userAgent) || int(f.Dst) < 0 || int(f.Dst) >= len(a.userAgent) {
+		return -1
+	}
+	k := a.sc.ThetaFlowIndex(f)
+	if k < 0 {
+		return -1
+	}
+	return a.flowStart[a.sc.User(f.Src).Session] + k
+}
+
 // SetFlowAgent assigns the transcoding of flow f to agent l.
 func (a *Assignment) SetFlowAgent(f model.Flow, l model.AgentID) error {
-	i, ok := a.flowIndex[f]
-	if !ok {
+	i := a.flowSlot(f)
+	if i < 0 {
 		return fmt.Errorf("assign: flow %d→%d is not a transcoding flow", f.Src, f.Dst)
 	}
 	a.flowAgent[i] = l
@@ -133,6 +142,12 @@ func (a *Assignment) SessionFlowsShared(s model.SessionID) []model.Flow {
 // cached signature in O(flows) integer compares.
 func (a *Assignment) SessionFlowAgents(s model.SessionID) []model.AgentID {
 	return a.flowAgent[a.flowStart[s]:a.flowStart[s+1]]
+}
+
+// SetSessionFlowAgents overwrites session s's transcoding-flow agents with
+// to, aligned index-for-index with SessionFlowAgents.
+func (a *Assignment) SetSessionFlowAgents(s model.SessionID, to []model.AgentID) {
+	copy(a.SessionFlowAgents(s), to)
 }
 
 // Complete reports whether every user and every transcoding flow has an

@@ -54,8 +54,8 @@ func (a *Assignment) Apply(d Decision) (Decision, error) {
 		a.userAgent[d.User] = d.To
 		return inv, nil
 	case FlowMove:
-		i, ok := a.flowIndex[d.Flow]
-		if !ok {
+		i := a.flowSlot(d.Flow)
+		if i < 0 {
 			return Decision{}, fmt.Errorf("assign: apply: flow %d→%d is not a transcoding flow",
 				d.Flow.Src, d.Flow.Dst)
 		}

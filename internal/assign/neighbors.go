@@ -16,8 +16,8 @@ type NeighborOptions struct {
 	// of the source's and destination's windows). 0 means every agent.
 	Window int
 	// Index is the prebuilt proximity index backing Window > 0. nil with a
-	// positive Window builds a throwaway index — correct but O(U·L²); hot
-	// paths must pass a prebuilt one (core.HopScratch caches it).
+	// positive Window builds a throwaway index — correct but O(U·L·window);
+	// hot paths must pass a prebuilt one (core.HopScratch holds it).
 	Index *ProximityIndex
 }
 
@@ -26,8 +26,10 @@ type NeighborOptions struct {
 // visits agents, so windowed enumeration preserves the canonical candidate
 // order (a window of L agents reproduces the full scan exactly).
 type ProximityIndex struct {
+	sc     *model.Scenario
 	window int
-	agents [][]model.AgentID
+	// agents holds user u's window at [u·window, (u+1)·window).
+	agents []model.AgentID
 }
 
 // NewProximityIndex builds the per-user windows for the scenario. window is
@@ -41,11 +43,13 @@ func NewProximityIndex(sc *model.Scenario, window int) *ProximityIndex {
 		window = l
 	}
 	ix := &ProximityIndex{
+		sc:     sc,
 		window: window,
-		agents: make([][]model.AgentID, sc.NumUsers()),
+		agents: make([]model.AgentID, 0, sc.NumUsers()*window),
 	}
 	for u := 0; u < sc.NumUsers(); u++ {
-		win := sc.AgentsByProximity(model.UserID(u))[:window:window]
+		ix.agents = sc.AppendNearestAgents(ix.agents, model.UserID(u), window)
+		win := ix.agents[u*window:]
 		// Re-sort the window ascending by agent ID (proximity order decided
 		// membership; ID order drives enumeration). Insertion sort: windows
 		// are small.
@@ -54,17 +58,21 @@ func NewProximityIndex(sc *model.Scenario, window int) *ProximityIndex {
 				win[j-1], win[j] = win[j], win[j-1]
 			}
 		}
-		ix.agents[u] = win
 	}
 	return ix
 }
+
+// Scenario returns the scenario the index was built for.
+func (ix *ProximityIndex) Scenario() *model.Scenario { return ix.sc }
 
 // Window returns the window size the index was built with.
 func (ix *ProximityIndex) Window() int { return ix.window }
 
 // UserWindow returns user u's candidate agents in ascending ID order.
 // Shared slice; callers must not mutate.
-func (ix *ProximityIndex) UserWindow(u model.UserID) []model.AgentID { return ix.agents[u] }
+func (ix *ProximityIndex) UserWindow(u model.UserID) []model.AgentID {
+	return ix.agents[int(u)*ix.window : (int(u)+1)*ix.window]
+}
 
 // AppendSessionNeighborDecisionsOpts is AppendSessionNeighborDecisions with
 // candidate-window pruning. With opts.Window == 0 (or a window covering the
@@ -77,12 +85,12 @@ func (a *Assignment) AppendSessionNeighborDecisionsOpts(dst []Decision, s model.
 		return a.AppendSessionNeighborDecisions(dst, s)
 	}
 	ix := opts.Index
-	if ix == nil || ix.window != opts.Window {
+	if ix == nil || ix.window != opts.Window || ix.sc != a.sc {
 		ix = NewProximityIndex(a.sc, opts.Window)
 	}
 	for _, u := range a.sc.Session(s).Users {
 		cur := a.userAgent[u]
-		for _, l := range ix.agents[u] {
+		for _, l := range ix.UserWindow(u) {
 			if l == cur {
 				continue
 			}
@@ -94,7 +102,7 @@ func (a *Assignment) AppendSessionNeighborDecisionsOpts(dst []Decision, s model.
 		f := a.flows[i]
 		cur := a.flowAgent[i]
 		// Merge the two ascending windows, deduplicating, skipping cur.
-		src, dstWin := ix.agents[f.Src], ix.agents[f.Dst]
+		src, dstWin := ix.UserWindow(f.Src), ix.UserWindow(f.Dst)
 		si, di := 0, 0
 		for si < len(src) || di < len(dstWin) {
 			var l model.AgentID

@@ -137,7 +137,7 @@ func TestProximityIndexOrder(t *testing.T) {
 		if len(win) != k {
 			t.Fatalf("user %d window size %d", u, len(win))
 		}
-		want := sc.AgentsByProximity(model.UserID(u))[:k]
+		want := sc.AppendNearestAgents(nil, model.UserID(u), k)
 		member := map[model.AgentID]bool{}
 		for _, l := range want {
 			member[l] = true

@@ -61,11 +61,10 @@ type HopScratch struct {
 	phis      []float64         // noiseless Φ per feasible candidate
 	readings  []float64         // possibly noisy Φ readings
 	weights   []float64
-	// nbrIdx caches the proximity index backing Config.NeighborWindow > 0,
-	// keyed by the scenario it was built for and the window size.
-	nbrIdx    *assign.ProximityIndex
-	nbrIdxSc  *model.Scenario
-	nbrWindow int
+	// nbrIdx is the proximity index backing Config.NeighborWindow > 0:
+	// handed in by the host (SetProximityIndex) or built on first use. It
+	// records the scenario and window it was built for.
+	nbrIdx *assign.ProximityIndex
 }
 
 // NewHopScratch builds a scratch sized for the evaluator's scenario.
@@ -98,19 +97,26 @@ func acquireHopScratch(ev *cost.Evaluator) *HopScratch {
 
 func releaseHopScratch(scr *HopScratch) { hopScratchPool.Put(scr) }
 
+// SetProximityIndex hands the scratch a prebuilt proximity index, so a host
+// running several workers builds the U × window table once and shares it
+// (the index is immutable). Hops whose scenario or window differ from the
+// index's fall back to building their own.
+func (scr *HopScratch) SetProximityIndex(ix *assign.ProximityIndex) { scr.nbrIdx = ix }
+
 // appendNeighbors enumerates session s's candidate decisions, applying the
-// configured N_ngbr candidate window (0 = full scan). The proximity index
-// behind a positive window is built once per (scenario, window) and cached
-// on the scratch, so steady-state hops stay allocation-free.
+// configured N_ngbr candidate window (0 = full scan). Without a matching
+// index from SetProximityIndex, one is built once per (scenario, window) and
+// kept on the scratch, so steady-state hops stay allocation-free.
 func (scr *HopScratch) appendNeighbors(a *assign.Assignment, s model.SessionID, cfg Config) []assign.Decision {
 	if cfg.NeighborWindow <= 0 {
 		return a.AppendSessionNeighborDecisions(scr.decisions[:0], s)
 	}
 	sc := a.Scenario()
-	if scr.nbrIdx == nil || scr.nbrIdxSc != sc || scr.nbrWindow != cfg.NeighborWindow {
+	// The index clamps its window to the fleet size; at or beyond it the
+	// enumeration is the full scan and the index is not consulted.
+	if cfg.NeighborWindow < sc.NumAgents() &&
+		(scr.nbrIdx == nil || scr.nbrIdx.Scenario() != sc || scr.nbrIdx.Window() != cfg.NeighborWindow) {
 		scr.nbrIdx = assign.NewProximityIndex(sc, cfg.NeighborWindow)
-		scr.nbrIdxSc = sc
-		scr.nbrWindow = cfg.NeighborWindow
 	}
 	return a.AppendSessionNeighborDecisionsOpts(scr.decisions[:0], s,
 		assign.NeighborOptions{Window: cfg.NeighborWindow, Index: scr.nbrIdx})

@@ -3,7 +3,7 @@ package cost
 // This file implements the persistent per-session delay cache: the warm-hop
 // complement of sparse.go's per-candidate delta evaluation. Without it,
 // every BeginSession rebuilds the session's full n×n per-flow delay base —
-// the one remaining O(n²) FlowDelayMS term in an otherwise O(moved-flows)
+// the one remaining O(n²) flow-delay term in an otherwise O(moved-flows)
 // hop pipeline. The cache retains each session's delay matrix, decision
 // signature, load and summary between hops, so a warm BeginSession patches
 // only the rows/columns invalidated by decisions committed since the last
@@ -13,7 +13,7 @@ package cost
 // matrix is a pure function of the session's OWN decision variables — the
 // member subscriptions λ_u and the session's transcoding-flow placements
 // γ_f — plus immutable scenario data (H, D, σ, θ, representations). No
-// other session's variables and no capacity state enter FlowDelayMS. Each
+// other session's variables and no capacity state enter a flow's delay. Each
 // cache entry therefore records the variable values it was computed from
 // (the signature); BeginSession diffs the signature against the live
 // assignment and recomputes exactly the entries whose endpoints moved:
@@ -37,8 +37,9 @@ package cost
 // the full rebuild, which is kept verbatim (and selectable everywhere via
 // core.Config.RebuildDelayBase for differential testing).
 //
-// Exactness: patched entries are recomputed by the same pure FlowDelayMS
-// on the same inputs a full rebuild would use, unchanged entries are
+// Exactness: patched entries are recomputed by the same pure flowDelay
+// (FlowDelayMS read through the scenario's compiled plan) on the same
+// inputs a full rebuild would use, unchanged entries are
 // unchanged bits, and the summary/objective recomputations run the exact
 // code and order of the rebuild path — so the warm path is bit-identical
 // to the rebuild path. The differential tests in internal/core and
@@ -59,6 +60,9 @@ type delayEntry struct {
 	// base is the session's n×n per-flow delay matrix (row = source member
 	// index), exactly as BeginSession fills it.
 	base []float64
+	// userMax[j] is member j's maximum incoming delay in base — the column
+	// maxima CandidatePhi updates per candidate instead of rescanning.
+	userMax []float64
 	// userSig[i] is the agent member i subscribed to when base was last
 	// synchronized; flowSig[k] is the transcoding agent of the session's
 	// k-th flow (aligned with assign.SessionFlowsShared). Together they

@@ -19,6 +19,7 @@ package cost
 
 import (
 	"fmt"
+	"math"
 
 	"vconf/internal/assign"
 	"vconf/internal/model"
@@ -81,11 +82,6 @@ func (sl *SparseLoad) touch(l model.AgentID) {
 func (sl *SparseLoad) addDown(l model.AgentID, w float64) {
 	sl.touch(l)
 	sl.down[l] += w
-}
-
-func (sl *SparseLoad) addUp(l model.AgentID, w float64) {
-	sl.touch(l)
-	sl.up[l] += w
 }
 
 func (sl *SparseLoad) addTask(l model.AgentID) {
@@ -237,21 +233,13 @@ func (sl *SparseLoad) OverlapsAgents(set []bool) bool {
 // mrKey dedups transcoding tasks of one source: a task is a distinct
 // (transcoder, output representation) pair.
 type mrKey struct {
-	m int32
-	r model.Representation
+	m, r int32
 }
 
 // edgeKey3 dedups transcoded-output edges: one copy per (transcoder,
 // destination agent, representation).
 type edgeKey3 struct {
-	m, lv int32
-	r     model.Representation
-}
-
-// delayChange is one undo-log entry of the candidate delay-delta pass.
-type delayChange struct {
-	pos int32
-	old float64
+	m, lv, r int32
 }
 
 // Scratch bundles every reusable buffer a session evaluation needs: the
@@ -264,7 +252,9 @@ type Scratch struct {
 
 	cur, cand SparseLoad
 
-	// Per-source-user dedup sets of the load computation.
+	// Per-source-user dedup sets of the load computation, and the members'
+	// agents gathered once per evaluation.
+	lambda     []model.AgentID
 	transMark  []bool
 	transList  []int32
 	nativeMark []bool
@@ -276,15 +266,18 @@ type Scratch struct {
 	// active n×n flow-delay matrix (row = source member index): it aliases
 	// the session's DelayCache entry when the cache is on, and ownBase —
 	// the scratch-owned rebuild buffer — when it is off.
+	// userMax holds the base's per-user maxima (it aliases the cache entry's
+	// like base does, ownMax otherwise); candMax is the per-candidate copy
+	// CandidatePhi updates.
 	sid     model.SessionID
 	members []model.UserID
-	idx     []int32 // user → member index, -1 elsewhere
+	plan    model.SessionPlan
 	n       int
 	base    []float64
 	ownBase []float64
 	userMax []float64
+	ownMax  []float64
 	candMax []float64
-	changes []delayChange
 
 	// dc is the persistent per-session delay cache (see delaycache.go),
 	// created lazily unless disabled; movedMembers is the warm path's
@@ -321,10 +314,6 @@ func (scr *Scratch) Ensure(e *Evaluator) {
 	scr.nativeList = scr.nativeList[:0]
 	scr.taskKeys = scr.taskKeys[:0]
 	scr.sentEdges = scr.sentEdges[:0]
-	scr.idx = make([]int32, sc.NumUsers())
-	for i := range scr.idx {
-		scr.idx[i] = -1
-	}
 	scr.members = nil
 	scr.n = 0
 	// The delay cache is dimensioned for one scenario; rebinding drops it
@@ -375,53 +364,76 @@ func (scr *Scratch) CandLoad() *SparseLoad { return &scr.cand }
 // sessionLoadSparse computes session s's load under a into dst, mirroring
 // Params.SessionLoadOf term by term (see that function for the μ formula
 // commentary). The per-slot accumulation sequence is identical, so results
-// are bit-identical to the dense computation.
+// are bit-identical to the dense computation. Everything constant across
+// candidates — bitrates, θ, representations, flow slots — is read from the
+// scenario's compiled plan; the only per-candidate inputs are the members'
+// agents and the session's flow-agent view.
 func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *SparseLoad, scr *Scratch) {
 	sc := a.Scenario()
 	dst.Reset()
-
+	plan := sc.Plan(s)
+	flowTo := a.SessionFlowAgents(s)
+	lambda := scr.lambda[:0]
 	for _, u := range sc.Session(s).Users {
-		k := a.UserAgent(u) // source agent of u
+		lambda = append(lambda, a.UserAgent(u))
+	}
+	scr.lambda = lambda
+
+	for i, k := range lambda { // k: source agent of member i
 		if k == assign.Unassigned {
 			continue
 		}
-		user := sc.User(u)
-		upRate := sc.Reps.Bitrate(user.Upstream)
-		parts := sc.Participants(u)
+		upRate := plan.Members[i].UpMbps
+		row := plan.Row(i)
 
-		// Last-mile upstream and downstream (constraints (5)/(6) first terms).
+		// Last-mile upstream and downstream (constraints (5)/(6) first
+		// terms). The n−1 downstream terms land on the one slot k with
+		// nothing in between, so they accumulate in a register.
 		dst.addDown(k, upRate)
-		for _, v := range parts {
-			dst.addUp(k, sc.Reps.Bitrate(sc.Downstream(u, v)))
+		up := dst.up[k]
+		for jj := range row {
+			up += row[jj].InMbps
 		}
+		dst.up[k] = up
 
-		// Transcoding agents of u's stream, and their ν tasks (deduped per
-		// distinct (transcoder, representation) pair).
+		// One pass over u's destinations collects the transcoding agents of
+		// u's stream with their ν tasks (deduped per distinct (transcoder,
+		// representation) pair) and the agents hosting native-representation
+		// destinations.
 		scr.transList = scr.transList[:0]
 		scr.taskKeys = scr.taskKeys[:0]
-		for _, v := range parts {
-			if !sc.Theta(u, v) {
+		scr.nativeList = scr.nativeList[:0]
+		for jj := range row {
+			pr := &row[jj]
+			if pr.Flow < 0 {
+				j := jj
+				if jj >= i {
+					j++
+				}
+				lv := lambda[j]
+				if lv != assign.Unassigned && lv != k && !scr.nativeMark[lv] {
+					scr.nativeMark[lv] = true
+					scr.nativeList = append(scr.nativeList, int32(lv))
+				}
 				continue
 			}
-			f := model.Flow{Src: u, Dst: v}
-			m, ok := a.FlowAgent(f)
-			if !ok || m == assign.Unassigned {
+			m := flowTo[pr.Flow]
+			if m == assign.Unassigned {
 				continue
 			}
 			if !scr.transMark[m] {
 				scr.transMark[m] = true
 				scr.transList = append(scr.transList, int32(m))
 			}
-			r := sc.DownstreamRep(f)
 			dup := false
 			for _, tk := range scr.taskKeys {
-				if tk.m == int32(m) && tk.r == r {
+				if tk.m == int32(m) && tk.r == pr.Rep {
 					dup = true
 					break
 				}
 			}
 			if !dup {
-				scr.taskKeys = append(scr.taskKeys, mrKey{m: int32(m), r: r})
+				scr.taskKeys = append(scr.taskKeys, mrKey{m: int32(m), r: pr.Rep})
 				dst.addTask(m)
 			}
 		}
@@ -436,17 +448,6 @@ func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *
 		// Term 2 of μ: raw stream k → agents hosting native-representation
 		// destinations, unless the raw copy already arrived for transcoding
 		// there (the (1−ν'_lu) factor).
-		scr.nativeList = scr.nativeList[:0]
-		for _, v := range parts {
-			if sc.Theta(u, v) {
-				continue
-			}
-			lv := a.UserAgent(v)
-			if lv != assign.Unassigned && lv != k && !scr.nativeMark[lv] {
-				scr.nativeMark[lv] = true
-				scr.nativeList = append(scr.nativeList, int32(lv))
-			}
-		}
 		for _, l32 := range scr.nativeList {
 			if !scr.transMark[l32] {
 				dst.addEdge(k, model.AgentID(l32), upRate)
@@ -456,26 +457,29 @@ func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *
 		// Term 3 of μ: transcoded stream at rep r from transcoder m to every
 		// agent hosting a destination demanding r; one copy per (m, agent, r).
 		scr.sentEdges = scr.sentEdges[:0]
-		for _, v := range parts {
-			if !sc.Theta(u, v) {
+		for jj := range row {
+			pr := &row[jj]
+			if pr.Flow < 0 {
 				continue
 			}
-			f := model.Flow{Src: u, Dst: v}
-			m, ok := a.FlowAgent(f)
-			if !ok || m == assign.Unassigned {
+			m := flowTo[pr.Flow]
+			if m == assign.Unassigned {
 				continue
 			}
-			lv := a.UserAgent(v)
+			j := jj
+			if jj >= i {
+				j++
+			}
+			lv := lambda[j]
 			if lv == assign.Unassigned || lv == m {
 				continue
 			}
 			if p.StrictPaperTraffic && lv == k {
 				continue
 			}
-			r := sc.DownstreamRep(f)
 			dup := false
 			for _, ek := range scr.sentEdges {
-				if ek.m == int32(m) && ek.lv == int32(lv) && ek.r == r {
+				if ek.m == int32(m) && ek.lv == int32(lv) && ek.r == pr.Rep {
 					dup = true
 					break
 				}
@@ -483,8 +487,8 @@ func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *
 			if dup {
 				continue
 			}
-			scr.sentEdges = append(scr.sentEdges, edgeKey3{m: int32(m), lv: int32(lv), r: r})
-			dst.addEdge(m, lv, sc.Reps.Bitrate(r))
+			scr.sentEdges = append(scr.sentEdges, edgeKey3{m: int32(m), lv: int32(lv), r: pr.Rep})
+			dst.addEdge(m, lv, pr.OutMbps)
 		}
 
 		// Clear the per-user marks in O(touched).
@@ -569,23 +573,16 @@ func (se SessionEval) DelayFeasible(dMaxMS float64) bool { return se.WorstMS <= 
 func (e *Evaluator) BeginSession(a *assign.Assignment, s model.SessionID, scr *Scratch) SessionEval {
 	scr.Ensure(e)
 
-	// Rebind the member index table.
-	for _, u := range scr.members {
-		scr.idx[u] = -1
-	}
-	sc := e.sc
+	// Bind the session: its members and its compiled plan.
 	scr.sid = s
-	scr.members = sc.Session(s).Users
+	scr.members = e.sc.Session(s).Users
+	scr.plan = e.sc.Plan(s)
 	n := len(scr.members)
 	scr.n = n
-	for i, u := range scr.members {
-		scr.idx[u] = int32(i)
-	}
-	if cap(scr.userMax) < n {
-		scr.userMax = make([]float64, n)
+	if cap(scr.candMax) < n {
+		scr.ownMax = make([]float64, n)
 		scr.candMax = make([]float64, n)
 	}
-	scr.userMax = scr.userMax[:n]
 	scr.candMax = scr.candMax[:n]
 
 	if dc := scr.delayCache(); dc != nil {
@@ -599,38 +596,64 @@ func (e *Evaluator) BeginSession(a *assign.Assignment, s model.SessionID, scr *S
 		scr.ownBase = make([]float64, n*n)
 	}
 	scr.base = scr.ownBase[:n*n]
+	scr.userMax = scr.ownMax[:n]
+	scr.fillDelayBase(a)
+	return e.summarize(scr)
+}
 
+// summarize derives the evaluation of the bound session from its filled
+// delay base and current load: the per-user maxima, their mean and the
+// worst delay (all zero for a single-member session), and Φ_s.
+func (e *Evaluator) summarize(scr *Scratch) SessionEval {
 	out := SessionEval{}
-	if n >= 2 {
-		scr.fillDelayBase(a, e.sc)
-		out.MeanDelayMS, out.WorstMS = scr.delaySummary(scr.userMax)
-	} else {
-		for i := range scr.userMax {
-			scr.userMax[i] = 0
-		}
-	}
+	out.MeanDelayMS, out.WorstMS = scr.delaySummary(scr.userMax)
 	out.Phi = e.phiFromSparse(out.MeanDelayMS, &scr.cur)
 	return out
+}
+
+// flowDelay is FlowDelayMS for the flow from member i to member j of the
+// bound session, with the constant inputs (θ, representations, the flow's
+// slot in flowTo = a.SessionFlowAgents) read from the plan. Same terms, same
+// order of additions: bit-identical to FlowDelayMS.
+func (scr *Scratch) flowDelay(a *assign.Assignment, flowTo []model.AgentID, i, j int) float64 {
+	sc := scr.sc
+	u, v := scr.members[i], scr.members[j]
+	lu, lv := a.UserAgent(u), a.UserAgent(v)
+	if lu == assign.Unassigned || lv == assign.Unassigned {
+		return math.Inf(1)
+	}
+	d := sc.H(lu, u) + sc.H(lv, v)
+	pr := scr.plan.Pair(i, j)
+	if pr.Flow < 0 {
+		return d + sc.D(lu, lv)
+	}
+	m := flowTo[pr.Flow]
+	if m == assign.Unassigned {
+		return math.Inf(1)
+	}
+	sigma := sc.Agent(m).Sigma(scr.plan.Members[i].UpRep, model.Representation(pr.Rep))
+	return d + sc.D(lu, m) + sc.D(m, lv) + sigma
 }
 
 // fillDelayBase computes every per-flow delay of the prepared session into
 // scr.base (the full rebuild both the cold cache path and the reference
 // path run).
-func (scr *Scratch) fillDelayBase(a *assign.Assignment, sc *model.Scenario) {
+func (scr *Scratch) fillDelayBase(a *assign.Assignment) {
 	n := scr.n
-	for i, u := range scr.members {
-		for _, v := range sc.Participants(u) {
-			j := scr.idx[v]
-			d := FlowDelayMS(a, model.Flow{Src: u, Dst: v})
-			scr.base[i*n+int(j)] = d
+	flowTo := a.SessionFlowAgents(scr.sid)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if j != i {
+				scr.base[i*n+j] = scr.flowDelay(a, flowTo, i, j)
+			}
 		}
 	}
 }
 
 // beginSessionCached is BeginSession's delay-cache path: bind the session's
 // persistent entry as the active delay base, re-validate it against the
-// live decision variables, and recompute only what moved. The member index
-// table and n are already rebound by the caller.
+// live decision variables, and recompute only what moved. The session and n
+// are already bound by the caller.
 func (e *Evaluator) beginSessionCached(a *assign.Assignment, s model.SessionID, scr *Scratch, dc *DelayCache) SessionEval {
 	n := scr.n
 	ent := &dc.ent[s]
@@ -638,12 +661,14 @@ func (e *Evaluator) beginSessionCached(a *assign.Assignment, s model.SessionID, 
 	flowTo := a.SessionFlowAgents(s)
 	if ent.base == nil {
 		ent.base = make([]float64, n*n)
+		ent.userMax = make([]float64, n)
 		ent.userSig = make([]model.AgentID, n)
 		ent.flowSig = make([]model.AgentID, len(flows))
 		ent.load = NewSparseLoad(e.sc.NumAgents())
 		ent.valid = false
 	}
 	scr.base = ent.base
+	scr.userMax = ent.userMax
 
 	finish := func(out SessionEval) SessionEval {
 		// Synchronize the entry to the evaluated state.
@@ -654,16 +679,8 @@ func (e *Evaluator) beginSessionCached(a *assign.Assignment, s model.SessionID, 
 	}
 	rebuild := func() SessionEval {
 		e.p.sessionLoadSparse(a, s, &scr.cur, scr)
-		out := SessionEval{}
-		if n >= 2 {
-			scr.fillDelayBase(a, e.sc)
-			out.MeanDelayMS, out.WorstMS = scr.delaySummary(scr.userMax)
-		} else {
-			for i := range scr.userMax {
-				scr.userMax[i] = 0
-			}
-		}
-		out.Phi = e.phiFromSparse(out.MeanDelayMS, &scr.cur)
+		scr.fillDelayBase(a)
+		out := e.summarize(scr)
 		for i, u := range scr.members {
 			ent.userSig[i] = a.UserAgent(u)
 		}
@@ -677,24 +694,15 @@ func (e *Evaluator) beginSessionCached(a *assign.Assignment, s model.SessionID, 
 	}
 
 	if moved := e.patchEntry(a, scr, ent, flows, flowTo); moved == 0 {
-		// Unchanged signature: matrix, load, Φ_s and summary are all
-		// bitwise-unchanged — reuse everything.
+		// Unchanged signature: matrix, maxima, load, Φ_s and summary are
+		// all bitwise-unchanged — reuse everything.
 		dc.hits++
 		scr.cur.CopyFrom(ent.load)
 		return SessionEval{Phi: ent.phi, MeanDelayMS: ent.mean, WorstMS: ent.worst}
 	}
 	dc.patches++
 	e.p.sessionLoadSparse(a, s, &scr.cur, scr)
-	out := SessionEval{}
-	if n >= 2 {
-		out.MeanDelayMS, out.WorstMS = scr.delaySummary(scr.userMax)
-	} else {
-		for i := range scr.userMax {
-			scr.userMax[i] = 0
-		}
-	}
-	out.Phi = e.phiFromSparse(out.MeanDelayMS, &scr.cur)
-	return finish(out)
+	return finish(e.summarize(scr))
 }
 
 // patchEntry diffs the warm entry's decision signature against the live
@@ -702,7 +710,7 @@ func (e *Evaluator) beginSessionCached(a *assign.Assignment, s model.SessionID, 
 // moved: a moved member invalidates its row and column, a moved flow one
 // entry. Returns the number of moved variables (0 = the matrix is
 // bitwise-unchanged). The recomputed values come from the same pure
-// FlowDelayMS a full rebuild would call, so the patched matrix is
+// flowDelay a full rebuild would call, so the patched matrix is
 // bit-identical to a rebuild.
 func (e *Evaluator) patchEntry(a *assign.Assignment, scr *Scratch, ent *delayEntry,
 	flows []model.Flow, flowTo []model.AgentID) int {
@@ -718,8 +726,8 @@ func (e *Evaluator) patchEntry(a *assign.Assignment, scr *Scratch, ent *delayEnt
 	for k, l := range flowTo {
 		if ent.flowSig[k] != l {
 			ent.flowSig[k] = l
-			f := flows[k]
-			scr.base[int(scr.idx[f.Src])*n+int(scr.idx[f.Dst])] = FlowDelayMS(a, f)
+			i, j := e.sc.MemberIndex(flows[k].Src), e.sc.MemberIndex(flows[k].Dst)
+			scr.base[i*n+j] = scr.flowDelay(a, flowTo, i, j)
 			movedFlows++
 		}
 	}
@@ -731,18 +739,16 @@ func (e *Evaluator) patchEntry(a *assign.Assignment, scr *Scratch, ent *delayEnt
 		// n(n−1) for a full refill: refill when half the session moved.
 		// (The flow-moved entries above are simply overwritten again with
 		// identical values.)
-		scr.fillDelayBase(a, e.sc)
+		scr.fillDelayBase(a)
 	} else {
 		for _, i32 := range scr.movedMembers {
 			i := int(i32)
-			u := scr.members[i]
 			for j := 0; j < n; j++ {
 				if j == i {
 					continue
 				}
-				v := scr.members[j]
-				scr.base[i*n+j] = FlowDelayMS(a, model.Flow{Src: u, Dst: v})
-				scr.base[j*n+i] = FlowDelayMS(a, model.Flow{Src: v, Dst: u})
+				scr.base[i*n+j] = scr.flowDelay(a, flowTo, i, j)
+				scr.base[j*n+i] = scr.flowDelay(a, flowTo, j, i)
 			}
 		}
 	}
@@ -769,13 +775,9 @@ func (e *Evaluator) CommitSessionDecision(a *assign.Assignment, s model.SessionI
 		return
 	}
 	scr.base = ent.base
+	scr.userMax = ent.userMax
 	e.patchEntry(a, scr, ent, a.SessionFlowsShared(s), a.SessionFlowAgents(s))
-	n := scr.n
-	if n >= 2 {
-		ent.mean, ent.worst = scr.delaySummary(scr.userMax)
-	} else {
-		ent.mean, ent.worst = 0, 0
-	}
+	ent.mean, ent.worst = scr.delaySummary(scr.userMax)
 	ent.load.CopyFrom(load)
 	// Canonicalize to ascending touched order — the state phiFromSparse
 	// leaves behind on the rebuild path. (Every load consumer is
@@ -821,73 +823,100 @@ func (e *Evaluator) CandidateLoad(a *assign.Assignment, s model.SessionID, scr *
 	return &scr.cand
 }
 
-// setBase overwrites one delay-matrix entry, logging the old value for
-// revert.
-func (scr *Scratch) setBase(pos int32, v float64) {
-	scr.changes = append(scr.changes, delayChange{pos: pos, old: scr.base[pos]})
-	scr.base[pos] = v
-}
-
 // memberIndex resolves a user to its member index in the session prepared
-// by BeginSession, failing loudly on the staleness-contract violation a
-// raw scr.idx lookup would turn into a confusing negative-index panic: a
+// by BeginSession, failing loudly on the staleness-contract violation: a
 // decision handed to CandidatePhi must reference only members of the
 // session BeginSession last prepared on this scratch.
 func (scr *Scratch) memberIndex(u model.UserID) int {
-	if int(u) < 0 || int(u) >= len(scr.idx) || scr.idx[u] < 0 {
+	if int(u) < 0 || int(u) >= scr.sc.NumUsers() || scr.sc.User(u).Session != scr.sid {
 		panic(fmt.Sprintf(
 			"cost: CandidatePhi: user %d is not a member of session %d prepared by BeginSession; "+
 				"the scratch is stale — BeginSession must run for the decision's session before its candidates are evaluated",
 			u, scr.sid))
 	}
-	return int(scr.idx[u])
+	return scr.sc.MemberIndex(u)
+}
+
+// candColumnMax returns destination j's maximum incoming delay when the
+// entry from source i becomes v and the rest of column j keeps its base
+// values. O(1) unless the entry that held the column's maximum went down,
+// which forces a rescan of the column.
+func (scr *Scratch) candColumnMax(i, j int, v float64) float64 {
+	n := scr.n
+	m := scr.userMax[j]
+	if v >= m {
+		return v
+	}
+	if scr.base[i*n+j] < m {
+		return m // another source holds the maximum
+	}
+	m = v
+	for r := 0; r < n; r++ {
+		if r == i || r == j {
+			continue
+		}
+		if d := scr.base[r*n+j]; d > m {
+			m = d
+		}
+	}
+	return m
 }
 
 // CandidatePhi evaluates the candidate state's Φ_s and delay feasibility by
 // re-computing only the flows decision d moved: a UserMove re-evaluates the
 // moved member's incoming and outgoing flows (2(n−1) of n(n−1)), a FlowMove
-// exactly one. The assignment must hold the candidate state (d applied after
-// BeginSession), and CandidateLoad must have run for the same state. The
-// base delay matrix is restored before returning, so callers revert only the
-// assignment. Returns ok = false (and phi 0) when the candidate violates the
-// Dmax delay cap.
+// exactly one. The per-user maxima are updated from the base's in O(n) —
+// the moved member's own maximum from its n−1 new incoming delays, every
+// other user's from its one changed entry (candColumnMax) — and a maximum
+// is the same number in whatever order it is taken, so the summary is
+// bit-identical to a full delaySummary over the patched matrix. The
+// assignment must hold the candidate state (d applied after BeginSession),
+// and CandidateLoad must have run for the same state. The base delay matrix
+// and its maxima are only read, so callers revert only the assignment.
+// Returns ok = false (and phi 0) when the candidate violates the Dmax delay
+// cap.
 //
 // Staleness contract: d must move a variable of the session most recently
 // prepared by BeginSession on this scratch (the decision's user, or both
 // flow endpoints, are members). A decision referencing any other session —
 // a stale scratch, or candidates generated for the wrong session — is a
-// caller bug and panics with a descriptive message instead of a negative
-// slice index.
+// caller bug and panics with a descriptive message.
 func (e *Evaluator) CandidatePhi(a *assign.Assignment, s model.SessionID, d assign.Decision, scr *Scratch) (phi float64, ok bool) {
 	n := scr.n
 	mean := 0.0
 	if n >= 2 {
-		scr.changes = scr.changes[:0]
+		flowTo := a.SessionFlowAgents(s)
+		cm := scr.candMax
+		copy(cm, scr.userMax)
 		switch d.Kind {
 		case assign.UserMove:
 			iu := scr.memberIndex(d.User)
-			u := scr.members[iu]
+			own := 0.0
 			for j := 0; j < n; j++ {
 				if j == iu {
 					continue
 				}
-				v := scr.members[j]
-				scr.setBase(int32(iu*n+j), FlowDelayMS(a, model.Flow{Src: u, Dst: v}))
-				scr.setBase(int32(j*n+iu), FlowDelayMS(a, model.Flow{Src: v, Dst: u}))
+				cm[j] = scr.candColumnMax(iu, j, scr.flowDelay(a, flowTo, iu, j))
+				if in := scr.flowDelay(a, flowTo, j, iu); in > own {
+					own = in
+				}
 			}
+			cm[iu] = own
 		case assign.FlowMove:
 			i, j := scr.memberIndex(d.Flow.Src), scr.memberIndex(d.Flow.Dst)
-			scr.setBase(int32(i*n+j), FlowDelayMS(a, d.Flow))
+			cm[j] = scr.candColumnMax(i, j, scr.flowDelay(a, flowTo, i, j))
 		}
-		var worst float64
-		mean, worst = scr.delaySummary(scr.candMax)
-		// Restore the base matrix to the BeginSession state.
-		for i := len(scr.changes) - 1; i >= 0; i-- {
-			scr.base[scr.changes[i].pos] = scr.changes[i].old
+		sum, worst := 0.0, 0.0
+		for _, m := range cm {
+			sum += m
+			if m > worst {
+				worst = m
+			}
 		}
 		if worst > e.sc.DMaxMS {
 			return 0, false
 		}
+		mean = sum / float64(n)
 	}
 	return e.phiFromSparse(mean, &scr.cand), true
 }

@@ -166,11 +166,11 @@ func TestNearestAgentAndProximityOrder(t *testing.T) {
 	if got := sc.NearestAgent(1); got != 0 {
 		t.Fatalf("NearestAgent(1) = %d, want 0 (tie break)", got)
 	}
-	order := sc.AgentsByProximity(0)
+	order := sc.AppendNearestAgents(nil, 0, sc.NumAgents())
 	want := []AgentID{1, 2, 0}
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("AgentsByProximity(0) = %v, want %v", order, want)
+			t.Fatalf("AppendNearestAgents(nil, 0, L) = %v, want %v", order, want)
 		}
 	}
 }
@@ -273,8 +273,9 @@ func TestUniformSigma(t *testing.T) {
 	}
 }
 
-// Property: AgentsByProximity always returns a permutation of all agents in
-// non-decreasing delay order, for arbitrary delay rows.
+// Property: AppendNearestAgents with k = L always returns a permutation of
+// all agents in non-decreasing delay order, for arbitrary delay rows, and
+// with a smaller k exactly that order's prefix, appended after dst.
 func TestAgentsByProximityProperty(t *testing.T) {
 	prop := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -298,7 +299,7 @@ func TestAgentsByProximityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		order := sc.AgentsByProximity(0)
+		order := sc.AppendNearestAgents(nil, 0, len(raw))
 		if len(order) != len(raw) {
 			return false
 		}
@@ -308,8 +309,22 @@ func TestAgentsByProximityProperty(t *testing.T) {
 				return false
 			}
 			seen[id] = true
-			if i > 0 && sc.H(order[i-1], 0) > sc.H(id, 0) {
+			if i > 0 {
+				da, db := sc.H(order[i-1], 0), sc.H(id, 0)
+				if da > db || (da == db && order[i-1] > id) {
+					return false
+				}
+			}
+		}
+		for k := 0; k <= len(raw); k++ {
+			got := sc.AppendNearestAgents([]AgentID{7}, 0, k)
+			if len(got) != k+1 || got[0] != 7 {
 				return false
+			}
+			for i, id := range got[1:] {
+				if id != order[i] {
+					return false
+				}
 			}
 		}
 		return true

@@ -40,14 +40,19 @@ type Scenario struct {
 	// clamped to the upstream), so such flows never count as transcoding.
 	DownscaleOnly bool
 
-	// theta caches θ: theta[u][v] == true iff u and v share a session and
-	// v's demanded downstream representation of u's stream differs from u's
-	// upstream representation (flow u→v needs transcoding).
-	theta [][]bool
 	// participants caches P(u) per user.
 	participants [][]UserID
 	// thetaSum caches the total number of transcoding flows Σ_u Σ_v θ_uv.
 	thetaSum int
+
+	// The compiled evaluation plan (see plan.go): flat member and pair
+	// tables laid out session by session, the per-session offsets into
+	// them, and each user's location in them.
+	planMembers []PlanMember
+	planPairs   []PlanPair
+	memberStart []int32
+	pairStart   []int32
+	planRefs    []planRef
 }
 
 // ScenarioOption customizes scenario semantics at construction time.
@@ -118,9 +123,13 @@ func (sc *Scenario) D(l, k AgentID) float64 { return sc.DMS[l][k] }
 func (sc *Scenario) H(l AgentID, u UserID) float64 { return sc.HMS[l][u] }
 
 // Theta reports θ_uv: whether the flow from source u to destination v
-// requires transcoding. It is false whenever u and v are not in the same
-// session or u == v.
-func (sc *Scenario) Theta(u, v UserID) bool { return sc.theta[u][v] }
+// requires transcoding — v's effective demand for u's stream differs from
+// u's upstream representation. It is false whenever u and v are not in the
+// same session or u == v.
+func (sc *Scenario) Theta(u, v UserID) bool {
+	p := sc.pair(u, v)
+	return p != nil && p.Flow >= 0
+}
 
 // ThetaSum returns θ^sum, the total number of transcoding flows across all
 // sessions (Σ_u Σ_v θ_uv). This sizes the decision space O(L^(U+θsum)).
@@ -134,9 +143,11 @@ func (sc *Scenario) Participants(u UserID) []UserID { return sc.participants[u] 
 // inside session s, in deterministic order.
 func (sc *Scenario) SessionThetaFlows(s SessionID) []Flow {
 	var flows []Flow
-	for _, u := range sc.Sessions[s].Users {
-		for _, v := range sc.Sessions[s].Users {
-			if u != v && sc.theta[u][v] {
+	plan := sc.Plan(s)
+	for i, u := range sc.Sessions[s].Users {
+		row := plan.Row(i)
+		for jj, v := range sc.participants[u] {
+			if row[jj].Flow >= 0 {
 				flows = append(flows, Flow{Src: u, Dst: v})
 			}
 		}
@@ -156,6 +167,16 @@ type Flow struct {
 // the scenario is DownscaleOnly (no upscaling exists, so a higher demand is
 // served natively).
 func (sc *Scenario) Downstream(dst, src UserID) Representation {
+	if p := sc.pair(src, dst); p != nil {
+		return Representation(p.Rep)
+	}
+	return sc.demand(dst, src)
+}
+
+// demand derives Downstream from the users' demand maps — what the plan is
+// compiled from, and the answer for users that are not participants of one
+// another.
+func (sc *Scenario) demand(dst, src UserID) Representation {
 	r := sc.Users[dst].DownstreamFrom(&sc.Users[src])
 	if sc.DownscaleOnly && r > sc.Users[src].Upstream {
 		return sc.Users[src].Upstream
@@ -181,26 +202,38 @@ func (sc *Scenario) NearestAgent(u UserID) AgentID {
 	return best
 }
 
-// AgentsByProximity returns all agent IDs sorted by ascending H-delay to
-// user u (ties broken by agent ID). The slice is freshly allocated.
-func (sc *Scenario) AgentsByProximity(u UserID) []AgentID {
-	ids := make([]AgentID, len(sc.Agents))
-	for i := range ids {
-		ids[i] = AgentID(i)
+// AppendNearestAgents appends to dst the k agents nearest to user u by
+// H-delay, nearest first (ties broken by agent ID), and returns the extended
+// slice. It is a bounded insertion over one pass of the fleet — O(L·k) — and
+// allocates nothing when dst has room for k more entries. k is clamped to
+// [0, NumAgents].
+func (sc *Scenario) AppendNearestAgents(dst []AgentID, u UserID, k int) []AgentID {
+	if k > len(sc.Agents) {
+		k = len(sc.Agents)
 	}
-	// Insertion sort: L is small (≤ tens) and this avoids pulling in sort
-	// with a less obvious comparator closure allocation in hot paths.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ids[j-1], ids[j]
-			da, db := sc.HMS[a][u], sc.HMS[b][u]
-			if da < db || (da == db && a < b) {
-				break
+	if k <= 0 {
+		return dst
+	}
+	base := len(dst)
+	for l := range sc.Agents {
+		d := sc.HMS[l][u]
+		// Agents arrive in ascending ID, so on equal delay the newcomer
+		// sorts after every kept agent: only a strictly smaller delay
+		// displaces one.
+		if len(dst)-base == k {
+			if d >= sc.HMS[dst[len(dst)-1]][u] {
+				continue
 			}
-			ids[j-1], ids[j] = ids[j], ids[j-1]
+		} else {
+			dst = append(dst, 0)
 		}
+		i := len(dst) - 1
+		for ; i > base && sc.HMS[dst[i-1]][u] > d; i-- {
+			dst[i] = dst[i-1]
+		}
+		dst[i] = AgentID(l)
 	}
-	return ids
+	return dst
 }
 
 func (sc *Scenario) validate() error {
@@ -289,32 +322,18 @@ func validateMatrix(name string, m [][]float64, rows, cols int) error {
 }
 
 func (sc *Scenario) buildCaches() {
-	nu := len(sc.Users)
-	sc.theta = make([][]bool, nu)
-	sc.participants = make([][]UserID, nu)
-	for u := range sc.Users {
-		sc.theta[u] = make([]bool, nu)
-	}
-	sc.thetaSum = 0
+	sc.participants = make([][]UserID, len(sc.Users))
 	for si := range sc.Sessions {
 		members := sc.Sessions[si].Users
 		for _, u := range members {
 			peers := make([]UserID, 0, len(members)-1)
 			for _, v := range members {
-				if v == u {
-					continue
-				}
-				peers = append(peers, v)
-				// Flow u→v needs transcoding when v's effective demand for
-				// u's stream differs from what u produces (under
-				// DownscaleOnly, upward demands clamp to the upstream and
-				// therefore never transcode).
-				if sc.Downstream(v, u) != sc.Users[u].Upstream {
-					sc.theta[u][v] = true
-					sc.thetaSum++
+				if v != u {
+					peers = append(peers, v)
 				}
 			}
 			sc.participants[u] = peers
 		}
 	}
+	sc.buildPlan()
 }

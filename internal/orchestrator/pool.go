@@ -134,11 +134,13 @@ func (o *Orchestrator) dispatch(sessions []model.SessionID, tally *eventTally, p
 // workerState is one worker's private buffers: the hop scratch, a dense
 // snapshot ledger with its epoch stamps and commit route (sharded mode),
 // a private assignment the refinement walk mutates, and the proposal
-// buffers. Everything is reused across tasks, so steady-state refinement
-// allocates nothing beyond the per-task RNG.
+// buffers. Everything is reused across tasks — the RNG is re-seeded per
+// task, which yields exactly the stream a fresh one would — so steady-state
+// refinement allocates nothing.
 type workerState struct {
 	id  int // counter-shard index into the telemetry sink
 	scr *core.HopScratch
+	rng *rand.Rand
 	// probe is the reused per-task instrumentation scratch (telemetry
 	// enabled only), so enabling the sink adds no per-task allocation.
 	probe taskProbe
@@ -233,7 +235,8 @@ func (o *Orchestrator) finishTaskProbe(t reoptTask, w *workerState, probe *taskP
 // worker is one solver shard: it refines tasks until the pool closes. id is
 // the worker's counter-shard index in the telemetry sink.
 func (o *Orchestrator) worker(id int) {
-	w := &workerState{id: id, scr: core.NewHopScratch(o.ev)}
+	w := &workerState{id: id, scr: core.NewHopScratch(o.ev), rng: rand.New(rand.NewSource(0))}
+	w.scr.SetProximityIndex(o.nbrIdx)
 	// The worker's scratch carries a private per-session delay cache that
 	// stays warm across the hops of one refinement walk (and across tasks,
 	// when the session's variables did not change in between). Entries
@@ -278,9 +281,14 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 	if !o.cache.Active(t.session) {
 		return
 	}
-	rng := rand.New(rand.NewSource(t.seed))
+	rng := w.rng
+	rng.Seed(t.seed)
 	users := o.sc.Session(t.session).Users
 	flows := o.a.SessionFlowsShared(t.session)
+	// Index views of the session's flow placements, live and private,
+	// aligned with flows.
+	liveFlowTo := o.a.SessionFlowAgents(t.session)
+	privFlowTo := w.aw.SessionFlowAgents(t.session)
 	w.userTo = growAgents(w.userTo, len(users))
 	w.flowTo = growAgents(w.flowTo, len(flows))
 
@@ -316,8 +324,8 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 				}
 				w.agents = append(w.agents, o.nbrIdx.UserWindow(u)...)
 			}
-			for _, f := range flows {
-				if l, _ := o.a.FlowAgent(f); l >= 0 {
+			for _, l := range liveFlowTo {
+				if l >= 0 {
 					w.agents = append(w.agents, l)
 				}
 			}
@@ -330,13 +338,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		for _, u := range users {
 			w.aw.SetUserAgent(u, o.a.UserAgent(u))
 		}
-		for _, f := range flows {
-			l, _ := o.a.FlowAgent(f)
-			if err := w.aw.SetFlowAgent(f, l); err != nil {
-				o.reportErr(err)
-				return
-			}
-		}
+		w.aw.SetSessionFlowAgents(t.session, liveFlowTo)
 
 		if probe != nil {
 			now := time.Now()
@@ -355,9 +357,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		for i, u := range users {
 			w.userTo[i] = w.aw.UserAgent(u)
 		}
-		for i, f := range flows {
-			w.flowTo[i], _ = w.aw.FlowAgent(f)
-		}
+		copy(w.flowTo, privFlowTo)
 		for i := 0; i < o.cfg.HopBudget; i++ {
 			res, err := core.HopSessionWith(w.aw, t.session, o.ev, w.snap, o.cfg.Core, rng, w.scr)
 			if err != nil {
@@ -372,9 +372,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 				for i, u := range users {
 					w.userTo[i] = w.aw.UserAgent(u)
 				}
-				for i, f := range flows {
-					w.flowTo[i], _ = w.aw.FlowAgent(f)
-				}
+				copy(w.flowTo, privFlowTo)
 				improved = true
 				if probe != nil {
 					bestAgent = int(res.Decision.To)
@@ -398,12 +396,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		for i, u := range users {
 			w.aw.SetUserAgent(u, w.userTo[i])
 		}
-		for i, f := range flows {
-			if err := w.aw.SetFlowAgent(f, w.flowTo[i]); err != nil {
-				o.reportErr(err)
-				return
-			}
-		}
+		w.aw.SetSessionFlowAgents(t.session, w.flowTo)
 		w.ds = w.ds[:0]
 		for i, u := range users {
 			if o.a.UserAgent(u) != w.userTo[i] {
@@ -411,7 +404,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 			}
 		}
 		for i, f := range flows {
-			if cur, _ := o.a.FlowAgent(f); cur != w.flowTo[i] {
+			if liveFlowTo[i] != w.flowTo[i] {
 				w.ds = append(w.ds, assign.Decision{Kind: assign.FlowMove, Flow: f, To: w.flowTo[i]})
 			}
 		}
@@ -587,15 +580,14 @@ func (o *Orchestrator) refineSingleLock(t reoptTask, w *workerState) {
 		for i, u := range users {
 			prop.userTo[i] = a.UserAgent(u)
 		}
-		for i, f := range flows {
-			prop.flowTo[i], _ = a.FlowAgent(f)
-		}
+		copy(prop.flowTo, a.SessionFlowAgents(t.session))
 	}
 	capture()
 
 	// Bounded refinement: walk the chain from the warm start, remembering
 	// the best session-local objective seen.
-	rng := rand.New(rand.NewSource(t.seed))
+	rng := w.rng
+	rng.Seed(t.seed)
 	improved := false
 	for i := 0; i < o.cfg.HopBudget; i++ {
 		res, err := core.HopSessionWith(a, t.session, o.ev, ledger, o.cfg.Core, rng, scr)
@@ -667,8 +659,9 @@ func (o *Orchestrator) commitSingleLock(t reoptTask, wid int, p proposal) {
 			ds = append(ds, assign.Decision{Kind: assign.UserMove, User: u, To: p.userTo[i]})
 		}
 	}
+	liveFlowTo := o.a.SessionFlowAgents(p.session)
 	for i, f := range p.flows {
-		if cur, _ := o.a.FlowAgent(f); cur != p.flowTo[i] {
+		if liveFlowTo[i] != p.flowTo[i] {
 			ds = append(ds, assign.Decision{Kind: assign.FlowMove, Flow: f, To: p.flowTo[i]})
 		}
 	}
