@@ -19,12 +19,7 @@ import (
 // members, random demands, heterogeneous σ tables and prices.
 func nonDyadicScenario(t *testing.T, rng *rand.Rand, downscaleOnly bool) *model.Scenario {
 	t.Helper()
-	reps, err := model.NewRepresentationSet([]model.RepSpec{
-		{Name: "lo", Mbps: 0.3}, {Name: "mid", Mbps: 1.7}, {Name: "hi", Mbps: 4.1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := nonDyadicReps(t)
 	b := model.NewBuilder(reps)
 	if downscaleOnly {
 		b.RestrictDownscaleOnly()
@@ -86,6 +81,18 @@ func nonDyadicScenario(t *testing.T, rng *rand.Rand, downscaleOnly bool) *model.
 		t.Fatal(err)
 	}
 	return sc
+}
+
+// nonDyadicReps is the lo 0.3 / mid 1.7 / hi 4.1 Mbps representation set.
+func nonDyadicReps(t *testing.T) *model.RepresentationSet {
+	t.Helper()
+	reps, err := model.NewRepresentationSet([]model.RepSpec{
+		{Name: "lo", Mbps: 0.3}, {Name: "mid", Mbps: 1.7}, {Name: "hi", Mbps: 4.1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps
 }
 
 func sameLoad(t *testing.T, what string, sparse *SparseLoad, dense *SessionLoad) {

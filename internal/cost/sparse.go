@@ -89,14 +89,20 @@ func (sl *SparseLoad) addTask(l model.AgentID) {
 	sl.tasks[l]++
 }
 
+// addIn records w Mbps of inter-agent traffic arriving at dst: the receiving
+// half of SessionLoad.addEdge.
+func (sl *SparseLoad) addIn(dst model.AgentID, w float64) {
+	sl.touch(dst)
+	sl.down[dst] += w
+	sl.inter[dst] += w
+}
+
 // addEdge records w Mbps of inter-agent traffic src → dst, mirroring
 // SessionLoad.addEdge.
 func (sl *SparseLoad) addEdge(src, dst model.AgentID, w float64) {
 	sl.touch(src)
-	sl.touch(dst)
 	sl.up[src] += w
-	sl.down[dst] += w
-	sl.inter[dst] += w
+	sl.addIn(dst, w)
 }
 
 // sortTouched orders the touched list ascending so cost sums visit agents in
@@ -252,15 +258,19 @@ type Scratch struct {
 
 	cur, cand SparseLoad
 
-	// Per-source-user dedup sets of the load computation, and the members'
-	// agents gathered once per evaluation.
-	lambda     []model.AgentID
-	transMark  []bool
-	transList  []int32
-	nativeMark []bool
-	nativeList []int32
-	taskKeys   []mrKey
-	sentEdges  []edgeKey3
+	// Working state of the load computation, all zero between calls: the
+	// members' agents and the session's distinct hosting agents with their
+	// member counts, gathered once per evaluation, and the per-source sets —
+	// transcoding agents, transcoded destinations per agent, ν task keys,
+	// sent transcoded edges.
+	lambda    []model.AgentID
+	hosts     []int32
+	hostCnt   []int32
+	transMark []bool
+	transList []int32
+	transDst  []int32
+	taskKeys  []mrKey
+	sentEdges []edgeKey3
 
 	// Delay state of the session prepared by BeginSession. base is the
 	// active n×n flow-delay matrix (row = source member index): it aliases
@@ -308,10 +318,10 @@ func (scr *Scratch) Ensure(e *Evaluator) {
 	scr.cur.Reset()
 	scr.cand.ensure(L)
 	scr.cand.Reset()
+	scr.hostCnt = make([]int32, L)
 	scr.transMark = make([]bool, L)
 	scr.transList = scr.transList[:0]
-	scr.nativeMark = make([]bool, L)
-	scr.nativeList = scr.nativeList[:0]
+	scr.transDst = make([]int32, L)
 	scr.taskKeys = scr.taskKeys[:0]
 	scr.sentEdges = scr.sentEdges[:0]
 	scr.members = nil
@@ -361,63 +371,70 @@ func (scr *Scratch) CurLoad() *SparseLoad { return &scr.cur }
 // CandLoad returns the candidate load computed by the last CandidateLoad.
 func (scr *Scratch) CandLoad() *SparseLoad { return &scr.cand }
 
-// sessionLoadSparse computes session s's load under a into dst, mirroring
-// Params.SessionLoadOf term by term (see that function for the μ formula
-// commentary). The per-slot accumulation sequence is identical, so results
-// are bit-identical to the dense computation. Everything constant across
-// candidates — bitrates, θ, representations, flow slots — is read from the
+// sessionLoadSparse computes session s's load under a into dst, bit-identical
+// to Params.SessionLoadOf (see that function for the μ formula commentary).
+// A source sends its raw stream once per agent hosting a destination, not
+// once per destination, so the kernel groups the session by hosting agent
+// first — g distinct agents with a member count each — and every source then
+// walks its own transcoding flows and those g agents instead of its n−1
+// pairs: O(n·g + F). Everything constant across candidates is read from the
 // scenario's compiled plan; the only per-candidate inputs are the members'
 // agents and the session's flow-agent view.
+//
+// Per slot the sequence of additions is SessionLoadOf's, except where the
+// order provably does not matter: terms 1–2 of μ add the same value upRate
+// once to each of a set of distinct destination slots and repeatedly to
+// up[k], so the order in which the destination agents are visited is free.
 func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *SparseLoad, scr *Scratch) {
 	sc := a.Scenario()
 	dst.Reset()
 	plan := sc.Plan(s)
 	flowTo := a.SessionFlowAgents(s)
-	lambda := scr.lambda[:0]
+
+	// The members' agents, and the distinct hosting agents in order of first
+	// appearance with the number of members each hosts.
+	lambda, hosts := scr.lambda[:0], scr.hosts[:0]
 	for _, u := range sc.Session(s).Users {
-		lambda = append(lambda, a.UserAgent(u))
+		l := a.UserAgent(u)
+		lambda = append(lambda, l)
+		if l == assign.Unassigned {
+			continue
+		}
+		if scr.hostCnt[l] == 0 {
+			hosts = append(hosts, int32(l))
+		}
+		scr.hostCnt[l]++
 	}
-	scr.lambda = lambda
+	scr.lambda, scr.hosts = lambda, hosts
 
 	for i, k := range lambda { // k: source agent of member i
 		if k == assign.Unassigned {
 			continue
 		}
-		upRate := plan.Members[i].UpMbps
-		row := plan.Row(i)
+		mem := &plan.Members[i]
+		upRate := mem.UpMbps
+		flows := plan.Flows[mem.FlowStart:mem.FlowEnd]
+		to := flowTo[mem.FlowStart:mem.FlowEnd] // aligned with flows
 
 		// Last-mile upstream and downstream (constraints (5)/(6) first
-		// terms). The n−1 downstream terms land on the one slot k with
-		// nothing in between, so they accumulate in a register.
+		// terms). up[k] stays in a register until term 3: terms 1–2 add to it
+		// and to slots other than k only.
 		dst.addDown(k, upRate)
-		up := dst.up[k]
-		for jj := range row {
-			up += row[jj].InMbps
-		}
-		dst.up[k] = up
+		up := dst.up[k] + mem.InMbps
 
-		// One pass over u's destinations collects the transcoding agents of
-		// u's stream with their ν tasks (deduped per distinct (transcoder,
-		// representation) pair) and the agents hosting native-representation
-		// destinations.
+		// One pass over i's transcoding flows collects the transcoding agents
+		// of its stream with their ν tasks (deduped per distinct (transcoder,
+		// representation) pair) and counts, per agent, the destinations that
+		// do not take the raw stream — a flow with θ = 1 is never native,
+		// whether or not its transcoder is assigned yet.
 		scr.transList = scr.transList[:0]
 		scr.taskKeys = scr.taskKeys[:0]
-		scr.nativeList = scr.nativeList[:0]
-		for jj := range row {
-			pr := &row[jj]
-			if pr.Flow < 0 {
-				j := jj
-				if jj >= i {
-					j++
-				}
-				lv := lambda[j]
-				if lv != assign.Unassigned && lv != k && !scr.nativeMark[lv] {
-					scr.nativeMark[lv] = true
-					scr.nativeList = append(scr.nativeList, int32(lv))
-				}
-				continue
+		for f := range flows {
+			fl := &flows[f]
+			if lv := lambda[fl.Dst]; lv != assign.Unassigned {
+				scr.transDst[lv]++
 			}
-			m := flowTo[pr.Flow]
+			m := to[f]
 			if m == assign.Unassigned {
 				continue
 			}
@@ -427,13 +444,13 @@ func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *
 			}
 			dup := false
 			for _, tk := range scr.taskKeys {
-				if tk.m == int32(m) && tk.r == pr.Rep {
+				if tk.m == int32(m) && tk.r == fl.Rep {
 					dup = true
 					break
 				}
 			}
 			if !dup {
-				scr.taskKeys = append(scr.taskKeys, mrKey{m: int32(m), r: pr.Rep})
+				scr.taskKeys = append(scr.taskKeys, mrKey{m: int32(m), r: fl.Rep})
 				dst.addTask(m)
 			}
 		}
@@ -441,37 +458,37 @@ func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *
 		// Term 1 of μ: one raw copy k → every transcoding agent m ≠ k.
 		for _, m32 := range scr.transList {
 			if m := model.AgentID(m32); m != k {
-				dst.addEdge(k, m, upRate)
+				up += upRate
+				dst.addIn(m, upRate)
 			}
 		}
 
 		// Term 2 of μ: raw stream k → agents hosting native-representation
 		// destinations, unless the raw copy already arrived for transcoding
-		// there (the (1−ν'_lu) factor).
-		for _, l32 := range scr.nativeList {
-			if !scr.transMark[l32] {
-				dst.addEdge(k, model.AgentID(l32), upRate)
+		// there (the (1−ν'_lu) factor). Every member on an agent l ≠ k is a
+		// destination of i, so l hosts a native one exactly when it hosts
+		// more members than transcoded destinations of i.
+		for _, l32 := range hosts {
+			if l := model.AgentID(l32); l != k && scr.hostCnt[l] > scr.transDst[l] && !scr.transMark[l] {
+				up += upRate
+				dst.addIn(l, upRate)
 			}
 		}
+		dst.up[k] = up
 
 		// Term 3 of μ: transcoded stream at rep r from transcoder m to every
 		// agent hosting a destination demanding r; one copy per (m, agent, r).
+		// The same walk clears the per-source counts.
 		scr.sentEdges = scr.sentEdges[:0]
-		for jj := range row {
-			pr := &row[jj]
-			if pr.Flow < 0 {
+		for f := range flows {
+			fl := &flows[f]
+			lv := lambda[fl.Dst]
+			if lv == assign.Unassigned {
 				continue
 			}
-			m := flowTo[pr.Flow]
-			if m == assign.Unassigned {
-				continue
-			}
-			j := jj
-			if jj >= i {
-				j++
-			}
-			lv := lambda[j]
-			if lv == assign.Unassigned || lv == m {
+			scr.transDst[lv] = 0
+			m := to[f]
+			if m == assign.Unassigned || lv == m {
 				continue
 			}
 			if p.StrictPaperTraffic && lv == k {
@@ -479,7 +496,7 @@ func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *
 			}
 			dup := false
 			for _, ek := range scr.sentEdges {
-				if ek.m == int32(m) && ek.lv == int32(lv) && ek.r == pr.Rep {
+				if ek.m == int32(m) && ek.lv == int32(lv) && ek.r == fl.Rep {
 					dup = true
 					break
 				}
@@ -487,17 +504,15 @@ func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *
 			if dup {
 				continue
 			}
-			scr.sentEdges = append(scr.sentEdges, edgeKey3{m: int32(m), lv: int32(lv), r: pr.Rep})
-			dst.addEdge(m, lv, pr.OutMbps)
+			scr.sentEdges = append(scr.sentEdges, edgeKey3{m: int32(m), lv: int32(lv), r: fl.Rep})
+			dst.addEdge(m, lv, fl.OutMbps)
 		}
-
-		// Clear the per-user marks in O(touched).
 		for _, m32 := range scr.transList {
 			scr.transMark[m32] = false
 		}
-		for _, l32 := range scr.nativeList {
-			scr.nativeMark[l32] = false
-		}
+	}
+	for _, l32 := range hosts {
+		scr.hostCnt[l32] = 0
 	}
 }
 
@@ -510,30 +525,32 @@ func (e *Evaluator) SessionLoadSparse(a *assign.Assignment, s model.SessionID, s
 }
 
 // phiFromSparse assembles Φ_s from the delay mean and a sparse load exactly
-// as sessionObjectiveFromLoad does from a dense one.
+// as sessionObjectiveFromLoad does from a dense one: G and H are summed in
+// one ascending walk of the touched agents, each in its own accumulator, so
+// each sum keeps the dense loop's order (a sum whose α is zero is not used).
 func (e *Evaluator) phiFromSparse(meanDelayMS float64, sl *SparseLoad) float64 {
 	phi := 0.0
 	if e.p.Alpha1 > 0 {
 		phi += e.p.Alpha1 * meanDelayMS
 	}
-	if e.p.Alpha2 > 0 {
-		sl.sortTouched()
-		g := 0.0
-		for _, l := range sl.touched {
-			if x := sl.inter[l]; x > 0 {
-				g += e.p.trafficCost(e.sc.Agent(model.AgentID(l)).TrafficPricePerMbps, x)
-			}
+	if e.p.Alpha2 <= 0 && e.p.Alpha3 <= 0 {
+		return phi
+	}
+	sl.sortTouched()
+	g, h := 0.0, 0.0
+	for _, l := range sl.touched {
+		ag := e.sc.Agent(model.AgentID(l))
+		if x := sl.inter[l]; x > 0 {
+			g += e.p.trafficCost(ag.TrafficPricePerMbps, x)
 		}
+		if y := sl.tasks[l]; y > 0 {
+			h += e.p.transcodeCost(ag.TranscodePricePerTask, y)
+		}
+	}
+	if e.p.Alpha2 > 0 {
 		phi += e.p.Alpha2 * g
 	}
 	if e.p.Alpha3 > 0 {
-		sl.sortTouched()
-		h := 0.0
-		for _, l := range sl.touched {
-			if y := sl.tasks[l]; y > 0 {
-				h += e.p.transcodeCost(e.sc.Agent(model.AgentID(l)).TranscodePricePerTask, y)
-			}
-		}
 		phi += e.p.Alpha3 * h
 	}
 	return phi

@@ -1,0 +1,225 @@
+package cost
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"vconf/internal/assign"
+	"vconf/internal/model"
+)
+
+// Tests of the agent-grouped load kernel (sessionLoadSparse) against the
+// dense reference on one small fixed scenario, where the placements its
+// counting rule could get wrong can be written down by hand.
+
+const groupAgents = 6
+
+// groupScenario is one session of five members over six agents with
+// non-dyadic bitrates (0.3 / 1.7 / 4.1 Mbps) and distinct prices, so a
+// reordered sum shows. Upstreams: u0 hi, u1 mid, u2 hi, u3 lo, u4 mid.
+// Transcoding flows, in SessionFlowAgents order:
+//
+//	0: u0→u1 lo   1: u0→u2 mid   2: u0→u3 lo   (u4 takes u0's stream natively)
+//	3: u1→u3 hi   4: u1→u4 lo    5: u2→u0 mid  6: u3→u0 hi
+//
+// Under DownscaleOnly the two upward demands (3 and 6) clamp to native and
+// the rest close ranks: u1→u4 is flow 3, u2→u0 flow 4.
+func groupScenario(t *testing.T, downscaleOnly bool) *model.Scenario {
+	t.Helper()
+	const lo, mid, hi = 0, 1, 2
+	reps := nonDyadicReps(t)
+	b := model.NewBuilder(reps)
+	if downscaleOnly {
+		b.RestrictDownscaleOnly()
+	}
+	d := make([][]float64, groupAgents)
+	h := make([][]float64, groupAgents)
+	for l := 0; l < groupAgents; l++ {
+		b.AddAgent(model.Agent{Upload: 100, Download: 100, TranscodeSlots: 8,
+			SigmaMS:               model.UniformSigma(reps.Len(), 30+float64(l)),
+			TrafficPricePerMbps:   0.7 + 0.13*float64(l),
+			TranscodePricePerTask: 0.9 + 0.11*float64(l),
+		})
+		d[l] = make([]float64, groupAgents)
+		for k := range d[l] {
+			if k != l {
+				d[l][k] = 10 + 7.3*float64((l+k)%4)
+			}
+		}
+		h[l] = make([]float64, 5)
+		for u := range h[l] {
+			h[l][u] = 5 + 3.1*float64((l+2*u)%5)
+		}
+	}
+	s := b.AddSession("s")
+	var u [5]model.UserID
+	for i, up := range []model.Representation{hi, mid, hi, lo, mid} {
+		u[i] = b.AddUser("u", s, up, nil)
+	}
+	b.DemandFrom(u[1], u[0], lo).DemandFrom(u[2], u[0], mid).DemandFrom(u[3], u[0], lo)
+	b.DemandFrom(u[3], u[1], hi).DemandFrom(u[4], u[1], lo)
+	b.DemandFrom(u[0], u[2], mid).DemandFrom(u[0], u[3], hi)
+	sc, err := b.SetInterAgentDelays(d).SetAgentUserDelays(h).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// Placement bytes: byte 0 carries DownscaleOnly (bit 0) and
+// StrictPaperTraffic (bit 1); the next five place the members and the rest
+// the transcoding flows, each as b mod 7 − 1, so 0 is Unassigned and 1–6 are
+// agents 0–5. Missing bytes read as 0.
+const groupUnassigned = 0
+
+func groupPlacement(flags byte, members [5]byte, flows ...byte) []byte {
+	return append(append([]byte{flags}, members[:]...), flows...)
+}
+
+// checkGroupedLoad evaluates the placement through the sparse kernel, twice
+// on one scratch (a counter left dirty by the first call would corrupt the
+// second), and requires the load bit-equal to SessionLoadOf and Φ_s
+// bit-equal to SessionObjective.
+func checkGroupedLoad(t *testing.T, data []byte) {
+	t.Helper()
+	at := func(i int) model.AgentID {
+		if i >= len(data) {
+			return assign.Unassigned
+		}
+		return model.AgentID(data[i]%(groupAgents+1)) - 1
+	}
+	flags := byte(0)
+	if len(data) > 0 {
+		flags = data[0]
+	}
+	sc := groupScenario(t, flags&1 != 0)
+	p := DefaultParams()
+	p.StrictPaperTraffic = flags&2 != 0
+	ev, err := NewEvaluator(sc, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := assign.New(sc)
+	for u := 0; u < sc.NumUsers(); u++ {
+		a.SetUserAgent(model.UserID(u), at(1+u))
+	}
+	for f, fl := range a.Flows() {
+		if err := a.SetFlowAgent(fl, at(1+sc.NumUsers()+f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scr := ev.NewScratch()
+	dense := p.SessionLoadOf(a, 0)
+	for _, pass := range []string{"first", "second"} {
+		sameLoad(t, pass+" evaluation", ev.SessionLoadSparse(a, 0, scr), dense)
+	}
+	sameBits(t, "Φ", ev.BeginSession(a, 0, scr).Phi, ev.SessionObjective(a, 0))
+}
+
+// groupCases are the placements the counting rule of term 2 ("an agent takes
+// the raw stream when it hosts more members than transcoded destinations of
+// the source") and its neighbours can get wrong. Members and flows are
+// placement bytes (agent + 1, 0 = Unassigned) of the seven-flow scenario.
+var groupCases = []struct {
+	name    string
+	members [5]byte
+	flows   []byte
+}{
+	// Agent 1 hosts u1 (transcoded) and u4 (native): 2 members > 1, raw copy.
+	// Agent 2 hosts u2 and u3, both transcoded: 2 = 2, no raw copy.
+	{"native and transcoded destination share an agent", [5]byte{1, 2, 3, 3, 2}, []byte{4, 4, 4, 4, 4, 4, 4}},
+	{"transcoder co-located with its source", [5]byte{1, 2, 3, 4, 5}, []byte{1, 1, 1, 2, 2, 3, 4}},
+	// u0's flows transcode at agent 5, which also hosts u4, native to u0:
+	// one raw copy, not two.
+	{"transcoder hosts a native destination", [5]byte{1, 2, 3, 4, 5}, []byte{5, 5, 5, 6, 6, 6, 6}},
+	// u1 sits alone on agent 2 with no transcoder yet: θ = 1, so no raw copy.
+	{"flow unassigned, destination assigned", [5]byte{1, 2, 3, 4, 5}, []byte{groupUnassigned, 6, 6, groupUnassigned, 6, 6, 6}},
+	{"destinations unassigned", [5]byte{1, groupUnassigned, 3, 4, groupUnassigned}, []byte{6, 6, 6, 6, 6, 6, 6}},
+	{"source unassigned", [5]byte{groupUnassigned, 2, 2, 3, 3}, []byte{2, 3, 2, 3, 2, 3, 2}},
+	{"every member on one agent", [5]byte{3, 3, 3, 3, 3}, []byte{3, 3, 3, 3, 3, 3, 3}},
+	{"one agent, transcoders elsewhere", [5]byte{3, 3, 3, 3, 3}, []byte{1, 1, 2, 2, 3, 4, 4}},
+	{"every member on its own agent", [5]byte{1, 2, 3, 4, 5}, []byte{6, 2, 4, 1, 5, 3, 6}},
+	// u1 and u0 share agent 1, u0→u1 transcodes at agent 4: the strict
+	// formula counts no transcoded traffic back to the source's agent.
+	{"transcoded destination on the source's agent", [5]byte{1, 1, 3, 3, 1}, []byte{4, 4, 4, 1, 4, 3, 3}},
+	{"same representation split across transcoders", [5]byte{1, 2, 2, 2, 3}, []byte{4, 5, 6, 4, 5, 6, 4}},
+}
+
+func TestGroupedLoadAdversarialPlacements(t *testing.T) {
+	for _, tc := range groupCases {
+		for flags := byte(0); flags < 4; flags++ {
+			t.Run(fmt.Sprintf("%s/downscale=%v,strict=%v", tc.name, flags&1 != 0, flags&2 != 0), func(t *testing.T) {
+				checkGroupedLoad(t, groupPlacement(flags, tc.members, tc.flows...))
+			})
+		}
+	}
+}
+
+// FuzzSessionLoadSparse: arbitrary placements of the fixed scenario, members
+// and flows Unassigned included. The seed corpus is the adversarial table
+// under all four flag settings, so plain `go test` replays it.
+func FuzzSessionLoadSparse(f *testing.F) {
+	for _, tc := range groupCases {
+		for flags := byte(0); flags < 4; flags++ {
+			f.Add(groupPlacement(flags, tc.members, tc.flows...))
+		}
+	}
+	f.Fuzz(checkGroupedLoad)
+}
+
+// BenchmarkSessionLoadSparse times one candidate-load evaluation of a session
+// of n members on the shipped bitrate set, with the members packed on three
+// agents (the case the design assumes: g ≪ n) and spread one per agent (its
+// worst case, g = n).
+func BenchmarkSessionLoadSparse(b *testing.B) {
+	for _, n := range []int{5, 12} {
+		for _, layout := range []string{"packed3", "spread"} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, layout), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(int64(n)))
+				mb := model.NewBuilder(nil)
+				for l := 0; l < 16; l++ {
+					mb.AddAgent(model.Agent{Upload: 1000, Download: 1000, TranscodeSlots: 16})
+				}
+				s := mb.AddSession("s")
+				users := make([]model.UserID, n)
+				for i := range users {
+					users[i] = mb.AddUser("u", s, model.Representation(rng.Intn(mb.Reps().Len())), nil)
+				}
+				for _, u := range users { // about one transcoding flow per member
+					v := users[rng.Intn(n)]
+					if u != v {
+						mb.DemandFrom(u, v, model.Representation(rng.Intn(mb.Reps().Len())))
+					}
+				}
+				sc, err := mb.Build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				ev, err := NewEvaluator(sc, DefaultParams())
+				if err != nil {
+					b.Fatal(err)
+				}
+				g := n
+				if layout == "packed3" {
+					g = 3
+				}
+				a := assign.New(sc)
+				for i, u := range users {
+					a.SetUserAgent(u, model.AgentID(i%g))
+				}
+				for _, fl := range a.Flows() {
+					if err := a.SetFlowAgent(fl, model.AgentID(rng.Intn(g))); err != nil {
+						b.Fatal(err)
+					}
+				}
+				scr := ev.NewScratch()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ev.SessionLoadSparse(a, s, scr)
+				}
+			})
+		}
+	}
+}

@@ -140,10 +140,14 @@ func (p Params) SessionLoadOf(a *assign.Assignment, s model.SessionID) *SessionL
 
 		// Last-mile downstream: agent k uploads to u the streams of every
 		// other participant at their effective representations (first term
-		// of constraint (6)).
+		// of constraint (6)). The n−1 terms are a constant of the scenario:
+		// they are summed on their own, in Participants order, and added
+		// once — the association model.PlanMember.InMbps compiles.
+		in := 0.0
 		for _, v := range sc.Participants(u) {
-			sl.Up[k] += sc.Reps.Bitrate(sc.Downstream(u, v))
+			in += sc.Reps.Bitrate(sc.Downstream(u, v))
 		}
+		sl.Up[k] += in
 
 		// ---- Inter-agent edges generated by u's outgoing stream ----
 

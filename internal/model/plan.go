@@ -5,7 +5,7 @@ package model
 // (source, destination) pair — θ, the effective downstream representation
 // and its bitrate, the pair's transcoding-flow index — is a pure function of
 // the immutable scenario, yet the hop walk of Alg. 1 re-derived it through
-// map probes for every candidate of every hop. The plan is one flat table
+// map probes for every candidate of every hop. The plan is three flat tables
 // shared read-only by every evaluator, scratch and worker; it is never
 // mutated after NewScenario returns.
 
@@ -13,19 +13,20 @@ package model
 type PlanMember struct {
 	// UpMbps is κ(r^u_u): the bitrate of the member's upstream.
 	UpMbps float64
+	// InMbps is the member's last-mile downstream: the bitrates of the
+	// effective downstream representations of its n−1 incoming flows, summed
+	// in Participants order. This sum is the canonical association of the
+	// first term of constraint (6); SessionLoadOf builds it the same way.
+	InMbps float64
 	// UpRep is r^u_u, the member's upstream representation.
 	UpRep Representation
+	// The member's transcoding flows are Flows[FlowStart:FlowEnd].
+	FlowStart, FlowEnd int32
 }
 
 // PlanPair is the compiled data of one directed participant pair (i, j):
 // member i as the source, its participant j as the destination.
 type PlanPair struct {
-	// OutMbps is the bitrate of the effective downstream representation of
-	// flow i→j (what j receives of i's stream).
-	OutMbps float64
-	// InMbps is the bitrate of the effective downstream representation of
-	// the reverse flow j→i: i's last-mile downstream term for source j.
-	InMbps float64
 	// Flow is the index of flow i→j among the session's transcoding flows
 	// (SessionThetaFlows order, the order assign.SessionFlowAgents is
 	// aligned with), or -1 when θ_ij = 0.
@@ -34,13 +35,27 @@ type PlanPair struct {
 	Rep int32
 }
 
+// PlanFlow is the compiled data of one transcoding flow (θ_ij = 1).
+type PlanFlow struct {
+	// OutMbps is the bitrate of the flow's effective downstream
+	// representation (what the destination receives of the source's stream).
+	OutMbps float64
+	// Dst is the destination's member index.
+	Dst int32
+	// Rep is the effective downstream representation.
+	Rep int32
+}
+
 // SessionPlan is one session's view into the scenario's compiled plan.
 // Members is aligned with Session.Users; Pairs holds member i's n−1 pairs
-// at [i·(n−1), (i+1)·(n−1)) in Participants order. Both are shared slices;
-// callers must not mutate them.
+// at [i·(n−1), (i+1)·(n−1)) in Participants order; Flows is aligned with
+// assign.SessionFlowAgents (SessionThetaFlows order: source-major, each
+// source's flows in Participants order). All are shared slices; callers
+// must not mutate them.
 type SessionPlan struct {
 	Members []PlanMember
 	Pairs   []PlanPair
+	Flows   []PlanFlow
 }
 
 // Row returns member i's pairs, aligned with Participants(Users[i]).
@@ -69,6 +84,7 @@ func (sc *Scenario) Plan(s SessionID) SessionPlan {
 	return SessionPlan{
 		Members: sc.planMembers[sc.memberStart[s]:sc.memberStart[s+1]],
 		Pairs:   sc.planPairs[sc.pairStart[s]:sc.pairStart[s+1]],
+		Flows:   sc.planFlows[sc.flowStart[s]:sc.flowStart[s+1]],
 	}
 }
 
@@ -104,6 +120,7 @@ func (sc *Scenario) buildPlan() {
 	sc.planRefs = make([]planRef, len(sc.Users))
 	sc.memberStart = make([]int32, ns+1)
 	sc.pairStart = make([]int32, ns+1)
+	sc.flowStart = make([]int32, ns+1)
 	members, pairs := 0, 0
 	for si := range sc.Sessions {
 		n := len(sc.Sessions[si].Users)
@@ -114,32 +131,34 @@ func (sc *Scenario) buildPlan() {
 	}
 	sc.planMembers = make([]PlanMember, 0, members)
 	sc.planPairs = make([]PlanPair, 0, pairs)
-	sc.thetaSum = 0
 	for si := range sc.Sessions {
-		flows := int32(0)
+		first := len(sc.planFlows)
 		for i, u := range sc.Sessions[si].Users {
 			sc.planRefs[u] = planRef{session: int32(si), row: int32(len(sc.planPairs)), pos: int32(i)}
 			up := sc.Users[u].Upstream
-			sc.planMembers = append(sc.planMembers, PlanMember{UpMbps: sc.Reps.Bitrate(up), UpRep: up})
-			for _, v := range sc.participants[u] {
+			mem := PlanMember{UpMbps: sc.Reps.Bitrate(up), UpRep: up, FlowStart: int32(len(sc.planFlows) - first)}
+			for jj, v := range sc.participants[u] {
+				mem.InMbps += sc.Reps.Bitrate(sc.demand(u, v))
 				out := sc.demand(v, u)
-				pr := PlanPair{
-					OutMbps: sc.Reps.Bitrate(out),
-					InMbps:  sc.Reps.Bitrate(sc.demand(u, v)),
-					Flow:    -1,
-					Rep:     int32(out),
-				}
+				pr := PlanPair{Flow: -1, Rep: int32(out)}
 				// Flow u→v needs transcoding when v's effective demand for
 				// u's stream differs from what u produces (under
 				// DownscaleOnly, upward demands clamp to the upstream and
 				// therefore never transcode).
 				if out != up {
-					pr.Flow = flows
-					flows++
+					pr.Flow = int32(len(sc.planFlows) - first)
+					j := jj // v's member index: Participants is Users without u
+					if jj >= i {
+						j++
+					}
+					sc.planFlows = append(sc.planFlows, PlanFlow{OutMbps: sc.Reps.Bitrate(out), Dst: int32(j), Rep: pr.Rep})
 				}
 				sc.planPairs = append(sc.planPairs, pr)
 			}
+			mem.FlowEnd = int32(len(sc.planFlows) - first)
+			sc.planMembers = append(sc.planMembers, mem)
 		}
-		sc.thetaSum += int(flows)
+		sc.flowStart[si+1] = int32(len(sc.planFlows))
 	}
+	sc.thetaSum = len(sc.planFlows)
 }

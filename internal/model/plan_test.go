@@ -7,7 +7,9 @@ import (
 
 // TestPlanMatchesDemandMaps: the compiled plan against its definition — the
 // users' demand maps with the DownscaleOnly clamp — for every participant
-// pair of random scenarios, plus the accessors answered from it.
+// pair of random scenarios: the pair table, each member's last-mile sum and
+// flow range, the flow table against SessionThetaFlows, plus the accessors
+// answered from it.
 func TestPlanMatchesDemandMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 50; trial++ {
@@ -55,17 +57,20 @@ func TestPlanMatchesDemandMaps(t *testing.T) {
 					t.Fatalf("MemberIndex(%d) = %d, want %d", u, sc.MemberIndex(u), i)
 				}
 				up := sc.Users[u].Upstream
-				if m := plan.Members[i]; m.UpRep != up || m.UpMbps != sc.Reps.Bitrate(up) {
-					t.Fatalf("member %d: plan %+v, upstream %d", u, m, up)
+				m := plan.Members[i]
+				if m.UpRep != up || m.UpMbps != sc.Reps.Bitrate(up) || int(m.FlowStart) != next {
+					t.Fatalf("member %d: plan %+v, upstream %d, first flow %d", u, m, up, next)
 				}
+				in := 0.0 // the sequential sum, in Participants order
 				for jj, v := range sc.Participants(u) {
 					pr := plan.Row(i)[jj]
 					if plan.Pair(i, sc.MemberIndex(v)) != &plan.Row(i)[jj] {
 						t.Fatalf("Pair(%d,%d) is not row %d slot %d", i, sc.MemberIndex(v), i, jj)
 					}
-					out, in := want(v, u), want(u, v)
-					if Representation(pr.Rep) != out || pr.OutMbps != sc.Reps.Bitrate(out) || pr.InMbps != sc.Reps.Bitrate(in) {
-						t.Fatalf("pair %d→%d: plan %+v, want rep %d and reverse rep %d", u, v, pr, out, in)
+					out := want(v, u)
+					in += sc.Reps.Bitrate(want(u, v))
+					if Representation(pr.Rep) != out {
+						t.Fatalf("pair %d→%d: plan %+v, want rep %d", u, v, pr, out)
 					}
 					f := Flow{Src: u, Dst: v}
 					theta := out != up
@@ -78,15 +83,21 @@ func TestPlanMatchesDemandMaps(t *testing.T) {
 						if flows[idx] != f {
 							t.Fatalf("SessionThetaFlows[%d] = %v, want %v", idx, flows[idx], f)
 						}
+						if pf := plan.Flows[idx]; int(pf.Dst) != sc.MemberIndex(v) || Representation(pf.Rep) != out || pf.OutMbps != sc.Reps.Bitrate(out) {
+							t.Fatalf("flow %d→%d: plan %+v, want destination %d at rep %d", u, v, pf, sc.MemberIndex(v), out)
+						}
 						next++
 					}
 					if int(pr.Flow) != idx || sc.ThetaFlowIndex(f) != idx {
 						t.Fatalf("pair %d→%d: flow index %d / %d, want %d", u, v, pr.Flow, sc.ThetaFlowIndex(f), idx)
 					}
 				}
+				if m.InMbps != in || int(m.FlowEnd) != next {
+					t.Fatalf("member %d: plan %+v, want last-mile downstream %v and flows ending at %d", u, m, in, next)
+				}
 			}
-			if next != len(flows) {
-				t.Fatalf("session %d: %d transcoding pairs, %d flows", s, next, len(flows))
+			if next != len(flows) || len(plan.Flows) != len(flows) {
+				t.Fatalf("session %d: %d transcoding pairs, %d flows, %d plan flows", s, next, len(flows), len(plan.Flows))
 			}
 			thetaSum += next
 		}
@@ -112,9 +123,13 @@ func TestPlanViewsDoNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		for s := 0; s < sc.NumSessions(); s++ {
 			plan := sc.Plan(SessionID(s))
-			for i := range plan.Members {
+			for i, m := range plan.Members {
+				sink += m.InMbps
 				for _, pr := range plan.Row(i) {
-					sink += pr.InMbps
+					sink += float64(pr.Rep)
+				}
+				for _, fl := range plan.Flows[m.FlowStart:m.FlowEnd] {
+					sink += fl.OutMbps
 				}
 			}
 		}

@@ -45,13 +45,15 @@ type Scenario struct {
 	// thetaSum caches the total number of transcoding flows Σ_u Σ_v θ_uv.
 	thetaSum int
 
-	// The compiled evaluation plan (see plan.go): flat member and pair
-	// tables laid out session by session, the per-session offsets into
-	// them, and each user's location in them.
+	// The compiled evaluation plan (see plan.go): flat member, pair and
+	// transcoding-flow tables laid out session by session, the per-session
+	// offsets into them, and each user's location in them.
 	planMembers []PlanMember
 	planPairs   []PlanPair
+	planFlows   []PlanFlow
 	memberStart []int32
 	pairStart   []int32
+	flowStart   []int32
 	planRefs    []planRef
 }
 
