@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"vconf/internal/assign"
@@ -57,10 +58,16 @@ func (r *HopResult) rankCandidates(phis []float64) {
 type HopScratch struct {
 	eval      *cost.Scratch
 	decisions []assign.Decision
-	ds        []assign.Decision // feasible candidates
-	phis      []float64         // noiseless Φ per feasible candidate
-	readings  []float64         // possibly noisy Φ readings
-	weights   []float64
+	// ds and phis hold feasible candidates, decision and noiseless Φ: end to
+	// end, the sets of the distinct states the current walk has evaluated
+	// (WalkSession's memo). State e's set ends at memoEnds[e]; its key — the
+	// member agents, then the flow agents — is the e-th stride of memoKeys.
+	ds       []assign.Decision
+	phis     []float64
+	memoKeys []model.AgentID
+	memoEnds []int
+	readings []float64 // noisy Φ readings (cfg.Noise only)
+	weights  []float64
 	// nbrIdx is the proximity index backing Config.NeighborWindow > 0:
 	// handed in by the host (SetProximityIndex) or built on first use. It
 	// records the scenario and window it was built for.
@@ -145,16 +152,13 @@ func HopSession(
 	cfg Config,
 	rng *rand.Rand,
 ) (HopResult, error) {
-	if cfg.DenseEval {
-		return hopSessionDense(a, s, ev, ledger, cfg, rng)
-	}
 	scr := acquireHopScratch(ev)
 	defer releaseHopScratch(scr)
 	return HopSessionWith(a, s, ev, ledger, cfg, rng, scr)
 }
 
 // HopSessionWith is HopSession with a caller-owned scratch: zero allocations
-// at steady state.
+// at steady state. It is the one-hop walk.
 func HopSessionWith(
 	a *assign.Assignment,
 	s model.SessionID,
@@ -164,40 +168,133 @@ func HopSessionWith(
 	rng *rand.Rand,
 	scr *HopScratch,
 ) (HopResult, error) {
+	var res HopResult
+	_, err := WalkSession(a, s, ev, ledger, cfg, rng, scr, 1, func(r HopResult) { res = r })
+	return res, err
+}
+
+// WalkStats counts one walk's hops: Hops executed (a last one that found no
+// feasible neighbor included) and, among them, Reused — hops that started
+// from a state the walk had already evaluated and took its candidate set
+// from the memo.
+type WalkStats struct{ Hops, Reused int }
+
+// walkMemoStates bounds the states one walk memoizes, and with it the
+// scratch memory a long walk can pin; later states are evaluated every time.
+const walkMemoStates = 64
+
+// WalkSession executes up to hops consecutive HOPs of session s — the same
+// states, results and rng draws as that many HopSessionWith calls — calling
+// visit with each hop's result, the assignment holding the state after it.
+// It ends early after a hop that finds no feasible neighbor (Moved false;
+// still visited) or on an error (not visited).
+//
+// The walk takes s's own load out of the ledger at its first hop (line 11:
+// fetch residual capacities) and puts the final state's load back on every
+// return; in between the ledger is the other sessions' usage and the caller
+// keeps every writer off it (HopSession's mutual-exclusion contract), so a
+// state's feasible candidates and their noiseless Φ are a pure function of
+// the state. β-weighted jumps send a session at a local optimum
+// f → f′ → f → f″ → f, and the walk memoizes each state's candidate set,
+// keyed by the session's own decision variables (member agents, then flow
+// agents, compared element by element). A hop from a memoized state skips
+// only the candidate evaluation: BeginSession, the noise readings, the
+// weights, the rng draw, Apply, the chosen state's CandidateLoad and
+// CommitSessionDecision run as on a miss, in the same order. The memo lives
+// in scr and is emptied when a walk starts, so no change between walks — a
+// capacity scale, another session's commit — can reach one through it.
+// Under cfg.DenseEval every hop is the dense reference's and nothing is
+// reused.
+func WalkSession(
+	a *assign.Assignment,
+	s model.SessionID,
+	ev *cost.Evaluator,
+	ledger *cost.Ledger,
+	cfg Config,
+	rng *rand.Rand,
+	scr *HopScratch,
+	hops int,
+	visit func(HopResult),
+) (WalkStats, error) {
+	var st WalkStats
 	if cfg.DenseEval {
-		return hopSessionDense(a, s, ev, ledger, cfg, rng)
+		for st.Hops < hops {
+			res, err := hopSessionDense(a, s, ev, ledger, cfg, rng)
+			if err != nil {
+				return st, err
+			}
+			st.Hops++
+			visit(res)
+			if !res.Moved {
+				break
+			}
+		}
+		return st, nil
 	}
 	scr.ensure(ev)
 	es := scr.eval
 	es.SetDelayCacheEnabled(!cfg.RebuildDelayBase)
+	scr.memoEnds = scr.memoEnds[:0]
 
-	// Line 11: fetch residual capacities — remove s's own load so the
-	// ledger holds exactly the *other* sessions' usage. BeginSession also
-	// fills the per-flow delay base the candidate deltas patch against.
-	be := ev.BeginSession(a, s, es)
-	curLoad := es.CurLoad()
-	ledger.RemoveSparse(curLoad)
-
-	phiCur := be.Phi
-	phiCurReading := phiCur
-	if cfg.Noise != nil {
-		phiCurReading = cfg.Noise(phiCur)
+	// own is the load of the state the session is in, nil before the first hop.
+	var own *cost.SparseLoad
+	defer func() {
+		if own != nil {
+			ledger.AddSparse(own)
+		}
+	}()
+	for st.Hops < hops {
+		// BeginSession also fills the per-flow delay base the candidate
+		// deltas patch against.
+		be := ev.BeginSession(a, s, es)
+		if own == nil {
+			ledger.RemoveSparse(es.CurLoad())
+		}
+		own = es.CurLoad()
+		ds, phis, reused, err := scr.candidateSet(a, s, ev, ledger, cfg)
+		if err != nil {
+			return st, err
+		}
+		st.Hops++
+		if reused {
+			st.Reused++
+		}
+		res := HopResult{PhiBefore: be.Phi, PhiAfter: be.Phi, Feasible: len(ds)}
+		res.rankCandidates(phis)
+		var chosen int
+		if chosen, res.TotalRate = scr.sample(phis, be.Phi, cfg, rng); chosen < 0 {
+			visit(res)
+			break
+		}
+		res.Moved, res.Decision, res.PhiAfter = true, ds[chosen], phis[chosen]
+		if _, err := a.Apply(res.Decision); err != nil {
+			return st, err
+		}
+		// Commit notification: re-sync the session's warm delay-cache entry
+		// from the chosen state's load and its already-evaluated Φ, so the
+		// session's next BeginSession is a pure warm hit instead of a patch.
+		own = ev.CandidateLoad(a, s, es)
+		ev.CommitSessionDecision(a, s, es, own, res.PhiAfter)
+		visit(res)
 	}
+	return st, nil
+}
 
-	// Line 12: F_s — all feasible solutions one decision away (windowed to
-	// the k nearest agents per variable when cfg.NeighborWindow > 0). Each
-	// candidate costs O(session) work: a sparse load rebuild, a
-	// touched-agents capacity check, and a delay re-evaluation of only the
-	// flows the decision moved.
+// appendCandidates evaluates F_s of the state BeginSession last prepared on
+// the scratch — all feasible solutions one decision away (line 12; windowed
+// to the k nearest agents per variable when cfg.NeighborWindow > 0) — and
+// appends each feasible decision and its noiseless Φ to scr.ds and scr.phis.
+// The ledger must hold the other sessions' usage only. Each candidate costs
+// O(session) work: a sparse load rebuild, a touched-agents capacity check,
+// and a delay re-evaluation of only the flows the decision moved.
+func (scr *HopScratch) appendCandidates(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, cfg Config) error {
+	es := scr.eval
+	curLoad := es.CurLoad()
 	scr.decisions = scr.appendNeighbors(a, s, cfg)
-	scr.ds = scr.ds[:0]
-	scr.phis = scr.phis[:0]
-	scr.readings = scr.readings[:0]
 	for _, d := range scr.decisions {
 		inv, err := a.Apply(d)
 		if err != nil {
-			ledger.AddSparse(curLoad)
-			return HopResult{}, err
+			return err
 		}
 		load := ev.CandidateLoad(a, s, es)
 		// FitsRepairDelta (not Fits) so that after a runtime capacity
@@ -206,48 +303,84 @@ func HopSessionWith(
 		// to Fits.
 		if ledger.FitsRepairDelta(load, curLoad) {
 			if phi, ok := ev.CandidatePhi(a, s, d, es); ok {
-				reading := phi
-				if cfg.Noise != nil {
-					reading = cfg.Noise(phi)
-				}
 				scr.ds = append(scr.ds, d)
 				scr.phis = append(scr.phis, phi)
-				scr.readings = append(scr.readings, reading)
 			}
 		}
 		if _, err := a.Apply(inv); err != nil {
-			ledger.AddSparse(curLoad)
-			return HopResult{}, err
+			return err
 		}
 	}
+	return nil
+}
 
-	res := HopResult{PhiBefore: phiCur, PhiAfter: phiCur, Feasible: len(scr.ds)}
-	res.rankCandidates(scr.phis)
-	if len(scr.ds) == 0 {
-		ledger.AddSparse(curLoad)
-		return res, nil
+// candidateSet returns the feasible candidates of the state a holds and
+// their noiseless Φ: from the walk's memo when the walk has been in this
+// state before (reused), by appendCandidates, memoizing, otherwise.
+func (scr *HopScratch) candidateSet(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, cfg Config) (ds []assign.Decision, phis []float64, reused bool, err error) {
+	users := a.Scenario().Session(s).Users
+	flowTo := a.SessionFlowAgents(s)
+	k := len(users) + len(flowTo)
+	at := len(scr.memoEnds) * k
+	scr.memoKeys = scr.memoKeys[:at]
+	for _, u := range users {
+		scr.memoKeys = append(scr.memoKeys, a.UserAgent(u))
 	}
+	scr.memoKeys = append(scr.memoKeys, flowTo...)
+	key := scr.memoKeys[at:]
+	lo := 0
+	for e, end := range scr.memoEnds {
+		if slices.Equal(scr.memoKeys[e*k:(e+1)*k], key) {
+			return scr.ds[lo:end], scr.phis[lo:end], true, nil
+		}
+		lo = end
+	}
+	// A new state: its set goes after the last memoized one, and its key,
+	// already in place, is kept by recording where the set ends.
+	scr.ds, scr.phis = scr.ds[:lo], scr.phis[:lo]
+	if err := scr.appendCandidates(a, s, ev, ledger, cfg); err != nil {
+		return nil, nil, false, err
+	}
+	if len(scr.memoEnds) < walkMemoStates {
+		scr.memoEnds = append(scr.memoEnds, len(scr.ds))
+	}
+	return scr.ds[lo:], scr.phis[lo:], false, nil
+}
 
-	// Line 13: sample the target ∝ exp(½β(Φ_f − Φ_f')), max-shifted so
-	// β = 400 cannot overflow float64.
+// sample draws the hop's target (line 13) ∝ exp(½β(Φ_f − Φ_f')) over the
+// candidates' Φ readings — phis themselves, or with cfg.Noise its reading of
+// Φ_cur and then of each candidate in order — max-shifted so β = 400 cannot
+// overflow float64. It returns the chosen index and the unshifted Σ weights
+// (may be +Inf; only ExactCTMC uses it); without candidates, -1 and no draw.
+func (scr *HopScratch) sample(phis []float64, phiCur float64, cfg Config, rng *rand.Rand) (chosen int, totalRate float64) {
+	readings := phis
+	if cfg.Noise != nil {
+		phiCur = cfg.Noise(phiCur)
+		scr.readings = scr.readings[:0]
+		for _, phi := range phis {
+			scr.readings = append(scr.readings, cfg.Noise(phi))
+		}
+		readings = scr.readings
+	}
+	if len(readings) == 0 {
+		return -1, 0
+	}
 	halfBeta := 0.5 * cfg.Beta * cfg.ObjectiveScale
 	maxExp := math.Inf(-1)
-	for _, r := range scr.readings {
-		if e := halfBeta * (phiCurReading - r); e > maxExp {
+	for _, r := range readings {
+		if e := halfBeta * (phiCur - r); e > maxExp {
 			maxExp = e
 		}
 	}
 	scr.weights = scr.weights[:0]
 	total := 0.0
-	for _, r := range scr.readings {
-		w := math.Exp(halfBeta*(phiCurReading-r) - maxExp)
+	for _, r := range readings {
+		w := math.Exp(halfBeta*(phiCur-r) - maxExp)
 		scr.weights = append(scr.weights, w)
 		total += w
 	}
-	res.TotalRate = total * math.Exp(maxExp) // unshifted Σ weights (may be +Inf; only ExactCTMC uses it)
-
 	pick := rng.Float64() * total
-	chosen := len(scr.ds) - 1
+	chosen = len(readings) - 1
 	acc := 0.0
 	for i, w := range scr.weights {
 		acc += w
@@ -256,23 +389,7 @@ func HopSessionWith(
 			break
 		}
 	}
-
-	d := scr.ds[chosen]
-	phiChosen := scr.phis[chosen]
-	if _, err := a.Apply(d); err != nil {
-		ledger.AddSparse(curLoad)
-		return HopResult{}, err
-	}
-	newLoad := ev.CandidateLoad(a, s, es)
-	ledger.AddSparse(newLoad)
-	// Commit notification: re-sync the session's warm delay-cache entry
-	// from the winning candidate's already-evaluated load and Φ, so the
-	// session's next BeginSession is a pure warm hit instead of a patch.
-	ev.CommitSessionDecision(a, s, es, newLoad, phiChosen)
-	res.Moved = true
-	res.Decision = d
-	res.PhiAfter = phiChosen
-	return res, nil
+	return chosen, total * math.Exp(maxExp)
 }
 
 // hopSessionDense is the dense reference implementation (pre-sparse
@@ -386,9 +503,6 @@ func SessionTotalRate(
 	ledger *cost.Ledger,
 	cfg Config,
 ) (float64, error) {
-	if cfg.DenseEval {
-		return sessionTotalRateDense(a, s, ev, ledger, cfg)
-	}
 	scr := acquireHopScratch(ev)
 	defer releaseHopScratch(scr)
 	return SessionTotalRateWith(a, s, ev, ledger, cfg, scr)
@@ -411,27 +525,17 @@ func SessionTotalRateWith(
 	es.SetDelayCacheEnabled(!cfg.RebuildDelayBase)
 
 	be := ev.BeginSession(a, s, es)
-	curLoad := es.CurLoad()
-	ledger.RemoveSparse(curLoad)
-	defer ledger.AddSparse(curLoad)
-
+	ledger.RemoveSparse(es.CurLoad())
+	scr.ds, scr.phis = scr.ds[:0], scr.phis[:0]
+	err := scr.appendCandidates(a, s, ev, ledger, cfg)
+	ledger.AddSparse(es.CurLoad())
+	if err != nil {
+		return 0, err
+	}
 	halfBeta := 0.5 * cfg.Beta * cfg.ObjectiveScale
 	total := 0.0
-	scr.decisions = scr.appendNeighbors(a, s, cfg)
-	for _, d := range scr.decisions {
-		inv, err := a.Apply(d)
-		if err != nil {
-			return 0, err
-		}
-		load := ev.CandidateLoad(a, s, es)
-		if ledger.FitsRepairDelta(load, curLoad) {
-			if phi, ok := ev.CandidatePhi(a, s, d, es); ok {
-				total += math.Exp(halfBeta * (be.Phi - phi))
-			}
-		}
-		if _, err := a.Apply(inv); err != nil {
-			return 0, err
-		}
+	for _, phi := range scr.phis {
+		total += math.Exp(halfBeta * (be.Phi - phi))
 	}
 	return total, nil
 }

@@ -20,6 +20,13 @@ const hopWindow = 4
 // exactly sessionSize users, nearest-agent placed, ready for hops.
 func fleetFixture(tb testing.TB, sessionSize int) (*cost.Evaluator, *assign.Assignment, *cost.Ledger) {
 	tb.Helper()
+	return tunedFleetFixture(tb, sessionSize, func(*workload.FleetConfig) {})
+}
+
+// tunedFleetFixture is fleetFixture with the fleet's configuration adjusted
+// by tune before it is generated (capacities, the delay cap).
+func tunedFleetFixture(tb testing.TB, sessionSize int, tune func(*workload.FleetConfig)) (*cost.Evaluator, *assign.Assignment, *cost.Ledger) {
+	tb.Helper()
 	fc := workload.DefaultFleetConfig(1)
 	fc.NumAgents = 24
 	fc.Regions = 4
@@ -28,6 +35,7 @@ func fleetFixture(tb testing.TB, sessionSize int) (*cost.Evaluator, *assign.Assi
 	fc.MaxSessionSize = sessionSize
 	fc.AgentBandwidthMbps = 3000
 	fc.AgentTranscodeSlots = 12
+	tune(&fc)
 	sc, err := workload.GenerateSyntheticFleet(fc)
 	if err != nil {
 		tb.Fatal(err)
@@ -112,6 +120,46 @@ func TestSharedPlanConcurrentWorkers(t *testing.T) {
 		if trails[0][i] != trails[1][i] {
 			t.Fatalf("hop %d: workers sharing one plan diverged: %+v vs %+v", i, trails[0][i], trails[1][i])
 		}
+	}
+}
+
+// BenchmarkWalkSession times the orchestrator's unit of work: a 12-hop walk
+// of one session (candidate window 4, shared index, warm scratch) on
+// sessions of 5 and of 12 users, and reports the share of hops that reused
+// a memoized candidate set. CI runs it with -benchtime=1x.
+func BenchmarkWalkSession(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"n=5", 5}, {"n=12", 12}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ev, a, ledger := fleetFixture(b, tc.n)
+			sessions := ev.Scenario().NumSessions()
+			cfg := DefaultConfig(1)
+			cfg.NeighborWindow = hopWindow
+			rng := rand.New(rand.NewSource(1))
+			scr := NewHopScratch(ev)
+			scr.SetProximityIndex(assign.NewProximityIndex(ev.Scenario(), hopWindow))
+			var total WalkStats
+			walk := func(i int) {
+				st, err := WalkSession(a, model.SessionID(i%sessions), ev, ledger, cfg, rng, scr, 12, func(HopResult) {})
+				if err != nil {
+					b.Fatal(err)
+				}
+				total.Hops += st.Hops
+				total.Reused += st.Reused
+			}
+			for i := 0; i < sessions; i++ {
+				walk(i)
+			}
+			total = WalkStats{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				walk(i)
+			}
+			b.ReportMetric(float64(total.Reused)/float64(total.Hops), "reused/hop")
+		})
 	}
 }
 

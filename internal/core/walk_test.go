@@ -1,0 +1,335 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"vconf/internal/assign"
+	"vconf/internal/cost"
+	"vconf/internal/model"
+	"vconf/internal/workload"
+)
+
+const walkBudget = 12
+
+// sameHop compares two hop results field by field, floats by their bits.
+func sameHop(x, y HopResult) bool {
+	bits := math.Float64bits
+	return x.Moved == y.Moved && x.Decision == y.Decision && x.Feasible == y.Feasible &&
+		bits(x.PhiBefore) == bits(y.PhiBefore) && bits(x.PhiAfter) == bits(y.PhiAfter) &&
+		bits(x.TotalRate) == bits(y.TotalRate) &&
+		bits(x.PhiBest) == bits(y.PhiBest) && bits(x.PhiSecond) == bits(y.PhiSecond)
+}
+
+// sameLedger compares two ledgers' usage vectors bit for bit.
+func sameLedger(x, y *cost.Ledger) bool {
+	xd, xu, xt := x.Usage()
+	yd, yu, yt := y.Usage()
+	for l := range xd {
+		if math.Float64bits(xd[l]) != math.Float64bits(yd[l]) ||
+			math.Float64bits(xu[l]) != math.Float64bits(yu[l]) || xt[l] != yt[l] {
+			return false
+		}
+	}
+	return true
+}
+
+// noiseLog is a stateful measurement-noise model that records every reading
+// it is asked for, so two runs can be compared call by call.
+type noiseLog struct {
+	rng  *rand.Rand
+	args []float64
+}
+
+func (n *noiseLog) read(phi float64) float64 {
+	n.args = append(n.args, phi)
+	return phi * (1 + 0.02*(n.rng.Float64()-0.5))
+}
+
+// TestWalkMatchesHopByHop is the memo's differential test: on the default
+// representation set, where taking a load out of the ledger and putting it
+// back is exact, a walk must be indistinguishable from the same number of
+// HopSessionWith calls off the same seed — every field of every HopResult,
+// the final assignment, the ledger bits and (under measurement noise) the
+// exact sequence of readings asked of the noise model, which has to be
+// Φ_cur and then each feasible candidate in order on a memo hit as on a
+// miss. 50 seeds × 8 sessions per case, each walk starting where the last
+// one ended, so the sessions are walked from bootstrap to convergence.
+func TestWalkMatchesHopByHop(t *testing.T) {
+	cases := []struct {
+		name  string
+		tune  func(*workload.FleetConfig)
+		noise bool
+		// refuses: the constraint must reject candidates the enumeration
+		// offers (capacity through FitsRepairDelta, delay through CandidatePhi).
+		refuses bool
+	}{
+		{name: "unconstrained", tune: func(*workload.FleetConfig) {}},
+		{name: "capacity-tight", refuses: true, tune: func(fc *workload.FleetConfig) {
+			fc.AgentBandwidthMbps = 250
+			fc.AgentTranscodeSlots = 2
+		}},
+		{name: "delay-tight", refuses: true, tune: func(fc *workload.FleetConfig) { fc.DelayCapMS = 170 }},
+		{name: "noise", noise: true, tune: func(*workload.FleetConfig) {}},
+	}
+	for _, tc := range cases {
+		for _, window := range []int{0, hopWindow} {
+			name := tc.name + "/full-scan"
+			if window > 0 {
+				name = tc.name + "/window-4"
+			}
+			t.Run(name, func(t *testing.T) {
+				ev, a0, ledger0 := tunedFleetFixture(t, 5, tc.tune)
+				sessions := ev.Scenario().NumSessions()
+				cfgRef, cfgWalk := DefaultConfig(1), DefaultConfig(1)
+				cfgRef.NeighborWindow, cfgWalk.NeighborWindow = window, window
+				var noiseRef, noiseWalk *noiseLog
+				if tc.noise {
+					noiseRef = &noiseLog{rng: rand.New(rand.NewSource(5))}
+					noiseWalk = &noiseLog{rng: rand.New(rand.NewSource(5))}
+					cfgRef.Noise, cfgWalk.Noise = noiseRef.read, noiseWalk.read
+				}
+				aRef, ledgerRef, scrRef := a0.Clone(), ledger0.Clone(), NewHopScratch(ev)
+				aWalk, ledgerWalk, scrWalk := a0.Clone(), ledger0.Clone(), NewHopScratch(ev)
+
+				var total WalkStats
+				offered, feasible := 0, 0
+				for seed := int64(0); seed < 50; seed++ {
+					for si := 0; si < sessions; si++ {
+						s := model.SessionID(si)
+						rngRef, rngWalk := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+						var ref []HopResult
+						for i := 0; i < walkBudget; i++ {
+							res, err := HopSessionWith(aRef, s, ev, ledgerRef, cfgRef, rngRef, scrRef)
+							if err != nil {
+								t.Fatal(err)
+							}
+							ref = append(ref, res)
+							offered += len(scrRef.decisions)
+							feasible += res.Feasible
+							if !res.Moved {
+								break
+							}
+						}
+						var got []HopResult
+						st, err := WalkSession(aWalk, s, ev, ledgerWalk, cfgWalk, rngWalk, scrWalk, walkBudget,
+							func(res HopResult) { got = append(got, res) })
+						if err != nil {
+							t.Fatal(err)
+						}
+						if st.Hops != len(got) || st.Reused > st.Hops {
+							t.Fatalf("seed %d session %d: stats %+v for %d visited hops", seed, s, st, len(got))
+						}
+						total.Hops += st.Hops
+						total.Reused += st.Reused
+						if len(got) != len(ref) {
+							t.Fatalf("seed %d session %d: walk made %d hops, hop by hop %d", seed, s, len(got), len(ref))
+						}
+						for i := range ref {
+							if !sameHop(got[i], ref[i]) {
+								t.Fatalf("seed %d session %d hop %d diverged:\n walk       %+v\n hop by hop %+v", seed, s, i, got[i], ref[i])
+							}
+						}
+						if !aWalk.Equal(aRef) {
+							t.Fatalf("seed %d session %d: assignments diverged", seed, s)
+						}
+						if !sameLedger(ledgerWalk, ledgerRef) {
+							t.Fatalf("seed %d session %d: ledgers diverged", seed, s)
+						}
+						if rngRef.Int63() != rngWalk.Int63() {
+							t.Fatalf("seed %d session %d: the walks drew differently from the rng", seed, s)
+						}
+					}
+				}
+				if total.Reused == 0 {
+					t.Fatalf("no hop of %d reused a candidate set: the memo was not exercised", total.Hops)
+				}
+				if tc.refuses && feasible >= offered {
+					t.Fatalf("the constraint refused no candidate (%d offered, %d feasible)", offered, feasible)
+				}
+				if tc.noise {
+					if want := total.Hops + feasible; len(noiseRef.args) != want {
+						t.Fatalf("noise model read %d times, want one per hop and per feasible candidate = %d", len(noiseRef.args), want)
+					}
+					if len(noiseWalk.args) != len(noiseRef.args) {
+						t.Fatalf("noise model read %d times in the walk, %d hop by hop", len(noiseWalk.args), len(noiseRef.args))
+					}
+					for i := range noiseRef.args {
+						if math.Float64bits(noiseWalk.args[i]) != math.Float64bits(noiseRef.args[i]) {
+							t.Fatalf("noise reading %d diverged: %v in the walk, %v hop by hop", i, noiseWalk.args[i], noiseRef.args[i])
+						}
+					}
+				}
+				t.Logf("%d hops, %d reused; %d candidates offered, %d feasible", total.Hops, total.Reused, offered, feasible)
+			})
+		}
+	}
+}
+
+// convergedFixture is fleetFixture after enough walks of every session that
+// each sits at a local optimum of its chain.
+func convergedFixture(tb testing.TB, sessionSize int, cfg Config, scr *HopScratch) (*cost.Evaluator, *assign.Assignment, *cost.Ledger) {
+	tb.Helper()
+	ev, a, ledger := fleetFixture(tb, sessionSize)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 20*ev.Scenario().NumSessions(); i++ {
+		s := model.SessionID(i % ev.Scenario().NumSessions())
+		if _, err := WalkSession(a, s, ev, ledger, cfg, rng, scr, walkBudget, func(HopResult) {}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ev, a, ledger
+}
+
+// TestWalkReusesRevisitedStates: at a local optimum with β = 400 the chain
+// jumps away and falls straight back, so a 12-hop walk must take at least a
+// third of its candidate sets from the memo; a one-hop walk has nothing to
+// reuse.
+func TestWalkReusesRevisitedStates(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.NeighborWindow = hopWindow
+	scr := &HopScratch{}
+	ev, a, ledger := convergedFixture(t, 5, cfg, scr)
+	rng := rand.New(rand.NewSource(3))
+	for s := 0; s < ev.Scenario().NumSessions(); s++ {
+		st, err := WalkSession(a, model.SessionID(s), ev, ledger, cfg, rng, scr, walkBudget, func(HopResult) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Hops != walkBudget || st.Reused < 4 {
+			t.Errorf("session %d at a local optimum: %+v, want %d hops and at least 4 reused", s, st, walkBudget)
+		}
+		one, err := WalkSession(a, model.SessionID(s), ev, ledger, cfg, rng, scr, 1, func(HopResult) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one != (WalkStats{Hops: 1}) {
+			t.Errorf("session %d: a one-hop walk reports %+v, want one hop and nothing reused", s, one)
+		}
+	}
+}
+
+// TestWalkSessionZeroAllocs pins the warm 12-hop walk, memo included, at
+// zero allocations on sessions of 5 and of 12 users.
+func TestWalkSessionZeroAllocs(t *testing.T) {
+	for _, n := range []int{5, 12} {
+		cfg := DefaultConfig(1)
+		cfg.NeighborWindow = hopWindow
+		scr := &HopScratch{}
+		ev, a, ledger := convergedFixture(t, n, cfg, scr)
+		sessions := ev.Scenario().NumSessions()
+		rng := rand.New(rand.NewSource(4))
+		visit := func(HopResult) {}
+		s := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := WalkSession(a, model.SessionID(s%sessions), ev, ledger, cfg, rng, scr, walkBudget, visit); err != nil {
+				t.Fatal(err)
+			}
+			s++
+		})
+		if allocs != 0 {
+			t.Errorf("n = %d: a warm %d-hop walk allocates %v times, want 0", n, walkBudget, allocs)
+		}
+	}
+}
+
+// TestWalkConcurrentWorkersSharedPlan: two workers walk different sessions
+// at once, each on a private assignment, ledger and scratch (the memo lives
+// in the scratch), sharing the scenario's compiled plan, the evaluator and
+// one proximity index. Under -race this proves a walk writes nothing shared;
+// each worker must also reproduce what it computes alone.
+func TestWalkConcurrentWorkersSharedPlan(t *testing.T) {
+	ev, a0, ledger0 := fleetFixture(t, 6)
+	sessions := ev.Scenario().NumSessions()
+	ix := assign.NewProximityIndex(ev.Scenario(), hopWindow)
+	cfg := DefaultConfig(3)
+	cfg.NeighborWindow = hopWindow
+
+	// run walks the sessions ≡ w (mod 2), 40 walks each, and returns the trail.
+	run := func(w int) ([]HopResult, error) {
+		a, ledger := a0.Clone(), ledger0.Clone()
+		scr := NewHopScratch(ev)
+		scr.SetProximityIndex(ix)
+		rng := rand.New(rand.NewSource(int64(9 + w)))
+		var trail []HopResult
+		for i := 0; i < 40; i++ {
+			s := model.SessionID((2*i + w) % sessions)
+			if _, err := WalkSession(a, s, ev, ledger, cfg, rng, scr, walkBudget,
+				func(res HopResult) { trail = append(trail, res) }); err != nil {
+				return nil, err
+			}
+		}
+		return trail, nil
+	}
+	var alone [2][]HopResult
+	for w := range alone {
+		var err error
+		if alone[w], err = run(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var together [2][]HopResult
+	var wg sync.WaitGroup
+	for w := range together {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var err error
+			if together[w], err = run(w); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range together {
+		if len(together[w]) != len(alone[w]) {
+			t.Fatalf("worker %d: %d hops beside a sibling, %d alone", w, len(together[w]), len(alone[w]))
+		}
+		for i := range alone[w] {
+			if !sameHop(together[w][i], alone[w][i]) {
+				t.Fatalf("worker %d hop %d: %+v beside a sibling, %+v alone", w, i, together[w][i], alone[w][i])
+			}
+		}
+	}
+}
+
+// TestWalkMemoEndsWithTheWalk: the memo must not outlive its walk. Session 0
+// is walked, the fleet's capacity is then scaled down to almost nothing, and
+// a second walk from the very same state with the same scratch must see the
+// degraded fleet — fewer feasible neighbors on its first hop, and hop for
+// hop what a scratch that never saw the first walk computes.
+func TestWalkMemoEndsWithTheWalk(t *testing.T) {
+	ev, a0, ledger := fleetFixture(t, 5)
+	cfg := DefaultConfig(1)
+	cfg.NeighborWindow = hopWindow
+	walk := func(scr *HopScratch) []HopResult {
+		var trail []HopResult
+		if _, err := WalkSession(a0.Clone(), 0, ev, ledger.Clone(), cfg, rand.New(rand.NewSource(6)), scr, walkBudget,
+			func(res HopResult) { trail = append(trail, res) }); err != nil {
+			t.Fatal(err)
+		}
+		return trail
+	}
+	used := NewHopScratch(ev)
+	before := walk(used)
+	for l := 0; l < ev.Scenario().NumAgents(); l++ {
+		if err := ledger.SetCapacityScale(model.AgentID(l), 0.01); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, fresh := walk(used), walk(NewHopScratch(ev))
+	if after[0].Feasible >= before[0].Feasible {
+		t.Fatalf("first hop sees %d feasible neighbors on the degraded fleet, %d before: the second walk did not see the capacity change",
+			after[0].Feasible, before[0].Feasible)
+	}
+	if len(after) != len(fresh) {
+		t.Fatalf("walk on a used scratch made %d hops, on a fresh one %d", len(after), len(fresh))
+	}
+	for i := range fresh {
+		if !sameHop(after[i], fresh[i]) {
+			t.Fatalf("hop %d: used scratch %+v, fresh scratch %+v", i, after[i], fresh[i])
+		}
+	}
+}

@@ -207,6 +207,11 @@ type Stats struct {
 	// retried against a fresh snapshot or, past the retry budget, became a
 	// Reject.
 	Conflicts int
+	// WalkHops counts the hops the tasks' refinement walks executed, and
+	// WalkReused those among them that started from a state their walk had
+	// already evaluated and reused its candidate set (core.WalkSession).
+	WalkHops   int
+	WalkReused int
 	// Migrations counts data-plane decisions executed (≥ Commits: one commit
 	// can migrate several variables).
 	Migrations int

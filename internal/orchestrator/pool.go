@@ -37,27 +37,52 @@ type reoptTask struct {
 type eventTally struct {
 	commits, rejects, noChange, conflicts int
 	// Per-task telemetry, merged at task finish (telemetry enabled only):
-	// phase durations, delay-cache outcome deltas, and the counterfactual-k
-	// reading of the event's first committed proposal.
+	// phase durations and delay-cache outcome deltas.
 	snapshotNs, walkNs, commitNs int64
 	cacheWarm, cacheCold         int
-	chosenAgent                  int
-	cfGap                        float64
-	cfValid                      bool
+	// The counterfactual-k reading of the event's first committed proposal
+	// (see noteDecisive); only the decision record reads it.
+	chosenAgent int
+	cfGap       float64
+	cfValid     bool
 	// delayMS is the trigger session's post-decision mean-of-max delay
 	// (admitted arrivals only; see Orchestrator.observeDelay).
 	delayMS float64
 }
 
+// noteDecisive keeps the decisive hop of the event's first committed
+// proposal: its target agent and its counterfactual-k gap (Φ runner-up −
+// Φ chosen; +Inf, and not valid, when the hop had no runner-up).
+func (ty *eventTally) noteDecisive(b bestState) {
+	if ty.chosenAgent >= 0 || b.cfAgent < 0 {
+		return
+	}
+	ty.chosenAgent = b.cfAgent
+	if !math.IsInf(b.cfGap, 1) {
+		ty.cfGap = b.cfGap
+		ty.cfValid = true
+	}
+}
+
 // bumpTask increments a global outcome counter and, for pipelined events,
-// the matching per-event tally slot, under the state lock.
-func (o *Orchestrator) bumpTask(global, local *int) {
+// the matching per-event tally slot, under the state lock, and moves the
+// worker's walk tallies into the stats with them.
+func (o *Orchestrator) bumpTask(w *workerState, global, local *int) {
 	o.mu.Lock()
 	*global++
 	if local != nil {
 		*local++
 	}
+	o.flushWalk(w)
 	o.mu.Unlock()
+}
+
+// flushWalk moves the hops worker w has walked since its last flush into the
+// stats. The caller holds o.mu.
+func (o *Orchestrator) flushWalk(w *workerState) {
+	o.stats.WalkHops += w.walk.Hops
+	o.stats.WalkReused += w.walk.Reused
+	w.walk = core.WalkStats{}
 }
 
 func (t reoptTask) noChangeSlot() *int {
@@ -141,6 +166,8 @@ type workerState struct {
 	id  int // counter-shard index into the telemetry sink
 	scr *core.HopScratch
 	rng *rand.Rand
+	// walk tallies the hops walked since the last flushWalk.
+	walk core.WalkStats
 	// probe is the reused per-task instrumentation scratch (telemetry
 	// enabled only), so enabling the sink adds no per-task allocation.
 	probe taskProbe
@@ -281,25 +308,18 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 	if !o.cache.Active(t.session) {
 		return
 	}
-	rng := w.rng
-	rng.Seed(t.seed)
+	w.rng.Seed(t.seed)
 	users := o.sc.Session(t.session).Users
 	flows := o.a.SessionFlowsShared(t.session)
-	// Index views of the session's flow placements, live and private,
-	// aligned with flows.
+	// Index view of the session's live flow placements, aligned with flows.
 	liveFlowTo := o.a.SessionFlowAgents(t.session)
-	privFlowTo := w.aw.SessionFlowAgents(t.session)
 	w.userTo = growAgents(w.userTo, len(users))
 	w.flowTo = growAgents(w.flowTo, len(flows))
 
 	// Instrumentation (telemetry enabled only): the probe times the
-	// snapshot/walk/commit phases and diffs the delay-cache counters;
-	// bestAgent/bestGap remember the decisive hop's target and its
-	// counterfactual-k gap (Φ runner-up − Φ chosen), read off the hop
-	// result the loop already computes.
+	// snapshot/walk/commit phases and diffs the delay-cache counters.
 	var probe *taskProbe
 	var t0 time.Time
-	bestAgent, bestGap := -1, math.Inf(1)
 	if o.tel != nil {
 		probe = o.beginTaskProbe(w)
 		defer o.finishTaskProbe(t, w, probe)
@@ -349,44 +369,18 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		startPhi := o.ev.BeginSession(w.aw, t.session, es).Phi
 		w.cur.CopyFrom(es.CurLoad())
 
-		// Bounded refinement from the warm start, remembering the best
-		// session-local objective seen: the chain may pass through worse
-		// states (that is what lets it escape local minima).
-		bestPhi := startPhi
-		improved := false
-		for i, u := range users {
-			w.userTo[i] = w.aw.UserAgent(u)
-		}
-		copy(w.flowTo, privFlowTo)
-		for i := 0; i < o.cfg.HopBudget; i++ {
-			res, err := core.HopSessionWith(w.aw, t.session, o.ev, w.snap, o.cfg.Core, rng, w.scr)
-			if err != nil {
-				o.reportErr(err)
-				return
-			}
-			if !res.Moved {
-				break // no feasible neighbor: the walk is stuck
-			}
-			if res.PhiAfter < bestPhi-o.cfg.ImprovementEps {
-				bestPhi = res.PhiAfter
-				for i, u := range users {
-					w.userTo[i] = w.aw.UserAgent(u)
-				}
-				copy(w.flowTo, privFlowTo)
-				improved = true
-				if probe != nil {
-					bestAgent = int(res.Decision.To)
-					bestGap = res.PhiSecond - res.PhiAfter
-				}
-			}
+		best, err := o.walkBest(t, w, w.aw, w.snap, startPhi, w.userTo, w.flowTo)
+		if err != nil {
+			o.reportErr(err)
+			return
 		}
 		if probe != nil {
 			now := time.Now()
 			probe.walkNs += now.Sub(t0).Nanoseconds()
 			probe.commitStart = now
 		}
-		if !improved {
-			o.bumpTask(&o.stats.NoChange, t.noChangeSlot())
+		if !best.improved {
+			o.bumpTask(w, &o.stats.NoChange, t.noChangeSlot())
 			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 			return
 		}
@@ -409,7 +403,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 			}
 		}
 		if len(w.ds) == 0 {
-			o.bumpTask(&o.stats.NoChange, t.noChangeSlot())
+			o.bumpTask(w, &o.stats.NoChange, t.noChangeSlot())
 			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 			return
 		}
@@ -420,12 +414,12 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		newEval := o.ev.BeginSession(w.aw, t.session, es)
 		newLoad := es.CurLoad()
 		if newEval.Phi >= startPhi-o.cfg.ImprovementEps {
-			o.bumpTask(&o.stats.NoChange, t.noChangeSlot())
+			o.bumpTask(w, &o.stats.NoChange, t.noChangeSlot())
 			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 			return
 		}
 		if !newEval.DelayFeasible(o.sc.DMaxMS) {
-			o.bumpTask(&o.stats.Rejects, t.rejectSlot())
+			o.bumpTask(w, &o.stats.Rejects, t.rejectSlot())
 			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
 			return
 		}
@@ -457,18 +451,10 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 				o.cache.Invalidate(t.session)
 			}
 			o.stats.Commits++
+			o.flushWalk(w)
 			if t.tally != nil {
 				t.tally.commits++
-				// Counterfactual-k: keep the event's first committed
-				// proposal's decisive hop (probe != nil paths only; the
-				// tally fields stay zeroed otherwise).
-				if t.tally.chosenAgent < 0 && bestAgent >= 0 {
-					t.tally.chosenAgent = bestAgent
-					if !math.IsInf(bestGap, 1) {
-						t.tally.cfGap = bestGap
-						t.tally.cfValid = true
-					}
-				}
+				t.tally.noteDecisive(best)
 			}
 			if o.rt != nil {
 				for _, d := range w.ds {
@@ -486,20 +472,61 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		case shard.Conflict:
 			// A sibling commit changed a routed shard after our snapshot:
 			// the walk ran on stale residual capacities. Retry bounded.
-			o.bumpTask(&o.stats.Conflicts, t.conflictSlot())
+			o.bumpTask(w, &o.stats.Conflicts, t.conflictSlot())
 			o.telConflict(w.id, t.session)
 			if attempt < o.cfg.CommitRetries {
 				continue
 			}
-			o.bumpTask(&o.stats.Rejects, t.rejectSlot())
+			o.bumpTask(w, &o.stats.Rejects, t.rejectSlot())
 			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
 			return
 		default: // shard.Infeasible
-			o.bumpTask(&o.stats.Rejects, t.rejectSlot())
+			o.bumpTask(w, &o.stats.Rejects, t.rejectSlot())
 			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
 			return
 		}
 	}
+}
+
+// bestState is what one refinement walk found: the best session-local
+// objective seen (the start's unless improved) and the hop that reached it:
+// its target agent (-1 unless improved) and counterfactual-k gap.
+type bestState struct {
+	phi      float64
+	improved bool
+	cfAgent  int
+	cfGap    float64
+}
+
+// walkBest runs task t's bounded refinement walk from the state a holds
+// (objective startPhi) against the worker-private ledger and leaves the
+// best state seen in userTo/flowTo, aligned with the session's users and
+// flows: the chain may pass through worse states (that is what lets it
+// escape local minima). The caller seeds w.rng.
+func (o *Orchestrator) walkBest(t reoptTask, w *workerState, a *assign.Assignment, ledger *cost.Ledger,
+	startPhi float64, userTo, flowTo []model.AgentID) (bestState, error) {
+	users := o.sc.Session(t.session).Users
+	curFlowTo := a.SessionFlowAgents(t.session)
+	capture := func() {
+		for i, u := range users {
+			userTo[i] = a.UserAgent(u)
+		}
+		copy(flowTo, curFlowTo)
+	}
+	capture()
+	best := bestState{phi: startPhi, cfAgent: -1}
+	ws, err := core.WalkSession(a, t.session, o.ev, ledger, o.cfg.Core, w.rng, w.scr, o.cfg.HopBudget,
+		func(res core.HopResult) {
+			if res.Moved && res.PhiAfter < best.phi-o.cfg.ImprovementEps {
+				best = bestState{phi: res.PhiAfter, improved: true,
+					cfAgent: int(res.Decision.To), cfGap: res.PhiSecond - res.PhiAfter}
+				capture()
+			}
+		})
+	w.walk.Hops += ws.Hops
+	w.walk.Reused += ws.Reused
+	o.tel.WalkHops(w.id, ws.Hops, ws.Reused)
+	return best, err
 }
 
 // growAgents resizes a reused agent-ID buffer to n entries.
@@ -520,7 +547,7 @@ func growAgents(buf []model.AgentID, n int) []model.AgentID {
 // the before/after baseline for the shard-count benchmarks.
 
 // proposal is the outcome of one refinement walk: the session's best-seen
-// variable values and their (exact, session-local) objective.
+// variable values.
 type proposal struct {
 	session model.SessionID
 	users   []model.UserID
@@ -528,19 +555,13 @@ type proposal struct {
 	// userTo/flowTo are the proposed agents, aligned with users/flows.
 	userTo []model.AgentID
 	flowTo []model.AgentID
-	phi    float64
-	// cfAgent/cfGap/cfValid carry the decisive hop's counterfactual-k
-	// reading (telemetry enabled only; cfAgent is -1 otherwise).
-	cfAgent int
-	cfGap   float64
-	cfValid bool
+	best   bestState // best.phi is the proposed state's exact session-local Φ
 }
 
 // refineSingleLock snapshots the live state under the commit lock, runs a
 // bounded warm-started Markov walk on the snapshot, and merges the best
 // state found.
 func (o *Orchestrator) refineSingleLock(t reoptTask, w *workerState) {
-	scr := w.scr
 	var probe *taskProbe
 	var t0 time.Time
 	if o.tel != nil {
@@ -573,57 +594,24 @@ func (o *Orchestrator) refineSingleLock(t reoptTask, w *workerState) {
 		flows:   flows,
 		userTo:  make([]model.AgentID, len(users)),
 		flowTo:  make([]model.AgentID, len(flows)),
-		phi:     startPhi,
-		cfAgent: -1,
 	}
-	capture := func() {
-		for i, u := range users {
-			prop.userTo[i] = a.UserAgent(u)
-		}
-		copy(prop.flowTo, a.SessionFlowAgents(t.session))
-	}
-	capture()
-
-	// Bounded refinement: walk the chain from the warm start, remembering
-	// the best session-local objective seen.
-	rng := w.rng
-	rng.Seed(t.seed)
-	improved := false
-	for i := 0; i < o.cfg.HopBudget; i++ {
-		res, err := core.HopSessionWith(a, t.session, o.ev, ledger, o.cfg.Core, rng, scr)
-		if err != nil {
-			o.reportErr(err)
-			return
-		}
-		if !res.Moved {
-			break // no feasible neighbor: the walk is stuck
-		}
-		if res.PhiAfter < prop.phi-o.cfg.ImprovementEps {
-			prop.phi = res.PhiAfter
-			capture()
-			improved = true
-			if probe != nil {
-				prop.cfAgent = int(res.Decision.To)
-				if !math.IsInf(res.PhiSecond, 1) {
-					prop.cfGap = res.PhiSecond - res.PhiAfter
-					prop.cfValid = true
-				} else {
-					prop.cfGap, prop.cfValid = 0, false
-				}
-			}
-		}
+	w.rng.Seed(t.seed)
+	var err error
+	if prop.best, err = o.walkBest(t, w, a, ledger, startPhi, prop.userTo, prop.flowTo); err != nil {
+		o.reportErr(err)
+		return
 	}
 	if probe != nil {
 		now := time.Now()
 		probe.walkNs += now.Sub(t0).Nanoseconds()
 		probe.commitStart = now
 	}
-	if !improved {
-		o.bumpTask(&o.stats.NoChange, t.noChangeSlot())
+	if !prop.best.improved {
+		o.bumpTask(w, &o.stats.NoChange, t.noChangeSlot())
 		o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 		return
 	}
-	o.commitSingleLock(t, w.id, prop)
+	o.commitSingleLock(t, w, prop)
 }
 
 // commitSingleLock merges a proposal under the commit lock with optimistic
@@ -631,24 +619,25 @@ func (o *Orchestrator) refineSingleLock(t reoptTask, w *workerState) {
 // still fit capacity and the delay cap against the *current* ledger, and
 // the objective must still strictly improve. Accepted decisions are
 // mirrored to the data plane as dual-feed migrations.
-func (o *Orchestrator) commitSingleLock(t reoptTask, wid int, p proposal) {
+func (o *Orchestrator) commitSingleLock(t reoptTask, w *workerState, p proposal) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.flushWalk(w)
 	if !o.cache.Active(p.session) {
 		o.stats.Rejects++ // departed while refining
 		if t.tally != nil {
 			t.tally.rejects++
 		}
-		o.telOutcome(wid, p.session, telemetry.OutcomeReject)
+		o.telOutcome(w.id, p.session, telemetry.OutcomeReject)
 		return
 	}
 	curPhi := o.cache.SessionObjective(o.a, p.session)
-	if p.phi >= curPhi-o.cfg.ImprovementEps {
+	if p.best.phi >= curPhi-o.cfg.ImprovementEps {
 		o.stats.NoChange++
 		if t.tally != nil {
 			t.tally.noChange++
 		}
-		o.telOutcome(wid, p.session, telemetry.OutcomeNoChange)
+		o.telOutcome(w.id, p.session, telemetry.OutcomeNoChange)
 		return
 	}
 
@@ -670,7 +659,7 @@ func (o *Orchestrator) commitSingleLock(t reoptTask, wid int, p proposal) {
 		if t.tally != nil {
 			t.tally.noChange++
 		}
-		o.telOutcome(wid, p.session, telemetry.OutcomeNoChange)
+		o.telOutcome(w.id, p.session, telemetry.OutcomeNoChange)
 		return
 	}
 
@@ -686,7 +675,7 @@ func (o *Orchestrator) commitSingleLock(t reoptTask, wid int, p proposal) {
 		if t.tally != nil {
 			t.tally.rejects++
 		}
-		o.telOutcome(wid, p.session, telemetry.OutcomeReject)
+		o.telOutcome(w.id, p.session, telemetry.OutcomeReject)
 	}
 	for _, d := range ds {
 		inv, err := o.a.Apply(d)
@@ -712,15 +701,9 @@ func (o *Orchestrator) commitSingleLock(t reoptTask, wid int, p proposal) {
 	o.stats.Commits++
 	if t.tally != nil {
 		t.tally.commits++
-		if t.tally.chosenAgent < 0 && p.cfAgent >= 0 {
-			t.tally.chosenAgent = p.cfAgent
-			if p.cfValid {
-				t.tally.cfGap = p.cfGap
-				t.tally.cfValid = true
-			}
-		}
+		t.tally.noteDecisive(p.best)
 	}
-	o.telOutcome(wid, p.session, telemetry.OutcomeCommit)
+	o.telOutcome(w.id, p.session, telemetry.OutcomeCommit)
 	if o.rt != nil {
 		for _, d := range ds {
 			if err := o.rt.Migrate(o.now, d); err != nil {

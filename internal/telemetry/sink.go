@@ -132,6 +132,8 @@ type Sink struct {
 	phaseSnapshot *Counter
 	phaseWalk     *Counter
 	phaseCommit   *Counter
+	walkEvaluated *Counter
+	walkReused    *Counter
 
 	// Gauges (event-loop writers only).
 	objective    *Gauge
@@ -268,6 +270,8 @@ func New(cfg Config) *Sink {
 	s.phaseSnapshot = s.reg.Counter("vconf_task_phase_ns_total", "cumulative task time per phase (ns)", Label{Key: "phase", Value: "snapshot"})
 	s.phaseWalk = s.reg.Counter("vconf_task_phase_ns_total", "cumulative task time per phase (ns)", Label{Key: "phase", Value: "walk"})
 	s.phaseCommit = s.reg.Counter("vconf_task_phase_ns_total", "cumulative task time per phase (ns)", Label{Key: "phase", Value: "commit"})
+	s.walkEvaluated = s.reg.Counter("vconf_walk_hops_total", "refinement-walk hops, by where the candidate set came from", Label{Key: "result", Value: "evaluated"})
+	s.walkReused = s.reg.Counter("vconf_walk_hops_total", "refinement-walk hops, by where the candidate set came from", Label{Key: "result", Value: "reused"})
 	s.objective = s.reg.Gauge("vconf_objective", "Σ Φ_s over active sessions")
 	s.active = s.reg.Gauge("vconf_active_sessions", "live session count")
 	s.schedStalls = s.reg.Gauge("vconf_sched_admission_stalls", "pipelined scheduler: admission stalls")
@@ -504,6 +508,16 @@ func (s *Sink) CacheEvals(worker int, hits, patches, rebuilds int64) {
 	if rebuilds != 0 {
 		s.cacheRebuilds.Add(worker, rebuilds)
 	}
+}
+
+// WalkHops accumulates one refinement walk's hops: reused of them took
+// their candidate set from the walk's memo, the rest evaluated it.
+func (s *Sink) WalkHops(worker, hops, reused int) {
+	if s == nil {
+		return
+	}
+	s.walkEvaluated.Add(worker, int64(hops-reused))
+	s.walkReused.Add(worker, int64(reused))
 }
 
 // SchedulerStats mirrors the pipelined scheduler's counters into gauges.
