@@ -194,7 +194,6 @@ func rankSession(sc *model.Scenario, s model.SessionID, ledger cost.LedgerAPI, o
 // transcoders (inverse mean latency, sum-normalized), since smaller σ means
 // a more capable agent.
 func seedRanks(sc *model.Scenario, potential []model.AgentID, ledger cost.LedgerAPI) []float64 {
-	down, up, tasks := ledger.Usage()
 	n := len(potential)
 	resUp := make([]float64, n)
 	resDown := make([]float64, n)
@@ -203,9 +202,10 @@ func seedRanks(sc *model.Scenario, potential []model.AgentID, ledger cost.Ledger
 	var sumUp, sumDown, sumTasks, sumInvSigma float64
 	for i, l := range potential {
 		ag := sc.Agent(l)
-		resUp[i] = math.Max(0, ag.Upload-up[l])
-		resDown[i] = math.Max(0, ag.Download-down[l])
-		resTasks[i] = math.Max(0, float64(ag.TranscodeSlots-tasks[l]))
+		down, up, tasks := ledger.UsageAt(l)
+		resUp[i] = math.Max(0, ag.Upload-up)
+		resDown[i] = math.Max(0, ag.Download-down)
+		resTasks[i] = math.Max(0, float64(ag.TranscodeSlots-tasks))
 		invSigma[i] = 1 / (meanOffDiagonal(ag.SigmaMS) + 1) // +1 guards σ≡0
 		sumUp += resUp[i]
 		sumDown += resDown[i]

@@ -47,6 +47,14 @@ package cost
 //
 // A DelayCache is private to its Scratch (one per worker goroutine); it is
 // not safe for concurrent use and needs no locking.
+//
+// What a departed session still pins: the orchestrator invalidates the
+// commit scratch's and the objective cache's entries on departure, but a
+// worker's cache is private to a goroutine it does not own, so that entry
+// stays — base n², n maxima, two signatures, a packed load (32 B per touched
+// agent, nothing sized by the fleet): well under 1 kB. It is left to
+// re-validation on purpose: when the session ID recurs, the signature diff
+// brings the same storage up to date without an allocation.
 
 import (
 	"vconf/internal/model"
@@ -71,8 +79,9 @@ type delayEntry struct {
 	flowSig []model.AgentID
 	// load, phi, mean and worst capture the rest of the BeginSession
 	// output at the signature state, reused outright on an unchanged
-	// signature.
-	load  *SparseLoad
+	// signature. The load is kept at rest (packed) and unpacked into the
+	// scratch's CurLoad on a hit.
+	load  packedLoad
 	phi   float64
 	mean  float64
 	worst float64
@@ -100,8 +109,8 @@ func NewDelayCache(sc *model.Scenario) *DelayCache {
 // Call it when the session's variables are torn down or rebuilt wholesale
 // (departure, re-arrival bootstrap) — patching a fully-changed matrix
 // costs more than rebuilding it, and releasing keeps long-running churny
-// control planes from pinning per-session matrices and fleet-sized loads
-// for sessions that left.
+// control planes from pinning per-session matrices, signatures and packed
+// loads for sessions that left.
 func (dc *DelayCache) Invalidate(s model.SessionID) {
 	if int(s) >= 0 && int(s) < len(dc.ent) {
 		dc.ent[s] = delayEntry{}

@@ -2,6 +2,8 @@ package cost
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"vconf/internal/assign"
 	"vconf/internal/model"
@@ -38,16 +40,18 @@ func TouchedSession(sc *model.Scenario, d assign.Decision) (model.SessionID, err
 // assignment. Sessions marked inactive contribute nothing; dirty sessions
 // are recomputed lazily on the next query — through the sparse evaluation
 // pipeline (an owned Scratch), so a refresh allocates nothing at steady
-// state and cached loads are SparseLoads ready for O(touched) ledger
-// accounting. Not safe for concurrent use — the orchestrator queries it only
-// under its commit lock.
+// state. Loads are kept at rest (packed, O(touched) bytes per session) and
+// handed out through one dense view, see SessionLoad. Not safe for
+// concurrent use — the orchestrator queries it only under its commit lock.
 type ObjectiveCache struct {
 	ev     *Evaluator
 	phi    []float64
-	load   []*SparseLoad
+	load   []packedLoad
 	dirty  []bool
 	active []bool
 	scr    *Scratch
+	// view is the one SparseLoad SessionLoad unpacks into and returns.
+	view SparseLoad
 
 	// recomputes counts lazy per-session re-evaluations, so tests and
 	// benchmarks can verify the delta path avoids full-scenario work.
@@ -60,19 +64,20 @@ func NewObjectiveCache(ev *Evaluator) *ObjectiveCache {
 	return &ObjectiveCache{
 		ev:     ev,
 		phi:    make([]float64, n),
-		load:   make([]*SparseLoad, n),
+		load:   make([]packedLoad, n),
 		dirty:  make([]bool, n),
 		active: make([]bool, n),
 		scr:    ev.NewScratch(),
+		view:   *NewSparseLoad(ev.Scenario().NumAgents()),
 	}
 }
 
 // SetActive marks session s active (participating in the total) or inactive.
 // Activation marks the session dirty; deactivation clears the cached
-// objective. The session's SparseLoad object is left untouched (it is only
-// reachable again through the next refresh, which overwrites it), so a load
-// pointer captured before the deactivation keeps its values — same safety
-// property the dense cache's nil-out provided.
+// objective and empties the session's packed load, keeping its few records
+// of capacity for a re-arrival. The view SessionLoad last returned is not
+// touched: it holds its values until the next SessionLoad call, whatever
+// happens to the session it was unpacked from.
 func (c *ObjectiveCache) SetActive(s model.SessionID, on bool) {
 	c.active[s] = on
 	if on {
@@ -80,6 +85,7 @@ func (c *ObjectiveCache) SetActive(s model.SessionID, on bool) {
 	} else {
 		c.phi[s] = 0
 		c.dirty[s] = false
+		c.load[s].recs = c.load[s].recs[:0]
 		// The session is departing: its variables are about to be torn
 		// down wholesale, so drop the refresh scratch's delay-cache entry —
 		// a re-arrival full-rebuilds instead of patching a fully-changed
@@ -97,15 +103,22 @@ func (c *ObjectiveCache) Active(s model.SessionID) bool { return c.active[s] }
 // cache really disables it on every evaluation path, refreshes included.
 func (c *ObjectiveCache) SetDelayCacheEnabled(on bool) { c.scr.SetDelayCacheEnabled(on) }
 
-// ActiveSessions returns the active session IDs in ascending order.
-func (c *ObjectiveCache) ActiveSessions() []model.SessionID {
-	var out []model.SessionID
-	for s, on := range c.active {
-		if on {
-			out = append(out, model.SessionID(s))
+// EachActive visits the active session IDs in ascending order without
+// building a list; it reads the live flags as it goes.
+func (c *ObjectiveCache) EachActive() iter.Seq[model.SessionID] {
+	return func(yield func(model.SessionID) bool) {
+		for s, on := range c.active {
+			if on && !yield(model.SessionID(s)) {
+				return
+			}
 		}
 	}
-	return out
+}
+
+// ActiveSessions returns a fresh list of the active session IDs in
+// ascending order.
+func (c *ObjectiveCache) ActiveSessions() []model.SessionID {
+	return slices.Collect(c.EachActive())
 }
 
 // NumActive returns the number of active sessions.
@@ -138,18 +151,15 @@ func (c *ObjectiveCache) InvalidateDecision(d assign.Decision) error {
 }
 
 // refresh recomputes session s from the assignment if dirty, via the sparse
-// pipeline: the scratch computes load and Φ_s, and the result is copied into
-// the session's owned SparseLoad (reused across refreshes).
+// pipeline: the scratch computes load and Φ_s, and the load is packed into
+// the session's record (storage reused across refreshes).
 func (c *ObjectiveCache) refresh(a *assign.Assignment, s model.SessionID) {
 	if !c.dirty[s] {
 		return
 	}
 	be := c.ev.BeginSession(a, s, c.scr)
 	c.phi[s] = be.Phi
-	if c.load[s] == nil {
-		c.load[s] = NewSparseLoad(c.ev.Scenario().NumAgents())
-	}
-	c.load[s].CopyFrom(c.scr.CurLoad())
+	c.load[s].pack(c.scr.CurLoad())
 	c.dirty[s] = false
 	c.recomputes++
 }
@@ -167,10 +177,7 @@ func (c *ObjectiveCache) Prime(s model.SessionID, phi float64, load *SparseLoad)
 		return
 	}
 	c.phi[s] = phi
-	if c.load[s] == nil {
-		c.load[s] = NewSparseLoad(c.ev.Scenario().NumAgents())
-	}
-	c.load[s].CopyFrom(load)
+	c.load[s].pack(load)
 	c.dirty[s] = false
 }
 
@@ -184,15 +191,19 @@ func (c *ObjectiveCache) SessionObjective(a *assign.Assignment, s model.SessionI
 	return c.phi[s]
 }
 
-// SessionLoad returns session s's cached sparse load (nil when inactive).
-// Callers must not mutate the returned load; it stays valid until the next
-// refresh of the same session.
+// SessionLoad returns session s's cached load (nil when inactive), unpacked
+// into the cache's one dense view. Every call returns the same *SparseLoad
+// and overwrites it: the result is valid until the next SessionLoad call on
+// this cache, for any session — use or copy one session's load before asking
+// for another's. Nothing else the cache does touches the view; callers must
+// not mutate it.
 func (c *ObjectiveCache) SessionLoad(a *assign.Assignment, s model.SessionID) *SparseLoad {
 	if !c.active[s] {
 		return nil
 	}
 	c.refresh(a, s)
-	return c.load[s]
+	c.load[s].unpack(&c.view)
+	return &c.view
 }
 
 // TotalObjective returns Σ over active sessions of Φ_s, recomputing only

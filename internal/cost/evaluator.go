@@ -285,6 +285,11 @@ func (g *Ledger) Usage() (down, up []float64, tasks []int) {
 		append([]int(nil), g.tasks...)
 }
 
+// UsageAt returns agent l's accounted usage.
+func (g *Ledger) UsageAt(l model.AgentID) (down, up float64, tasks int) {
+	return g.down[l], g.up[l], g.tasks[l]
+}
+
 // CheckFeasible verifies a complete assignment against all constraints
 // (1)–(8): structural completeness, capacities, and delay caps. It returns
 // nil when feasible, else a descriptive error naming the violated

@@ -46,8 +46,10 @@ type LedgerAPI interface {
 	FitsTouched(candidate *SparseLoad) bool
 	// Violations lists agents over their (scaled) capacity.
 	Violations() []model.AgentID
-	// Usage returns copies of the per-agent usage vectors.
+	// Usage returns copies of the per-agent usage vectors; UsageAt reads one
+	// agent's entries without copying the fleet.
 	Usage() (down, up []float64, tasks []int)
+	UsageAt(l model.AgentID) (down, up float64, tasks int)
 	// SetCapacityScale degrades (or restores) one agent's capacities.
 	SetCapacityScale(l model.AgentID, factor float64) error
 }

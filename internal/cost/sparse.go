@@ -20,6 +20,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"vconf/internal/assign"
 	"vconf/internal/model"
@@ -134,6 +135,57 @@ func (sl *SparseLoad) CopyFrom(src *SparseLoad) {
 	}
 	sl.touched = append(sl.touched, src.touched...)
 	sl.sorted = src.sorted
+}
+
+// packedLoad is a load at rest: one record per touched agent, in touched
+// order, nothing sized by the fleet. The caches that keep a load per session
+// (delayEntry.load, ObjectiveCache.load) hold this form and unpack it into a
+// SparseLoad to compute with it; pack and unpack are the O(touched) loop
+// CopyFrom is and move every component unchanged.
+type packedLoad struct {
+	recs   []packedAgent
+	sorted bool
+}
+
+type packedAgent struct {
+	agent           int32
+	tasks           int32 // a session's tasks on one agent: at most its flows
+	down, up, inter float64
+}
+
+// pack makes pl an exact record of src, reusing pl's storage.
+func (pl *packedLoad) pack(src *SparseLoad) {
+	pl.recs = slices.Grow(pl.recs[:0], len(src.touched))
+	for _, l := range src.touched {
+		pl.recs = append(pl.recs, packedAgent{
+			agent: l, tasks: int32(src.tasks[l]),
+			down: src.down[l], up: src.up[l], inter: src.inter[l],
+		})
+	}
+	pl.sorted = src.sorted
+}
+
+// unpack makes dst the load pl records; dst keeps its dimensions.
+func (pl *packedLoad) unpack(dst *SparseLoad) {
+	dst.Reset()
+	for i := range pl.recs {
+		r := &pl.recs[i]
+		dst.mark[r.agent] = true
+		dst.down[r.agent] = r.down
+		dst.up[r.agent] = r.up
+		dst.inter[r.agent] = r.inter
+		dst.tasks[r.agent] = int(r.tasks)
+		dst.touched = append(dst.touched, r.agent)
+	}
+	dst.sorted = pl.sorted
+}
+
+// sortAgents is sortTouched for a load at rest: records ascending by agent.
+func (pl *packedLoad) sortAgents() {
+	if !pl.sorted {
+		slices.SortFunc(pl.recs, func(a, b packedAgent) int { return int(a.agent - b.agent) })
+		pl.sorted = true
+	}
 }
 
 // At returns the load components at agent l.
@@ -681,7 +733,6 @@ func (e *Evaluator) beginSessionCached(a *assign.Assignment, s model.SessionID, 
 		ent.userMax = make([]float64, n)
 		ent.userSig = make([]model.AgentID, n)
 		ent.flowSig = make([]model.AgentID, len(flows))
-		ent.load = NewSparseLoad(e.sc.NumAgents())
 		ent.valid = false
 	}
 	scr.base = ent.base
@@ -689,7 +740,7 @@ func (e *Evaluator) beginSessionCached(a *assign.Assignment, s model.SessionID, 
 
 	finish := func(out SessionEval) SessionEval {
 		// Synchronize the entry to the evaluated state.
-		ent.load.CopyFrom(&scr.cur)
+		ent.load.pack(&scr.cur)
 		ent.phi, ent.mean, ent.worst = out.Phi, out.MeanDelayMS, out.WorstMS
 		ent.valid = true
 		return out
@@ -714,7 +765,7 @@ func (e *Evaluator) beginSessionCached(a *assign.Assignment, s model.SessionID, 
 		// Unchanged signature: matrix, maxima, load, Φ_s and summary are
 		// all bitwise-unchanged — reuse everything.
 		dc.hits++
-		scr.cur.CopyFrom(ent.load)
+		ent.load.unpack(&scr.cur)
 		return SessionEval{Phi: ent.phi, MeanDelayMS: ent.mean, WorstMS: ent.worst}
 	}
 	dc.patches++
@@ -795,12 +846,12 @@ func (e *Evaluator) CommitSessionDecision(a *assign.Assignment, s model.SessionI
 	scr.userMax = ent.userMax
 	e.patchEntry(a, scr, ent, a.SessionFlowsShared(s), a.SessionFlowAgents(s))
 	ent.mean, ent.worst = scr.delaySummary(scr.userMax)
-	ent.load.CopyFrom(load)
-	// Canonicalize to ascending touched order — the state phiFromSparse
+	ent.load.pack(load)
+	// Canonicalize to ascending agent order — the state phiFromSparse
 	// leaves behind on the rebuild path. (Every load consumer is
 	// order-insensitive per slot or sorts first, so this is cosmetic for
 	// exactness but keeps warm-restored loads byte-comparable.)
-	ent.load.sortTouched()
+	ent.load.sortAgents()
 	ent.phi = phi
 }
 

@@ -297,7 +297,7 @@ func (o *Orchestrator) degradeLocked(agents []int, esp telemetry.Span) (faultRes
 			mark[l] = true
 		}
 		evicted := false
-		for _, s := range o.cache.ActiveSessions() {
+		for s := range o.cache.EachActive() {
 			if !o.cache.SessionLoad(o.a, s).OverlapsAgents(mark) {
 				continue
 			}
@@ -373,7 +373,7 @@ func (o *Orchestrator) rebalanceLocked(recovered []int) []model.SessionID {
 		mark[a] = true
 	}
 	var cands []model.SessionID
-	for _, s := range o.cache.ActiveSessions() {
+	for s := range o.cache.EachActive() {
 		if o.nbrIdx == nil {
 			cands = append(cands, s)
 			continue

@@ -731,7 +731,7 @@ func (o *Orchestrator) agentsOf(sl *cost.SparseLoad) []bool {
 // Each membership test is O(touched agents of the session), not O(fleet).
 func (o *Orchestrator) touchedLocked(trigger model.SessionID, agents []bool) []model.SessionID {
 	var out []model.SessionID
-	for _, s := range o.cache.ActiveSessions() {
+	for s := range o.cache.EachActive() {
 		if s == trigger {
 			continue
 		}
@@ -893,7 +893,7 @@ func (o *Orchestrator) checkInvariants() error {
 	if !o.ledger.Fits(nil) {
 		return fmt.Errorf("orchestrator: ledger violates capacity: agents %v", o.ledger.Violations())
 	}
-	for _, s := range o.cache.ActiveSessions() {
+	for s := range o.cache.EachActive() {
 		if !o.a.SessionComplete(s) {
 			return fmt.Errorf("orchestrator: active session %d incomplete", s)
 		}
@@ -906,7 +906,7 @@ func (o *Orchestrator) checkInvariants() error {
 	// accumulated in commit order, so they get float-accumulation slack.
 	want := cost.NewLedger(o.sc)
 	p := o.ev.Params()
-	for _, s := range o.cache.ActiveSessions() {
+	for s := range o.cache.EachActive() {
 		want.Add(p.SessionLoadOf(o.a, s))
 	}
 	gotDown, gotUp, gotTasks := o.ledger.Usage()

@@ -395,7 +395,7 @@ func (st *eventState) retire() {
 // owns. Caller holds o.mu.
 func (o *Orchestrator) touchedIndexed(trigger model.SessionID, agents []bool) []model.SessionID {
 	var out []model.SessionID
-	for _, s := range o.cache.ActiveSessions() {
+	for s := range o.cache.EachActive() {
 		if s == trigger {
 			continue
 		}

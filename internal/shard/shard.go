@@ -352,6 +352,14 @@ func (sl *Ledger) Usage() (down, up []float64, tasks []int) {
 	return sl.inner.Usage()
 }
 
+// UsageAt returns agent l's accounted usage, read under its stripe's lock.
+func (sl *Ledger) UsageAt(l model.AgentID) (down, up float64, tasks int) {
+	mu := &sl.shards[sl.shardOf[l]].mu
+	mu.Lock()
+	defer mu.Unlock()
+	return sl.inner.UsageAt(l)
+}
+
 // SetCapacityScale degrades (or restores) one agent's capacities.
 func (sl *Ledger) SetCapacityScale(l model.AgentID, factor float64) error {
 	if int(l) < 0 || int(l) >= len(sl.shardOf) {

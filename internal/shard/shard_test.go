@@ -139,6 +139,10 @@ func TestShardedMatchesDenseSequential(t *testing.T) {
 						step, shardCounts[i], l,
 						gotDown[l], gotUp[l], gotTasks[l], wantDown[l], wantUp[l], wantTasks[l])
 				}
+				if d, u, k := sl.UsageAt(model.AgentID(l)); d != wantDown[l] || u != wantUp[l] || k != wantTasks[l] {
+					t.Fatalf("step %d: %d-shard UsageAt(%d) = (%v %v %d), Usage has (%v %v %d)",
+						step, shardCounts[i], l, d, u, k, wantDown[l], wantUp[l], wantTasks[l])
+				}
 			}
 		}
 	}
