@@ -643,14 +643,13 @@ func BenchmarkOrchestratorEvent(b *testing.B) {
 	}
 }
 
-// BenchmarkEventPipeline drives the pipelined event scheduler over a seeded
-// churn schedule through the facade (Pipeline on, several events in
-// flight), reporting events/sec and the scheduler's overlap telemetry —
-// the streaming counterpart of BenchmarkOrchestratorChurn's barrier path.
+// BenchmarkEventPipeline drives the event scheduler over a seeded churn
+// schedule through the facade with several events in flight, reporting
+// events/sec and the scheduler's overlap telemetry — the overlapping
+// counterpart of BenchmarkOrchestratorChurn's one event at a time.
 func BenchmarkEventPipeline(b *testing.B) {
 	solver, events := churnFixture(b, 3)
 	cfg := vconf.DefaultOrchestratorConfig(3)
-	cfg.Pipeline = true
 	cfg.MaxInFlight = 4
 	cfg.Core.NeighborWindow = 4
 	var processed, inFlightPeak int
@@ -680,9 +679,10 @@ func BenchmarkEventPipeline(b *testing.B) {
 	b.ReportMetric(float64(inFlightPeak), "in-flight-peak")
 }
 
-// BenchmarkChaosRecovery drives the pipelined orchestrator over Poisson
-// churn merged with a seeded fault schedule (agent failures, a regional
-// outage process, partial degradations, flash crowds) on a regional fleet:
+// BenchmarkChaosRecovery drives the orchestrator, four events in flight,
+// over Poisson churn merged with a seeded fault schedule (agent failures, a
+// regional outage process, partial degradations, flash crowds) on a
+// regional fleet:
 // events/sec with healing barriers in the stream, incidents and orphans
 // healed per run, and the p99 time-to-recovery across incidents.
 func BenchmarkChaosRecovery(b *testing.B) {
@@ -741,7 +741,6 @@ func BenchmarkChaosRecovery(b *testing.B) {
 	events := vconf.MergeSchedules(churn, flt)
 
 	cfg := vconf.DefaultOrchestratorConfig(11)
-	cfg.Pipeline = true
 	cfg.MaxInFlight = 4
 	cfg.Core.NeighborWindow = 4
 	cfg.AgentRegion = vconf.AgentRegions(agents, regions)

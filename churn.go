@@ -38,16 +38,14 @@ func GenerateChurn(cfg ChurnConfig) ([]ChurnEvent, error) {
 type Orchestrator = orchestrator.Orchestrator
 
 // OrchestratorConfig tunes the orchestrator: Shards sets the solver worker
-// count, LedgerShards the capacity-ledger stripe count (0 = one ID-range
-// shard per worker via the lock-striped internal/shard pipeline, -1 = the
-// legacy single-lock commit path kept for differential benchmarks),
-// CommitRetries the bounded retry budget after cross-shard commit races,
-// plus the per-task hop budget, touched-set cap, N_ngbr candidate window
-// (Core.NeighborWindow) and the refinement chain parameters. Pipeline
-// switches event handling onto the dependency-aware scheduler
-// (internal/pipeline) so churn events with disjoint conflict footprints
-// overlap end-to-end, bounded by MaxInFlight and widened by
-// FootprintSlack; reports still arrive in schedule order.
+// count, LedgerShards the lock-striped capacity ledger's stripe count (0 =
+// one ID-range stripe per worker), plus the per-task hop budget,
+// touched-set cap, N_ngbr candidate window (Core.NeighborWindow) and the
+// refinement chain parameters. Every event goes through the
+// dependency-aware scheduler (internal/pipeline); MaxInFlight (default 1)
+// lets churn events with disjoint conflict footprints overlap end-to-end,
+// and reports still arrive in schedule order. Pipeline is deprecated and
+// has no effect.
 type OrchestratorConfig = orchestrator.Config
 
 // OrchestratorStats aggregates orchestrator activity counters.

@@ -175,7 +175,6 @@ func runChaosSweep(w io.Writer, format string, fleetAgents int, horizonS float64
 		cfg.HopBudget = 12
 		cfg.MaxReoptSessions = 4
 		cfg.Core.NeighborWindow = 4
-		cfg.Pipeline = true
 		cfg.MaxInFlight = 4
 		cfg.Telemetry = sink
 		cfg.AgentRegion = agentRegion
@@ -230,7 +229,7 @@ func runChaosSweep(w io.Writer, format string, fleetAgents int, horizonS float64
 		Description: "Self-healing under seeded fault injection: the same regional fleet and Poisson churn " +
 			"schedule replayed fault-free, with a light fault mix, and with a heavy one (agent failures, " +
 			"regional outages, partial capacity degradations, per-region flash crowds). Fault events act " +
-			"as drain barriers in the pipelined scheduler; time-to-recovery spans applying a fault through " +
+			"as drain barriers in the event scheduler; time-to-recovery spans applying a fault through " +
 			"committing the healed state (evacuation + re-optimization). Drift compares the final online " +
 			"objective to a from-scratch re-solve on the surviving fleet at its degraded capacities.",
 		ThroughputRatios: map[string]float64{},

@@ -34,7 +34,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vcbench", flag.ContinueOnError)
 	var (
-		which     = fs.String("run", "all", "experiment id (fig2..fig10, table2, thm1, solvers, micro, pipeline, chaos, simcore, all)")
+		which     = fs.String("run", "all", "experiment id (fig2..fig10, table2, thm1, solvers, micro, chaos, simcore, all)")
 		seed      = fs.Int64("seed", 1, "base random seed")
 		scenarios = fs.Int("scenarios", 100, "random scenarios per sweep point (paper: 100)")
 		duration  = fs.Float64("duration", 200, "virtual seconds of Alg. 1 per run")
@@ -80,19 +80,6 @@ func run(args []string, w io.Writer) error {
 		}
 		return runMicro(w, *format, fleetAgents, *seed, meta, sink)
 	}
-	// The pipeline sweep measures the pipelined event scheduler against the
-	// serial barrier path over identical follow-the-sun fixtures; with
-	// -format json it emits the BENCH_4.json perf-trajectory payload.
-	if *which == "pipeline" {
-		if *format == "csv" {
-			return fmt.Errorf("pipeline sweep supports text or json output, not csv")
-		}
-		fleetAgents, horizonS := 96, 300.0
-		if *quick {
-			fleetAgents, horizonS = 32, 120
-		}
-		return runPipelineSweep(w, *format, fleetAgents, horizonS, *seed, meta, sink)
-	}
 	// The chaos sweep measures self-healing under seeded fault injection at
 	// increasing intensity; with -format json it emits the BENCH_7.json
 	// payload.
@@ -120,7 +107,7 @@ func run(args []string, w io.Writer) error {
 		return runSimCore(w, *format, fleetAgents, horizonS, dayS, *seed, meta, sink)
 	}
 	if *format == "json" {
-		return fmt.Errorf("json output is only available for -run micro, -run pipeline, -run chaos or -run simcore")
+		return fmt.Errorf("json output is only available for -run micro, -run chaos or -run simcore")
 	}
 
 	type experiment struct {

@@ -66,7 +66,7 @@ type microReport struct {
 	Benchmarks []microResult `json:"benchmarks"`
 	// ShardSweep is the OrchestratorEvent events/sec-vs-shard-count sweep:
 	// identical fleet and schedule, shard count n = n workers over an
-	// n-stripe ledger (n = 1: the legacy single-lock path).
+	// n-stripe ledger.
 	ShardSweep []shardSweepPoint `json:"shard_sweep,omitempty"`
 	// HardwareParallelCeiling is the host's measured raw 2-way CPU speedup
 	// (2 × serial-time / dual-goroutine-time of a pure spin loop). Shared
@@ -306,22 +306,17 @@ func shardSweepStack(fleetAgents int, seed int64) (*cost.Evaluator, core.Bootstr
 // runShardSweep measures OrchestratorEvent throughput (full churn events
 // per wall second, admission + re-optimization barrier included) as a
 // function of the orchestrator's shard count: n solver workers over an
-// n-stripe capacity ledger. The 1-shard point runs the legacy single-lock
-// commit path — one worker, one global commit mutex, the pre-subsystem
-// configuration that the sharded P=1 pipeline is proven bit-identical to.
-// A final reference point re-runs the single-lock backend at the maximum
-// worker count, so the curve separates worker scaling from what the
-// stripe pipeline itself contributes (the striped-vs-single-lock speedup
-// at equal workers). Fleet and schedule are identical across points.
+// n-stripe capacity ledger. Fleet and schedule are identical across
+// points.
 func runShardSweep(shardCounts []int, fleetAgents int, seed int64, sink *telemetry.Sink) ([]shardSweepPoint, error) {
 	ev, boot, events, err := shardSweepStack(fleetAgents, seed)
 	if err != nil {
 		return nil, err
 	}
-	run := func(name string, workers, ledgerShards, shardsLabel int) (shardSweepPoint, error) {
+	run := func(name string, shards int) (shardSweepPoint, error) {
 		cfg := orchestrator.DefaultConfig(seed)
-		cfg.Shards = workers
-		cfg.LedgerShards = ledgerShards
+		cfg.Shards = shards
+		cfg.LedgerShards = shards
 		cfg.HopBudget = 8
 		cfg.MaxReoptSessions = 16
 		cfg.Core.NeighborWindow = 4
@@ -346,8 +341,8 @@ func runShardSweep(shardCounts []int, fleetAgents int, seed int64, sink *telemet
 			if eps > best.EventsPerSec {
 				best = shardSweepPoint{
 					Name:         name,
-					Shards:       shardsLabel,
-					Workers:      workers,
+					Shards:       shards,
+					Workers:      shards,
 					Agents:       fleetAgents,
 					Events:       st.Events,
 					EventsPerSec: eps,
@@ -361,26 +356,14 @@ func runShardSweep(shardCounts []int, fleetAgents int, seed int64, sink *telemet
 		}
 		return best, nil
 	}
-	points := make([]shardSweepPoint, 0, len(shardCounts)+1)
+	points := make([]shardSweepPoint, 0, len(shardCounts))
 	for _, shards := range shardCounts {
-		ledger := shards
-		if shards == 1 {
-			ledger = -1 // legacy single-lock path (≡ sharded P=1)
-		}
-		pt, err := run(fmt.Sprintf("OrchestratorEvent/shards=%d", shards), shards, ledger, shards)
+		pt, err := run(fmt.Sprintf("OrchestratorEvent/shards=%d", shards), shards)
 		if err != nil {
 			return nil, err
 		}
 		points = append(points, pt)
 	}
-	// Lock-isolation reference: single global commit lock at the sweep's
-	// maximum worker count.
-	maxW := shardCounts[len(shardCounts)-1]
-	ref, err := run(fmt.Sprintf("OrchestratorEvent/single-lock-%dworkers", maxW), maxW, -1, 1)
-	if err != nil {
-		return nil, err
-	}
-	points = append(points, ref)
 	return points, nil
 }
 
@@ -396,8 +379,7 @@ func runMicro(w io.Writer, format string, fleetAgents int, seed int64, meta runM
 			"N_ngbr=1 windowed chain where each hop's BeginSession is a pure warm hit re-synchronized by " +
 			"the previous commit, and SessionObjective/warm evaluates unchanged sessions) plus the sharded-ledger " +
 			"orchestrator sweep: events/sec vs shard count, where n shards = n solver workers over an " +
-			"n-stripe capacity ledger and n=1 is the legacy single-lock commit path (bit-identical to " +
-			"sharded P=1). Wall-clock scaling is bounded by hardware_parallel_ceiling — on shared-vCPU " +
+			"n-stripe capacity ledger. Wall-clock scaling is bounded by hardware_parallel_ceiling — on shared-vCPU " +
 			"hosts that ceiling sits well below the vCPU count, so judge the sweep by its parallel " +
 			"efficiency (scaling/ceiling), not by the shard count.",
 		Speedups: map[string]float64{},
@@ -479,17 +461,12 @@ func runMicro(w io.Writer, format string, fleetAgents int, seed int64, meta runM
 	}
 	rep.ShardSweep = sweep
 	rep.HardwareParallelCeiling = measureParallelCeiling()
-	if n := len(shardCounts); len(sweep) > n && sweep[0].EventsPerSec > 0 {
-		maxPt, refPt := sweep[n-1], sweep[n] // max-shards point, single-lock-at-max-workers reference
-		scaling := maxPt.EventsPerSec / sweep[0].EventsPerSec
+	if n := len(sweep); n > 0 && sweep[0].EventsPerSec > 0 {
+		scaling := sweep[n-1].EventsPerSec / sweep[0].EventsPerSec
 		rep.Speedups["OrchestratorEvent/shards"] = scaling
 		if rep.HardwareParallelCeiling > 0 {
 			rep.Speedups["OrchestratorEvent/shards-parallel-efficiency"] =
 				scaling / rep.HardwareParallelCeiling
-		}
-		if refPt.EventsPerSec > 0 {
-			rep.Speedups["OrchestratorEvent/striped-vs-single-lock"] =
-				maxPt.EventsPerSec / refPt.EventsPerSec
 		}
 	}
 

@@ -234,7 +234,6 @@ func runSimCore(w io.Writer, format string, fleetAgents int, horizonS, dayS floa
 		cfg.HopBudget = 12
 		cfg.MaxReoptSessions = 4
 		cfg.Core.NeighborWindow = 4
-		cfg.Pipeline = true
 		cfg.MaxInFlight = 4
 		cfg.Telemetry = sink
 		cfg.AgentRegion = agentRegion

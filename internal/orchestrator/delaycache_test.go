@@ -1,7 +1,6 @@
 package orchestrator
 
 import (
-	"math"
 	"testing"
 
 	"vconf/internal/agrank"
@@ -11,75 +10,11 @@ import (
 	"vconf/internal/workload"
 )
 
-// TestDelayCacheBitIdenticalOrchestrator is the orchestrator-level
-// warm-vs-rebuild differential: identical churn schedules replayed with the
-// persistent delay cache (default) and with the per-hop delay-base rebuild
-// (Core.RebuildDelayBase) must produce bit-identical final assignments,
-// objective bits and activity counters across the orchestrator's engine
-// shapes — single-lock, sharded, windowed (route-restricted snapshots), and
-// pipelined. Commit-driven invalidation is exactly what the warm path must
-// survive: every committed proposal, departure teardown and re-arrival
-// bootstrap rewrites session variables between one worker's evaluations.
-func TestDelayCacheBitIdenticalOrchestrator(t *testing.T) {
-	cases := []struct {
-		name string
-		tune func(cfg *Config)
-		wl   func() workload.Config
-	}{
-		{"single-lock", func(cfg *Config) {
-			cfg.LedgerShards = -1
-		}, func() workload.Config { return workload.Prototype(61) }},
-		{"sharded", func(cfg *Config) {
-			cfg.LedgerShards = 1
-		}, func() workload.Config {
-			wl := workload.Prototype(62)
-			wl.MeanBandwidthMbps = 220
-			wl.MeanTranscodeSlots = 6
-			return wl
-		}},
-		{"windowed", func(cfg *Config) {
-			cfg.LedgerShards = 1
-			cfg.Core.NeighborWindow = 3
-		}, func() workload.Config { return workload.Prototype(63) }},
-		{"pipelined", func(cfg *Config) {
-			cfg.LedgerShards = 1
-			cfg.Core.NeighborWindow = 3
-			cfg.Pipeline = true
-			cfg.MaxInFlight = 1
-		}, func() workload.Config { return workload.Prototype(64) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ev, _ := testStack(t, tc.wl())
-			events := churn(t, ev, 65, 300, 0.1, 90)
-
-			cached := DefaultConfig(65)
-			cached.Shards = 1
-			tc.tune(&cached)
-			encC, phiC, stC := runSchedule(t, tc.wl(), events, cached)
-
-			rebuild := cached
-			rebuild.Core.RebuildDelayBase = true
-			encR, phiR, stR := runSchedule(t, tc.wl(), events, rebuild)
-
-			if encC != encR {
-				t.Fatal("cached and rebuild delay paths diverged in the final assignment")
-			}
-			if math.Float64bits(phiC) != math.Float64bits(phiR) {
-				t.Fatalf("objectives diverged: %v vs %v", phiC, phiR)
-			}
-			if coreStats(stC) != coreStats(stR) {
-				t.Fatalf("stats diverged:\n cached  %+v\n rebuild %+v", coreStats(stC), coreStats(stR))
-			}
-		})
-	}
-}
-
 // TestDelayCacheConcurrentInvalidationStorm races warm worker caches
-// against commit- and departure-driven invalidation in the pipelined
-// orchestrator: overlapping events on a churn-heavy regional fleet (short
-// holds, so departures — the explicit invalidation path under the state
-// lock — fire constantly while sibling workers evaluate warm entries).
+// against commit- and departure-driven invalidation: overlapping events on
+// a churn-heavy regional fleet (short holds, so departures — the explicit
+// invalidation path under the state lock — fire constantly while sibling
+// workers evaluate warm entries).
 // Chunked execution drains the scheduler repeatedly and the full invariant
 // checker must pass after every chunk; CI runs this under -race, which
 // would flag any cross-goroutine cache access.
@@ -122,7 +57,6 @@ func TestDelayCacheConcurrentInvalidationStorm(t *testing.T) {
 	cfg.HopBudget = 12
 	cfg.MaxReoptSessions = 8
 	cfg.Core.NeighborWindow = 6
-	cfg.Pipeline = true
 	cfg.MaxInFlight = 6
 	o, err := New(evv, boot, cfg)
 	if err != nil {

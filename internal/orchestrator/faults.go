@@ -1,8 +1,8 @@
 package orchestrator
 
-// This file is the self-healing fault path: HandleEvent routes the fault
-// event kinds (internal/faults schedules) here on all three orchestrator
-// paths. Healing contract:
+// This file is the self-healing fault path: HandleEvent and RunSource
+// route the fault event kinds (internal/faults schedules) here after
+// draining the event scheduler. Healing contract:
 //
 //   - A failure (agent fail, region outage, or a degrade that leaves an
 //     agent over its shrunk capacity) first tears down every orphaned
@@ -22,15 +22,16 @@ package orchestrator
 //     active sessions whose candidate windows can reach the recovered
 //     agents (all of them without a window) re-enter the walk, capped at
 //     MaxReoptSessions.
-//   - In pipelined mode a fault event is a full barrier: the scheduler
-//     drains before healing runs, because evacuation re-assigns sessions
-//     that in-flight events may own.
+//   - A fault event is a full barrier: the scheduler drains before healing
+//     runs, because evacuation re-assigns sessions that in-flight events
+//     may own. The attached data plane is ticked to the fault's time after
+//     the drain, so it has seen every earlier migration.
 //
 // Effective capacity scale per agent = 0 if the agent or its region is
 // failed, else its base scale (EventCapacityDegrade). Every change goes
 // through the authoritative ledger's SetCapacityScale, so commit-time
 // validation (FitsRepairDelta) and CheckInvariants see degradation
-// immediately on every path.
+// immediately.
 
 import (
 	"errors"
@@ -38,7 +39,6 @@ import (
 	"time"
 
 	"vconf/internal/agrank"
-	"vconf/internal/assign"
 	"vconf/internal/baseline"
 	"vconf/internal/model"
 	"vconf/internal/telemetry"
@@ -56,20 +56,16 @@ type faultResult struct {
 	incident bool
 }
 
-// handleFault applies one fault event and runs the healing it triggers —
-// the fault-kind counterpart of the serial HandleEvent body. Callers on the
-// pipelined path must drain the scheduler first.
+// handleFault applies one fault event and runs the healing it triggers.
+// Callers must drain the scheduler first: healing owns the whole state.
 func (o *Orchestrator) handleFault(e workload.Event) (EventReport, error) {
 	rep := EventReport{Event: e, Admitted: true}
 	if err := o.validateFault(e); err != nil {
 		return EventReport{}, err
 	}
-	var tally *eventTally
-	if o.tel != nil {
-		tally = &eventTally{chosenAgent: -1}
-	}
-	// Faults always run serially (the pipelined path drains first), so the
-	// event span shares the control lane and heal/task spans nest under it.
+	tally := eventTally{chosenAgent: -1}
+	// Faults run with the scheduler drained, so the event span takes the
+	// control lane and heal/task spans nest under it.
 	esp := o.tel.StartRoot(eventSpanName(e.Kind), "event", laneControl)
 	start := time.Now()
 	res, err := o.applyFault(e, esp)
@@ -81,35 +77,22 @@ func (o *Orchestrator) handleFault(e workload.Event) (EventReport, error) {
 	rep.EvacRejects = res.evacRejects
 	rep.Reopt = res.reopt
 	if len(res.reopt) > 0 {
-		before := o.snapshotStats()
-		rep.Latency = o.dispatch(res.reopt, tally, esp)
-		after := o.snapshotStats()
-		rep.Commits = after.Commits - before.Commits
-		rep.Rejects = after.Rejects - before.Rejects
-		rep.NoChange = after.NoChange - before.NoChange
-		rep.Conflicts = after.Conflicts - before.Conflicts
+		rep.Latency = o.dispatch(res.reopt, o.eventIdx, &tally, esp)
 	}
 	// Time-to-recovery: fault application through the re-optimization
 	// barrier — the window during which the incident's sessions were not yet
 	// re-settled.
 	ttr := time.Since(start)
 	o.mu.Lock()
-	o.stats.Events++
-	o.stats.ReoptTotal += rep.Latency
-	if rep.Latency > o.stats.ReoptMax {
-		o.stats.ReoptMax = rep.Latency
-	}
-	o.lat.ObserveDuration(rep.Latency)
+	o.finishEventLocked(&rep, &tally)
 	if res.incident {
 		o.stats.Incidents++
 		o.ttr.ObserveDuration(ttr)
 	}
-	rep.Objective = o.cache.TotalObjective(o.a)
-	rep.ActiveSessions = o.cache.NumActive()
 	o.mu.Unlock()
 	o.eventIdx++
 	esp.EndArg(int64(res.orphans))
-	o.emitRecord(&rep, tally, false)
+	o.emitRecord(&rep, &tally, false)
 	if res.incident {
 		o.tel.Incident(ttr.Nanoseconds())
 		// Freeze the black box for capacity-reducing incidents. The record
@@ -163,8 +146,11 @@ func (o *Orchestrator) validateFault(e workload.Event) error {
 func (o *Orchestrator) applyFault(e workload.Event, esp telemetry.Span) (faultResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.advanceClock(e.TimeS)
 	var res faultResult
+	if err := o.tickLocked(e.TimeS); err != nil {
+		return res, err
+	}
+	o.advanceClock(e.TimeS)
 	switch e.Kind {
 	case workload.EventAgentFail:
 		if o.failed[e.Agent] {
@@ -301,7 +287,7 @@ func (o *Orchestrator) degradeLocked(agents []int, esp telemetry.Span) (faultRes
 			if !o.cache.SessionLoad(o.a, s).OverlapsAgents(mark) {
 				continue
 			}
-			if err := o.evictLocked(s); err != nil {
+			if err := o.teardownLocked(s); err != nil {
 				return res, err
 			}
 			orphans = append(orphans, s)
@@ -397,31 +383,6 @@ func (o *Orchestrator) rebalanceLocked(recovered []int) []model.SessionID {
 	return o.capReopt(model.SessionID(-1), cands)
 }
 
-// evictLocked tears one session fully down: ledger release, variable
-// unassignment, objective/delay-cache deactivation, committed-agents index
-// clear, data-plane deactivation — the departure teardown, reused for
-// orphans. Caller holds o.mu.
-func (o *Orchestrator) evictLocked(s model.SessionID) error {
-	o.ledger.RemoveSparse(o.cache.SessionLoad(o.a, s))
-	for _, u := range o.sc.Session(s).Users {
-		o.a.SetUserAgent(u, assign.Unassigned)
-	}
-	for _, f := range o.a.SessionFlows(s) {
-		if err := o.a.SetFlowAgent(f, assign.Unassigned); err != nil {
-			return err
-		}
-	}
-	o.cache.SetActive(s, false)
-	o.scr.InvalidateDelay(s)
-	if o.touchIdx != nil {
-		o.touchIdx[s] = nil
-	}
-	if o.rt != nil {
-		o.rt.DeactivateSession(s)
-	}
-	return nil
-}
-
 // rehomeLocked re-bootstraps an orphan on the surviving fleet. A false
 // return is an infeasible placement (the bootstrapper rolled back); the
 // session stays down. Caller holds o.mu.
@@ -433,9 +394,7 @@ func (o *Orchestrator) rehomeLocked(s model.SessionID) (bool, error) {
 		return false, fmt.Errorf("orchestrator: evacuate session %d: %w", s, err)
 	}
 	o.cache.SetActive(s, true)
-	if o.touchIdx != nil {
-		o.touchIdx[s] = o.cache.SessionLoad(o.a, s).AppendAgents(nil)
-	}
+	o.touchIdx[s] = o.cache.SessionLoad(o.a, s).AppendAgents(nil)
 	if o.rt != nil {
 		if err := o.rt.ActivateSession(s, o.a); err != nil {
 			return false, err

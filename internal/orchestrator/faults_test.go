@@ -114,62 +114,12 @@ func runChaos(t *testing.T, fc workload.FleetConfig, events []workload.Event, cf
 	return o.Assignment().Encode(), o.Objective(), o.Stats()
 }
 
-// chaosConfig is the common single-worker configuration the differential
-// tests mutate per engine path.
+// chaosConfig is the common single-worker configuration of the fault tests.
 func chaosConfig(seed int64, fc workload.FleetConfig) Config {
 	cfg := DefaultConfig(seed)
 	cfg.Shards = 1
-	cfg.LedgerShards = 1
 	cfg.AgentRegion = workload.AgentRegions(fc.NumAgents, fc.Regions)
 	return cfg
-}
-
-// TestFaultDifferentialAllPaths replays one merged churn+fault schedule
-// through all three orchestrator engine paths — serial sharded, single-lock
-// legacy (dense clones + optimistic revalidation), and pipelined at
-// in-flight 1 — plus a second serial run for across-run determinism. Final
-// assignment encoding, objective bits and every activity counter (incidents,
-// orphans, evacuations, degraded rejects included) must match exactly:
-// fault handling is a barrier on every path, so healing must not introduce
-// any path-dependent state.
-func TestFaultDifferentialAllPaths(t *testing.T) {
-	fc := chaosFleet(41)
-	_, _, homes := chaosStack(t, fc)
-	events := chaosSchedule(t, 41, fc, homes, 400, 0.15)
-
-	serial := chaosConfig(41, fc)
-	encWant, phiWant, stWant := runChaos(t, fc, events, serial)
-	if stWant.Incidents == 0 || stWant.Orphans == 0 {
-		t.Fatalf("schedule exercised no healing: %+v", stWant)
-	}
-
-	paths := []struct {
-		name string
-		tune func(cfg *Config)
-	}{
-		{"serial-rerun", func(cfg *Config) {}},
-		{"single-lock", func(cfg *Config) { cfg.LedgerShards = -1 }},
-		{"pipelined", func(cfg *Config) {
-			cfg.Pipeline = true
-			cfg.MaxInFlight = 1
-		}},
-	}
-	for _, tc := range paths {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := chaosConfig(41, fc)
-			tc.tune(&cfg)
-			enc, phi, st := runChaos(t, fc, events, cfg)
-			if enc != encWant {
-				t.Fatal("final assignment diverged from the serial reference")
-			}
-			if math.Float64bits(phi) != math.Float64bits(phiWant) {
-				t.Fatalf("objective diverged: %v vs %v", phi, phiWant)
-			}
-			if coreStats(st) != coreStats(stWant) {
-				t.Fatalf("stats diverged:\n got  %+v\n want %+v", coreStats(st), coreStats(stWant))
-			}
-		})
-	}
 }
 
 // TestFaultHealingInvariants steps a merged schedule event by event and runs
@@ -250,43 +200,29 @@ func TestDelayCacheFaultDifferential(t *testing.T) {
 	_, _, homes := chaosStack(t, fc)
 	events := chaosSchedule(t, 47, fc, homes, 400, 0.15)
 
-	for _, mode := range []struct {
-		name string
-		tune func(cfg *Config)
-	}{
-		{"serial", func(cfg *Config) {}},
-		{"pipelined", func(cfg *Config) {
-			cfg.Pipeline = true
-			cfg.MaxInFlight = 1
-		}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			cached := chaosConfig(47, fc)
-			mode.tune(&cached)
-			encC, phiC, stC := runChaos(t, fc, events, cached)
-			if stC.Incidents == 0 || stC.Orphans == 0 {
-				t.Fatalf("schedule exercised no healing: %+v", stC)
-			}
+	cached := chaosConfig(47, fc)
+	encC, phiC, stC := runChaos(t, fc, events, cached)
+	if stC.Incidents == 0 || stC.Orphans == 0 {
+		t.Fatalf("schedule exercised no healing: %+v", stC)
+	}
 
-			rebuild := cached
-			rebuild.Core.RebuildDelayBase = true
-			encR, phiR, stR := runChaos(t, fc, events, rebuild)
+	rebuild := cached
+	rebuild.Core.RebuildDelayBase = true
+	encR, phiR, stR := runChaos(t, fc, events, rebuild)
 
-			if encC != encR {
-				t.Fatal("cached and rebuild delay paths diverged under faults")
-			}
-			if math.Float64bits(phiC) != math.Float64bits(phiR) {
-				t.Fatalf("objectives diverged: %v vs %v", phiC, phiR)
-			}
-			if coreStats(stC) != coreStats(stR) {
-				t.Fatalf("stats diverged:\n cached  %+v\n rebuild %+v", coreStats(stC), coreStats(stR))
-			}
-		})
+	if encC != encR {
+		t.Fatal("cached and rebuild delay paths diverged under faults")
+	}
+	if math.Float64bits(phiC) != math.Float64bits(phiR) {
+		t.Fatalf("objectives diverged: %v vs %v", phiC, phiR)
+	}
+	if coreStats(stC) != coreStats(stR) {
+		t.Fatalf("stats diverged:\n cached  %+v\n rebuild %+v", coreStats(stC), coreStats(stR))
 	}
 }
 
 // TestOrchestratorChaosStorm is the concurrency storm for the fault engine:
-// a pipelined regional fleet with six workers overlapping arrivals and
+// a regional fleet with six workers overlapping arrivals and
 // departures while agent failures, regional outages, degradations and flash
 // crowds land as drain barriers between them. Chunked execution runs the
 // full invariant checker repeatedly mid-flight; CI runs this under -race.
@@ -303,7 +239,6 @@ func TestOrchestratorChaosStorm(t *testing.T) {
 	cfg.HopBudget = 12
 	cfg.MaxReoptSessions = 8
 	cfg.Core.NeighborWindow = 6
-	cfg.Pipeline = true
 	cfg.MaxInFlight = 6
 	cfg.AgentRegion = workload.AgentRegions(fc.NumAgents, fc.Regions)
 	o, err := New(ev, boot, cfg)

@@ -29,7 +29,7 @@ func healthConfig(seed int64, fc workload.FleetConfig, nEvents int) (Config, *te
 }
 
 // healthDocs renders the sampler windows and alert timeline of one chaos
-// run on the given engine path.
+// run.
 func healthDocs(t *testing.T, fc workload.FleetConfig, events []workload.Event, cfg Config, sink *telemetry.Sink) (string, string) {
 	t.Helper()
 	ev, boot, _ := chaosStack(t, fc)
@@ -53,50 +53,27 @@ func healthDocs(t *testing.T, fc workload.FleetConfig, events []workload.Event, 
 }
 
 // stallsField matches the one per-window field that is scheduler telemetry
-// rather than workload outcome: the pipelined dispatcher marks an event
-// stalled when an admission scan happens to pass over it, which depends on
-// goroutine timing. It is always zero on the serial path and may vary
-// run-to-run on the pipelined path; everything else must be byte-identical.
+// rather than workload outcome: the dispatcher marks an event stalled when
+// an admission scan happens to pass over it, which depends on goroutine
+// timing. Everything else must be byte-identical.
 var stallsField = regexp.MustCompile(`"stalls": \d+`)
 
-// TestHealthWindowsDeterministicAcrossPaths pins the sampler's central
-// claim: windows are filled from the serialized decision-record stream, so
-// the serial and pipelined engine paths — and repeated runs of either —
-// produce byte-identical /timeseries.json and /alerts.json documents,
-// modulo the stalls counter, which only the pipelined scheduler can bump.
-func TestHealthWindowsDeterministicAcrossPaths(t *testing.T) {
+// TestHealthWindowsDeterministic pins the sampler's central claim: windows
+// are filled from the serialized decision-record stream, so repeated runs
+// of one schedule produce byte-identical /timeseries.json and /alerts.json
+// documents, modulo the stalls counter.
+func TestHealthWindowsDeterministic(t *testing.T) {
 	fc := chaosFleet(31)
 	_, _, homes := chaosStack(t, fc)
 	events := chaosSchedule(t, 31, fc, homes, 400, 0.10)
 	norm := func(s string) string { return stallsField.ReplaceAllString(s, `"stalls": 0`) }
 
-	serialCfg, serialSink := healthConfig(31, fc, len(events))
-	tsSerial, alSerial := healthDocs(t, fc, events, serialCfg, serialSink)
-
-	againCfg, againSink := healthConfig(31, fc, len(events))
-	tsAgain, alAgain := healthDocs(t, fc, events, againCfg, againSink)
-	if tsSerial != tsAgain || alSerial != alAgain {
-		t.Fatal("same path, same seed produced different health documents")
-	}
-
-	pipeCfg, pipeSink := healthConfig(31, fc, len(events))
-	pipeCfg.Pipeline = true
-	pipeCfg.MaxInFlight = 1
-	tsPipe, alPipe := healthDocs(t, fc, events, pipeCfg, pipeSink)
-
-	pipe2Cfg, pipe2Sink := healthConfig(31, fc, len(events))
-	pipe2Cfg.Pipeline = true
-	pipe2Cfg.MaxInFlight = 1
-	tsPipe2, alPipe2 := healthDocs(t, fc, events, pipe2Cfg, pipe2Sink)
-	if norm(tsPipe) != norm(tsPipe2) || alPipe != alPipe2 {
-		t.Fatal("pipelined path, same seed produced different health documents (beyond stalls)")
-	}
-
-	if norm(tsSerial) != norm(tsPipe) {
-		t.Fatal("pipelined path produced different sampler windows than serial (beyond stalls)")
-	}
-	if alSerial != alPipe {
-		t.Fatal("pipelined path produced a different alert timeline than serial")
+	cfgA, sinkA := healthConfig(31, fc, len(events))
+	tsA, alA := healthDocs(t, fc, events, cfgA, sinkA)
+	cfgB, sinkB := healthConfig(31, fc, len(events))
+	tsB, alB := healthDocs(t, fc, events, cfgB, sinkB)
+	if norm(tsA) != norm(tsB) || alA != alB {
+		t.Fatal("same seed produced different health documents (beyond stalls)")
 	}
 }
 

@@ -5,17 +5,22 @@
 // claim that the Markov-approximation chain is "robust to variations due to
 // session dynamics".
 //
-// Architecture (event loop → shard pool → commit → migrate):
+// Architecture (scheduler → shard pool → commit → migrate):
 //
-//  1. The event loop applies each arrival or departure against the
-//     authoritative assignment under the commit lock: arrivals bootstrap
-//     through the configured policy (AgRank or Nrst), departures release
-//     their load from the capacity ledger.
+//  1. Every churn event goes through the dependency-aware scheduler in
+//     internal/pipeline. Its admission stage applies the arrival or
+//     departure against the authoritative assignment under the state lock:
+//     arrivals bootstrap through the configured policy (AgRank or Nrst),
+//     departures release their load from the capacity ledger. Admission
+//     also fixes the event's conflict footprint — the sessions it owns and
+//     the ledger stripes their walks can reach — and events whose
+//     footprints are disjoint overlap, up to Config.MaxInFlight (default 1:
+//     one event at a time). Reports retire in arrival order.
 //  2. The event then triggers incremental re-optimization of the *touched*
 //     session set — the arriving/departing session plus active sessions
 //     sharing agents with it — on a sharded solver pool: worker goroutines
 //     that snapshot the state, run a bounded Markov-approximation
-//     refinement (core.HopSession) warm-started from the live assignment,
+//     refinement (core.WalkSession) warm-started from the live assignment,
 //     and keep the best state seen along the walk.
 //  3. Each worker's proposal is merged back through the lock-striped
 //     capacity ledger (internal/shard): the proposal's touched agents are
@@ -28,13 +33,15 @@
 //     fresh snapshot a bounded number of times. Delay and
 //     objective-improvement guards don't need locking at all: Φ_s depends
 //     only on session s's own variables, and a session is owned by at most
-//     one task per event. Config.LedgerShards < 0 selects the legacy
-//     single-lock commit path instead (bit-identical at P = 1), kept for
-//     differential tests and before/after benchmarks.
+//     one event, and within it one task, at a time.
 //  4. Accepted proposals become data-plane migrations: when a
 //     confsim.Runtime is attached, every committed decision runs the
 //     dual-feed protocol (§V-A), so re-optimization never interrupts
-//     streams.
+//     streams. The runtime is ticked to each event's time as the event is
+//     admitted.
+//
+// Fault events (faults.go) drain the scheduler and heal with exclusive
+// ownership of the whole state.
 //
 // The hot path uses delta cost evaluation (cost.ObjectiveCache): because
 // Φ = Σ_s Φ_s and Φ_s depends only on session s's own variables, a commit
@@ -49,9 +56,7 @@ import (
 	"sync"
 	"time"
 
-	"vconf/internal/agrank"
 	"vconf/internal/assign"
-	"vconf/internal/baseline"
 	"vconf/internal/confsim"
 	"vconf/internal/core"
 	"vconf/internal/cost"
@@ -67,53 +72,29 @@ type Config struct {
 	// Shards is the solver pool size (worker goroutines). Defaults to
 	// GOMAXPROCS.
 	Shards int
-	// LedgerShards selects the capacity-ledger backend and its stripe
-	// count. 0 (default) runs the lock-striped shard pipeline
-	// (internal/shard) with one ID-range shard per worker; a positive value
-	// fixes the shard count explicitly (clamped to the agent count); -1
-	// selects the legacy single-lock commit path (snapshot and commit both
-	// serialize on one mutex), kept for differential testing and
-	// before/after benchmarks. The P=1 sharded pipeline is bit-identical to
-	// the single-lock path.
+	// LedgerShards is the capacity ledger's stripe count (internal/shard).
+	// 0 (default) gives one ID-range stripe per worker; a positive value
+	// fixes the count (clamped to the agent count). Negative values are
+	// rejected with ErrSingleLockRemoved.
 	LedgerShards int
-	// CommitRetries bounds how many times a worker re-snapshots and
-	// re-walks after losing a cross-shard commit race (shard.Conflict).
-	// 0 defaults to 2; -1 disables retries entirely (every conflict
-	// becomes a reject — useful for bounding worst-case task latency and
-	// for measuring raw conflict rates). Sharded backend only.
-	CommitRetries int
 	// HopBudget bounds the Markov refinement walk per re-optimization task.
 	// Defaults to 24 hops.
 	HopBudget int
 	// MaxReoptSessions caps the touched-session set re-optimized per event
 	// (the triggering session always included). Defaults to 8.
 	MaxReoptSessions int
-	// ImprovementEps is the minimum Φ_s decrease a proposal must deliver to
-	// commit; smaller deltas are dropped as noise. Defaults to 1e-9.
-	ImprovementEps float64
-	// Pipeline switches HandleEvent/Run onto the dependency-aware event
-	// scheduler (internal/pipeline): multiple events proceed concurrently
-	// when their conflict footprints (owned sessions + routed ledger
-	// stripes) are disjoint, and queue behind the specific events they
-	// conflict with otherwise; reports still retire in arrival order. False
-	// (the default) keeps the per-event barrier path verbatim. Requires the
-	// sharded ledger backend (LedgerShards ≥ 0); with MaxInFlight = 1 the
-	// pipelined path is bit-identical to the serial one (differential
-	// tests pin it). Public snapshot methods (Assignment, CheckInvariants,
-	// ...) must only be called quiesced: between HandleEvent calls or after
-	// Run returns.
+	// Deprecated: Pipeline has no effect. Every event goes through the
+	// dependency-aware scheduler; MaxInFlight sets how many overlap.
 	Pipeline bool
-	// MaxInFlight bounds concurrently in-flight events in pipelined mode
-	// (admitted, re-optimization not yet complete). Defaults to Shards.
+	// MaxInFlight bounds the events in flight at once (admitted,
+	// re-optimization not yet complete). Events whose conflict footprints
+	// (owned sessions + routed ledger stripes) are disjoint overlap; the
+	// others queue behind the specific events they conflict with. Reports
+	// retire in arrival order either way. Defaults to 1, which runs one
+	// event at a time, deterministically. Public snapshot methods
+	// (Assignment, CheckInvariants, ...) must only be called quiesced:
+	// between HandleEvent calls or after Run returns.
 	MaxInFlight int
-	// FootprintSlack widens each event's stripe footprint by that many
-	// neighboring ID-range stripes per side (pipelined mode): larger
-	// footprints admit less in parallel but lose fewer commits to
-	// cross-event conflicts. -1 claims every stripe (fully conservative:
-	// re-optimization stages serialize). Default 0. Without a candidate
-	// window (Core.NeighborWindow = 0) walks can reach any agent, so
-	// footprints always cover every stripe regardless of slack.
-	FootprintSlack int
 	// AgentRegion maps agent → region (len NumAgents). Required to handle
 	// regional fault events (EventRegionOutage/EventRegionRecover); nil
 	// rejects them. GenerateSyntheticFleetRegions fleets assign agent i to
@@ -125,7 +106,7 @@ type Config struct {
 	// Telemetry, when non-nil, receives per-decision trace records and
 	// feeds the metric registry (counters, per-region histograms) from
 	// every instrumented path: event handling, the shard commit pipeline,
-	// the delay cache and the pipelined scheduler. Nil (the default)
+	// the delay cache and the event scheduler. Nil (the default)
 	// disables instrumentation at zero hot-path cost — every call site
 	// reduces to a pointer test, pinned by the alloc tests.
 	Telemetry *telemetry.Sink
@@ -136,6 +117,20 @@ type Config struct {
 func DefaultConfig(seed int64) Config {
 	return Config{Core: core.DefaultConfig(seed)}
 }
+
+// ErrSingleLockRemoved rejects Config.LedgerShards < 0, which used to select
+// a single-lock commit path; the striped ledger at one stripe made the same
+// decisions.
+var ErrSingleLockRemoved = errors.New("orchestrator: LedgerShards < 0 (the single-lock commit path) is no longer supported; use 0 or a stripe count")
+
+const (
+	// improvementEps is the minimum Φ_s decrease a proposal must deliver to
+	// commit; smaller deltas are dropped as noise.
+	improvementEps = 1e-9
+	// commitRetries bounds how many times a task re-snapshots and re-walks
+	// after losing a cross-shard commit race (shard.Conflict).
+	commitRetries = 2
+)
 
 // withDefaults fills zero fields and validates.
 func (c Config) withDefaults() (Config, error) {
@@ -148,34 +143,15 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxReoptSessions == 0 {
 		c.MaxReoptSessions = 8
 	}
-	if c.ImprovementEps == 0 {
-		c.ImprovementEps = 1e-9
+	if c.MaxInFlight == 0 {
+		c.MaxInFlight = 1
 	}
-	switch {
-	case c.CommitRetries == 0:
-		c.CommitRetries = 2
-	case c.CommitRetries == -1:
-		c.CommitRetries = 0
+	if c.LedgerShards < 0 {
+		return c, ErrSingleLockRemoved
 	}
-	if c.Shards < 1 || c.HopBudget < 1 || c.MaxReoptSessions < 1 || c.ImprovementEps < 0 {
-		return c, fmt.Errorf("orchestrator: invalid config: shards=%d hops=%d reopt=%d eps=%v",
-			c.Shards, c.HopBudget, c.MaxReoptSessions, c.ImprovementEps)
-	}
-	if c.LedgerShards < -1 || c.CommitRetries < 0 {
-		return c, fmt.Errorf("orchestrator: invalid config: ledger shards=%d commit retries=%d",
-			c.LedgerShards, c.CommitRetries)
-	}
-	if c.Pipeline {
-		if c.LedgerShards < 0 {
-			return c, fmt.Errorf("orchestrator: Pipeline requires the sharded ledger backend (LedgerShards ≥ 0)")
-		}
-		if c.MaxInFlight == 0 {
-			c.MaxInFlight = c.Shards
-		}
-		if c.MaxInFlight < 1 || c.FootprintSlack < -1 {
-			return c, fmt.Errorf("orchestrator: invalid pipeline config: max in-flight=%d footprint slack=%d",
-				c.MaxInFlight, c.FootprintSlack)
-		}
+	if c.Shards < 1 || c.HopBudget < 1 || c.MaxReoptSessions < 1 || c.MaxInFlight < 1 {
+		return c, fmt.Errorf("orchestrator: invalid config: shards=%d hops=%d reopt=%d max in-flight=%d",
+			c.Shards, c.HopBudget, c.MaxReoptSessions, c.MaxInFlight)
 	}
 	if err := c.Core.Validate(); err != nil {
 		return c, err
@@ -216,7 +192,7 @@ type Stats struct {
 	// can migrate several variables).
 	Migrations int
 	// ReoptTotal and ReoptMax track the wall-clock re-optimization latency
-	// per event (the shard-pool barrier).
+	// per event (dispatch of its tasks until the last one finishes).
 	ReoptTotal time.Duration
 	ReoptMax   time.Duration
 	// ReoptP50 and ReoptP99 are per-event re-optimization latency
@@ -244,11 +220,11 @@ type Stats struct {
 	RecoverP50 time.Duration
 	RecoverP99 time.Duration
 	// AdmissionStalls, ReoptWaits, QueueDepthPeak and InFlightPeak are
-	// pipelined-scheduler telemetry (zero with Pipeline off): events whose
-	// admission had to wait (in-flight cap or a claimed trigger session),
-	// events whose re-optimization queued behind a conflicting in-flight
-	// event, and the high-water marks of the pending queue and the
-	// in-flight set.
+	// event-scheduler telemetry: events whose admission had to wait
+	// (in-flight cap or a claimed trigger session), events whose
+	// re-optimization queued behind a conflicting in-flight event, and the
+	// high-water marks of the pending queue and the in-flight set. They
+	// depend on goroutine timing.
 	AdmissionStalls int
 	ReoptWaits      int
 	QueueDepthPeak  int
@@ -271,7 +247,8 @@ type EventReport struct {
 	// Orphans/Evacuated/EvacRejects describe a fault event's healing: the
 	// sessions the incident evicted, and how many were re-homed vs dropped.
 	Orphans, Evacuated, EvacRejects int
-	// Latency is the wall-clock duration of the re-optimization barrier.
+	// Latency is the wall-clock duration of the event's re-optimization
+	// (zero when it re-optimized nothing).
 	Latency time.Duration
 	// Objective is Σ Φ_s over active sessions after the event
 	// (delta-evaluated).
@@ -280,10 +257,10 @@ type EventReport struct {
 	ActiveSessions int
 }
 
-// Orchestrator is the online control plane. HandleEvent/Run drive it; all
-// state is guarded by the commit lock, and the shard pool synchronizes
-// through it, so the public API is safe for sequential use while workers
-// run concurrently.
+// Orchestrator is the online control plane. HandleEvent/Run/RunSource drive
+// it; shared state is guarded by the state lock, the capacity ledger's
+// stripe locks and session ownership, so the public API is safe for
+// sequential use while workers run concurrently.
 type Orchestrator struct {
 	ev   *cost.Evaluator
 	sc   *model.Scenario
@@ -291,31 +268,24 @@ type Orchestrator struct {
 	boot core.Bootstrapper
 
 	// mu is the state lock: it guards the cache, stats, runtime mirror,
-	// clock and error slot, plus — in single-lock mode only — every
-	// assignment and ledger access. In sharded mode capacity lives behind
-	// the shard ledger's own stripe locks, and assignment accesses from
-	// workers are serialized by session ownership (see dispatch), so mu is
-	// held only for brief metadata updates.
+	// clock, committed-agents index and error slot. Capacity lives behind
+	// the ledger's own stripe locks, and assignment accesses from workers
+	// are serialized by session ownership (see dispatch), so mu is held only
+	// for brief metadata updates.
 	mu sync.Mutex
 	a  *assign.Assignment
-	// ledger is the authoritative capacity ledger; exactly one of the two
-	// concrete backends below is non-nil behind it.
-	ledger cost.LedgerAPI
-	dense  *cost.Ledger  // single-lock backend (Config.LedgerShards < 0)
-	shl    *shard.Ledger // lock-striped backend (default)
+	// ledger is the authoritative lock-striped capacity ledger.
+	ledger *shard.Ledger
 	// nbrIdx is the proximity index behind Core.NeighborWindow > 0,
 	// shared read-only by workers: it defines each session's candidate
-	// agent set, which lets sharded workers snapshot only the shards their
-	// walk can read (O(session·window) instead of O(fleet) per task).
+	// agent set, which lets workers snapshot only the shards their walk can
+	// read (O(session·window) instead of O(fleet) per task).
 	nbrIdx *assign.ProximityIndex
 	cache  *cost.ObjectiveCache
-	// scr is the commit-path evaluation scratch, guarded by the commit lock
-	// (workers hold their own; see pool.go).
-	scr   *cost.Scratch
-	rt    *confsim.Runtime
-	now   float64
-	stats Stats
-	lat   *telemetry.Histogram
+	rt     *confsim.Runtime
+	now    float64
+	stats  Stats
+	lat    *telemetry.Histogram
 	// Fault-injection state (see faults.go), guarded by mu: per-agent
 	// failed flags and base (partial-degradation) scales, per-region outage
 	// flags, the impaired-agent count driving rejects-during-degradation
@@ -332,12 +302,11 @@ type Orchestrator struct {
 	tel    *telemetry.Sink
 	refErr error // first worker error, surfaced by the next HandleEvent
 
-	// Pipelined-mode state (nil/unused with Config.Pipeline off). pipe is
-	// the dependency-aware event scheduler; touchIdx[s] is active session
-	// s's committed agent set (ascending, nonzero-usage agents), maintained
-	// under mu at every bootstrap/commit/departure so footprint and
-	// touched-set computation never read an in-flight session's assignment
-	// state.
+	// pipe is the dependency-aware event scheduler; touchIdx[s] is active
+	// session s's committed agent set (ascending, nonzero-usage agents),
+	// maintained under mu at every bootstrap/commit/departure so footprint
+	// and touched-set computation never read an in-flight session's
+	// assignment state.
 	pipe     *pipeline.Scheduler
 	touchIdx [][]model.AgentID
 
@@ -360,17 +329,17 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 	}
 	sc := ev.Scenario()
 	o := &Orchestrator{
-		ev:    ev,
-		sc:    sc,
-		cfg:   cfg,
-		boot:  boot,
-		a:     assign.New(sc),
-		cache: cost.NewObjectiveCache(ev),
-		scr:   ev.NewScratch(),
-		lat:   telemetry.NewHistogram(),
-		ttr:   telemetry.NewHistogram(),
-		tel:   cfg.Telemetry,
-		tasks: make(chan reoptTask),
+		ev:       ev,
+		sc:       sc,
+		cfg:      cfg,
+		boot:     boot,
+		a:        assign.New(sc),
+		cache:    cost.NewObjectiveCache(ev),
+		lat:      telemetry.NewHistogram(),
+		ttr:      telemetry.NewHistogram(),
+		tel:      cfg.Telemetry,
+		touchIdx: make([][]model.AgentID, sc.NumSessions()),
+		tasks:    make(chan reoptTask),
 	}
 	o.failed = make([]bool, sc.NumAgents())
 	o.baseScale = make([]float64, sc.NumAgents())
@@ -393,33 +362,21 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 		o.agentRegion = cfg.AgentRegion
 		o.regionOut = make([]bool, o.numRegions)
 	}
-	// The commit-path scratch and the objective cache's refresh scratch
-	// (both guarded by o.mu) keep their own per-session delay caches; the
-	// reference rebuild path threads through here too, so RebuildDelayBase
-	// disables the cache on every evaluation path the orchestrator owns.
-	o.scr.SetDelayCacheEnabled(!cfg.Core.RebuildDelayBase)
+	// The objective cache's refresh scratch (guarded by o.mu) keeps its own
+	// per-session delay cache; the reference rebuild path threads through
+	// here too, so RebuildDelayBase disables the cache on every evaluation
+	// path the orchestrator owns.
 	o.cache.SetDelayCacheEnabled(!cfg.Core.RebuildDelayBase)
-	if cfg.LedgerShards < 0 {
-		o.dense = cost.NewLedger(sc)
-		o.ledger = o.dense
-	} else {
-		p := cfg.LedgerShards
-		if p == 0 {
-			p = cfg.Shards
-		}
-		o.shl = shard.New(sc, p)
-		o.ledger = o.shl
+	p := cfg.LedgerShards
+	if p == 0 {
+		p = cfg.Shards
 	}
+	o.ledger = shard.New(sc, p)
 	if w := cfg.Core.NeighborWindow; w > 0 && w < sc.NumAgents() {
 		o.nbrIdx = assign.NewProximityIndex(sc, w)
 	}
-	if cfg.Pipeline {
-		sch, err := pipeline.New(pipeline.Config{MaxInFlight: cfg.MaxInFlight})
-		if err != nil {
-			return nil, err
-		}
-		o.pipe = sch
-		o.touchIdx = make([][]model.AgentID, sc.NumSessions())
+	if o.pipe, err = pipeline.New(pipeline.Config{MaxInFlight: cfg.MaxInFlight}); err != nil {
+		return nil, err
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		go o.worker(i)
@@ -431,112 +388,71 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 // pool. The orchestrator must not be used afterwards.
 func (o *Orchestrator) Close() {
 	o.closeOnce.Do(func() {
-		if o.pipe != nil {
-			o.pipe.Close()
-		}
+		o.pipe.Close()
 		close(o.tasks)
 	})
 }
 
 // AttachRuntime wires a data-plane runtime: subsequent arrivals, departures
 // and committed re-optimizations are mirrored as activations, deactivations
-// and dual-feed migrations. The runtime must not be used concurrently by
-// the caller while the orchestrator runs.
+// and dual-feed migrations, and the runtime is ticked forward to each
+// event's time as the event is admitted. The runtime must not be used
+// concurrently by the caller while the orchestrator runs.
 func (o *Orchestrator) AttachRuntime(rt *confsim.Runtime) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.rt = rt
 }
 
-// HandleEvent applies one churn event and runs the incremental
-// re-optimization it triggers, blocking until the shard pool drains. In
-// pipelined mode it submits the event to the scheduler and blocks until the
+// HandleEvent applies one event and runs the incremental re-optimization
+// it triggers. It submits the event to the scheduler and blocks until the
 // event retires — which, since events retire in arrival order, also means
 // the orchestrator is quiesced when it returns; stream events through Run
-// to overlap them.
+// or RunSource to overlap them. A fault event drains the scheduler first.
 func (o *Orchestrator) HandleEvent(e workload.Event) (EventReport, error) {
-	if o.pipe != nil {
-		return o.handleEventPipelined(e)
-	}
 	if err := o.takeRefErr(); err != nil {
 		return EventReport{}, err
 	}
 	if e.Kind.IsFault() {
+		if err := o.pipe.Drain(); err != nil {
+			return EventReport{}, err
+		}
 		return o.handleFault(e)
 	}
-	if e.Session < 0 || e.Session >= o.sc.NumSessions() {
-		return EventReport{}, fmt.Errorf("orchestrator: event session %d outside [0, %d)", e.Session, o.sc.NumSessions())
+	st, ch, err := o.submitEvent(e, nil)
+	if err != nil {
+		return EventReport{}, err
 	}
-	s := model.SessionID(e.Session)
-	rep := EventReport{Event: e, Admitted: true}
-	// The serial path is one event at a time, so the whole control plane
-	// shares the single control lane and spans nest by time containment.
-	esp := o.tel.StartRoot(eventSpanName(e.Kind), "event", laneControl)
-
-	var reopt []model.SessionID
-	switch e.Kind {
-	case workload.EventArrival:
-		admitted, touched, err := o.applyArrival(e.TimeS, s)
-		if err != nil {
-			return rep, err
+	rep := st.rep
+	<-ch
+	// Drain (a no-op wait here: our event retiring means the queue is
+	// empty under the single-caller discipline) surfaces and clears any
+	// stream error, so a failed event reports once and the orchestrator
+	// keeps working.
+	if err := o.pipe.Drain(); err != nil {
+		// A failed admission never happened: release its event index, so
+		// task seeds of later events do not depend on recovered errors.
+		// Safe under the single-caller discipline: st.seq is necessarily the
+		// last index assigned.
+		if st.admitErr != nil {
+			o.eventIdx = st.seq
 		}
-		rep.Admitted = admitted
-		reopt = touched
-	case workload.EventDeparture:
-		touched, live, err := o.applyDeparture(e.TimeS, s)
-		if err != nil {
-			return rep, err
-		}
-		rep.Admitted = live
-		reopt = touched
-	default:
-		return rep, fmt.Errorf("orchestrator: invalid event kind %d", e.Kind)
+		return *rep, err
 	}
-
-	rep.Reopt = reopt
-	var tally *eventTally
-	if o.tel != nil {
-		tally = &eventTally{chosenAgent: -1}
-	}
-	if len(reopt) > 0 {
-		before := o.snapshotStats()
-		rep.Latency = o.dispatch(reopt, tally, esp)
-		after := o.snapshotStats()
-		rep.Commits = after.Commits - before.Commits
-		rep.Rejects = after.Rejects - before.Rejects
-		rep.NoChange = after.NoChange - before.NoChange
-		rep.Conflicts = after.Conflicts - before.Conflicts
-	}
-
-	o.mu.Lock()
-	o.stats.Events++
-	o.stats.ReoptTotal += rep.Latency
-	if rep.Latency > o.stats.ReoptMax {
-		o.stats.ReoptMax = rep.Latency
-	}
-	o.lat.ObserveDuration(rep.Latency)
-	rep.Objective = o.cache.TotalObjective(o.a)
-	rep.ActiveSessions = o.cache.NumActive()
-	o.mu.Unlock()
-	o.observeDelay(tally, e, rep.Admitted)
-	o.eventIdx++
-	esp.EndArg(int64(e.Session))
-	o.emitRecord(&rep, tally, false)
 	if err := o.takeRefErr(); err != nil {
-		return rep, err
+		return *rep, err
 	}
-	return rep, nil
+	return *rep, nil
 }
 
 // Trace-lane layout for the span export (see telemetry.StartRoot): spans on
 // one lane nest by time containment, so each serially-consistent execution
 // context gets its own lane.
 const (
-	// laneControl carries the serial event path and all fault healing
-	// (heals always run with the pipeline drained).
+	// laneControl carries all fault healing (heals always run with the
+	// scheduler drained).
 	laneControl = 0
-	// pipelineLanes rotates in-flight pipelined events across lanes
-	// 1..pipelineLanes.
+	// pipelineLanes rotates in-flight events across lanes 1..pipelineLanes.
 	pipelineLanes = 61
 	// taskLaneBase + worker ID carries that worker's task spans.
 	taskLaneBase = 100
@@ -558,11 +474,11 @@ func eventSpanName(k workload.EventKind) string {
 // observeDelay fills the tally's post-decision session delay for admitted
 // arrivals — the per-class SLO reading. Pure observation (enabled-telemetry
 // runs read, never write, extra state), so nil-vs-enabled runs stay
-// bit-identical. Callers must still own the trigger session's variables:
-// the serial path is quiesced here; the pipelined path calls this at the
-// end of its reopt stage, before the scheduler releases the footprint.
+// bit-identical. The caller must still own the trigger session's
+// variables: the event's reopt stage calls it before the scheduler releases
+// the footprint.
 func (o *Orchestrator) observeDelay(tally *eventTally, e workload.Event, admitted bool) {
-	if o.tel == nil || tally == nil || e.Kind != workload.EventArrival || !admitted {
+	if o.tel == nil || e.Kind != workload.EventArrival || !admitted {
 		return
 	}
 	tally.delayMS = cost.SessionDelaysOf(o.a, model.SessionID(e.Session)).MeanOfMaxMS
@@ -572,8 +488,7 @@ func (o *Orchestrator) observeDelay(tally *eventTally, e workload.Event, admitte
 // (no-op when telemetry is disabled). Event-scoped counters (events by
 // kind, stalls, drops, latency histograms, objective gauges) are derived
 // inside the sink from the record itself; task-scoped counters were already
-// bumped worker-side, so the two views reconcile exactly. tally may be nil
-// only when o.tel is nil.
+// bumped worker-side, so the two views reconcile exactly.
 func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled bool) {
 	if o.tel == nil {
 		return
@@ -589,7 +504,6 @@ func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled b
 		NoChange:       rep.NoChange,
 		Conflicts:      rep.Conflicts,
 		LatencyNs:      rep.Latency.Nanoseconds(),
-		ChosenAgent:    -1,
 		Objective:      rep.Objective,
 		ActiveSessions: rep.ActiveSessions,
 		// Fault-path outcomes ride on the record so the windowed sampler
@@ -598,6 +512,17 @@ func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled b
 		Orphans:     rep.Orphans,
 		Evacuated:   rep.Evacuated,
 		EvacRejects: rep.EvacRejects,
+		DelayMS:     tally.delayMS,
+		SnapshotNs:  tally.snapshotNs,
+		WalkNs:      tally.walkNs,
+		CommitNs:    tally.commitNs,
+		CacheWarm:   tally.cacheWarm,
+		CacheCold:   tally.cacheCold,
+		ChosenAgent: tally.chosenAgent,
+	}
+	if tally.cfValid {
+		rec.CfGap = tally.cfGap
+		rec.CfValid = true
 	}
 	switch rep.Event.Kind {
 	case workload.EventArrival:
@@ -614,100 +539,11 @@ func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled b
 		rec.Kind = rep.Event.Kind.String()
 		rec.CacheInvalidated = rep.Orphans
 	}
-	if tally != nil {
-		rec.DelayMS = tally.delayMS
-		rec.SnapshotNs = tally.snapshotNs
-		rec.WalkNs = tally.walkNs
-		rec.CommitNs = tally.commitNs
-		rec.CacheWarm = tally.cacheWarm
-		rec.CacheCold = tally.cacheCold
-		rec.ChosenAgent = tally.chosenAgent
-		if tally.cfValid {
-			rec.CfGap = tally.cfGap
-			rec.CfValid = true
-		}
-	}
 	o.tel.Record(rec)
-	if o.pipe != nil {
-		ps := o.pipe.Stats()
-		o.tel.SchedulerStats(ps.AdmissionStalls, ps.ReoptWaits, ps.QueueDepthPeak, ps.InFlightPeak)
-	}
-	if o.shl != nil {
-		ls := o.shl.Stats()
-		o.tel.LedgerStats(ls.Committed, ls.Conflicts, ls.Infeasible)
-	}
-}
-
-// applyArrival bootstraps session s and returns (admitted, touched set).
-func (o *Orchestrator) applyArrival(timeS float64, s model.SessionID) (bool, []model.SessionID, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.advanceClock(timeS)
-	o.stats.Arrivals++
-	if o.cache.Active(s) {
-		return false, nil, fmt.Errorf("orchestrator: arrival for already-active session %d", s)
-	}
-	if err := o.boot(o.a, s, o.ledger); err != nil {
-		// Admission infeasibility (the bootstrapper rolled the session back)
-		// is an expected drop; anything else — misconfiguration, a buggy
-		// custom bootstrapper — must surface loudly, not read as churn.
-		if errors.Is(err, agrank.ErrInfeasible) || errors.Is(err, baseline.ErrInfeasible) {
-			o.stats.Dropped++
-			if o.impaired > 0 {
-				o.stats.DegradedRejects++
-				o.tel.DegradedReject(o.tel.RegionOf(int(s)))
-			}
-			return false, nil, nil
-		}
-		return false, nil, fmt.Errorf("orchestrator: bootstrap session %d: %w", s, err)
-	}
-	o.cache.SetActive(s, true)
-	if o.rt != nil {
-		if err := o.rt.ActivateSession(s, o.a); err != nil {
-			return false, nil, err
-		}
-	}
-	touched := o.touchedLocked(s, o.agentsOf(o.cache.SessionLoad(o.a, s)))
-	return true, o.capReopt(s, touched), nil
-}
-
-// applyDeparture releases session s and returns (touched set, whether the
-// session was live). A departure for a session that was never admitted — the
-// echo of a dropped arrival — is a benign skip.
-func (o *Orchestrator) applyDeparture(timeS float64, s model.SessionID) ([]model.SessionID, bool, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.advanceClock(timeS)
-	o.stats.Departures++
-	if !o.cache.Active(s) {
-		o.stats.Skipped++
-		return nil, false, nil
-	}
-	agents := o.agentsOf(o.cache.SessionLoad(o.a, s))
-	o.ledger.RemoveSparse(o.cache.SessionLoad(o.a, s))
-	for _, u := range o.sc.Session(s).Users {
-		o.a.SetUserAgent(u, assign.Unassigned)
-	}
-	for _, f := range o.a.SessionFlows(s) {
-		if err := o.a.SetFlowAgent(f, assign.Unassigned); err != nil {
-			return nil, false, err
-		}
-	}
-	// Departure invalidation, under the state lock: the objective cache's
-	// refresh scratch drops its delay entry inside SetActive, and the
-	// commit scratch drops its own here — a re-arrival rebuilds cold
-	// instead of patching a fully-torn-down matrix. (Worker scratches need
-	// no notification: their cached entries re-validate against the
-	// session's decision variables on next use.)
-	o.cache.SetActive(s, false)
-	o.scr.InvalidateDelay(s)
-	if o.rt != nil {
-		o.rt.DeactivateSession(s)
-	}
-	// The departed session freed capacity on its agents: sessions loading
-	// those agents may now have better moves available.
-	touched := o.touchedLocked(s, agents)
-	return o.capReopt(model.SessionID(-1), touched), true, nil
+	ps := o.pipe.Stats()
+	o.tel.SchedulerStats(ps.AdmissionStalls, ps.ReoptWaits, ps.QueueDepthPeak, ps.InFlightPeak)
+	ls := o.ledger.Stats()
+	o.tel.LedgerStats(ls.Committed, ls.Conflicts, ls.Infeasible)
 }
 
 // advanceClock moves orchestrator time monotonically.
@@ -717,6 +553,21 @@ func (o *Orchestrator) advanceClock(timeS float64) {
 	}
 }
 
+// tickLocked advances the attached data plane to timeS, so the dual-feed
+// overhead of the migrations committed so far lands in its telemetry.
+// Caller holds o.mu.
+func (o *Orchestrator) tickLocked(timeS float64) error {
+	if o.rt == nil {
+		return nil
+	}
+	if dt := timeS - o.rt.Now(); dt > 1e-9 {
+		if _, err := o.rt.Tick(dt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // agentsOf returns the set of agents a session load touches.
 func (o *Orchestrator) agentsOf(sl *cost.SparseLoad) []bool {
 	set := make([]bool, o.sc.NumAgents())
@@ -724,22 +575,6 @@ func (o *Orchestrator) agentsOf(sl *cost.SparseLoad) []bool {
 		sl.MarkAgents(set)
 	}
 	return set
-}
-
-// touchedLocked lists active sessions (≠ trigger) with load on any of the
-// given agents, in ascending session order. Caller holds the commit lock.
-// Each membership test is O(touched agents of the session), not O(fleet).
-func (o *Orchestrator) touchedLocked(trigger model.SessionID, agents []bool) []model.SessionID {
-	var out []model.SessionID
-	for s := range o.cache.EachActive() {
-		if s == trigger {
-			continue
-		}
-		if o.cache.SessionLoad(o.a, s).OverlapsAgents(agents) {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // capReopt assembles the final re-optimization set: the trigger session
@@ -758,52 +593,18 @@ func (o *Orchestrator) capReopt(trigger model.SessionID, touched []model.Session
 	return out
 }
 
-// Run processes an event schedule in order. When a runtime is attached, the
-// data plane is ticked across event gaps and to horizonS at the end, so
-// dual-feed overheads land in telemetry. Returns the per-event reports. In
-// pipelined mode events are streamed into the scheduler and overlap when
-// their footprints allow; reports still come back in schedule order, and
-// the orchestrator is fully drained when Run returns.
+// Run processes an event schedule in order: RunSource over the slice,
+// collecting the reports. When a runtime is attached, the data plane is
+// ticked across event gaps and to horizonS at the end, so dual-feed
+// overheads land in telemetry. The orchestrator is fully drained when Run
+// returns.
 func (o *Orchestrator) Run(events []workload.Event, horizonS float64) ([]EventReport, error) {
-	if o.pipe != nil {
-		return o.runPipelined(events, horizonS)
-	}
 	reports := make([]EventReport, 0, len(events))
-	for i, e := range events {
-		// The schedule contract is non-decreasing time; reject violations
-		// instead of silently regressing the clock (advanceClock would
-		// otherwise just ignore them).
-		if i > 0 && e.TimeS < events[i-1].TimeS {
-			return reports, fmt.Errorf("orchestrator: out-of-order event %d at t=%v after t=%v",
-				i, e.TimeS, events[i-1].TimeS)
-		}
-		if rt := o.runtime(); rt != nil {
-			if dt := e.TimeS - rt.Now(); dt > 1e-9 {
-				if _, err := rt.Tick(dt); err != nil {
-					return reports, err
-				}
-			}
-		}
-		rep, err := o.HandleEvent(e)
-		if err != nil {
-			return reports, err
-		}
+	err := o.RunSource(&sliceSource{events: events}, horizonS, func(rep EventReport) error {
 		reports = append(reports, rep)
-	}
-	if rt := o.runtime(); rt != nil {
-		if dt := horizonS - rt.Now(); dt > 1e-9 {
-			if _, err := rt.Tick(dt); err != nil {
-				return reports, err
-			}
-		}
-	}
-	return reports, nil
-}
-
-func (o *Orchestrator) runtime() *confsim.Runtime {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.rt
+		return nil
+	})
+	return reports, err
 }
 
 // Assignment returns a snapshot of the live assignment.
@@ -835,7 +636,7 @@ func (o *Orchestrator) Now() float64 {
 }
 
 // Stats returns a copy of the activity counters, including the latency
-// percentiles and (in pipelined mode) the scheduler telemetry.
+// percentiles and the scheduler telemetry.
 func (o *Orchestrator) Stats() Stats {
 	qs := []float64{0.50, 0.99}
 	o.mu.Lock()
@@ -845,23 +646,12 @@ func (o *Orchestrator) Stats() Stats {
 	st.ReoptP50, st.ReoptP99 = lat[0], lat[1]
 	st.RecoverP50, st.RecoverP99 = ttr[0], ttr[1]
 	o.mu.Unlock()
-	if o.pipe != nil {
-		ps := o.pipe.Stats()
-		st.AdmissionStalls = ps.AdmissionStalls
-		st.ReoptWaits = ps.ReoptWaits
-		st.QueueDepthPeak = ps.QueueDepthPeak
-		st.InFlightPeak = ps.InFlightPeak
-	}
+	ps := o.pipe.Stats()
+	st.AdmissionStalls = ps.AdmissionStalls
+	st.ReoptWaits = ps.ReoptWaits
+	st.QueueDepthPeak = ps.QueueDepthPeak
+	st.InFlightPeak = ps.InFlightPeak
 	return st
-}
-
-// snapshotStats copies the raw counters only — the serial HandleEvent path
-// diffs it around each dispatch, so it skips the derived percentile and
-// scheduler-telemetry fills Stats performs.
-func (o *Orchestrator) snapshotStats() Stats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.stats
 }
 
 // Recomputes exposes the delta-evaluation cost meter: cumulative

@@ -1,9 +1,9 @@
 package orchestrator
 
-// This file is the pipelined event path (Config.Pipeline): HandleEvent/Run
-// reworked onto the dependency-aware scheduler in internal/pipeline, so
-// independent churn events overlap end-to-end instead of barriering one at
-// a time.
+// This file is the event path: every churn event goes through the
+// dependency-aware scheduler in internal/pipeline, so independent events
+// can overlap end-to-end (Config.MaxInFlight > 1) instead of barriering one
+// at a time.
 //
 // Consistency story (what makes overlap safe):
 //
@@ -14,30 +14,29 @@ package orchestrator
 //     in-flight event claims its trigger. Since session variables live in
 //     disjoint slice ranges (internal/assign) and refinement tasks touch
 //     only their own session, all unlocked assignment accesses stay
-//     single-owner — the same invariant the per-event barrier used to
-//     provide globally, now scoped per footprint.
+//     single-owner.
 //   - Touched-set consistency. Admissions must discover which sessions
 //     share agents with the trigger *without* reading in-flight sessions'
 //     assignment state. touchIdx[s] — the committed agent set per active
 //     session, updated under o.mu at bootstrap, commit and departure — is
-//     that read-only-under-mu mirror; overlap tests against it match the
-//     serial path's SessionLoad/OverlapsAgents predicate exactly on
-//     quiesced state (the cap-1 differential tests pin bit-identity).
-//   - Objective consistency. The objective cache is never left dirty in
-//     pipelined mode: arrivals refresh their session at admission,
-//     committing workers Prime it from their own evaluation, departures
-//     deactivate it. Retire-time objective sums therefore never recompute
-//     from the shared assignment.
-//   - Capacity. Unchanged: the lock-striped shard ledger validates every
-//     commit against live usage, and the epoch-stamped Conflict/retry path
-//     absorbs whatever footprint under-estimation admits (walks evaluated
-//     on snapshots another in-flight event has since invalidated).
+//     that read-only-under-mu mirror.
+//   - Objective consistency. The objective cache is never left dirty:
+//     arrivals refresh their session at admission, committing workers
+//     Prime it from their own evaluation, departures deactivate it.
+//     Retire-time objective sums therefore never recompute from the shared
+//     assignment.
+//   - Capacity. The lock-striped shard ledger validates every commit
+//     against live usage, and the epoch-stamped Conflict/retry path absorbs
+//     whatever footprint under-estimation admits (walks evaluated on
+//     snapshots another in-flight event has since invalidated).
+//
+// At MaxInFlight = 1 the scheduler runs admit → re-optimize → retire one
+// event at a time, in arrival order, and the decision stream is fully
+// deterministic (TestGoldenDecisionStreams pins it against recordings).
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"vconf/internal/agrank"
 	"vconf/internal/assign"
@@ -49,9 +48,8 @@ import (
 	"vconf/internal/workload"
 )
 
-// eventState carries one pipelined event across its scheduler stages. The
-// report pointer is stable; callers read it after the retire channel
-// closes.
+// eventState carries one event across its scheduler stages. The report
+// pointer is stable; callers read it after the retire channel closes.
 type eventState struct {
 	o     *Orchestrator
 	e     workload.Event
@@ -69,18 +67,15 @@ type eventState struct {
 	// span traces the event from submission to retirement; task spans nest
 	// under it (zero when telemetry is off).
 	span telemetry.Span
-	// sink, when non-nil, receives the finished report at retire (Run's
-	// in-order collection; retires are serialized by the scheduler).
-	sink *[]EventReport
-	// emit, when non-nil, streams the finished report at retire
-	// (RunSource's O(in-flight) alternative to sink; same serialization).
+	// emit, when non-nil, receives the finished report at retire
+	// (RunSource's stream; retires are serialized by the scheduler).
 	emit func(EventReport)
 }
 
 // submitEvent validates e and hands it to the scheduler. The returned
 // state's report is filled in across the event's stages and complete once
 // the channel closes.
-func (o *Orchestrator) submitEvent(e workload.Event, sink *[]EventReport, emit func(EventReport)) (*eventState, <-chan struct{}, error) {
+func (o *Orchestrator) submitEvent(e workload.Event, emit func(EventReport)) (*eventState, <-chan struct{}, error) {
 	if e.Session < 0 || e.Session >= o.sc.NumSessions() {
 		return nil, nil, fmt.Errorf("orchestrator: event session %d outside [0, %d)", e.Session, o.sc.NumSessions())
 	}
@@ -93,7 +88,6 @@ func (o *Orchestrator) submitEvent(e workload.Event, sink *[]EventReport, emit f
 		seq:   o.eventIdx,
 		rep:   &EventReport{Event: e, Admitted: true},
 		tally: eventTally{chosenAgent: -1},
-		sink:  sink,
 		emit:  emit,
 	}
 	// In-flight events overlap, so each gets its own trace lane (reused
@@ -115,120 +109,6 @@ func (o *Orchestrator) submitEvent(e workload.Event, sink *[]EventReport, emit f
 	return st, ch, nil
 }
 
-// handleEventPipelined submits one event and blocks until it retires.
-// Because retirement follows arrival order, returning also means every
-// earlier event has retired — the orchestrator is quiesced.
-func (o *Orchestrator) handleEventPipelined(e workload.Event) (EventReport, error) {
-	if err := o.takeRefErr(); err != nil {
-		return EventReport{}, err
-	}
-	if e.Kind.IsFault() {
-		// A fault is a full barrier: healing re-assigns sessions that
-		// in-flight events may own, so drain the scheduler first, then heal
-		// with exclusive ownership of the whole state.
-		if err := o.pipe.Drain(); err != nil {
-			return EventReport{}, err
-		}
-		return o.handleFault(e)
-	}
-	st, ch, err := o.submitEvent(e, nil, nil)
-	if err != nil {
-		return EventReport{}, err
-	}
-	rep := st.rep
-	<-ch
-	// Drain (a no-op wait here: our event retiring means the queue is
-	// empty under the single-caller discipline) surfaces and clears any
-	// stream error, so a failed event reports once and the orchestrator
-	// keeps working — the serial path's error semantics.
-	if err := o.pipe.Drain(); err != nil {
-		// A failed admission never happened: release its event index, as
-		// the serial path does by erroring before its increment — this is
-		// what keeps task seeds (and so cap-1 bit-identity) aligned across
-		// streams containing recovered errors. Safe under the single-caller
-		// discipline: st.seq is necessarily the last index assigned.
-		if st.admitErr != nil {
-			o.eventIdx = st.seq
-		}
-		return *rep, err
-	}
-	if err := o.takeRefErr(); err != nil {
-		return *rep, err
-	}
-	return *rep, nil
-}
-
-// runPipelined streams the schedule into the scheduler, letting events with
-// disjoint footprints overlap, and returns the reports in schedule order.
-// With a runtime attached, data-plane ticks interleave with in-flight
-// migrations under the state lock, so telemetry stays race-free (tick
-// timing relative to overlapping events is approximate by construction).
-func (o *Orchestrator) runPipelined(events []workload.Event, horizonS float64) ([]EventReport, error) {
-	reports := make([]EventReport, 0, len(events))
-	for i, e := range events {
-		if i > 0 && e.TimeS < events[i-1].TimeS {
-			o.pipe.Drain()
-			return reports, fmt.Errorf("orchestrator: out-of-order event %d at t=%v after t=%v",
-				i, e.TimeS, events[i-1].TimeS)
-		}
-		if rt := o.runtime(); rt != nil {
-			o.mu.Lock()
-			var err error
-			if dt := e.TimeS - rt.Now(); dt > 1e-9 {
-				_, err = rt.Tick(dt)
-			}
-			o.mu.Unlock()
-			if err != nil {
-				o.pipe.Drain()
-				return reports, err
-			}
-		}
-		// Worker/runtime errors surface mid-stream, like the serial path's
-		// per-event takeRefErr — not only after the whole schedule drained.
-		if err := o.takeRefErr(); err != nil {
-			o.pipe.Drain()
-			return reports, err
-		}
-		if e.Kind.IsFault() {
-			// Fault barrier: drain so every prior report has retired (and
-			// appended itself to reports), heal, then append in order.
-			if err := o.pipe.Drain(); err != nil {
-				return reports, err
-			}
-			rep, err := o.handleFault(e)
-			if err != nil {
-				return reports, err
-			}
-			reports = append(reports, rep)
-			continue
-		}
-		if _, _, err := o.submitEvent(e, &reports, nil); err != nil {
-			if derr := o.pipe.Drain(); derr != nil {
-				err = derr
-			}
-			return reports, err
-		}
-	}
-	if err := o.pipe.Drain(); err != nil {
-		return reports, err
-	}
-	if rt := o.runtime(); rt != nil {
-		o.mu.Lock()
-		var err error
-		if dt := horizonS - rt.Now(); dt > 1e-9 {
-			_, err = rt.Tick(dt)
-		}
-		o.mu.Unlock()
-		if err != nil {
-			return reports, err
-		}
-	}
-	if err := o.takeRefErr(); err != nil {
-		return reports, err
-	}
-	return reports, nil
-}
-
 // admit runs the admission stage, recording any failure in admitErr so the
 // submitter can distinguish "this event never happened" (and release its
 // event index) from asynchronously surfaced errors.
@@ -240,17 +120,23 @@ func (st *eventState) admit() (pipeline.Footprint, error) {
 	return fp, err
 }
 
-// applyAdmission is the event's serialized admission stage: apply the
-// arrival or departure against the authoritative state and derive the
-// conflict footprint. The scheduler guarantees the trigger session is
-// unclaimed, so every trigger-session access here is single-owner;
-// everything else goes through the stripe-locked ledger, the
-// committed-agents index, or o.mu.
+// applyAdmission is the event's serialized admission stage: tick the data
+// plane to the event's time, apply the arrival or departure against the
+// authoritative state and derive the conflict footprint. The scheduler
+// guarantees the trigger session is unclaimed, so every trigger-session
+// access here is single-owner; everything else goes through the
+// stripe-locked ledger, the committed-agents index, or o.mu.
 func (st *eventState) applyAdmission() (pipeline.Footprint, error) {
 	o := st.o
 	s := model.SessionID(st.e.Session)
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	// Ticking here, not at submission, keeps the data plane behind every
+	// migration of the events admitted before this one: at one event in
+	// flight those have all run by now.
+	if err := o.tickLocked(st.e.TimeS); err != nil {
+		return pipeline.Footprint{}, err
+	}
 	o.advanceClock(st.e.TimeS)
 	switch st.e.Kind {
 	case workload.EventArrival:
@@ -259,6 +145,10 @@ func (st *eventState) applyAdmission() (pipeline.Footprint, error) {
 			return pipeline.Footprint{}, fmt.Errorf("orchestrator: arrival for already-active session %d", s)
 		}
 		if err := o.boot(o.a, s, o.ledger); err != nil {
+			// Admission infeasibility (the bootstrapper rolled the session
+			// back) is an expected drop; anything else — misconfiguration, a
+			// buggy custom bootstrapper — must surface loudly, not read as
+			// churn.
 			if errors.Is(err, agrank.ErrInfeasible) || errors.Is(err, baseline.ErrInfeasible) {
 				o.stats.Dropped++
 				if o.impaired > 0 {
@@ -286,33 +176,15 @@ func (st *eventState) applyAdmission() (pipeline.Footprint, error) {
 	case workload.EventDeparture:
 		o.stats.Departures++
 		if !o.cache.Active(s) {
+			// A departure for a session that was never admitted — the echo
+			// of a dropped arrival — is a benign skip.
 			o.stats.Skipped++
 			st.rep.Admitted = false
 			return pipeline.Footprint{}, nil
 		}
-		load := o.cache.SessionLoad(o.a, s)
-		agents := o.agentsOf(load)
-		o.ledger.RemoveSparse(load)
-		for _, u := range o.sc.Session(s).Users {
-			o.a.SetUserAgent(u, assign.Unassigned)
-		}
-		for _, f := range o.a.SessionFlows(s) {
-			if err := o.a.SetFlowAgent(f, assign.Unassigned); err != nil {
-				return pipeline.Footprint{}, err
-			}
-		}
-		// Clearing the committed-agents index entry is also the delay-cache
-		// invalidation point for pipelined mode: SetActive drops the
-		// objective cache's delay entry, the commit scratch drops its own,
-		// and because the departed session leaves touchIdx (and so every
-		// future footprint and touched set), no in-flight evaluation can
-		// leak its stale variables into a warm cache — worker entries
-		// re-validate by signature the next time the session is owned.
-		o.cache.SetActive(s, false)
-		o.scr.InvalidateDelay(s)
-		o.touchIdx[s] = nil
-		if o.rt != nil {
-			o.rt.DeactivateSession(s)
+		agents := o.agentsOf(o.cache.SessionLoad(o.a, s))
+		if err := o.teardownLocked(s); err != nil {
+			return pipeline.Footprint{}, err
 		}
 		// The departed session freed capacity on its agents: sessions
 		// loading those agents may now have better moves available.
@@ -323,76 +195,85 @@ func (st *eventState) applyAdmission() (pipeline.Footprint, error) {
 	return o.footprintLocked(s, st.reopt), nil
 }
 
+// teardownLocked releases session s entirely: ledger load, decision
+// variables, objective and delay-cache entries, committed-agents index and
+// data-plane session — the departure teardown, reused for fault orphans.
+// Because the session leaves touchIdx (and so every future footprint and
+// touched set), no in-flight evaluation can leak its stale variables into a
+// warm cache; worker entries re-validate by signature the next time the
+// session is owned. Caller holds o.mu and owns s.
+func (o *Orchestrator) teardownLocked(s model.SessionID) error {
+	o.ledger.RemoveSparse(o.cache.SessionLoad(o.a, s))
+	for _, u := range o.sc.Session(s).Users {
+		o.a.SetUserAgent(u, assign.Unassigned)
+	}
+	for _, f := range o.a.SessionFlows(s) {
+		if err := o.a.SetFlowAgent(f, assign.Unassigned); err != nil {
+			return err
+		}
+	}
+	o.cache.SetActive(s, false)
+	o.touchIdx[s] = nil
+	if o.rt != nil {
+		o.rt.DeactivateSession(s)
+	}
+	return nil
+}
+
 // reoptStage feeds the event's re-optimization tasks to the shared worker
 // pool and waits for them — the per-event (not global) barrier.
 func (st *eventState) reoptStage() error {
 	o := st.o
-	if len(st.reopt) == 0 {
-		o.observeDelay(&st.tally, st.e, st.rep.Admitted)
-		return nil
+	if len(st.reopt) > 0 {
+		st.rep.Latency = o.dispatch(st.reopt, st.seq, &st.tally, st.span)
 	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for _, s := range st.reopt {
-		wg.Add(1)
-		o.tasks <- reoptTask{
-			session: s,
-			seed:    taskSeed(o.cfg.Core.Seed, s, st.seq),
-			wg:      &wg,
-			tally:   &st.tally,
-			parent:  st.span,
-		}
-	}
-	wg.Wait()
-	st.rep.Latency = time.Since(start)
 	// Read the trigger's delay now, while this event still owns its
 	// footprint — the scheduler releases it when this stage returns, before
 	// retire runs.
 	o.observeDelay(&st.tally, st.e, st.rep.Admitted)
-	o.mu.Lock()
-	o.stats.Tasks += len(st.reopt)
-	o.mu.Unlock()
 	return nil
 }
 
 // retire finalizes the event's report in arrival order: per-event outcome
-// tallies, the post-event objective (every cache entry is clean by the
-// pipelined-mode invariant, so this never reads in-flight assignment
-// state), and the aggregate latency telemetry. At MaxInFlight > 1 the
-// Objective/ActiveSessions fields sample whatever admissions have applied
-// by retire time — deterministic in order, timing-dependent in value; the
-// cap-1 differential tests pin the values bit-for-bit.
+// tallies, the post-event objective (every cache entry is clean, so this
+// never reads in-flight assignment state), and the aggregate latency
+// telemetry. At MaxInFlight > 1 the Objective/ActiveSessions fields sample
+// whatever admissions have applied by retire time — deterministic in
+// order, timing-dependent in value.
 func (st *eventState) retire() {
 	o := st.o
 	o.mu.Lock()
-	o.stats.Events++
-	o.stats.ReoptTotal += st.rep.Latency
-	if st.rep.Latency > o.stats.ReoptMax {
-		o.stats.ReoptMax = st.rep.Latency
-	}
-	o.lat.ObserveDuration(st.rep.Latency)
-	st.rep.Commits = st.tally.commits
-	st.rep.Rejects = st.tally.rejects
-	st.rep.NoChange = st.tally.noChange
-	st.rep.Conflicts = st.tally.conflicts
-	st.rep.Objective = o.cache.TotalObjective(o.a)
-	st.rep.ActiveSessions = o.cache.NumActive()
+	o.finishEventLocked(st.rep, &st.tally)
 	o.mu.Unlock()
 	st.span.EndArg(int64(st.e.Session))
 	o.emitRecord(st.rep, &st.tally, st.stalled)
-	if st.sink != nil {
-		*st.sink = append(*st.sink, *st.rep)
-	}
 	if st.emit != nil {
 		st.emit(*st.rep)
 	}
 }
 
-// touchedIndexed mirrors touchedLocked over the committed-agents index:
-// active sessions (≠ trigger) whose committed load touches any marked
-// agent, ascending. Reading the index instead of cached session loads is
-// what keeps admissions from recomputing sessions another in-flight event
-// owns. Caller holds o.mu.
+// finishEventLocked copies the event's task outcomes into its report,
+// stamps the post-event objective and folds the event into the aggregate
+// counters. Caller holds o.mu.
+func (o *Orchestrator) finishEventLocked(rep *EventReport, tally *eventTally) {
+	o.stats.Events++
+	o.stats.ReoptTotal += rep.Latency
+	if rep.Latency > o.stats.ReoptMax {
+		o.stats.ReoptMax = rep.Latency
+	}
+	o.lat.ObserveDuration(rep.Latency)
+	rep.Commits = tally.commits
+	rep.Rejects = tally.rejects
+	rep.NoChange = tally.noChange
+	rep.Conflicts = tally.conflicts
+	rep.Objective = o.cache.TotalObjective(o.a)
+	rep.ActiveSessions = o.cache.NumActive()
+}
+
+// touchedIndexed lists active sessions (≠ trigger) whose committed load
+// touches any marked agent, ascending, read from the committed-agents
+// index — which is what keeps admissions from recomputing sessions another
+// in-flight event owns. Caller holds o.mu.
 func (o *Orchestrator) touchedIndexed(trigger model.SessionID, agents []bool) []model.SessionID {
 	var out []model.SessionID
 	for s := range o.cache.EachActive() {
@@ -412,10 +293,10 @@ func (o *Orchestrator) touchedIndexed(trigger model.SessionID, agents []bool) []
 // footprintLocked derives an event's conflict footprint: the owned session
 // set (trigger + re-optimization set) and the ledger stripes those
 // sessions' walks can read or commit to — each session's committed agents
-// plus its members' candidate windows, widened by FootprintSlack. Without a
-// candidate window a walk can move a session onto any agent, so the
-// footprint claims every stripe (correct, but serializing: windows are what
-// unlock event-level parallelism). Caller holds o.mu.
+// plus its members' candidate windows. Without a candidate window a walk
+// can move a session onto any agent, so the footprint claims every stripe
+// (correct, but serializing: windows are what unlock event-level
+// parallelism). Caller holds o.mu.
 func (o *Orchestrator) footprintLocked(trigger model.SessionID, reopt []model.SessionID) pipeline.Footprint {
 	fp := pipeline.Footprint{Sessions: make([]int32, 0, len(reopt)+1)}
 	fp.Sessions = append(fp.Sessions, int32(trigger))
@@ -424,8 +305,8 @@ func (o *Orchestrator) footprintLocked(trigger model.SessionID, reopt []model.Se
 			fp.Sessions = append(fp.Sessions, int32(s))
 		}
 	}
-	if o.nbrIdx == nil || o.cfg.FootprintSlack < 0 {
-		fp.Shards = make([]int32, o.shl.NumShards())
+	if o.nbrIdx == nil {
+		fp.Shards = make([]int32, o.ledger.NumShards())
 		for i := range fp.Shards {
 			fp.Shards[i] = int32(i)
 		}
@@ -443,9 +324,8 @@ func (o *Orchestrator) footprintLocked(trigger model.SessionID, reopt []model.Se
 		}
 	}
 	var r shard.Route
-	o.shl.ResetRoute(&r)
-	o.shl.RouteAgents(&r, agents)
-	o.shl.ExpandRoute(&r, o.cfg.FootprintSlack)
+	o.ledger.ResetRoute(&r)
+	o.ledger.RouteAgents(&r, agents)
 	fp.Shards = append(fp.Shards, r.Shards()...)
 	return fp
 }

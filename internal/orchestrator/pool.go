@@ -15,9 +15,9 @@ import (
 )
 
 // reoptTask is one unit of shard-pool work: re-optimize one session's
-// variables by a bounded Markov refinement walk. tally, when non-nil
-// (pipelined mode), attributes the task's outcome to its event so per-event
-// reports stay exact while events overlap.
+// variables by a bounded Markov refinement walk. tally attributes the
+// task's outcome to its event, so per-event reports stay exact while events
+// overlap.
 type reoptTask struct {
 	session model.SessionID
 	seed    int64
@@ -30,10 +30,9 @@ type reoptTask struct {
 }
 
 // eventTally accumulates one event's task outcomes; its fields are guarded
-// by o.mu alongside the global stats counters. The pipelined path always
-// attaches one (per-event reports stay exact while events overlap); the
-// serial path attaches one only when telemetry is enabled, to feed the
-// decision record. chosenAgent must be initialized to -1.
+// by o.mu alongside the global stats counters. Every event — churn or
+// fault — carries one, and its report and decision record are filled from
+// it. chosenAgent must be initialized to -1.
 type eventTally struct {
 	commits, rejects, noChange, conflicts int
 	// Per-task telemetry, merged at task finish (telemetry enabled only):
@@ -64,15 +63,13 @@ func (ty *eventTally) noteDecisive(b bestState) {
 	}
 }
 
-// bumpTask increments a global outcome counter and, for pipelined events,
-// the matching per-event tally slot, under the state lock, and moves the
-// worker's walk tallies into the stats with them.
+// bumpTask increments a global outcome counter and the matching per-event
+// tally slot under the state lock, and moves the worker's walk tallies into
+// the stats with them.
 func (o *Orchestrator) bumpTask(w *workerState, global, local *int) {
 	o.mu.Lock()
 	*global++
-	if local != nil {
-		*local++
-	}
+	*local++
 	o.flushWalk(w)
 	o.mu.Unlock()
 }
@@ -83,27 +80,6 @@ func (o *Orchestrator) flushWalk(w *workerState) {
 	o.stats.WalkHops += w.walk.Hops
 	o.stats.WalkReused += w.walk.Reused
 	w.walk = core.WalkStats{}
-}
-
-func (t reoptTask) noChangeSlot() *int {
-	if t.tally == nil {
-		return nil
-	}
-	return &t.tally.noChange
-}
-
-func (t reoptTask) rejectSlot() *int {
-	if t.tally == nil {
-		return nil
-	}
-	return &t.tally.rejects
-}
-
-func (t reoptTask) conflictSlot() *int {
-	if t.tally == nil {
-		return nil
-	}
-	return &t.tally.conflicts
 }
 
 // telOutcome mirrors one task outcome into the telemetry sink's
@@ -134,20 +110,22 @@ func taskSeed(seed int64, s model.SessionID, eventIdx int) int64 {
 	return int64(z >> 1)
 }
 
-// dispatch hands the session set to the worker pool and blocks until every
-// task has been refined and merged (the per-event barrier), returning the
-// wall-clock latency — the orchestrator's headline responsiveness metric.
+// dispatch hands one event's session set (event index seq) to the worker
+// pool and blocks until every task has been refined and merged, returning
+// the wall-clock latency — the orchestrator's headline responsiveness
+// metric.
 //
-// The barrier is also what makes the lock-free parts of the sharded commit
-// pipeline sound: within one dispatch the event loop is parked and every
-// session appears in at most one task, so a task is the only goroutine
-// reading or writing its session's variables in the live assignment.
-func (o *Orchestrator) dispatch(sessions []model.SessionID, tally *eventTally, parent telemetry.Span) time.Duration {
+// Session ownership is what makes the lock-free parts of the commit path
+// sound: the scheduler (or, for a fault, the drain before it) guarantees no
+// other event owns these sessions, and every session appears in at most one
+// task, so a task is the only goroutine reading or writing its session's
+// variables in the live assignment.
+func (o *Orchestrator) dispatch(sessions []model.SessionID, seq int, tally *eventTally, parent telemetry.Span) time.Duration {
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, s := range sessions {
 		wg.Add(1)
-		o.tasks <- reoptTask{session: s, seed: taskSeed(o.cfg.Core.Seed, s, o.eventIdx), wg: &wg, tally: tally, parent: parent}
+		o.tasks <- reoptTask{session: s, seed: taskSeed(o.cfg.Core.Seed, s, seq), wg: &wg, tally: tally, parent: parent}
 	}
 	wg.Wait()
 	o.mu.Lock()
@@ -157,8 +135,8 @@ func (o *Orchestrator) dispatch(sessions []model.SessionID, tally *eventTally, p
 }
 
 // workerState is one worker's private buffers: the hop scratch, a dense
-// snapshot ledger with its epoch stamps and commit route (sharded mode),
-// a private assignment the refinement walk mutates, and the proposal
+// snapshot ledger with its epoch stamps and commit route, a private
+// assignment the refinement walk mutates, and the proposal
 // buffers. Everything is reused across tasks — the RNG is re-seeded per
 // task, which yields exactly the stream a fresh one would — so steady-state
 // refinement allocates nothing.
@@ -170,8 +148,7 @@ type workerState struct {
 	walk core.WalkStats
 	// probe is the reused per-task instrumentation scratch (telemetry
 	// enabled only), so enabling the sink adds no per-task allocation.
-	probe taskProbe
-	// Sharded-pipeline state (nil/unused in single-lock mode).
+	probe     taskProbe
 	snap      *cost.Ledger
 	epochs    shard.Epochs
 	route     shard.Route
@@ -248,15 +225,13 @@ func (o *Orchestrator) finishTaskProbe(t reoptTask, w *workerState, probe *taskP
 		o.tel.EmitSpan(ph.name, "task", task, lane, at, ph.ns, int64(t.session))
 		at = at.Add(time.Duration(ph.ns))
 	}
-	if t.tally != nil {
-		o.mu.Lock()
-		t.tally.snapshotNs += probe.snapshotNs
-		t.tally.walkNs += probe.walkNs
-		t.tally.commitNs += probe.commitNs
-		t.tally.cacheWarm += int(hits + patches)
-		t.tally.cacheCold += int(rebuilds)
-		o.mu.Unlock()
-	}
+	o.mu.Lock()
+	t.tally.snapshotNs += probe.snapshotNs
+	t.tally.walkNs += probe.walkNs
+	t.tally.commitNs += probe.commitNs
+	t.tally.cacheWarm += int(hits + patches)
+	t.tally.cacheCold += int(rebuilds)
+	o.mu.Unlock()
 }
 
 // worker is one solver shard: it refines tasks until the pool closes. id is
@@ -273,26 +248,17 @@ func (o *Orchestrator) worker(id int) {
 	// on the next evaluation; stale state is never reused (see
 	// cost.DelayCache's staleness contract).
 	w.scr.Eval().SetDelayCacheEnabled(!o.cfg.Core.RebuildDelayBase)
-	if o.shl != nil {
-		w.snap = cost.NewLedger(o.sc)
-		w.epochs = make(shard.Epochs, 0, o.shl.NumShards())
-		w.aw = assign.New(o.sc)
-		w.cur = cost.NewSparseLoad(o.sc.NumAgents())
-	}
+	w.snap = cost.NewLedger(o.sc)
+	w.epochs = make(shard.Epochs, 0, o.ledger.NumShards())
+	w.aw = assign.New(o.sc)
+	w.cur = cost.NewSparseLoad(o.sc.NumAgents())
 	for t := range o.tasks {
-		if o.shl != nil {
-			o.refineSharded(t, w)
-		} else {
-			o.refineSingleLock(t, w)
-		}
+		o.refine(t, w)
 		t.wg.Done()
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Sharded commit pipeline
-
-// refineSharded runs one re-optimization task against the lock-striped
+// refine runs one re-optimization task against the lock-striped
 // ledger: snapshot the capacity state shard by shard (epoch-stamped), walk
 // the Markov refinement on worker-private state, and commit the best-seen
 // proposal through shard.Ledger.CommitDelta — locking only the shards the
@@ -300,11 +266,11 @@ func (o *Orchestrator) worker(id int) {
 // parallel. A bounded retry loop re-snapshots and re-walks when a commit
 // loses a cross-shard race (shard.Conflict).
 //
-// No lock guards the live assignment accesses here: the dispatch barrier
-// guarantees this task is the sole owner of its session's variables (see
-// dispatch), and o.mu is taken only for the brief stats/cache/runtime
-// update after a successful capacity commit.
-func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
+// No lock guards the live assignment accesses here: this task is the sole
+// owner of its session's variables (see dispatch), and o.mu is taken only
+// for the brief stats/cache/runtime update after a successful capacity
+// commit.
+func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 	if !o.cache.Active(t.session) {
 		return
 	}
@@ -349,11 +315,11 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 					w.agents = append(w.agents, l)
 				}
 			}
-			o.shl.ResetRoute(&w.snapRoute)
-			o.shl.RouteAgents(&w.snapRoute, w.agents)
-			w.epochs = o.shl.SnapshotRoute(w.snap, w.epochs, &w.snapRoute)
+			o.ledger.ResetRoute(&w.snapRoute)
+			o.ledger.RouteAgents(&w.snapRoute, w.agents)
+			w.epochs = o.ledger.SnapshotRoute(w.snap, w.epochs, &w.snapRoute)
 		} else {
-			w.epochs = o.shl.SnapshotInto(w.snap, w.epochs[:0])
+			w.epochs = o.ledger.SnapshotInto(w.snap, w.epochs[:0])
 		}
 		for _, u := range users {
 			w.aw.SetUserAgent(u, o.a.UserAgent(u))
@@ -369,7 +335,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		startPhi := o.ev.BeginSession(w.aw, t.session, es).Phi
 		w.cur.CopyFrom(es.CurLoad())
 
-		best, err := o.walkBest(t, w, w.aw, w.snap, startPhi, w.userTo, w.flowTo)
+		best, err := o.walkBest(t, w, startPhi)
 		if err != nil {
 			o.reportErr(err)
 			return
@@ -380,7 +346,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 			probe.commitStart = now
 		}
 		if !best.improved {
-			o.bumpTask(w, &o.stats.NoChange, t.noChangeSlot())
+			o.bumpTask(w, &o.stats.NoChange, &t.tally.noChange)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 			return
 		}
@@ -403,30 +369,29 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 			}
 		}
 		if len(w.ds) == 0 {
-			o.bumpTask(w, &o.stats.NoChange, t.noChangeSlot())
+			o.bumpTask(w, &o.stats.NoChange, &t.tally.noChange)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 			return
 		}
 
 		// Re-evaluate the proposed state through the sparse pipeline and
-		// re-check improvement and the delay cap — the same guards the
-		// single-lock commit path applies.
+		// re-check improvement and the delay cap.
 		newEval := o.ev.BeginSession(w.aw, t.session, es)
 		newLoad := es.CurLoad()
-		if newEval.Phi >= startPhi-o.cfg.ImprovementEps {
-			o.bumpTask(w, &o.stats.NoChange, t.noChangeSlot())
+		if newEval.Phi >= startPhi-improvementEps {
+			o.bumpTask(w, &o.stats.NoChange, &t.tally.noChange)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 			return
 		}
 		if !newEval.DelayFeasible(o.sc.DMaxMS) {
-			o.bumpTask(w, &o.stats.Rejects, t.rejectSlot())
+			o.bumpTask(w, &o.stats.Rejects, &t.tally.rejects)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
 			return
 		}
 
 		// Capacity is the only state other sessions contend on: route,
 		// lock, re-validate and apply atomically in the shard pipeline.
-		switch o.shl.CommitDelta(newLoad, w.cur, w.epochs, &w.route) {
+		switch o.ledger.CommitDelta(newLoad, w.cur, w.epochs, &w.route) {
 		case shard.Committed:
 			for _, d := range w.ds {
 				if _, err := o.a.Apply(d); err != nil {
@@ -434,28 +399,19 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 					return
 				}
 			}
-			// Pipelined mode keeps the touched-set index and the objective
-			// cache current from the committing worker's own evaluation, so
-			// no later admission or retire ever recomputes this session from
-			// the shared assignment while another event may own it. The
-			// agent extraction runs on worker-private state before taking mu.
-			var idxAgents []model.AgentID
-			if o.pipe != nil {
-				idxAgents = newLoad.AppendAgents(nil)
-			}
+			// Keep the touched-set index and the objective cache current
+			// from the committing worker's own evaluation, so no later
+			// admission or retire ever recomputes this session from the
+			// shared assignment while another event may own it. The agent
+			// extraction runs on worker-private state before taking mu.
+			idxAgents := newLoad.AppendAgents(nil)
 			o.mu.Lock()
-			if o.pipe != nil {
-				o.cache.Prime(t.session, newEval.Phi, newLoad)
-				o.touchIdx[t.session] = idxAgents
-			} else {
-				o.cache.Invalidate(t.session)
-			}
+			o.cache.Prime(t.session, newEval.Phi, newLoad)
+			o.touchIdx[t.session] = idxAgents
 			o.stats.Commits++
 			o.flushWalk(w)
-			if t.tally != nil {
-				t.tally.commits++
-				t.tally.noteDecisive(best)
-			}
+			t.tally.commits++
+			t.tally.noteDecisive(best)
 			if o.rt != nil {
 				for _, d := range w.ds {
 					if err := o.rt.Migrate(o.now, d); err != nil {
@@ -472,16 +428,16 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		case shard.Conflict:
 			// A sibling commit changed a routed shard after our snapshot:
 			// the walk ran on stale residual capacities. Retry bounded.
-			o.bumpTask(w, &o.stats.Conflicts, t.conflictSlot())
+			o.bumpTask(w, &o.stats.Conflicts, &t.tally.conflicts)
 			o.telConflict(w.id, t.session)
-			if attempt < o.cfg.CommitRetries {
+			if attempt < commitRetries {
 				continue
 			}
-			o.bumpTask(w, &o.stats.Rejects, t.rejectSlot())
+			o.bumpTask(w, &o.stats.Rejects, &t.tally.rejects)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
 			return
 		default: // shard.Infeasible
-			o.bumpTask(w, &o.stats.Rejects, t.rejectSlot())
+			o.bumpTask(w, &o.stats.Rejects, &t.tally.rejects)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
 			return
 		}
@@ -498,26 +454,26 @@ type bestState struct {
 	cfGap    float64
 }
 
-// walkBest runs task t's bounded refinement walk from the state a holds
-// (objective startPhi) against the worker-private ledger and leaves the
-// best state seen in userTo/flowTo, aligned with the session's users and
-// flows: the chain may pass through worse states (that is what lets it
-// escape local minima). The caller seeds w.rng.
-func (o *Orchestrator) walkBest(t reoptTask, w *workerState, a *assign.Assignment, ledger *cost.Ledger,
-	startPhi float64, userTo, flowTo []model.AgentID) (bestState, error) {
+// walkBest runs task t's bounded refinement walk from the state the
+// worker's private assignment holds (objective startPhi) against its
+// ledger snapshot and leaves the best state seen in w.userTo/w.flowTo,
+// aligned with the session's users and flows: the chain may pass through
+// worse states (that is what lets it escape local minima). The caller
+// seeds w.rng.
+func (o *Orchestrator) walkBest(t reoptTask, w *workerState, startPhi float64) (bestState, error) {
 	users := o.sc.Session(t.session).Users
-	curFlowTo := a.SessionFlowAgents(t.session)
+	curFlowTo := w.aw.SessionFlowAgents(t.session)
 	capture := func() {
 		for i, u := range users {
-			userTo[i] = a.UserAgent(u)
+			w.userTo[i] = w.aw.UserAgent(u)
 		}
-		copy(flowTo, curFlowTo)
+		copy(w.flowTo, curFlowTo)
 	}
 	capture()
 	best := bestState{phi: startPhi, cfAgent: -1}
-	ws, err := core.WalkSession(a, t.session, o.ev, ledger, o.cfg.Core, w.rng, w.scr, o.cfg.HopBudget,
+	ws, err := core.WalkSession(w.aw, t.session, o.ev, w.snap, o.cfg.Core, w.rng, w.scr, o.cfg.HopBudget,
 		func(res core.HopResult) {
-			if res.Moved && res.PhiAfter < best.phi-o.cfg.ImprovementEps {
+			if res.Moved && res.PhiAfter < best.phi-improvementEps {
 				best = bestState{phi: res.PhiAfter, improved: true,
 					cfAgent: int(res.Decision.To), cfGap: res.PhiSecond - res.PhiAfter}
 				capture()
@@ -535,184 +491,6 @@ func growAgents(buf []model.AgentID, n int) []model.AgentID {
 		return make([]model.AgentID, n)
 	}
 	return buf[:n]
-}
-
-// ---------------------------------------------------------------------------
-// Single-lock reference pipeline (Config.LedgerShards < 0)
-//
-// The pre-sharding commit path, kept verbatim: snapshot and commit both
-// serialize on o.mu, proposals validate against the dense ledger while
-// holding it. The P=1 sharded pipeline is bit-identical to this path (the
-// differential tests replay identical schedules through both); it remains
-// the before/after baseline for the shard-count benchmarks.
-
-// proposal is the outcome of one refinement walk: the session's best-seen
-// variable values.
-type proposal struct {
-	session model.SessionID
-	users   []model.UserID
-	flows   []model.Flow
-	// userTo/flowTo are the proposed agents, aligned with users/flows.
-	userTo []model.AgentID
-	flowTo []model.AgentID
-	best   bestState // best.phi is the proposed state's exact session-local Φ
-}
-
-// refineSingleLock snapshots the live state under the commit lock, runs a
-// bounded warm-started Markov walk on the snapshot, and merges the best
-// state found.
-func (o *Orchestrator) refineSingleLock(t reoptTask, w *workerState) {
-	var probe *taskProbe
-	var t0 time.Time
-	if o.tel != nil {
-		probe = o.beginTaskProbe(w)
-		defer o.finishTaskProbe(t, w, probe)
-		t0 = time.Now()
-	}
-	// Snapshot under the commit lock: clone the assignment and ledger so
-	// the walk runs without blocking other workers or the event loop.
-	o.mu.Lock()
-	if !o.cache.Active(t.session) {
-		o.mu.Unlock()
-		return
-	}
-	a := o.a.Clone()
-	ledger := o.dense.Clone()
-	startPhi := o.cache.SessionObjective(o.a, t.session)
-	o.mu.Unlock()
-	if probe != nil {
-		now := time.Now()
-		probe.snapshotNs += now.Sub(t0).Nanoseconds()
-		t0 = now
-	}
-
-	users := o.sc.Session(t.session).Users
-	flows := a.SessionFlows(t.session)
-	prop := proposal{
-		session: t.session,
-		users:   users,
-		flows:   flows,
-		userTo:  make([]model.AgentID, len(users)),
-		flowTo:  make([]model.AgentID, len(flows)),
-	}
-	w.rng.Seed(t.seed)
-	var err error
-	if prop.best, err = o.walkBest(t, w, a, ledger, startPhi, prop.userTo, prop.flowTo); err != nil {
-		o.reportErr(err)
-		return
-	}
-	if probe != nil {
-		now := time.Now()
-		probe.walkNs += now.Sub(t0).Nanoseconds()
-		probe.commitStart = now
-	}
-	if !prop.best.improved {
-		o.bumpTask(w, &o.stats.NoChange, t.noChangeSlot())
-		o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
-		return
-	}
-	o.commitSingleLock(t, w, prop)
-}
-
-// commitSingleLock merges a proposal under the commit lock with optimistic
-// validation: the session must still be active, the net decisions must
-// still fit capacity and the delay cap against the *current* ledger, and
-// the objective must still strictly improve. Accepted decisions are
-// mirrored to the data plane as dual-feed migrations.
-func (o *Orchestrator) commitSingleLock(t reoptTask, w *workerState, p proposal) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.flushWalk(w)
-	if !o.cache.Active(p.session) {
-		o.stats.Rejects++ // departed while refining
-		if t.tally != nil {
-			t.tally.rejects++
-		}
-		o.telOutcome(w.id, p.session, telemetry.OutcomeReject)
-		return
-	}
-	curPhi := o.cache.SessionObjective(o.a, p.session)
-	if p.best.phi >= curPhi-o.cfg.ImprovementEps {
-		o.stats.NoChange++
-		if t.tally != nil {
-			t.tally.noChange++
-		}
-		o.telOutcome(w.id, p.session, telemetry.OutcomeNoChange)
-		return
-	}
-
-	// Net decisions: one per variable that differs from the live state.
-	var ds []assign.Decision
-	for i, u := range p.users {
-		if o.a.UserAgent(u) != p.userTo[i] {
-			ds = append(ds, assign.Decision{Kind: assign.UserMove, User: u, To: p.userTo[i]})
-		}
-	}
-	liveFlowTo := o.a.SessionFlowAgents(p.session)
-	for i, f := range p.flows {
-		if liveFlowTo[i] != p.flowTo[i] {
-			ds = append(ds, assign.Decision{Kind: assign.FlowMove, Flow: f, To: p.flowTo[i]})
-		}
-	}
-	if len(ds) == 0 {
-		o.stats.NoChange++
-		if t.tally != nil {
-			t.tally.noChange++
-		}
-		o.telOutcome(w.id, p.session, telemetry.OutcomeNoChange)
-		return
-	}
-
-	curLoad := o.cache.SessionLoad(o.a, p.session)
-	o.dense.RemoveSparse(curLoad)
-	invs := make([]assign.Decision, 0, len(ds))
-	rollback := func() {
-		for i := len(invs) - 1; i >= 0; i-- {
-			o.a.Apply(invs[i])
-		}
-		o.dense.AddSparse(curLoad)
-		o.stats.Rejects++
-		if t.tally != nil {
-			t.tally.rejects++
-		}
-		o.telOutcome(w.id, p.session, telemetry.OutcomeReject)
-	}
-	for _, d := range ds {
-		inv, err := o.a.Apply(d)
-		if err != nil {
-			rollback()
-			o.refErr = err
-			return
-		}
-		invs = append(invs, inv)
-	}
-	// Re-evaluate the proposed state through the commit scratch: sparse
-	// load, delta capacity check, and Φ with delay feasibility in one pass.
-	newEval := o.ev.BeginSession(o.a, p.session, o.scr)
-	newLoad := o.scr.CurLoad()
-	if !o.dense.FitsRepairDelta(newLoad, curLoad) ||
-		!newEval.DelayFeasible(o.sc.DMaxMS) ||
-		newEval.Phi >= curPhi-o.cfg.ImprovementEps {
-		rollback()
-		return
-	}
-	o.dense.AddSparse(newLoad)
-	o.cache.Invalidate(p.session)
-	o.stats.Commits++
-	if t.tally != nil {
-		t.tally.commits++
-		t.tally.noteDecisive(p.best)
-	}
-	o.telOutcome(w.id, p.session, telemetry.OutcomeCommit)
-	if o.rt != nil {
-		for _, d := range ds {
-			if err := o.rt.Migrate(o.now, d); err != nil {
-				o.refErr = err
-				return
-			}
-		}
-		o.stats.Migrations += len(ds)
-	}
 }
 
 func (o *Orchestrator) reportErr(err error) {

@@ -1,15 +1,12 @@
 package orchestrator
 
-// RunSource is the virtual-clock streaming counterpart of Run: instead of a
-// pre-materialized []workload.Event slice, the orchestrator pulls events
-// one at a time from a lazy EventSource (an internal/sim engine over lazy
-// generators, or a trace replayer) and streams finished reports to a
+// RunSource is the one ingestion loop: the orchestrator pulls events one at
+// a time from an EventSource (an internal/sim engine over lazy generators,
+// a trace replayer, or Run's slice) and streams finished reports to a
 // callback — memory stays O(in-flight events) however long the virtual
-// horizon. The legacy eager Run([]Event) path is kept verbatim and pinned
-// bit-identical by the differential tests in runsource_test.go: for the
-// same seeds, RunSource over the lazy engine produces the same
-// assignments, objective bits, Stats counters and decision-record stream
-// across the serial, single-lock and pipelined paths.
+// horizon. For the same seeds, a lazy engine and the eager slice of the same
+// schedule produce the same assignments, objective bits, Stats counters and
+// decision-record stream (runsource_test.go).
 
 import (
 	"fmt"
@@ -29,63 +26,30 @@ type EventSource interface {
 	Err() error
 }
 
-// RunSource processes events pulled from src in order until exhaustion.
-// Each finished report is passed to onReport (nil to discard): in schedule
-// order, from a single goroutine, though in pipelined mode that goroutine
-// is the scheduler's retire loop, not the caller's. A non-nil onReport
-// error aborts the run and surfaces from RunSource. With a runtime
-// attached, the data plane ticks across event gaps and to horizonS at the
-// end, exactly like Run.
-func (o *Orchestrator) RunSource(src EventSource, horizonS float64, onReport func(EventReport) error) error {
-	if o.pipe != nil {
-		return o.runSourcePipelined(src, horizonS, onReport)
+// sliceSource is the EventSource over a pre-materialized schedule.
+type sliceSource struct{ events []workload.Event }
+
+func (s *sliceSource) Next() (workload.Event, bool) {
+	if len(s.events) == 0 {
+		return workload.Event{}, false
 	}
-	prev := math.Inf(-1)
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		if e.TimeS < prev {
-			return fmt.Errorf("orchestrator: out-of-order event at t=%v after t=%v", e.TimeS, prev)
-		}
-		prev = e.TimeS
-		if rt := o.runtime(); rt != nil {
-			if dt := e.TimeS - rt.Now(); dt > 1e-9 {
-				if _, err := rt.Tick(dt); err != nil {
-					return err
-				}
-			}
-		}
-		rep, err := o.HandleEvent(e)
-		if err != nil {
-			return err
-		}
-		if onReport != nil {
-			if err := onReport(rep); err != nil {
-				return err
-			}
-		}
-	}
-	if err := src.Err(); err != nil {
-		return err
-	}
-	if rt := o.runtime(); rt != nil {
-		if dt := horizonS - rt.Now(); dt > 1e-9 {
-			if _, err := rt.Tick(dt); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	e := s.events[0]
+	s.events = s.events[1:]
+	return e, true
 }
 
-// runSourcePipelined streams pulled events into the scheduler, mirroring
-// runPipelined's overlap and fault-barrier semantics. Reports are emitted
-// at retire time (schedule order) on the scheduler's retire goroutine; the
-// first onReport error stops admission of further events and surfaces
-// after the drain.
-func (o *Orchestrator) runSourcePipelined(src EventSource, horizonS float64, onReport func(EventReport) error) error {
+func (s *sliceSource) Err() error { return nil }
+
+// RunSource processes events pulled from src in order until exhaustion,
+// letting events with disjoint footprints overlap (Config.MaxInFlight).
+// Each finished report is passed to onReport (nil to discard): in schedule
+// order, from a single goroutine at a time — the scheduler's retire loop
+// for churn events, the caller's for fault events. A non-nil onReport
+// error stops admission of further events and surfaces from RunSource.
+// Fault events drain the scheduler and heal before the next event is
+// submitted. With a runtime attached, the data plane is ticked to each
+// event's time as it is admitted and to horizonS after the final drain.
+func (o *Orchestrator) RunSource(src EventSource, horizonS float64, onReport func(EventReport) error) error {
 	var cbMu sync.Mutex
 	var cbErr error
 	emit := func(rep EventReport) {
@@ -113,20 +77,8 @@ func (o *Orchestrator) runSourcePipelined(src EventSource, horizonS float64, onR
 			return fmt.Errorf("orchestrator: out-of-order event at t=%v after t=%v", e.TimeS, prev)
 		}
 		prev = e.TimeS
-		if rt := o.runtime(); rt != nil {
-			o.mu.Lock()
-			var err error
-			if dt := e.TimeS - rt.Now(); dt > 1e-9 {
-				_, err = rt.Tick(dt)
-			}
-			o.mu.Unlock()
-			if err != nil {
-				o.pipe.Drain()
-				return err
-			}
-		}
-		// Worker/runtime and report-sink errors surface mid-stream, like the
-		// serial path's per-event checks — not only after the drain.
+		// Worker/runtime and report-sink errors surface mid-stream, not only
+		// after the drain.
 		if err := o.takeRefErr(); err != nil {
 			o.pipe.Drain()
 			return err
@@ -148,7 +100,7 @@ func (o *Orchestrator) runSourcePipelined(src EventSource, horizonS float64, onR
 			emit(rep)
 			continue
 		}
-		if _, _, err := o.submitEvent(e, nil, emit); err != nil {
+		if _, _, err := o.submitEvent(e, emit); err != nil {
 			if derr := o.pipe.Drain(); derr != nil {
 				err = derr
 			}
@@ -161,16 +113,11 @@ func (o *Orchestrator) runSourcePipelined(src EventSource, horizonS float64, onR
 	if err := src.Err(); err != nil {
 		return err
 	}
-	if rt := o.runtime(); rt != nil {
-		o.mu.Lock()
-		var err error
-		if dt := horizonS - rt.Now(); dt > 1e-9 {
-			_, err = rt.Tick(dt)
-		}
-		o.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	o.mu.Lock()
+	err := o.tickLocked(horizonS)
+	o.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	if err := o.takeRefErr(); err != nil {
 		return err

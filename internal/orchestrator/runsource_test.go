@@ -87,12 +87,12 @@ func normalizeRecord(r telemetry.DecisionRecord) telemetry.DecisionRecord {
 	return r
 }
 
-// TestRunSourceDifferentialAllPaths is the tentpole proof: driving the
-// orchestrator from the lazy virtual-clock engine is bit-identical to the
-// eager pre-materialized Run — final assignment, objective bits, Stats
-// counters, per-event reports and the telemetry decision-record stream —
-// across the serial, single-lock and pipelined (in-flight 1) paths.
-func TestRunSourceDifferentialAllPaths(t *testing.T) {
+// TestRunSourceDifferential pins lazy ingestion against the eager
+// schedule: driving the orchestrator from the lazy virtual-clock engine
+// must be bit-identical to Run over the pre-materialized merge of the same
+// generators — final assignment, objective bits, Stats counters, per-event
+// reports and the telemetry decision-record stream.
+func TestRunSourceDifferential(t *testing.T) {
 	fc := chaosFleet(61)
 	_, _, homes := chaosStack(t, fc)
 	ccfg, fcfg := chaosGenConfigs(61, fc, homes, 400, 0.15)
@@ -113,8 +113,9 @@ func TestRunSourceDifferentialAllPaths(t *testing.T) {
 		reports []EventReport
 		records []telemetry.DecisionRecord
 	}
-	run := func(cfg Config, lazy bool) result {
+	run := func(lazy bool) result {
 		ev, boot, _ := chaosStack(t, fc)
+		cfg := chaosConfig(61, fc)
 		cfg.Telemetry = telemetry.New(telemetry.Config{Workers: cfg.Shards, TraceCapacity: len(events) + 8})
 		o, err := New(ev, boot, cfg)
 		if err != nil {
@@ -140,56 +141,36 @@ func TestRunSourceDifferentialAllPaths(t *testing.T) {
 			cfg.Telemetry.Recorder().Records()}
 	}
 
-	paths := []struct {
-		name string
-		tune func(cfg *Config)
-	}{
-		{"serial", func(cfg *Config) {}},
-		{"single-lock", func(cfg *Config) { cfg.LedgerShards = -1 }},
-		{"pipelined", func(cfg *Config) {
-			cfg.Pipeline = true
-			cfg.MaxInFlight = 1
-		}},
+	eager := run(false)
+	lazy := run(true)
+	if lazy.enc != eager.enc {
+		t.Fatal("final assignment diverged between eager Run and lazy RunSource")
 	}
-	for _, tc := range paths {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := chaosConfig(61, fc)
-			tc.tune(&cfg)
-			eager := run(cfg, false)
-			cfg = chaosConfig(61, fc)
-			tc.tune(&cfg)
-			lazy := run(cfg, true)
-
-			if lazy.enc != eager.enc {
-				t.Fatal("final assignment diverged between eager Run and lazy RunSource")
-			}
-			if math.Float64bits(lazy.phi) != math.Float64bits(eager.phi) {
-				t.Fatalf("objective diverged: eager %v lazy %v", eager.phi, lazy.phi)
-			}
-			if coreStats(lazy.stats) != coreStats(eager.stats) {
-				t.Fatalf("stats diverged:\n eager %+v\n lazy  %+v",
-					coreStats(eager.stats), coreStats(lazy.stats))
-			}
-			if len(lazy.reports) != len(eager.reports) {
-				t.Fatalf("report counts diverged: eager %d lazy %d", len(eager.reports), len(lazy.reports))
-			}
-			for i := range eager.reports {
-				a, b := normalizeReport(eager.reports[i]), normalizeReport(lazy.reports[i])
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("report %d diverged:\n eager %+v\n lazy  %+v", i, a, b)
-				}
-			}
-			if len(lazy.records) != len(eager.records) {
-				t.Fatalf("decision-record counts diverged: eager %d lazy %d",
-					len(eager.records), len(lazy.records))
-			}
-			for i := range eager.records {
-				a, b := normalizeRecord(eager.records[i]), normalizeRecord(lazy.records[i])
-				if a != b {
-					t.Fatalf("decision record %d diverged:\n eager %+v\n lazy  %+v", i, a, b)
-				}
-			}
-		})
+	if math.Float64bits(lazy.phi) != math.Float64bits(eager.phi) {
+		t.Fatalf("objective diverged: eager %v lazy %v", eager.phi, lazy.phi)
+	}
+	if coreStats(lazy.stats) != coreStats(eager.stats) {
+		t.Fatalf("stats diverged:\n eager %+v\n lazy  %+v",
+			coreStats(eager.stats), coreStats(lazy.stats))
+	}
+	if len(lazy.reports) != len(eager.reports) {
+		t.Fatalf("report counts diverged: eager %d lazy %d", len(eager.reports), len(lazy.reports))
+	}
+	for i := range eager.reports {
+		a, b := normalizeReport(eager.reports[i]), normalizeReport(lazy.reports[i])
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("report %d diverged:\n eager %+v\n lazy  %+v", i, a, b)
+		}
+	}
+	if len(lazy.records) != len(eager.records) {
+		t.Fatalf("decision-record counts diverged: eager %d lazy %d",
+			len(eager.records), len(lazy.records))
+	}
+	for i := range eager.records {
+		a, b := normalizeRecord(eager.records[i]), normalizeRecord(lazy.records[i])
+		if a != b {
+			t.Fatalf("decision record %d diverged:\n eager %+v\n lazy  %+v", i, a, b)
+		}
 	}
 }
 
@@ -275,19 +256,16 @@ func TestRunSourceRecordReplay(t *testing.T) {
 	}
 }
 
-// TestRunHorizonEdgeCases pins Run's boundary behavior: an empty schedule
-// is a no-op success, an event exactly at horizonS is processed, and
-// out-of-order input is rejected (serial and pipelined) instead of
+// TestRunHorizonEdgeCases pins Run's boundary behavior, at one and at two
+// events in flight: an empty schedule is a no-op success, an event exactly
+// at horizonS is processed, and out-of-order input is rejected instead of
 // silently regressing the clock.
 func TestRunHorizonEdgeCases(t *testing.T) {
-	build := func(pipelined bool) *Orchestrator {
+	build := func(inFlight int) *Orchestrator {
 		ev, boot := testStack(t, workload.Prototype(21))
 		cfg := DefaultConfig(21)
 		cfg.Shards = 2
-		if pipelined {
-			cfg.Pipeline = true
-			cfg.MaxInFlight = 2
-		}
+		cfg.MaxInFlight = inFlight
 		o, err := New(ev, boot, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -295,42 +273,42 @@ func TestRunHorizonEdgeCases(t *testing.T) {
 		t.Cleanup(o.Close)
 		return o
 	}
-	for _, pipelined := range []bool{false, true} {
-		o := build(pipelined)
+	for _, inFlight := range []int{1, 2} {
+		o := build(inFlight)
 		reports, err := o.Run(nil, 100)
 		if err != nil || len(reports) != 0 {
-			t.Fatalf("pipelined=%v: empty schedule: reports=%d err=%v", pipelined, len(reports), err)
+			t.Fatalf("in-flight %d: empty schedule: reports=%d err=%v", inFlight, len(reports), err)
 		}
 		// An event exactly at the horizon belongs to the schedule: Run
 		// processes every listed event; horizonS only pads the data plane.
 		reports, err = o.Run([]workload.Event{{TimeS: 100, Kind: workload.EventArrival, Session: 0}}, 100)
 		if err != nil || len(reports) != 1 || !reports[0].Admitted {
-			t.Fatalf("pipelined=%v: horizon-edge event: reports=%+v err=%v", pipelined, reports, err)
+			t.Fatalf("in-flight %d: horizon-edge event: reports=%+v err=%v", inFlight, reports, err)
 		}
 		if o.Now() != 100 {
-			t.Fatalf("pipelined=%v: clock %v after horizon-edge event", pipelined, o.Now())
+			t.Fatalf("in-flight %d: clock %v after horizon-edge event", inFlight, o.Now())
 		}
 		bad := []workload.Event{
 			{TimeS: 120, Kind: workload.EventArrival, Session: 1},
 			{TimeS: 110, Kind: workload.EventArrival, Session: 2},
 		}
 		if _, err := o.Run(bad, 200); err == nil {
-			t.Fatalf("pipelined=%v: out-of-order schedule accepted", pipelined)
+			t.Fatalf("in-flight %d: out-of-order schedule accepted", inFlight)
 		}
 		// The rejection happens before the offending event applies, so the
 		// orchestrator keeps working.
 		if err := o.CheckInvariants(); err != nil {
-			t.Fatalf("pipelined=%v: %v", pipelined, err)
+			t.Fatalf("in-flight %d: %v", inFlight, err)
 		}
-		o2 := build(pipelined)
+		o2 := build(inFlight)
 		if err := o2.RunSource(sim.NewSliceSource(bad), 200, nil); err == nil {
-			t.Fatalf("pipelined=%v: RunSource accepted out-of-order stream", pipelined)
+			t.Fatalf("in-flight %d: RunSource accepted out-of-order stream", inFlight)
 		}
 	}
 }
 
 // TestRunSourcePipelinedStorm races the streaming path end to end: a lazy
-// chaos engine feeding the pipelined scheduler at in-flight 4, reports
+// chaos engine feeding the scheduler at in-flight 4, reports
 // counted from the retire goroutine, invariants checked at the end. Run
 // under -race in CI.
 func TestRunSourcePipelinedStorm(t *testing.T) {
@@ -340,7 +318,6 @@ func TestRunSourcePipelinedStorm(t *testing.T) {
 	cfg := chaosConfig(71, fc)
 	cfg.Shards = 4
 	cfg.LedgerShards = 4
-	cfg.Pipeline = true
 	cfg.MaxInFlight = 4
 	ev, boot, _ := chaosStack(t, fc)
 	o, err := New(ev, boot, cfg)

@@ -10,36 +10,35 @@ import (
 // TestSessionLoadCallersKeepTheViewContract guards the callers of
 // cost.ObjectiveCache.SessionLoad, which hands every caller the same dense
 // view and overwrites it on the next call. Each of the orchestrator's uses
-// feeds the ledger (departure, eviction, the single-lock commit and its
-// rollback) or a touched set (admission, the pipelined committed-agents
-// index), so a caller that kept the view across another SessionLoad call
-// would move the wrong session's load. One churn + fault schedule runs
-// through all three engine paths: the ledger must reconcile with the loads
-// recomputed from the assignment (CheckInvariants; task counts exactly), and
-// the committed-agents index must name exactly the agents each active
-// session loads.
+// feeds the ledger (departure, eviction) or a touched set (admission, the
+// committed-agents index), so a caller that kept the view across another
+// SessionLoad call would move the wrong session's load. One churn + fault
+// schedule runs stepped (one HandleEvent at a time, invariants after every
+// event) and pipelined (Run at four events in flight): the ledger must
+// reconcile with the loads recomputed from the assignment (CheckInvariants;
+// task counts exactly), and at the end the committed-agents index must name
+// exactly the agents each active session loads.
 func TestSessionLoadCallersKeepTheViewContract(t *testing.T) {
 	fc := chaosFleet(43)
 	_, _, homes := chaosStack(t, fc)
 	events := chaosSchedule(t, 43, fc, homes, 400, 0.15)
 	for _, tc := range []struct {
-		name string
-		tune func(cfg *Config)
+		name     string
+		inFlight int
 	}{
-		{"serial", func(cfg *Config) {}},
-		{"single-lock", func(cfg *Config) { cfg.LedgerShards = -1 }},
-		{"pipelined", func(cfg *Config) { cfg.Pipeline, cfg.MaxInFlight = true, 4 }},
+		{"stepped", 1},
+		{"pipelined", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ev, boot, _ := chaosStack(t, fc)
 			cfg := chaosConfig(43, fc)
-			tc.tune(&cfg)
+			cfg.MaxInFlight = tc.inFlight
 			o, err := New(ev, boot, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer o.Close()
-			if cfg.Pipeline {
+			if tc.inFlight > 1 {
 				if _, err := o.Run(events, 1e18); err != nil {
 					t.Fatal(err)
 				}
@@ -59,9 +58,6 @@ func TestSessionLoadCallersKeepTheViewContract(t *testing.T) {
 			st := o.Stats()
 			if st.Commits == 0 || st.Departures == 0 || st.Orphans == 0 {
 				t.Fatalf("schedule did not reach every caller: %+v", st)
-			}
-			if o.touchIdx == nil {
-				return
 			}
 			scr := ev.NewScratch()
 			for s := range o.touchIdx {

@@ -152,32 +152,12 @@ func TestTelemetryReconciliationSerial(t *testing.T) {
 	}
 }
 
-func TestTelemetryReconciliationSingleLock(t *testing.T) {
-	ev, boot := testStack(t, workload.Prototype(12))
-	events := churn(t, ev, 12, 300, 0.08, 120)
-	sink := telemetry.New(telemetry.Config{Workers: 4, TraceCapacity: len(events) + 8})
-	cfg := DefaultConfig(12)
-	cfg.Shards = 4
-	cfg.LedgerShards = -1 // legacy single-lock commit path
-	cfg.Telemetry = sink
-	o, err := New(ev, boot, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	if _, err := o.Run(events, 300); err != nil {
-		t.Fatal(err)
-	}
-	reconcile(t, o, sink, len(events))
-}
-
 func TestTelemetryReconciliationPipelined(t *testing.T) {
 	ev, boot := testStack(t, workload.Prototype(13))
 	events := churn(t, ev, 13, 300, 0.10, 120)
 	sink := telemetry.New(telemetry.Config{Workers: 4, TraceCapacity: len(events) + 8})
 	cfg := DefaultConfig(13)
 	cfg.Shards = 4
-	cfg.Pipeline = true
 	cfg.MaxInFlight = 4
 	cfg.Core.NeighborWindow = 6
 	cfg.Telemetry = sink

@@ -36,9 +36,8 @@
 //
 // With MaxInFlight = 1 the scheduler degenerates to strict serial
 // execution: admit → re-optimize → retire, one event at a time, in
-// submission order — which is what makes the pipelined orchestrator
-// bit-identical to the serial path at cap 1 (see the orchestrator's
-// differential tests).
+// submission order — the orchestrator's default, whose decision stream is
+// pinned against recordings (the orchestrator's golden decision streams).
 package pipeline
 
 import (
@@ -214,8 +213,8 @@ type Scheduler struct {
 	err      error
 	// errSeq is the failing event's submission seq while err is set:
 	// retirement is suppressed from that seq on, so the retired stream is
-	// always a strict prefix of the submission order — matching the serial
-	// path's abort semantics.
+	// always a strict prefix of the submission order — an abort loses no
+	// event before the failing one and reports none after it.
 	errSeq int
 	closed bool
 	stats  Stats
@@ -265,8 +264,8 @@ func (s *Scheduler) Submit(exec Exec) (<-chan struct{}, error) {
 
 // Drain blocks until every submitted event has retired (or been discarded)
 // and returns the stream's first error, if any, clearing it — so one bad
-// event aborts the in-flight stream (pending events are discarded, matching
-// the serial path's Run-abort semantics) without permanently wedging the
+// event aborts the in-flight stream (pending events are discarded, as an
+// aborted Run stops at its failing event) without permanently wedging the
 // scheduler: the next submission after a Drain admits normally.
 func (s *Scheduler) Drain() error {
 	s.mu.Lock()

@@ -438,30 +438,6 @@ func (sl *Ledger) RouteAgents(r *Route, agents []model.AgentID) {
 // ResetRoute clears a route for this ledger's shard count.
 func (sl *Ledger) ResetRoute(r *Route) { r.reset(len(sl.shards)) }
 
-// ExpandRoute widens the route by slack neighboring ID-range stripes on
-// each side of every routed shard, then sorts it into canonical order. The
-// pipelined event scheduler uses it as footprint slack: an event's walks
-// may commit slightly outside the agents it routed from (footprint
-// under-estimation is handled by the Conflict/retry path, but widening the
-// claimed stripe set trades admission parallelism for fewer conflicts).
-// slack ≤ 0 only sorts.
-func (sl *Ledger) ExpandRoute(r *Route, slack int) {
-	if slack > 0 {
-		base := append([]int32(nil), r.list...)
-		for _, si := range base {
-			for d := int32(1); d <= int32(slack); d++ {
-				if si-d >= 0 {
-					r.add(si - d)
-				}
-				if int(si+d) < len(sl.shards) {
-					r.add(si + d)
-				}
-			}
-		}
-	}
-	r.sort()
-}
-
 // SnapshotRoute is SnapshotInto restricted to the routed shards: only
 // their agent ranges are copied (under each shard's lock) and only their
 // entries in the returned full-length epoch vector are meaningful. Ranges

@@ -26,8 +26,8 @@ type DecisionRecord struct {
 	Kind    string `json:"kind"`
 	Region  int    `json:"region"`
 	// Admitted is false for dropped arrivals and skipped departures.
-	// Stalled marks events whose admission waited in the pipelined
-	// scheduler (always false on the serial path).
+	// Stalled marks events whose admission waited in the event scheduler
+	// (never for fault events, which run with the scheduler drained).
 	Admitted bool `json:"admitted"`
 	Stalled  bool `json:"stalled"`
 	// Reopt is the size of the re-optimization set; the four outcome

@@ -33,7 +33,7 @@
 //	internal/cost         traffic/delay/objective model (§III) + delta evaluation
 //	internal/exact        exhaustive ground truth for small instances
 //	internal/confsim      data-plane runtime with dual-feed migration
-//	internal/orchestrator online churn control plane (sharded incremental re-optimization)
+//	internal/orchestrator online churn control plane (event scheduler + striped-ledger re-optimization)
 //	internal/dist         Alg. 1 as a TCP FREEZE/COMMIT protocol
 //	internal/workload, internal/netsim, internal/transcode  substrates
 package vconf
