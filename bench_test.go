@@ -2,11 +2,11 @@
 // (§V), one testing.B target per artifact, plus micro-benchmarks of the hot
 // paths and ablation benches for the design choices called out in DESIGN.md.
 //
-// The figure/table benches run the same experiment code as cmd/vcbench at a
-// reduced scale so `go test -bench=. -benchmem` stays fast; the full-scale
-// runs are `go run ./cmd/vcbench -run all`. Domain results (traffic
+// The figure/table benches run internal/experiments at a reduced scale so
+// `go test -bench=. -benchmem` stays fast. Domain results (traffic
 // reduction, success rates, optimality gaps) are attached to each bench via
-// b.ReportMetric, so the bench output doubles as a results table.
+// b.ReportMetric, so the bench output doubles as a results table. The
+// end-to-end battery of the online control plane is bench/ (its own module).
 package vconf_test
 
 import (
@@ -183,6 +183,25 @@ func BenchmarkFig10Nngbr(b *testing.B) {
 	b.ReportMetric(last.TrafficMbps[1], "nngbr2-traffic-mbps")
 }
 
+// BenchmarkBetaSweep runs the β sensitivity sweep (§IV-A-4: larger β is
+// more accurate but converges more slowly) on two prototype scenarios.
+func BenchmarkBetaSweep(b *testing.B) {
+	cfg := experiments.DefaultBetaSweepConfig(1)
+	cfg.Betas = []float64{100, 400}
+	cfg.NumScenarios = 2
+	cfg.DurationS = 100
+	var last *experiments.BetaSweepResult
+	for i := 0; i < b.N; i++ {
+		res, err := experiments.RunBetaSweep(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	b.ReportMetric(last.Rows_[0].FinalPhi, "phi-beta100")
+	b.ReportMetric(last.Rows_[1].FinalPhi, "phi-beta400")
+}
+
 func BenchmarkThm1Gap(b *testing.B) {
 	cfg := experiments.DefaultThm1Config(1)
 	cfg.Betas = []float64{10, 50}
@@ -251,7 +270,7 @@ func fleetScenario(b *testing.B, seed int64) (*cost.Evaluator, *assign.Assignmen
 // continuity with older baselines. The "warm-hop"/"rebuild-hop" pair runs
 // the N_ngbr = 1 candidate window (Fig. 10's tightest pruning), where the
 // once-per-hop BeginSession is a large share of the hop and the warm cache
-// pays off most — the acceptance series recorded in BENCH_5.json.
+// pays off most.
 func BenchmarkHopSession(b *testing.B) {
 	run := func(b *testing.B, ev *cost.Evaluator, a *assign.Assignment, ledger *cost.Ledger, cfg core.Config) {
 		rng := rand.New(rand.NewSource(1))

@@ -1,36 +1,25 @@
-// Command vcreport analyzes the observability artifacts the other tools
-// emit: BENCH_<n>.json perf payloads (vcbench), decision-record JSONL
-// traces, causal span JSONL, health sampler windows, SLO alert timelines
-// and final metric snapshots (vcsim -trace-out / -span-out /
-// -timeseries-out / -alerts-out / -metrics-out, or the corresponding
-// exposition endpoints).
+// Command vcreport analyzes the observability artifacts vcsim emits:
+// decision-record JSONL traces, causal span JSONL, health sampler windows,
+// SLO alert timelines and final metric snapshots (vcsim -trace-out /
+// -span-out / -timeseries-out / -alerts-out / -metrics-out, or the
+// corresponding exposition endpoints), and recorded sim traces.
 //
 // Usage:
 //
-//	vcreport -a OLD.json -b NEW.json [-tol 0.10]   A/B regression verdict
 //	vcreport -trace trace.jsonl                    per-class delay p50/p99 + fairness
 //	vcreport -spans spans.jsonl                    per-phase time attribution
 //	vcreport -timeseries ts.json                   windowed health summary
 //	vcreport -alerts alerts.json                   SLO alert timeline + alert minutes
 //	vcreport -metrics metrics.json                 final snapshot highlights
-//	vcreport -tsa A.json -tsb B.json               A/B windowed-health verdict
+//	vcreport -tsa A.json -tsb B.json [-tol 0.10]   A/B windowed-health verdict
 //	         [-alerts-a A.json -alerts-b B.json]   ... with alert minutes
 //	vcreport -trace-a A.jsonl -trace-b B.jsonl     sim-trace divergence (vcsim -record-trace)
 //
-// Modes combine freely. The A/B comparison extracts every recognized
-// metric leaf from both files (matched by benchmark/point name), applies
-// the metric's direction — ns_per_op, ns_per_event, recovery_p50_ms,
-// recovery_p99_ms, reopt_p50_ms and reopt_p99_ms are lower-better;
-// events_per_sec is higher-better — and fails (exit 1) when any metric
-// moved the wrong way by more than -tol relative. A BENCH file carrying a
-// schema_version other than the supported one is rejected loudly; a file
-// without the field predates the tag and is accepted as legacy.
-//
-// The windowed-health A/B (-tsa/-tsb, optionally -alerts-a/-alerts-b)
-// compares run-level health aggregates the same way: drop/reject/conflict
-// ratios, unhealthy-window counts, per-class windowed p99 delay and alert
-// minutes are lower-better, commit rate is higher-better; regressions
-// beyond -tol fail the verdict (exit 1).
+// Modes combine freely. The windowed-health A/B (-tsa/-tsb, optionally
+// -alerts-a/-alerts-b) compares run-level health aggregates: drop, reject
+// and conflict ratios, unhealthy-window counts, per-class windowed p99 delay
+// and alert minutes are lower-better, commit rate is higher-better; a move
+// the wrong way by more than -tol relative fails the verdict (exit 1).
 package main
 
 import (
@@ -48,22 +37,6 @@ import (
 	"vconf/internal/sim"
 )
 
-// supportedBenchSchema must match cmd/vcbench's benchSchemaVersion.
-const supportedBenchSchema = 1
-
-// metricDir maps recognized metric leaves to their direction: +1 means
-// higher is better, -1 means lower is better. Everything else in a BENCH
-// payload is context, not a comparable.
-var metricDir = map[string]int{
-	"ns_per_op":       -1,
-	"ns_per_event":    -1,
-	"recovery_p50_ms": -1,
-	"recovery_p99_ms": -1,
-	"reopt_p50_ms":    -1,
-	"reopt_p99_ms":    -1,
-	"events_per_sec":  +1,
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vcreport:", err)
@@ -74,9 +47,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vcreport", flag.ContinueOnError)
 	var (
-		fileA    = fs.String("a", "", "A/B: baseline BENCH_<n>.json")
-		fileB    = fs.String("b", "", "A/B: candidate BENCH_<n>.json")
-		tol      = fs.Float64("tol", 0.10, "A/B: relative tolerance before a move counts as a regression/improvement")
+		tol      = fs.Float64("tol", 0.10, "health A/B: relative tolerance before a move counts as a regression/improvement")
 		traceIn  = fs.String("trace", "", "decision-record JSONL file (vcsim -trace-out or /trace.jsonl)")
 		spansIn  = fs.String("spans", "", "span JSONL file (vcsim -span-out or /spans.jsonl)")
 		tsIn     = fs.String("timeseries", "", "health sampler windows (vcsim -timeseries-out or /timeseries.json)")
@@ -92,14 +63,11 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *fileA == "" && *fileB == "" && *traceIn == "" && *spansIn == "" &&
+	if *traceIn == "" && *spansIn == "" &&
 		*tsIn == "" && *alertsIn == "" && *metrIn == "" && *tsA == "" && *tsB == "" &&
 		*simA == "" && *simB == "" {
 		fs.Usage()
-		return fmt.Errorf("nothing to do: pass -a/-b, -trace, -spans, -timeseries, -alerts, -metrics, -tsa/-tsb, or -trace-a/-trace-b")
-	}
-	if (*fileA == "") != (*fileB == "") {
-		return fmt.Errorf("A/B comparison needs both -a and -b")
+		return fmt.Errorf("nothing to do: pass -trace, -spans, -timeseries, -alerts, -metrics, -tsa/-tsb, or -trace-a/-trace-b")
 	}
 	if (*tsA == "") != (*tsB == "") {
 		return fmt.Errorf("health A/B comparison needs both -tsa and -tsb")
@@ -151,140 +119,17 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("sim traces diverge")
 		}
 	}
-	regressions := 0
 	if *tsA != "" {
 		n, err := reportHealthAB(w, *tsA, *tsB, *alertsA, *alertsB, *tol)
 		if err != nil {
 			return err
 		}
-		regressions += n
-	}
-	if *fileA != "" {
-		n, err := reportAB(w, *fileA, *fileB, *tol)
-		if err != nil {
-			return err
+		if n > 0 {
+			return fmt.Errorf("%d metric(s) regressed beyond ±%.0f%%", n, *tol*100)
 		}
-		regressions += n
-	}
-	if regressions > 0 {
-		return fmt.Errorf("%d metric(s) regressed beyond ±%.0f%%", regressions, *tol*100)
 	}
 	return nil
 }
-
-// ---- A/B regression verdict ----------------------------------------------
-
-// loadBench flattens one BENCH payload into name→value metric leaves,
-// validating the schema tag first. Array entries ("benchmarks",
-// "shard_sweep", "points") are keyed by their "name" field so reordering
-// between runs cannot misalign the comparison.
-func loadBench(path string) (map[string]float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc map[string]interface{}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if v, ok := doc["schema_version"]; ok {
-		ver, isNum := v.(float64)
-		if !isNum || ver != supportedBenchSchema {
-			return nil, fmt.Errorf("%s: schema_version %v unsupported (this vcreport reads version %d); regenerate the report with a matching vcbench",
-				path, v, supportedBenchSchema)
-		}
-	} // absent: legacy payload from before the tag, accepted
-	metrics := map[string]float64{}
-	for _, section := range []string{"benchmarks", "shard_sweep", "points"} {
-		arr, ok := doc[section].([]interface{})
-		if !ok {
-			continue
-		}
-		for i, entry := range arr {
-			m, ok := entry.(map[string]interface{})
-			if !ok {
-				continue
-			}
-			key, _ := m["name"].(string)
-			if key == "" {
-				key = fmt.Sprintf("#%d", i)
-			}
-			for leaf, val := range m {
-				if _, comparable := metricDir[leaf]; !comparable {
-					continue
-				}
-				if f, isNum := val.(float64); isNum {
-					metrics[section+"/"+key+"/"+leaf] = f
-				}
-			}
-		}
-	}
-	if len(metrics) == 0 {
-		return nil, fmt.Errorf("%s: no recognized metric leaves; not a vcbench payload?", path)
-	}
-	return metrics, nil
-}
-
-// reportAB compares every metric present in both files and returns the
-// regression count.
-func reportAB(w io.Writer, pathA, pathB string, tol float64) (int, error) {
-	a, err := loadBench(pathA)
-	if err != nil {
-		return 0, err
-	}
-	b, err := loadBench(pathB)
-	if err != nil {
-		return 0, err
-	}
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		if _, ok := b[k]; ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	if len(keys) == 0 {
-		return 0, fmt.Errorf("no shared metrics between %s and %s", pathA, pathB)
-	}
-
-	fmt.Fprintf(w, "A/B: %s → %s (tolerance ±%.0f%%)\n", pathA, pathB, tol*100)
-	regressions, improvements := 0, 0
-	for _, k := range keys {
-		va, vb := a[k], b[k]
-		dir := metricDir[leafOf(k)]
-		var rel float64
-		switch {
-		case va == vb:
-			rel = 0
-		case va == 0:
-			// Zero baseline (e.g. recovery percentiles of a fault-free
-			// point): any movement is reported but never judged — a relative
-			// tolerance has no meaning against 0.
-			fmt.Fprintf(w, "  note     %-55s %12.4g → %-12.4g (zero baseline, not judged)\n", k, va, vb)
-			continue
-		default:
-			rel = (vb - va) / va
-		}
-		worse := rel * float64(dir) // negative when b moved the wrong way
-		switch {
-		case worse < -tol:
-			regressions++
-			fmt.Fprintf(w, "  REGRESS  %-55s %12.4g → %-12.4g (%+.1f%%)\n", k, va, vb, rel*100)
-		case worse > tol:
-			improvements++
-			fmt.Fprintf(w, "  improve  %-55s %12.4g → %-12.4g (%+.1f%%)\n", k, va, vb, rel*100)
-		}
-	}
-	verdict := "PASS"
-	if regressions > 0 {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(w, "verdict: %s — %d metrics compared, %d regressions, %d improvements\n",
-		verdict, len(keys), regressions, improvements)
-	return regressions, nil
-}
-
-func leafOf(key string) string { return key[strings.LastIndex(key, "/")+1:] }
 
 // ---- sim-trace divergence ------------------------------------------------
 

@@ -16,109 +16,6 @@ func write(t *testing.T, dir, name, content string) string {
 	return p
 }
 
-const benchA = `{
-  "generated_by": "vcbench -run chaos",
-  "schema_version": 1,
-  "points": [
-    {"name": "ChaosRecovery/none", "events_per_sec": 500, "reopt_p50_ms": 2.0, "reopt_p99_ms": 8.0, "recovery_p50_ms": 0, "recovery_p99_ms": 0},
-    {"name": "ChaosRecovery/heavy", "events_per_sec": 300, "reopt_p50_ms": 3.0, "reopt_p99_ms": 12.0, "recovery_p50_ms": 5.0, "recovery_p99_ms": 20.0}
-  ]
-}`
-
-func TestSelfCompareIsClean(t *testing.T) {
-	dir := t.TempDir()
-	p := write(t, dir, "a.json", benchA)
-	var sb strings.Builder
-	if err := run([]string{"-a", p, "-b", p}, &sb); err != nil {
-		t.Fatalf("self-comparison failed: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "verdict: PASS") || !strings.Contains(sb.String(), "0 regressions") {
-		t.Fatalf("unexpected verdict:\n%s", sb.String())
-	}
-}
-
-func TestRegressionDetectedAndJudgedByDirection(t *testing.T) {
-	dir := t.TempDir()
-	a := write(t, dir, "a.json", benchA)
-	// Candidate: heavy point throughput down 40% (regression), p50 down
-	// 33% (improvement, lower-better), recovery p99 up 50% (regression).
-	b := write(t, dir, "b.json", strings.NewReplacer(
-		`"events_per_sec": 300`, `"events_per_sec": 180`,
-		`"reopt_p50_ms": 3.0`, `"reopt_p50_ms": 2.0`,
-		`"recovery_p99_ms": 20.0`, `"recovery_p99_ms": 30.0`,
-	).Replace(benchA))
-	var sb strings.Builder
-	err := run([]string{"-a", a, "-b", b, "-tol", "0.10"}, &sb)
-	if err == nil {
-		t.Fatalf("regressions not surfaced as an error:\n%s", sb.String())
-	}
-	out := sb.String()
-	if !strings.Contains(out, "verdict: FAIL") || !strings.Contains(out, "2 regressions") || !strings.Contains(out, "1 improvements") {
-		t.Fatalf("unexpected verdict:\n%s", out)
-	}
-	if !strings.Contains(out, "REGRESS  points/ChaosRecovery/heavy/events_per_sec") {
-		t.Fatalf("throughput regression not flagged:\n%s", out)
-	}
-
-	// The same files inside a generous tolerance pass.
-	sb.Reset()
-	if err := run([]string{"-a", a, "-b", b, "-tol", "0.60"}, &sb); err != nil {
-		t.Fatalf("within-tolerance comparison failed: %v\n%s", err, sb.String())
-	}
-}
-
-func TestZeroBaselineIsNotedNotJudged(t *testing.T) {
-	dir := t.TempDir()
-	a := write(t, dir, "a.json", benchA)
-	b := write(t, dir, "b.json", strings.Replace(benchA, `"recovery_p50_ms": 0,`, `"recovery_p50_ms": 1.0,`, 1))
-	var sb strings.Builder
-	if err := run([]string{"-a", a, "-b", b}, &sb); err != nil {
-		t.Fatalf("zero-baseline movement judged as regression: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "zero baseline") {
-		t.Fatalf("zero-baseline movement not noted:\n%s", sb.String())
-	}
-}
-
-func TestSchemaVersionValidation(t *testing.T) {
-	dir := t.TempDir()
-	good := write(t, dir, "good.json", benchA)
-
-	// Mismatched version: rejected loudly.
-	bad := write(t, dir, "bad.json", strings.Replace(benchA, `"schema_version": 1`, `"schema_version": 2`, 1))
-	var sb strings.Builder
-	err := run([]string{"-a", good, "-b", bad}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "schema_version") {
-		t.Fatalf("schema mismatch not rejected: %v", err)
-	}
-
-	// Non-numeric version: rejected too.
-	junk := write(t, dir, "junk.json", strings.Replace(benchA, `"schema_version": 1`, `"schema_version": "v1"`, 1))
-	if err := run([]string{"-a", good, "-b", junk}, &sb); err == nil || !strings.Contains(err.Error(), "schema_version") {
-		t.Fatalf("non-numeric schema not rejected: %v", err)
-	}
-
-	// Absent version: accepted legacy.
-	legacy := write(t, dir, "legacy.json", strings.Replace(benchA, `  "schema_version": 1,`+"\n", "", 1))
-	sb.Reset()
-	if err := run([]string{"-a", legacy, "-b", legacy}, &sb); err != nil {
-		t.Fatalf("legacy payload rejected: %v", err)
-	}
-}
-
-func TestCommittedBaselineSelfCompare(t *testing.T) {
-	// The repo's committed BENCH_7.json (a legacy payload without the
-	// schema tag) must self-compare clean — the CI smoke contract.
-	p := filepath.Join("..", "..", "BENCH_7.json")
-	if _, err := os.Stat(p); err != nil {
-		t.Skipf("no committed baseline: %v", err)
-	}
-	var sb strings.Builder
-	if err := run([]string{"-a", p, "-b", p}, &sb); err != nil {
-		t.Fatalf("BENCH_7.json self-comparison failed: %v\n%s", err, sb.String())
-	}
-}
-
 func TestTraceAndSpanReports(t *testing.T) {
 	dir := t.TempDir()
 	trace := write(t, dir, "trace.jsonl", strings.Join([]string{
@@ -158,10 +55,10 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{}, &sb); err == nil {
 		t.Fatal("no-op invocation accepted")
 	}
-	if err := run([]string{"-a", "x.json"}, &sb); err == nil {
-		t.Fatal("-a without -b accepted")
+	if err := run([]string{"-a", "x.json", "-b", "y.json"}, &sb); err == nil {
+		t.Fatal("the removed BENCH-payload flags accepted")
 	}
-	if err := run([]string{"-a", "x.json", "-b", "y.json", "-tol", "-1"}, &sb); err == nil {
+	if err := run([]string{"-tsa", "x.json", "-tsb", "y.json", "-tol", "-1"}, &sb); err == nil {
 		t.Fatal("negative tolerance accepted")
 	}
 }

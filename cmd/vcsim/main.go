@@ -526,12 +526,13 @@ func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, opts churnOpt
 	if st.Events > 0 {
 		meanLat = (st.ReoptTotal / time.Duration(st.Events)).Round(10 * time.Microsecond).String()
 	}
-	reused := "n/a"
+	reused, across := "n/a", "n/a"
 	if st.WalkHops > 0 {
 		reused = fmt.Sprintf("%.1f%%", 100*float64(st.WalkReused)/float64(st.WalkHops))
+		across = fmt.Sprintf("%.1f%%", 100*float64(st.WalkReusedAcross)/float64(st.WalkHops))
 	}
-	fmt.Fprintf(w, "churn: %d arrivals (%d dropped), %d departures (%d skipped), %d tasks, %d commits, %d rejects; %d hops walked, %s reused\n",
-		st.Arrivals, st.Dropped, st.Departures, st.Skipped, st.Tasks, st.Commits, st.Rejects, st.WalkHops, reused)
+	fmt.Fprintf(w, "churn: %d arrivals (%d dropped), %d departures (%d skipped), %d tasks, %d commits, %d rejects; %d hops walked, %s reused, %s reused across walks\n",
+		st.Arrivals, st.Dropped, st.Departures, st.Skipped, st.Tasks, st.Commits, st.Rejects, st.WalkHops, reused, across)
 	fmt.Fprintf(w, "reopt latency: mean %s, p50 %s, p99 %s, max %s; data plane: %d migrations, overhead %.2f Mbps·s\n",
 		meanLat, st.ReoptP50.Round(10*time.Microsecond), st.ReoptP99.Round(10*time.Microsecond),
 		st.ReoptMax.Round(10*time.Microsecond), rts.Migrations, rts.TotalOverheadMbpsS)

@@ -29,24 +29,19 @@ type Assignment struct {
 	// the scenario's canonical flow order, or Unassigned. The demanded
 	// representation of each flow is fixed by the scenario (γ's r index).
 	flowAgent []model.AgentID
-	// flows is the canonical ordering of all transcoding flows. Flows are
-	// grouped by session: flowStart[s] .. flowStart[s+1] delimit session s's
-	// flows, which lets hot paths enumerate them without scanning or
-	// allocating. Within a session the order is the scenario plan's
-	// (model.PlanPair.Flow), so a flow resolves to its slot by arithmetic.
+	// flows is the canonical ordering of all transcoding flows, the
+	// scenario's (model.Scenario.ThetaFlowTable): grouped by session,
+	// flowStart[s] .. flowStart[s+1] delimit session s's flows, which lets
+	// hot paths enumerate them without scanning or allocating. Within a
+	// session the order is the scenario plan's (model.PlanPair.Flow), so a
+	// flow resolves to its slot by arithmetic.
 	flows     []model.Flow
-	flowStart []int
+	flowStart []int32
 }
 
 // New creates an all-Unassigned assignment for the scenario.
 func New(sc *model.Scenario) *Assignment {
-	var flows []model.Flow
-	flowStart := make([]int, sc.NumSessions()+1)
-	for s := 0; s < sc.NumSessions(); s++ {
-		flowStart[s] = len(flows)
-		flows = append(flows, sc.SessionThetaFlows(model.SessionID(s))...)
-	}
-	flowStart[sc.NumSessions()] = len(flows)
+	flows, flowStart := sc.ThetaFlowTable()
 	a := &Assignment{
 		sc:        sc,
 		userAgent: make([]model.AgentID, sc.NumUsers()),
@@ -106,7 +101,7 @@ func (a *Assignment) flowSlot(f model.Flow) int {
 	if k < 0 {
 		return -1
 	}
-	return a.flowStart[a.sc.User(f.Src).Session] + k
+	return int(a.flowStart[a.sc.User(f.Src).Session]) + k
 }
 
 // SetFlowAgent assigns the transcoding of flow f to agent l.

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"vconf/internal/assign"
@@ -56,16 +55,23 @@ func (r *HopResult) rankCandidates(phis []float64) {
 // candidate-set buffers of the jump sampling. One scratch per worker; not
 // safe for concurrent use.
 type HopScratch struct {
-	eval      *cost.Scratch
+	eval *cost.Scratch
+	// decisions are the neighbors of the current state and vals their Φs as
+	// price computes them (NaN: not a candidate); key is the state's memo
+	// key and memo the walk's own memo, which holds the candidate sets the
+	// hop samples from.
 	decisions []assign.Decision
-	// ds and phis hold feasible candidates, decision and noiseless Φ: end to
-	// end, the sets of the distinct states the current walk has evaluated
-	// (WalkSession's memo). State e's set ends at memoEnds[e]; its key — the
-	// member agents, then the flow agents — is the e-th stride of memoKeys.
+	vals      []float64
+	key       []int32
+	memo      WalkMemo
+	// bounds are the per-agent maxima of the candidate loads price folds,
+	// envAt maps an agent to 1 + its index in them (0 otherwise), and env
+	// is their envelope at rest.
+	bounds []loadBound
+	envAt  []int32
+	env    []cost.EnvelopeAgent
+	// ds is the optimistic engine's feasible-candidate buffer.
 	ds       []assign.Decision
-	phis     []float64
-	memoKeys []model.AgentID
-	memoEnds []int
 	readings []float64 // noisy Φ readings (cfg.Noise only)
 	weights  []float64
 	// nbrIdx is the proximity index backing Config.NeighborWindow > 0:
@@ -143,7 +149,8 @@ func (scr *HopScratch) appendNeighbors(a *assign.Assignment, s model.SessionID, 
 // Evaluation runs on the sparse delta pipeline (cost.Scratch) with a pooled
 // scratch; long-lived callers hold their own and use HopSessionWith. Setting
 // cfg.DenseEval selects the dense reference implementation instead — the two
-// pick bit-identical hop sequences for a fixed seed.
+// pick bit-identical hop sequences for a fixed seed. The orchestrator's walk
+// (WalkSession) is always sparse.
 func HopSession(
 	a *assign.Assignment,
 	s model.SessionID,
@@ -168,20 +175,20 @@ func HopSessionWith(
 	rng *rand.Rand,
 	scr *HopScratch,
 ) (HopResult, error) {
+	if cfg.DenseEval {
+		return hopSessionDense(a, s, ev, ledger, cfg, rng)
+	}
 	var res HopResult
-	_, err := WalkSession(a, s, ev, ledger, cfg, rng, scr, 1, func(r HopResult) { res = r })
+	_, err := WalkSession(a, s, ev, ledger, cfg, rng, scr, nil, 1, func(r HopResult) { res = r })
 	return res, err
 }
 
 // WalkStats counts one walk's hops: Hops executed (a last one that found no
-// feasible neighbor included) and, among them, Reused — hops that started
-// from a state the walk had already evaluated and took its candidate set
-// from the memo.
-type WalkStats struct{ Hops, Reused int }
-
-// walkMemoStates bounds the states one walk memoizes, and with it the
-// scratch memory a long walk can pin; later states are evaluated every time.
-const walkMemoStates = 64
+// feasible neighbor included) and, among them, Reused — hops from a state
+// the walk had already been in, which took its candidate set from the
+// walk's memo — and ReusedAcross — hops from a state new to the walk that
+// an earlier walk of the session had priced. The rest evaluated theirs.
+type WalkStats struct{ Hops, Reused, ReusedAcross int }
 
 // WalkSession executes up to hops consecutive HOPs of session s — the same
 // states, results and rng draws as that many HopSessionWith calls — calling
@@ -195,16 +202,15 @@ const walkMemoStates = 64
 // keeps every writer off it (HopSession's mutual-exclusion contract), so a
 // state's feasible candidates and their noiseless Φ are a pure function of
 // the state. β-weighted jumps send a session at a local optimum
-// f → f′ → f → f″ → f, and the walk memoizes each state's candidate set,
-// keyed by the session's own decision variables (member agents, then flow
-// agents, compared element by element). A hop from a memoized state skips
-// only the candidate evaluation: BeginSession, the noise readings, the
-// weights, the rng draw, Apply, the chosen state's CandidateLoad and
-// CommitSessionDecision run as on a miss, in the same order. The memo lives
-// in scr and is emptied when a walk starts, so no change between walks — a
-// capacity scale, another session's commit — can reach one through it.
-// Under cfg.DenseEval every hop is the dense reference's and nothing is
-// reused.
+// f → f′ → f → f″ → f, and the walk memoizes each state it prices in the
+// scratch's memo, emptied when the walk starts. memo, when non-nil, is the
+// session's own memo (see WalkMemo): checked against the ledger once, right
+// after the session's load is taken out, and emptied if its envelope no
+// longer fits; it serves states new to this walk and keeps the certified
+// states the walk prices. A hop from a memoized state skips only the
+// candidate evaluation: BeginSession, the noise readings, the weights, the
+// rng draw, Apply, the chosen state's CandidateLoad and
+// CommitSessionDecision run as on a miss, in the same order.
 func WalkSession(
 	a *assign.Assignment,
 	s model.SessionID,
@@ -213,28 +219,15 @@ func WalkSession(
 	cfg Config,
 	rng *rand.Rand,
 	scr *HopScratch,
+	memo *WalkMemo,
 	hops int,
 	visit func(HopResult),
 ) (WalkStats, error) {
 	var st WalkStats
-	if cfg.DenseEval {
-		for st.Hops < hops {
-			res, err := hopSessionDense(a, s, ev, ledger, cfg, rng)
-			if err != nil {
-				return st, err
-			}
-			st.Hops++
-			visit(res)
-			if !res.Moved {
-				break
-			}
-		}
-		return st, nil
-	}
 	scr.ensure(ev)
 	es := scr.eval
 	es.SetDelayCacheEnabled(!cfg.RebuildDelayBase)
-	scr.memoEnds = scr.memoEnds[:0]
+	scr.memo.Clear()
 
 	// own is the load of the state the session is in, nil before the first hop.
 	var own *cost.SparseLoad
@@ -249,15 +242,21 @@ func WalkSession(
 		be := ev.BeginSession(a, s, es)
 		if own == nil {
 			ledger.RemoveSparse(es.CurLoad())
+			if memo != nil && !ledger.FitsEnvelope(memo.env) {
+				memo.Clear()
+			}
 		}
 		own = es.CurLoad()
-		ds, phis, reused, err := scr.candidateSet(a, s, ev, ledger, cfg)
+		ds, phis, src, err := scr.candidateSet(a, s, ev, ledger, cfg, memo)
 		if err != nil {
 			return st, err
 		}
 		st.Hops++
-		if reused {
+		switch src {
+		case fromWalk:
 			st.Reused++
+		case fromSession:
+			st.ReusedAcross++
 		}
 		res := HopResult{PhiBefore: be.Phi, PhiAfter: be.Phi, Feasible: len(ds)}
 		res.rankCandidates(phis)
@@ -280,71 +279,124 @@ func WalkSession(
 	return st, nil
 }
 
-// appendCandidates evaluates F_s of the state BeginSession last prepared on
-// the scratch — all feasible solutions one decision away (line 12; windowed
-// to the k nearest agents per variable when cfg.NeighborWindow > 0) — and
-// appends each feasible decision and its noiseless Φ to scr.ds and scr.phis.
-// The ledger must hold the other sessions' usage only. Each candidate costs
-// O(session) work: a sparse load rebuild, a touched-agents capacity check,
-// and a delay re-evaluation of only the flows the decision moved.
-func (scr *HopScratch) appendCandidates(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, cfg Config) error {
+// price evaluates F_s of the state BeginSession last prepared on the
+// scratch — all feasible solutions one decision away (line 12; windowed to
+// the k nearest agents per variable when cfg.NeighborWindow > 0): it fills
+// scr.decisions with the neighbors and scr.vals with one noiseless Φ per
+// neighbor, NaN where capacity or the delay cap refuses it. The ledger must
+// hold the other sessions' usage only. Each candidate costs O(session)
+// work: a sparse load rebuild, a touched-agents capacity check, and a delay
+// re-evaluation of only the flows the decision moved. With fold, the loads
+// of the candidates are folded into per-agent maxima, O(touched) each, and
+// certified reports that no neighbor was refused for capacity and that the
+// envelope of the maxima (scr.env) fits.
+func (scr *HopScratch) price(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, cfg Config, fold bool) (certified bool, err error) {
 	es := scr.eval
 	curLoad := es.CurLoad()
 	scr.decisions = scr.appendNeighbors(a, s, cfg)
+	scr.vals = scr.vals[:0]
+	scr.bounds = scr.bounds[:0]
+	if n := a.Scenario().NumAgents(); fold && len(scr.envAt) != n {
+		scr.envAt = make([]int32, n)
+	}
+	defer func() {
+		for _, b := range scr.bounds {
+			scr.envAt[b.agent] = 0
+		}
+	}()
+	refused := false
 	for _, d := range scr.decisions {
 		inv, err := a.Apply(d)
 		if err != nil {
-			return err
+			return false, err
 		}
 		load := ev.CandidateLoad(a, s, es)
+		val := math.NaN()
 		// FitsRepairDelta (not Fits) so that after a runtime capacity
 		// degradation, sessions can still migrate off the overloaded agent
 		// instead of freezing; on a fully-feasible ledger it is identical
 		// to Fits.
-		if ledger.FitsRepairDelta(load, curLoad) {
-			if phi, ok := ev.CandidatePhi(a, s, d, es); ok {
-				scr.ds = append(scr.ds, d)
-				scr.phis = append(scr.phis, phi)
+		if !ledger.FitsRepairDelta(load, curLoad) {
+			refused = true
+		} else if phi, ok := ev.CandidatePhi(a, s, d, es); ok {
+			val = phi
+			if fold && !refused {
+				scr.foldBounds(load)
 			}
 		}
+		scr.vals = append(scr.vals, val)
 		if _, err := a.Apply(inv); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	if !fold || refused {
+		return false, nil
+	}
+	scr.env = scr.env[:0]
+	for _, b := range scr.bounds {
+		e := cost.EnvelopeAgent{Agent: b.agent}
+		e.Raise(b.down, b.up, b.tasks)
+		scr.env = append(scr.env, e)
+	}
+	return ledger.FitsEnvelope(scr.env), nil
 }
+
+// loadBound is one agent's largest down, up and tasks over folded loads.
+type loadBound struct {
+	agent    int32
+	tasks    int
+	down, up float64
+}
+
+// foldBounds raises scr.bounds to cover load, O(touched).
+func (scr *HopScratch) foldBounds(load *cost.SparseLoad) {
+	for _, l := range load.Touched() {
+		i := scr.envAt[l] - 1
+		if i < 0 {
+			scr.bounds = append(scr.bounds, loadBound{agent: l})
+			i = int32(len(scr.bounds) - 1)
+			scr.envAt[l] = i + 1
+		}
+		down, up, _, tasks := load.At(model.AgentID(l))
+		b := &scr.bounds[i]
+		b.down, b.up, b.tasks = max(b.down, down), max(b.up, up), max(b.tasks, tasks)
+	}
+}
+
+// Where a hop's candidate set came from.
+const (
+	priced = iota
+	fromWalk
+	fromSession
+)
 
 // candidateSet returns the feasible candidates of the state a holds and
 // their noiseless Φ: from the walk's memo when the walk has been in this
-// state before (reused), by appendCandidates, memoizing, otherwise.
-func (scr *HopScratch) candidateSet(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, cfg Config) (ds []assign.Decision, phis []float64, reused bool, err error) {
-	users := a.Scenario().Session(s).Users
-	flowTo := a.SessionFlowAgents(s)
-	k := len(users) + len(flowTo)
-	at := len(scr.memoEnds) * k
-	scr.memoKeys = scr.memoKeys[:at]
-	for _, u := range users {
-		scr.memoKeys = append(scr.memoKeys, a.UserAgent(u))
+// state before, else from the session's memo (when given) when an earlier
+// walk priced it, else by price — storing the state in the session's memo
+// when certified. Either of the last two becomes the walk memo's set.
+func (scr *HopScratch) candidateSet(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, cfg Config, memo *WalkMemo) (ds []assign.Decision, phis []float64, src int, err error) {
+	scr.key = appendKey(scr.key[:0], a, s)
+	if phis, ds, ok := scr.memo.lookup(scr.key); ok {
+		return ds, phis, fromWalk, nil
 	}
-	scr.memoKeys = append(scr.memoKeys, flowTo...)
-	key := scr.memoKeys[at:]
-	lo := 0
-	for e, end := range scr.memoEnds {
-		if slices.Equal(scr.memoKeys[e*k:(e+1)*k], key) {
-			return scr.ds[lo:end], scr.phis[lo:end], true, nil
+	vals, _, ok := memo.lookup(scr.key)
+	src = fromSession
+	if ok {
+		scr.decisions = scr.appendNeighbors(a, s, cfg)
+	} else {
+		src = priced
+		certified, err := scr.price(a, s, ev, ledger, cfg, memo.roomy())
+		if err != nil {
+			return nil, nil, 0, err
 		}
-		lo = end
+		vals = scr.vals
+		if certified && memo.store(scr.key, vals) {
+			memo.widen(scr.env, scr.envAt)
+		}
 	}
-	// A new state: its set goes after the last memoized one, and its key,
-	// already in place, is kept by recording where the set ends.
-	scr.ds, scr.phis = scr.ds[:lo], scr.phis[:lo]
-	if err := scr.appendCandidates(a, s, ev, ledger, cfg); err != nil {
-		return nil, nil, false, err
-	}
-	if len(scr.memoEnds) < walkMemoStates {
-		scr.memoEnds = append(scr.memoEnds, len(scr.ds))
-	}
-	return scr.ds[lo:], scr.phis[lo:], false, nil
+	ds, phis = scr.memo.keep(scr.key, scr.decisions, vals)
+	return ds, phis, src, nil
 }
 
 // sample draws the hop's target (line 13) ∝ exp(½β(Φ_f − Φ_f')) over the
@@ -526,16 +578,17 @@ func SessionTotalRateWith(
 
 	be := ev.BeginSession(a, s, es)
 	ledger.RemoveSparse(es.CurLoad())
-	scr.ds, scr.phis = scr.ds[:0], scr.phis[:0]
-	err := scr.appendCandidates(a, s, ev, ledger, cfg)
+	_, err := scr.price(a, s, ev, ledger, cfg, false)
 	ledger.AddSparse(es.CurLoad())
 	if err != nil {
 		return 0, err
 	}
 	halfBeta := 0.5 * cfg.Beta * cfg.ObjectiveScale
 	total := 0.0
-	for _, phi := range scr.phis {
-		total += math.Exp(halfBeta * (be.Phi - phi))
+	for _, phi := range scr.vals {
+		if !math.IsNaN(phi) {
+			total += math.Exp(halfBeta * (be.Phi - phi))
+		}
 	}
 	return total, nil
 }

@@ -124,9 +124,10 @@ func TestSharedPlanConcurrentWorkers(t *testing.T) {
 }
 
 // BenchmarkWalkSession times the orchestrator's unit of work: a 12-hop walk
-// of one session (candidate window 4, shared index, warm scratch) on
-// sessions of 5 and of 12 users, and reports the share of hops that reused
-// a memoized candidate set. CI runs it with -benchtime=1x.
+// of one session (candidate window 4, shared index, warm scratch, a memo per
+// session) on sessions of 5 and of 12 users, and reports the share of hops
+// that reused a candidate set from the walk's own memo (reused/hop) and from
+// an earlier walk's (across/hop). CI runs it with -benchtime=1x.
 func BenchmarkWalkSession(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -140,14 +141,20 @@ func BenchmarkWalkSession(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			scr := NewHopScratch(ev)
 			scr.SetProximityIndex(assign.NewProximityIndex(ev.Scenario(), hopWindow))
+			budget := &MemoBudget{Limit: 1 << 20}
+			memos := make([]*WalkMemo, sessions)
+			for i := range memos {
+				memos[i] = NewWalkMemo(budget)
+			}
 			var total WalkStats
 			walk := func(i int) {
-				st, err := WalkSession(a, model.SessionID(i%sessions), ev, ledger, cfg, rng, scr, 12, func(HopResult) {})
+				st, err := WalkSession(a, model.SessionID(i%sessions), ev, ledger, cfg, rng, scr, memos[i%sessions], 12, func(HopResult) {})
 				if err != nil {
 					b.Fatal(err)
 				}
 				total.Hops += st.Hops
 				total.Reused += st.Reused
+				total.ReusedAcross += st.ReusedAcross
 			}
 			for i := 0; i < sessions; i++ {
 				walk(i)
@@ -159,6 +166,7 @@ func BenchmarkWalkSession(b *testing.B) {
 				walk(i)
 			}
 			b.ReportMetric(float64(total.Reused)/float64(total.Hops), "reused/hop")
+			b.ReportMetric(float64(total.ReusedAcross)/float64(total.Hops), "across/hop")
 		})
 	}
 }

@@ -114,7 +114,7 @@ func TestWalkMatchesHopByHop(t *testing.T) {
 							}
 						}
 						var got []HopResult
-						st, err := WalkSession(aWalk, s, ev, ledgerWalk, cfgWalk, rngWalk, scrWalk, walkBudget,
+						st, err := WalkSession(aWalk, s, ev, ledgerWalk, cfgWalk, rngWalk, scrWalk, nil, walkBudget,
 							func(res HopResult) { got = append(got, res) })
 						if err != nil {
 							t.Fatal(err)
@@ -176,7 +176,7 @@ func convergedFixture(tb testing.TB, sessionSize int, cfg Config, scr *HopScratc
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 20*ev.Scenario().NumSessions(); i++ {
 		s := model.SessionID(i % ev.Scenario().NumSessions())
-		if _, err := WalkSession(a, s, ev, ledger, cfg, rng, scr, walkBudget, func(HopResult) {}); err != nil {
+		if _, err := WalkSession(a, s, ev, ledger, cfg, rng, scr, nil, walkBudget, func(HopResult) {}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -194,14 +194,14 @@ func TestWalkReusesRevisitedStates(t *testing.T) {
 	ev, a, ledger := convergedFixture(t, 5, cfg, scr)
 	rng := rand.New(rand.NewSource(3))
 	for s := 0; s < ev.Scenario().NumSessions(); s++ {
-		st, err := WalkSession(a, model.SessionID(s), ev, ledger, cfg, rng, scr, walkBudget, func(HopResult) {})
+		st, err := WalkSession(a, model.SessionID(s), ev, ledger, cfg, rng, scr, nil, walkBudget, func(HopResult) {})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Hops != walkBudget || st.Reused < 4 {
 			t.Errorf("session %d at a local optimum: %+v, want %d hops and at least 4 reused", s, st, walkBudget)
 		}
-		one, err := WalkSession(a, model.SessionID(s), ev, ledger, cfg, rng, scr, 1, func(HopResult) {})
+		one, err := WalkSession(a, model.SessionID(s), ev, ledger, cfg, rng, scr, nil, 1, func(HopResult) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestWalkSessionZeroAllocs(t *testing.T) {
 		visit := func(HopResult) {}
 		s := 0
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := WalkSession(a, model.SessionID(s%sessions), ev, ledger, cfg, rng, scr, walkBudget, visit); err != nil {
+			if _, err := WalkSession(a, model.SessionID(s%sessions), ev, ledger, cfg, rng, scr, nil, walkBudget, visit); err != nil {
 				t.Fatal(err)
 			}
 			s++
@@ -256,7 +256,7 @@ func TestWalkConcurrentWorkersSharedPlan(t *testing.T) {
 		var trail []HopResult
 		for i := 0; i < 40; i++ {
 			s := model.SessionID((2*i + w) % sessions)
-			if _, err := WalkSession(a, s, ev, ledger, cfg, rng, scr, walkBudget,
+			if _, err := WalkSession(a, s, ev, ledger, cfg, rng, scr, nil, walkBudget,
 				func(res HopResult) { trail = append(trail, res) }); err != nil {
 				return nil, err
 			}
@@ -295,41 +295,207 @@ func TestWalkConcurrentWorkersSharedPlan(t *testing.T) {
 	}
 }
 
-// TestWalkMemoEndsWithTheWalk: the memo must not outlive its walk. Session 0
-// is walked, the fleet's capacity is then scaled down to almost nothing, and
-// a second walk from the very same state with the same scratch must see the
-// degraded fleet — fewer feasible neighbors on its first hop, and hop for
-// hop what a scratch that never saw the first walk computes.
-func TestWalkMemoEndsWithTheWalk(t *testing.T) {
+// TestWalkMemoCertificateSeesCapacityChange: a capacity change between
+// walks must reach a session memo through its certificate. Session 0 is
+// walked twice from the same state with one memo (and one scratch): the
+// second walk takes its states from the first. The fleet's capacity is then
+// scaled down to almost nothing, and a third walk from the same state with
+// the same memo must see the degraded fleet — fewer feasible neighbors on its
+// first hop, nothing reused across walks, and hop for hop what a walk with a
+// fresh scratch and no memo computes.
+func TestWalkMemoCertificateSeesCapacityChange(t *testing.T) {
 	ev, a0, ledger := fleetFixture(t, 5)
 	cfg := DefaultConfig(1)
 	cfg.NeighborWindow = hopWindow
-	walk := func(scr *HopScratch) []HopResult {
+	walk := func(scr *HopScratch, memo *WalkMemo) ([]HopResult, WalkStats) {
 		var trail []HopResult
-		if _, err := WalkSession(a0.Clone(), 0, ev, ledger.Clone(), cfg, rand.New(rand.NewSource(6)), scr, walkBudget,
-			func(res HopResult) { trail = append(trail, res) }); err != nil {
+		st, err := WalkSession(a0.Clone(), 0, ev, ledger.Clone(), cfg, rand.New(rand.NewSource(6)), scr, memo, walkBudget,
+			func(res HopResult) { trail = append(trail, res) })
+		if err != nil {
 			t.Fatal(err)
 		}
-		return trail
+		return trail, st
 	}
-	used := NewHopScratch(ev)
-	before := walk(used)
+	sameTrail := func(what string, got, want []HopResult) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d hops, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if !sameHop(got[i], want[i]) {
+				t.Fatalf("%s: hop %d: %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	used, memo := NewHopScratch(ev), NewWalkMemo(&MemoBudget{Limit: 1 << 20})
+	before, _ := walk(used, memo)
+	again, st := walk(used, memo)
+	if st.ReusedAcross == 0 {
+		t.Fatalf("a second walk from the same state reused nothing across walks: %+v", st)
+	}
+	sameTrail("second walk", again, before)
 	for l := 0; l < ev.Scenario().NumAgents(); l++ {
 		if err := ledger.SetCapacityScale(model.AgentID(l), 0.01); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, fresh := walk(used), walk(NewHopScratch(ev))
+	after, st := walk(used, memo)
+	fresh, _ := walk(NewHopScratch(ev), nil)
 	if after[0].Feasible >= before[0].Feasible {
-		t.Fatalf("first hop sees %d feasible neighbors on the degraded fleet, %d before: the second walk did not see the capacity change",
+		t.Fatalf("first hop sees %d feasible neighbors on the degraded fleet, %d before: the walk did not see the capacity change",
 			after[0].Feasible, before[0].Feasible)
 	}
-	if len(after) != len(fresh) {
-		t.Fatalf("walk on a used scratch made %d hops, on a fresh one %d", len(after), len(fresh))
+	if st.ReusedAcross != 0 {
+		t.Fatalf("the degraded walk reused %d hops across walks", st.ReusedAcross)
 	}
-	for i := range fresh {
-		if !sameHop(after[i], fresh[i]) {
-			t.Fatalf("hop %d: used scratch %+v, fresh scratch %+v", i, after[i], fresh[i])
-		}
+	sameTrail("degraded walk", after, fresh)
+}
+
+// TestSessionMemoMatchesFreshEvaluation is the session memo's differential
+// test: every session walks 30 times with a memo of its own (a budget a few
+// states wide, so states are overwritten) and, in lockstep from the same
+// state and seed, with no memo. Before every other walk the two ledgers get
+// the same perturbation, taken in turn: an agent of the memo's
+// envelope scaled to 0, or to 0.4; another session's load pushing an
+// envelope agent to within 1e-9 of its download cap, on either side of the
+// certificate's slack; that agent dropped from the walk's snapshot
+// (Restrict). Every HopResult must agree field by field, and so must the
+// assignments and the ledgers after each walk.
+func TestSessionMemoMatchesFreshEvaluation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tune func(*workload.FleetConfig)
+	}{
+		{"roomy", func(*workload.FleetConfig) {}},
+		{"capacity-tight", func(fc *workload.FleetConfig) {
+			fc.AgentBandwidthMbps = 250
+			fc.AgentTranscodeSlots = 2
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ev, a0, ledger0 := tunedFleetFixture(t, 5, tc.tune)
+			sc := ev.Scenario()
+			cfg := DefaultConfig(1)
+			cfg.NeighborWindow = hopWindow
+			aMemo, ledgerMemo, scrMemo := a0.Clone(), ledger0.Clone(), NewHopScratch(ev)
+			aFresh, ledgerFresh, scrFresh := a0.Clone(), ledger0.Clone(), NewHopScratch(ev)
+			budget := &MemoBudget{Limit: 12 << 10}
+			memos := make([]*WalkMemo, sc.NumSessions())
+			// oneState bounds a stored state's bytes: its key and a Φ per
+			// neighbor — at most the window per member, twice it per flow.
+			var oneState int64
+			for i := range memos {
+				memos[i] = NewWalkMemo(budget)
+				n, f := len(sc.Session(model.SessionID(i)).Users), len(a0.SessionFlowAgents(model.SessionID(i)))
+				oneState = max(oneState, memoBytes(n+f, (n+2*f)*hopWindow))
+			}
+			var total WalkStats
+			var perturbed [6]int
+			var peak int64
+			for seed := int64(0); seed < 30; seed++ {
+				for si := range memos {
+					s, memo := model.SessionID(si), memos[si]
+					// Every other walk is unperturbed, so the memo has
+					// refilled before the next perturbation.
+					kind := 0
+					if seed%2 == 1 {
+						kind = 1 + (int(seed/2)+si)%(len(perturbed)-1)
+					}
+					undo := func() {}
+					if kind > 0 && len(memo.env) > 0 {
+						x := model.AgentID(memo.env[int(seed)%len(memo.env)].Agent)
+						perturbed[kind]++
+						switch kind {
+						case 1, 2:
+							scale := map[int]float64{1: 0, 2: 0.4}[kind]
+							for _, g := range []*cost.Ledger{ledgerMemo, ledgerFresh} {
+								if err := g.SetCapacityScale(x, scale); err != nil {
+									t.Fatal(err)
+								}
+							}
+							undo = func() {
+								for _, g := range []*cost.Ledger{ledgerMemo, ledgerFresh} {
+									if err := g.SetCapacityScale(x, 1); err != nil {
+										t.Fatal(err)
+									}
+								}
+							}
+						case 3, 4:
+							// The walk takes the session's own load out first;
+							// fill the rest of the agent's download up to the
+							// envelope's slack, 0.5e-9 inside it or 1e-9 past.
+							down, _, _ := ledgerMemo.UsageAt(x)
+							own := ev.Params().SessionLoadOf(aMemo, s).Down[x]
+							var env cost.EnvelopeAgent
+							for _, e := range memo.env {
+								if model.AgentID(e.Agent) == x {
+									env = e
+								}
+							}
+							fill := map[int]float64{3: 0.5e-9, 4: 2e-9}[kind]
+							extra := sc.Agent(x).Download + fill - (down - own) - float64(env.Down)
+							if extra <= 0 {
+								perturbed[kind]--
+								break
+							}
+							push := &cost.SessionLoad{Down: make([]float64, sc.NumAgents()), Up: make([]float64, sc.NumAgents()),
+								Tasks: make([]int, sc.NumAgents()), Inter: make([]float64, sc.NumAgents())}
+							push.Down[x] = extra
+							ledgerMemo.Add(push)
+							ledgerFresh.Add(push)
+							undo = func() {
+								ledgerMemo.Remove(push)
+								ledgerFresh.Remove(push)
+							}
+						case 5:
+							memo.Restrict(func(l model.AgentID) bool { return l != x })
+						}
+					}
+					var fresh, got []HopResult
+					rngFresh, rngMemo := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+					if _, err := WalkSession(aFresh, s, ev, ledgerFresh, cfg, rngFresh, scrFresh, nil, walkBudget,
+						func(res HopResult) { fresh = append(fresh, res) }); err != nil {
+						t.Fatal(err)
+					}
+					st, err := WalkSession(aMemo, s, ev, ledgerMemo, cfg, rngMemo, scrMemo, memo, walkBudget,
+						func(res HopResult) { got = append(got, res) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					total.Hops += st.Hops
+					total.Reused += st.Reused
+					total.ReusedAcross += st.ReusedAcross
+					if len(got) != len(fresh) {
+						t.Fatalf("seed %d session %d (perturbation %d): %d hops with the memo, %d without", seed, s, kind, len(got), len(fresh))
+					}
+					for i := range fresh {
+						if !sameHop(got[i], fresh[i]) {
+							t.Fatalf("seed %d session %d (perturbation %d) hop %d:\n memo  %+v\n fresh %+v", seed, s, kind, i, got[i], fresh[i])
+						}
+					}
+					undo()
+					if !aMemo.Equal(aFresh) || !sameLedger(ledgerMemo, ledgerFresh) {
+						t.Fatalf("seed %d session %d: the walks left different states", seed, s)
+					}
+					if used := budget.Used(); used > budget.Limit+oneState {
+						t.Fatalf("memos hold %d bytes: more than one state over a budget of %d", used, budget.Limit)
+					} else if used > peak {
+						peak = used
+					}
+				}
+			}
+			if total.ReusedAcross == 0 {
+				t.Fatalf("no hop of %d reused a state across walks: the session memo was not exercised", total.Hops)
+			}
+			for kind, n := range perturbed[1:] {
+				if n == 0 {
+					t.Fatalf("perturbation %d never applied", kind+1)
+				}
+			}
+			if peak < budget.Limit {
+				t.Fatalf("the memos held at most %d bytes of a %d-byte budget: nothing was overwritten", peak, budget.Limit)
+			}
+			t.Logf("%d hops: %d reused within walks, %d across; perturbations %v", total.Hops, total.Reused, total.ReusedAcross, perturbed)
+		})
 	}
 }

@@ -1090,3 +1090,47 @@ func (g *Ledger) FitsTouched(candidate *SparseLoad) bool {
 	}
 	return true
 }
+
+// EnvelopeAgent is one agent's entry of a load envelope at rest: upper
+// bounds on the download, upload and tasks a set of loads puts on the agent.
+// The bandwidths are float32 rounded up, so they stay upper bounds.
+type EnvelopeAgent struct {
+	Agent    int32
+	Tasks    int32
+	Down, Up float32
+}
+
+// Raise lifts the entry to cover a load of down, up and tasks on its agent.
+func (e *EnvelopeAgent) Raise(down, up float64, tasks int) {
+	e.Down = max(e.Down, roundUp32(down))
+	e.Up = max(e.Up, roundUp32(up))
+	e.Tasks = max(e.Tasks, int32(tasks))
+}
+
+func roundUp32(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// FitsEnvelope reports whether the envelope's bounds, added to the ledger's
+// usage, stay within every agent's scaled capacity — the plain branch of
+// the FitsRepair condition. It is an exact certificate for the loads under
+// the envelope: fl(usage + x) is monotone in x, so where the bound fits,
+// every load it bounds fits too, and FitsRepairDelta accepts each of them
+// whatever the current load.
+func (g *Ledger) FitsEnvelope(env []EnvelopeAgent) bool {
+	const eps = 1e-9
+	for _, e := range env {
+		l := int(e.Agent)
+		capDown, capUp, capTasks := g.effectiveCaps(l)
+		if g.down[l]+float64(e.Down) > capDown+eps ||
+			g.up[l]+float64(e.Up) > capUp+eps ||
+			g.tasks[l]+int(e.Tasks) > capTasks {
+			return false
+		}
+	}
+	return true
+}

@@ -113,6 +113,13 @@ func (sc *Scenario) ThetaFlowIndex(f Flow) int {
 	return -1
 }
 
+// ThetaFlowTable returns every transcoding flow of the scenario, session by
+// session in SessionThetaFlows order; start[s]..start[s+1] delimit session
+// s's. Shared; callers must not mutate either.
+func (sc *Scenario) ThetaFlowTable() (flows []Flow, start []int32) {
+	return sc.thetaFlows, sc.flowStart
+}
+
 // buildPlan compiles every session's plan into the flat tables and counts
 // θ^sum. It needs participants to be built.
 func (sc *Scenario) buildPlan() {
@@ -152,6 +159,7 @@ func (sc *Scenario) buildPlan() {
 						j++
 					}
 					sc.planFlows = append(sc.planFlows, PlanFlow{OutMbps: sc.Reps.Bitrate(out), Dst: int32(j), Rep: pr.Rep})
+					sc.thetaFlows = append(sc.thetaFlows, Flow{Src: u, Dst: v})
 				}
 				sc.planPairs = append(sc.planPairs, pr)
 			}

@@ -51,6 +51,7 @@ type Scenario struct {
 	planMembers []PlanMember
 	planPairs   []PlanPair
 	planFlows   []PlanFlow
+	thetaFlows  []Flow // planFlows' (source, destination) users
 	memberStart []int32
 	pairStart   []int32
 	flowStart   []int32

@@ -130,6 +130,10 @@ const (
 	// commitRetries bounds how many times a task re-snapshots and re-walks
 	// after losing a cross-shard commit race (shard.Conflict).
 	commitRetries = 2
+	// memoBudgetBytes caps the keys and Φs all sessions' walk memos hold.
+	// With the arenas' growth slack, state records and envelopes they occupy
+	// up to about 2× that at rest (see the package README).
+	memoBudgetBytes = 96 << 10
 )
 
 // withDefaults fills zero fields and validates.
@@ -183,11 +187,16 @@ type Stats struct {
 	// retried against a fresh snapshot or, past the retry budget, became a
 	// Reject.
 	Conflicts int
-	// WalkHops counts the hops the tasks' refinement walks executed, and
+	// WalkHops counts the hops the tasks' refinement walks executed;
 	// WalkReused those among them that started from a state their walk had
-	// already evaluated and reused its candidate set (core.WalkSession).
-	WalkHops   int
-	WalkReused int
+	// already been in and reused its candidate set, and WalkReusedAcross
+	// those that started from a state new to the walk whose candidate set an
+	// earlier walk of the session had priced (core.WalkSession). The rest
+	// evaluated theirs. With more than one worker, WalkReusedAcross depends
+	// on timing: the memos share one byte budget.
+	WalkHops         int
+	WalkReused       int
+	WalkReusedAcross int
 	// Migrations counts data-plane decisions executed (≥ Commits: one commit
 	// can migrate several variables).
 	Migrations int
@@ -309,6 +318,12 @@ type Orchestrator struct {
 	// assignment state.
 	pipe     *pipeline.Scheduler
 	touchIdx [][]model.AgentID
+	// memos[s] is active session s's walk memo (nil until its first walk),
+	// kept across its walks and dropped at teardown; the task that owns s is
+	// the only goroutine that touches it, or teardownLocked under mu. The
+	// memos' keys and Φs draw on memoBudget.
+	memos      []*core.WalkMemo
+	memoBudget core.MemoBudget
 
 	tasks     chan reoptTask
 	closeOnce sync.Once
@@ -339,8 +354,10 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 		ttr:      telemetry.NewHistogram(),
 		tel:      cfg.Telemetry,
 		touchIdx: make([][]model.AgentID, sc.NumSessions()),
+		memos:    make([]*core.WalkMemo, sc.NumSessions()),
 		tasks:    make(chan reoptTask),
 	}
+	o.memoBudget.Limit = memoBudgetBytes
 	o.failed = make([]bool, sc.NumAgents())
 	o.baseScale = make([]float64, sc.NumAgents())
 	for i := range o.baseScale {

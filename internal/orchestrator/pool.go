@@ -79,6 +79,7 @@ func (o *Orchestrator) bumpTask(w *workerState, global, local *int) {
 func (o *Orchestrator) flushWalk(w *workerState) {
 	o.stats.WalkHops += w.walk.Hops
 	o.stats.WalkReused += w.walk.Reused
+	o.stats.WalkReusedAcross += w.walk.ReusedAcross
 	w.walk = core.WalkStats{}
 }
 
@@ -237,7 +238,7 @@ func (o *Orchestrator) finishTaskProbe(t reoptTask, w *workerState, probe *taskP
 // worker is one solver shard: it refines tasks until the pool closes. id is
 // the worker's counter-shard index in the telemetry sink.
 func (o *Orchestrator) worker(id int) {
-	w := &workerState{id: id, scr: core.NewHopScratch(o.ev), rng: rand.New(rand.NewSource(0))}
+	w := &workerState{id: id, scr: core.NewHopScratch(o.ev), rng: rand.New(&lazySource{})}
 	w.scr.SetProximityIndex(o.nbrIdx)
 	// The worker's scratch carries a private per-session delay cache that
 	// stays warm across the hops of one refinement walk (and across tasks,
@@ -290,6 +291,11 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 		probe = o.beginTaskProbe(w)
 		defer o.finishTaskProbe(t, w, probe)
 	}
+	memo := o.memos[t.session]
+	if memo == nil {
+		memo = core.NewWalkMemo(&o.memoBudget)
+		o.memos[t.session] = memo
+	}
 
 	for attempt := 0; ; attempt++ {
 		if probe != nil {
@@ -335,7 +341,11 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 		startPhi := o.ev.BeginSession(w.aw, t.session, es).Phi
 		w.cur.CopyFrom(es.CurLoad())
 
-		best, err := o.walkBest(t, w, startPhi)
+		if o.nbrIdx != nil {
+			// Stripes outside the route hold stale values in the snapshot.
+			memo.Restrict(func(l model.AgentID) bool { return o.ledger.Routes(&w.snapRoute, l) })
+		}
+		best, err := o.walkBest(t, w, memo, startPhi)
 		if err != nil {
 			o.reportErr(err)
 			return
@@ -458,9 +468,9 @@ type bestState struct {
 // worker's private assignment holds (objective startPhi) against its
 // ledger snapshot and leaves the best state seen in w.userTo/w.flowTo,
 // aligned with the session's users and flows: the chain may pass through
-// worse states (that is what lets it escape local minima). The caller
-// seeds w.rng.
-func (o *Orchestrator) walkBest(t reoptTask, w *workerState, startPhi float64) (bestState, error) {
+// worse states (that is what lets it escape local minima). memo is the
+// session's walk memo. The caller seeds w.rng.
+func (o *Orchestrator) walkBest(t reoptTask, w *workerState, memo *core.WalkMemo, startPhi float64) (bestState, error) {
 	users := o.sc.Session(t.session).Users
 	curFlowTo := w.aw.SessionFlowAgents(t.session)
 	capture := func() {
@@ -471,7 +481,7 @@ func (o *Orchestrator) walkBest(t reoptTask, w *workerState, startPhi float64) (
 	}
 	capture()
 	best := bestState{phi: startPhi, cfAgent: -1}
-	ws, err := core.WalkSession(w.aw, t.session, o.ev, w.snap, o.cfg.Core, w.rng, w.scr, o.cfg.HopBudget,
+	ws, err := core.WalkSession(w.aw, t.session, o.ev, w.snap, o.cfg.Core, w.rng, w.scr, memo, o.cfg.HopBudget,
 		func(res core.HopResult) {
 			if res.Moved && res.PhiAfter < best.phi-improvementEps {
 				best = bestState{phi: res.PhiAfter, improved: true,
@@ -481,7 +491,8 @@ func (o *Orchestrator) walkBest(t reoptTask, w *workerState, startPhi float64) (
 		})
 	w.walk.Hops += ws.Hops
 	w.walk.Reused += ws.Reused
-	o.tel.WalkHops(w.id, ws.Hops, ws.Reused)
+	w.walk.ReusedAcross += ws.ReusedAcross
+	o.tel.WalkHops(w.id, ws.Hops, ws.Reused, ws.ReusedAcross)
 	return best, err
 }
 

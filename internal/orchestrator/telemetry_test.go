@@ -75,27 +75,29 @@ func reconcile(t *testing.T, o *Orchestrator, sink *telemetry.Sink, nEvents int)
 	// Registry counters (worker-side, sharded) must merge to the same
 	// totals as both views above.
 	counters := map[string]int64{}
-	var walkReused int64
+	walkHops := map[string]int64{}
 	for _, m := range sink.Registry().Snapshot() {
 		if m.Type == "counter" {
 			counters[m.Name] += int64(m.Value)
-			if m.Name == "vconf_walk_hops_total" && m.Labels["result"] == "reused" {
-				walkReused += int64(m.Value)
+			if m.Name == "vconf_walk_hops_total" {
+				walkHops[m.Labels["result"]] += int64(m.Value)
 			}
 		}
 	}
 	// The walk tallies ride the task tallies: every hop is counted once on
-	// every path, a walk never reuses more than it hops, and no task walks
-	// past its budget (once per commit attempt).
-	if st.WalkHops == 0 || st.WalkReused == 0 || st.WalkReused > st.WalkHops {
-		t.Fatalf("walk tallies: %d hops, %d reused", st.WalkHops, st.WalkReused)
+	// every path, as evaluated or reused within or across walks, and no task
+	// walks past its budget (once per commit attempt).
+	if st.WalkHops == 0 || st.WalkReused == 0 || st.WalkReusedAcross == 0 || st.WalkReused+st.WalkReusedAcross > st.WalkHops {
+		t.Fatalf("walk tallies: %d hops, %d reused, %d reused across walks", st.WalkHops, st.WalkReused, st.WalkReusedAcross)
 	}
 	if limit := (st.Tasks + st.Conflicts) * o.cfg.HopBudget; st.WalkHops > limit {
 		t.Fatalf("%d hops walked by %d tasks and %d retries of budget %d", st.WalkHops, st.Tasks, st.Conflicts, o.cfg.HopBudget)
 	}
-	if counters["vconf_walk_hops_total"] != int64(st.WalkHops) || walkReused != int64(st.WalkReused) {
-		t.Fatalf("registry walk hops %d (%d reused), Stats %d (%d reused)",
-			counters["vconf_walk_hops_total"], walkReused, st.WalkHops, st.WalkReused)
+	if counters["vconf_walk_hops_total"] != int64(st.WalkHops) || walkHops["reused"] != int64(st.WalkReused) ||
+		walkHops["reused_across"] != int64(st.WalkReusedAcross) ||
+		walkHops["evaluated"] != int64(st.WalkHops-st.WalkReused-st.WalkReusedAcross) {
+		t.Fatalf("registry walk hops %v, Stats %d (%d reused, %d across walks)",
+			walkHops, st.WalkHops, st.WalkReused, st.WalkReusedAcross)
 	}
 	if counters["vconf_commits_total"] != int64(st.Commits) {
 		t.Fatalf("registry commits %d, Stats %d", counters["vconf_commits_total"], st.Commits)

@@ -438,6 +438,9 @@ func (sl *Ledger) RouteAgents(r *Route, agents []model.AgentID) {
 // ResetRoute clears a route for this ledger's shard count.
 func (sl *Ledger) ResetRoute(r *Route) { r.reset(len(sl.shards)) }
 
+// Routes reports whether the route covers agent l's shard.
+func (sl *Ledger) Routes(r *Route, l model.AgentID) bool { return r.mark[sl.shardOf[l]] }
+
 // SnapshotRoute is SnapshotInto restricted to the routed shards: only
 // their agent ranges are copied (under each shard's lock) and only their
 // entries in the returned full-length epoch vector are meaningful. Ranges

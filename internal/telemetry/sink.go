@@ -134,6 +134,7 @@ type Sink struct {
 	phaseCommit   *Counter
 	walkEvaluated *Counter
 	walkReused    *Counter
+	walkAcross    *Counter
 
 	// Gauges (event-loop writers only).
 	objective    *Gauge
@@ -272,6 +273,7 @@ func New(cfg Config) *Sink {
 	s.phaseCommit = s.reg.Counter("vconf_task_phase_ns_total", "cumulative task time per phase (ns)", Label{Key: "phase", Value: "commit"})
 	s.walkEvaluated = s.reg.Counter("vconf_walk_hops_total", "refinement-walk hops, by where the candidate set came from", Label{Key: "result", Value: "evaluated"})
 	s.walkReused = s.reg.Counter("vconf_walk_hops_total", "refinement-walk hops, by where the candidate set came from", Label{Key: "result", Value: "reused"})
+	s.walkAcross = s.reg.Counter("vconf_walk_hops_total", "refinement-walk hops, by where the candidate set came from", Label{Key: "result", Value: "reused_across"})
 	s.objective = s.reg.Gauge("vconf_objective", "Σ Φ_s over active sessions")
 	s.active = s.reg.Gauge("vconf_active_sessions", "live session count")
 	s.schedStalls = s.reg.Gauge("vconf_sched_admission_stalls", "pipelined scheduler: admission stalls")
@@ -511,13 +513,15 @@ func (s *Sink) CacheEvals(worker int, hits, patches, rebuilds int64) {
 }
 
 // WalkHops accumulates one refinement walk's hops: reused of them took
-// their candidate set from the walk's memo, the rest evaluated it.
-func (s *Sink) WalkHops(worker, hops, reused int) {
+// their candidate set from the walk's memo, across of them from the
+// session's memo of earlier walks, the rest evaluated it.
+func (s *Sink) WalkHops(worker, hops, reused, across int) {
 	if s == nil {
 		return
 	}
-	s.walkEvaluated.Add(worker, int64(hops-reused))
+	s.walkEvaluated.Add(worker, int64(hops-reused-across))
 	s.walkReused.Add(worker, int64(reused))
+	s.walkAcross.Add(worker, int64(across))
 }
 
 // SchedulerStats mirrors the pipelined scheduler's counters into gauges.

@@ -25,7 +25,7 @@ func TestNilSinkSafe(t *testing.T) {
 	s.TaskConflict(1, 0, 0)
 	s.TaskPhases(1, 1, 2, 3)
 	s.CacheEvals(1, 1, 2, 3)
-	s.WalkHops(1, 12, 5)
+	s.WalkHops(1, 12, 5, 3)
 	s.SchedulerStats(1, 2, 3, 4)
 	s.LedgerStats(1, 2, 3)
 	s.Record(DecisionRecord{Kind: "arrive"})
@@ -44,7 +44,7 @@ func TestNilSinkZeroAlloc(t *testing.T) {
 		s.TaskConflict(0, 0, 0)
 		s.TaskPhases(0, 1, 2, 3)
 		s.CacheEvals(0, 1, 2, 3)
-		s.WalkHops(0, 12, 5)
+		s.WalkHops(0, 12, 5, 3)
 		_ = s.RegionOf(5)
 	})
 	if allocs != 0 {
@@ -62,7 +62,7 @@ func TestEnabledHotPathZeroAlloc(t *testing.T) {
 		s.TaskConflict(2, 0, 0)
 		s.TaskPhases(3, 10, 20, 30)
 		s.CacheEvals(0, 1, 0, 1)
-		s.WalkHops(1, 12, 5)
+		s.WalkHops(1, 12, 5, 3)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled worker hot path allocates %.1f/op, want 0", allocs)
