@@ -11,6 +11,7 @@ package vconf_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -24,6 +25,7 @@ import (
 	"vconf/internal/exact"
 	"vconf/internal/experiments"
 	"vconf/internal/model"
+	"vconf/internal/orchestrator"
 	"vconf/internal/workload"
 )
 
@@ -265,9 +267,9 @@ func fleetScenario(b *testing.B, seed int64) (*cost.Evaluator, *assign.Assignmen
 // "sparse-warm" is the production delta pipeline with the persistent
 // per-session delay cache (target: 0 allocs/op), "sparse-rebuild" the same
 // pipeline rebuilding the delay base every hop (the pre-cache path behind
-// core.Config.RebuildDelayBase), "dense" the reference implementation both
-// replaced, and "sparse-7agents" the classic paper-scale workload for
-// continuity with older baselines. The "warm-hop"/"rebuild-hop" pair runs
+// core.Config.RebuildDelayBase), and "sparse-7agents" the classic
+// paper-scale workload for continuity with older baselines (the dense
+// reference lives in internal/core's tests). The "warm-hop"/"rebuild-hop" pair runs
 // the N_ngbr = 1 candidate window (Fig. 10's tightest pruning), where the
 // once-per-hop BeginSession is a large share of the hop and the warm cache
 // pays off most.
@@ -284,39 +286,34 @@ func BenchmarkHopSession(b *testing.B) {
 			}
 		}
 	}
-	shape := func(dense, rebuild bool, window int) core.Config {
+	shape := func(rebuild bool, window int) core.Config {
 		cfg := core.DefaultConfig(1)
-		cfg.DenseEval = dense
 		cfg.RebuildDelayBase = rebuild
 		cfg.NeighborWindow = window
 		return cfg
 	}
 	b.Run("sparse-warm", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, false, 0))
+		run(b, ev, a, ledger, shape(false, 0))
 	})
 	b.Run("sparse-rebuild", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, true, 0))
+		run(b, ev, a, ledger, shape(true, 0))
 	})
 	// The acceptance pair: the N_ngbr = 1 windowed chain (Fig. 10's
 	// tightest pruning), where every hop's BeginSession lands on the entry
 	// its previous commit re-synchronized — a pure warm hit.
 	b.Run("warm-hop", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, false, 1))
+		run(b, ev, a, ledger, shape(false, 1))
 	})
 	b.Run("rebuild-hop", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, true, 1))
-	})
-	b.Run("dense", func(b *testing.B) {
-		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(true, false, 0))
+		run(b, ev, a, ledger, shape(true, 1))
 	})
 	b.Run("sparse-7agents", func(b *testing.B) {
 		ev, a, ledger := benchScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, false, 0))
+		run(b, ev, a, ledger, shape(false, 0))
 	})
 }
 
@@ -427,6 +424,51 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 		if _, err := workload.Generate(workload.LargeScale(int64(i))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFleetSetup times bringing a fleet up from nothing — sites and
+// delay synthesis, the evaluator, and an orchestrator with the 4-agent
+// candidate window and AgRank admission — at 96 to 768 agents with 8 users
+// per agent, so the fleet-width slope of set-up reads off ns/pair (per
+// agent-user and agent-agent delay) and ns/user.
+func BenchmarkFleetSetup(b *testing.B) {
+	for _, agents := range []int{96, 192, 384, 768} {
+		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
+			fc := workload.DefaultFleetConfig(1)
+			fc.NumAgents, fc.NumUsers = agents, 8*agents
+			fc.MinSessionSize, fc.MaxSessionSize = 4, 6
+			fc.Regions = 8
+			opts := agrank.DefaultOptions(3)
+			cfg := orchestrator.DefaultConfig(1)
+			cfg.Core.NeighborWindow = 4
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc, _, err := workload.GenerateSyntheticFleetRegions(fc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p := cost.DefaultParams()
+				ev, err := cost.NewEvaluator(sc, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				orc, err := orchestrator.New(ev, func(a *assign.Assignment, s model.SessionID, ledger cost.LedgerAPI) error {
+					_, err := agrank.BootstrapSession(a, s, p, ledger, opts)
+					return err
+				}, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				orc.Close()
+				b.StartTimer()
+			}
+			perSetup := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			users := float64(fc.NumUsers)
+			b.ReportMetric(perSetup/(float64(agents)*users+float64(agents*(agents-1)/2)), "ns/pair")
+			b.ReportMetric(perSetup/users, "ns/user")
+		})
 	}
 }
 

@@ -83,7 +83,7 @@ func TestGreedyDescentReachesLocalOptimum(t *testing.T) {
 		cur := p.SessionLoadOf(a, sid)
 		ledger.Remove(cur)
 		curPhi := ev.SessionObjective(a, sid)
-		for _, d := range a.SessionNeighborDecisions(sid) {
+		for _, d := range a.AppendSessionNeighborDecisions(nil, sid) {
 			inv, err := a.Apply(d)
 			if err != nil {
 				t.Fatal(err)

@@ -165,7 +165,7 @@ func TestSessionNeighborDecisions(t *testing.T) {
 	if err := a.SetFlowAgent(model.Flow{Src: 0, Dst: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	ds := a.SessionNeighborDecisions(0)
+	ds := a.AppendSessionNeighborDecisions(nil, 0)
 	// 2 users × 2 other agents + 1 flow × 2 other agents = 6.
 	if len(ds) != 6 {
 		t.Fatalf("neighbors = %d, want 6", len(ds))
@@ -183,7 +183,7 @@ func TestSessionNeighborDecisions(t *testing.T) {
 	// Session 1 has no transcoding flows: 2 users × 2 agents = 4 neighbors.
 	a.SetUserAgent(2, 1)
 	a.SetUserAgent(3, 2)
-	if got := len(a.SessionNeighborDecisions(1)); got != 4 {
+	if got := len(a.AppendSessionNeighborDecisions(nil, 1)); got != 4 {
 		t.Fatalf("session 1 neighbors = %d, want 4", got)
 	}
 }

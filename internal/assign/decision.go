@@ -67,24 +67,13 @@ func (a *Assignment) Apply(d Decision) (Decision, error) {
 	}
 }
 
-// SessionNeighborDecisions enumerates every single-variable change inside
-// session s: each member user re-subscribed to each other agent, and each of
-// the session's transcoding flows moved to each other agent. This is the F_s
-// candidate set of Alg. 1 line 12 before feasibility filtering; the caller
-// filters by capacity/delay feasibility.
-func (a *Assignment) SessionNeighborDecisions(s model.SessionID) []Decision {
-	sess := a.sc.Session(s)
-	flows := a.SessionFlowsShared(s)
-	out := make([]Decision, 0, (len(sess.Users)+len(flows))*(a.sc.NumAgents()-1))
-	return a.AppendSessionNeighborDecisions(out, s)
-}
-
-// AppendSessionNeighborDecisions appends session s's neighbor decisions to
-// dst (usually a reused buffer truncated to length zero) and returns the
-// extended slice — the allocation-free form of SessionNeighborDecisions the
-// hop pipeline uses. The enumeration order is identical: member users in
-// session order × agents ascending, then transcoding flows in canonical
-// order × agents ascending.
+// AppendSessionNeighborDecisions appends to dst (usually a reused buffer
+// truncated to length zero) every single-variable change inside session s
+// and returns the extended slice: each member user re-subscribed to each
+// other agent, in session order × agents ascending, then each of the
+// session's transcoding flows moved to each other agent, in canonical order
+// × agents ascending. This is the F_s candidate set of Alg. 1 line 12 before
+// feasibility filtering; the caller filters by capacity/delay feasibility.
 func (a *Assignment) AppendSessionNeighborDecisions(dst []Decision, s model.SessionID) []Decision {
 	sc := a.sc
 	numAgents := model.AgentID(sc.NumAgents())

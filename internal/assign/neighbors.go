@@ -16,8 +16,9 @@ type NeighborOptions struct {
 	// of the source's and destination's windows). 0 means every agent.
 	Window int
 	// Index is the prebuilt proximity index backing Window > 0. nil with a
-	// positive Window builds a throwaway index — correct but O(U·L·window);
-	// hot paths must pass a prebuilt one (core.HopScratch holds it).
+	// positive Window builds a throwaway index — correct but O(U·window) per
+	// call, read from the scenario's nearest-agent table; hot paths must pass
+	// a prebuilt one (core.HopScratch holds it).
 	Index *ProximityIndex
 }
 

@@ -152,3 +152,62 @@ func TestProximityIndexOrder(t *testing.T) {
 		}
 	}
 }
+
+// oldProximityIndex is the construction the nearest-agent table replaced:
+// a bounded insertion over every agent's H-delay per user, then the window
+// re-sorted by ID.
+func oldProximityIndex(sc *model.Scenario, window int) []model.AgentID {
+	window = max(1, min(window, sc.NumAgents()))
+	out := make([]model.AgentID, 0, sc.NumUsers()*window)
+	for u := 0; u < sc.NumUsers(); u++ {
+		uid := model.UserID(u)
+		base := len(out)
+		for l := 0; l < sc.NumAgents(); l++ {
+			d := sc.H(model.AgentID(l), uid)
+			if len(out)-base == window {
+				if d >= sc.H(out[len(out)-1], uid) {
+					continue
+				}
+			} else {
+				out = append(out, 0)
+			}
+			i := len(out) - 1
+			for ; i > base && sc.H(out[i-1], uid) > d; i-- {
+				out[i] = out[i-1]
+			}
+			out[i] = model.AgentID(l)
+		}
+		win := out[base:]
+		for i := 1; i < len(win); i++ {
+			for j := i; j > 0 && win[j-1] > win[j]; j-- {
+				win[j-1], win[j] = win[j], win[j-1]
+			}
+		}
+	}
+	return out
+}
+
+// TestProximityIndexMatchesOldConstruction: every window of every width
+// (and the clamped ones outside 1..L) equals the per-user scan's.
+func TestProximityIndexMatchesOldConstruction(t *testing.T) {
+	fc := workload.DefaultFleetConfig(4)
+	fc.NumAgents, fc.NumUsers = 24, 120
+	fleet, err := workload.GenerateSyntheticFleet(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []*model.Scenario{windowScenario(t), fleet} {
+		for w := sc.NumAgents() + 1; w >= 0; w-- {
+			ix := NewProximityIndex(sc, w)
+			want := oldProximityIndex(sc, w)
+			if ix.Window() != max(1, min(w, sc.NumAgents())) || len(ix.agents) != len(want) {
+				t.Fatalf("window %d: index is %d wide over %d entries, want %d entries", w, ix.Window(), len(ix.agents), len(want))
+			}
+			for i := range want {
+				if ix.agents[i] != want[i] {
+					t.Fatalf("window %d: entry %d (user %d) = %d, old construction %d", w, i, i/ix.Window(), ix.agents[i], want[i])
+				}
+			}
+		}
+	}
+}

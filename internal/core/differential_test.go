@@ -12,9 +12,9 @@ import (
 // The sparse hop pipeline must be bit-identical to the dense reference: for
 // a fixed seed and noiseless config, both enumerate the same feasible
 // candidate sets with the same weights and therefore pick the same hop
-// sequence. These tests replay whole engine runs under Config.DenseEval
-// true/false across several scenario shapes and compare every decision,
-// every sample, and the final assignment.
+// sequence. These tests replay whole engine runs on the dense reference
+// kernels (dense_ref_test.go) and on the sparse ones across several scenario
+// shapes and compare every decision, every sample, and the final assignment.
 
 // hopTrace records one hop observation for cross-path comparison.
 type hopTrace struct {
@@ -23,15 +23,19 @@ type hopTrace struct {
 	res     HopResult
 }
 
-// runDifferential drives one engine over the scenario and returns the hop
-// trace, the samples, and the final assignment.
-func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, untilS float64,
+// runDifferential drives one engine over the scenario — on the dense
+// reference kernels when dense is set — and returns the hop trace, the
+// samples, and the final assignment.
+func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, dense bool, untilS float64,
 	degrade func(e *Engine)) ([]hopTrace, []Sample, *assign.Assignment) {
 	t.Helper()
 	ev := newEval(t, sc)
 	eng, err := NewEngine(ev, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dense {
+		eng.hop, eng.rate = hopSessionDense, sessionTotalRateDense
 	}
 	var trace []hopTrace
 	eng.OnHop = func(timeS float64, s model.SessionID, r HopResult) {
@@ -65,16 +69,12 @@ func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, untilS float6
 func compareDifferential(t *testing.T, sc *model.Scenario, cfg Config, untilS float64,
 	degrade func(e *Engine)) {
 	t.Helper()
-	dense := cfg
-	dense.DenseEval = true
 	cached := cfg
-	cached.DenseEval = false
 	cached.RebuildDelayBase = false
 	rebuild := cfg
-	rebuild.DenseEval = false
 	rebuild.RebuildDelayBase = true
 
-	dTrace, dSamples, dFinal := runDifferential(t, sc, dense, untilS, degrade)
+	dTrace, dSamples, dFinal := runDifferential(t, sc, cfg, true, untilS, degrade)
 	if len(dTrace) == 0 {
 		t.Fatal("dense run produced no hops; differential comparison is vacuous")
 	}
@@ -82,7 +82,7 @@ func compareDifferential(t *testing.T, sc *model.Scenario, cfg Config, untilS fl
 		name string
 		cfg  Config
 	}{{"sparse-cached", cached}, {"sparse-rebuild", rebuild}} {
-		sTrace, sSamples, sFinal := runDifferential(t, sc, variant.cfg, untilS, degrade)
+		sTrace, sSamples, sFinal := runDifferential(t, sc, variant.cfg, false, untilS, degrade)
 		compareRuns(t, variant.name, dTrace, dSamples, dFinal, sTrace, sSamples, sFinal)
 	}
 }

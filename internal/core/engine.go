@@ -27,6 +27,11 @@ type Engine struct {
 	// single-threaded, so one scratch serves hops, rate queries, session
 	// deactivation, and snapshot reporting.
 	scratch *HopScratch
+	// hop and rate are the hop and holding-rate kernels, HopSessionWith and
+	// SessionTotalRateWith; the package's differential tests swap in the
+	// dense reference.
+	hop  func(*assign.Assignment, model.SessionID, *cost.Evaluator, *cost.Ledger, Config, *rand.Rand, *HopScratch) (HopResult, error)
+	rate func(*assign.Assignment, model.SessionID, *cost.Evaluator, *cost.Ledger, Config, *HopScratch) (float64, error)
 
 	active map[model.SessionID]bool
 	epochs []int // arrival generation per session; stale hops are dropped
@@ -93,6 +98,8 @@ func NewEngine(ev *cost.Evaluator, cfg Config) (*Engine, error) {
 		ledger:  cost.NewLedger(sc),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		scratch: NewHopScratch(ev),
+		hop:     HopSessionWith,
+		rate:    SessionTotalRateWith,
 		active:  make(map[model.SessionID]bool, sc.NumSessions()),
 	}
 	// The engine-owned scratch serves hops, rate queries, deactivation and
@@ -195,7 +202,7 @@ func (e *Engine) push(ev event) {
 func (e *Engine) scheduleHop(s model.SessionID) {
 	rate := 0.0
 	if e.cfg.Mode == ExactCTMC {
-		r, err := SessionTotalRateWith(e.a, s, e.ev, e.ledger, e.cfg, e.scratch)
+		r, err := e.rate(e.a, s, e.ev, e.ledger, e.cfg, e.scratch)
 		if err == nil {
 			rate = r
 		}
@@ -249,7 +256,7 @@ func (e *Engine) Run(untilS, sampleEveryS float64) ([]Sample, error) {
 			if !e.active[ev.session] || ev.epoch != e.epochOf(ev.session) {
 				continue // stale event from a departed generation
 			}
-			res, err := HopSessionWith(e.a, ev.session, e.ev, e.ledger, e.cfg, e.rng, e.scratch)
+			res, err := e.hop(e.a, ev.session, e.ev, e.ledger, e.cfg, e.rng, e.scratch)
 			if err != nil {
 				return samples, fmt.Errorf("core: hop session %d: %w", ev.session, err)
 			}

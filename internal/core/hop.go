@@ -147,10 +147,7 @@ func (scr *HopScratch) appendNeighbors(a *assign.Assignment, s model.SessionID, 
 // FREEZE/UNFREEZE lock).
 //
 // Evaluation runs on the sparse delta pipeline (cost.Scratch) with a pooled
-// scratch; long-lived callers hold their own and use HopSessionWith. Setting
-// cfg.DenseEval selects the dense reference implementation instead — the two
-// pick bit-identical hop sequences for a fixed seed. The orchestrator's walk
-// (WalkSession) is always sparse.
+// scratch; long-lived callers hold their own and use HopSessionWith.
 func HopSession(
 	a *assign.Assignment,
 	s model.SessionID,
@@ -175,9 +172,6 @@ func HopSessionWith(
 	rng *rand.Rand,
 	scr *HopScratch,
 ) (HopResult, error) {
-	if cfg.DenseEval {
-		return hopSessionDense(a, s, ev, ledger, cfg, rng)
-	}
 	var res HopResult
 	_, err := WalkSession(a, s, ev, ledger, cfg, rng, scr, nil, 1, func(r HopResult) { res = r })
 	return res, err
@@ -444,106 +438,6 @@ func (scr *HopScratch) sample(phis []float64, phiCur float64, cfg Config, rng *r
 	return chosen, total * math.Exp(maxExp)
 }
 
-// hopSessionDense is the dense reference implementation (pre-sparse
-// pipeline), kept verbatim for differential testing and before/after
-// benchmarking: every candidate pays a full SessionLoadOf, an O(NumAgents)
-// FitsRepair scan, and a from-scratch SessionDelaysOf.
-func hopSessionDense(
-	a *assign.Assignment,
-	s model.SessionID,
-	ev *cost.Evaluator,
-	ledger *cost.Ledger,
-	cfg Config,
-	rng *rand.Rand,
-) (HopResult, error) {
-	p := ev.Params()
-
-	curLoad := p.SessionLoadOf(a, s)
-	ledger.Remove(curLoad)
-
-	phiCur := ev.SessionObjective(a, s)
-	phiCurReading := phiCur
-	if cfg.Noise != nil {
-		phiCurReading = cfg.Noise(phiCur)
-	}
-
-	decisions := a.SessionNeighborDecisions(s)
-	type candidate struct {
-		d          assign.Decision
-		phi        float64 // noiseless, for reporting
-		phiReading float64 // possibly noisy, drives the jump
-	}
-	cands := make([]candidate, 0, len(decisions))
-	for _, d := range decisions {
-		inv, err := a.Apply(d)
-		if err != nil {
-			ledger.Add(curLoad)
-			return HopResult{}, err
-		}
-		load := p.SessionLoadOf(a, s)
-		if ledger.FitsRepair(load, curLoad) && cost.DelayFeasible(a, s) {
-			phi := ev.SessionObjective(a, s)
-			reading := phi
-			if cfg.Noise != nil {
-				reading = cfg.Noise(phi)
-			}
-			cands = append(cands, candidate{d: d, phi: phi, phiReading: reading})
-		}
-		if _, err := a.Apply(inv); err != nil {
-			ledger.Add(curLoad)
-			return HopResult{}, err
-		}
-	}
-
-	res := HopResult{PhiBefore: phiCur, PhiAfter: phiCur, Feasible: len(cands)}
-	candPhis := make([]float64, len(cands))
-	for i, c := range cands {
-		candPhis[i] = c.phi
-	}
-	res.rankCandidates(candPhis)
-	if len(cands) == 0 {
-		ledger.Add(curLoad)
-		return res, nil
-	}
-
-	halfBeta := 0.5 * cfg.Beta * cfg.ObjectiveScale
-	maxExp := math.Inf(-1)
-	for _, c := range cands {
-		if e := halfBeta * (phiCurReading - c.phiReading); e > maxExp {
-			maxExp = e
-		}
-	}
-	weights := make([]float64, len(cands))
-	total := 0.0
-	for i, c := range cands {
-		weights[i] = math.Exp(halfBeta*(phiCurReading-c.phiReading) - maxExp)
-		total += weights[i]
-	}
-	res.TotalRate = total * math.Exp(maxExp)
-
-	pick := rng.Float64() * total
-	chosen := len(cands) - 1
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if pick < acc {
-			chosen = i
-			break
-		}
-	}
-
-	c := cands[chosen]
-	if _, err := a.Apply(c.d); err != nil {
-		ledger.Add(curLoad)
-		return HopResult{}, err
-	}
-	ledger.Add(p.SessionLoadOf(a, s))
-	res.Moved = true
-	res.Decision = c.d
-	res.PhiAfter = c.phi
-	return res, nil
-}
-
 // SessionTotalRate computes R(f)/τ = Σ_{f'∈F_s} exp(½β·scale·(Φ_f − Φ_f'))
 // for the session's current state without migrating: the total outgoing
 // weight that determines the ExactCTMC holding time. The ledger is restored
@@ -569,9 +463,6 @@ func SessionTotalRateWith(
 	cfg Config,
 	scr *HopScratch,
 ) (float64, error) {
-	if cfg.DenseEval {
-		return sessionTotalRateDense(a, s, ev, ledger, cfg)
-	}
 	scr.ensure(ev)
 	es := scr.eval
 	es.SetDelayCacheEnabled(!cfg.RebuildDelayBase)
@@ -588,38 +479,6 @@ func SessionTotalRateWith(
 	for _, phi := range scr.vals {
 		if !math.IsNaN(phi) {
 			total += math.Exp(halfBeta * (be.Phi - phi))
-		}
-	}
-	return total, nil
-}
-
-// sessionTotalRateDense is the dense reference for SessionTotalRate.
-func sessionTotalRateDense(
-	a *assign.Assignment,
-	s model.SessionID,
-	ev *cost.Evaluator,
-	ledger *cost.Ledger,
-	cfg Config,
-) (float64, error) {
-	p := ev.Params()
-	curLoad := p.SessionLoadOf(a, s)
-	ledger.Remove(curLoad)
-	defer ledger.Add(curLoad)
-
-	phiCur := ev.SessionObjective(a, s)
-	halfBeta := 0.5 * cfg.Beta * cfg.ObjectiveScale
-	total := 0.0
-	for _, d := range a.SessionNeighborDecisions(s) {
-		inv, err := a.Apply(d)
-		if err != nil {
-			return 0, err
-		}
-		load := p.SessionLoadOf(a, s)
-		if ledger.FitsRepair(load, curLoad) && cost.DelayFeasible(a, s) {
-			total += math.Exp(halfBeta * (phiCur - ev.SessionObjective(a, s)))
-		}
-		if _, err := a.Apply(inv); err != nil {
-			return 0, err
 		}
 	}
 	return total, nil

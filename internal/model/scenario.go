@@ -3,6 +3,8 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // DefaultDMaxMS is the maximum acceptable user-to-user conferencing delay in
@@ -56,6 +58,11 @@ type Scenario struct {
 	pairStart   []int32
 	flowStart   []int32
 	planRefs    []planRef
+
+	// nearest is the nearest-agent table, built on first use; nearestMu
+	// serializes its builds.
+	nearest   atomic.Pointer[nearestTable]
+	nearestMu sync.Mutex
 }
 
 // ScenarioOption customizes scenario semantics at construction time.
@@ -196,20 +203,16 @@ func (sc *Scenario) DownstreamRep(f Flow) Representation {
 // NearestAgent returns the agent with minimal H-delay to user u. Ties break
 // toward the lower agent ID, which keeps results deterministic.
 func (sc *Scenario) NearestAgent(u UserID) AgentID {
-	best, bestDelay := AgentID(0), math.Inf(1)
-	for l := range sc.Agents {
-		if d := sc.HMS[l][u]; d < bestDelay {
-			best, bestDelay = AgentID(l), d
-		}
-	}
-	return best
+	t := sc.nearestAgents(1)
+	return t.agents[int(u)*t.k]
 }
 
 // AppendNearestAgents appends to dst the k agents nearest to user u by
 // H-delay, nearest first (ties broken by agent ID), and returns the extended
-// slice. It is a bounded insertion over one pass of the fleet — O(L·k) — and
-// allocates nothing when dst has room for k more entries. k is clamped to
-// [0, NumAgents].
+// slice. It copies the prefix of u's row in the scenario's nearest-agent
+// table — O(k), after the first request of a width built the table in
+// O(L·U·k) — and allocates nothing when dst has room for k more entries. k is
+// clamped to [0, NumAgents].
 func (sc *Scenario) AppendNearestAgents(dst []AgentID, u UserID, k int) []AgentID {
 	if k > len(sc.Agents) {
 		k = len(sc.Agents)
@@ -217,26 +220,55 @@ func (sc *Scenario) AppendNearestAgents(dst []AgentID, u UserID, k int) []AgentI
 	if k <= 0 {
 		return dst
 	}
-	base := len(dst)
-	for l := range sc.Agents {
-		d := sc.HMS[l][u]
-		// Agents arrive in ascending ID, so on equal delay the newcomer
-		// sorts after every kept agent: only a strictly smaller delay
-		// displaces one.
-		if len(dst)-base == k {
-			if d >= sc.HMS[dst[len(dst)-1]][u] {
-				continue
-			}
-		} else {
-			dst = append(dst, 0)
-		}
-		i := len(dst) - 1
-		for ; i > base && sc.HMS[dst[i-1]][u] > d; i-- {
-			dst[i] = dst[i-1]
-		}
-		dst[i] = AgentID(l)
+	t := sc.nearestAgents(k)
+	return append(dst, t.agents[int(u)*t.k:][:k]...)
+}
+
+// nearestTable holds every user's t.k delay-nearest agents, nearest first
+// with ties by agent ID: user u's row is agents[u·k, (u+1)·k). Its prefix of
+// width j ≤ k is the table of width j.
+type nearestTable struct {
+	k      int
+	agents []AgentID
+}
+
+// nearestAgents returns a nearest-agent table at least k wide (1 ≤ k ≤ L),
+// building one on first use or when a wider one is asked for. A published
+// table is never written again, so readers keep the one they loaded.
+func (sc *Scenario) nearestAgents(k int) *nearestTable {
+	if t := sc.nearest.Load(); t != nil && t.k >= k {
+		return t
 	}
-	return dst
+	sc.nearestMu.Lock()
+	defer sc.nearestMu.Unlock()
+	if t := sc.nearest.Load(); t != nil && t.k >= k {
+		return t
+	}
+	t := &nearestTable{k: k, agents: make([]AgentID, len(sc.Users)*k)}
+	delays := make([]float64, len(t.agents))
+	// Each user's bounded insertion over one scan of the fleet, for all users
+	// at once, walking H by rows. Agents arrive in ascending ID, so on equal
+	// delay the newcomer sorts after every kept agent: only a strictly
+	// smaller delay displaces one.
+	for l, row := range sc.HMS {
+		kept := min(l, k)
+		for u, d := range row {
+			ag, dl := t.agents[u*k:(u+1)*k], delays[u*k:(u+1)*k]
+			i := kept
+			if kept == k {
+				if d >= dl[k-1] {
+					continue
+				}
+				i = k - 1
+			}
+			for ; i > 0 && dl[i-1] > d; i-- {
+				ag[i], dl[i] = ag[i-1], dl[i-1]
+			}
+			ag[i], dl[i] = AgentID(l), d
+		}
+	}
+	sc.nearest.Store(t)
+	return t
 }
 
 func (sc *Scenario) validate() error {

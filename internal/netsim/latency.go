@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Config parameterizes latency synthesis. The zero Config is not valid; use
@@ -97,43 +100,81 @@ func Generate(cfg Config, agentSites, userSites []Site) (*Network, error) {
 	}
 
 	L := len(agentSites)
-	n.DMS = make([][]float64, L)
-	for l := range n.DMS {
-		n.DMS[l] = make([]float64, L)
-	}
-	for l := 0; l < L; l++ {
-		for k := l + 1; k < L; k++ {
-			d := cfg.pathDelayMS(agentSites[l], agentSites[k], pairKey(cfg.Seed, l, k)) +
+	agents, users := points(agentSites), points(userSites)
+	n.DMS, n.HMS = matrix(L, L), matrix(L, len(userSites))
+	// Rows 0..L-1 are D's, L..2L-1 H's. Every cell is a pure function of its
+	// pair, so rows fill in parallel: D's row l writes (l, k) and (k, l) for
+	// k > l only, H's row l its own.
+	parallelRows(2*L, func(i int) {
+		if l := i - L; l >= 0 {
+			for u := range users {
+				d := cfg.pathDelayMS(agents[l], users[u], pairKey(cfg.Seed, 1000+l, 2000+u)) +
+					cfg.AgentAccessMS + userAccess[u]
+				if d < cfg.MinFloorMS {
+					d = cfg.MinFloorMS
+				}
+				n.HMS[l][u] = d
+			}
+			return
+		}
+		for k := i + 1; k < L; k++ {
+			d := cfg.pathDelayMS(agents[i], agents[k], pairKey(cfg.Seed, i, k)) +
 				2*cfg.AgentAccessMS
 			if d < cfg.MinFloorMS {
 				d = cfg.MinFloorMS
 			}
-			n.DMS[l][k] = d
-			n.DMS[k][l] = d
+			n.DMS[i][k] = d
+			n.DMS[k][i] = d
 		}
-	}
-
-	n.HMS = make([][]float64, L)
-	for l := range n.HMS {
-		n.HMS[l] = make([]float64, len(userSites))
-		for u := range userSites {
-			d := cfg.pathDelayMS(agentSites[l], userSites[u], pairKey(cfg.Seed, 1000+l, 2000+u)) +
-				cfg.AgentAccessMS + userAccess[u]
-			if d < cfg.MinFloorMS {
-				d = cfg.MinFloorMS
-			}
-			n.HMS[l][u] = d
-		}
-	}
+	})
 	return n, nil
+}
+
+// matrix allocates a rows×cols table.
+func matrix(rows, cols int) [][]float64 {
+	m := make([][]float64, rows)
+	for i := range m {
+		m[i] = make([]float64, cols)
+	}
+	return m
+}
+
+// parallelRows calls row(i) once for every i in [0, n) on up to GOMAXPROCS
+// goroutines, each taking the next unclaimed row.
+func parallelRows(n int, row func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				row(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// point is a site's coordinates with cos(lat) computed once per site.
+type point struct{ lat, lon, cosLat float64 }
+
+func pointOf(s Site) point { return point{s.Lat, s.Lon, math.Cos(rad(s.Lat))} }
+
+func points(sites []Site) []point {
+	ps := make([]point, len(sites))
+	for i, s := range sites {
+		ps[i] = pointOf(s)
+	}
+	return ps
 }
 
 // pathDelayMS is the one-way propagation delay between two sites: geodesic
 // distance over the speed of light in fiber (≈200 km/ms), times a
 // deterministic per-pair routing inflation.
-func (c Config) pathDelayMS(a, b Site, key uint64) float64 {
+func (c Config) pathDelayMS(a, b point, key uint64) float64 {
 	const fiberKMPerMS = 200.0
-	dist := haversineKM(a.Lat, a.Lon, b.Lat, b.Lon)
+	dist := haversineKM(a, b)
 	infl := c.RouteInflationMin +
 		hashUnit(key)*(c.RouteInflationMax-c.RouteInflationMin)
 	return dist / fiberKMPerMS * infl
@@ -185,15 +226,16 @@ func clampLat(lat float64) float64 {
 	return lat
 }
 
-// haversineKM returns the great-circle distance between two coordinates.
-func haversineKM(lat1, lon1, lat2, lon2 float64) float64 {
+func rad(deg float64) float64 { return deg * math.Pi / 180 }
+
+// haversineKM returns the great-circle distance between two points: one
+// sine per half-angle, the cosines the points carry.
+func haversineKM(a, b point) float64 {
 	const earthRadiusKM = 6371.0
-	rad := func(deg float64) float64 { return deg * math.Pi / 180 }
-	dLat := rad(lat2 - lat1)
-	dLon := rad(lon2 - lon1)
-	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(rad(lat1))*math.Cos(rad(lat2))*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * earthRadiusKM * math.Asin(math.Min(1, math.Sqrt(a)))
+	s1 := math.Sin(rad(b.lat-a.lat) / 2)
+	s2 := math.Sin(rad(b.lon-a.lon) / 2)
+	h := s1*s1 + a.cosLat*b.cosLat*s2*s2
+	return 2 * earthRadiusKM * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 
 // pairKey builds a symmetric deterministic key for an unordered index pair.

@@ -152,13 +152,13 @@ func TestConfigValidation(t *testing.T) {
 
 func TestHaversineKnownDistances(t *testing.T) {
 	// Tokyo–Singapore ≈ 5320 km.
-	d := haversineKM(35.68, 139.69, 1.35, 103.82)
+	d := haversineKM(pointOf(Site{Lat: 35.68, Lon: 139.69}), pointOf(Site{Lat: 1.35, Lon: 103.82}))
 	if math.Abs(d-5320) > 200 {
 		t.Fatalf("Tokyo–Singapore = %.0f km, want ≈5320", d)
 	}
 	// Same point.
-	if d := haversineKM(10, 20, 10, 20); d != 0 {
-		t.Fatalf("same-point distance = %v, want 0", d)
+	if p := pointOf(Site{Lat: 10, Lon: 20}); haversineKM(p, p) != 0 {
+		t.Fatalf("same-point distance = %v, want 0", haversineKM(p, p))
 	}
 }
 
