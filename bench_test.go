@@ -266,17 +266,20 @@ func fleetScenario(b *testing.B, seed int64) (*cost.Evaluator, *assign.Assignmen
 // BenchmarkHopSession measures one HOP of Alg. 1 on a 100-agent fleet:
 // "sparse-warm" is the production delta pipeline with the persistent
 // per-session delay cache (target: 0 allocs/op), "sparse-rebuild" the same
-// pipeline rebuilding the delay base every hop (the pre-cache path behind
-// core.Config.RebuildDelayBase), and "sparse-7agents" the classic
+// pipeline rebuilding the delay base every hop (the pre-cache path, on a
+// scratch whose delay cache is off), and "sparse-7agents" the classic
 // paper-scale workload for continuity with older baselines (the dense
 // reference lives in internal/core's tests). The "warm-hop"/"rebuild-hop" pair runs
 // the N_ngbr = 1 candidate window (Fig. 10's tightest pruning), where the
 // once-per-hop BeginSession is a large share of the hop and the warm cache
 // pays off most.
 func BenchmarkHopSession(b *testing.B) {
-	run := func(b *testing.B, ev *cost.Evaluator, a *assign.Assignment, ledger *cost.Ledger, cfg core.Config) {
+	run := func(b *testing.B, ev *cost.Evaluator, a *assign.Assignment, ledger *cost.Ledger, rebuild bool, window int) {
+		cfg := core.DefaultConfig(1)
+		cfg.NeighborWindow = window
 		rng := rand.New(rand.NewSource(1))
 		scr := core.NewHopScratch(ev)
+		scr.Eval().SetDelayCacheEnabled(!rebuild)
 		sessions := ev.Scenario().NumSessions()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -286,34 +289,28 @@ func BenchmarkHopSession(b *testing.B) {
 			}
 		}
 	}
-	shape := func(rebuild bool, window int) core.Config {
-		cfg := core.DefaultConfig(1)
-		cfg.RebuildDelayBase = rebuild
-		cfg.NeighborWindow = window
-		return cfg
-	}
 	b.Run("sparse-warm", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, 0))
+		run(b, ev, a, ledger, false, 0)
 	})
 	b.Run("sparse-rebuild", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(true, 0))
+		run(b, ev, a, ledger, true, 0)
 	})
 	// The acceptance pair: the N_ngbr = 1 windowed chain (Fig. 10's
 	// tightest pruning), where every hop's BeginSession lands on the entry
 	// its previous commit re-synchronized — a pure warm hit.
 	b.Run("warm-hop", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, 1))
+		run(b, ev, a, ledger, false, 1)
 	})
 	b.Run("rebuild-hop", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(true, 1))
+		run(b, ev, a, ledger, true, 1)
 	})
 	b.Run("sparse-7agents", func(b *testing.B) {
 		ev, a, ledger := benchScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, 0))
+		run(b, ev, a, ledger, false, 0)
 	})
 }
 

@@ -15,7 +15,9 @@ package agrank
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"sort"
 
 	"vconf/internal/assign"
@@ -86,6 +88,11 @@ type Result struct {
 // ledger's residual capacities, assigns users and transcoding tasks, and on
 // success adds the session's load to the ledger. On failure every decision
 // of the session is rolled back.
+//
+// Every placement attempt prices the session's partial load on the sparse
+// kernel and checks it on the agents it touches, so an attempt costs
+// O(session), not O(fleet). The ledger alone is checked once per admission;
+// the final TryAdd checks the whole ledger again, atomically with the add.
 func BootstrapSession(a *assign.Assignment, s model.SessionID, p cost.Params, ledger cost.LedgerAPI, opts Options) (*Result, error) {
 	sc := a.Scenario()
 	if err := opts.validate(sc.NumAgents()); err != nil {
@@ -94,15 +101,20 @@ func BootstrapSession(a *assign.Assignment, s model.SessionID, p cost.Params, le
 
 	res := rankSession(sc, s, ledger, opts)
 
-	if err := admitUsers(a, s, p, ledger, res); err != nil {
+	scr := cost.GetScratch()
+	defer cost.PutScratch(scr)
+	background := ledger.Fits(nil)
+	fits := func() bool {
+		return background && ledger.FitsTouched(p.SessionLoadSparse(a, s, scr))
+	}
+	if err := admitUsers(a, s, res, fits); err != nil {
 		rollbackSession(a, s)
 		return res, err
 	}
-	if err := placeTranscoding(a, s, p, ledger, res); err != nil {
+	if err := placeTranscoding(a, s, res, fits); err != nil {
 		rollbackSession(a, s)
 		return res, err
 	}
-	load := p.SessionLoadOf(a, s)
 	if !cost.DelayFeasible(a, s) {
 		rollbackSession(a, s)
 		return res, fmt.Errorf("%w: session %d violates the delay cap", ErrInfeasible, s)
@@ -111,7 +123,7 @@ func BootstrapSession(a *assign.Assignment, s model.SessionID, p cost.Params, le
 	// runs while worker commits mutate the ledger, so a separate
 	// Fits-then-Add could validate against usage a concurrent commit then
 	// grows past capacity.
-	if !ledger.TryAdd(load) {
+	if !ledger.TryAdd(p.SessionLoadSparse(a, s, scr)) {
 		rollbackSession(a, s)
 		return res, fmt.Errorf("%w: session %d final load exceeds capacity", ErrInfeasible, s)
 	}
@@ -134,24 +146,15 @@ func Bootstrap(a *assign.Assignment, p cost.Params, ledger cost.LedgerAPI, opts 
 // rankSession performs steps (1)–(3): candidate collection and ranking.
 func rankSession(sc *model.Scenario, s model.SessionID, ledger cost.LedgerAPI, opts Options) *Result {
 	members := sc.Session(s).Users
+	k := opts.NNgbr
 
-	// N(u): top n_ngbr nearest agents per user; N(s): their union.
-	inSet := make(map[model.AgentID]bool)
-	nearest := make(map[model.UserID][]model.AgentID, len(members))
-	near := make([]model.AgentID, 0, len(members)*opts.NNgbr)
+	// N(u): top n_ngbr nearest agents per user, member m's at near[m·k:];
+	// N(s): their union, ascending.
+	near := make([]model.AgentID, 0, len(members)*k)
 	for _, u := range members {
-		near = sc.AppendNearestAgents(near, u, opts.NNgbr)
-		prox := near[len(near)-opts.NNgbr:]
-		nearest[u] = prox
-		for _, l := range prox {
-			inSet[l] = true
-		}
+		near = sc.AppendNearestAgents(near, u, k)
 	}
-	potential := make([]model.AgentID, 0, len(inSet))
-	for l := range inSet {
-		potential = append(potential, l)
-	}
-	sort.Slice(potential, func(i, j int) bool { return potential[i] < potential[j] })
+	potential := slices.Compact(slices.Sorted(slices.Values(near)))
 
 	pi0 := seedRanks(sc, potential, ledger)
 	pi, iters := iterateRanks(sc, potential, pi0, opts)
@@ -163,8 +166,8 @@ func rankSession(sc *model.Scenario, s model.SessionID, ledger cost.LedgerAPI, o
 
 	// Candidate order per user: descending rank, ties by proximity then ID.
 	candidates := make(map[model.UserID][]model.AgentID, len(members))
-	for _, u := range members {
-		cand := append([]model.AgentID(nil), nearest[u]...)
+	for m, u := range members {
+		cand := near[m*k : (m+1)*k : (m+1)*k]
 		uu := u
 		sort.SliceStable(cand, func(i, j int) bool {
 			ri, rj := rank[cand[i]], rank[cand[j]]
@@ -249,8 +252,8 @@ func iterateRanks(sc *model.Scenario, potential []model.AgentID, pi0 []float64, 
 		// low-delay edges).
 		for j := 0; j < n; j++ {
 			acc := 0.0
-			for i := 0; i < n; i++ {
-				acc += pi[i] * dhat[i][j]
+			for i, d := range dhat[j*n : j*n+n] {
+				acc += pi[i] * d
 			}
 			next[j] = acc
 		}
@@ -287,8 +290,9 @@ func iterateRanks(sc *model.Scenario, potential []model.AgentID, pi0 []float64, 
 // buildDhat constructs D̂ over the candidate set: D̂[l][k] =
 // min_offdiag(D)/D[l][k] with diagonal 1 (self-delay is the minimum). When
 // rowNormalize is set, rows are scaled to sum to 1 so the damped iteration
-// is a proper personalized random walk.
-func buildDhat(sc *model.Scenario, potential []model.AgentID, rowNormalize bool) [][]float64 {
+// is a proper personalized random walk. D̂ is returned column by column —
+// entry (i, j) at j·n + i — the order the iteration reads it in.
+func buildDhat(sc *model.Scenario, potential []model.AgentID, rowNormalize bool) []float64 {
 	n := len(potential)
 	minD := math.Inf(1)
 	for i := 0; i < n; i++ {
@@ -304,9 +308,8 @@ func buildDhat(sc *model.Scenario, potential []model.AgentID, rowNormalize bool)
 	if math.IsInf(minD, 1) {
 		minD = 1 // all off-diagonal delays are zero: degenerate uniform case
 	}
-	dhat := make([][]float64, n)
+	dhat := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		dhat[i] = make([]float64, n)
 		rowSum := 0.0
 		for j := 0; j < n; j++ {
 			var v float64
@@ -317,12 +320,12 @@ func buildDhat(sc *model.Scenario, potential []model.AgentID, rowNormalize bool)
 			} else {
 				v = 1 // zero measured delay: as good as self
 			}
-			dhat[i][j] = v
+			dhat[j*n+i] = v
 			rowSum += v
 		}
 		if rowNormalize && rowSum > 0 {
 			for j := 0; j < n; j++ {
-				dhat[i][j] /= rowSum
+				dhat[j*n+i] /= rowSum
 			}
 		}
 	}
@@ -336,13 +339,13 @@ func buildDhat(sc *model.Scenario, potential []model.AgentID, rowNormalize bool)
 // concentration from dragging far-away users past Dmax — without it a
 // top-ranked hub can be capacity-feasible yet delay-infeasible for users on
 // other continents.
-func admitUsers(a *assign.Assignment, s model.SessionID, p cost.Params, ledger cost.LedgerAPI, res *Result) error {
+func admitUsers(a *assign.Assignment, s model.SessionID, res *Result, fits func() bool) error {
 	sc := a.Scenario()
 	for _, u := range sc.Session(s).Users {
 		admitted := false
 		for _, l := range res.Candidates[u] {
 			a.SetUserAgent(u, l)
-			if ledger.Fits(p.SessionLoadOf(a, s)) && partialDelayOK(a, s) {
+			if fits() && memberDelayOK(a, u) {
 				admitted = true
 				break
 			}
@@ -355,42 +358,44 @@ func admitUsers(a *assign.Assignment, s model.SessionID, p cost.Params, ledger c
 	return nil
 }
 
-// partialDelayOK checks constraint (8) over the session's flows whose
-// endpoints are both assigned. Transcoding flows without a transcoder yet
-// are judged optimistically with the better of the two endpoint agents —
-// placeTranscoding can always realize one of those placements.
-func partialDelayOK(a *assign.Assignment, s model.SessionID) bool {
+// memberDelayOK checks constraint (8) over the flows between user u, just
+// placed, and the session's other assigned members. The flows among members
+// placed earlier passed when the later of their endpoints was placed and
+// have not moved since, so these are the only flows u's placement decides.
+func memberDelayOK(a *assign.Assignment, u model.UserID) bool {
 	sc := a.Scenario()
-	for _, u := range sc.Session(s).Users {
-		lu := a.UserAgent(u)
-		if lu == assign.Unassigned {
+	lu := a.UserAgent(u)
+	for _, v := range sc.Participants(u) {
+		lv := a.UserAgent(v)
+		if lv == assign.Unassigned {
 			continue
 		}
-		for _, v := range sc.Participants(u) {
-			lv := a.UserAgent(v)
-			if lv == assign.Unassigned {
-				continue
-			}
-			f := model.Flow{Src: u, Dst: v}
-			var d float64
-			if !sc.Theta(u, v) {
-				d = sc.H(lu, u) + sc.D(lu, lv) + sc.H(lv, v)
-			} else if m, ok := a.FlowAgent(f); ok && m != assign.Unassigned {
-				d = cost.FlowDelayMS(a, f)
-			} else {
-				src := sc.User(u)
-				rep := sc.DownstreamRep(f)
-				base := sc.H(lu, u) + sc.H(lv, v)
-				atSrc := base + sc.D(lu, lv) + sc.Agent(lu).Sigma(src.Upstream, rep)
-				atDst := base + sc.D(lu, lv) + sc.Agent(lv).Sigma(src.Upstream, rep)
-				d = math.Min(atSrc, atDst)
-			}
-			if d > sc.DMaxMS {
-				return false
-			}
+		if partialFlowDelay(a, u, v, lu, lv) > sc.DMaxMS || partialFlowDelay(a, v, u, lv, lu) > sc.DMaxMS {
+			return false
 		}
 	}
 	return true
+}
+
+// partialFlowDelay is the delay of flow u → v with u at lu and v at lv. A
+// transcoding flow without a transcoder yet is judged optimistically with
+// the better of the two endpoint agents — placeTranscoding can always
+// realize one of those placements.
+func partialFlowDelay(a *assign.Assignment, u, v model.UserID, lu, lv model.AgentID) float64 {
+	sc := a.Scenario()
+	f := model.Flow{Src: u, Dst: v}
+	if !sc.Theta(u, v) {
+		return sc.H(lu, u) + sc.D(lu, lv) + sc.H(lv, v)
+	}
+	if m, ok := a.FlowAgent(f); ok && m != assign.Unassigned {
+		return cost.FlowDelayMS(a, f)
+	}
+	src := sc.User(u)
+	rep := sc.DownstreamRep(f)
+	base := sc.H(lu, u) + sc.H(lv, v)
+	atSrc := base + sc.D(lu, lv) + sc.Agent(lu).Sigma(src.Upstream, rep)
+	atDst := base + sc.D(lu, lv) + sc.Agent(lv).Sigma(src.Upstream, rep)
+	return math.Min(atSrc, atDst)
 }
 
 // placeTranscoding performs step (5): the paper's rule of thumb — when at
@@ -399,7 +404,7 @@ func partialDelayOK(a *assign.Assignment, s model.SessionID) bool {
 // otherwise transcode at the (single) destination's agent. Each placement
 // falls back through the session's candidates by rank, then through all
 // agents, whenever the incremental load does not fit.
-func placeTranscoding(a *assign.Assignment, s model.SessionID, p cost.Params, ledger cost.LedgerAPI, res *Result) error {
+func placeTranscoding(a *assign.Assignment, s model.SessionID, res *Result, fits func() bool) error {
 	sc := a.Scenario()
 
 	// Group the session's transcoding flows by (source, output rep).
@@ -423,8 +428,9 @@ func placeTranscoding(a *assign.Assignment, s model.SessionID, p cost.Params, le
 		g.flows = append(g.flows, f)
 	}
 
-	// Fallback order: session candidates by descending rank, then the rest.
-	fallback := agentsByRank(sc, res)
+	// The session's candidates by descending rank lead every fallback.
+	ranked := append([]model.AgentID(nil), res.Potential...)
+	sort.SliceStable(ranked, func(i, j int) bool { return res.Rank[ranked[i]] > res.Rank[ranked[j]] })
 
 	for _, k := range order {
 		g := groups[k]
@@ -435,13 +441,13 @@ func placeTranscoding(a *assign.Assignment, s model.SessionID, p cost.Params, le
 			preferred = a.UserAgent(g.flows[0].Dst)
 		}
 		placed := false
-		for _, m := range prepend(preferred, fallback) {
+		for m := range fallback(sc.NumAgents(), preferred, ranked, res.Potential) {
 			for _, f := range g.flows {
 				if err := a.SetFlowAgent(f, m); err != nil {
 					return err
 				}
 			}
-			if ledger.Fits(p.SessionLoadOf(a, s)) && groupDelayOK(a, g.flows) {
+			if fits() && groupDelayOK(a, g.flows) {
 				placed = true
 				break
 			}
@@ -454,6 +460,31 @@ func placeTranscoding(a *assign.Assignment, s model.SessionID, p cost.Params, le
 	return nil
 }
 
+// fallback yields the agents a transcoding group tries, in order: the
+// preferred agent, the session's candidates by descending rank (ranked), then
+// every agent outside the candidate set (potential, ascending) by ID. It is
+// lazy, so a group placed early never walks the fleet.
+func fallback(numAgents int, preferred model.AgentID, ranked, potential []model.AgentID) iter.Seq[model.AgentID] {
+	return func(yield func(model.AgentID) bool) {
+		if !yield(preferred) {
+			return
+		}
+		for _, l := range ranked {
+			if l != preferred && !yield(l) {
+				return
+			}
+		}
+		for l := model.AgentID(0); int(l) < numAgents; l++ {
+			if _, in := slices.BinarySearch(potential, l); in || l == preferred {
+				continue
+			}
+			if !yield(l) {
+				return
+			}
+		}
+	}
+}
+
 // groupDelayOK checks constraint (8) for the flows of one transcoding group
 // under the currently attempted placement.
 func groupDelayOK(a *assign.Assignment, flows []model.Flow) bool {
@@ -464,34 +495,6 @@ func groupDelayOK(a *assign.Assignment, flows []model.Flow) bool {
 		}
 	}
 	return true
-}
-
-// agentsByRank lists every agent: session candidates first by descending
-// rank, then the remaining agents by ID.
-func agentsByRank(sc *model.Scenario, res *Result) []model.AgentID {
-	out := append([]model.AgentID(nil), res.Potential...)
-	sort.SliceStable(out, func(i, j int) bool { return res.Rank[out[i]] > res.Rank[out[j]] })
-	inSet := make(map[model.AgentID]bool, len(out))
-	for _, l := range out {
-		inSet[l] = true
-	}
-	for l := 0; l < sc.NumAgents(); l++ {
-		if !inSet[model.AgentID(l)] {
-			out = append(out, model.AgentID(l))
-		}
-	}
-	return out
-}
-
-func prepend(first model.AgentID, rest []model.AgentID) []model.AgentID {
-	out := make([]model.AgentID, 0, len(rest)+1)
-	out = append(out, first)
-	for _, l := range rest {
-		if l != first {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 func rollbackSession(a *assign.Assignment, s model.SessionID) {

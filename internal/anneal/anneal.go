@@ -39,11 +39,10 @@ type AnnealConfig struct {
 	T0   float64
 	TEnd float64
 	Seed int64
-	// RebuildDelayBase disables the persistent per-session delay cache the
-	// proposal chain reuses across iterations (see cost.DelayCache) and
-	// rebuilds the full delay base on every BeginSession instead. The two
-	// paths are bit-identical; the flag exists for differential testing.
-	RebuildDelayBase bool
+	// rebuildDelayBase rebuilds the full delay base on every BeginSession
+	// instead of reusing the chain's per-session delay cache: the reference
+	// the package's differential test replays against.
+	rebuildDelayBase bool
 }
 
 // DefaultAnnealConfig returns a schedule sized for workloads of a few
@@ -73,15 +72,13 @@ func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg Anneal
 	if !start.Complete() {
 		return nil, fmt.Errorf("anneal: start assignment incomplete")
 	}
-	p := ev.Params()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	a := start.Clone()
-	ledger := cost.NewLedger(sc)
+	ledger := ev.Params().LedgerOf(a)
 	sessionPhi := make([]float64, sc.NumSessions())
 	curPhi := 0.0
 	for s := 0; s < sc.NumSessions(); s++ {
-		ledger.Add(p.SessionLoadOf(a, model.SessionID(s)))
 		sessionPhi[s] = ev.SessionObjective(a, model.SessionID(s))
 		curPhi += sessionPhi[s]
 	}
@@ -98,7 +95,7 @@ func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg Anneal
 	// rebuild entirely, and an accepted move patches only the moved flows.
 	// No per-iteration allocations either way.
 	scr := ev.NewScratch()
-	scr.SetDelayCacheEnabled(!cfg.RebuildDelayBase)
+	scr.SetDelayCacheEnabled(!cfg.rebuildDelayBase)
 	var decisions []assign.Decision
 
 	// Base-feasibility invariant: removing a session's (non-negative) load
@@ -169,9 +166,8 @@ type GreedyConfig struct {
 	// MaxRounds bounds full sweeps over all sessions (descent usually
 	// terminates earlier at a local optimum).
 	MaxRounds int
-	// RebuildDelayBase disables the persistent per-session delay cache the
-	// descent reuses across rounds; see AnnealConfig.RebuildDelayBase.
-	RebuildDelayBase bool
+	// rebuildDelayBase is AnnealConfig.rebuildDelayBase for the descent.
+	rebuildDelayBase bool
 }
 
 // DefaultGreedyConfig allows enough rounds for convergence on the paper's
@@ -189,13 +185,8 @@ func GreedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfi
 	if !start.Complete() {
 		return nil, fmt.Errorf("anneal: start assignment incomplete")
 	}
-	p := ev.Params()
-
 	a := start.Clone()
-	ledger := cost.NewLedger(sc)
-	for s := 0; s < sc.NumSessions(); s++ {
-		ledger.Add(p.SessionLoadOf(a, model.SessionID(s)))
-	}
+	ledger := ev.Params().LedgerOf(a)
 
 	res := &Result{}
 	// One scratch serves the descent; its delay cache keeps each session's
@@ -203,7 +194,7 @@ func GreedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfi
 	// re-evaluates in O(signature compare), and an applied best move
 	// patches only its own flows next round).
 	scr := ev.NewScratch()
-	scr.SetDelayCacheEnabled(!cfg.RebuildDelayBase)
+	scr.SetDelayCacheEnabled(!cfg.rebuildDelayBase)
 	var decisions []assign.Decision
 	for round := 0; round < cfg.MaxRounds; round++ {
 		improvedAny := false

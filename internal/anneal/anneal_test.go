@@ -89,7 +89,7 @@ func TestGreedyDescentReachesLocalOptimum(t *testing.T) {
 				t.Fatal(err)
 			}
 			load := p.SessionLoadOf(a, sid)
-			if ledger.Fits(load) && cost.DelayFeasible(a, sid) {
+			if ledger.Fits(cost.NewSparseLoadFromDense(load)) && cost.DelayFeasible(a, sid) {
 				if phi := ev.SessionObjective(a, sid); phi < curPhi-1e-9 {
 					t.Fatalf("session %d still improvable by %v (%v → %v)", s, d, curPhi, phi)
 				}
@@ -283,7 +283,7 @@ func TestAnnealDelayCacheBitIdentical(t *testing.T) {
 	cached := DefaultAnnealConfig(5)
 	cached.Iterations = 3000
 	rebuild := cached
-	rebuild.RebuildDelayBase = true
+	rebuild.rebuildDelayBase = true
 	resC, err := SimulatedAnnealing(ev, start, cached)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestAnnealDelayCacheBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gR, err := GreedyDescent(ev, start, GreedyConfig{MaxRounds: 50, RebuildDelayBase: true})
+	gR, err := GreedyDescent(ev, start, GreedyConfig{MaxRounds: 50, rebuildDelayBase: true})
 	if err != nil {
 		t.Fatal(err)
 	}

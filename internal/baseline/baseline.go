@@ -37,14 +37,15 @@ func AssignSessionNearest(a *assign.Assignment, s model.SessionID, p cost.Params
 			return err
 		}
 	}
-	load := p.SessionLoadOf(a, s)
 	if !cost.DelayFeasible(a, s) {
 		rollbackSession(a, s)
 		return fmt.Errorf("%w: session %d violates the delay cap under nearest assignment", ErrInfeasible, s)
 	}
+	scr := cost.GetScratch()
+	defer cost.PutScratch(scr)
 	// Atomic check-then-add (see LedgerAPI.TryAdd): admission must not
 	// validate against usage a concurrent worker commit then grows.
-	if !ledger.TryAdd(load) {
+	if !ledger.TryAdd(p.SessionLoadSparse(a, s, scr)) {
 		rollbackSession(a, s)
 		return fmt.Errorf("%w: session %d exceeds agent capacity under nearest assignment", ErrInfeasible, s)
 	}
@@ -81,6 +82,8 @@ func rollbackSession(a *assign.Assignment, s model.SessionID) {
 // ledger and clears its decision variables. Used by the dynamics experiments
 // when sessions depart (Fig. 5).
 func RemoveSession(a *assign.Assignment, s model.SessionID, p cost.Params, ledger cost.LedgerAPI) {
-	ledger.Remove(p.SessionLoadOf(a, s))
+	scr := cost.GetScratch()
+	defer cost.PutScratch(scr)
+	ledger.RemoveSparse(p.SessionLoadSparse(a, s, scr))
 	rollbackSession(a, s)
 }

@@ -29,6 +29,8 @@ func AssignSessionRandom(a *assign.Assignment, s model.SessionID, p cost.Params,
 	if maxTries < 1 {
 		maxTries = 1
 	}
+	scr := cost.GetScratch()
+	defer cost.PutScratch(scr)
 	for try := 0; try < maxTries; try++ {
 		for _, u := range sc.Session(s).Users {
 			a.SetUserAgent(u, model.AgentID(rng.Intn(sc.NumAgents())))
@@ -39,10 +41,9 @@ func AssignSessionRandom(a *assign.Assignment, s model.SessionID, p cost.Params,
 				return err
 			}
 		}
-		load := p.SessionLoadOf(a, s)
 		// Atomic check-then-add (see LedgerAPI.TryAdd): final admission must
 		// not validate against usage a concurrent commit then grows.
-		if cost.DelayFeasible(a, s) && ledger.TryAdd(load) {
+		if cost.DelayFeasible(a, s) && ledger.TryAdd(p.SessionLoadSparse(a, s, scr)) {
 			return nil
 		}
 	}
@@ -72,10 +73,11 @@ func AssignSessionSingleAgent(a *assign.Assignment, s model.SessionID, p cost.Pa
 	sc := a.Scenario()
 	bestAgent := model.AgentID(-1)
 	bestDelay := math.Inf(1)
+	scr := cost.GetScratch()
+	defer cost.PutScratch(scr)
 	for l := 0; l < sc.NumAgents(); l++ {
 		placeSessionAt(a, s, model.AgentID(l))
-		load := p.SessionLoadOf(a, s)
-		if !ledger.Fits(load) || !cost.DelayFeasible(a, s) {
+		if !ledger.Fits(p.SessionLoadSparse(a, s, scr)) || !cost.DelayFeasible(a, s) {
 			continue
 		}
 		if d := cost.SessionDelaysOf(a, s).MeanOfMaxMS; d < bestDelay {
@@ -90,7 +92,7 @@ func AssignSessionSingleAgent(a *assign.Assignment, s model.SessionID, p cost.Pa
 	placeSessionAt(a, s, bestAgent)
 	// The scan's Fits ran arbitrarily earlier; re-validate and account in
 	// one critical section (single-owner contexts always succeed here).
-	if !ledger.TryAdd(p.SessionLoadOf(a, s)) {
+	if !ledger.TryAdd(p.SessionLoadSparse(a, s, scr)) {
 		rollbackSession(a, s)
 		return fmt.Errorf("%w: session %d lost its single-agent capacity to a concurrent admission",
 			ErrInfeasible, s)

@@ -88,6 +88,7 @@ type Runtime struct {
 	sc     *model.Scenario
 	params cost.Params
 	cfg    Config
+	loads  cost.Scratch // prices each tick's inter-agent traffic
 
 	cur    *assign.Assignment
 	active map[model.SessionID]bool
@@ -270,7 +271,7 @@ func (r *Runtime) Tick(dtS float64) (Telemetry, error) {
 		if !r.active[sid] {
 			continue
 		}
-		sl := r.params.SessionLoadOf(r.cur, sid)
+		sl := r.params.SessionLoadSparse(r.cur, sid, &r.loads)
 		steady += sl.TotalInterTraffic()
 		sd := cost.SessionDelaysOf(r.cur, sid)
 		n := r.sc.Session(sid).Size()

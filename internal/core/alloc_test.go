@@ -47,9 +47,9 @@ func TestHopSessionZeroAllocs(t *testing.T) {
 			ev, a, ledger := allocFixture(t, 1)
 			sessions := ev.Scenario().NumSessions()
 			cfg := DefaultConfig(1)
-			cfg.RebuildDelayBase = tc.rebuild
 			rng := newTestRNG(1)
 			scr := NewHopScratch(ev)
+			scr.Eval().SetDelayCacheEnabled(!tc.rebuild)
 
 			// Warm-up: one pass over every session sizes all buffers (and,
 			// on the cached path, allocates every session's delay entry).

@@ -87,14 +87,6 @@ type Config struct {
 	// HopSampling selects when Engine.Run samples after hop events; the zero
 	// value keeps the historical sample-per-hop behavior.
 	HopSampling HopSampling
-	// RebuildDelayBase disables the persistent per-session delay cache on
-	// the sparse pipeline: every BeginSession rebuilds the full n×n
-	// per-flow delay base (the pre-cache path, kept verbatim) instead of
-	// patching the cached base by the decisions committed since the
-	// session's last hop. The cached and rebuild paths are bit-identical
-	// for fixed seeds; the flag exists for differential tests and
-	// before/after benchmarking.
-	RebuildDelayBase bool
 	// NeighborWindow caps the hop candidate set to each variable's k
 	// delay-nearest agents (the paper's N_ngbr pruning, Fig. 10), cutting
 	// per-hop cost from O(L·session) to O(k·session) at controlled

@@ -24,9 +24,10 @@ type hopTrace struct {
 }
 
 // runDifferential drives one engine over the scenario — on the dense
-// reference kernels when dense is set — and returns the hop trace, the
-// samples, and the final assignment.
-func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, dense bool, untilS float64,
+// reference kernels when dense is set, rebuilding the delay base on every
+// evaluation when rebuild is set — and returns the hop trace, the samples,
+// and the final assignment.
+func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, dense, rebuild bool, untilS float64,
 	degrade func(e *Engine)) ([]hopTrace, []Sample, *assign.Assignment) {
 	t.Helper()
 	ev := newEval(t, sc)
@@ -37,6 +38,7 @@ func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, dense bool, u
 	if dense {
 		eng.hop, eng.rate = hopSessionDense, sessionTotalRateDense
 	}
+	eng.scratch.Eval().SetDelayCacheEnabled(!rebuild)
 	var trace []hopTrace
 	eng.OnHop = func(timeS float64, s model.SessionID, r HopResult) {
 		trace = append(trace, hopTrace{timeS: timeS, session: s, res: r})
@@ -64,25 +66,19 @@ func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, dense bool, u
 
 // compareDifferential asserts that the dense reference, the sparse pipeline
 // with its persistent delay cache (the production default), and the sparse
-// pipeline with the per-hop delay-base rebuild (Config.RebuildDelayBase)
-// replay identical runs.
+// pipeline with the per-hop delay-base rebuild replay identical runs.
 func compareDifferential(t *testing.T, sc *model.Scenario, cfg Config, untilS float64,
 	degrade func(e *Engine)) {
 	t.Helper()
-	cached := cfg
-	cached.RebuildDelayBase = false
-	rebuild := cfg
-	rebuild.RebuildDelayBase = true
-
-	dTrace, dSamples, dFinal := runDifferential(t, sc, cfg, true, untilS, degrade)
+	dTrace, dSamples, dFinal := runDifferential(t, sc, cfg, true, false, untilS, degrade)
 	if len(dTrace) == 0 {
 		t.Fatal("dense run produced no hops; differential comparison is vacuous")
 	}
 	for _, variant := range []struct {
-		name string
-		cfg  Config
-	}{{"sparse-cached", cached}, {"sparse-rebuild", rebuild}} {
-		sTrace, sSamples, sFinal := runDifferential(t, sc, variant.cfg, false, untilS, degrade)
+		name    string
+		rebuild bool
+	}{{"sparse-cached", false}, {"sparse-rebuild", true}} {
+		sTrace, sSamples, sFinal := runDifferential(t, sc, cfg, false, variant.rebuild, untilS, degrade)
 		compareRuns(t, variant.name, dTrace, dSamples, dFinal, sTrace, sSamples, sFinal)
 	}
 }
@@ -186,12 +182,13 @@ func TestDifferentialSparseDenseExactCTMC(t *testing.T) {
 // must replay identical runs.
 func TestDifferentialDelayCacheChurn(t *testing.T) {
 	sc := multiScenario(t, 6)
-	run := func(cfg Config) ([]hopTrace, []Sample, *assign.Assignment) {
+	run := func(rebuild bool) ([]hopTrace, []Sample, *assign.Assignment) {
 		ev := newEval(t, sc)
-		eng, err := NewEngine(ev, cfg)
+		eng, err := NewEngine(ev, DefaultConfig(29))
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.scratch.Eval().SetDelayCacheEnabled(!rebuild)
 		var trace []hopTrace
 		eng.OnHop = func(timeS float64, s model.SessionID, r HopResult) {
 			trace = append(trace, hopTrace{timeS: timeS, session: s, res: r})
@@ -215,11 +212,8 @@ func TestDifferentialDelayCacheChurn(t *testing.T) {
 		}
 		return trace, samples, eng.Assignment()
 	}
-	cached := DefaultConfig(29)
-	rebuild := DefaultConfig(29)
-	rebuild.RebuildDelayBase = true
-	cTrace, cSamples, cFinal := run(cached)
-	rTrace, rSamples, rFinal := run(rebuild)
+	cTrace, cSamples, cFinal := run(false)
+	rTrace, rSamples, rFinal := run(true)
 	compareRuns(t, "cached-vs-rebuild-churn", rTrace, rSamples, rFinal, cTrace, cSamples, cFinal)
 }
 

@@ -102,10 +102,6 @@ func NewEngine(ev *cost.Evaluator, cfg Config) (*Engine, error) {
 		rate:    SessionTotalRateWith,
 		active:  make(map[model.SessionID]bool, sc.NumSessions()),
 	}
-	// The engine-owned scratch serves hops, rate queries, deactivation and
-	// snapshot reporting: its per-session delay cache stays warm across all
-	// of them unless the reference rebuild path is selected.
-	e.scratch.Eval().SetDelayCacheEnabled(!cfg.RebuildDelayBase)
 	return e, nil
 }
 

@@ -220,7 +220,6 @@ func WalkSession(
 	var st WalkStats
 	scr.ensure(ev)
 	es := scr.eval
-	es.SetDelayCacheEnabled(!cfg.RebuildDelayBase)
 	scr.memo.Clear()
 
 	// own is the load of the state the session is in, nil before the first hop.
@@ -465,7 +464,6 @@ func SessionTotalRateWith(
 ) (float64, error) {
 	scr.ensure(ev)
 	es := scr.eval
-	es.SetDelayCacheEnabled(!cfg.RebuildDelayBase)
 
 	be := ev.BeginSession(a, s, es)
 	ledger.RemoveSparse(es.CurLoad())

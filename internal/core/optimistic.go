@@ -51,20 +51,17 @@ func NewOptimisticParallel(ev *cost.Evaluator, cfg Config, a *assign.Assignment)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ledger := cost.NewLedger(ev.Scenario())
-	p := ev.Params()
 	for s := 0; s < ev.Scenario().NumSessions(); s++ {
 		if !a.SessionComplete(model.SessionID(s)) {
 			return nil, fmt.Errorf("core: optimistic engine needs a complete assignment; session %d is not", s)
 		}
-		ledger.Add(p.SessionLoadOf(a, model.SessionID(s)))
 	}
 	return &OptimisticParallel{
 		ev:        ev,
 		cfg:       cfg,
 		TimeScale: time.Millisecond,
 		a:         a.Clone(),
-		ledger:    ledger,
+		ledger:    ev.Params().LedgerOf(a),
 	}, nil
 }
 
@@ -127,7 +124,6 @@ func (oe *OptimisticParallel) attemptHop(s model.SessionID, rng *rand.Rand, scr 
 	// signatures compare variable values, not assignment identity — so the
 	// per-goroutine cache stays warm across clones when the session's own
 	// variables did not move.
-	es.SetDelayCacheEnabled(!oe.cfg.RebuildDelayBase)
 
 	// ---- snapshot (read lock) ----
 	oe.mu.RLock()
@@ -214,7 +210,7 @@ func (oe *OptimisticParallel) attemptHop(s model.SessionID, rng *rand.Rand, scr 
 		return err
 	}
 	newLoad := oe.ev.CandidateLoad(oe.a, s, es)
-	if oe.ledger.Fits(nil) && oe.ledger.FitsTouched(newLoad) && cost.DelayFeasible(oe.a, s) {
+	if oe.ledger.Fits(newLoad) && cost.DelayFeasible(oe.a, s) {
 		oe.ledger.AddSparse(newLoad)
 		oe.statsMu.Lock()
 		oe.moves++

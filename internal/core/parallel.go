@@ -43,20 +43,17 @@ func NewParallel(ev *cost.Evaluator, cfg Config, a *assign.Assignment) (*Paralle
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ledger := cost.NewLedger(ev.Scenario())
-	p := ev.Params()
 	for s := 0; s < ev.Scenario().NumSessions(); s++ {
 		if !a.SessionComplete(model.SessionID(s)) {
 			return nil, fmt.Errorf("core: parallel engine needs a complete assignment; session %d is not", s)
 		}
-		ledger.Add(p.SessionLoadOf(a, model.SessionID(s)))
 	}
 	return &Parallel{
 		ev:        ev,
 		cfg:       cfg,
 		TimeScale: time.Millisecond,
 		a:         a.Clone(),
-		ledger:    ledger,
+		ledger:    ev.Params().LedgerOf(a),
 	}, nil
 }
 

@@ -406,7 +406,7 @@ func TestLedgerAddRemoveFits(t *testing.T) {
 	if !g.Fits(nil) {
 		t.Fatal("empty ledger should fit")
 	}
-	if !g.Fits(sl) {
+	if !g.Fits(NewSparseLoadFromDense(sl)) {
 		t.Fatal("single session should fit 1000 Mbps agents")
 	}
 	g.Add(sl)
@@ -438,7 +438,7 @@ func TestLedgerRejectsOverCapacity(t *testing.T) {
 	p := DefaultParams()
 	sl := p.SessionLoadOf(a, 0)
 	g := NewLedger(sc)
-	if g.Fits(sl) {
+	if g.Fits(NewSparseLoadFromDense(sl)) {
 		t.Fatal("8 Mbps upstream must not fit a 6 Mbps agent")
 	}
 	ev, err := NewEvaluator(sc, p)

@@ -34,8 +34,8 @@ package cost
 // re-arrival (the engines and the orchestrator invalidate there, under
 // their existing state locks), and scenario rebinding (Scratch.Ensure
 // drops the cache wholesale). A cold or invalidated entry falls back to
-// the full rebuild, which is kept verbatim (and selectable everywhere via
-// core.Config.RebuildDelayBase for differential testing).
+// the full rebuild, which is kept verbatim (and selectable per scratch via
+// Scratch.SetDelayCacheEnabled for differential testing).
 //
 // Exactness: patched entries are recomputed by the same pure flowDelay
 // (FlowDelayMS read through the scenario's compiled plan) on the same

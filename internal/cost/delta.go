@@ -98,9 +98,9 @@ func (c *ObjectiveCache) SetActive(s model.SessionID, on bool) {
 func (c *ObjectiveCache) Active(s model.SessionID) bool { return c.active[s] }
 
 // SetDelayCacheEnabled toggles the persistent delay cache on the cache's
-// internal refresh scratch — control planes thread their rebuild-reference
-// config bit (core.Config.RebuildDelayBase) through here so disabling the
-// cache really disables it on every evaluation path, refreshes included.
+// internal refresh scratch — a control plane replaying on the rebuild
+// reference path turns it off here too, so every evaluation path it owns,
+// refreshes included, rebuilds.
 func (c *ObjectiveCache) SetDelayCacheEnabled(on bool) { c.scr.SetDelayCacheEnabled(on) }
 
 // EachActive visits the active session IDs in ascending order without

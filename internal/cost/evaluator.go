@@ -210,14 +210,20 @@ func (g *Ledger) effectiveCaps(l int) (down, up float64, tasks int) {
 	return down, up, tasks
 }
 
+// overAt reports whether agent l's usage plus down, up and tasks exceeds its
+// scaled capacity (constraints (5)–(7), with float accumulation slack).
+func (g *Ledger) overAt(l int, down, up float64, tasks int) bool {
+	const eps = 1e-9
+	capDown, capUp, capTasks := g.effectiveCaps(l)
+	return g.down[l]+down > capDown+eps || g.up[l]+up > capUp+eps || g.tasks[l]+tasks > capTasks
+}
+
 // Violations lists agents whose current usage exceeds their (scaled)
 // capacity — non-empty only after degradation or external load injection.
 func (g *Ledger) Violations() []model.AgentID {
-	const eps = 1e-9
 	var out []model.AgentID
 	for l := 0; l < g.sc.NumAgents(); l++ {
-		capDown, capUp, capTasks := g.effectiveCaps(l)
-		if g.down[l] > capDown+eps || g.up[l] > capUp+eps || g.tasks[l] > capTasks {
+		if g.overAt(l, 0, 0, 0) {
 			out = append(out, model.AgentID(l))
 		}
 	}
@@ -261,21 +267,19 @@ func (g *Ledger) Remove(sl *SessionLoad) { sl.SubtractFrom(g.down, g.up, g.tasks
 // Fits reports whether the ledger plus the candidate session load respects
 // every agent's (scaled) download, upload and transcoding capacity
 // (constraints (5)–(7)). The candidate may be nil to check the ledger alone.
-func (g *Ledger) Fits(candidate *SessionLoad) bool {
-	const eps = 1e-9 // float accumulation slack
+//
+// The fleet-wide part is the ledger alone; the candidate is checked on its
+// touched agents only (FitsTouched). That is the same predicate as adding
+// the candidate on every agent: off its touched agents it adds zero, and on
+// them a load is non-negative and float addition monotone, so an agent the
+// ledger alone overloads stays overloaded with the candidate added.
+func (g *Ledger) Fits(candidate *SparseLoad) bool {
 	for l := 0; l < g.sc.NumAgents(); l++ {
-		capDown, capUp, capTasks := g.effectiveCaps(l)
-		down, up, tasks := g.down[l], g.up[l], g.tasks[l]
-		if candidate != nil {
-			down += candidate.Down[l]
-			up += candidate.Up[l]
-			tasks += candidate.Tasks[l]
-		}
-		if down > capDown+eps || up > capUp+eps || tasks > capTasks {
+		if g.overAt(l, 0, 0, 0) {
 			return false
 		}
 	}
-	return true
+	return candidate == nil || g.FitsTouched(candidate)
 }
 
 // Usage returns copies of the per-agent usage vectors.
@@ -298,10 +302,7 @@ func (e *Evaluator) CheckFeasible(a *assign.Assignment) error {
 	if !a.Complete() {
 		return fmt.Errorf("cost: assignment incomplete (constraint (1)/(3))")
 	}
-	ledger := NewLedger(e.sc)
-	for s := 0; s < e.sc.NumSessions(); s++ {
-		ledger.Add(e.p.SessionLoadOf(a, model.SessionID(s)))
-	}
+	ledger := e.p.LedgerOf(a)
 	const eps = 1e-9
 	for l := 0; l < e.sc.NumAgents(); l++ {
 		ag := e.sc.Agent(model.AgentID(l))

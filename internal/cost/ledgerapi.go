@@ -18,8 +18,8 @@ import "vconf/internal/model"
 //   - *shard.Ledger: the same arithmetic behind P lock-striped ID-range
 //     shards, safe for concurrent commit pipelines.
 //
-// Methods taking dense SessionLoads are control-plane-rate (bootstrap,
-// departures); the sparse delta methods are the hot path.
+// Every check takes the sparse load; only Add and Remove also take the dense
+// reference form SessionLoadOf computes.
 type LedgerAPI interface {
 	// Add and Remove account a dense session load in and out.
 	Add(sl *SessionLoad)
@@ -29,17 +29,16 @@ type LedgerAPI interface {
 	RemoveSparse(sl *SparseLoad)
 	// Fits reports whether the ledger plus the candidate respects every
 	// capacity; nil checks the ledger alone.
-	Fits(candidate *SessionLoad) bool
+	Fits(candidate *SparseLoad) bool
 	// TryAdd atomically checks Fits(load) and, on success, accounts the
 	// load — one critical section, so admissions racing concurrent commits
 	// (the pipelined orchestrator) can never overshoot capacity the way a
 	// separate Fits-then-Add could. Bootstrap policies must use it for
 	// their final admission step.
-	TryAdd(load *SessionLoad) bool
-	// FitsRepair and FitsRepairDelta are the repair-semantics checks (see
-	// Ledger.FitsRepair): replacing current with candidate must not worsen
-	// any already-overloaded agent.
-	FitsRepair(candidate, current *SessionLoad) bool
+	TryAdd(load *SparseLoad) bool
+	// FitsRepairDelta is the repair-semantics check (see Ledger.FitsRepair):
+	// replacing current with candidate must not worsen any already-overloaded
+	// agent.
 	FitsRepairDelta(candidate, current *SparseLoad) bool
 	// FitsTouched is the strict check restricted to the candidate's touched
 	// agents (callers must guard a degraded background; see sparse.go).
@@ -61,11 +60,11 @@ var _ LedgerAPI = (*Ledger)(nil)
 // is single-owner (no internal locking), so this is the two calls fused —
 // kept on the interface so bootstrap code is backend-agnostic and the
 // sharded backend can make the same step genuinely atomic.
-func (g *Ledger) TryAdd(load *SessionLoad) bool {
+func (g *Ledger) TryAdd(load *SparseLoad) bool {
 	if !g.Fits(load) {
 		return false
 	}
-	g.Add(load)
+	g.AddSparse(load)
 	return true
 }
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"vconf/internal/assign"
 	"vconf/internal/model"
@@ -359,8 +360,10 @@ func (e *Evaluator) NewScratch() *Scratch {
 // Ensure (re)binds the scratch to the evaluator's scenario, resizing buffers
 // when dimensions changed. Cheap when already bound (pointer compare); call
 // it when reusing pooled scratches across evaluators.
-func (scr *Scratch) Ensure(e *Evaluator) {
-	sc := e.Scenario()
+func (scr *Scratch) Ensure(e *Evaluator) { scr.bind(e.Scenario()) }
+
+// bind is Ensure for a scenario; a zero Scratch binds on first use.
+func (scr *Scratch) bind(sc *model.Scenario) {
 	if scr.sc == sc {
 		return
 	}
@@ -386,7 +389,7 @@ func (scr *Scratch) Ensure(e *Evaluator) {
 // SetDelayCacheEnabled toggles the persistent per-session delay cache. On
 // (the default) BeginSession reuses and patches cached delay state; off,
 // it rebuilds the full delay base every call — the pre-cache reference
-// path, selected by core.Config.RebuildDelayBase. Warm entries survive a
+// path the differential tests replay against. Warm entries survive a
 // disable/re-enable round trip (their signatures re-validate them).
 func (scr *Scratch) SetDelayCacheEnabled(on bool) { scr.dcOff = !on }
 
@@ -571,10 +574,43 @@ func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *
 // SessionLoadSparse computes session s's load into the scratch's CurLoad
 // with zero allocations, bit-identical to Params.SessionLoadOf.
 func (e *Evaluator) SessionLoadSparse(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
-	scr.Ensure(e)
-	e.p.sessionLoadSparse(a, s, &scr.cur, scr)
+	return e.p.SessionLoadSparse(a, s, scr)
+}
+
+// SessionLoadSparse is the evaluator-free form for callers that hold only
+// the parameters (admission policies): the scratch binds to a's scenario. A
+// session with unassigned users or flows gets the load of its assigned part,
+// as SessionLoadOf does.
+func (p Params) SessionLoadSparse(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
+	scr.bind(a.Scenario())
+	p.sessionLoadSparse(a, s, &scr.cur, scr)
 	return &scr.cur
 }
+
+// LedgerOf returns a ledger holding the load of every session of a's
+// scenario under a (sessions without assigned variables add nothing).
+func (p Params) LedgerOf(a *assign.Assignment) *Ledger {
+	sc := a.Scenario()
+	g := NewLedger(sc)
+	var scr Scratch
+	for s := 0; s < sc.NumSessions(); s++ {
+		g.AddSparse(p.SessionLoadSparse(a, model.SessionID(s), &scr))
+	}
+	return g
+}
+
+// scratches pools the scratches of callers that price loads without an
+// evaluator of their own; see GetScratch.
+var scratches = sync.Pool{New: func() any { return new(Scratch) }}
+
+// GetScratch takes a scratch from a process-wide pool: admission policies,
+// whose signatures carry no scratch, price every placement attempt on it.
+// It rebinds to whatever scenario it is next used with; return it with
+// PutScratch when done.
+func GetScratch() *Scratch { return scratches.Get().(*Scratch) }
+
+// PutScratch returns a scratch taken with GetScratch.
+func PutScratch(scr *Scratch) { scratches.Put(scr) }
 
 // phiFromSparse assembles Φ_s from the delay mean and a sparse load exactly
 // as sessionObjectiveFromLoad does from a dense one: G and H are summed in
@@ -659,7 +695,7 @@ func (e *Evaluator) BeginSession(a *assign.Assignment, s model.SessionID, scr *S
 	}
 
 	// Rebuild reference path (pre-cache), kept verbatim behind
-	// core.Config.RebuildDelayBase / SetDelayCacheEnabled(false).
+	// SetDelayCacheEnabled(false).
 	e.p.sessionLoadSparse(a, s, &scr.cur, scr)
 	if cap(scr.ownBase) < n*n {
 		scr.ownBase = make([]float64, n*n)
@@ -1078,13 +1114,9 @@ func (g *Ledger) FitsRepairDelta(candidate, current *SparseLoad) bool {
 // degraded or overloaded ledger must check Fits(nil) once per evaluation
 // round and AND it in (or use FitsRepairDelta, which needs no such guard).
 func (g *Ledger) FitsTouched(candidate *SparseLoad) bool {
-	const eps = 1e-9
 	for _, l32 := range candidate.touched {
 		l := int(l32)
-		capDown, capUp, capTasks := g.effectiveCaps(l)
-		if g.down[l]+candidate.down[l] > capDown+eps ||
-			g.up[l]+candidate.up[l] > capUp+eps ||
-			g.tasks[l]+candidate.tasks[l] > capTasks {
+		if g.overAt(l, candidate.down[l], candidate.up[l], candidate.tasks[l]) {
 			return false
 		}
 	}
@@ -1122,13 +1154,8 @@ func roundUp32(x float64) float32 {
 // every load it bounds fits too, and FitsRepairDelta accepts each of them
 // whatever the current load.
 func (g *Ledger) FitsEnvelope(env []EnvelopeAgent) bool {
-	const eps = 1e-9
 	for _, e := range env {
-		l := int(e.Agent)
-		capDown, capUp, capTasks := g.effectiveCaps(l)
-		if g.down[l]+float64(e.Down) > capDown+eps ||
-			g.up[l]+float64(e.Up) > capUp+eps ||
-			g.tasks[l]+int(e.Tasks) > capTasks {
+		if g.overAt(int(e.Agent), float64(e.Down), float64(e.Up), int(e.Tasks)) {
 			return false
 		}
 	}

@@ -118,16 +118,34 @@ func TestFitsDeltaChecksMatchDense(t *testing.T) {
 		if denseRepair != sparseRepair {
 			t.Fatalf("trial %d: FitsRepair %v vs FitsRepairDelta %v", trial, denseRepair, sparseRepair)
 		}
-		denseFits := ledger.Fits(candDense)
-		sparseFits := ledger.Fits(nil) && ledger.FitsTouched(candSparse)
-		if denseFits != sparseFits {
-			t.Fatalf("trial %d: Fits %v vs FitsTouched %v", trial, denseFits, sparseFits)
+		denseFits := fitsDense(ledger, candDense)
+		if sparseFits := ledger.Fits(nil) && ledger.FitsTouched(candSparse); denseFits != sparseFits {
+			t.Fatalf("trial %d: dense Fits %v vs FitsTouched %v", trial, denseFits, sparseFits)
+		}
+		if sparseFits := ledger.Fits(candSparse); denseFits != sparseFits {
+			t.Fatalf("trial %d: dense Fits %v vs Fits %v", trial, denseFits, sparseFits)
 		}
 		agree[denseRepair]++
 	}
 	if agree[true] == 0 || agree[false] == 0 {
 		t.Fatalf("capacity checks never exercised both outcomes: %v", agree)
 	}
+}
+
+// fitsDense is the strict capacity check as it read on the dense load: the
+// candidate added to the ledger on every agent, then compared to capacity.
+func fitsDense(g *Ledger, candidate *SessionLoad) bool {
+	const eps = 1e-9
+	for l := 0; l < g.sc.NumAgents(); l++ {
+		capDown, capUp, capTasks := g.effectiveCaps(l)
+		down := g.down[l] + candidate.Down[l]
+		up := g.up[l] + candidate.Up[l]
+		tasks := g.tasks[l] + candidate.Tasks[l]
+		if down > capDown+eps || up > capUp+eps || tasks > capTasks {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSparseLoadHelpers(t *testing.T) {

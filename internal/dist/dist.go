@@ -160,6 +160,7 @@ type Coordinator struct {
 	mu     sync.Mutex // the FREEZE lock, held from GRANTED to COMMITTED
 	a      *assign.Assignment
 	ledger *cost.Ledger
+	scr    *cost.Scratch // prices commits; guarded by mu
 
 	statsMu  sync.Mutex
 	commits  int
@@ -185,14 +186,10 @@ func NewCoordinator(ev *cost.Evaluator, a *assign.Assignment, addr string) (*Coo
 // configuration.
 func NewCoordinatorConfig(ev *cost.Evaluator, a *assign.Assignment, addr string, cfg Config) (*Coordinator, error) {
 	sc := ev.Scenario()
-	ledger := cost.NewLedger(sc)
-	p := ev.Params()
 	for s := 0; s < sc.NumSessions(); s++ {
-		sid := model.SessionID(s)
-		if !a.SessionComplete(sid) {
+		if !a.SessionComplete(model.SessionID(s)) {
 			return nil, fmt.Errorf("dist: coordinator needs a complete assignment; session %d is not", s)
 		}
-		ledger.Add(p.SessionLoadOf(a, sid))
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -204,7 +201,8 @@ func NewCoordinatorConfig(ev *cost.Evaluator, a *assign.Assignment, addr string,
 		cfg:    cfg.withDefaults(),
 		tel:    cfg.Telemetry,
 		a:      a.Clone(),
-		ledger: ledger,
+		ledger: ev.Params().LedgerOf(a),
+		scr:    ev.NewScratch(),
 		closed: make(chan struct{}),
 		conns:  make(map[net.Conn]struct{}),
 	}
@@ -383,23 +381,22 @@ func (c *Coordinator) handleFreeze(conn net.Conn, dec *json.Decoder, enc *json.E
 		c.bump(&c.rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: fmt.Sprintf("unknown agent %d", d.To)})
 	}
-	p := c.ev.Params()
-	curLoad := p.SessionLoadOf(c.a, sid)
-	c.ledger.Remove(curLoad)
+	curLoad := c.ev.SessionLoadSparse(c.a, sid, c.scr)
+	c.ledger.RemoveSparse(curLoad)
 	inv, err := c.a.Apply(d)
 	if err != nil {
-		c.ledger.Add(curLoad)
+		c.ledger.AddSparse(curLoad)
 		c.bump(&c.rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: err.Error()})
 	}
-	newLoad := p.SessionLoadOf(c.a, sid)
-	if !c.ledger.FitsRepair(newLoad, curLoad) || !cost.DelayFeasible(c.a, sid) {
+	newLoad := c.ev.CandidateLoad(c.a, sid, c.scr)
+	if !c.ledger.FitsRepairDelta(newLoad, curLoad) || !cost.DelayFeasible(c.a, sid) {
 		c.a.Apply(inv)
-		c.ledger.Add(curLoad)
+		c.ledger.AddSparse(curLoad)
 		c.bump(&c.rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: "infeasible commit"})
 	}
-	c.ledger.Add(newLoad)
+	c.ledger.AddSparse(newLoad)
 	c.bump(&c.commits)
 	return enc.Encode(frame{Type: frameCommitted, Session: session})
 }
@@ -666,10 +663,5 @@ func (r *Runner) restore(granted frame) (*assign.Assignment, *cost.Ledger, error
 			return nil, nil, err
 		}
 	}
-	ledger := cost.NewLedger(sc)
-	p := r.ev.Params()
-	for s := 0; s < sc.NumSessions(); s++ {
-		ledger.Add(p.SessionLoadOf(a, model.SessionID(s)))
-	}
-	return a, ledger, nil
+	return a, r.ev.Params().LedgerOf(a), nil
 }

@@ -207,11 +207,11 @@ func SnapshotBootstrapper(src *assign.Assignment, p cost.Params) core.Bootstrapp
 				return err
 			}
 		}
-		load := p.SessionLoadOf(a, s)
-		if !ledger.Fits(load) {
+		scr := cost.GetScratch()
+		defer cost.PutScratch(scr)
+		if !ledger.TryAdd(p.SessionLoadSparse(a, s, scr)) {
 			return fmt.Errorf("experiments: snapshot session %d no longer fits capacity", s)
 		}
-		ledger.Add(load)
 		return nil
 	}
 }

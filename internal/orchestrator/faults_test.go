@@ -207,7 +207,7 @@ func TestDelayCacheFaultDifferential(t *testing.T) {
 	}
 
 	rebuild := cached
-	rebuild.Core.RebuildDelayBase = true
+	rebuild.rebuildDelayBase = true
 	encR, phiR, stR := runChaos(t, fc, events, rebuild)
 
 	if encC != encR {

@@ -29,7 +29,7 @@ type goldenFixture struct {
 	events func(t *testing.T) []workload.Event
 	config func() Config
 	// rebuild also replays the stream with the per-hop delay-base rebuild
-	// (Core.RebuildDelayBase): the persistent delay cache must not move a
+	// (Config.rebuildDelayBase): the persistent delay cache must not move a
 	// single decision.
 	rebuild bool
 }
@@ -228,7 +228,7 @@ func replayGolden(t *testing.T, fx goldenFixture, dir string, tune func(cfg *Con
 		if tune != nil {
 			tune(&cfg)
 		}
-		cfg.Core.RebuildDelayBase = rebuild
+		cfg.rebuildDelayBase = rebuild
 		rp, err := sim.NewReplayer(bytes.NewReader(want))
 		if err != nil {
 			t.Fatal(err)

@@ -110,6 +110,10 @@ type Config struct {
 	// disables instrumentation at zero hot-path cost — every call site
 	// reduces to a pointer test, pinned by the alloc tests.
 	Telemetry *telemetry.Sink
+	// rebuildDelayBase turns off every delay cache the orchestrator owns, so
+	// each evaluation rebuilds its delay base: the reference path the
+	// package's golden and fault differentials replay against.
+	rebuildDelayBase bool
 }
 
 // DefaultConfig returns the orchestrator defaults over the paper's chain
@@ -380,10 +384,8 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 		o.regionOut = make([]bool, o.numRegions)
 	}
 	// The objective cache's refresh scratch (guarded by o.mu) keeps its own
-	// per-session delay cache; the reference rebuild path threads through
-	// here too, so RebuildDelayBase disables the cache on every evaluation
-	// path the orchestrator owns.
-	o.cache.SetDelayCacheEnabled(!cfg.Core.RebuildDelayBase)
+	// per-session delay cache, so the reference rebuild path covers it too.
+	o.cache.SetDelayCacheEnabled(!cfg.rebuildDelayBase)
 	p := cfg.LedgerShards
 	if p == 0 {
 		p = cfg.Shards
@@ -712,9 +714,9 @@ func (o *Orchestrator) checkInvariants() error {
 	// Task counts are integers and must match exactly; bandwidth sums were
 	// accumulated in commit order, so they get float-accumulation slack.
 	want := cost.NewLedger(o.sc)
-	p := o.ev.Params()
+	scr := o.ev.NewScratch()
 	for s := range o.cache.EachActive() {
-		want.Add(p.SessionLoadOf(o.a, s))
+		want.AddSparse(o.ev.SessionLoadSparse(o.a, s, scr))
 	}
 	gotDown, gotUp, gotTasks := o.ledger.Usage()
 	wantDown, wantUp, wantTasks := want.Usage()

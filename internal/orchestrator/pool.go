@@ -248,7 +248,7 @@ func (o *Orchestrator) worker(id int) {
 	// which rewrite those variables — are picked up as signature mismatches
 	// on the next evaluation; stale state is never reused (see
 	// cost.DelayCache's staleness contract).
-	w.scr.Eval().SetDelayCacheEnabled(!o.cfg.Core.RebuildDelayBase)
+	w.scr.Eval().SetDelayCacheEnabled(!o.cfg.rebuildDelayBase)
 	w.snap = cost.NewLedger(o.sc)
 	w.epochs = make(shard.Epochs, 0, o.ledger.NumShards())
 	w.aw = assign.New(o.sc)

@@ -293,7 +293,7 @@ func (sl *Ledger) RemoveSparse(load *cost.SparseLoad) {
 
 // Fits reports whether the ledger plus the candidate respects every
 // capacity (nil checks the ledger alone).
-func (sl *Ledger) Fits(candidate *cost.SessionLoad) bool {
+func (sl *Ledger) Fits(candidate *cost.SparseLoad) bool {
 	sl.lockAll()
 	defer sl.unlockAll()
 	return sl.inner.Fits(candidate)
@@ -303,22 +303,15 @@ func (sl *Ledger) Fits(candidate *cost.SessionLoad) bool {
 // every stripe lock is held across check and add, so a concurrent
 // CommitDelta cannot interleave between them — the admission primitive
 // that keeps pipelined-mode bootstraps from overshooting capacity.
-func (sl *Ledger) TryAdd(load *cost.SessionLoad) bool {
+func (sl *Ledger) TryAdd(load *cost.SparseLoad) bool {
 	sl.lockAll()
 	defer sl.unlockAll()
 	if !sl.inner.Fits(load) {
 		return false
 	}
-	sl.inner.Add(load)
+	sl.inner.AddSparse(load)
 	sl.bumpAll()
 	return true
-}
-
-// FitsRepair is the dense repair-semantics check.
-func (sl *Ledger) FitsRepair(candidate, current *cost.SessionLoad) bool {
-	sl.lockAll()
-	defer sl.unlockAll()
-	return sl.inner.FitsRepair(candidate, current)
 }
 
 // FitsRepairDelta is the sparse repair-semantics check over the whole

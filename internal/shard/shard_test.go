@@ -398,7 +398,7 @@ func BenchmarkShardCommit(b *testing.B) {
 // tryAddFixture builds a finite-capacity scenario plus a fabricated dense
 // load sized so each agent absorbs only a few copies — the admission shape
 // TryAdd exists for.
-func tryAddFixture(t testing.TB) (*model.Scenario, *cost.SessionLoad) {
+func tryAddFixture(t testing.TB) (*model.Scenario, *cost.SparseLoad) {
 	t.Helper()
 	wl := workload.Prototype(17)
 	wl.MeanBandwidthMbps = 100 // per-agent caps land in [70, 130]
@@ -419,7 +419,7 @@ func tryAddFixture(t testing.TB) (*model.Scenario, *cost.SessionLoad) {
 		load.Up[l] = 30
 		load.Tasks[l] = 1
 	}
-	return sc, load
+	return sc, cost.NewSparseLoadFromDense(load)
 }
 
 // TestShardTryAddMatchesDense pins TryAdd semantics against the dense
@@ -481,7 +481,7 @@ func TestShardTryAddAtomicStorm(t *testing.T) {
 						fail.Store(true)
 						return
 					}
-					sl.Remove(load)
+					sl.RemoveSparse(load)
 				}
 			}
 		}()
