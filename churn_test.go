@@ -123,7 +123,7 @@ func TestTelemetryViaFacade(t *testing.T) {
 	if _, err := orc.Run(events, 150); err != nil {
 		t.Fatal(err)
 	}
-	recs := sink.Recorder().Records()
+	recs := sink.Recorder().Items()
 	if len(recs) != len(events) {
 		t.Fatalf("%d trace records for %d events", len(recs), len(events))
 	}

@@ -21,6 +21,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"vconf/internal/agrank"
@@ -62,7 +63,7 @@ func run(args []string, w io.Writer) error {
 		shards    = fs.Int("shards", 0, "churn: solver pool size (0 = GOMAXPROCS)")
 		hopBudget = fs.Int("hops", 0, "churn: refinement hop budget per task (0 = default)")
 
-		listen   = fs.String("listen", "", "churn: serve /metrics, /trace.jsonl and pprof on this address (e.g. 127.0.0.1:9464)")
+		listen   = fs.String("listen", "", "churn: serve the telemetry documents and pprof on this address (e.g. 127.0.0.1:9464)")
 		traceOut = fs.String("trace-out", "", "churn: write the per-decision trace as JSONL to this file")
 		spanOut  = fs.String("span-out", "", "churn: write the finished causal spans as JSONL to this file")
 		linger   = fs.Float64("linger", 0, "churn: keep the -listen endpoint up this many wall seconds after the run")
@@ -286,7 +287,7 @@ func printHealBreakdown(w io.Writer, sink *telemetry.Sink, incidents int) {
 		return
 	}
 	sums := map[string]time.Duration{}
-	for _, sp := range sink.Spans().Spans() {
+	for _, sp := range sink.Spans().Items() {
 		switch sp.Name {
 		case "heal", "degrade", "evict", "re-home", "re-balance":
 			sums[sp.Name] += time.Duration(sp.DurNs)
@@ -433,7 +434,7 @@ func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, opts churnOpt
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(w, "telemetry: serving /metrics, /trace.jsonl, /spans.jsonl, /trace.chrome.json, /timeseries.json, /alerts.json, /flightrec.json, /debug/pprof on http://%s\n", srv.Addr())
+		fmt.Fprintf(w, "telemetry: serving %s, /debug/pprof on http://%s\n", strings.Join(telemetry.Documents(), ", "), srv.Addr())
 	}
 
 	ocfg := orchestrator.DefaultConfig(opts.seed)
@@ -510,7 +511,6 @@ func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, opts churnOpt
 		}
 		fmt.Fprintf(w, "t=%7.1fs traffic=%8.2f Mbps (steady %.2f + overhead %.2f) delay=%6.1f ms live=%d\n",
 			t, tel.InterAgentMbps, tel.SteadyMbps, tel.OverheadMbps, tel.MeanDelayMS, tel.ActiveSessions)
-		sink.FeedTick(t)
 		if t >= opts.duration-1e-9 {
 			break
 		}
@@ -578,30 +578,14 @@ func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, opts churnOpt
 	}
 	fmt.Fprintln(w, "final state feasible: capacities and delay caps hold")
 	if opts.traceOut != "" {
-		f, err := os.Create(opts.traceOut)
-		if err != nil {
+		if err := writeDoc(opts.traceOut, sink.Recorder().WriteJSONL); err != nil {
 			return fmt.Errorf("trace-out: %w", err)
-		}
-		werr := sink.Recorder().WriteJSONL(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("trace-out: %w", werr)
 		}
 		fmt.Fprintf(w, "trace: wrote %d decision records to %s\n", sink.Recorder().Len(), opts.traceOut)
 	}
 	if opts.spanOut != "" {
-		f, err := os.Create(opts.spanOut)
-		if err != nil {
+		if err := writeDoc(opts.spanOut, sink.Spans().WriteJSONL); err != nil {
 			return fmt.Errorf("span-out: %w", err)
-		}
-		werr := sink.Spans().WriteJSONL(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("span-out: %w", werr)
 		}
 		fmt.Fprintf(w, "spans: wrote %d span records to %s\n", sink.Spans().Len(), opts.spanOut)
 	}

@@ -60,7 +60,7 @@ func TestDistSpansNestUnderParent(t *testing.T) {
 	byID := map[uint64]telemetry.SpanRecord{}
 	children := map[uint64][]telemetry.SpanRecord{}
 	counts := map[string]int{}
-	for _, sp := range sink.Spans().Spans() {
+	for _, sp := range sink.Spans().Items() {
 		byID[sp.ID] = sp
 		children[sp.Parent] = append(children[sp.Parent], sp)
 		counts[sp.Name]++

@@ -559,10 +559,6 @@ func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled b
 		rec.CacheInvalidated = rep.Orphans
 	}
 	o.tel.Record(rec)
-	ps := o.pipe.Stats()
-	o.tel.SchedulerStats(ps.AdmissionStalls, ps.ReoptWaits, ps.QueueDepthPeak, ps.InFlightPeak)
-	ls := o.ledger.Stats()
-	o.tel.LedgerStats(ls.Committed, ls.Conflicts, ls.Infeasible)
 }
 
 // advanceClock moves orchestrator time monotonically.

@@ -138,7 +138,7 @@ func TestRunSourceDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		return result{o.Assignment().Encode(), o.Objective(), o.Stats(), reports,
-			cfg.Telemetry.Recorder().Records()}
+			cfg.Telemetry.Recorder().Items()}
 	}
 
 	eager := run(false)

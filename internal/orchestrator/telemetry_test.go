@@ -47,7 +47,7 @@ func foldRecords(recs []telemetry.DecisionRecord) recordSums {
 func reconcile(t *testing.T, o *Orchestrator, sink *telemetry.Sink, nEvents int) {
 	t.Helper()
 	st := o.Stats()
-	recs := sink.Recorder().Records()
+	recs := sink.Recorder().Items()
 	if int64(nEvents) != sink.Recorder().Total() {
 		t.Fatalf("recorder holds %d records total, want %d", sink.Recorder().Total(), nEvents)
 	}
@@ -256,7 +256,7 @@ func TestTelemetryPerRegionLabels(t *testing.T) {
 		}
 	}
 	// Every record's region must match the configured map.
-	for _, rec := range sink.Recorder().Records() {
+	for _, rec := range sink.Recorder().Items() {
 		if rec.Region != rec.Session%3 {
 			t.Fatalf("record session %d labeled region %d, want %d", rec.Session, rec.Region, rec.Session%3)
 		}
@@ -300,7 +300,7 @@ func TestTelemetryHealSpansReconcile(t *testing.T) {
 	children := map[uint64][]telemetry.SpanRecord{}
 	var heals []telemetry.SpanRecord
 	counts := map[string]int{}
-	for _, sp := range sink.Spans().Spans() {
+	for _, sp := range sink.Spans().Items() {
 		byID[sp.ID] = sp
 		children[sp.Parent] = append(children[sp.Parent], sp)
 		counts[sp.Name]++
@@ -399,7 +399,7 @@ func TestTelemetryClassLabels(t *testing.T) {
 	}
 
 	delays := 0
-	for _, rec := range sink.Recorder().Records() {
+	for _, rec := range sink.Recorder().Items() {
 		if rec.Kind == "arrive" && rec.Admitted {
 			if want := workload.SLOClassNames[classes[rec.Session]]; rec.Class != want {
 				t.Fatalf("session %d record classed %q, want %q", rec.Session, rec.Class, want)

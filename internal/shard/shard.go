@@ -49,7 +49,6 @@ package shard
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"vconf/internal/cost"
 	"vconf/internal/model"
@@ -152,29 +151,6 @@ type Ledger struct {
 	shards  []shardState
 	bounds  []int32 // len P+1; shard i covers [bounds[i], bounds[i+1])
 	shardOf []int32 // agent → shard index
-
-	// Ledger-level commit-outcome counters (atomic, bumped outside the
-	// stripe locks): the observability cross-check of the orchestrator's
-	// task counters, always on — one uncontended atomic add per commit.
-	committed  atomic.Int64
-	conflicted atomic.Int64
-	infeasible atomic.Int64
-}
-
-// Stats is the ledger-level view of CommitDelta outcomes.
-type Stats struct {
-	Committed  int64
-	Conflicts  int64
-	Infeasible int64
-}
-
-// Stats returns the cumulative CommitDelta outcome counts.
-func (sl *Ledger) Stats() Stats {
-	return Stats{
-		Committed:  sl.committed.Load(),
-		Conflicts:  sl.conflicted.Load(),
-		Infeasible: sl.infeasible.Load(),
-	}
 }
 
 // Compile-time check: the sharded ledger satisfies the same API as the
@@ -509,13 +485,10 @@ func (sl *Ledger) CommitDelta(candidate, current *cost.SparseLoad, snap Epochs, 
 
 	switch {
 	case ok:
-		sl.committed.Add(1)
 		return Committed
 	case stale:
-		sl.conflicted.Add(1)
 		return Conflict
 	default:
-		sl.infeasible.Add(1)
 		return Infeasible
 	}
 }

@@ -2,10 +2,37 @@ package telemetry
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 )
+
+// documents is the exposition route table: every document the sink
+// serves, with its content type and writer.
+var documents = []struct {
+	path, contentType string
+	write             func(s *Sink, w io.Writer) error
+}{
+	{"/metrics", "text/plain; version=0.0.4; charset=utf-8", func(s *Sink, w io.Writer) error { return s.reg.WriteProm(w) }},
+	{"/metrics.json", "application/json", func(s *Sink, w io.Writer) error { return s.reg.WriteJSON(w) }},
+	{"/trace.jsonl", "application/x-ndjson", func(s *Sink, w io.Writer) error { return s.rec.WriteJSONL(w) }},
+	{"/spans.jsonl", "application/x-ndjson", func(s *Sink, w io.Writer) error { return s.spans.WriteJSONL(w) }},
+	{"/trace.chrome.json", "application/json", (*Sink).WriteChromeTrace},
+	{"/timeseries.json", "application/json", func(s *Sink, w io.Writer) error { return s.sampler.WriteJSON(w) }},
+	{"/alerts.json", "application/json", func(s *Sink, w io.Writer) error { return s.alerts.WriteJSON(w) }},
+	{"/flightrec.json", "application/json", func(s *Sink, w io.Writer) error { return s.flight.WriteJSON(w) }},
+}
+
+// Documents lists the paths Handler serves, in route-table order (pprof's
+// /debug/pprof/... aside).
+func Documents() []string {
+	paths := make([]string, len(documents))
+	for i, d := range documents {
+		paths[i] = d.path
+	}
+	return paths
+}
 
 // Handler returns the sink's HTTP exposition surface:
 //
@@ -34,54 +61,14 @@ func (s *Sink) Handler() http.Handler {
 		})
 		return mux
 	}
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.reg.WriteProm(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.reg.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/trace.jsonl", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := s.rec.WriteJSONL(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/spans.jsonl", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := s.spans.WriteJSONL(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/trace.chrome.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.WriteChromeTrace(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/timeseries.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.sampler.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/alerts.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.alerts.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/flightrec.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.flight.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	for _, d := range documents {
+		mux.HandleFunc(d.path, func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", d.contentType)
+			if err := d.write(s, w); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+		})
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

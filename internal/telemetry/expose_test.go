@@ -38,8 +38,9 @@ func TestServeBusyPortReturnsError(t *testing.T) {
 	}
 }
 
-// TestServeContentTypes pins the Content-Type header of every exposition
-// endpoint — scrapers and browsers key off them.
+// TestServeContentTypes pins the route table — exactly these eight
+// documents, in this order — and the Content-Type header each is served
+// with: scrapers and browsers key off them.
 func TestServeContentTypes(t *testing.T) {
 	s := New(Config{Workers: 1, Sample: &SamplerConfig{IntervalS: 1}})
 	s.Record(DecisionRecord{TimeS: 0.5, Kind: "arrive", Admitted: true})
@@ -49,23 +50,32 @@ func TestServeContentTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for path, wantType := range map[string]string{
-		"/metrics":           "text/plain; version=0.0.4; charset=utf-8",
-		"/metrics.json":      "application/json",
-		"/trace.jsonl":       "application/x-ndjson",
-		"/spans.jsonl":       "application/x-ndjson",
-		"/timeseries.json":   "application/json",
-		"/alerts.json":       "application/json",
-		"/flightrec.json":    "application/json",
-		"/trace.chrome.json": "application/json",
-	} {
-		code, ct, _ := getWithType(t, srv.Addr(), path)
-		if code != 200 {
-			t.Fatalf("%s: code = %d", path, code)
+	want := []struct{ path, contentType string }{
+		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
+		{"/metrics.json", "application/json"},
+		{"/trace.jsonl", "application/x-ndjson"},
+		{"/spans.jsonl", "application/x-ndjson"},
+		{"/trace.chrome.json", "application/json"},
+		{"/timeseries.json", "application/json"},
+		{"/alerts.json", "application/json"},
+		{"/flightrec.json", "application/json"},
+	}
+	if got := Documents(); len(got) != len(want) {
+		t.Fatalf("Documents() = %v, want %d documents", got, len(want))
+	}
+	for i, d := range want {
+		if got := Documents()[i]; got != d.path {
+			t.Fatalf("Documents()[%d] = %s, want %s", i, got, d.path)
 		}
-		if ct != wantType {
-			t.Fatalf("%s: Content-Type = %q, want %q", path, ct, wantType)
-		}
+		t.Run(strings.TrimPrefix(d.path, "/"), func(t *testing.T) {
+			code, ct, _ := getWithType(t, srv.Addr(), d.path)
+			if code != 200 {
+				t.Fatalf("%s: code = %d", d.path, code)
+			}
+			if ct != d.contentType {
+				t.Fatalf("%s: Content-Type = %q, want %q", d.path, ct, d.contentType)
+			}
+		})
 	}
 }
 

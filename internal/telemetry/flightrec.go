@@ -11,9 +11,9 @@ import (
 // This file is the incident flight recorder: a bounded black box that, on
 // trigger, freezes a correlated snapshot of what the control plane looked
 // like — the sampler's recent windows, the tail of the decision-record
-// and span rings, the fleet's capacity-scale map, per-region health
-// counters and the scheduler gauges — so every chaos incident ships its
-// own post-mortem artifact at /flightrec.json (and vcsim -flightrec-out).
+// and span rings, the fleet's capacity-scale map and per-region health
+// counters — so every chaos incident ships its own post-mortem artifact at
+// /flightrec.json (and vcsim -flightrec-out).
 //
 // Triggers: "alert" (an SLO burn-rate rule fired), "fault" (an injected
 // capacity-reducing incident healed), "evac-reject" (healing had to drop
@@ -71,14 +71,6 @@ type RegionHealth struct {
 	DegradedRejects int64 `json:"degraded_rejects"`
 }
 
-// SchedGauges mirrors the pipelined scheduler gauges into a dump.
-type SchedGauges struct {
-	Stalls       float64 `json:"stalls"`
-	Waits        float64 `json:"waits"`
-	QueuePeak    float64 `json:"queue_peak"`
-	InFlightPeak float64 `json:"in_flight_peak"`
-}
-
 // FlightDump is one frozen incident snapshot.
 type FlightDump struct {
 	Seq          int     `json:"seq"`
@@ -91,7 +83,6 @@ type FlightDump struct {
 	ActiveAlerts   []string       `json:"active_alerts,omitempty"`
 	CapacityScales []AgentScale   `json:"capacity_scales,omitempty"`
 	Regions        []RegionHealth `json:"regions,omitempty"`
-	Sched          SchedGauges    `json:"sched"`
 
 	Windows []Window         `json:"windows,omitempty"`
 	Records []DecisionRecord `json:"records,omitempty"`
@@ -284,22 +275,8 @@ func (s *Sink) triggerFlight(trigger, reason string, tail []Window, active []str
 	// Assemble the ring tails and counter readings outside the recorder
 	// lock (ring reads take their own mutexes; counter reads are
 	// lock-free).
-	recs := s.rec.Records()
-	if n := len(recs); n > f.cfg.Records {
-		recs = recs[n-f.cfg.Records:]
-	}
-	d.Records = recs
-	spans := s.spans.Spans()
-	if n := len(spans); n > f.cfg.Spans {
-		spans = spans[n-f.cfg.Spans:]
-	}
-	d.Spans = spans
-	d.Sched = SchedGauges{
-		Stalls:       s.schedStalls.Value(),
-		Waits:        s.schedWaits.Value(),
-		QueuePeak:    s.schedQueue.Value(),
-		InFlightPeak: s.schedFlight.Value(),
-	}
+	d.Records = s.rec.Tail(f.cfg.Records)
+	d.Spans = s.spans.Tail(f.cfg.Spans)
 	for r := 0; r < s.regions; r++ {
 		rh := RegionHealth{
 			Region:          r,

@@ -413,19 +413,53 @@ func TestFlightCapacityScaleMirror(t *testing.T) {
 }
 
 func TestFlightDumpIncludesWindowTail(t *testing.T) {
-	s := healthSink(t, nil)
-	for i := 0; i < 30; i++ {
-		s.Record(DecisionRecord{TimeS: float64(i) + 0.5, Kind: "arrive", Admitted: true})
+	// Rings smaller than the run but larger than a dump's tails (default
+	// FlightConfig: 16 windows, 64 records, 128 spans), so both wrap.
+	s := New(Config{Workers: 2, Sample: &SamplerConfig{IntervalS: 1}, TraceCapacity: 100, SpanCapacity: 200})
+	for i := 0; i < 150; i++ {
+		s.Record(DecisionRecord{TimeS: float64(i)/5 + 0.1, Kind: "arrive", Admitted: true})
+	}
+	for i := 0; i < 300; i++ {
+		s.StartRoot("event", "event", 0).EndArg(int64(i))
 	}
 	s.Record(DecisionRecord{TimeS: 30.5, Kind: "region-outage", Incident: 1})
 	s.TriggerFlight("fault", "tail probe")
-	d := s.Flight().Dumps()[0]
-	// Default FlightConfig keeps 16 windows; 30 closed so far.
+	if s.Recorder().Dropped() == 0 || s.Spans().Dropped() == 0 {
+		t.Fatal("probe did not wrap both rings")
+	}
+	for i := 0; i < 10; i++ {
+		s.Record(DecisionRecord{TimeS: 30.6, Kind: "arrive", Admitted: true})
+		s.StartRoot("event", "event", 0).EndArg(int64(300 + i))
+	}
+	s.TriggerFlight("invariant", "second tail probe")
+
+	dumps := s.Flight().Dumps()
+	if len(dumps) != 2 {
+		t.Fatalf("dumps = %d, want 2", len(dumps))
+	}
+	// 30 windows closed so far: the dump keeps the newest 16.
+	d := dumps[0]
 	if len(d.Windows) != 16 {
 		t.Fatalf("dump windows = %d, want 16", len(d.Windows))
 	}
 	if d.Windows[len(d.Windows)-1].Index != 29 {
 		t.Fatalf("dump tail ends at window %d, want 29 (newest closed)", d.Windows[len(d.Windows)-1].Index)
+	}
+	for n, want := range []struct{ records, spans int64 }{{151, 300}, {161, 310}} {
+		d := dumps[n]
+		if len(d.Records) != 64 || len(d.Spans) != 128 {
+			t.Fatalf("dump %d holds %d records, %d spans; want 64, 128", n, len(d.Records), len(d.Spans))
+		}
+		for k, rec := range d.Records {
+			if wantSeq := want.records - 64 + int64(k); rec.Seq != wantSeq {
+				t.Fatalf("dump %d record %d has seq %d, want %d (newest 64, oldest first)", n, k, rec.Seq, wantSeq)
+			}
+		}
+		for k, sp := range d.Spans {
+			if wantSeq := want.spans - 128 + int64(k); sp.Seq != wantSeq || sp.Arg != wantSeq {
+				t.Fatalf("dump %d span %d has seq %d arg %d, want %d (newest 128, oldest first)", n, k, sp.Seq, sp.Arg, wantSeq)
+			}
+		}
 	}
 }
 
@@ -519,7 +553,7 @@ func TestSamplerOffByDefault(t *testing.T) {
 	if err := s.Registry().WriteProm(&prom); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(prom.String(), "vconf_window_") || strings.Contains(prom.String(), "vconf_alert") {
-		t.Fatal("window/alert families registered without sampling configured")
+	if strings.Contains(prom.String(), "vconf_alert") {
+		t.Fatal("alert families registered without sampling configured")
 	}
 }

@@ -1,12 +1,5 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
-)
-
 // DecisionRecord is the structured trace of one churn event's handling:
 // what arrived, how admission went, what the re-optimization did and how
 // long each phase took, how the caches behaved, and the counterfactual-k
@@ -15,7 +8,7 @@ import (
 // loop at no extra evaluation cost.
 type DecisionRecord struct {
 	// Seq is the record's position in the full stream (assigned by the
-	// recorder; stable even after the ring wraps).
+	// ring; stable even after it wraps).
 	Seq int64 `json:"seq"`
 	// TimeS is the event's virtual time; WallNs the wall-clock time the
 	// record was emitted (Unix nanoseconds).
@@ -79,151 +72,4 @@ type DecisionRecord struct {
 	Orphans     int `json:"orphans,omitempty"`
 	Evacuated   int `json:"evacuated,omitempty"`
 	EvacRejects int `json:"evac_rejects,omitempty"`
-}
-
-// Recorder is a bounded ring buffer of decision records. Appends are
-// mutex-guarded (one append per churn event — far off any hot path);
-// when the ring is full the oldest records are overwritten and counted as
-// dropped.
-type Recorder struct {
-	mu   sync.Mutex
-	buf  []DecisionRecord
-	next int64 // total records ever appended
-}
-
-// NewRecorder builds a recorder holding the last `capacity` records
-// (minimum 1).
-func NewRecorder(capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{buf: make([]DecisionRecord, 0, capacity)}
-}
-
-// Append stores one record, assigning its Seq, and reports whether an
-// older record was overwritten (the ring was full).
-func (r *Recorder) Append(rec DecisionRecord) (overwrote bool) {
-	r.mu.Lock()
-	rec.Seq = r.next
-	r.next++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[rec.Seq%int64(cap(r.buf))] = rec
-		overwrote = true
-	}
-	r.mu.Unlock()
-	return overwrote
-}
-
-// Len returns the number of records currently held.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Total returns the number of records ever appended.
-func (r *Recorder) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
-}
-
-// Dropped returns how many old records the ring overwrote.
-func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next - int64(len(r.buf))
-}
-
-// Records returns the held records oldest-first.
-func (r *Recorder) Records() []DecisionRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]DecisionRecord, 0, len(r.buf))
-	if len(r.buf) < cap(r.buf) || r.next == int64(len(r.buf)) {
-		return append(out, r.buf...)
-	}
-	start := r.next % int64(cap(r.buf))
-	out = append(out, r.buf[start:]...)
-	return append(out, r.buf[:start]...)
-}
-
-// WriteJSONL streams the held records oldest-first, one JSON object per
-// line — the vcsim -trace-out format.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range r.Records() {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// chromeEvent is one complete ("X") event of the Chrome trace-event format
-// (chrome://tracing, Perfetto). Timestamps and durations are microseconds.
-type chromeEvent struct {
-	Name string                 `json:"name"`
-	Cat  string                 `json:"cat"`
-	Ph   string                 `json:"ph"`
-	Ts   float64                `json:"ts"`
-	Dur  float64                `json:"dur"`
-	Pid  int                    `json:"pid"`
-	Tid  int                    `json:"tid"`
-	Args map[string]interface{} `json:"args,omitempty"`
-}
-
-// WriteChromeTrace renders the held records as a Chrome trace-event JSON
-// array: one complete event per decision, laid out on the wall-clock axis
-// with one track (tid) per region, carrying the record's counters as args.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	recs := r.Records()
-	base := firstWall(recs)
-	evs := make([]chromeEvent, 0, len(recs))
-	for _, rec := range recs {
-		dur := float64(rec.LatencyNs) / 1e3
-		if dur <= 0 {
-			dur = 1 // sub-µs events still need visible extent
-		}
-		evs = append(evs, chromeEvent{
-			Name: fmt.Sprintf("%s s%d", rec.Kind, rec.Session),
-			Cat:  "churn",
-			Ph:   "X",
-			Ts:   float64(rec.WallNs-base) / 1e3,
-			Dur:  dur,
-			Pid:  0,
-			Tid:  rec.Region,
-			Args: map[string]interface{}{
-				"seq":       rec.Seq,
-				"time_s":    rec.TimeS,
-				"admitted":  rec.Admitted,
-				"stalled":   rec.Stalled,
-				"reopt":     rec.Reopt,
-				"commits":   rec.Commits,
-				"conflicts": rec.Conflicts,
-				"cf_gap":    rec.CfGap,
-				"objective": rec.Objective,
-			},
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{TraceEvents: evs})
-}
-
-// firstWall returns the earliest wall timestamp, anchoring the trace at 0.
-func firstWall(recs []DecisionRecord) int64 {
-	if len(recs) == 0 {
-		return 0
-	}
-	first := recs[0].WallNs
-	for _, r := range recs[1:] {
-		if r.WallNs < first {
-			first = r.WallNs
-		}
-	}
-	return first
 }

@@ -1,8 +1,10 @@
 // Package telemetry is the unified observability layer: a concurrency-safe
 // metrics registry (sharded counters, gauges, a reusable log-scale
-// histogram), a bounded per-decision trace recorder with JSONL and Chrome
-// trace-event exporters, and HTTP exposition (Prometheus-style text plus a
-// JSON snapshot, with net/http/pprof wired alongside).
+// histogram), one bounded overwrite-oldest Ring carrying decision records,
+// spans and sampler windows, a windowed sampler with burn-rate alerts and
+// an incident flight recorder, and HTTP exposition of one route table
+// (Prometheus-style text, JSON snapshots, JSONL rings and a Chrome
+// trace-event file, with net/http/pprof wired alongside).
 //
 // The design contract is zero overhead when disabled and lock-free hot
 // paths when enabled:

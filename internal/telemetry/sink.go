@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"vconf/internal/trace"
 )
 
 // TaskOutcome classifies one re-optimization task's terminal outcome for
@@ -66,8 +64,8 @@ type Config struct {
 // telemetry is off.
 type Sink struct {
 	reg   *Registry
-	rec   *Recorder
-	spans *SpanRing
+	rec   *Ring[DecisionRecord]
+	spans *Ring[SpanRecord]
 
 	// spanSeq allocates causal span identities (atomic; 0 is reserved for
 	// "no parent").
@@ -136,39 +134,21 @@ type Sink struct {
 	walkReused    *Counter
 	walkAcross    *Counter
 
-	// Gauges (event-loop writers only).
-	objective    *Gauge
-	active       *Gauge
-	schedStalls  *Gauge
-	schedWaits   *Gauge
-	schedQueue   *Gauge
-	schedFlight  *Gauge
-	ledgerCommit *Gauge
-	ledgerConfl  *Gauge
-	ledgerInfeas *Gauge
+	// Gauges (event-loop writers only): the live placement.
+	objective *Gauge
+	active    *Gauge
 
 	// Continuous health monitoring: the windowed sampler, the burn-rate
-	// alert engine over its series, the incident flight recorder, and the
-	// latest-window gauges the sampler mirrors into the registry.
-	sampler          *Sampler
-	alerts           *AlertEngine
-	flight           *FlightRecorder
-	winCommitsPerS   *Gauge
-	winRejectRatio   *Gauge
-	winConflictRatio *Gauge
-	winDropRatio     *Gauge
-	winDelayP99      []*Gauge
+	// alert engine over its windows, and the incident flight recorder.
+	sampler *Sampler
+	alerts  *AlertEngine
+	flight  *FlightRecorder
 
-	// prevObjective backs ObjectiveDelta (guarded by the recorder mutex's
-	// caller — Record is invoked from the serialized event-retire path).
-	prevObjective    float64
-	haveObjective    bool
-	eventShard       int
-	feedObjective    *trace.Series
-	feedActive       *trace.Series
-	feedCommits      *trace.Series
-	feedConflicts    *trace.Series
-	feedCacheWarmPct *trace.Series
+	// prevObjective backs ObjectiveDelta (Record is invoked from the
+	// serialized event-retire path only).
+	prevObjective float64
+	haveObjective bool
+	eventShard    int
 }
 
 // New builds an enabled sink. A nil *Sink (not New's result) is the
@@ -198,8 +178,8 @@ func New(cfg Config) *Sink {
 	}
 	s := &Sink{
 		reg:           NewRegistry(cfg.Workers + 1),
-		rec:           NewRecorder(cfg.TraceCapacity),
-		spans:         NewSpanRing(cfg.SpanCapacity),
+		rec:           NewRing(cfg.TraceCapacity, func(r *DecisionRecord, q int64) { r.Seq = q }),
+		spans:         NewRing(cfg.SpanCapacity, func(r *SpanRecord, q int64) { r.Seq = q }),
 		sessionRegion: cfg.SessionRegion,
 		regions:       regions,
 		sessionClass:  cfg.SessionClass,
@@ -276,18 +256,6 @@ func New(cfg Config) *Sink {
 	s.walkAcross = s.reg.Counter("vconf_walk_hops_total", "refinement-walk hops, by where the candidate set came from", Label{Key: "result", Value: "reused_across"})
 	s.objective = s.reg.Gauge("vconf_objective", "Σ Φ_s over active sessions")
 	s.active = s.reg.Gauge("vconf_active_sessions", "live session count")
-	s.schedStalls = s.reg.Gauge("vconf_sched_admission_stalls", "pipelined scheduler: admission stalls")
-	s.schedWaits = s.reg.Gauge("vconf_sched_reopt_waits", "pipelined scheduler: re-optimization waits")
-	s.schedQueue = s.reg.Gauge("vconf_sched_queue_depth_peak", "pipelined scheduler: pending-queue high-water mark")
-	s.schedFlight = s.reg.Gauge("vconf_sched_in_flight_peak", "pipelined scheduler: in-flight high-water mark")
-	s.ledgerCommit = s.reg.Gauge("vconf_shard_ledger_commits", "shard ledger: CommitDelta outcomes committed")
-	s.ledgerConfl = s.reg.Gauge("vconf_shard_ledger_conflicts", "shard ledger: CommitDelta outcomes conflicted")
-	s.ledgerInfeas = s.reg.Gauge("vconf_shard_ledger_infeasible", "shard ledger: CommitDelta outcomes infeasible")
-	s.feedObjective = trace.NewSeries("telemetry/objective")
-	s.feedActive = trace.NewSeries("telemetry/active_sessions")
-	s.feedCommits = trace.NewSeries("telemetry/commits_total")
-	s.feedConflicts = trace.NewSeries("telemetry/conflicts_total")
-	s.feedCacheWarmPct = trace.NewSeries("telemetry/cache_warm_pct")
 
 	// The flight recorder is always on for an enabled sink: it costs
 	// nothing until triggered, and -chaos runs without SLO rules still
@@ -313,15 +281,6 @@ func New(cfg Config) *Sink {
 			classNames = []string{"default"}
 		}
 		s.sampler = newSampler(*cfg.Sample, classNames)
-		s.winCommitsPerS = s.reg.Gauge("vconf_window_commits_per_s", "last closed sampler window: commit rate")
-		s.winRejectRatio = s.reg.Gauge("vconf_window_reject_ratio", "last closed sampler window: task rejects over task outcomes")
-		s.winConflictRatio = s.reg.Gauge("vconf_window_conflict_ratio", "last closed sampler window: lost commit races over commit attempts")
-		s.winDropRatio = s.reg.Gauge("vconf_window_drop_ratio", "last closed sampler window: dropped arrivals + evac rejects over arrivals + orphans")
-		s.winDelayP99 = make([]*Gauge, len(classNames))
-		for c, name := range classNames {
-			s.winDelayP99[c] = s.reg.Gauge("vconf_window_delay_p99_us", "last closed sampler window: session-delay p99 (µs), by SLO class",
-				Label{Key: "class", Value: name})
-		}
 		if len(cfg.SLO) > 0 {
 			eng, err := newAlertEngine(cfg.SLO, s.sampler.Interval())
 			if err != nil {
@@ -344,28 +303,8 @@ func New(cfg Config) *Sink {
 				s.triggerFlight("alert", reason, tail, active)
 			}
 			s.alerts = eng
-			if n := eng.maxWindows(); n > s.sampler.tailNeed {
-				s.sampler.tailNeed = n
-			}
-		}
-		if fw := s.flight.cfg.Windows; fw > s.sampler.tailNeed {
-			s.sampler.tailNeed = fw
-		}
-		s.sampler.onClose = func(w *Window, tail []Window) {
-			s.winCommitsPerS.Set(w.CommitsPerS)
-			s.winRejectRatio.Set(w.RejectRatio)
-			s.winConflictRatio.Set(w.ConflictRatio)
-			s.winDropRatio.Set(w.DropRatio)
-			for _, cw := range w.Classes {
-				for c, name := range classNames {
-					if name == cw.Class {
-						s.winDelayP99[c].Set(float64(cw.P99US))
-					}
-				}
-			}
-			if s.alerts != nil {
-				s.alerts.observe(w, tail)
-			}
+			s.sampler.onClose = eng.observe
+			s.sampler.tailNeed = max(eng.maxWindows(), s.flight.cfg.Windows)
 		}
 	}
 	return s
@@ -382,8 +321,8 @@ func (s *Sink) Registry() *Registry {
 	return s.reg
 }
 
-// Recorder exposes the decision-trace ring (nil when disabled).
-func (s *Sink) Recorder() *Recorder {
+// Recorder exposes the decision-record ring (nil when disabled).
+func (s *Sink) Recorder() *Ring[DecisionRecord] {
 	if s == nil {
 		return nil
 	}
@@ -522,28 +461,6 @@ func (s *Sink) WalkHops(worker, hops, reused, across int) {
 	s.walkEvaluated.Add(worker, int64(hops-reused-across))
 	s.walkReused.Add(worker, int64(reused))
 	s.walkAcross.Add(worker, int64(across))
-}
-
-// SchedulerStats mirrors the pipelined scheduler's counters into gauges.
-func (s *Sink) SchedulerStats(stalls, waits, queuePeak, inFlightPeak int) {
-	if s == nil {
-		return
-	}
-	s.schedStalls.Set(float64(stalls))
-	s.schedWaits.Set(float64(waits))
-	s.schedQueue.Set(float64(queuePeak))
-	s.schedFlight.Set(float64(inFlightPeak))
-}
-
-// LedgerStats mirrors the shard ledger's commit-outcome counters into
-// gauges — the ledger-level cross-check of the orchestrator's counters.
-func (s *Sink) LedgerStats(commits, conflicts, infeasible int64) {
-	if s == nil {
-		return
-	}
-	s.ledgerCommit.Set(float64(commits))
-	s.ledgerConfl.Set(float64(conflicts))
-	s.ledgerInfeas.Set(float64(infeasible))
 }
 
 // Record emits one decision record: it fills the derived fields (region,
@@ -733,40 +650,6 @@ func (s *Sink) DegradedReject(region int) {
 	s.degRejects[region].Inc(s.eventShard)
 }
 
-// FeedTick appends the headline metrics to the sink's evolution series at
-// virtual time t (out-of-order ticks are dropped, matching trace.Series'
-// append contract).
-func (s *Sink) FeedTick(t float64) {
-	if s == nil {
-		return
-	}
-	var commits, conflicts int64
-	for i := range s.commits {
-		commits += s.commits[i].Value()
-		conflicts += s.conflicts[i].Value()
-	}
-	warm := s.cacheHits.Value() + s.cachePatches.Value()
-	cold := s.cacheRebuilds.Value()
-	pct := 0.0
-	if warm+cold > 0 {
-		pct = 100 * float64(warm) / float64(warm+cold)
-	}
-	_ = s.feedObjective.Append(t, s.objective.Value())
-	_ = s.feedActive.Append(t, s.active.Value())
-	_ = s.feedCommits.Append(t, float64(commits))
-	_ = s.feedConflicts.Append(t, float64(conflicts))
-	_ = s.feedCacheWarmPct.Append(t, pct)
-}
-
-// Series returns the evolution series FeedTick maintains (nil when
-// disabled), ready for trace.Series resampling/merging.
-func (s *Sink) Series() []*trace.Series {
-	if s == nil {
-		return nil
-	}
-	return []*trace.Series{s.feedObjective, s.feedActive, s.feedCommits, s.feedConflicts, s.feedCacheWarmPct}
-}
-
 // CounterfactualSummary aggregates counterfactual-k over the held records:
 // the count of committed decisions with a valid 2nd-best gap, plus the
 // mean and p99 of that gap (the regret had the runner-up been chosen).
@@ -775,7 +658,7 @@ func (s *Sink) CounterfactualSummary() (n int, mean, p99 float64) {
 		return 0, 0, 0
 	}
 	var gaps []float64
-	for _, rec := range s.rec.Records() {
+	for _, rec := range s.rec.Items() {
 		if rec.CfValid && rec.Commits > 0 {
 			gaps = append(gaps, rec.CfGap)
 		}

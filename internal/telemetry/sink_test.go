@@ -15,7 +15,7 @@ func TestNilSinkSafe(t *testing.T) {
 	if s.Enabled() {
 		t.Fatal("nil sink reports enabled")
 	}
-	if s.Registry() != nil || s.Recorder() != nil || s.Series() != nil {
+	if s.Registry() != nil || s.Recorder() != nil || s.Spans() != nil {
 		t.Fatal("nil sink leaked non-nil components")
 	}
 	if s.RegionOf(3) != 0 || s.Regions() != 0 || s.EventShard() != 0 {
@@ -26,10 +26,7 @@ func TestNilSinkSafe(t *testing.T) {
 	s.TaskPhases(1, 1, 2, 3)
 	s.CacheEvals(1, 1, 2, 3)
 	s.WalkHops(1, 12, 5, 3)
-	s.SchedulerStats(1, 2, 3, 4)
-	s.LedgerStats(1, 2, 3)
 	s.Record(DecisionRecord{Kind: "arrive"})
-	s.FeedTick(1.0)
 	if n, mean, p99 := s.CounterfactualSummary(); n != 0 || mean != 0 || p99 != 0 {
 		t.Fatal("nil sink returned a counterfactual summary")
 	}
@@ -99,7 +96,7 @@ func TestSinkRecordDerivedFields(t *testing.T) {
 	s := New(Config{Workers: 1})
 	s.Record(DecisionRecord{Kind: "arrive", Session: 0, Admitted: true, Objective: 10})
 	s.Record(DecisionRecord{Kind: "depart", Session: 0, Admitted: true, Objective: 7, CacheInvalidated: 1})
-	recs := s.Recorder().Records()
+	recs := s.Recorder().Items()
 	if len(recs) != 2 {
 		t.Fatalf("got %d records", len(recs))
 	}
@@ -148,30 +145,6 @@ func TestCounterfactualSummary(t *testing.T) {
 	}
 	if p99 != 0.4 {
 		t.Fatalf("p99 = %v, want 0.4", p99)
-	}
-}
-
-func TestFeedTickSeries(t *testing.T) {
-	s := New(Config{Workers: 1})
-	s.TaskOutcome(0, 0, 0, OutcomeCommit)
-	s.CacheEvals(0, 3, 0, 1)
-	s.Record(DecisionRecord{Kind: "arrive", Admitted: true, Objective: 5, ActiveSessions: 1})
-	s.FeedTick(10)
-	s.FeedTick(20)
-	series := s.Series()
-	if len(series) != 5 {
-		t.Fatalf("got %d series, want 5", len(series))
-	}
-	for _, sr := range series {
-		if sr.Len() != 2 {
-			t.Fatalf("series %s has %d points, want 2", sr.Name, sr.Len())
-		}
-	}
-	if v, ok := series[0].At(10); !ok || v != 5 {
-		t.Fatalf("objective series at t=10 = (%v,%v), want (5,true)", v, ok)
-	}
-	if v, ok := series[4].At(10); !ok || v != 75 {
-		t.Fatalf("cache-warm%% series = (%v,%v), want (75,true)", v, ok)
 	}
 }
 

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -128,7 +127,7 @@ func (s *Sink) appendSpan(rec SpanRecord) {
 }
 
 // Spans exposes the span ring (nil when disabled).
-func (s *Sink) Spans() *SpanRing {
+func (s *Sink) Spans() *Ring[SpanRecord] {
 	if s == nil {
 		return nil
 	}
@@ -155,83 +154,18 @@ type SpanRecord struct {
 	Arg int64 `json:"arg,omitempty"`
 }
 
-// SpanRing is the bounded span buffer, mirroring Recorder: mutex-guarded
-// appends (span ends are off the per-candidate hot path), oldest records
-// overwritten and counted as dropped once full.
-type SpanRing struct {
-	mu   sync.Mutex
-	buf  []SpanRecord
-	next int64 // total spans ever appended
-}
-
-// NewSpanRing builds a ring holding the last `capacity` spans (minimum 1).
-func NewSpanRing(capacity int) *SpanRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanRing{buf: make([]SpanRecord, 0, capacity)}
-}
-
-// Append stores one span, assigning its Seq, and reports whether an older
-// span was overwritten.
-func (r *SpanRing) Append(rec SpanRecord) (overwrote bool) {
-	r.mu.Lock()
-	rec.Seq = r.next
-	r.next++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[rec.Seq%int64(cap(r.buf))] = rec
-		overwrote = true
-	}
-	r.mu.Unlock()
-	return overwrote
-}
-
-// Len returns the number of spans currently held.
-func (r *SpanRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Total returns the number of spans ever appended.
-func (r *SpanRing) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
-}
-
-// Dropped returns how many old spans the ring overwrote.
-func (r *SpanRing) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next - int64(len(r.buf))
-}
-
-// Spans returns the held spans oldest-first.
-func (r *SpanRing) Spans() []SpanRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SpanRecord, 0, len(r.buf))
-	if len(r.buf) < cap(r.buf) || r.next == int64(len(r.buf)) {
-		return append(out, r.buf...)
-	}
-	start := r.next % int64(cap(r.buf))
-	out = append(out, r.buf[start:]...)
-	return append(out, r.buf[:start]...)
-}
-
-// WriteJSONL streams the held spans oldest-first, one JSON object per line
-// — the vcsim -span-out format and the shape cmd/vcreport ingests.
-func (r *SpanRing) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range r.Spans() {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+// chromeEvent is one complete ("X") or metadata ("M") event of the Chrome
+// trace-event format (chrome://tracing, Perfetto). Timestamps and durations
+// are microseconds.
+type chromeEvent struct {
+	Name string                 `json:"name"`
+	Cat  string                 `json:"cat"`
+	Ph   string                 `json:"ph"`
+	Ts   float64                `json:"ts"`
+	Dur  float64                `json:"dur"`
+	Pid  int                    `json:"pid"`
+	Tid  int                    `json:"tid"`
+	Args map[string]interface{} `json:"args,omitempty"`
 }
 
 // WriteChromeTrace renders the sink's decision records AND spans as one
@@ -246,9 +180,14 @@ func (s *Sink) WriteChromeTrace(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	recs := s.rec.Records()
-	spans := s.spans.Spans()
-	base := firstWall(recs)
+	recs := s.rec.Items()
+	spans := s.spans.Items()
+	var base int64
+	for i, rec := range recs {
+		if i == 0 || rec.WallNs < base {
+			base = rec.WallNs
+		}
+	}
 	for _, sp := range spans {
 		if base == 0 || (sp.StartNs != 0 && sp.StartNs < base) {
 			base = sp.StartNs

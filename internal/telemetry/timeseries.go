@@ -109,20 +109,18 @@ type Window struct {
 
 // Sampler cuts the decision stream into fixed-width virtual-time windows
 // and retains the last Capacity closed windows in a ring. All mutation
-// happens via observe on the serialized retire path; readers (exposition,
-// flight dumps) take the same mutex.
+// happens via observe on the serialized retire path under the sampler's
+// mutex; readers (exposition, flight dumps) read the ring under its own.
 type Sampler struct {
 	mu       sync.Mutex
 	interval float64
-	capacity int
 	classes  []string
 
 	// onClose receives every freshly closed window plus the ring tail
-	// (closed window last) — the sink routes it to the window gauges and
-	// the alert engine.
+	// (closed window last) — the sink routes it to the alert engine.
 	onClose func(w *Window, tail []Window)
-	// tailNeed is how many trailing windows onClose consumers want (max of
-	// alert slow windows and flight-recorder window depth).
+	// tailNeed is how many trailing windows onClose wants (max of alert
+	// slow windows and flight-recorder window depth).
 	tailNeed int
 
 	cur          *Window
@@ -131,9 +129,7 @@ type Sampler struct {
 	lastIncident int
 	lastKind     string
 
-	windows []Window // ring, oldest-first once wrapped via start index
-	start   int      // ring start when len(windows) == capacity
-	total   int64    // windows ever closed
+	windows *Ring[Window]
 }
 
 // newSampler builds a sampler for the given class names ("default" when
@@ -150,9 +146,8 @@ func newSampler(cfg SamplerConfig, classes []string) *Sampler {
 	}
 	sp := &Sampler{
 		interval: cfg.IntervalS,
-		capacity: cfg.Capacity,
 		classes:  classes,
-		tailNeed: 1,
+		windows:  NewRing[Window](cfg.Capacity, nil),
 	}
 	sp.curBuckets = make([][]int64, len(classes))
 	for c := range sp.curBuckets {
@@ -292,35 +287,11 @@ func (sp *Sampler) closeLocked() {
 		})
 	}
 	closed := *w
-	sp.appendLocked(closed)
-	sp.total++
+	sp.windows.Append(closed)
 	if sp.onClose != nil {
-		sp.onClose(&closed, sp.tailLocked(sp.tailNeed))
+		sp.onClose(&closed, sp.windows.Tail(sp.tailNeed))
 	}
 	sp.openLocked(w.Index + 1)
-}
-
-// appendLocked pushes one closed window into the bounded ring.
-func (sp *Sampler) appendLocked(w Window) {
-	if len(sp.windows) < sp.capacity {
-		sp.windows = append(sp.windows, w)
-		return
-	}
-	sp.windows[sp.start] = w
-	sp.start = (sp.start + 1) % sp.capacity
-}
-
-// tailLocked copies the newest n closed windows, oldest-first.
-func (sp *Sampler) tailLocked(n int) []Window {
-	held := len(sp.windows)
-	if n > held {
-		n = held
-	}
-	out := make([]Window, 0, n)
-	for i := held - n; i < held; i++ {
-		out = append(out, sp.windows[(sp.start+i)%held])
-	}
-	return out
 }
 
 // Tail returns the newest n closed windows, oldest-first.
@@ -328,9 +299,7 @@ func (sp *Sampler) Tail(n int) []Window {
 	if sp == nil || n <= 0 {
 		return nil
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.tailLocked(n)
+	return sp.windows.Tail(n)
 }
 
 // Windows returns every held closed window, oldest-first.
@@ -338,9 +307,7 @@ func (sp *Sampler) Windows() []Window {
 	if sp == nil {
 		return nil
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.tailLocked(len(sp.windows))
+	return sp.windows.Items()
 }
 
 // TotalWindows returns the number of windows ever closed (held or
@@ -349,9 +316,7 @@ func (sp *Sampler) TotalWindows() int64 {
 	if sp == nil {
 		return 0
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.total
+	return sp.windows.Total()
 }
 
 // TimeseriesDoc is the /timeseries.json document shape (also what

@@ -36,7 +36,8 @@ func NewTelemetry(cfg TelemetryConfig) *TelemetrySink {
 }
 
 // ServeTelemetry serves the sink's exposition surface (/metrics,
-// /metrics.json, /trace.jsonl, /trace.chrome.json, /debug/pprof/...) on
+// /metrics.json, /trace.jsonl, /spans.jsonl, /trace.chrome.json,
+// /timeseries.json, /alerts.json, /flightrec.json and /debug/pprof/...) on
 // addr in a background goroutine; close the returned server to stop. A nil
 // sink serves 503s, so the endpoint can be mounted unconditionally.
 func ServeTelemetry(s *TelemetrySink, addr string) (*TelemetryServer, error) {
