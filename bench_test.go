@@ -943,7 +943,7 @@ func BenchmarkAblationFreezeProtocol(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Sim-core benches (virtual-clock engine vs eager materialization)
+// Sim-core bench (the virtual-clock engine over the lazy generators)
 
 // simCoreBenchConfigs is a scenario-independent virtual-hour chaos mix:
 // Poisson churn plus the full fault processes, sized to a few thousand
@@ -985,27 +985,8 @@ func simCoreBenchConfigs() (vconf.ChurnConfig, vconf.FaultConfig) {
 	return ccfg, fcfg
 }
 
-// BenchmarkSimCoreEagerSlice materializes and merges the whole schedule,
-// the pre-engine path: O(horizon) memory, sort-dominated.
-func BenchmarkSimCoreEagerSlice(b *testing.B) {
-	ccfg, fcfg := simCoreBenchConfigs()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		ch, err := vconf.GenerateChurn(ccfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fl, err := vconf.GenerateFaults(fcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += len(vconf.MergeSchedules(ch, fl))
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkSimCoreLazyEngine streams the identical event sequence through
-// the virtual-clock engine: O(in-flight) memory, no sort.
+// BenchmarkSimCoreLazyEngine streams the churn+fault mix through the
+// virtual-clock engine: O(in-flight) memory, no sort.
 func BenchmarkSimCoreLazyEngine(b *testing.B) {
 	ccfg, fcfg := simCoreBenchConfigs()
 	total := 0

@@ -25,7 +25,8 @@ const (
 
 // GenerateChurn builds a deterministic (seeded) churn schedule: Poisson
 // arrivals, exponential hold times, departed sessions returning to the idle
-// pool for reuse. Events are returned in time order.
+// pool for reuse. It drains NewChurnEventSource; events are returned in
+// time order.
 func GenerateChurn(cfg ChurnConfig) ([]ChurnEvent, error) {
 	return workload.PoissonSchedule(cfg)
 }

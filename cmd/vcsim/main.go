@@ -208,21 +208,15 @@ func run(args []string, w io.Writer) error {
 				FlashSessions:  pools,
 			}
 		}
+		src, closeSrc, err := eventSource(opts)
+		if err != nil {
+			return err
+		}
+		defer closeSrc()
 		if virtualMode {
-			return runVirtual(w, sc, ev, opts)
+			return runVirtual(w, sc, ev, src, opts)
 		}
-		if *chaos {
-			events, err := workload.PoissonSchedule(opts.churnCfg)
-			if err != nil {
-				return err
-			}
-			faultEvents, err := faults.Schedule(*opts.faultCfg)
-			if err != nil {
-				return err
-			}
-			opts.events = faults.Merge(events, faultEvents)
-		}
-		return runChurn(w, sc, ev, opts)
+		return runChurn(w, sc, ev, src, opts)
 	}
 	eng, err := core.NewEngine(ev, coreCfg)
 	if err != nil {
@@ -367,34 +361,33 @@ type churnOpts struct {
 	tsOut       string
 	alertsOut   string
 	flightOut   string
-	// chaos mode: events is the pre-merged churn+fault schedule (nil falls
-	// back to plain Poisson churn), agentRegion maps agent → region for the
-	// orchestrator's regional healing, homes maps session → home region for
-	// per-region telemetry labels.
+	// chaos mode: agentRegion maps agent → region for the orchestrator's
+	// regional healing, homes maps session → home region for per-region
+	// telemetry labels.
 	chaos       bool
-	events      []workload.Event
 	agentRegion []int
 	homes       []int
-	// Virtual-clock mode: churnCfg/faultCfg are the lazy generator specs
+	// churnCfg/faultCfg are the generator specs of the event source
 	// (faultCfg nil outside chaos mode); recordTrace/replayTrace are the
-	// sim-trace file paths.
+	// virtual mode's sim-trace file paths.
 	churnCfg    workload.ChurnConfig
 	faultCfg    *faults.Config
 	recordTrace string
 	replayTrace string
 }
 
-// runChurn drives the online orchestrator over a Poisson churn schedule and
+// runChurn drives the online orchestrator over the drained event source and
 // reports per-interval telemetry plus the final drift vs a from-scratch
 // re-solve oracle.
-func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, opts churnOpts) error {
-	events := opts.events
-	if events == nil {
-		var err error
-		events, err = workload.PoissonSchedule(opts.churnCfg)
-		if err != nil {
-			return err
-		}
+func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src orchestrator.EventSource, opts churnOpts) error {
+	// The whole schedule is drained up front: its length sizes the
+	// telemetry rings.
+	var events []workload.Event
+	for e, ok := src.Next(); ok; e, ok = src.Next() {
+		events = append(events, e)
+	}
+	if err := src.Err(); err != nil {
+		return err
 	}
 
 	// The sink stays nil unless asked for: a nil *telemetry.Sink is the

@@ -1,11 +1,11 @@
 package main
 
 // Virtual-clock mode (-virtual, -record-trace, -replay-trace): instead of
-// materializing the whole churn+fault schedule up front and interleaving
-// data-plane ticks, the orchestrator pulls events lazily from the
-// internal/sim discrete-event engine — memory stays O(in-flight) however
-// long the horizon, and virtual time decouples completely from wall time
-// (the run reports the virtual/wall rate instead of pacing against it).
+// draining the whole churn+fault schedule up front and interleaving
+// data-plane ticks, the orchestrator pulls events lazily from the event
+// source — memory stays O(in-flight) however long the horizon, and virtual
+// time decouples completely from wall time (the run reports the
+// virtual/wall rate instead of pacing against it).
 // -record-trace tees the merged event stream plus each decision digest to
 // a versioned JSONL trace; -replay-trace feeds a recorded trace back and
 // verifies every decision digest, reporting the first divergence.
@@ -24,40 +24,41 @@ import (
 	"vconf/internal/workload"
 )
 
-// runVirtual drives the online orchestrator from a lazy event source (the
-// sim engine over the churn/fault generators, or a trace replayer) and
-// prints the decoupled virtual-vs-wall rate report.
-func runVirtual(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, opts churnOpts) error {
-	var (
-		src orchestrator.EventSource
-		rp  *sim.Replayer
-	)
+// eventSource builds the run's one event stream: the replayer of a
+// recorded trace, or the sim engine over the churn generator, merged with
+// the fault generator in chaos mode. closeSrc releases the trace file.
+func eventSource(opts churnOpts) (src orchestrator.EventSource, closeSrc func(), err error) {
 	if opts.replayTrace != "" {
 		f, err := os.Open(opts.replayTrace)
 		if err != nil {
-			return fmt.Errorf("replay-trace: %w", err)
+			return nil, nil, fmt.Errorf("replay-trace: %w", err)
 		}
-		defer f.Close()
-		rp, err = sim.NewReplayer(f)
+		rp, err := sim.NewReplayer(f)
 		if err != nil {
-			return fmt.Errorf("replay-trace: %w", err)
+			f.Close()
+			return nil, nil, fmt.Errorf("replay-trace: %w", err)
 		}
-		src = rp
-	} else {
-		cs, err := workload.NewChurnSource(opts.churnCfg)
-		if err != nil {
-			return err
-		}
-		if opts.faultCfg != nil {
-			fsrc, err := faults.NewSource(*opts.faultCfg)
-			if err != nil {
-				return err
-			}
-			src = sim.New(cs, fsrc)
-		} else {
-			src = sim.New(cs)
-		}
+		return rp, func() { f.Close() }, nil
 	}
+	cs, err := workload.NewChurnSource(opts.churnCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.faultCfg == nil {
+		return sim.New(cs), func() {}, nil
+	}
+	fs, err := faults.NewSource(*opts.faultCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sim.New(cs, fs), func() {}, nil
+}
+
+// runVirtual drives the online orchestrator from the event source (the
+// sim engine over the churn/fault generators, or a trace replayer) and
+// prints the decoupled virtual-vs-wall rate report.
+func runVirtual(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src orchestrator.EventSource, opts churnOpts) error {
+	rp, _ := src.(*sim.Replayer)
 
 	var (
 		rec     *sim.Recorder

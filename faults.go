@@ -27,10 +27,11 @@ const (
 // guarantees).
 type FaultConfig = faults.Config
 
-// GenerateFaults builds a deterministic fault schedule: the same seed and
-// config always yield byte-identical events, and each fault process draws
-// from an independent sub-stream, so enabling one never shifts another.
-// Merge with a churn schedule via MergeSchedules.
+// GenerateFaults builds a deterministic fault schedule by draining
+// NewFaultEventSource: the same seed and config always yield
+// byte-identical events, and each fault process draws from an independent
+// sub-stream, so enabling one never shifts another. Merge with a churn
+// schedule via MergeSchedules.
 func GenerateFaults(cfg FaultConfig) ([]ChurnEvent, error) { return faults.Schedule(cfg) }
 
 // MergeSchedules stably interleaves two time-ordered schedules (ties keep

@@ -46,22 +46,6 @@ const (
 // noiseless evaluation.
 type NoiseFunc func(phi float64) float64
 
-// HopSampling selects when Engine.Run records a Sample after hop events.
-// Snapshots are O(active sessions); on long horizons with frequent hops they
-// dominate the run, so large simulations choose a lighter policy.
-type HopSampling int
-
-const (
-	// SampleEveryHop records a sample after every hop event — the historical
-	// default (zero value), which every experiment's time series relies on.
-	SampleEveryHop HopSampling = iota
-	// SampleOnMove records a sample only after hops that actually migrated.
-	SampleOnMove
-	// SampleNever records no hop-triggered samples; arrivals, departures and
-	// the periodic sampleEveryS boundary samples still appear.
-	SampleNever
-)
-
 // Config parameterizes the chain.
 type Config struct {
 	// Beta is β: larger values concentrate the stationary distribution on
@@ -84,9 +68,6 @@ type Config struct {
 	// Noise optionally perturbs every objective reading (Theorem 1's
 	// measurement-error model).
 	Noise NoiseFunc
-	// HopSampling selects when Engine.Run samples after hop events; the zero
-	// value keeps the historical sample-per-hop behavior.
-	HopSampling HopSampling
 	// NeighborWindow caps the hop candidate set to each variable's k
 	// delay-nearest agents (the paper's N_ngbr pruning, Fig. 10), cutting
 	// per-hop cost from O(L·session) to O(k·session) at controlled
@@ -119,9 +100,6 @@ func (c Config) Validate() error {
 	}
 	if c.Mode != PaperHop && c.Mode != ExactCTMC {
 		return fmt.Errorf("core: invalid hop mode %d", c.Mode)
-	}
-	if c.HopSampling < SampleEveryHop || c.HopSampling > SampleNever {
-		return fmt.Errorf("core: invalid hop sampling policy %d", c.HopSampling)
 	}
 	if c.NeighborWindow < 0 {
 		return fmt.Errorf("core: neighbor window must be non-negative, got %d", c.NeighborWindow)

@@ -258,48 +258,3 @@ func TestSparsePrimitivesMatchDense(t *testing.T) {
 		}
 	}
 }
-
-// HopSampling policies must thin hop samples without touching the chain
-// trajectory itself.
-func TestHopSamplingPolicies(t *testing.T) {
-	sc := multiScenario(t, 4)
-	run := func(hs HopSampling) ([]Sample, int, int) {
-		ev := newEval(t, sc)
-		cfg := DefaultConfig(7)
-		cfg.HopSampling = hs
-		eng, err := NewEngine(ev, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		boot := nrstBoot(ev.Params())
-		for s := 0; s < sc.NumSessions(); s++ {
-			if err := eng.ActivateSession(model.SessionID(s), boot); err != nil {
-				t.Fatal(err)
-			}
-		}
-		samples, err := eng.Run(120, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hops, moves := eng.Hops()
-		return samples, hops, moves
-	}
-	every, hopsE, movesE := run(SampleEveryHop)
-	onMove, hopsM, movesM := run(SampleOnMove)
-	never, hopsN, movesN := run(SampleNever)
-	if hopsE != hopsM || hopsE != hopsN || movesE != movesM || movesE != movesN {
-		t.Fatalf("sampling policy changed the chain: hops (%d,%d,%d) moves (%d,%d,%d)",
-			hopsE, hopsM, hopsN, movesE, movesM, movesN)
-	}
-	// Density must be monotone in policy strictness; hop samples exist, so
-	// SampleNever is strictly lighter than SampleEveryHop.
-	if !(len(every) >= len(onMove) && len(onMove) >= len(never) && len(every) > len(never)) {
-		t.Fatalf("sampling density not monotone: every=%d onMove=%d never=%d",
-			len(every), len(onMove), len(never))
-	}
-	// Final boundary samples must agree regardless of policy.
-	fe, fn := every[len(every)-1], never[len(never)-1]
-	if fe.TimeS != fn.TimeS || fe.Objective != fn.Objective || fe.TrafficMbps != fn.TrafficMbps {
-		t.Fatalf("final samples differ across sampling policies: %+v vs %+v", fe, fn)
-	}
-}

@@ -212,9 +212,9 @@ func (e *Engine) scheduleHop(s model.SessionID) {
 }
 
 // Run advances virtual time to untilS, processing all events, and returns
-// samples: one immediately, one after every hop (subject to
-// Config.HopSampling), one per arrival/departure, and one at every
-// sampleEveryS boundary (0 disables periodic sampling).
+// samples: one immediately, one after every hop, one per
+// arrival/departure, and one at every sampleEveryS boundary (0 disables
+// periodic sampling).
 func (e *Engine) Run(untilS, sampleEveryS float64) ([]Sample, error) {
 	var samples []Sample
 	samples = append(samples, e.Snapshot())
@@ -263,10 +263,7 @@ func (e *Engine) Run(untilS, sampleEveryS float64) ([]Sample, error) {
 			if e.OnHop != nil {
 				e.OnHop(e.now, ev.session, res)
 			}
-			if e.cfg.HopSampling == SampleEveryHop ||
-				(e.cfg.HopSampling == SampleOnMove && res.Moved) {
-				samples = append(samples, e.Snapshot())
-			}
+			samples = append(samples, e.Snapshot())
 			e.scheduleHop(ev.session)
 		}
 	}

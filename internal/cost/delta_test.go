@@ -179,3 +179,20 @@ func TestLedgerClone(t *testing.T) {
 		t.Fatalf("original ledger unexpectedly violated: %v", g.Violations())
 	}
 }
+
+// TestSetCapacityScaleRejectsNonFinite pins the scale guard: a NaN or
+// infinite factor is refused and leaves the agent's scale untouched.
+func TestSetCapacityScaleRejectsNonFinite(t *testing.T) {
+	g := NewLedger(deltaScenario(t))
+	if err := g.SetCapacityScale(1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := g.SetCapacityScale(1, bad); err == nil {
+			t.Fatalf("scale %v accepted", bad)
+		}
+		if g.scale[1] != 0.5 {
+			t.Fatalf("scale %v overwrote agent 1's scale: %v", bad, g.scale[1])
+		}
+	}
+}

@@ -182,7 +182,7 @@ func (g *Ledger) EnsureScale() {
 // SetCapacityScale degrades (or restores) agent l's effective capacities to
 // factor × nominal. factor must be in [0, 1]; 1 restores full capacity.
 func (g *Ledger) SetCapacityScale(l model.AgentID, factor float64) error {
-	if factor < 0 || factor > 1 {
+	if !(factor >= 0 && factor <= 1) {
 		return fmt.Errorf("cost: capacity scale %v outside [0,1]", factor)
 	}
 	if int(l) < 0 || int(l) >= g.sc.NumAgents() {

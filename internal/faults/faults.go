@@ -1,9 +1,10 @@
 // Package faults is the seeded, deterministic fault-injection engine: it
 // turns a Config of per-process MTBF/MTTR parameters into a time-ordered
-// schedule of workload fault events (agent failures, correlated regional
+// stream of workload fault events (agent failures, correlated regional
 // outages, partial capacity degradations, flash-crowd arrival storms) that
-// merges deterministically with the Poisson/diurnal churn schedules from
-// internal/workload.
+// merges deterministically with the Poisson/diurnal churn stream from
+// internal/workload. Source generates the stream lazily; Schedule drains
+// it into a slice.
 //
 // Determinism contract: the same Config (seed included) yields a
 // byte-identical event schedule, and Merge is a stable two-way merge, so
@@ -14,10 +15,9 @@
 package faults
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 
 	"vconf/internal/workload"
 )
@@ -80,8 +80,8 @@ func (c Config) numRegions() int {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.HorizonS <= 0 {
-		return fmt.Errorf("faults: horizon must be positive")
+	if !(c.HorizonS > 0 && c.HorizonS < math.Inf(1)) {
+		return fmt.Errorf("faults: horizon must be positive and finite")
 	}
 	if c.NumAgents < 1 {
 		return fmt.Errorf("faults: need at least one agent")
@@ -94,14 +94,14 @@ func (c Config) Validate() error {
 			return fmt.Errorf("faults: agent %d mapped to negative region %d", a, r)
 		}
 	}
-	if c.AgentMTBFS < 0 || c.RegionMTBFS < 0 || c.DegradeMTBFS < 0 || c.FlashMTBFS < 0 {
+	if !(c.AgentMTBFS >= 0 && c.RegionMTBFS >= 0 && c.DegradeMTBFS >= 0 && c.FlashMTBFS >= 0) {
 		return fmt.Errorf("faults: MTBFs must be non-negative")
 	}
-	if c.AgentMTBFS > 0 && c.AgentMTTRS <= 0 {
+	if c.AgentMTBFS > 0 && !(c.AgentMTTRS > 0) {
 		return fmt.Errorf("faults: agent failures need a positive MTTR")
 	}
 	if c.RegionMTBFS > 0 {
-		if c.RegionMTTRS <= 0 {
+		if !(c.RegionMTTRS > 0) {
 			return fmt.Errorf("faults: region outages need a positive MTTR")
 		}
 		if c.AgentRegion == nil {
@@ -109,15 +109,15 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.DegradeMTBFS > 0 {
-		if c.DegradeMTTRS <= 0 {
+		if !(c.DegradeMTTRS > 0) {
 			return fmt.Errorf("faults: degradations need a positive MTTR")
 		}
-		if c.DegradeFloor < 0 || c.DegradeFloor >= 1 {
+		if !(c.DegradeFloor >= 0 && c.DegradeFloor < 1) {
 			return fmt.Errorf("faults: degrade floor %v outside [0, 1)", c.DegradeFloor)
 		}
 	}
 	if c.FlashMTBFS > 0 {
-		if c.FlashIntensity < 1 || c.FlashHoldS <= 0 {
+		if c.FlashIntensity < 1 || !(c.FlashHoldS > 0) {
 			return fmt.Errorf("faults: flash crowds need intensity ≥ 1 and a positive hold")
 		}
 		if c.AgentRegion == nil {
@@ -151,186 +151,28 @@ const (
 	tagFlash
 )
 
-// Schedule generates the fault-event schedule: one renewal process per
-// target per enabled process, merged into a single time-ordered stream.
-// Deterministic: the same Config yields a byte-identical schedule.
+// Schedule materializes the fault stream of cfg (see NewSource): one
+// renewal process per target per enabled process, merged into a single
+// time-ordered slice. Deterministic: the same Config yields a
+// byte-identical schedule.
 func Schedule(cfg Config) ([]workload.Event, error) {
-	if err := cfg.Validate(); err != nil {
+	src, err := NewSource(cfg)
+	if err != nil {
 		return nil, err
 	}
 	var events []workload.Event
-
-	if cfg.AgentMTBFS > 0 {
-		for a := 0; a < cfg.NumAgents; a++ {
-			rng := subRNG(cfg.Seed, tagAgentFail, a)
-			renewal(rng, cfg.HorizonS, cfg.AgentMTBFS, cfg.AgentMTTRS, func(t float64, up bool) workload.Event {
-				k := workload.EventAgentFail
-				if up {
-					k = workload.EventAgentRecover
-				}
-				return workload.Event{TimeS: t, Kind: k, Session: -1, Agent: a, Region: regionOf(cfg.AgentRegion, a)}
-			}, &events)
-		}
-	}
-	if cfg.RegionMTBFS > 0 {
-		for r := 0; r < cfg.numRegions(); r++ {
-			rng := subRNG(cfg.Seed, tagRegionOutage, r)
-			r := r
-			renewal(rng, cfg.HorizonS, cfg.RegionMTBFS, cfg.RegionMTTRS, func(t float64, up bool) workload.Event {
-				k := workload.EventRegionOutage
-				if up {
-					k = workload.EventRegionRecover
-				}
-				return workload.Event{TimeS: t, Kind: k, Session: -1, Agent: -1, Region: r}
-			}, &events)
-		}
-	}
-	if cfg.DegradeMTBFS > 0 {
-		for a := 0; a < cfg.NumAgents; a++ {
-			rng := subRNG(cfg.Seed, tagDegrade, a)
-			t := 0.0
-			for {
-				t += rng.ExpFloat64() * cfg.DegradeMTBFS
-				if t >= cfg.HorizonS {
-					break
-				}
-				scale := cfg.DegradeFloor + (1-cfg.DegradeFloor)*rng.Float64()
-				events = append(events, workload.Event{TimeS: t, Kind: workload.EventCapacityDegrade,
-					Session: -1, Agent: a, Region: regionOf(cfg.AgentRegion, a), Scale: scale})
-				t += rng.ExpFloat64() * cfg.DegradeMTTRS
-				if t >= cfg.HorizonS {
-					break
-				}
-				events = append(events, workload.Event{TimeS: t, Kind: workload.EventCapacityDegrade,
-					Session: -1, Agent: a, Region: regionOf(cfg.AgentRegion, a), Scale: 1})
-			}
-		}
-	}
-	if cfg.FlashMTBFS > 0 {
-		for r := range cfg.FlashSessions {
-			flashStream(cfg, r, &events)
-		}
-	}
-
-	// Streams were appended in a fixed order, so a stable sort on time alone
-	// keeps the schedule a pure function of the Config.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].TimeS < events[j].TimeS })
-	// Incident ids number the fault-kind events in schedule order (1-based;
-	// burst arrivals/departures stay 0 like ordinary churn). Assigned after
-	// the sort so the id ↔ time order correlation survives any mix of
-	// processes, giving telemetry a deterministic key to join alert
-	// timelines and flight-recorder dumps against.
-	seq := 0
-	for i := range events {
-		// Every event of the fault schedule — burst churn included — carries
-		// the fault-side merge rank, so equal-timestamp ties against the
-		// churn schedule resolve identically in Merge and in the lazy engine.
-		events[i].Rank = workload.RankFaults
-		if events[i].Kind.IsFault() {
-			seq++
-			events[i].Incident = seq
-		}
+	for ev, ok := src.Next(); ok; ev, ok = src.Next() {
+		events = append(events, ev)
 	}
 	return events, nil
-}
-
-func regionOf(agentRegion []int, a int) int {
-	if agentRegion == nil {
-		return -1
-	}
-	return agentRegion[a]
-}
-
-// renewal walks one fail/recover renewal process over the horizon.
-func renewal(rng *rand.Rand, horizonS, mtbfS, mttrS float64, mk func(t float64, up bool) workload.Event, out *[]workload.Event) {
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() * mtbfS
-		if t >= horizonS {
-			return
-		}
-		*out = append(*out, mk(t, false))
-		t += rng.ExpFloat64() * mttrS
-		if t >= horizonS {
-			return // failed through the horizon: no recovery event
-		}
-		*out = append(*out, mk(t, true))
-	}
-}
-
-// flashStream generates region r's flash-crowd onsets: a marker event plus a
-// burst of arrivals from the region's reserved pool, each with an
-// exponential-hold departure (same idle-pool recycling as PoissonSchedule).
-func flashStream(cfg Config, r int, out *[]workload.Event) {
-	rng := subRNG(cfg.Seed, tagFlash, r)
-	idle := append([]int(nil), cfg.FlashSessions[r]...)
-	var deps departureHeap
-	flushUntil := func(t float64) {
-		for len(deps) > 0 && deps[0].timeS <= t {
-			d := heap.Pop(&deps).(departure)
-			if d.timeS >= cfg.HorizonS {
-				continue
-			}
-			*out = append(*out, workload.Event{TimeS: d.timeS, Kind: workload.EventDeparture, Session: d.session, Region: r})
-			idle = append(idle, d.session)
-		}
-	}
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() * cfg.FlashMTBFS
-		if t >= cfg.HorizonS {
-			break
-		}
-		flushUntil(t)
-		*out = append(*out, workload.Event{TimeS: t, Kind: workload.EventFlashCrowd, Session: -1, Agent: -1, Region: r})
-		for j := 0; j < cfg.FlashIntensity && len(idle) > 0; j++ {
-			// Stagger burst arrivals by a millisecond each so the merged
-			// schedule orders them deterministically after the marker.
-			at := t + float64(j+1)*1e-3
-			if at >= cfg.HorizonS {
-				break
-			}
-			// Draw the hold before the next flush so the random sequence is a
-			// pure function of the seed regardless of heap state.
-			hold := rng.ExpFloat64() * cfg.FlashHoldS
-			flushUntil(at)
-			s := idle[0]
-			idle = idle[1:]
-			*out = append(*out, workload.Event{TimeS: at, Kind: workload.EventArrival, Session: s, Region: r})
-			heap.Push(&deps, departure{timeS: at + hold, session: s})
-		}
-	}
-	flushUntil(cfg.HorizonS)
-}
-
-// departure mirrors workload's internal departure heap for flash bursts.
-type departure struct {
-	timeS   float64
-	session int
-}
-
-type departureHeap []departure
-
-func (h departureHeap) Len() int            { return len(h) }
-func (h departureHeap) Less(i, j int) bool  { return h[i].timeS < h[j].timeS }
-func (h departureHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *departureHeap) Push(x interface{}) { *h = append(*h, x.(departure)) }
-func (h *departureHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // Merge interleaves two time-ordered schedules into one by the explicit
 // (TimeS, Rank) order of workload.Event.Before — on equal timestamps the
 // lower-ranked (churn) event precedes, and on full key ties a's event
-// precedes b's. For the canonical Merge(churn, faults) call this is
-// byte-identical to the historical stable a-first merge, but the order no
-// longer depends on operand position: it is the same contract the
-// virtual-clock engine (internal/sim) applies, so eager and lazy paths
-// cannot diverge on ties. Both inputs must already be time-ordered
+// precedes b's. The order does not depend on operand position: it is the
+// slice form of the contract the virtual-clock engine (internal/sim)
+// applies to lazy sources. Both inputs must already be time-ordered
 // (Schedule and PoissonSchedule both are).
 func Merge(a, b []workload.Event) []workload.Event {
 	out := make([]workload.Event, 0, len(a)+len(b))

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -212,5 +213,49 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (testConfig()).Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN or −Inf in any float field is
+// rejected, and so is +Inf for the horizon (an endless stream) and the
+// degrade floor. The +Inf rates and repair times that stay valid yield a
+// finite, finite-timed schedule.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name   string
+		set    func(c *Config, v float64)
+		posInf bool // +Inf is a valid value
+	}{
+		{"horizon", func(c *Config, v float64) { c.HorizonS = v }, false},
+		{"agent mtbf", func(c *Config, v float64) { c.AgentMTBFS = v }, true},
+		{"agent mttr", func(c *Config, v float64) { c.AgentMTTRS = v }, true},
+		{"region mtbf", func(c *Config, v float64) { c.RegionMTBFS = v }, true},
+		{"region mttr", func(c *Config, v float64) { c.RegionMTTRS = v }, true},
+		{"degrade mtbf", func(c *Config, v float64) { c.DegradeMTBFS = v }, true},
+		{"degrade mttr", func(c *Config, v float64) { c.DegradeMTTRS = v }, true},
+		{"degrade floor", func(c *Config, v float64) { c.DegradeFloor = v }, false},
+		{"flash mtbf", func(c *Config, v float64) { c.FlashMTBFS = v }, true},
+		{"flash hold", func(c *Config, v float64) { c.FlashHoldS = v }, true},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := testConfig()
+			f.set(&cfg, v)
+			events, err := Schedule(cfg)
+			if f.posInf && v > 0 {
+				if err != nil {
+					t.Fatalf("%s = %v rejected: %v", f.name, v, err)
+				}
+				for _, e := range events {
+					if math.IsNaN(e.TimeS) || math.IsInf(e.TimeS, 0) || math.IsNaN(e.Scale) {
+						t.Fatalf("%s = %v: event %+v", f.name, v, e)
+					}
+				}
+				continue
+			}
+			if err == nil {
+				t.Fatalf("%s = %v accepted", f.name, v)
+			}
+		}
 	}
 }

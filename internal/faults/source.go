@@ -1,17 +1,20 @@
 package faults
 
-// Lazy, pull-based fault generation for the virtual-clock engine
-// (internal/sim): NewSource yields the exact event stream Schedule would
-// return — byte-identical per Config, pinned by differential tests —
-// without materializing the slice.
+// Lazy, pull-based fault generation: Source is the one implementation of
+// the fault processes. Schedule drains it into a slice and the
+// virtual-clock engine (internal/sim) pulls from it directly, so a long
+// horizon holds only O(in-flight incidents) of state.
 //
-// The eager path builds one sub-stream per (process, target) from its own
-// splitmix64-derived RNG, concatenates them in a fixed order and stable-
-// sorts on time. The lazy equivalent runs every sub-stream as a suspended
-// iterator and k-way-merges them on (time, stream index): each stream is
-// internally time-ordered, so the (time, stream index) key reproduces the
-// stable sort's tie order exactly. Incident ids are assigned to fault-kind
-// events as they pop, which matches the eager post-sort numbering.
+// The stream is defined as follows. Each (process, target) pair is one
+// sub-stream drawing from its own splitmix64-derived RNG, in a fixed order
+// (agent failures per agent, region outages per region, degradations per
+// agent, flash crowds per region). Every sub-stream emits in (time,
+// generation order), and Source k-way-merges them on (time, stream index),
+// so the merged order is (time, stream index, generation order). Incident
+// ids number the fault-kind events as they pop. The draw order of each
+// sub-stream is part of the definition: changing it changes every
+// schedule. The eager reference the differential tests compare against
+// lives in schedule_ref_test.go.
 
 import (
 	"container/heap"
@@ -37,7 +40,7 @@ func (s *Source) Next() (workload.Event, bool) {
 	}
 	top := &s.pq[0]
 	ev := top.ev
-	if next, ok := s.streams[top.stream].next(); ok {
+	if next, ok := s.streams[top.order].next(); ok {
 		top.ev = next
 		heap.Fix(&s.pq, 0)
 	} else {
@@ -54,15 +57,14 @@ func (s *Source) Next() (workload.Event, bool) {
 // configuration validation, so it always returns nil.
 func (s *Source) Err() error { return nil }
 
-// NewSource builds the lazy equivalent of Schedule(cfg): the returned
-// source yields exactly the events the eager call would return, in the
-// same order, from the same seed.
+// NewSource builds the fault stream of cfg. The same Config (seed
+// included) yields the same events in the same order.
 func NewSource(cfg Config) (*Source, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Source{}
-	// Stream registration order must match the eager concatenation order:
+	// Stream registration order is the tie rank between sub-streams:
 	// agent failures, region outages, degradations, flash crowds.
 	if cfg.AgentMTBFS > 0 {
 		for a := 0; a < cfg.NumAgents; a++ {
@@ -112,28 +114,28 @@ func NewSource(cfg Config) (*Source, error) {
 	}
 	for i, st := range s.streams {
 		if ev, ok := st.next(); ok {
-			s.pq = append(s.pq, mergeEntry{ev: ev, stream: i})
+			s.pq = append(s.pq, mergeEntry{ev: ev, order: i})
 		}
 	}
 	heap.Init(&s.pq)
 	return s, nil
 }
 
-// faultStream is one suspended (process, target) iterator; every stream is
-// internally time-ordered.
+// faultStream is one suspended (process, target) iterator, emitting in
+// (time, generation order).
 type faultStream interface {
 	next() (workload.Event, bool)
 }
 
-// mergeEntry is one stream's lookahead event in the k-way merge heap.
+// mergeEntry is one event keyed for a time-ordered heap: order breaks time
+// ties — the stream index in Source's merge, the generation index in a
+// flash stream's pending queue.
 type mergeEntry struct {
-	ev     workload.Event
-	stream int
+	ev    workload.Event
+	order int
 }
 
-// mergeHeap orders lookaheads by (time, stream index) — the key that
-// reproduces the eager path's stable sort over the fixed concatenation
-// order.
+// mergeHeap orders entries by (time, order).
 type mergeHeap []mergeEntry
 
 func (h mergeHeap) Len() int { return len(h) }
@@ -141,7 +143,7 @@ func (h mergeHeap) Less(i, j int) bool {
 	if h[i].ev.TimeS != h[j].ev.TimeS {
 		return h[i].ev.TimeS < h[j].ev.TimeS
 	}
-	return h[i].stream < h[j].stream
+	return h[i].order < h[j].order
 }
 func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeEntry)) }
@@ -153,8 +155,9 @@ func (h *mergeHeap) Pop() interface{} {
 	return x
 }
 
-// renewalStream suspends renewal(): alternate exponential time-to-failure
-// and time-to-recovery draws until either crosses the horizon.
+// renewalStream is one target's fail/recover renewal process: alternate
+// exponential time-to-failure and time-to-recovery draws until either
+// crosses the horizon.
 type renewalStream struct {
 	rng          *rand.Rand
 	horizonS     float64
@@ -187,8 +190,9 @@ func (r *renewalStream) next() (workload.Event, bool) {
 	return r.mk(r.t, true), true
 }
 
-// degradeStream suspends the degradation renewal loop: each incident draws
-// its scale right after the onset time, restores to 1 after the repair.
+// degradeStream is one agent's degradation renewal process: each incident
+// draws its scale right after the onset time, restores to 1 after the
+// repair.
 type degradeStream struct {
 	rng   *rand.Rand
 	cfg   Config
@@ -226,114 +230,137 @@ func (d *degradeStream) next() (workload.Event, bool) {
 	return base, true
 }
 
-// flashSource suspends flashStream(): onsets, burst arrivals and their
-// heap-recycled departures interleave exactly as the eager generator
-// appends them. The mode field is the suspended program counter.
+// flashSource is region r's flash-crowd process. Each onset emits an
+// EventFlashCrowd marker, then up to FlashIntensity burst arrivals from the
+// region's reserved pool, staggered a millisecond apart; each burst session
+// departs after an exponential hold and returns to the pool.
+//
+// Draw order: the first onset; then, per onset, one hold per burst arrival
+// followed by the next onset. Each arrival's pool check reads the pool
+// before the departures due by that arrival return to it.
+//
+// An onset's whole block — the departures due by the onset, the marker,
+// the arrivals and the departures due by each — is generated at once into
+// a pending heap keyed (time, generation order). Two onsets closer than one
+// burst's stagger window overlap in time, so the pending head is released
+// only once no later draw can produce an earlier event: once it is at or
+// before both the next onset (already drawn) and the earliest held
+// departure.
 type flashSource struct {
-	rng    *rand.Rand
-	cfg    Config
-	region int
-	idle   []int
-	deps   departureHeap
-
-	mode flashMode
-	t    float64 // current onset time
-	j    int     // burst arrival index within the onset
-	at   float64 // pending burst arrival time
-	hold float64 // pending burst arrival's hold draw
+	rng     *rand.Rand
+	cfg     Config
+	region  int
+	idle    []int
+	deps    departureHeap
+	t       float64 // next onset, already drawn
+	done    bool    // onsets have passed the horizon; pending holds the rest
+	pending mergeHeap
+	seq     int
 }
 
-type flashMode int
-
-const (
-	flashOnset        flashMode = iota // draw the next onset time
-	flashFlushMarker                   // drain departures due before the onset, then emit the marker
-	flashBurst                         // begin the next burst arrival (pool/intensity checks, draws)
-	flashFlushArrival                  // drain departures due before the arrival, then emit it
-	flashFinal                         // drain departures due before the horizon
-	flashDone
-)
-
 func newFlashSource(cfg Config, r int) *flashSource {
-	return &flashSource{
+	f := &flashSource{
 		rng:    subRNG(cfg.Seed, tagFlash, r),
 		cfg:    cfg,
 		region: r,
 		idle:   append([]int(nil), cfg.FlashSessions[r]...),
 	}
+	f.drawOnset()
+	return f
 }
 
-// flushOne pops the next departure due at or before limit, recycling its
-// session; ok=false when none is due. Departures at or past the horizon are
-// popped and recycled but never emitted, exactly like the eager flushUntil.
-func (f *flashSource) flushOne(limit float64) (workload.Event, bool) {
+func (f *flashSource) next() (workload.Event, bool) {
+	for !f.done && (len(f.pending) == 0 || f.pending[0].ev.TimeS > f.bound()) {
+		f.onset()
+	}
+	if len(f.pending) == 0 {
+		return workload.Event{}, false
+	}
+	return heap.Pop(&f.pending).(mergeEntry).ev, true
+}
+
+// bound is the earliest time any later draw can produce an event at.
+func (f *flashSource) bound() float64 {
+	if len(f.deps) > 0 && f.deps[0].timeS < f.t {
+		return f.deps[0].timeS
+	}
+	return f.t
+}
+
+// onset generates the block of the onset at f.t, then draws the next one.
+func (f *flashSource) onset() {
+	f.flushUntil(f.t)
+	f.emit(workload.Event{TimeS: f.t, Kind: workload.EventFlashCrowd, Session: -1, Agent: -1})
+	for j := 0; j < f.cfg.FlashIntensity && len(f.idle) > 0; j++ {
+		at := f.t + float64(j+1)*1e-3
+		if at >= f.cfg.HorizonS {
+			break
+		}
+		hold := f.rng.ExpFloat64() * f.cfg.FlashHoldS
+		f.flushUntil(at)
+		s := f.idle[0]
+		f.idle = f.idle[1:]
+		f.emit(workload.Event{TimeS: at, Kind: workload.EventArrival, Session: s})
+		heap.Push(&f.deps, departure{timeS: at + hold, session: s})
+	}
+	f.drawOnset()
+}
+
+// drawOnset draws the next onset. Past the horizon the process ends: the
+// departures still due before it become pending.
+func (f *flashSource) drawOnset() {
+	f.t += f.rng.ExpFloat64() * f.cfg.FlashMTBFS
+	if f.t >= f.cfg.HorizonS {
+		f.flushUntil(f.cfg.HorizonS)
+		f.done = true
+	}
+}
+
+// flushUntil moves the departures due at or before limit to pending and
+// returns their sessions to the pool. Departures at or past the horizon
+// return their session but are not emitted.
+func (f *flashSource) flushUntil(limit float64) {
 	for len(f.deps) > 0 && f.deps[0].timeS <= limit {
 		d := heap.Pop(&f.deps).(departure)
 		if d.timeS >= f.cfg.HorizonS {
 			continue
 		}
+		f.emit(workload.Event{TimeS: d.timeS, Kind: workload.EventDeparture, Session: d.session})
 		f.idle = append(f.idle, d.session)
-		return workload.Event{TimeS: d.timeS, Kind: workload.EventDeparture,
-			Session: d.session, Region: f.region, Rank: workload.RankFaults}, true
 	}
-	return workload.Event{}, false
 }
 
-func (f *flashSource) next() (workload.Event, bool) {
-	for {
-		switch f.mode {
-		case flashOnset:
-			f.t += f.rng.ExpFloat64() * f.cfg.FlashMTBFS
-			if f.t >= f.cfg.HorizonS {
-				f.mode = flashFinal
-				continue
-			}
-			f.mode = flashFlushMarker
-		case flashFlushMarker:
-			if ev, ok := f.flushOne(f.t); ok {
-				return ev, true
-			}
-			f.j = 0
-			f.mode = flashBurst
-			return workload.Event{TimeS: f.t, Kind: workload.EventFlashCrowd,
-				Session: -1, Agent: -1, Region: f.region, Rank: workload.RankFaults}, true
-		case flashBurst:
-			// The pool check reads the pre-flush idle state, like the eager
-			// loop condition; the flush below may still refill the pool in
-			// time for the pop.
-			if f.j >= f.cfg.FlashIntensity || len(f.idle) == 0 {
-				f.mode = flashOnset
-				continue
-			}
-			// Stagger burst arrivals by a millisecond each so the merged
-			// schedule orders them deterministically after the marker.
-			f.at = f.t + float64(f.j+1)*1e-3
-			if f.at >= f.cfg.HorizonS {
-				f.mode = flashOnset
-				continue
-			}
-			// Draw the hold before the flush so the random sequence is a
-			// pure function of the seed regardless of heap state.
-			f.hold = f.rng.ExpFloat64() * f.cfg.FlashHoldS
-			f.mode = flashFlushArrival
-		case flashFlushArrival:
-			if ev, ok := f.flushOne(f.at); ok {
-				return ev, true
-			}
-			s := f.idle[0]
-			f.idle = f.idle[1:]
-			heap.Push(&f.deps, departure{timeS: f.at + f.hold, session: s})
-			f.j++
-			f.mode = flashBurst
-			return workload.Event{TimeS: f.at, Kind: workload.EventArrival,
-				Session: s, Region: f.region, Rank: workload.RankFaults}, true
-		case flashFinal:
-			if ev, ok := f.flushOne(f.cfg.HorizonS); ok {
-				return ev, true
-			}
-			f.mode = flashDone
-		default:
-			return workload.Event{}, false
-		}
+// emit queues one generated event, stamped with the region and the fault
+// rank, under the next generation index.
+func (f *flashSource) emit(ev workload.Event) {
+	ev.Region, ev.Rank = f.region, workload.RankFaults
+	heap.Push(&f.pending, mergeEntry{ev: ev, order: f.seq})
+	f.seq++
+}
+
+func regionOf(agentRegion []int, a int) int {
+	if agentRegion == nil {
+		return -1
 	}
+	return agentRegion[a]
+}
+
+// departure is one burst session's scheduled departure.
+type departure struct {
+	timeS   float64
+	session int
+}
+
+type departureHeap []departure
+
+func (h departureHeap) Len() int            { return len(h) }
+func (h departureHeap) Less(i, j int) bool  { return h[i].timeS < h[j].timeS }
+func (h departureHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *departureHeap) Push(x interface{}) { *h = append(*h, x.(departure)) }
+func (h *departureHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
 }

@@ -36,6 +36,7 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"vconf/internal/agrank"
@@ -116,12 +117,15 @@ func (o *Orchestrator) handleFault(e workload.Event) (EventReport, error) {
 // validateFault checks a fault event's target fields (Session is ignored
 // for fault kinds).
 func (o *Orchestrator) validateFault(e workload.Event) error {
+	if err := checkTime(e); err != nil {
+		return err
+	}
 	switch e.Kind {
 	case workload.EventAgentFail, workload.EventAgentRecover, workload.EventCapacityDegrade:
 		if e.Agent < 0 || e.Agent >= o.sc.NumAgents() {
 			return fmt.Errorf("orchestrator: fault agent %d outside [0, %d)", e.Agent, o.sc.NumAgents())
 		}
-		if e.Kind == workload.EventCapacityDegrade && (e.Scale < 0 || e.Scale > 1) {
+		if e.Kind == workload.EventCapacityDegrade && !(e.Scale >= 0 && e.Scale <= 1) {
 			return fmt.Errorf("orchestrator: degrade scale %v outside [0, 1]", e.Scale)
 		}
 	case workload.EventRegionOutage, workload.EventRegionRecover:
@@ -135,6 +139,15 @@ func (o *Orchestrator) validateFault(e workload.Event) error {
 		// Accounting marker only; the burst's arrivals validate themselves.
 	default:
 		return fmt.Errorf("orchestrator: invalid event kind %d", e.Kind)
+	}
+	return nil
+}
+
+// checkTime rejects an event whose time is NaN or infinite: no ordering
+// check holds against it.
+func checkTime(e workload.Event) error {
+	if math.IsNaN(e.TimeS) || math.IsInf(e.TimeS, 0) {
+		return fmt.Errorf("orchestrator: event time %v is not finite", e.TimeS)
 	}
 	return nil
 }

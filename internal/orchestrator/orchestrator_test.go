@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"math"
 	"testing"
 
 	"vconf/internal/agrank"
@@ -267,6 +268,42 @@ func TestOrchestratorEventValidation(t *testing.T) {
 	}
 	if _, err := o.HandleEvent(workload.Event{TimeS: 2, Kind: workload.EventArrival, Session: 0}); err == nil {
 		t.Fatal("double arrival accepted")
+	}
+}
+
+// TestOrchestratorRejectsNonFinite: a NaN or infinite event time stops Run
+// and is refused by HandleEvent on both the churn and the fault path, and a
+// degrade event with a NaN or infinite scale is refused.
+func TestOrchestratorRejectsNonFinite(t *testing.T) {
+	ev, boot := testStack(t, workload.Prototype(2))
+	cfg := DefaultConfig(2)
+	cfg.Shards = 1
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		o, err := New(ev, boot, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps, err := o.Run([]workload.Event{
+			{TimeS: 5, Kind: workload.EventArrival, Session: 0},
+			{TimeS: bad, Kind: workload.EventArrival, Session: 1},
+			{TimeS: 1, Kind: workload.EventArrival, Session: 2},
+		}, 0)
+		if err == nil || len(reps) > 1 {
+			t.Fatalf("time %v: Run returned %d reports, err %v", bad, len(reps), err)
+		}
+		if _, err := o.HandleEvent(workload.Event{TimeS: bad, Kind: workload.EventDeparture, Session: 0}); err == nil {
+			t.Fatalf("time %v: churn event accepted", bad)
+		}
+		if _, err := o.HandleEvent(workload.Event{TimeS: bad, Kind: workload.EventAgentFail, Session: -1, Agent: 0}); err == nil {
+			t.Fatalf("time %v: fault event accepted", bad)
+		}
+		if _, err := o.HandleEvent(workload.Event{TimeS: 6, Kind: workload.EventCapacityDegrade, Session: -1, Agent: 0, Scale: bad}); err == nil {
+			t.Fatalf("scale %v accepted", bad)
+		}
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatalf("time/scale %v: %v", bad, err)
+		}
+		o.Close()
 	}
 }
 

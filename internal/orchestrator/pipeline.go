@@ -76,6 +76,9 @@ type eventState struct {
 // state's report is filled in across the event's stages and complete once
 // the channel closes.
 func (o *Orchestrator) submitEvent(e workload.Event, emit func(EventReport)) (*eventState, <-chan struct{}, error) {
+	if err := checkTime(e); err != nil {
+		return nil, nil, err
+	}
 	if e.Session < 0 || e.Session >= o.sc.NumSessions() {
 		return nil, nil, fmt.Errorf("orchestrator: event session %d outside [0, %d)", e.Session, o.sc.NumSessions())
 	}

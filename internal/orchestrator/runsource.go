@@ -4,8 +4,8 @@ package orchestrator
 // a time from an EventSource (an internal/sim engine over lazy generators,
 // a trace replayer, or Run's slice) and streams finished reports to a
 // callback — memory stays O(in-flight events) however long the virtual
-// horizon. For the same seeds, a lazy engine and the eager slice of the same
-// schedule produce the same assignments, objective bits, Stats counters and
+// horizon. For the same seeds, a lazy engine and the drained slice of the
+// same schedule produce the same assignments, objective bits, Stats counters and
 // decision-record stream (runsource_test.go).
 
 import (

@@ -7,15 +7,16 @@
 //
 // Determinism contract: the merged stream is a pure function of the
 // sources. Events order by (TimeS, Event.Rank, source registration order,
-// per-source sequence) — exactly the order the eager path gets from
-// faults.Merge over pre-sorted slices, pinned by differential tests. The
-// engine's Clock is the single time authority: it advances to each popped
-// event's timestamp and never regresses (a source yielding out of order is
-// an engine error, not a silent reorder).
+// per-source sequence) — the order faults.Merge gives the same streams as
+// slices. The engine's Clock is the single time authority: it advances to
+// each popped event's timestamp and never regresses (a source yielding out
+// of order, or a NaN or infinite time, is an engine error, not a silent
+// reorder).
 package sim
 
 import (
 	"fmt"
+	"math"
 
 	"vconf/internal/workload"
 )
@@ -61,20 +62,39 @@ type Engine struct {
 // New builds an engine over the given sources. Registration order is the
 // final tie-break rank: on equal (TimeS, Event.Rank) the earlier-registered
 // source's event pops first, so register churn before faults to reproduce
-// the eager merge exactly (their Rank fields already order them; the
-// registration rank only matters between sources of equal Rank).
+// faults.Merge(churn, faults) exactly (their Rank fields already order them;
+// the registration rank only matters between sources of equal Rank).
 func New(sources ...EventSource) *Engine {
 	e := &Engine{entries: make([]entry, len(sources))}
 	for i, src := range sources {
-		ev, ok := src.Next()
-		e.entries[i] = entry{src: src, ev: ev, live: ok}
-		if !ok {
-			if err := src.Err(); err != nil && e.err == nil {
-				e.err = fmt.Errorf("sim: source %d: %w", i, err)
-			}
-		}
+		e.entries[i].src = src
+		e.pull(i, nil)
 	}
 	return e
+}
+
+// pull loads source i's next lookahead event. A source failure, a
+// non-finite timestamp, or an event ordering before popped (the source's
+// last delivered event, nil for the first pull) becomes the engine's error;
+// the first error wins.
+func (e *Engine) pull(i int, popped *workload.Event) {
+	en := &e.entries[i]
+	en.ev, en.live = en.src.Next()
+	var err error
+	switch {
+	case !en.live:
+		if serr := en.src.Err(); serr != nil {
+			err = fmt.Errorf("sim: source %d: %w", i, serr)
+		}
+	case math.IsNaN(en.ev.TimeS) || math.IsInf(en.ev.TimeS, 0):
+		err = fmt.Errorf("sim: source %d emitted non-finite time %v", i, en.ev.TimeS)
+	case popped != nil && en.ev.Before(*popped):
+		err = fmt.Errorf("sim: source %d emitted out of order: %v(rank %d) after %v(rank %d)",
+			i, en.ev.TimeS, en.ev.Rank, popped.TimeS, popped.Rank)
+	}
+	if err != nil && e.err == nil {
+		e.err = err
+	}
 }
 
 // Next pops the next event of the merged stream and advances the clock to
@@ -104,17 +124,7 @@ func (e *Engine) Next() (workload.Event, bool) {
 	}
 	e.clock.now = ev.TimeS
 	e.seq++
-	next, ok := e.entries[min].src.Next()
-	e.entries[min].ev = next
-	e.entries[min].live = ok
-	if ok {
-		if next.Before(ev) {
-			e.err = fmt.Errorf("sim: source %d emitted out of order: %v(rank %d) after %v(rank %d)",
-				min, next.TimeS, next.Rank, ev.TimeS, ev.Rank)
-		}
-	} else if err := e.entries[min].src.Err(); err != nil {
-		e.err = fmt.Errorf("sim: source %d: %w", min, err)
-	}
+	e.pull(min, &ev)
 	return ev, true
 }
 
@@ -131,9 +141,8 @@ func (e *Engine) Now() float64 { return e.clock.now }
 // stream's sequence counter, which trace records index by.
 func (e *Engine) Popped() uint64 { return e.seq }
 
-// SliceSource adapts an eager, pre-sorted event slice to the EventSource
-// contract — the bridge for replay-style consumption of legacy schedules
-// and for tests that pin lazy-vs-eager equivalence at the engine level.
+// SliceSource adapts a pre-sorted event slice to the EventSource contract,
+// so recorded or hand-built schedules mix with the lazy generators.
 type SliceSource struct {
 	events []workload.Event
 	i      int

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -41,9 +42,9 @@ func drainEngine(t *testing.T, e *Engine) []workload.Event {
 	return out
 }
 
-// TestEngineMergeDifferential pins the engine against the eager pipeline:
-// merging the lazy churn and fault sources must yield byte-for-byte the
-// schedule faults.Merge(PoissonSchedule, Schedule) materializes.
+// TestEngineMergeDifferential pins the engine's merge against the slice
+// merge: the engine over the lazy churn and fault sources must yield
+// byte-for-byte the schedule faults.Merge makes of their drained slices.
 func TestEngineMergeDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		ccfg := workload.ChurnConfig{Seed: seed, HorizonS: 500, ArrivalRatePerS: 0.5,
@@ -157,5 +158,35 @@ func TestEngineEmptySources(t *testing.T) {
 	}
 	if e.Now() != 0 || e.Popped() != 0 {
 		t.Fatalf("empty engine state: now=%v popped=%d", e.Now(), e.Popped())
+	}
+}
+
+// TestEngineRejectsNonFiniteTime: a NaN or infinite timestamp, first or
+// later in a source, stops the engine with an error, and the bad event is
+// never delivered.
+func TestEngineRejectsNonFiniteTime(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for pos := 0; pos < 2; pos++ {
+			events := []workload.Event{
+				{TimeS: 1, Kind: workload.EventArrival, Session: 1},
+				{TimeS: 2, Kind: workload.EventArrival, Session: 2},
+			}
+			events[pos].TimeS = bad
+			other := []workload.Event{{TimeS: 3, Kind: workload.EventArrival, Session: 3}}
+			e := New(NewSliceSource(events), NewSliceSource(other))
+			n := 0
+			for ev, ok := e.Next(); ok; ev, ok = e.Next() {
+				if ev.TimeS != float64(n+1) {
+					t.Fatalf("time %v at position %d: delivered %+v", bad, pos, ev)
+				}
+				n++
+			}
+			if e.Err() == nil {
+				t.Fatalf("time %v at position %d: no engine error", bad, pos)
+			}
+			if n != pos {
+				t.Fatalf("time %v at position %d: delivered %d events, want %d", bad, pos, n, pos)
+			}
+		}
 	}
 }

@@ -187,7 +187,8 @@ func newReader(r io.Reader) (*reader, error) {
 	return &reader{sc: sc}, nil
 }
 
-// next reads one body record, checking the sequence numbering.
+// next reads one body record, checking the sequence numbering and that it
+// carries an event.
 func (r *reader) next() (TraceRecord, bool) {
 	if r.err != nil {
 		return TraceRecord{}, false
@@ -203,6 +204,10 @@ func (r *reader) next() (TraceRecord, bool) {
 	}
 	if rec.Seq != r.seq {
 		r.err = fmt.Errorf("sim: trace record out of sequence: got %d, want %d", rec.Seq, r.seq)
+		return TraceRecord{}, false
+	}
+	if rec.Event.Kind == 0 {
+		r.err = fmt.Errorf("sim: trace record %d has no event", r.seq)
 		return TraceRecord{}, false
 	}
 	r.seq++

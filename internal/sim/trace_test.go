@@ -25,7 +25,7 @@ func sampleDigests() []Digest {
 	}
 }
 
-func record(t *testing.T, events []workload.Event, digests []Digest) []byte {
+func record(t testing.TB, events []workload.Event, digests []Digest) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	rec, err := NewRecorder(&buf)
@@ -193,4 +193,59 @@ func TestReplayerAsEngineSource(t *testing.T) {
 	if _, ok := e.Next(); ok || e.Err() != nil {
 		t.Fatalf("engine tail: err=%v", e.Err())
 	}
+}
+
+// FuzzTraceReplay feeds arbitrary bytes to the trace reader: the replayer,
+// its checker and the trace comparator must never panic, a trace must
+// compare clean against itself, and a trace the reader accepts whole must
+// re-record to the same events.
+func FuzzTraceReplay(f *testing.F) {
+	trace := record(f, sampleEvents(), sampleDigests())
+	header := trace[:bytes.IndexByte(trace, '\n')+1]
+	f.Add(trace)
+	f.Add(header)
+	// A record without an event, a record cut in half, and a trace
+	// without its final newline.
+	f.Add(append(append([]byte(nil), header...), `{"seq":0,"phi":"0"}`...))
+	f.Add(trace[:len(trace)/2])
+	f.Add(trace[:len(trace)-1])
+	f.Add(bytes.Replace(trace, []byte(`"seq":1`), []byte(`"seq":7`), 1))
+	f.Add(bytes.Replace(trace, []byte(`"arrive"`), []byte(`"arrivx"`), 1))
+	f.Add(bytes.Replace(trace, []byte(`"phi":"`), []byte(`"phi":"zz`), 1))
+	garbled := append([]byte(nil), trace...)
+	garbled[len(garbled)*2/3] ^= 0x5a
+	f.Add(garbled)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if div, _, err := CompareTraces(bytes.NewReader(data), bytes.NewReader(data)); err == nil && div != nil {
+			t.Fatalf("trace diverges from itself: %v", div)
+		}
+		rp, err := NewReplayer(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var events []workload.Event
+		for ev, ok := rp.Next(); ok; ev, ok = rp.Next() {
+			events = append(events, ev)
+			rp.Check(Digest{})
+		}
+		if rp.Check(Digest{}) == nil {
+			t.Fatal("a decision past the end of the trace was not reported")
+		}
+		if rp.Err() != nil {
+			return
+		}
+		again, err := NewReplayer(bytes.NewReader(record(t, events, make([]Digest, len(events)))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range events {
+			if ev, ok := again.Next(); !ok || ev != want {
+				t.Fatalf("event %d re-recorded as %+v, want %+v", i, ev, want)
+			}
+		}
+		if _, ok := again.Next(); ok || again.Err() != nil {
+			t.Fatalf("re-recorded trace has extra events or fails: %v", again.Err())
+		}
+	})
 }

@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // EventKind distinguishes churn and fault events.
@@ -65,14 +63,12 @@ func (k EventKind) String() string {
 
 // Source ranks for merged schedules. A merged churn+fault stream orders
 // events by (TimeS, Rank): on equal timestamps the churn schedule's event
-// precedes the fault schedule's. This is the explicit form of the contract
-// the eager path used to get implicitly from faults.Merge's stable a-first
-// merge — making it a field means the lazy engine (internal/sim) and the
-// eager merge cannot diverge on ties, whatever order sources are registered.
+// precedes the fault schedule's. Making it a field means the lazy engine
+// (internal/sim) and faults.Merge over slices cannot diverge on ties,
+// whatever order sources are registered.
 const (
-	// RankChurn marks events from the churn generators (PoissonSchedule);
-	// it is the zero value, so churn schedules are byte-identical to
-	// pre-rank ones.
+	// RankChurn marks events from the churn generator (ChurnSource); it is
+	// the zero value.
 	RankChurn = 0
 	// RankFaults marks every event of a fault schedule — including the
 	// flash-crowd burst arrivals/departures, which are churn *kinds* but
@@ -85,7 +81,7 @@ const (
 // events carry -1); Agent for the per-agent fault kinds, Region for the
 // regional ones, Scale for EventCapacityDegrade. Incident is the fault
 // schedule's deterministic incident id (1-based, assigned by
-// faults.Schedule in time order); 0 marks churn events, so telemetry can
+// faults.Source in time order); 0 marks churn events, so telemetry can
 // correlate alert timelines and flight-recorder dumps with the injected
 // fault that caused them. Rank is the producing schedule's merge rank
 // (RankChurn or RankFaults): the tie-breaking key on equal timestamps.
@@ -131,7 +127,7 @@ type ChurnConfig struct {
 	InitialActive int
 	// Diurnal, when non-nil, modulates arrivals with per-region time-of-day
 	// rate curves (follow-the-sun load). Nil keeps the homogeneous Poisson
-	// generator, byte-identical per seed.
+	// generator.
 	Diurnal *DiurnalConfig
 }
 
@@ -178,10 +174,10 @@ func (d DiurnalConfig) RegionRate(r int, t float64) float64 {
 }
 
 func (d DiurnalConfig) validate(numSessions int) error {
-	if d.DayS <= 0 {
+	if !(d.DayS > 0) {
 		return fmt.Errorf("workload: diurnal day length must be positive")
 	}
-	if d.Amplitude < 0 || d.Amplitude > 1 {
+	if !(d.Amplitude >= 0 && d.Amplitude <= 1) {
 		return fmt.Errorf("workload: diurnal amplitude %v outside [0, 1]", d.Amplitude)
 	}
 	if len(d.PeakFrac) < 1 {
@@ -202,8 +198,9 @@ func (d DiurnalConfig) validate(numSessions int) error {
 
 // Validate checks the configuration.
 func (c ChurnConfig) Validate() error {
-	if c.HorizonS <= 0 || c.ArrivalRatePerS <= 0 || c.MeanHoldS <= 0 {
-		return fmt.Errorf("workload: churn horizon, rate and hold time must be positive")
+	if !(c.HorizonS > 0 && c.ArrivalRatePerS > 0 && c.MeanHoldS > 0) ||
+		math.IsInf(c.HorizonS, 1) || math.IsInf(c.ArrivalRatePerS, 1) {
+		return fmt.Errorf("workload: churn horizon, rate and hold time must be positive, horizon and rate finite")
 	}
 	if c.NumSessions < 1 || c.InitialActive < 0 || c.InitialActive > c.NumSessions {
 		return fmt.Errorf("workload: invalid session counts %d/%d", c.InitialActive, c.NumSessions)
@@ -234,60 +231,22 @@ func (h *departureHeap) Pop() interface{} {
 	return x
 }
 
-// PoissonSchedule generates a deterministic (seeded) churn schedule:
-// arrivals follow a Poisson process with rate λ, each session departs after
-// an exponential hold time, and departed sessions return to the idle pool
-// for reuse. Events are returned in time order; every departure follows its
+// PoissonSchedule materializes the churn stream of cfg (see
+// NewChurnSource): arrivals follow a Poisson process with rate λ — or, with
+// Diurnal set, the per-region time-of-day curves — each session departs
+// after an exponential hold time, and departed sessions return to the idle
+// pool for reuse. Events are in time order; every departure follows its
 // matching arrival (initially-active sessions depart without a recorded
-// arrival, since they are active before t = 0). With Diurnal set, arrivals
-// follow the per-region time-of-day curves instead (see diurnalSchedule);
-// the homogeneous path is untouched and byte-identical per seed.
+// arrival, since they are active before t = 0).
 func PoissonSchedule(cfg ChurnConfig) ([]Event, error) {
-	if err := cfg.Validate(); err != nil {
+	src, err := NewChurnSource(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Diurnal != nil {
-		return diurnalSchedule(cfg)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	idle := make([]int, 0, cfg.NumSessions)
-	for s := cfg.InitialActive; s < cfg.NumSessions; s++ {
-		idle = append(idle, s)
-	}
-	var deps departureHeap
-	for s := 0; s < cfg.InitialActive; s++ {
-		heap.Push(&deps, departure{timeS: rng.ExpFloat64() * cfg.MeanHoldS, session: s})
-	}
-
 	var events []Event
-	flushUntil := func(t float64) {
-		for len(deps) > 0 && deps[0].timeS <= t {
-			d := heap.Pop(&deps).(departure)
-			if d.timeS >= cfg.HorizonS {
-				continue
-			}
-			events = append(events, Event{TimeS: d.timeS, Kind: EventDeparture, Session: d.session})
-			idle = append(idle, d.session)
-		}
+	for ev, ok := src.Next(); ok; ev, ok = src.Next() {
+		events = append(events, ev)
 	}
-
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / cfg.ArrivalRatePerS
-		if t >= cfg.HorizonS {
-			break
-		}
-		flushUntil(t)
-		if len(idle) == 0 {
-			continue // pool exhausted: drop this arrival
-		}
-		s := idle[0]
-		idle = idle[1:]
-		events = append(events, Event{TimeS: t, Kind: EventArrival, Session: s})
-		heap.Push(&deps, departure{timeS: t + rng.ExpFloat64()*cfg.MeanHoldS, session: s})
-	}
-	flushUntil(cfg.HorizonS)
 	return events, nil
 }
 
@@ -328,77 +287,4 @@ func pickRegion(drawRegions []int, cumShare []float64, u float64) int {
 		}
 	}
 	return r
-}
-
-// diurnalSchedule is the Diurnal path of PoissonSchedule: a
-// non-homogeneous Poisson process per region, realized by exact thinning of
-// one merged candidate process. Candidates arrive at the constant peak rate
-// Λmax = λ·(1+A) (region shares w_r sum to 1); each candidate picks a
-// region with probability w_r and survives with probability
-// M_r(t)/(1+A) — the standard thinning construction, so the surviving
-// stream is exactly the target non-homogeneous process. Departures reuse
-// the shared exponential-hold heap; departed sessions return to their
-// region's idle pool.
-func diurnalSchedule(cfg ChurnConfig) ([]Event, error) {
-	d := cfg.Diurnal
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	R := len(d.PeakFrac)
-
-	// Region shares w_r ∝ the region's session-pool size: a region with
-	// more sessions carries proportionally more of the global rate λ.
-	poolSize := make([]int, R)
-	for s := 0; s < cfg.NumSessions; s++ {
-		poolSize[d.SessionRegion[s]]++
-	}
-	drawRegions, cumShare := diurnalShares(poolSize, cfg.NumSessions)
-
-	// Per-region idle pools; sessions below InitialActive start live.
-	idle := make([][]int, R)
-	var deps departureHeap
-	for s := 0; s < cfg.NumSessions; s++ {
-		if s < cfg.InitialActive {
-			heap.Push(&deps, departure{timeS: rng.ExpFloat64() * cfg.MeanHoldS, session: s})
-		} else {
-			r := d.SessionRegion[s]
-			idle[r] = append(idle[r], s)
-		}
-	}
-
-	var events []Event
-	flushUntil := func(t float64) {
-		for len(deps) > 0 && deps[0].timeS <= t {
-			dep := heap.Pop(&deps).(departure)
-			if dep.timeS >= cfg.HorizonS {
-				continue
-			}
-			events = append(events, Event{TimeS: dep.timeS, Kind: EventDeparture, Session: dep.session})
-			r := d.SessionRegion[dep.session]
-			idle[r] = append(idle[r], dep.session)
-		}
-	}
-
-	maxRate := cfg.ArrivalRatePerS * (1 + d.Amplitude)
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / maxRate
-		if t >= cfg.HorizonS {
-			break
-		}
-		// Draw the candidate's region and thinning acceptance before the
-		// flush, so the random sequence is a pure function of the seed.
-		u := rng.Float64()
-		r := pickRegion(drawRegions, cumShare, u)
-		accept := rng.Float64() < d.RegionRate(r, t)/(1+d.Amplitude)
-		hold := rng.ExpFloat64() * cfg.MeanHoldS
-		flushUntil(t)
-		if !accept || len(idle[r]) == 0 {
-			continue // thinned out, or the region's pool is exhausted
-		}
-		s := idle[r][0]
-		idle[r] = idle[r][1:]
-		events = append(events, Event{TimeS: t, Kind: EventArrival, Session: s})
-		heap.Push(&deps, departure{timeS: t + hold, session: s})
-	}
-	flushUntil(cfg.HorizonS)
-	return events, nil
 }

@@ -278,3 +278,44 @@ func TestGenerateSyntheticFleetRegions(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnConfigRejectsNonFinite: NaN or −Inf in any float field is
+// rejected, and so is +Inf where it would make the stream endless (horizon,
+// rate) or meaningless (amplitude). The +Inf values that stay valid yield a
+// finite stream.
+func TestChurnConfigRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name   string
+		set    func(c *ChurnConfig, v float64)
+		posInf bool // +Inf is a valid value
+	}{
+		{"horizon", func(c *ChurnConfig, v float64) { c.HorizonS = v }, false},
+		{"rate", func(c *ChurnConfig, v float64) { c.ArrivalRatePerS = v }, false},
+		{"hold", func(c *ChurnConfig, v float64) { c.MeanHoldS = v }, true},
+		{"day", func(c *ChurnConfig, v float64) { c.Diurnal.DayS = v }, true},
+		{"amplitude", func(c *ChurnConfig, v float64) { c.Diurnal.Amplitude = v }, false},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := diurnalTestConfig(1)
+			d := *cfg.Diurnal
+			cfg.Diurnal = &d
+			f.set(&cfg, v)
+			events, err := PoissonSchedule(cfg)
+			if f.posInf && v > 0 {
+				if err != nil {
+					t.Fatalf("%s = %v rejected: %v", f.name, v, err)
+				}
+				for _, e := range events {
+					if math.IsNaN(e.TimeS) || math.IsInf(e.TimeS, 0) {
+						t.Fatalf("%s = %v: event at %v", f.name, v, e.TimeS)
+					}
+				}
+				continue
+			}
+			if err == nil {
+				t.Fatalf("%s = %v accepted", f.name, v)
+			}
+		}
+	}
+}

@@ -1,17 +1,18 @@
 package workload
 
-// Lazy, pull-based churn generation for the virtual-clock engine
-// (internal/sim): NewChurnSource yields the exact event stream
-// PoissonSchedule would return — byte-identical per seed, pinned by
-// differential tests — without ever materializing the slice, so a
+// Lazy, pull-based churn generation: ChurnSource is the one implementation
+// of the churn processes. PoissonSchedule drains it into a slice and the
+// virtual-clock engine (internal/sim) pulls from it directly, so a
 // 10M-event day holds only O(in-flight sessions) of state.
 //
-// The equivalence hinges on preserving the eager paths' RNG draw order
-// exactly. Homogeneous: inter-arrival gap, then (only when the arrival is
-// admitted) its hold time. Diurnal: gap, region pick, thinning acceptance
-// and hold are drawn as one block per candidate — the eager code draws the
-// hold even for rejected candidates, before flushing the departure heap,
-// and the lazy path must too.
+// The RNG draw order is part of the stream's definition; changing it
+// changes every schedule. Homogeneous: the initial sessions' holds, then
+// per candidate the inter-arrival gap followed — only when the arrival is
+// admitted — by its hold. Diurnal: the initial sessions' holds, then per
+// candidate one block of gap, region pick, thinning acceptance and hold,
+// drawn before any departure is flushed, even for rejected candidates.
+// The eager reference the differential tests compare against lives in
+// schedule_ref_test.go.
 
 import (
 	"container/heap"
@@ -34,9 +35,8 @@ func (s *ChurnSource) Next() (Event, bool) { return s.next() }
 // satisfy the EventSource contract shared with trace replayers.
 func (s *ChurnSource) Err() error { return nil }
 
-// NewChurnSource builds the lazy equivalent of PoissonSchedule(cfg):
-// the returned source yields exactly the events the eager call would
-// return, in the same order, from the same seed.
+// NewChurnSource builds the churn stream of cfg. The same config (seed
+// included) yields the same events in the same order.
 func NewChurnSource(cfg ChurnConfig) (*ChurnSource, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -47,9 +47,9 @@ func NewChurnSource(cfg ChurnConfig) (*ChurnSource, error) {
 	return &ChurnSource{next: newPoissonState(cfg).next}, nil
 }
 
-// poissonState is the homogeneous generator's suspended loop: the eager
-// code's locals (rng, idle pool, departure heap, candidate arrival time)
-// lifted into a struct so the loop can return one event at a time.
+// poissonState is the homogeneous generator as a suspended loop: the rng,
+// idle pool, departure heap and candidate arrival time, so the loop can
+// return one event at a time.
 type poissonState struct {
 	cfg  ChurnConfig
 	rng  *rand.Rand
@@ -76,8 +76,7 @@ func newPoissonState(cfg ChurnConfig) *poissonState {
 
 func (st *poissonState) next() (Event, bool) {
 	for {
-		// Advance the candidate arrival if none is pending — the same
-		// single draw the eager loop makes at its top.
+		// Advance the candidate arrival if none is pending: one draw.
 		if !st.done && !st.drawn {
 			st.t += st.rng.ExpFloat64() / st.cfg.ArrivalRatePerS
 			if st.t >= st.cfg.HorizonS {
@@ -87,8 +86,7 @@ func (st *poissonState) next() (Event, bool) {
 			}
 		}
 		// Departures due before the candidate (or before the horizon, once
-		// arrivals are exhausted) come first — the flushUntil of the eager
-		// path, emitted one at a time.
+		// arrivals are exhausted) come first, one at a time.
 		limit := st.cfg.HorizonS
 		if !st.done {
 			limit = st.t
@@ -116,9 +114,14 @@ func (st *poissonState) next() (Event, bool) {
 	}
 }
 
-// diurnalState suspends diurnalSchedule's loop. A candidate is the block
-// (arrival time, region, thinning acceptance, hold) drawn together before
-// any heap flush, exactly as the eager code does.
+// diurnalState is the Diurnal generator: a non-homogeneous Poisson process
+// per region, realized by exact thinning of one merged candidate process.
+// Candidates arrive at the constant peak rate Λmax = λ·(1+A) (region shares
+// w_r sum to 1); each picks a region with probability w_r and survives with
+// probability M_r(t)/(1+A), so the surviving stream is exactly the target
+// process. A candidate is the block (arrival time, region, thinning
+// acceptance, hold) drawn together before any heap flush. Departed
+// sessions return to their region's idle pool.
 type diurnalState struct {
 	cfg         ChurnConfig
 	rng         *rand.Rand
@@ -168,7 +171,7 @@ func (st *diurnalState) next() (Event, bool) {
 			} else {
 				// Draw the candidate's region, acceptance and hold before the
 				// flush, so the random sequence is a pure function of the
-				// seed — same order as the eager loop.
+				// seed.
 				u := st.rng.Float64()
 				st.candRegion = pickRegion(st.drawRegions, st.cumShare, u)
 				st.candAccept = st.rng.Float64() < d.RegionRate(st.candRegion, st.t)/(1+d.Amplitude)

@@ -6,7 +6,7 @@ import (
 )
 
 // collect drains a lazy source into a slice for comparison against the
-// eager generators.
+// eager reference generators.
 func collect(t *testing.T, src *ChurnSource) []Event {
 	t.Helper()
 	var out []Event
@@ -28,8 +28,8 @@ func collect(t *testing.T, src *ChurnSource) []Event {
 	return out
 }
 
-// TestLazyPoissonDifferential pins the tentpole equivalence: the lazy
-// homogeneous source yields byte-for-byte the schedule PoissonSchedule
+// TestLazyPoissonDifferential pins the lazy homogeneous source to the
+// eager reference: it yields byte-for-byte the schedule refPoissonSchedule
 // materializes, across seeds and pool regimes (including pool exhaustion,
 // which exercises the dropped-arrival path's draw order).
 func TestLazyPoissonDifferential(t *testing.T) {
@@ -41,7 +41,7 @@ func TestLazyPoissonDifferential(t *testing.T) {
 		{Seed: 5, HorizonS: 1000, ArrivalRatePerS: 1.0, MeanHoldS: 5, NumSessions: 50, InitialActive: 50},
 	}
 	for i, cfg := range cfgs {
-		eager, err := PoissonSchedule(cfg)
+		eager, err := refPoissonSchedule(cfg)
 		if err != nil {
 			t.Fatalf("cfg %d: %v", i, err)
 		}
@@ -66,7 +66,7 @@ func TestLazyDiurnalDifferential(t *testing.T) {
 		if seed%2 == 0 {
 			cfg.InitialActive = 10
 		}
-		eager, err := PoissonSchedule(cfg)
+		eager, err := refPoissonSchedule(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestLazyDiurnalDifferential(t *testing.T) {
 	}
 }
 
-// TestLazySourceRejectsInvalidConfig mirrors the eager validation.
+// TestLazySourceRejectsInvalidConfig pins the config validation.
 func TestLazySourceRejectsInvalidConfig(t *testing.T) {
 	if _, err := NewChurnSource(ChurnConfig{}); err == nil {
 		t.Fatal("invalid config accepted")

@@ -8,14 +8,15 @@ import (
 	"vconf/internal/workload"
 )
 
-// Virtual-clock discrete-event core (see internal/sim). Instead of
-// materializing a whole churn+fault schedule up front, lazy pull-based
+// Virtual-clock discrete-event core (see internal/sim). Lazy pull-based
 // sources generate events on demand and the engine merges them in
 // deterministic order (time, then event rank, then source registration
 // order) under a virtual clock — memory stays O(in-flight) however long
-// the horizon, and the stream is bit-identical to the eager
-// GenerateChurn/GenerateFaults/MergeSchedules path for the same configs.
-// Orchestrator.RunSource consumes an engine (or a TraceReplayer) directly.
+// the horizon. The churn and fault sources are the only generators:
+// GenerateChurn and GenerateFaults drain them, so an engine over both
+// yields exactly MergeSchedules(GenerateChurn, GenerateFaults) for the same
+// configs. Orchestrator.RunSource consumes an engine (or a TraceReplayer)
+// directly.
 
 // SimEventSource is the pull contract lazy generators satisfy: events in
 // non-decreasing time order, ok=false at exhaustion.
@@ -29,16 +30,17 @@ type SimEngine = sim.Engine
 // is the final tie-breaker for simultaneous events of equal rank.
 func NewSimEngine(sources ...SimEventSource) *SimEngine { return sim.New(sources...) }
 
-// NewChurnEventSource is the lazy counterpart of GenerateChurn: it yields
-// the exact same event stream without materializing it.
+// NewChurnEventSource builds the lazy churn stream; GenerateChurn is its
+// drain into a slice.
 func NewChurnEventSource(cfg ChurnConfig) (SimEventSource, error) {
 	return workload.NewChurnSource(cfg)
 }
 
-// NewFaultEventSource is the lazy counterpart of GenerateFaults.
+// NewFaultEventSource builds the lazy fault stream; GenerateFaults is its
+// drain into a slice.
 func NewFaultEventSource(cfg FaultConfig) (SimEventSource, error) { return faults.NewSource(cfg) }
 
-// NewSliceEventSource adapts an eager, time-ordered []ChurnEvent slice to
+// NewSliceEventSource adapts a time-ordered []ChurnEvent slice to
 // the source contract, so recorded or hand-built schedules feed the engine.
 func NewSliceEventSource(events []ChurnEvent) SimEventSource { return sim.NewSliceSource(events) }
 
