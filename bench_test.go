@@ -10,7 +10,6 @@
 package vconf_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -896,50 +895,6 @@ func BenchmarkSolverCompare(b *testing.B) {
 	}
 	b.ReportMetric(meanOf(last.Objective[0]), "nrst-phi")
 	b.ReportMetric(meanOf(last.Objective[3]), "markov-phi")
-}
-
-// BenchmarkAblationFreezeProtocol compares the paper's global-freeze
-// concurrent engine with the optimistic-commit extension on identical
-// workloads and wall budgets: hops achieved per engine.
-func BenchmarkAblationFreezeProtocol(b *testing.B) {
-	sc, err := workload.Generate(benchWorkload(9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := cost.DefaultParams()
-	ev, err := cost.NewEvaluator(sc, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := assign.New(sc)
-	if err := baseline.Assign(start, p, cost.NewLedger(sc)); err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig(9)
-	cfg.MeanCountdownS = 2
-	var frozenHops, optimisticHops int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frozen, err := core.NewParallel(ev, cfg, start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := frozen.Run(context.Background(), 50*time.Millisecond); err != nil {
-			b.Fatal(err)
-		}
-		_, frozenHops, _ = frozen.Snapshot()
-
-		optim, err := core.NewOptimisticParallel(ev, cfg, start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := optim.Run(context.Background(), 50*time.Millisecond); err != nil {
-			b.Fatal(err)
-		}
-		_, optimisticHops, _, _ = optim.Snapshot()
-	}
-	b.ReportMetric(float64(frozenHops), "frozen-hops")
-	b.ReportMetric(float64(optimisticHops), "optimistic-hops")
 }
 
 // ---------------------------------------------------------------------------

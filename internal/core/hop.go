@@ -67,11 +67,9 @@ type HopScratch struct {
 	// bounds are the per-agent maxima of the candidate loads price folds,
 	// envAt maps an agent to 1 + its index in them (0 otherwise), and env
 	// is their envelope at rest.
-	bounds []loadBound
-	envAt  []int32
-	env    []cost.EnvelopeAgent
-	// ds is the optimistic engine's feasible-candidate buffer.
-	ds       []assign.Decision
+	bounds   []loadBound
+	envAt    []int32
+	env      []cost.EnvelopeAgent
 	readings []float64 // noisy Φ readings (cfg.Noise only)
 	weights  []float64
 	// nbrIdx is the proximity index backing Config.NeighborWindow > 0:

@@ -331,7 +331,8 @@ type Scratch struct {
 	// the scratch-owned rebuild buffer — when it is off.
 	// userMax holds the base's per-user maxima (it aliases the cache entry's
 	// like base does, ownMax otherwise); candMax is the per-candidate copy
-	// CandidatePhi updates.
+	// CandidatePhi updates. hOwn[i] is member i's access delay
+	// H(λ(u_i), u_i), read once per bind and per move, never per flow.
 	sid     model.SessionID
 	members []model.UserID
 	plan    model.SessionPlan
@@ -341,6 +342,7 @@ type Scratch struct {
 	userMax []float64
 	ownMax  []float64
 	candMax []float64
+	hOwn    []float64
 
 	// dc is the persistent per-session delay cache (see delaycache.go),
 	// created lazily unless disabled; movedMembers is the warm path's
@@ -687,8 +689,13 @@ func (e *Evaluator) BeginSession(a *assign.Assignment, s model.SessionID, scr *S
 	if cap(scr.candMax) < n {
 		scr.ownMax = make([]float64, n)
 		scr.candMax = make([]float64, n)
+		scr.hOwn = make([]float64, n)
 	}
 	scr.candMax = scr.candMax[:n]
+	scr.hOwn = scr.hOwn[:n]
+	for i, u := range scr.members {
+		scr.hOwn[i] = ownDelay(e.sc, a.UserAgent(u), u)
+	}
 
 	if dc := scr.delayCache(); dc != nil {
 		return e.beginSessionCached(a, s, scr, dc)
@@ -716,10 +723,20 @@ func (e *Evaluator) summarize(scr *Scratch) SessionEval {
 	return out
 }
 
+// ownDelay is H(l, u), or 0 for an unassigned user, whose flows flowDelay
+// prices at +Inf without reading it.
+func ownDelay(sc *model.Scenario, l model.AgentID, u model.UserID) float64 {
+	if l == assign.Unassigned {
+		return 0
+	}
+	return sc.H(l, u)
+}
+
 // flowDelay is FlowDelayMS for the flow from member i to member j of the
 // bound session, with the constant inputs (θ, representations, the flow's
-// slot in flowTo = a.SessionFlowAgents) read from the plan. Same terms, same
-// order of additions: bit-identical to FlowDelayMS.
+// slot in flowTo = a.SessionFlowAgents) read from the plan and the members'
+// access delays from hOwn. Same terms, same order of additions:
+// bit-identical to FlowDelayMS.
 func (scr *Scratch) flowDelay(a *assign.Assignment, flowTo []model.AgentID, i, j int) float64 {
 	sc := scr.sc
 	u, v := scr.members[i], scr.members[j]
@@ -727,7 +744,7 @@ func (scr *Scratch) flowDelay(a *assign.Assignment, flowTo []model.AgentID, i, j
 	if lu == assign.Unassigned || lv == assign.Unassigned {
 		return math.Inf(1)
 	}
-	d := sc.H(lu, u) + sc.H(lv, v)
+	d := scr.hOwn[i] + scr.hOwn[j]
 	pr := scr.plan.Pair(i, j)
 	if pr.Flow < 0 {
 		return d + sc.D(lu, lv)
@@ -823,6 +840,7 @@ func (e *Evaluator) patchEntry(a *assign.Assignment, scr *Scratch, ent *delayEnt
 	for i, u := range scr.members {
 		if l := a.UserAgent(u); ent.userSig[i] != l {
 			ent.userSig[i] = l
+			scr.hOwn[i] = ownDelay(e.sc, l, u)
 			scr.movedMembers = append(scr.movedMembers, int32(i))
 		}
 	}
@@ -995,6 +1013,8 @@ func (e *Evaluator) CandidatePhi(a *assign.Assignment, s model.SessionID, d assi
 		switch d.Kind {
 		case assign.UserMove:
 			iu := scr.memberIndex(d.User)
+			bound := scr.hOwn[iu]
+			scr.hOwn[iu] = ownDelay(e.sc, a.UserAgent(d.User), d.User) // d.To: d is applied
 			own := 0.0
 			for j := 0; j < n; j++ {
 				if j == iu {
@@ -1005,6 +1025,7 @@ func (e *Evaluator) CandidatePhi(a *assign.Assignment, s model.SessionID, d assi
 					own = in
 				}
 			}
+			scr.hOwn[iu] = bound
 			cm[iu] = own
 		case assign.FlowMove:
 			i, j := scr.memberIndex(d.Flow.Src), scr.memberIndex(d.Flow.Dst)

@@ -74,7 +74,7 @@ func BuildFig2Scenario() (*model.Scenario, error) {
 	r720, _ := rs.ByName("720p")
 	r1080, _ := rs.ByName("1080p")
 
-	for _, site := range fx.Network.AgentSites {
+	for _, site := range fx.AgentSites {
 		factor := fx.Capability[site.Name]
 		b.AddAgent(model.Agent{
 			Name:             site.Name,
@@ -93,8 +93,8 @@ func BuildFig2Scenario() (*model.Scenario, error) {
 	uHK := b.AddUser("4 [HK]", s, r1080, nil)
 	b.DemandFrom(uCA, uHK, r360)
 
-	b.SetInterAgentDelays(fx.Network.DMS)
-	b.SetAgentUserDelays(fx.Network.HMS)
+	b.SetInterAgentDelays(fx.DMS)
+	b.SetAgentUserDelays(fx.HMS)
 	return b.Build()
 }
 

@@ -18,7 +18,19 @@ func truthMatrices(t *testing.T) ([][]float64, [][]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net.DMS, net.HMS
+	return net.DMS, denseH(len(net.AgentSites), len(users), net.H)
+}
+
+// denseH materializes an L×U delay function as a matrix.
+func denseH(agents, users int, h func(l, u int) float64) [][]float64 {
+	m := make([][]float64, agents)
+	for l := range m {
+		m[l] = make([]float64, users)
+		for u := range m[l] {
+			m[l][u] = h(l, u)
+		}
+	}
+	return m
 }
 
 func TestProberConvergesUnderJitter(t *testing.T) {
@@ -123,7 +135,10 @@ func TestMeasuredScenarioStillOptimizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProber(DefaultConfig(5), truthSc.DMS, truthSc.HMS)
+	truthH := denseH(truthSc.NumAgents(), truthSc.NumUsers(), func(l, u int) float64 {
+		return truthSc.H(model.AgentID(l), model.UserID(u))
+	})
+	p, err := NewProber(DefaultConfig(5), truthSc.DMS, truthH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +147,15 @@ func TestMeasuredScenarioStillOptimizes(t *testing.T) {
 	}
 
 	// Rebuild the scenario with estimated matrices.
+	estH, err := model.MatrixDelays(p.EstimatedH(), truthSc.NumAgents(), truthSc.NumUsers())
+	if err != nil {
+		t.Fatal(err)
+	}
 	estSc, err := model.NewScenario(truthSc.Reps,
 		append([]model.User(nil), truthSc.Users...),
 		append([]model.Session(nil), truthSc.Sessions...),
 		append([]model.Agent(nil), truthSc.Agents...),
-		p.EstimatedD(), p.EstimatedH(), truthSc.DMaxMS)
+		p.EstimatedD(), estH, truthSc.DMaxMS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ type Builder struct {
 	agents        []Agent
 	dMS           [][]float64
 	hMS           [][]float64
+	h             DelayFunc
 	dMaxMS        float64
 	downscaleOnly bool
 	err           error
@@ -102,7 +103,13 @@ func (b *Builder) SetInterAgentDelays(dMS [][]float64) *Builder {
 
 // SetAgentUserDelays installs the full H matrix (L×U, ms).
 func (b *Builder) SetAgentUserDelays(hMS [][]float64) *Builder {
-	b.hMS = hMS
+	b.hMS, b.h = hMS, nil
+	return b
+}
+
+// SetAgentUserDelayFunc installs H as a function (see DelayFunc).
+func (b *Builder) SetAgentUserDelayFunc(h DelayFunc) *Builder {
+	b.hMS, b.h = nil, h
 	return b
 }
 
@@ -119,36 +126,37 @@ func (b *Builder) RestrictDownscaleOnly() *Builder {
 	return b
 }
 
-// Build validates and returns the scenario. If no delay matrices were set,
-// zero matrices of the right shape are installed (useful for pure capacity
-// tests where delay is irrelevant).
+// Build validates and returns the scenario. If no delays were set, zero
+// delays are installed (useful for pure capacity tests where delay is
+// irrelevant).
 func (b *Builder) Build() (*Scenario, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	if b.dMS == nil {
-		b.dMS = zeros(len(b.agents), len(b.agents))
+		b.dMS = make([][]float64, len(b.agents))
+		for i := range b.dMS {
+			b.dMS[i] = make([]float64, len(b.agents))
+		}
 	}
-	if b.hMS == nil {
-		b.hMS = zeros(len(b.agents), len(b.users))
+	h := b.h
+	if b.hMS != nil {
+		var err error
+		if h, err = MatrixDelays(b.hMS, len(b.agents), len(b.users)); err != nil {
+			return nil, err
+		}
+	} else if h == nil {
+		h = func(AgentID, UserID) float64 { return 0 }
 	}
 	var opts []ScenarioOption
 	if b.downscaleOnly {
 		opts = append(opts, WithDownscaleOnly())
 	}
-	return NewScenario(b.reps, b.users, b.sessions, b.agents, b.dMS, b.hMS, b.dMaxMS, opts...)
+	return NewScenario(b.reps, b.users, b.sessions, b.agents, b.dMS, h, b.dMaxMS, opts...)
 }
 
 func (b *Builder) fail(err error) {
 	if b.err == nil {
 		b.err = err
 	}
-}
-
-func zeros(rows, cols int) [][]float64 {
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i] = make([]float64, cols)
-	}
-	return m
 }

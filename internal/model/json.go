@@ -53,9 +53,15 @@ func (sc *Scenario) WriteJSON(w io.Writer) error {
 		Version:         scenarioDocVersion,
 		Representations: make([]RepSpec, 0, sc.Reps.Len()),
 		DMS:             sc.DMS,
-		HMS:             sc.HMS,
+		HMS:             make([][]float64, len(sc.Agents)),
 		DMaxMS:          sc.DMaxMS,
 		DownscaleOnly:   sc.DownscaleOnly,
+	}
+	for l := range doc.HMS {
+		doc.HMS[l] = make([]float64, len(sc.Users))
+		for u := range doc.HMS[l] {
+			doc.HMS[l][u] = sc.H(AgentID(l), UserID(u))
+		}
 	}
 	for _, r := range sc.Reps.All() {
 		doc.Representations = append(doc.Representations, sc.Reps.Spec(r))
@@ -142,5 +148,9 @@ func ReadJSON(r io.Reader) (*Scenario, error) {
 	if doc.DownscaleOnly {
 		opts = append(opts, WithDownscaleOnly())
 	}
-	return NewScenario(reps, users, sessions, agents, doc.DMS, doc.HMS, doc.DMaxMS, opts...)
+	h, err := MatrixDelays(doc.HMS, len(agents), len(users))
+	if err != nil {
+		return nil, err
+	}
+	return NewScenario(reps, users, sessions, agents, doc.DMS, h, doc.DMaxMS, opts...)
 }

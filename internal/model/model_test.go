@@ -221,14 +221,22 @@ func TestScenarioValidationErrors(t *testing.T) {
 			dm := [][]float64{append([]float64(nil), d[0]...)}
 			hm := [][]float64{append([]float64(nil), h[0]...)}
 			tt.mutate(&us, &ss, &as, &dm, &hm)
-			if _, err := NewScenario(rs, us, ss, as, dm, hm, 0); err == nil {
+			hf, err := MatrixDelays(hm, len(as), len(us))
+			if err == nil {
+				_, err = NewScenario(rs, us, ss, as, dm, hf, 0)
+			}
+			if err == nil {
 				t.Fatal("NewScenario() succeeded, want error")
 			}
 		})
 	}
 
 	// The unmutated inputs must build.
-	if _, err := NewScenario(rs, goodUsers(), goodSessions(), goodAgents(), d, h, 0); err != nil {
+	hf, err := MatrixDelays(h, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewScenario(rs, goodUsers(), goodSessions(), goodAgents(), d, hf, 0); err != nil {
 		t.Fatalf("NewScenario() on valid input: %v", err)
 	}
 }

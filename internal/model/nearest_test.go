@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// scanNearest is the per-user column scan the nearest-agent table replaced,
+// columnScan is the per-user column scan the nearest-agent table replaced,
 // kept as the reference: one bounded insertion over all L agents of H's
-// column u.
-func scanNearest(sc *Scenario, dst []AgentID, u UserID, k int) []AgentID {
+// column u, read from the delay function itself.
+func columnScan(sc *Scenario, dst []AgentID, u UserID, k int) []AgentID {
 	if k > len(sc.Agents) {
 		k = len(sc.Agents)
 	}
@@ -20,16 +20,16 @@ func scanNearest(sc *Scenario, dst []AgentID, u UserID, k int) []AgentID {
 	}
 	base := len(dst)
 	for l := range sc.Agents {
-		d := sc.HMS[l][u]
+		d := sc.h(AgentID(l), u)
 		if len(dst)-base == k {
-			if d >= sc.HMS[dst[len(dst)-1]][u] {
+			if d >= sc.h(dst[len(dst)-1], u) {
 				continue
 			}
 		} else {
 			dst = append(dst, 0)
 		}
 		i := len(dst) - 1
-		for ; i > base && sc.HMS[dst[i-1]][u] > d; i-- {
+		for ; i > base && sc.h(dst[i-1], u) > d; i-- {
 			dst[i] = dst[i-1]
 		}
 		dst[i] = AgentID(l)
@@ -73,11 +73,11 @@ func checkAgainstScan(t *testing.T, sc *Scenario, k int) {
 	t.Helper()
 	for u := 0; u < sc.NumUsers(); u++ {
 		uid := UserID(u)
-		want := scanNearest(sc, []AgentID{9}, uid, k)
+		want := columnScan(sc, []AgentID{9}, uid, k)
 		if got := sc.AppendNearestAgents([]AgentID{9}, uid, k); !slices.Equal(got, want) {
 			t.Fatalf("k=%d user %d: AppendNearestAgents = %v, column scan %v", k, u, got, want)
 		}
-		if got, want := sc.NearestAgent(uid), scanNearest(sc, nil, uid, 1)[0]; got != want {
+		if got, want := sc.NearestAgent(uid), columnScan(sc, nil, uid, 1)[0]; got != want {
 			t.Fatalf("user %d: NearestAgent = %d, column scan %d", u, got, want)
 		}
 	}
@@ -104,13 +104,16 @@ func TestNearestTableMatchesScan(t *testing.T) {
 	}
 }
 
-// TestNearestTableWidens: a wider request replaces the table, a narrower one
-// reads the prefix of the one it finds.
+// TestNearestTableWidens: a request within the construction table reads
+// its prefix, a wider one replaces the wide table, a narrower one reads the
+// prefix of the one it finds.
 func TestNearestTableWidens(t *testing.T) {
-	sc := tiedScenario(t, rand.New(rand.NewSource(3)), 9, 20, 3)
-	for _, step := range []struct{ k, width int }{{2, 2}, {5, 5}, {3, 5}, {1, 5}} {
+	sc := tiedScenario(t, rand.New(rand.NewSource(3)), 12, 20, 3)
+	for _, step := range []struct{ k, width int }{
+		{2, nearestWidth}, {10, 10}, {9, 10}, {12, 12}, {3, nearestWidth},
+	} {
 		checkAgainstScan(t, sc, step.k)
-		if got := sc.nearest.Load().k; got != step.width {
+		if got := sc.nearestAgents(step.k).k; got != step.width {
 			t.Fatalf("after a width-%d request the table is %d wide, want %d", step.k, got, step.width)
 		}
 	}
@@ -123,7 +126,7 @@ func TestNearestTableConcurrentFirstUse(t *testing.T) {
 		sc := tiedScenario(t, rand.New(rand.NewSource(int64(rep))), 12, 40, 4)
 		want := make([][]AgentID, sc.NumUsers())
 		for u := range want {
-			want[u] = scanNearest(sc, nil, UserID(u), sc.NumAgents())
+			want[u] = columnScan(sc, nil, UserID(u), sc.NumAgents())
 		}
 		var start, done sync.WaitGroup
 		start.Add(1)

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -13,7 +14,8 @@ const DefaultDMaxMS = 400.0
 
 // Scenario is a complete, immutable problem instance of the user-to-agent
 // assignment problem: the user/session/agent population together with the
-// measured delay matrices.
+// measured delays — the inter-agent matrix D and the agent-to-user delay H,
+// held as a function plus every user's nearest-agent row.
 //
 // A Scenario is built once (via NewScenario or a Builder) and then shared
 // read-only by solvers, simulators and benchmarks. None of its methods
@@ -27,9 +29,6 @@ type Scenario struct {
 	// DMS is the inter-agent delay matrix D (L×L), in milliseconds.
 	// DMS[l][k] is the one-way latency between agents l and k.
 	DMS [][]float64
-	// HMS is the agent-to-user delay matrix H (L×U), in milliseconds.
-	// HMS[l][u] is the one-way propagation delay between agent l and user u.
-	HMS [][]float64
 
 	// DMaxMS is the end-to-end delay cap of constraint (8). Zero means
 	// "use DefaultDMaxMS"; NewScenario normalizes it.
@@ -59,11 +58,26 @@ type Scenario struct {
 	flowStart   []int32
 	planRefs    []planRef
 
-	// nearest is the nearest-agent table, built on first use; nearestMu
-	// serializes its builds.
-	nearest   atomic.Pointer[nearestTable]
-	nearestMu sync.Mutex
+	// h computes H; near holds every user's nearestWidth delay-nearest
+	// agents with their delays, built at construction, and H answers from
+	// it. wide is a wider table, built when AppendNearestAgents first asks
+	// for more; wideMu serializes its builds.
+	h      DelayFunc
+	near   nearestTable
+	wide   atomic.Pointer[nearestTable]
+	wideMu sync.Mutex
 }
+
+// DelayFunc returns H(l, u), the one-way delay between agent l and user u in
+// milliseconds. It must be a pure function of the pair, safe for concurrent
+// use: a scenario calls it for every pair at construction, and again for any
+// pair outside the user's nearest-agent row.
+type DelayFunc func(l AgentID, u UserID) float64
+
+// nearestWidth is the width of the nearest-agent table a scenario builds at
+// construction (or L, when the fleet is smaller). Alg. 1's neighbourhood
+// windows and AgRank's n_ngbr price a user only at agents within it.
+const nearestWidth = 8
 
 // ScenarioOption customizes scenario semantics at construction time.
 type ScenarioOption func(*Scenario)
@@ -75,14 +89,15 @@ func WithDownscaleOnly() ScenarioOption {
 }
 
 // NewScenario validates the inputs and assembles a scenario. It copies
-// nothing: callers hand over ownership of the slices.
+// nothing: callers hand over ownership of the slices. h supplies H (see
+// MatrixDelays for a matrix); every one of its L·U delays is checked here.
 func NewScenario(
 	reps *RepresentationSet,
 	users []User,
 	sessions []Session,
 	agents []Agent,
 	dMS [][]float64,
-	hMS [][]float64,
+	h DelayFunc,
 	dMaxMS float64,
 	opts ...ScenarioOption,
 ) (*Scenario, error) {
@@ -92,7 +107,7 @@ func NewScenario(
 		Sessions: sessions,
 		Agents:   agents,
 		DMS:      dMS,
-		HMS:      hMS,
+		h:        h,
 		DMaxMS:   dMaxMS,
 	}
 	for _, opt := range opts {
@@ -104,6 +119,11 @@ func NewScenario(
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
+	near, err := scanNearest(h, len(agents), len(users), min(nearestWidth, len(agents)))
+	if err != nil {
+		return nil, err
+	}
+	sc.near = *near
 	sc.buildCaches()
 	return sc, nil
 }
@@ -129,8 +149,18 @@ func (sc *Scenario) Agent(l AgentID) *Agent { return &sc.Agents[l] }
 // D returns the inter-agent delay D[l][k] in milliseconds.
 func (sc *Scenario) D(l, k AgentID) float64 { return sc.DMS[l][k] }
 
-// H returns the agent-to-user delay H[l][u] in milliseconds.
-func (sc *Scenario) H(l AgentID, u UserID) float64 { return sc.HMS[l][u] }
+// H returns the agent-to-user delay H[l][u] in milliseconds: from u's row of
+// the nearest-agent table when l is in it, from the delay function
+// otherwise — the same bits either way.
+func (sc *Scenario) H(l AgentID, u UserID) float64 {
+	row := int(u) * sc.near.k
+	for i, a := range sc.near.agents[row : row+sc.near.k] {
+		if a == l {
+			return sc.near.delays[row+i]
+		}
+	}
+	return sc.h(l, u)
+}
 
 // Theta reports θ_uv: whether the flow from source u to destination v
 // requires transcoding — v's effective demand for u's stream differs from
@@ -210,9 +240,9 @@ func (sc *Scenario) NearestAgent(u UserID) AgentID {
 // AppendNearestAgents appends to dst the k agents nearest to user u by
 // H-delay, nearest first (ties broken by agent ID), and returns the extended
 // slice. It copies the prefix of u's row in the scenario's nearest-agent
-// table — O(k), after the first request of a width built the table in
-// O(L·U·k) — and allocates nothing when dst has room for k more entries. k is
-// clamped to [0, NumAgents].
+// table — O(k); the first request wider than the table built at construction
+// builds a wider one in O(L·U·k) — and allocates nothing when dst has room
+// for k more entries. k is clamped to [0, NumAgents].
 func (sc *Scenario) AppendNearestAgents(dst []AgentID, u UserID, k int) []AgentID {
 	if k > len(sc.Agents) {
 		k = len(sc.Agents)
@@ -225,50 +255,104 @@ func (sc *Scenario) AppendNearestAgents(dst []AgentID, u UserID, k int) []AgentI
 }
 
 // nearestTable holds every user's t.k delay-nearest agents, nearest first
-// with ties by agent ID: user u's row is agents[u·k, (u+1)·k). Its prefix of
-// width j ≤ k is the table of width j.
+// with ties by agent ID: user u's row is agents[u·k, (u+1)·k), and delays
+// holds their H values (the construction table only). Its prefix of width
+// j ≤ k is the table of width j.
 type nearestTable struct {
 	k      int
 	agents []AgentID
+	delays []float64
 }
 
-// nearestAgents returns a nearest-agent table at least k wide (1 ≤ k ≤ L),
-// building one on first use or when a wider one is asked for. A published
+// nearestAgents returns a nearest-agent table at least k wide (1 ≤ k ≤ L):
+// the construction table, or a wider one built on first use. A published
 // table is never written again, so readers keep the one they loaded.
 func (sc *Scenario) nearestAgents(k int) *nearestTable {
-	if t := sc.nearest.Load(); t != nil && t.k >= k {
+	if k <= sc.near.k {
+		return &sc.near
+	}
+	if t := sc.wide.Load(); t != nil && t.k >= k {
 		return t
 	}
-	sc.nearestMu.Lock()
-	defer sc.nearestMu.Unlock()
-	if t := sc.nearest.Load(); t != nil && t.k >= k {
+	sc.wideMu.Lock()
+	defer sc.wideMu.Unlock()
+	if t := sc.wide.Load(); t != nil && t.k >= k {
 		return t
 	}
-	t := &nearestTable{k: k, agents: make([]AgentID, len(sc.Users)*k)}
-	delays := make([]float64, len(t.agents))
-	// Each user's bounded insertion over one scan of the fleet, for all users
-	// at once, walking H by rows. Agents arrive in ascending ID, so on equal
-	// delay the newcomer sorts after every kept agent: only a strictly
-	// smaller delay displaces one.
-	for l, row := range sc.HMS {
-		kept := min(l, k)
-		for u, d := range row {
-			ag, dl := t.agents[u*k:(u+1)*k], delays[u*k:(u+1)*k]
-			i := kept
-			if kept == k {
-				if d >= dl[k-1] {
-					continue
-				}
-				i = k - 1
-			}
-			for ; i > 0 && dl[i-1] > d; i-- {
-				ag[i], dl[i] = ag[i-1], dl[i-1]
-			}
-			ag[i], dl[i] = AgentID(l), d
-		}
-	}
-	sc.nearest.Store(t)
+	t, _ := scanNearest(sc.h, len(sc.Agents), len(sc.Users), k) // validated at construction
+	t.delays = nil
+	sc.wide.Store(t)
 	return t
+}
+
+// scanNearest builds the nearest-agent table of width k in one scan of all
+// L·U pairs of h, run in parallel over users. Each user's row is a bounded
+// insertion over the agents in ascending ID, so on equal delay the newcomer
+// sorts after every kept agent: only a strictly smaller delay displaces one.
+// The scan rejects a negative, NaN or infinite delay, naming the first in
+// (agent, user) order as a row-major matrix check would.
+func scanNearest(h DelayFunc, agents, users, k int) (*nearestTable, error) {
+	t := &nearestTable{k: k, agents: make([]AgentID, users*k), delays: make([]float64, users*k)}
+	var mu sync.Mutex
+	badL, badU, badD := agents, 0, 0.0
+	parallelChunks(users, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			ag, dl := t.agents[u*k:(u+1)*k], t.delays[u*k:(u+1)*k]
+			for l := 0; l < agents; l++ {
+				d := h(AgentID(l), UserID(u))
+				if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+					mu.Lock()
+					if l < badL || l == badL && u < badU {
+						badL, badU, badD = l, u, d
+					}
+					mu.Unlock()
+					break
+				}
+				i := min(l, k)
+				if i == k {
+					if d >= dl[k-1] {
+						continue
+					}
+					i = k - 1
+				}
+				for ; i > 0 && dl[i-1] > d; i-- {
+					ag[i], dl[i] = ag[i-1], dl[i-1]
+				}
+				ag[i], dl[i] = AgentID(l), d
+			}
+		}
+	})
+	if badL < agents {
+		return nil, fmt.Errorf("model: matrix H[%d][%d] = %v is not a valid delay", badL, badU, badD)
+	}
+	return t, nil
+}
+
+// parallelChunks calls f(lo, hi) over [0, n) in chunks of 64 on up to
+// GOMAXPROCS goroutines, each taking the next unclaimed chunk.
+func parallelChunks(n int, f func(lo, hi int)) {
+	const chunk = 64
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), (n+chunk-1)/chunk); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := int(next.Add(chunk) - chunk); lo < n; lo = int(next.Add(chunk) - chunk) {
+				f(lo, min(lo+chunk, n))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// MatrixDelays checks that hMS is an L×U matrix and wraps it as a DelayFunc;
+// NewScenario checks its values.
+func MatrixDelays(hMS [][]float64, agents, users int) (DelayFunc, error) {
+	if err := matrixShape("H", hMS, agents, users); err != nil {
+		return nil, err
+	}
+	return func(l AgentID, u UserID) float64 { return hMS[l][u] }, nil
 }
 
 func (sc *Scenario) validate() error {
@@ -280,6 +364,9 @@ func (sc *Scenario) validate() error {
 	}
 	if len(sc.Users) == 0 {
 		return fmt.Errorf("model: scenario has no users")
+	}
+	if sc.h == nil {
+		return fmt.Errorf("model: scenario has no agent-user delays")
 	}
 	for i := range sc.Sessions {
 		s := &sc.Sessions[i]
@@ -325,9 +412,6 @@ func (sc *Scenario) validate() error {
 	if err := validateMatrix("D", sc.DMS, len(sc.Agents), len(sc.Agents)); err != nil {
 		return err
 	}
-	if err := validateMatrix("H", sc.HMS, len(sc.Agents), len(sc.Users)); err != nil {
-		return err
-	}
 	for l := range sc.Agents {
 		if sc.DMS[l][l] != 0 {
 			return fmt.Errorf("model: D[%d][%d] must be zero", l, l)
@@ -340,17 +424,26 @@ func (sc *Scenario) validate() error {
 }
 
 func validateMatrix(name string, m [][]float64, rows, cols int) error {
+	if err := matrixShape(name, m, rows, cols); err != nil {
+		return err
+	}
+	for i, row := range m {
+		for j, v := range row {
+			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("model: matrix %s[%d][%d] = %v is not a valid delay", name, i, j, v)
+			}
+		}
+	}
+	return nil
+}
+
+func matrixShape(name string, m [][]float64, rows, cols int) error {
 	if len(m) != rows {
 		return fmt.Errorf("model: matrix %s has %d rows, want %d", name, len(m), rows)
 	}
 	for i, row := range m {
 		if len(row) != cols {
 			return fmt.Errorf("model: matrix %s row %d has %d cols, want %d", name, i, len(row), cols)
-		}
-		for j, v := range row {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("model: matrix %s[%d][%d] = %v is not a valid delay", name, i, j, v)
-			}
 		}
 	}
 	return nil

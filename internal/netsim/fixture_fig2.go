@@ -15,7 +15,12 @@ package netsim
 // (27+67 < 20+117 toward the CA user) and on traffic, while SG remains the
 // more powerful transcoder.
 type Fig2Fixture struct {
-	Network *Network
+	AgentSites []Site
+	UserSites  []Site
+	// DMS (L×L) and HMS (L×U) are the delay matrices in ms, given as
+	// measured rather than synthesized.
+	DMS [][]float64
+	HMS [][]float64
 	// Capability maps agent name to the transcoding capability factor
 	// ("larger diamonds have higher capabilities": SG is the powerful one).
 	Capability map[string]float64
@@ -59,12 +64,10 @@ func Fig2() *Fig2Fixture {
 		/*SP*/ {95, 18, 140, 160},
 	}
 	return &Fig2Fixture{
-		Network: &Network{
-			AgentSites: agents,
-			UserSites:  users,
-			DMS:        d,
-			HMS:        h,
-		},
+		AgentSites: agents,
+		UserSites:  users,
+		DMS:        d,
+		HMS:        h,
 		Capability: map[string]float64{
 			"OR": 1.0,
 			"TO": 1.0,

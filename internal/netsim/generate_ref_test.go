@@ -8,14 +8,16 @@ import (
 	"testing"
 )
 
-// generateRef is the serial generator Generate replaced, kept verbatim as
-// the reference: two cosines and four sines per pair, H and D filled in one
-// pass each.
-func generateRef(cfg Config, agentSites, userSites []Site) *Network {
-	n := &Network{
-		AgentSites: append([]Site(nil), agentSites...),
-		UserSites:  append([]Site(nil), userSites...),
-	}
+// refNetwork is the dense form of a network: both delay matrices.
+type refNetwork struct {
+	DMS, HMS [][]float64
+}
+
+// generateRef is the serial generator Generate replaced, kept as the
+// reference: two cosines and four sines per pair, H and D filled in one pass
+// each as dense matrices.
+func generateRef(cfg Config, agentSites, userSites []Site) *refNetwork {
+	n := &refNetwork{}
 
 	// Per-user last-mile access delay, drawn once per user.
 	userAccess := make([]float64, len(userSites))
@@ -73,6 +75,18 @@ func haversineKMRef(lat1, lon1, lat2, lon2 float64) float64 {
 	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
 		math.Cos(rad(lat1))*math.Cos(rad(lat2))*math.Sin(dLon/2)*math.Sin(dLon/2)
 	return 2 * earthRadiusKM * math.Asin(math.Min(1, math.Sqrt(a)))
+}
+
+// hMatrix materializes a network's H as the dense L×U matrix.
+func hMatrix(n *Network) [][]float64 {
+	h := make([][]float64, len(n.AgentSites))
+	for l := range h {
+		h[l] = make([]float64, len(n.UserSites))
+		for u := range h[l] {
+			h[l][u] = n.H(l, u)
+		}
+	}
+	return h
 }
 
 // sameBits reports the first cell where two matrices differ in shape or in
@@ -141,7 +155,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 				if err := sameBits("D", got.DMS, want.DMS); err != nil {
 					t.Fatal(err)
 				}
-				if err := sameBits("H", got.HMS, want.HMS); err != nil {
+				if err := sameBits("H", hMatrix(got), want.HMS); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -160,7 +174,7 @@ func TestGenerateFloorTaken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.DMS[0][1] != 5 || n.HMS[1][0] != 5 {
-		t.Fatalf("coincident sites: D = %v, H = %v, want the 5 ms floor", n.DMS[0][1], n.HMS[1][0])
+	if n.DMS[0][1] != 5 || n.H(1, 0) != 5 {
+		t.Fatalf("coincident sites: D = %v, H = %v, want the 5 ms floor", n.DMS[0][1], n.H(1, 0))
 	}
 }

@@ -65,16 +65,20 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Network holds the synthesized substrate: the placed sites and the two
-// delay matrices the optimizer consumes.
+// Network holds the synthesized substrate: the placed sites, the dense
+// inter-agent matrix D, and what the agent-to-user delay H is a pure
+// function of — the sites' points, the per-user access delays and the
+// Config. H is computed on demand (H), never stored as an L×U matrix.
 type Network struct {
 	AgentSites []Site
 	UserSites  []Site
 	// DMS is the L×L one-way inter-agent delay matrix in ms (symmetric,
 	// zero diagonal).
 	DMS [][]float64
-	// HMS is the L×U one-way agent-to-user delay matrix in ms.
-	HMS [][]float64
+
+	cfg           Config
+	agents, users []point
+	userAccess    []float64
 }
 
 // Generate synthesizes a Network for the given agent and user sites.
@@ -89,45 +93,49 @@ func Generate(cfg Config, agentSites, userSites []Site) (*Network, error) {
 	n := &Network{
 		AgentSites: append([]Site(nil), agentSites...),
 		UserSites:  append([]Site(nil), userSites...),
+		cfg:        cfg,
+		agents:     points(agentSites),
+		users:      points(userSites),
+		userAccess: make([]float64, len(userSites)),
 	}
 
 	// Per-user last-mile access delay, drawn once per user.
-	userAccess := make([]float64, len(userSites))
 	accessRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5ee0a11ce))
-	for i := range userAccess {
-		userAccess[i] = cfg.UserAccessMinMS +
+	for i := range n.userAccess {
+		n.userAccess[i] = cfg.UserAccessMinMS +
 			accessRng.Float64()*(cfg.UserAccessMaxMS-cfg.UserAccessMinMS)
 	}
 
 	L := len(agentSites)
-	agents, users := points(agentSites), points(userSites)
-	n.DMS, n.HMS = matrix(L, L), matrix(L, len(userSites))
-	// Rows 0..L-1 are D's, L..2L-1 H's. Every cell is a pure function of its
-	// pair, so rows fill in parallel: D's row l writes (l, k) and (k, l) for
-	// k > l only, H's row l its own.
-	parallelRows(2*L, func(i int) {
-		if l := i - L; l >= 0 {
-			for u := range users {
-				d := cfg.pathDelayMS(agents[l], users[u], pairKey(cfg.Seed, 1000+l, 2000+u)) +
-					cfg.AgentAccessMS + userAccess[u]
-				if d < cfg.MinFloorMS {
-					d = cfg.MinFloorMS
-				}
-				n.HMS[l][u] = d
-			}
-			return
-		}
-		for k := i + 1; k < L; k++ {
-			d := cfg.pathDelayMS(agents[i], agents[k], pairKey(cfg.Seed, i, k)) +
+	n.DMS = matrix(L, L)
+	// Every cell is a pure function of its pair, so rows fill in parallel:
+	// row l writes (l, k) and (k, l) for k > l only.
+	parallelRows(L, func(l int) {
+		for k := l + 1; k < L; k++ {
+			d := cfg.pathDelayMS(n.agents[l], n.agents[k], pairKey(cfg.Seed, l, k)) +
 				2*cfg.AgentAccessMS
 			if d < cfg.MinFloorMS {
 				d = cfg.MinFloorMS
 			}
-			n.DMS[i][k] = d
-			n.DMS[k][i] = d
+			n.DMS[l][k] = d
+			n.DMS[k][l] = d
 		}
 	})
 	return n, nil
+}
+
+// H returns the one-way delay in ms between agent l and user u: the path
+// delay plus both access delays, floored at MinFloorMS. It is a pure
+// function of the pair, safe for concurrent use, and returns the same bits
+// on every call.
+func (n *Network) H(l, u int) float64 {
+	c := &n.cfg
+	d := c.pathDelayMS(n.agents[l], n.users[u], pairKey(c.Seed, 1000+l, 2000+u)) +
+		c.AgentAccessMS + n.userAccess[u]
+	if d < c.MinFloorMS {
+		d = c.MinFloorMS
+	}
+	return d
 }
 
 // matrix allocates a rows×cols table.

@@ -23,9 +23,10 @@ func TestGenerateDeterministic(t *testing.T) {
 			}
 		}
 	}
-	for l := range n1.HMS {
-		for u := range n1.HMS[l] {
-			if n1.HMS[l][u] != n2.HMS[l][u] {
+	h1, h2 := hMatrix(n1), hMatrix(n2)
+	for l := range h1 {
+		for u := range h1[l] {
+			if h1[l][u] != h2[l][u] {
 				t.Fatalf("H[%d][%d] differs across identical seeds", l, u)
 			}
 		}
@@ -37,9 +38,10 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 	n1, _ := Generate(DefaultConfig(1), EC2Sites(), users)
 	n2, _ := Generate(DefaultConfig(2), EC2Sites(), users)
 	same := true
-	for l := range n1.HMS {
-		for u := range n1.HMS[l] {
-			if n1.HMS[l][u] != n2.HMS[l][u] {
+	h1, h2 := hMatrix(n1), hMatrix(n2)
+	for l := range h1 {
+		for u := range h1[l] {
+			if h1[l][u] != h2[l][u] {
 				same = false
 			}
 		}
@@ -59,8 +61,8 @@ func TestGenerateMatrixShape(t *testing.T) {
 	if len(n.DMS) != len(agents) {
 		t.Fatalf("D rows = %d, want %d", len(n.DMS), len(agents))
 	}
-	if len(n.HMS) != len(agents) || len(n.HMS[0]) != len(users) {
-		t.Fatalf("H shape = %dx%d, want %dx%d", len(n.HMS), len(n.HMS[0]), len(agents), len(users))
+	if len(n.agents) != len(agents) || len(n.users) != len(users) || len(n.userAccess) != len(users) {
+		t.Fatalf("H domain = %dx%d, want %dx%d", len(n.agents), len(n.users), len(agents), len(users))
 	}
 	for l := range n.DMS {
 		if n.DMS[l][l] != 0 {
@@ -163,8 +165,7 @@ func TestHaversineKnownDistances(t *testing.T) {
 }
 
 func TestFig2Fixture(t *testing.T) {
-	f := Fig2()
-	n := f.Network
+	n := Fig2()
 	if len(n.AgentSites) != 4 || len(n.UserSites) != 4 {
 		t.Fatalf("fixture shape: %d agents, %d users", len(n.AgentSites), len(n.UserSites))
 	}
@@ -203,7 +204,7 @@ func TestFig2Fixture(t *testing.T) {
 		}
 	}
 	// SG is the powerful transcoder.
-	if f.Capability["SG"] >= f.Capability["TO"] {
+	if n.Capability["SG"] >= n.Capability["TO"] {
 		t.Fatal("SG must be more capable (lower factor) than TO")
 	}
 	// Symmetry and zero diagonal of the fixture matrix.
@@ -231,9 +232,9 @@ func TestLatencyPhysicalityProperty(t *testing.T) {
 			return false
 		}
 		const maxMS = 20015.0/200.0*2.5 + 40 // half circumference, worst inflation + access
-		for l := range net.HMS {
-			for u := range net.HMS[l] {
-				v := net.HMS[l][u]
+		for l := range net.agents {
+			for u := range net.users {
+				v := net.H(l, u)
 				if v < 1 || v > maxMS || math.IsNaN(v) {
 					return false
 				}

@@ -1,6 +1,6 @@
 // Package netsim synthesizes the Internet latency substrate the paper
 // measured on PlanetLab and Amazon EC2: the inter-agent delay matrix D and
-// the agent-to-user delay matrix H.
+// the agent-to-user delay H, a pure function of the pair.
 //
 // The paper used 5 weeks of RTT pings between 256 PlanetLab nodes and 7 EC2
 // instances ([3],[22] in the paper). We do not have those traces, so this

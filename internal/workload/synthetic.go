@@ -330,7 +330,7 @@ func generateRegionalFleet(cfg FleetConfig) (*model.Scenario, []int, error) {
 		return nil, nil, err
 	}
 	b.SetInterAgentDelays(net.DMS)
-	b.SetAgentUserDelays(net.HMS)
+	b.SetAgentUserDelayFunc(func(l model.AgentID, u model.UserID) float64 { return net.H(int(l), int(u)) })
 	if cfg.DelayCapMS > 0 {
 		b.SetDelayCap(cfg.DelayCapMS)
 	}

@@ -238,7 +238,7 @@ func Generate(cfg Config) (*model.Scenario, error) {
 	}
 
 	b.SetInterAgentDelays(net.DMS)
-	b.SetAgentUserDelays(net.HMS)
+	b.SetAgentUserDelayFunc(func(l model.AgentID, u model.UserID) float64 { return net.H(int(l), int(u)) })
 	return b.Build()
 }
 

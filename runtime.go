@@ -70,21 +70,10 @@ func Fig2Scenario() (*Scenario, error) { return experiments.BuildFig2Scenario() 
 // session with the paper's FREEZE/UNFREEZE mutual exclusion.
 type ParallelEngine = core.Parallel
 
-// OptimisticEngine extends the FREEZE protocol with optimistic concurrency:
-// sessions evaluate hop candidates in parallel against a ledger snapshot and
-// revalidate at commit (see the core package documentation).
-type OptimisticEngine = core.OptimisticParallel
-
 // NewParallelEngine builds the lock-per-hop concurrent engine from a
 // complete assignment (e.g. the result of Solver.Bootstrap).
 func (s *Solver) NewParallelEngine(a *Assignment) (*ParallelEngine, error) {
 	return core.NewParallel(s.ev, s.coreConfig(), a)
-}
-
-// NewOptimisticEngine builds the optimistic concurrent engine from a
-// complete assignment.
-func (s *Solver) NewOptimisticEngine(a *Assignment) (*OptimisticEngine, error) {
-	return core.NewOptimisticParallel(s.ev, s.coreConfig(), a)
 }
 
 func (s *Solver) coreConfig() core.Config {
