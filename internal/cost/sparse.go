@@ -252,9 +252,10 @@ func NewSparseLoadFromDense(d *SessionLoad) *SparseLoad {
 	return sl
 }
 
-// AppendAgents appends the IDs of agents carrying load (MarkAgents'
-// predicate) to dst in ascending order and returns it — the committed
-// agent-set extraction the pipelined orchestrator's footprint index uses.
+// AppendAgents appends the IDs of agents carrying load (nonzero download,
+// upload or tasks) to dst in ascending order and returns it — the committed
+// agent-set extraction behind the orchestrator's footprint and
+// touched-session index.
 func (sl *SparseLoad) AppendAgents(dst []model.AgentID) []model.AgentID {
 	sl.sortTouched()
 	for _, l := range sl.touched {
@@ -263,27 +264,6 @@ func (sl *SparseLoad) AppendAgents(dst []model.AgentID) []model.AgentID {
 		}
 	}
 	return dst
-}
-
-// MarkAgents sets set[l] = true for every agent carrying load (the predicate
-// the orchestrator's touched-session computation uses).
-func (sl *SparseLoad) MarkAgents(set []bool) {
-	for _, l := range sl.touched {
-		if sl.down[l] > 0 || sl.up[l] > 0 || sl.tasks[l] > 0 {
-			set[l] = true
-		}
-	}
-}
-
-// OverlapsAgents reports whether the load touches (with nonzero usage) any
-// agent marked in set.
-func (sl *SparseLoad) OverlapsAgents(set []bool) bool {
-	for _, l := range sl.touched {
-		if set[l] && (sl.down[l] > 0 || sl.up[l] > 0 || sl.tasks[l] > 0) {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vconf/internal/assign"
@@ -166,21 +167,8 @@ func TestSparseLoadHelpers(t *testing.T) {
 	scr := ev.NewScratch()
 	sl := ev.SessionLoadSparse(a, 0, scr)
 
-	set := make([]bool, sc.NumAgents())
-	sl.MarkAgents(set)
-	if !set[1] || !set[2] {
-		t.Fatalf("MarkAgents missed loaded agents: %v", set)
-	}
-	if set[0] || set[3] {
-		t.Fatalf("MarkAgents marked idle agents: %v", set)
-	}
-	if !sl.OverlapsAgents(set) {
-		t.Fatal("load must overlap its own agent set")
-	}
-	other := make([]bool, sc.NumAgents())
-	other[3] = true
-	if sl.OverlapsAgents(other) {
-		t.Fatal("load must not overlap an untouched agent")
+	if got := sl.AppendAgents(nil); !slices.Equal(got, []model.AgentID{1, 2}) {
+		t.Fatalf("AppendAgents = %v, want the loaded agents [1 2]", got)
 	}
 
 	cp := NewSparseLoad(sc.NumAgents())

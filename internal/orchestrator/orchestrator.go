@@ -7,7 +7,7 @@
 //
 // Architecture (scheduler → shard pool → commit → migrate):
 //
-//  1. Every churn event goes through the dependency-aware scheduler in
+//  1. Every event goes through the dependency-aware scheduler in
 //     internal/pipeline. Its admission stage applies the arrival or
 //     departure against the authoritative assignment under the state lock:
 //     arrivals bootstrap through the configured policy (AgRank or Nrst),
@@ -40,8 +40,13 @@
 //     streams. The runtime is ticked to each event's time as the event is
 //     admitted.
 //
-// Fault events (faults.go) drain the scheduler and heal with exclusive
-// ownership of the whole state.
+// Fault events (faults.go) ride the same stages: admission applies the
+// failure or recovery and heals under the state lock — evicting the
+// sessions on violating agents, re-homing them through the bootstrap
+// policy — and the re-homed or re-balanced sessions are the event's
+// re-optimization set; retire does the incident accounting. Healing
+// rewrites sessions no footprint names, so RunSource drains the scheduler
+// before it submits a fault.
 //
 // The hot path uses delta cost evaluation (cost.ObjectiveCache): because
 // Φ = Σ_s Φ_s and Φ_s depends only on session s's own variables, a commit
@@ -228,8 +233,9 @@ type Stats struct {
 	// drops.
 	DegradedRejects int
 	// RecoverP50 and RecoverP99 are per-incident time-to-recovery
-	// percentiles (fault application through the healing barrier), from the
-	// same log-scale histogram machinery as the reopt latencies.
+	// percentiles (healing start through the incident's retire, right after
+	// its re-optimization), from the same log-scale histogram machinery as
+	// the reopt latencies.
 	RecoverP50 time.Duration
 	RecoverP99 time.Duration
 	// AdmissionStalls, ReoptWaits, QueueDepthPeak and InFlightPeak are
@@ -427,16 +433,10 @@ func (o *Orchestrator) AttachRuntime(rt *confsim.Runtime) {
 // it triggers. It submits the event to the scheduler and blocks until the
 // event retires — which, since events retire in arrival order, also means
 // the orchestrator is quiesced when it returns; stream events through Run
-// or RunSource to overlap them. A fault event drains the scheduler first.
+// or RunSource to overlap them.
 func (o *Orchestrator) HandleEvent(e workload.Event) (EventReport, error) {
 	if err := o.takeRefErr(); err != nil {
 		return EventReport{}, err
-	}
-	if e.Kind.IsFault() {
-		if err := o.pipe.Drain(); err != nil {
-			return EventReport{}, err
-		}
-		return o.handleFault(e)
 	}
 	st, ch, err := o.submitEvent(e, nil)
 	if err != nil {
@@ -468,9 +468,6 @@ func (o *Orchestrator) HandleEvent(e workload.Event) (EventReport, error) {
 // one lane nest by time containment, so each serially-consistent execution
 // context gets its own lane.
 const (
-	// laneControl carries all fault healing (heals always run with the
-	// scheduler drained).
-	laneControl = 0
 	// pipelineLanes rotates in-flight events across lanes 1..pipelineLanes.
 	pipelineLanes = 61
 	// taskLaneBase + worker ID carries that worker's task spans.
@@ -581,15 +578,6 @@ func (o *Orchestrator) tickLocked(timeS float64) error {
 		}
 	}
 	return nil
-}
-
-// agentsOf returns the set of agents a session load touches.
-func (o *Orchestrator) agentsOf(sl *cost.SparseLoad) []bool {
-	set := make([]bool, o.sc.NumAgents())
-	if sl != nil {
-		sl.MarkAgents(set)
-	}
-	return set
 }
 
 // capReopt assembles the final re-optimization set: the trigger session

@@ -1,9 +1,9 @@
 package orchestrator
 
-// This file is the event path: every churn event goes through the
-// dependency-aware scheduler in internal/pipeline, so independent events
-// can overlap end-to-end (Config.MaxInFlight > 1) instead of barriering one
-// at a time.
+// This file is the event path: every event — arrival, departure or fault —
+// goes through the dependency-aware scheduler in internal/pipeline as admit
+// → re-optimize → retire, so independent events can overlap end-to-end
+// (Config.MaxInFlight > 1) instead of barriering one at a time.
 //
 // Consistency story (what makes overlap safe):
 //
@@ -14,12 +14,16 @@ package orchestrator
 //     in-flight event claims its trigger. Since session variables live in
 //     disjoint slice ranges (internal/assign) and refinement tasks touch
 //     only their own session, all unlocked assignment accesses stay
-//     single-owner.
+//     single-owner. A fault has no trigger (-1) and its healing rewrites
+//     sessions no footprint names, so RunSource drains the scheduler before
+//     submitting one; while its re-optimization runs, later disjoint events
+//     may be admitted as usual.
 //   - Touched-set consistency. Admissions must discover which sessions
-//     share agents with the trigger *without* reading in-flight sessions'
-//     assignment state. touchIdx[s] — the committed agent set per active
-//     session, updated under o.mu at bootstrap, commit and departure — is
-//     that read-only-under-mu mirror.
+//     share agents with the trigger (or with a fault's violating agents)
+//     *without* reading in-flight sessions' assignment state. touchIdx[s] —
+//     the committed agent set per active session, updated under o.mu at
+//     bootstrap, commit and departure — is that read-only-under-mu mirror,
+//     and touchedIndexed is the one query over it.
 //   - Objective consistency. The objective cache is never left dirty:
 //     arrivals refresh their session at admission, committing workers
 //     Prime it from their own evaluation, departures deactivate it.
@@ -37,6 +41,8 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
+	"math"
+	"time"
 
 	"vconf/internal/agrank"
 	"vconf/internal/assign"
@@ -55,7 +61,6 @@ type eventState struct {
 	e     workload.Event
 	seq   int
 	rep   *EventReport
-	reopt []model.SessionID
 	tally eventTally
 	// stalled records whether this event's admission waited in the
 	// scheduler (the OnAdmit hook), for the decision record.
@@ -64,8 +69,11 @@ type eventState struct {
 	// dispatcher before the retire channel closes), so HandleEvent can tell
 	// "this event never happened" from errors surfaced by other machinery.
 	admitErr error
-	// span traces the event from submission to retirement; task spans nest
-	// under it (zero when telemetry is off).
+	// healStart is set when a fault's admission starts healing, which makes
+	// the event an incident: retire observes its time to recovery.
+	healStart time.Time
+	// span traces the event from submission to retirement; heal and task
+	// spans nest under it (zero when telemetry is off).
 	span telemetry.Span
 	// emit, when non-nil, receives the finished report at retire
 	// (RunSource's stream; retires are serialized by the scheduler).
@@ -76,14 +84,8 @@ type eventState struct {
 // state's report is filled in across the event's stages and complete once
 // the channel closes.
 func (o *Orchestrator) submitEvent(e workload.Event, emit func(EventReport)) (*eventState, <-chan struct{}, error) {
-	if err := checkTime(e); err != nil {
+	if err := o.validateEvent(e); err != nil {
 		return nil, nil, err
-	}
-	if e.Session < 0 || e.Session >= o.sc.NumSessions() {
-		return nil, nil, fmt.Errorf("orchestrator: event session %d outside [0, %d)", e.Session, o.sc.NumSessions())
-	}
-	if e.Kind != workload.EventArrival && e.Kind != workload.EventDeparture {
-		return nil, nil, fmt.Errorf("orchestrator: invalid event kind %d", e.Kind)
 	}
 	st := &eventState{
 		o:     o,
@@ -112,6 +114,40 @@ func (o *Orchestrator) submitEvent(e workload.Event, emit func(EventReport)) (*e
 	return st, ch, nil
 }
 
+// validateEvent checks an event before submission: a finite time, the
+// session range for churn kinds, and the target agent, scale or region for
+// fault kinds (whose Session is -1).
+func (o *Orchestrator) validateEvent(e workload.Event) error {
+	if math.IsNaN(e.TimeS) || math.IsInf(e.TimeS, 0) {
+		return fmt.Errorf("orchestrator: event time %v is not finite", e.TimeS)
+	}
+	switch e.Kind {
+	case workload.EventArrival, workload.EventDeparture:
+		if e.Session < 0 || e.Session >= o.sc.NumSessions() {
+			return fmt.Errorf("orchestrator: event session %d outside [0, %d)", e.Session, o.sc.NumSessions())
+		}
+	case workload.EventAgentFail, workload.EventAgentRecover, workload.EventCapacityDegrade:
+		if e.Agent < 0 || e.Agent >= o.sc.NumAgents() {
+			return fmt.Errorf("orchestrator: fault agent %d outside [0, %d)", e.Agent, o.sc.NumAgents())
+		}
+		if e.Kind == workload.EventCapacityDegrade && !(e.Scale >= 0 && e.Scale <= 1) {
+			return fmt.Errorf("orchestrator: degrade scale %v outside [0, 1]", e.Scale)
+		}
+	case workload.EventRegionOutage, workload.EventRegionRecover:
+		if o.agentRegion == nil {
+			return fmt.Errorf("orchestrator: regional fault event without Config.AgentRegion")
+		}
+		if e.Region < 0 || e.Region >= o.numRegions {
+			return fmt.Errorf("orchestrator: fault region %d outside [0, %d)", e.Region, o.numRegions)
+		}
+	case workload.EventFlashCrowd:
+		// Accounting marker only; the burst's arrivals validate themselves.
+	default:
+		return fmt.Errorf("orchestrator: invalid event kind %d", e.Kind)
+	}
+	return nil
+}
+
 // admit runs the admission stage, recording any failure in admitErr so the
 // submitter can distinguish "this event never happened" (and release its
 // event index) from asynchronously surfaced errors.
@@ -124,8 +160,8 @@ func (st *eventState) admit() (pipeline.Footprint, error) {
 }
 
 // applyAdmission is the event's serialized admission stage: tick the data
-// plane to the event's time, apply the arrival or departure against the
-// authoritative state and derive the conflict footprint. The scheduler
+// plane to the event's time, apply the arrival, departure or fault against
+// the authoritative state and derive the conflict footprint. The scheduler
 // guarantees the trigger session is unclaimed, so every trigger-session
 // access here is single-owner; everything else goes through the
 // stripe-locked ledger, the committed-agents index, or o.mu.
@@ -147,35 +183,20 @@ func (st *eventState) applyAdmission() (pipeline.Footprint, error) {
 		if o.cache.Active(s) {
 			return pipeline.Footprint{}, fmt.Errorf("orchestrator: arrival for already-active session %d", s)
 		}
-		if err := o.boot(o.a, s, o.ledger); err != nil {
-			// Admission infeasibility (the bootstrapper rolled the session
-			// back) is an expected drop; anything else — misconfiguration, a
-			// buggy custom bootstrapper — must surface loudly, not read as
-			// churn.
-			if errors.Is(err, agrank.ErrInfeasible) || errors.Is(err, baseline.ErrInfeasible) {
-				o.stats.Dropped++
-				if o.impaired > 0 {
-					o.stats.DegradedRejects++
-					o.tel.DegradedReject(o.tel.RegionOf(int(s)))
-				}
-				st.rep.Admitted = false
-				return pipeline.Footprint{}, nil
-			}
-			return pipeline.Footprint{}, fmt.Errorf("orchestrator: bootstrap session %d: %w", s, err)
+		ok, err := o.activateLocked(s)
+		if err != nil {
+			return pipeline.Footprint{}, err
 		}
-		o.cache.SetActive(s, true)
-		if o.rt != nil {
-			if err := o.rt.ActivateSession(s, o.a); err != nil {
-				return pipeline.Footprint{}, err
+		if !ok {
+			o.stats.Dropped++
+			if o.impaired > 0 {
+				o.stats.DegradedRejects++
+				o.tel.DegradedReject(o.tel.RegionOf(int(s)))
 			}
+			st.rep.Admitted = false
+			return pipeline.Footprint{}, nil
 		}
-		// SessionLoad refreshes the cache entry here, under mu, while the
-		// admission owns the session — leaving it clean for retire-time
-		// objective sums.
-		load := o.cache.SessionLoad(o.a, s)
-		o.touchIdx[s] = load.AppendAgents(nil)
-		touched := o.touchedIndexed(s, o.agentsOf(load))
-		st.reopt = o.capReopt(s, touched)
+		st.rep.Reopt = o.capReopt(s, o.touchedIndexed(s, o.touchIdx[s]))
 	case workload.EventDeparture:
 		o.stats.Departures++
 		if !o.cache.Active(s) {
@@ -185,17 +206,46 @@ func (st *eventState) applyAdmission() (pipeline.Footprint, error) {
 			st.rep.Admitted = false
 			return pipeline.Footprint{}, nil
 		}
-		agents := o.agentsOf(o.cache.SessionLoad(o.a, s))
+		agents := o.touchIdx[s]
 		if err := o.teardownLocked(s); err != nil {
 			return pipeline.Footprint{}, err
 		}
 		// The departed session freed capacity on its agents: sessions
 		// loading those agents may now have better moves available.
-		touched := o.touchedIndexed(s, agents)
-		st.reopt = o.capReopt(model.SessionID(-1), touched)
+		st.rep.Reopt = o.capReopt(-1, o.touchedIndexed(s, agents))
+	default:
+		if err := st.applyFaultLocked(); err != nil {
+			return pipeline.Footprint{}, err
+		}
+		s = -1
 	}
-	st.rep.Reopt = st.reopt
-	return o.footprintLocked(s, st.reopt), nil
+	return o.footprintLocked(s, st.rep.Reopt), nil
+}
+
+// activateLocked bootstraps session s through the configured policy and
+// brings it live: objective cache, data plane and committed-agents index.
+// An infeasible placement (the bootstrapper rolled the session back) is
+// (false, nil) — an expected drop or evacuation reject the caller counts;
+// anything else — misconfiguration, a buggy custom bootstrapper — must
+// surface loudly, not read as churn. Caller holds o.mu and owns s.
+func (o *Orchestrator) activateLocked(s model.SessionID) (bool, error) {
+	if err := o.boot(o.a, s, o.ledger); err != nil {
+		if errors.Is(err, agrank.ErrInfeasible) || errors.Is(err, baseline.ErrInfeasible) {
+			return false, nil
+		}
+		return false, fmt.Errorf("orchestrator: bootstrap session %d: %w", s, err)
+	}
+	o.cache.SetActive(s, true)
+	if o.rt != nil {
+		if err := o.rt.ActivateSession(s, o.a); err != nil {
+			return false, err
+		}
+	}
+	// SessionLoad refreshes the cache entry here, under mu, while the
+	// caller owns the session — leaving it clean for retire-time objective
+	// sums.
+	o.touchIdx[s] = o.cache.SessionLoad(o.a, s).AppendAgents(nil)
+	return true, nil
 }
 
 // teardownLocked releases session s entirely: ledger load, decision
@@ -229,8 +279,8 @@ func (o *Orchestrator) teardownLocked(s model.SessionID) error {
 // pool and waits for them — the per-event (not global) barrier.
 func (st *eventState) reoptStage() error {
 	o := st.o
-	if len(st.reopt) > 0 {
-		st.rep.Latency = o.dispatch(st.reopt, st.seq, &st.tally, st.span)
+	if len(st.rep.Reopt) > 0 {
+		st.rep.Latency = o.dispatch(st.rep.Reopt, st.seq, &st.tally, st.span)
 	}
 	// Read the trigger's delay now, while this event still owns its
 	// footprint — the scheduler releases it when this stage returns, before
@@ -241,17 +291,41 @@ func (st *eventState) reoptStage() error {
 
 // retire finalizes the event's report in arrival order: per-event outcome
 // tallies, the post-event objective (every cache entry is clean, so this
-// never reads in-flight assignment state), and the aggregate latency
-// telemetry. At MaxInFlight > 1 the Objective/ActiveSessions fields sample
-// whatever admissions have applied by retire time — deterministic in
-// order, timing-dependent in value.
+// never reads in-flight assignment state), the aggregate latency telemetry
+// and, for an incident, its time to recovery (healing start through this
+// retire, which follows its re-optimization). At MaxInFlight > 1 the Objective/
+// ActiveSessions fields sample whatever admissions have applied by retire
+// time — deterministic in order, timing-dependent in value.
 func (st *eventState) retire() {
 	o := st.o
+	incident := !st.healStart.IsZero()
+	var ttr time.Duration
+	if incident {
+		ttr = time.Since(st.healStart)
+	}
 	o.mu.Lock()
 	o.finishEventLocked(st.rep, &st.tally)
+	if incident {
+		o.stats.Incidents++
+		o.ttr.ObserveDuration(ttr)
+	}
 	o.mu.Unlock()
 	st.span.EndArg(int64(st.e.Session))
 	o.emitRecord(st.rep, &st.tally, st.stalled)
+	if incident {
+		o.tel.Incident(ttr.Nanoseconds())
+		// Freeze the black box for capacity-reducing incidents. The record
+		// just retired, so the flight recorder's incident marker already
+		// points at this event; per-incident dedupe keeps repeated triggers
+		// from burning the dump budget.
+		trigger := "fault"
+		if st.rep.EvacRejects > 0 {
+			trigger = "evac-reject"
+		}
+		o.tel.TriggerFlight(trigger, fmt.Sprintf(
+			"%s: %d orphans, %d evacuated, %d evac rejects",
+			st.e.Kind.String(), st.rep.Orphans, st.rep.Evacuated, st.rep.EvacRejects))
+	}
 	if st.emit != nil {
 		st.emit(*st.rep)
 	}
@@ -276,17 +350,21 @@ func (o *Orchestrator) finishEventLocked(rep *EventReport, tally *eventTally) {
 }
 
 // touchedIndexed lists active sessions (≠ trigger) whose committed load
-// touches any marked agent, ascending, read from the committed-agents
+// touches any of the given agents, ascending, read from the committed-agents
 // index — which is what keeps admissions from recomputing sessions another
 // in-flight event owns. Caller holds o.mu.
-func (o *Orchestrator) touchedIndexed(trigger model.SessionID, agents []bool) []model.SessionID {
+func (o *Orchestrator) touchedIndexed(trigger model.SessionID, agents []model.AgentID) []model.SessionID {
+	mark := make([]bool, o.sc.NumAgents())
+	for _, l := range agents {
+		mark[l] = true
+	}
 	var out []model.SessionID
 	for s := range o.cache.EachActive() {
 		if s == trigger {
 			continue
 		}
 		for _, l := range o.touchIdx[s] {
-			if agents[l] {
+			if mark[l] {
 				out = append(out, s)
 				break
 			}
@@ -301,10 +379,13 @@ func (o *Orchestrator) touchedIndexed(trigger model.SessionID, agents []bool) []
 // plus its members' candidate windows. Without a candidate window a walk
 // can move a session onto any agent, so the footprint claims every stripe
 // (correct, but serializing: windows are what unlock event-level
-// parallelism). Caller holds o.mu.
+// parallelism). A fault's trigger is -1: it owns only its re-optimization
+// set. Caller holds o.mu.
 func (o *Orchestrator) footprintLocked(trigger model.SessionID, reopt []model.SessionID) pipeline.Footprint {
 	fp := pipeline.Footprint{Sessions: make([]int32, 0, len(reopt)+1)}
-	fp.Sessions = append(fp.Sessions, int32(trigger))
+	if trigger >= 0 {
+		fp.Sessions = append(fp.Sessions, int32(trigger))
+	}
 	for _, s := range reopt {
 		if s != trigger {
 			fp.Sessions = append(fp.Sessions, int32(s))

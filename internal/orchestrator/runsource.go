@@ -42,12 +42,12 @@ func (s *sliceSource) Err() error { return nil }
 
 // RunSource processes events pulled from src in order until exhaustion,
 // letting events with disjoint footprints overlap (Config.MaxInFlight).
-// Each finished report is passed to onReport (nil to discard): in schedule
-// order, from a single goroutine at a time — the scheduler's retire loop
-// for churn events, the caller's for fault events. A non-nil onReport
-// error stops admission of further events and surfaces from RunSource.
-// Fault events drain the scheduler and heal before the next event is
-// submitted. With a runtime attached, the data plane is ticked to each
+// Each finished report — churn and fault alike — is passed to onReport
+// (nil to discard) in schedule order from the scheduler's retire
+// goroutine. A non-nil onReport error, or an event's admission error, stops
+// pulling and surfaces from RunSource. Before a fault event is submitted the
+// scheduler drains, because healing rewrites sessions that in-flight events
+// may own. With a runtime attached, the data plane is ticked to each
 // event's time as it is admitted and to horizonS after the final drain.
 func (o *Orchestrator) RunSource(src EventSource, horizonS float64, onReport func(EventReport) error) error {
 	var cbMu sync.Mutex
@@ -68,6 +68,10 @@ func (o *Orchestrator) RunSource(src EventSource, horizonS float64, onReport fun
 	}
 	prev := math.Inf(-1)
 	for {
+		// A failed admission discards every queued event: stop pulling.
+		if o.pipe.Err() != nil {
+			return o.pipe.Drain()
+		}
 		e, ok := src.Next()
 		if !ok {
 			break
@@ -88,17 +92,10 @@ func (o *Orchestrator) RunSource(src EventSource, horizonS float64, onReport fun
 			return err
 		}
 		if e.Kind.IsFault() {
-			// Fault barrier: drain so every prior report has retired (and
-			// been emitted), heal, then emit in order.
+			// Healing rewrites sessions in-flight events may own.
 			if err := o.pipe.Drain(); err != nil {
 				return err
 			}
-			rep, err := o.handleFault(e)
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			continue
 		}
 		if _, _, err := o.submitEvent(e, emit); err != nil {
 			if derr := o.pipe.Drain(); derr != nil {

@@ -342,3 +342,128 @@ func TestRunSourcePipelinedStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// countingSource counts the events RunSource pulls.
+type countingSource struct {
+	EventSource
+	pulled int
+}
+
+func (c *countingSource) Next() (workload.Event, bool) {
+	e, ok := c.EventSource.Next()
+	if ok {
+		c.pulled++
+	}
+	return e, ok
+}
+
+// TestRunSourceStopsPullingAfterAdmissionError pins that an admission error
+// ends ingestion: the scheduler discards the queued events, so RunSource
+// must stop pulling within the submit window and the in-flight events
+// rather than read the rest of the source, and return the error with the
+// orchestrator still consistent.
+func TestRunSourceStopsPullingAfterAdmissionError(t *testing.T) {
+	const failing, total = 2, 1002
+	for _, inFlight := range []int{1, 4} {
+		ev, boot := testStack(t, workload.Prototype(57))
+		events := []workload.Event{
+			{TimeS: 0.1, Kind: workload.EventArrival, Session: 0},
+			{TimeS: 0.15, Kind: workload.EventArrival, Session: 1},
+			{TimeS: 0.2, Kind: workload.EventArrival, Session: 0}, // duplicate: fails admission
+		}
+		// The tail departs session 0, the duplicate's trigger, so the
+		// scheduler cannot admit any of it ahead of the duplicate.
+		for i := len(events); i < total; i++ {
+			events = append(events, workload.Event{TimeS: 0.2 + float64(i)*1e-3, Kind: workload.EventDeparture, Session: 0})
+		}
+		cfg := DefaultConfig(57)
+		cfg.Shards = 2
+		cfg.MaxInFlight = inFlight
+		o, err := New(ev, boot, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		src := &countingSource{EventSource: sim.NewSliceSource(events)}
+		if err := o.RunSource(src, 1e18, nil); err == nil {
+			t.Fatalf("in-flight %d: duplicate arrival accepted", inFlight)
+		}
+		if limit := failing + 4*inFlight + 2; src.pulled > limit {
+			t.Fatalf("in-flight %d: pulled %d of %d events after the admission error at event %d, want ≤ %d",
+				inFlight, src.pulled, total, failing, limit)
+		}
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatalf("in-flight %d: %v", inFlight, err)
+		}
+	}
+}
+
+// TestFaultSoak runs random seeds of lazy churn plus fault sources through
+// the full orchestrator and checks every invariant along the way: at one
+// event in flight one HandleEvent per event with CheckInvariants every 25
+// events, at four in flight chunked Run calls with CheckInvariants between
+// chunks (Run drains, so each check sees a quiesced state).
+func TestFaultSoak(t *testing.T) {
+	const every = 25
+	for seed := int64(101); seed < 111; seed++ {
+		fc := chaosFleet(seed)
+		_, _, homes := chaosStack(t, fc)
+		ccfg, fcfg := chaosGenConfigs(seed, fc, homes, 600, 0.2)
+		for _, inFlight := range []int{1, 4} {
+			ev, boot, _ := chaosStack(t, fc)
+			cfg := chaosConfig(seed, fc)
+			cfg.MaxInFlight = inFlight
+			if inFlight > 1 {
+				cfg.Shards = 2
+				cfg.LedgerShards = 4
+				cfg.Core.NeighborWindow = 4
+			}
+			o, err := New(ev, boot, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := chaosEngine(t, ccfg, fcfg)
+			n, faultEvents := 0, 0
+			for done := false; !done; {
+				chunk := make([]workload.Event, 0, every)
+				for len(chunk) < every {
+					e, ok := eng.Next()
+					if !ok {
+						done = true
+						break
+					}
+					if e.Kind.IsFault() {
+						faultEvents++
+					}
+					chunk = append(chunk, e)
+				}
+				if inFlight == 1 {
+					for _, e := range chunk {
+						if _, err := o.HandleEvent(e); err != nil {
+							t.Fatalf("seed %d: event %d (%v): %v", seed, n, e.Kind, err)
+						}
+						n++
+					}
+				} else {
+					if _, err := o.Run(chunk, 1e18); err != nil {
+						t.Fatalf("seed %d in-flight %d: chunk at event %d: %v", seed, inFlight, n, err)
+					}
+					n += len(chunk)
+				}
+				if err := o.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d in-flight %d: after event %d: %v", seed, inFlight, n, err)
+				}
+			}
+			if err := eng.Err(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if faultEvents == 0 {
+				t.Fatalf("seed %d drew no fault events", seed)
+			}
+			if st := o.Stats(); st.Events != n {
+				t.Fatalf("seed %d in-flight %d: %d events retired of %d", seed, inFlight, st.Events, n)
+			}
+			o.Close()
+		}
+	}
+}

@@ -54,8 +54,8 @@ func (sp Span) EndArg(arg int64) {
 // StartRoot opens a top-level span on an explicit track. Tracks partition
 // the Chrome export into serially-consistent lanes: spans on the same track
 // nest by time containment, so concurrent operations must use distinct
-// tracks (the orchestrator uses track 0 for fault healing, 1..99 for
-// in-flight event lanes, 100+worker for task lanes, 200+ for dist).
+// tracks (the orchestrator uses 1..99 for event lanes, 100+worker for
+// task lanes, 200+ for dist).
 func (s *Sink) StartRoot(name, cat string, track int32) Span {
 	if s == nil {
 		return Span{}
