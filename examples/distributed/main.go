@@ -66,7 +66,7 @@ func run() error {
 		wg.Add(1)
 		go func(i int, r *vconf.SessionRunner) {
 			defer wg.Done()
-			hops, err := r.Run(ctx, coord.Addr(), 20) // ≤ 20 hops per session
+			hops, err := r.Run(ctx, vconf.DialTCP(coord.Addr()), 20) // ≤ 20 hops per session
 			if err != nil {
 				log.Printf("runner %d: %v", i, err)
 			}
@@ -79,10 +79,10 @@ func run() error {
 	for _, h := range hopCounts {
 		total += h
 	}
-	commits, stays, rejects := coord.Stats()
+	st := coord.Stats()
 	final := solver.Evaluate(coord.Assignment())
 	fmt.Printf("protocol: %d hops over TCP (%d commits, %d stays, %d rejected)\n",
-		total, commits, stays, rejects)
+		total, st.Commits, st.Stays, st.Rejects)
 	fmt.Printf("final:   traffic %.1f Mbps, delay %.1f ms, Φ=%.1f\n",
 		final.InterTraffic, final.MeanDelayMS, final.Objective)
 	if err := solver.CheckFeasible(coord.Assignment()); err != nil {

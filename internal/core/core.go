@@ -9,14 +9,12 @@
 // stationary distribution concentrates on low-objective states as β grows;
 // the optimality gap is bounded by (U+θ_sum)·log L/β (Theorem 1).
 //
-// Two engines share the hop logic:
-//
-//   - Engine: a deterministic virtual-time event simulator (seeded), used by
-//     every experiment and benchmark. It reproduces the paper's time-series
-//     figures and supports session arrival/departure dynamics (Fig. 5).
-//   - Parallel: a concurrent engine with one goroutine per session and the
-//     paper's FREEZE/UNFREEZE mutual exclusion, demonstrating the
-//     decentralized deployment shape of §IV-A on real goroutines.
+// Engine, a deterministic virtual-time event simulator (seeded), runs the
+// chains for every experiment and benchmark. It reproduces the paper's
+// time-series figures and supports session arrival/departure dynamics
+// (Fig. 5). The same hop logic also drives the online orchestrator and the
+// decentralized deployment of §IV-A in internal/dist, where the
+// FREEZE/UNFREEZE exchange is a real network protocol.
 package core
 
 import (

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"vconf/internal/assign"
@@ -11,6 +12,8 @@ import (
 	"vconf/internal/model"
 	"vconf/internal/workload"
 )
+
+func newTestRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // fig3Scenario: 1 session, 2 users, 1 transcoding flow, 2 agents — the
 // paper's Fig. 3 instance with 8 feasible states.

@@ -15,8 +15,8 @@ import (
 // processed in timestamp order from a seeded RNG, so identical seeds replay
 // identical runs — the property every experiment and benchmark relies on.
 //
-// Engine is not safe for concurrent use; the Parallel engine provides the
-// goroutine-per-session deployment shape instead.
+// Engine is not safe for concurrent use; internal/dist provides the
+// concurrent per-session deployment shape instead.
 type Engine struct {
 	ev     *cost.Evaluator
 	cfg    Config

@@ -141,8 +141,8 @@ func (scr *HopScratch) appendNeighbors(a *assign.Assignment, s model.SessionID, 
 // The ledger must contain the loads of ALL admitted sessions including s;
 // on return it reflects the (possibly migrated) state. The assignment is
 // mutated in place. Callers are responsible for mutual exclusion across
-// sessions (the virtual-time engine serializes events; Parallel uses the
-// FREEZE/UNFREEZE lock).
+// sessions (the virtual-time engine serializes events; a dist runner hops
+// on a snapshot granted under the coordinator's FREEZE lock).
 //
 // Evaluation runs on the sparse delta pipeline (cost.Scratch) with a pooled
 // scratch; long-lived callers hold their own and use HopSessionWith.

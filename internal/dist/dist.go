@@ -1,6 +1,9 @@
 // Package dist deploys Alg. 1 as an actual network protocol: a Coordinator
 // process owning the authoritative assignment state, and one Runner per
-// session computing WAIT/HOP locally and committing over TCP.
+// session computing WAIT/HOP locally and committing over a net.Conn. The
+// transport is the caller's: the coordinator serves any net.Listener and a
+// runner dials through any dial function (TCP in the vconf facade, an
+// in-memory net.Pipe network in this package's tests).
 //
 // The wire protocol realizes the FREEZE/UNFREEZE mutual exclusion of §IV-A
 // as explicit frames:
@@ -17,9 +20,10 @@
 // core.HopSession logic, so the distributed deployment and the in-process
 // engines walk statistically identical chains.
 //
-// Frames are newline-delimited JSON over TCP; both ends of an exchange run
-// in lockstep, so no framing beyond the newline is needed. A coordinator
-// read deadline bounds how long a crashed runner can hold the freeze.
+// Frames are newline-delimited JSON over a byte stream; both ends of an
+// exchange run in lockstep, so no framing beyond the newline is needed. A
+// coordinator deadline over the whole exchange bounds how long a crashed or
+// stalled runner can hold the freeze.
 package dist
 
 import (
@@ -103,8 +107,9 @@ type frame struct {
 	Err      string        `json:"err,omitempty"`
 }
 
-// DefaultFreezeHold bounds how long a coordinator waits for the COMMIT frame
-// of a granted freeze before dropping the connection and releasing the lock.
+// DefaultFreezeHold bounds how long a granted freeze may last — GRANTED
+// write, COMMIT read and ack write — before the coordinator drops the
+// connection and releases the lock.
 const DefaultFreezeHold = 10 * time.Second
 
 // ErrPeerDied marks the far end of a protocol exchange dying (EOF, reset, or
@@ -131,9 +136,10 @@ func (e *PeerError) Is(target error) bool { return target == ErrPeerDied }
 // Config tunes the coordinator's failure handling. The zero value selects
 // the defaults.
 type Config struct {
-	// FreezeHold bounds how long a granted freeze waits for its COMMIT
-	// frame before the coordinator drops the connection and releases the
-	// lock. Defaults to DefaultFreezeHold.
+	// FreezeHold bounds how long a granted freeze may last before the
+	// coordinator drops the connection and releases the lock. It covers the
+	// GRANTED write as well as the COMMIT read, so a peer that stops reading
+	// cannot keep the fleet frozen either. Defaults to DefaultFreezeHold.
 	FreezeHold time.Duration
 	// Telemetry receives the protocol metric families
 	// (vconf_dist_freeze_ns, vconf_dist_abandons_total,
@@ -162,38 +168,39 @@ type Coordinator struct {
 	ledger *cost.Ledger
 	scr    *cost.Scratch // prices commits; guarded by mu
 
-	statsMu  sync.Mutex
-	commits  int
-	stays    int
-	rejects  int
-	abandons int
-	closed   chan struct{}
-	connWG   sync.WaitGroup
-	closeErr error
+	statsMu sync.Mutex
+	stats   Stats
+
+	closeOnce sync.Once
+	closeErr  error
+	connWG    sync.WaitGroup // acceptLoop and every serve goroutine
 
 	connMu sync.Mutex
+	closed bool // set by Close; no connection registers after it
 	conns  map[net.Conn]struct{}
 }
 
-// NewCoordinator starts a coordinator listening on addr ("127.0.0.1:0"
-// selects a free port) with the given complete initial assignment and the
-// default Config.
-func NewCoordinator(ev *cost.Evaluator, a *assign.Assignment, addr string) (*Coordinator, error) {
-	return NewCoordinatorConfig(ev, a, addr, Config{})
+// Stats counts granted freezes and how each one ended. Every grant ends in
+// exactly one of the other four, so once no exchange is in flight
+// Grants = Commits + Stays + Rejects + Abandons.
+type Stats struct {
+	Grants   int // freezes that took the lock
+	Commits  int // hops that migrated
+	Stays    int // hops that found no feasible move
+	Rejects  int // commits that failed validation
+	Abandons int // peer died, or outlasted FreezeHold, before its COMMIT
 }
 
-// NewCoordinatorConfig is NewCoordinator with explicit failure-handling
-// configuration.
-func NewCoordinatorConfig(ev *cost.Evaluator, a *assign.Assignment, addr string, cfg Config) (*Coordinator, error) {
+// NewCoordinator starts a coordinator serving ln with the given complete
+// initial assignment. The coordinator owns ln: Close closes it, and so does
+// a failed constructor.
+func NewCoordinator(ev *cost.Evaluator, a *assign.Assignment, ln net.Listener, cfg Config) (*Coordinator, error) {
 	sc := ev.Scenario()
 	for s := 0; s < sc.NumSessions(); s++ {
 		if !a.SessionComplete(model.SessionID(s)) {
+			ln.Close()
 			return nil, fmt.Errorf("dist: coordinator needs a complete assignment; session %d is not", s)
 		}
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dist: listen: %w", err)
 	}
 	c := &Coordinator{
 		ev:     ev,
@@ -203,9 +210,9 @@ func NewCoordinatorConfig(ev *cost.Evaluator, a *assign.Assignment, addr string,
 		a:      a.Clone(),
 		ledger: ev.Params().LedgerOf(a),
 		scr:    ev.NewScratch(),
-		closed: make(chan struct{}),
 		conns:  make(map[net.Conn]struct{}),
 	}
+	c.connWG.Add(1)
 	go c.acceptLoop()
 	return c, nil
 }
@@ -215,38 +222,27 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
 // Close stops the listener, closes live connections (an idle runner would
 // otherwise park a serve goroutine in a deadline-free read forever), and
-// waits for the handlers to drain.
+// waits for the accept loop and the handlers to drain. Safe to call more
+// than once and concurrently.
 func (c *Coordinator) Close() error {
-	select {
-	case <-c.closed:
-		return c.closeErr
-	default:
-	}
-	close(c.closed)
-	c.closeErr = c.ln.Close()
-	c.connMu.Lock()
-	for conn := range c.conns {
-		conn.Close()
-	}
-	c.connMu.Unlock()
-	c.connWG.Wait()
+	c.closeOnce.Do(func() {
+		c.closeErr = c.ln.Close()
+		c.connMu.Lock()
+		c.closed = true
+		for conn := range c.conns {
+			conn.Close()
+		}
+		c.connMu.Unlock()
+		c.connWG.Wait()
+	})
 	return c.closeErr
 }
 
-// Stats returns (commits, stays, rejects): hops that migrated, hops that
-// found no feasible move, and commits that failed validation.
-func (c *Coordinator) Stats() (commits, stays, rejects int) {
+// Stats returns the freeze counters.
+func (c *Coordinator) Stats() Stats {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
-	return c.commits, c.stays, c.rejects
-}
-
-// Abandons returns how many granted freezes were released because the peer
-// died (or stalled past FreezeHold) before delivering its COMMIT frame.
-func (c *Coordinator) Abandons() int {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return c.abandons
+	return c.stats
 }
 
 // Assignment returns a snapshot of the authoritative assignment.
@@ -257,15 +253,24 @@ func (c *Coordinator) Assignment() *assign.Assignment {
 }
 
 func (c *Coordinator) acceptLoop() {
+	defer c.connWG.Done()
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		// Register only while open: a connection accepted just before Close
+		// would otherwise miss Close's sweep and park its handler in a
+		// deadline-free read after Close returned.
 		c.connMu.Lock()
+		if c.closed {
+			c.connMu.Unlock()
+			conn.Close()
+			return
+		}
 		c.conns[conn] = struct{}{}
-		c.connMu.Unlock()
 		c.connWG.Add(1)
+		c.connMu.Unlock()
 		go func() {
 			defer c.connWG.Done()
 			defer func() {
@@ -285,7 +290,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 	dec := json.NewDecoder(bufio.NewReader(conn))
 	enc := json.NewEncoder(conn)
 	for {
-		conn.SetReadDeadline(time.Time{}) // idle between freezes is fine
+		conn.SetDeadline(time.Time{}) // idle between freezes is fine
 		var req frame
 		if err := dec.Decode(&req); err != nil {
 			return
@@ -310,6 +315,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 func (c *Coordinator) handleFreeze(conn net.Conn, dec *json.Decoder, enc *json.Encoder, session int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.bump(&c.stats.Grants)
 	held := time.Now()
 	srv := c.tel.StartRoot("dist:freeze", "dist", distServerLane)
 	defer func() {
@@ -330,35 +336,31 @@ func (c *Coordinator) handleFreeze(conn net.Conn, dec *json.Decoder, enc *json.E
 		l, _ := c.a.FlowAgent(f)
 		granted.Flows[i] = int(l)
 	}
+	// The freeze is now held: bound the whole exchange, GRANTED write
+	// included — a peer that never reads would otherwise block the write,
+	// and the fleet, forever.
+	conn.SetDeadline(time.Now().Add(c.cfg.FreezeHold))
 	if err := enc.Encode(granted); err != nil {
-		return err
+		return c.abandon("granted", session, err)
 	}
 	grant.End()
 
-	// The freeze is now held: bound the wait for the commit frame.
 	wait := c.tel.StartSpan("await-commit", srv)
-	conn.SetReadDeadline(time.Now().Add(c.cfg.FreezeHold))
 	var com frame
 	if err := dec.Decode(&com); err != nil {
-		// The peer vanished between GRANTED and COMMIT (EOF/reset is
-		// immediate; a silent stall trips the FreezeHold deadline). The
-		// deferred unlock releases the frozen state the moment we return —
-		// the authoritative assignment never changed, so no rollback is
-		// needed, but the half-open exchange is recorded for operators.
-		c.bump(&c.abandons)
-		c.tel.DistAbandon()
-		return &PeerError{Phase: "commit", Session: session, Err: err}
+		return c.abandon("commit", session, err)
 	}
 	wait.End()
 	commit := c.tel.StartSpan("commit", srv)
 	defer commit.End()
 	if com.Type != frameCommit {
+		c.bump(&c.stats.Rejects)
 		enc.Encode(frame{Type: frameError, Err: fmt.Sprintf("expected %s, got %s", frameCommit, com.Type)})
 		return errors.New("dist: protocol violation")
 	}
 
 	if !com.Moved || com.Decision == nil {
-		c.bump(&c.stays)
+		c.bump(&c.stats.Stays)
 		return enc.Encode(frame{Type: frameCommitted, Session: session})
 	}
 
@@ -368,17 +370,17 @@ func (c *Coordinator) handleFreeze(conn net.Conn, dec *json.Decoder, enc *json.E
 	sid := model.SessionID(session)
 	d := com.Decision.decision()
 	if com.Session != session {
-		c.bump(&c.rejects)
+		c.bump(&c.stats.Rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session,
 			Err: fmt.Sprintf("commit for session %d under freeze of %d", com.Session, session)})
 	}
 	owner, err := cost.TouchedSession(sc, d)
 	if err != nil || owner != sid {
-		c.bump(&c.rejects)
+		c.bump(&c.stats.Rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: "decision outside the frozen session"})
 	}
 	if d.To < 0 || int(d.To) >= sc.NumAgents() {
-		c.bump(&c.rejects)
+		c.bump(&c.stats.Rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: fmt.Sprintf("unknown agent %d", d.To)})
 	}
 	curLoad := c.ev.SessionLoadSparse(c.a, sid, c.scr)
@@ -386,19 +388,30 @@ func (c *Coordinator) handleFreeze(conn net.Conn, dec *json.Decoder, enc *json.E
 	inv, err := c.a.Apply(d)
 	if err != nil {
 		c.ledger.AddSparse(curLoad)
-		c.bump(&c.rejects)
+		c.bump(&c.stats.Rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: err.Error()})
 	}
 	newLoad := c.ev.CandidateLoad(c.a, sid, c.scr)
 	if !c.ledger.FitsRepairDelta(newLoad, curLoad) || !cost.DelayFeasible(c.a, sid) {
 		c.a.Apply(inv)
 		c.ledger.AddSparse(curLoad)
-		c.bump(&c.rejects)
+		c.bump(&c.stats.Rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: "infeasible commit"})
 	}
 	c.ledger.AddSparse(newLoad)
-	c.bump(&c.commits)
+	c.bump(&c.stats.Commits)
 	return enc.Encode(frame{Type: frameCommitted, Session: session})
+}
+
+// abandon ends a freeze whose peer vanished mid-exchange (EOF or reset is
+// immediate; a silent stall trips the FreezeHold deadline). The deferred
+// unlock releases the frozen state the moment handleFreeze returns — the
+// authoritative assignment never changed, so no rollback is needed, but the
+// half-open exchange is recorded for operators.
+func (c *Coordinator) abandon(phase string, session int, err error) error {
+	c.bump(&c.stats.Abandons)
+	c.tel.DistAbandon()
+	return &PeerError{Phase: phase, Session: session, Err: err}
 }
 
 func (c *Coordinator) bump(counter *int) {
@@ -412,9 +425,9 @@ type Runner struct {
 	ev  *cost.Evaluator
 	s   model.SessionID
 	cfg core.Config
-	// TimeScale compresses virtual seconds into wall time, like
-	// core.Parallel: a countdown of c virtual seconds sleeps c×TimeScale.
-	// Defaults to 1 ms per virtual second.
+	// TimeScale compresses virtual seconds into wall time: a countdown of c
+	// virtual seconds sleeps c×TimeScale. Defaults to 1 ms per virtual
+	// second.
 	TimeScale time.Duration
 	// MaxAttempts bounds how many times one FREEZE→COMMIT round-trip is
 	// attempted before Run gives up with a PeerError, redialing between
@@ -464,15 +477,15 @@ func NewRunner(ev *cost.Evaluator, session model.SessionID, cfg core.Config) (*R
 	}, nil
 }
 
-// Run connects to the coordinator and executes up to maxHops hops, returning
-// the number performed. A context cancellation or deadline is a clean stop,
-// not an error. Network faults (peer death in any phase, refused dials) are
-// retried up to MaxAttempts times per round-trip with exponential backoff,
-// redialing each time; exhausting the budget surfaces a PeerError matching
-// errors.Is(err, ErrPeerDied).
-func (r *Runner) Run(ctx context.Context, addr string, maxHops int) (int, error) {
-	// Independent per-session randomness, deterministically seeded like the
-	// in-process Parallel engine (backoff jitter draws from the same stream).
+// Run connects to the coordinator through dial and executes up to maxHops
+// hops, returning the number performed. A context cancellation or deadline
+// is a clean stop, not an error. Network faults (peer death in any phase,
+// refused dials) are retried up to MaxAttempts times per round-trip with
+// exponential backoff, redialing each time; exhausting the budget surfaces a
+// PeerError matching errors.Is(err, ErrPeerDied).
+func (r *Runner) Run(ctx context.Context, dial func(context.Context) (net.Conn, error), maxHops int) (int, error) {
+	// Independent per-session randomness, deterministically seeded per
+	// session (backoff jitter draws from the same stream).
 	rng := rand.New(rand.NewSource(r.cfg.Seed + int64(r.s)*7919))
 
 	var conn net.Conn
@@ -485,9 +498,8 @@ func (r *Runner) Run(ctx context.Context, addr string, maxHops int) (int, error)
 		}
 	}
 	defer drop()
-	dial := func() error {
-		var dialer net.Dialer
-		c, err := dialer.DialContext(ctx, "tcp", addr)
+	connect := func() error {
+		c, err := dial(ctx)
 		if err != nil {
 			return &PeerError{Phase: "dial", Session: int(r.s), Err: err}
 		}
@@ -531,7 +543,7 @@ func (r *Runner) Run(ctx context.Context, addr string, maxHops int) (int, error)
 			}
 			if conn == nil {
 				dsp := r.clientSpan("dist:dial")
-				if err := dial(); err != nil {
+				if err := connect(); err != nil {
 					if ctx.Err() != nil {
 						return hops, nil
 					}
@@ -648,12 +660,20 @@ func (r *Runner) backoff(ctx context.Context, rng *rand.Rand, att int) error {
 }
 
 // restore rebuilds an assignment and the other-sessions ledger from a
-// GRANTED frame.
+// GRANTED frame. It trusts the wire no more than the coordinator does: an
+// agent outside [0, NumAgents) is a protocol error, not an index.
 func (r *Runner) restore(granted frame) (*assign.Assignment, *cost.Ledger, error) {
 	sc := r.ev.Scenario()
 	a := assign.New(sc)
 	if len(granted.Users) != sc.NumUsers() || len(granted.Flows) != len(a.Flows()) {
 		return nil, nil, fmt.Errorf("dist: granted snapshot shape mismatch")
+	}
+	for _, agents := range [][]int{granted.Users, granted.Flows} {
+		for _, l := range agents {
+			if l < 0 || l >= sc.NumAgents() {
+				return nil, nil, fmt.Errorf("dist: granted snapshot names unknown agent %d", l)
+			}
+		}
 	}
 	for u, l := range granted.Users {
 		a.SetUserAgent(model.UserID(u), model.AgentID(l))

@@ -14,7 +14,7 @@ import (
 	"vconf/internal/workload"
 )
 
-func distStack(t *testing.T, seed int64) (*cost.Evaluator, *assign.Assignment) {
+func distStack(t testing.TB, seed int64) (*cost.Evaluator, *assign.Assignment) {
 	t.Helper()
 	wl := workload.Prototype(seed)
 	wl.NumUsers = 16
@@ -34,15 +34,13 @@ func distStack(t *testing.T, seed int64) (*cost.Evaluator, *assign.Assignment) {
 	return ev, a
 }
 
+// TestCoordinatorRunnersEndToEnd runs one runner per session against a
+// coordinator over the pipe network: the runs must commit moves, never
+// worsen the objective and end feasible.
 func TestCoordinatorRunnersEndToEnd(t *testing.T) {
-	ev, start := distStack(t, 1)
-	initial := ev.TotalObjective(start)
-
-	coord, err := NewCoordinator(ev, start, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	coord, pn := pipeCoordinator(t, 1, Config{})
+	ev := coord.ev
+	initial := ev.TotalObjective(coord.Assignment())
 
 	cfg := core.DefaultConfig(1)
 	cfg.MeanCountdownS = 1
@@ -60,7 +58,7 @@ func TestCoordinatorRunnersEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int, r *Runner) {
 			defer wg.Done()
-			n, err := r.Run(ctx, coord.Addr(), 10)
+			n, err := r.Run(ctx, pn.Dial, 10)
 			if err != nil {
 				t.Errorf("runner %d: %v", i, err)
 			}
@@ -73,9 +71,12 @@ func TestCoordinatorRunnersEndToEnd(t *testing.T) {
 	for _, h := range hops {
 		total += h
 	}
-	commits, stays, rejects := coord.Stats()
-	if total == 0 || commits+stays+rejects != total {
-		t.Fatalf("hops=%d but stats %d/%d/%d", total, commits, stays, rejects)
+	st := coord.Stats()
+	if total == 0 || st.Commits+st.Stays+st.Rejects != total || st.Grants != total {
+		t.Fatalf("hops=%d but stats %+v", total, st)
+	}
+	if st.Commits == 0 {
+		t.Fatalf("no hop migrated: %+v", st)
 	}
 
 	final := coord.Assignment()
@@ -89,8 +90,12 @@ func TestCoordinatorRunnersEndToEnd(t *testing.T) {
 
 func TestCoordinatorRejectsIncompleteAssignment(t *testing.T) {
 	ev, _ := distStack(t, 2)
-	if _, err := NewCoordinator(ev, assign.New(ev.Scenario()), "127.0.0.1:0"); err == nil {
+	pn := newPipeNet()
+	if _, err := NewCoordinator(ev, assign.New(ev.Scenario()), pn, Config{}); err == nil {
 		t.Fatal("incomplete assignment accepted")
+	}
+	if _, err := pn.Dial(context.Background()); err == nil {
+		t.Fatal("a failed constructor left its listener open")
 	}
 }
 
@@ -107,21 +112,16 @@ func TestRunnerValidation(t *testing.T) {
 }
 
 func TestRunnerCleanStopOnContext(t *testing.T) {
-	ev, start := distStack(t, 4)
-	coord, err := NewCoordinator(ev, start, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	coord, pn := pipeCoordinator(t, 4, Config{})
 	cfg := core.DefaultConfig(4)
 	cfg.MeanCountdownS = 1000 // countdown far beyond the context deadline
-	r, err := NewRunner(ev, 0, cfg)
+	r, err := NewRunner(coord.ev, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	hops, err := r.Run(ctx, coord.Addr(), 100)
+	hops, err := r.Run(ctx, pn.Dial, 100)
 	if err != nil {
 		t.Fatalf("context stop surfaced as error: %v", err)
 	}

@@ -2,9 +2,7 @@ package dist
 
 import (
 	"context"
-	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,16 +26,12 @@ func promText(t *testing.T, s *telemetry.Sink) string {
 // dist:freeze roots with grant/await-commit/commit children — and the
 // vconf_dist_* families are registered and fed.
 func TestDistSpansNestUnderParent(t *testing.T) {
-	ev, start := distStack(t, 21)
 	sink := telemetry.New(telemetry.Config{Workers: 2})
-	coord, err := NewCoordinatorConfig(ev, start, "127.0.0.1:0", Config{Telemetry: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord, pn := pipeCoordinator(t, 21, Config{Telemetry: sink})
 
 	cfg := core.DefaultConfig(21)
 	cfg.MeanCountdownS = 0.001
-	r, err := NewRunner(ev, 0, cfg)
+	r, err := NewRunner(coord.ev, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +41,7 @@ func TestDistSpansNestUnderParent(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	hops, err := r.Run(ctx, coord.Addr(), 3)
+	hops, err := r.Run(ctx, pn.Dial, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,22 +116,7 @@ func TestDistSpansNestUnderParent(t *testing.T) {
 // counted.
 func TestDistRetryCounter(t *testing.T) {
 	ev, _ := distStack(t, 22)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var accepts int32
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			atomic.AddInt32(&accepts, 1)
-			abruptClose(c)
-		}
-	}()
+	pn, _ := killingNet(t)
 
 	sink := telemetry.New(telemetry.Config{Workers: 2})
 	cfg := core.DefaultConfig(22)
@@ -153,7 +132,7 @@ func TestDistRetryCounter(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := r.Run(ctx, ln.Addr().String(), 1); err == nil {
+	if _, err := r.Run(ctx, pn.Dial, 1); err == nil {
 		t.Fatal("runner succeeded against a peer that dies on every attempt")
 	}
 	if text := promText(t, sink); !strings.Contains(text, "vconf_dist_retries_total 2") {
@@ -163,27 +142,16 @@ func TestDistRetryCounter(t *testing.T) {
 
 // TestDistAbandonCounter pins vconf_dist_abandons_total: a raw peer that
 // crashes between GRANTED and COMMIT registers one abandon on the metric
-// alongside the Abandons() stat.
+// alongside Stats().Abandons.
 func TestDistAbandonCounter(t *testing.T) {
-	ev, start := distStack(t, 23)
 	sink := telemetry.New(telemetry.Config{Workers: 2})
-	coord, err := NewCoordinatorConfig(ev, start, "127.0.0.1:0", Config{Telemetry: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	coord, pn := pipeCoordinator(t, 23, Config{Telemetry: sink})
 
-	a, adec, aenc := rawConn(t, coord.Addr())
-	if err := aenc.Encode(frame{Type: frameFreeze, Session: 0}); err != nil {
-		t.Fatal(err)
-	}
-	var granted frame
-	if err := adec.Decode(&granted); err != nil || granted.Type != frameGranted {
-		t.Fatalf("granted = %+v, err %v", granted, err)
-	}
-	abruptClose(a)
+	a, adec, aenc := rawConn(t, pn)
+	freezeGranted(t, adec, aenc, 0)
+	a.Close()
 
-	waitFor(t, "abandon accounting", func() bool { return coord.Abandons() == 1 })
+	waitFor(t, "abandon accounting", func() bool { return coord.Stats().Abandons == 1 })
 	if text := promText(t, sink); !strings.Contains(text, "vconf_dist_abandons_total 1") {
 		t.Fatalf("abandon counter missing or wrong:\n%s", grepLines(text, "vconf_dist_"))
 	}

@@ -66,16 +66,6 @@ func (s *Solver) NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 // São Paulo) with the measured latencies printed in the paper.
 func Fig2Scenario() (*Scenario, error) { return experiments.BuildFig2Scenario() }
 
-// ParallelEngine is the concurrent deployment of Alg. 1: one goroutine per
-// session with the paper's FREEZE/UNFREEZE mutual exclusion.
-type ParallelEngine = core.Parallel
-
-// NewParallelEngine builds the lock-per-hop concurrent engine from a
-// complete assignment (e.g. the result of Solver.Bootstrap).
-func (s *Solver) NewParallelEngine(a *Assignment) (*ParallelEngine, error) {
-	return core.NewParallel(s.ev, s.coreConfig(), a)
-}
-
 func (s *Solver) coreConfig() core.Config {
 	return core.Config{
 		Beta:           s.beta,

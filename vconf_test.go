@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -239,7 +240,10 @@ func TestSaveScenarioStableBytes(t *testing.T) {
 	}
 }
 
-func TestConcurrentEnginesViaFacade(t *testing.T) {
+// TestDistributedViaFacade is the dist protocol's TCP smoke test: a
+// coordinator on 127.0.0.1:0 and one runner per session dialing it through
+// the facade. Every other dist test runs over an in-memory pipe network.
+func TestDistributedViaFacade(t *testing.T) {
 	sc := smallScenario(t, 9)
 	solver, err := NewSolver(sc, WithSeed(9), WithInit(InitNearest, 0), WithCountdown(3))
 	if err != nil {
@@ -249,19 +253,33 @@ func TestConcurrentEnginesViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := solver.NewParallelEngine(start)
+	coord, err := solver.NewCoordinator(start, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pe.Run(context.Background(), 150*time.Millisecond); err != nil {
-		t.Fatal(err)
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for s := 0; s < sc.NumSessions(); s++ {
+		r, err := solver.NewSessionRunner(SessionID(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := r.Run(ctx, DialTCP(coord.Addr()), 5); err != nil {
+				t.Errorf("runner %d: %v", s, err)
+			}
+		}()
 	}
-	final, hops, _ := pe.Snapshot()
-	if hops == 0 {
-		t.Fatal("parallel engine made no hops")
+	wg.Wait()
+	if st := coord.Stats(); st.Grants != 5*sc.NumSessions() || st.Commits == 0 {
+		t.Fatalf("stats %+v, want %d grants and some commits", st, 5*sc.NumSessions())
 	}
-	if err := solver.CheckFeasible(final); err != nil {
-		t.Fatalf("parallel engine result infeasible: %v", err)
+	if err := solver.CheckFeasible(coord.Assignment()); err != nil {
+		t.Fatalf("authoritative assignment infeasible: %v", err)
 	}
 }
 
