@@ -16,18 +16,18 @@ import (
 )
 
 // bootstrapRef is BootstrapSession as it read before admission moved onto
-// the sparse kernel: every placement attempt prices the dense SessionLoadOf
-// and checks the whole ledger with it, every assigned pair's delay is
-// re-checked after each user, and a transcoding group's fallback lists the
-// whole fleet. (Fits on the dense load's sparse copy is the old dense check:
-// cost's TestFitsDeltaChecksMatchDense pins the two together.)
+// a pooled scratch: every placement attempt prices a fresh SessionLoadOf and
+// checks the whole ledger with it, every assigned pair's delay is re-checked
+// after each user, and a transcoding group's fallback lists the whole fleet.
+// (Fits is the fleet-wide check: cost's TestFitsDeltaChecksMatchDense pins it
+// to the dense reference.)
 func bootstrapRef(a *assign.Assignment, s model.SessionID, p cost.Params, ledger cost.LedgerAPI, opts Options) (*Result, error) {
 	sc := a.Scenario()
 	if err := opts.validate(sc.NumAgents()); err != nil {
 		return nil, err
 	}
 	res := rankSessionRef(sc, s, ledger, opts)
-	fits := func() bool { return ledger.Fits(cost.NewSparseLoadFromDense(p.SessionLoadOf(a, s))) }
+	fits := func() bool { return ledger.Fits(p.SessionLoadOf(a, s)) }
 
 	for _, u := range sc.Session(s).Users {
 		admitted := false
@@ -99,7 +99,7 @@ func bootstrapRef(a *assign.Assignment, s model.SessionID, p cost.Params, ledger
 		rollbackSession(a, s)
 		return res, fmt.Errorf("%w: session %d violates the delay cap", ErrInfeasible, s)
 	}
-	if !ledger.TryAdd(cost.NewSparseLoadFromDense(load)) {
+	if !ledger.TryAdd(load) {
 		rollbackSession(a, s)
 		return res, fmt.Errorf("%w: session %d final load exceeds capacity", ErrInfeasible, s)
 	}
@@ -355,8 +355,8 @@ func TestBootstrapMatchesReference(t *testing.T) {
 // TestAdmissionBytesDoNotScaleWithFleet admits the same-shaped sessions on a
 // 48- and a 768-agent fleet and compares the bytes allocated per admission:
 // pricing an attempt on the sparse kernel allocates nothing sized by the
-// fleet. The dense load allocated four fleet-sized vectors per attempt
-// (≈ 24 kB each on 768 agents).
+// fleet. A fresh SessionLoadOf per attempt would allocate a fleet-sized load
+// (≈ 25 kB on 768 agents).
 func TestAdmissionBytesDoNotScaleWithFleet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratches at random")

@@ -155,12 +155,8 @@ func TestResourceAwareSeedPrefersIdleAgent(t *testing.T) {
 
 	ledger := cost.NewLedger(sc)
 	// Pre-consume 90% of agent 0.
-	pre := &cost.SessionLoad{
-		Down:  []float64{90, 0},
-		Up:    []float64{90, 0},
-		Tasks: []int{3, 0},
-		Inter: []float64{0, 0},
-	}
+	pre := cost.NewSparseLoad(2)
+	pre.AddAt(0, 90, 90, 0, 3)
 	ledger.Add(pre)
 
 	a := assign.New(sc)

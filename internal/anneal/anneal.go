@@ -119,10 +119,10 @@ func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg Anneal
 
 		ev.BeginSession(a, s, scr)
 		curLoad := scr.CurLoad()
-		ledger.RemoveSparse(curLoad)
+		ledger.Remove(curLoad)
 		inv, err := a.Apply(d)
 		if err != nil {
-			ledger.AddSparse(curLoad)
+			ledger.Add(curLoad)
 			return nil, err
 		}
 		newLoad := ev.CandidateLoad(a, s, scr)
@@ -136,7 +136,7 @@ func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg Anneal
 			}
 		}
 		if accept {
-			ledger.AddSparse(newLoad)
+			ledger.Add(newLoad)
 			fullFeasible = true // base + fitting candidate ⇒ feasible ledger
 			// Commit notification: the accepted candidate's load and Φ are
 			// already evaluated — re-sync the delay-cache entry so the next
@@ -153,7 +153,7 @@ func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg Anneal
 			if _, err := a.Apply(inv); err != nil {
 				return nil, err
 			}
-			ledger.AddSparse(curLoad)
+			ledger.Add(curLoad)
 		}
 	}
 	res.Assignment = best
@@ -202,7 +202,7 @@ func GreedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfi
 			sid := model.SessionID(s)
 			begin := ev.BeginSession(a, sid, scr)
 			curLoad := scr.CurLoad()
-			ledger.RemoveSparse(curLoad)
+			ledger.Remove(curLoad)
 			curPhi := begin.Phi
 			// The ledger minus this session is fixed across the candidate
 			// sweep, so base feasibility is checked once and each candidate
@@ -217,7 +217,7 @@ func GreedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfi
 				res.Iterations++
 				inv, err := a.Apply(d)
 				if err != nil {
-					ledger.AddSparse(curLoad)
+					ledger.Add(curLoad)
 					return nil, err
 				}
 				load := ev.CandidateLoad(a, sid, scr)
@@ -239,7 +239,7 @@ func GreedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfi
 				res.Accepted++
 				improvedAny = true
 			}
-			ledger.AddSparse(ev.SessionLoadSparse(a, sid, scr))
+			ledger.Add(ev.SessionLoadSparse(a, sid, scr))
 		}
 		if !improvedAny {
 			break

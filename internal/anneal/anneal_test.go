@@ -89,7 +89,7 @@ func TestGreedyDescentReachesLocalOptimum(t *testing.T) {
 				t.Fatal(err)
 			}
 			load := p.SessionLoadOf(a, sid)
-			if ledger.Fits(cost.NewSparseLoadFromDense(load)) && cost.DelayFeasible(a, sid) {
+			if ledger.Fits(load) && cost.DelayFeasible(a, sid) {
 				if phi := ev.SessionObjective(a, sid); phi < curPhi-1e-9 {
 					t.Fatalf("session %d still improvable by %v (%v → %v)", s, d, curPhi, phi)
 				}

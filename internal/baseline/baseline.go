@@ -84,6 +84,6 @@ func rollbackSession(a *assign.Assignment, s model.SessionID) {
 func RemoveSession(a *assign.Assignment, s model.SessionID, p cost.Params, ledger cost.LedgerAPI) {
 	scr := cost.GetScratch()
 	defer cost.PutScratch(scr)
-	ledger.RemoveSparse(p.SessionLoadSparse(a, s, scr))
+	ledger.Remove(p.SessionLoadSparse(a, s, scr))
 	rollbackSession(a, s)
 }

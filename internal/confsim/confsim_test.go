@@ -64,7 +64,11 @@ func TestTickSteadyStateMatchesCostModel(t *testing.T) {
 	if math.Abs(tel.InterAgentMbps-want) > 1e-9 {
 		t.Fatalf("measured = %v, want %v (no jitter, no migration)", tel.InterAgentMbps, want)
 	}
-	wantDelay := cost.MeanConferencingDelayMS(a)
+	ev, err := cost.NewEvaluator(sc, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDelay := ev.ReportSystem(a).MeanDelayMS
 	if math.Abs(tel.MeanDelayMS-wantDelay) > 1e-9 {
 		t.Fatalf("delay = %v, want %v", tel.MeanDelayMS, wantDelay)
 	}

@@ -9,13 +9,14 @@ import (
 	"vconf/internal/model"
 )
 
-// The dense reference kernels the sparse pipeline replaced. They take the
-// engine's kernel signatures (the scratch is unused), so a test engine runs
-// on them by swapping its hop and rate fields; see runDifferential.
+// The from-scratch reference kernels the hop pipeline is checked against:
+// every candidate pays a fresh SessionLoadOf, a fleet-wide FitsRepair scan,
+// and a from-scratch DelayFeasible and SessionObjective — no walk memo, delay
+// cache, incremental CandidatePhi or FitsRepairDelta. They take the engine's
+// kernel signatures (the scratch is unused), so a test engine runs on them by
+// swapping its hop and rate fields; see runDifferential.
 
-// hopSessionDense is the dense reference implementation (pre-sparse
-// pipeline), kept verbatim for differential testing: every candidate pays a full SessionLoadOf, an O(NumAgents)
-// FitsRepair scan, and a from-scratch SessionDelaysOf.
+// hopSessionDense is the from-scratch reference for one hop.
 func hopSessionDense(
 	a *assign.Assignment,
 	s model.SessionID,
@@ -113,7 +114,7 @@ func hopSessionDense(
 	return res, nil
 }
 
-// sessionTotalRateDense is the dense reference for SessionTotalRate.
+// sessionTotalRateDense is the from-scratch reference for SessionTotalRateWith.
 func sessionTotalRateDense(
 	a *assign.Assignment,
 	s model.SessionID,

@@ -24,12 +24,12 @@ type Engine struct {
 	ledger *cost.Ledger
 	rng    *rand.Rand
 	// scratch carries the reusable hop/eval buffers: the engine is
-	// single-threaded, so one scratch serves hops, rate queries, session
-	// deactivation, and snapshot reporting.
+	// single-threaded, so one scratch serves hops, rate queries and session
+	// deactivation.
 	scratch *HopScratch
 	// hop and rate are the hop and holding-rate kernels, HopSessionWith and
 	// SessionTotalRateWith; the package's differential tests swap in the
-	// dense reference.
+	// from-scratch reference.
 	hop  func(*assign.Assignment, model.SessionID, *cost.Evaluator, *cost.Ledger, Config, *rand.Rand, *HopScratch) (HopResult, error)
 	rate func(*assign.Assignment, model.SessionID, *cost.Evaluator, *cost.Ledger, Config, *HopScratch) (float64, error)
 
@@ -150,7 +150,7 @@ func (e *Engine) DeactivateSession(s model.SessionID) error {
 	if !e.active[s] {
 		return fmt.Errorf("core: session %d not active", s)
 	}
-	e.ledger.RemoveSparse(e.ev.SessionLoadSparse(e.a, s, e.scratch.Eval()))
+	e.ledger.Remove(e.ev.SessionLoadSparse(e.a, s, e.scratch.Eval()))
 	sc := e.ev.Scenario()
 	for _, u := range sc.Session(s).Users {
 		e.a.SetUserAgent(u, assign.Unassigned)
@@ -280,9 +280,8 @@ func (e *Engine) Run(untilS, sampleEveryS float64) ([]Sample, error) {
 	return samples, nil
 }
 
-// Snapshot measures the current system state over the active sessions. It
-// reports through the engine's scratch, so sampling does not rebuild dense
-// per-session load vectors.
+// Snapshot measures the current system state over the active sessions
+// (Evaluator.ReportSession per session).
 func (e *Engine) Snapshot() Sample {
 	sc := e.ev.Scenario()
 	s := Sample{
@@ -297,7 +296,7 @@ func (e *Engine) Snapshot() Sample {
 		if !e.active[id] {
 			continue
 		}
-		rep := e.ev.ReportSessionWith(e.a, id, e.scratch.Eval())
+		rep := e.ev.ReportSession(e.a, id)
 		s.ActiveSessions++
 		s.TrafficMbps += rep.InterTraffic
 		s.Objective += rep.Objective

@@ -95,9 +95,9 @@ func (scr *HopScratch) ensure(ev *cost.Evaluator) {
 	scr.eval.Ensure(ev)
 }
 
-// hopScratchPool recycles scratches for the pool-backed HopSession and
-// SessionTotalRate entry points, so callers without worker state still run
-// allocation-free at steady state.
+// hopScratchPool recycles scratches for the pool-backed HopSession entry
+// point, so callers without worker state still run allocation-free at steady
+// state.
 var hopScratchPool = sync.Pool{New: func() interface{} { return &HopScratch{} }}
 
 func acquireHopScratch(ev *cost.Evaluator) *HopScratch {
@@ -224,7 +224,7 @@ func WalkSession(
 	var own *cost.SparseLoad
 	defer func() {
 		if own != nil {
-			ledger.AddSparse(own)
+			ledger.Add(own)
 		}
 	}()
 	for st.Hops < hops {
@@ -232,7 +232,7 @@ func WalkSession(
 		// deltas patch against.
 		be := ev.BeginSession(a, s, es)
 		if own == nil {
-			ledger.RemoveSparse(es.CurLoad())
+			ledger.Remove(es.CurLoad())
 			if memo != nil && !ledger.FitsEnvelope(memo.env) {
 				memo.Clear()
 			}
@@ -435,23 +435,10 @@ func (scr *HopScratch) sample(phis []float64, phiCur float64, cfg Config, rng *r
 	return chosen, total * math.Exp(maxExp)
 }
 
-// SessionTotalRate computes R(f)/τ = Σ_{f'∈F_s} exp(½β·scale·(Φ_f − Φ_f'))
+// SessionTotalRateWith computes R(f)/τ = Σ_{f'∈F_s} exp(½β·scale·(Φ_f − Φ_f'))
 // for the session's current state without migrating: the total outgoing
 // weight that determines the ExactCTMC holding time. The ledger is restored
 // before returning.
-func SessionTotalRate(
-	a *assign.Assignment,
-	s model.SessionID,
-	ev *cost.Evaluator,
-	ledger *cost.Ledger,
-	cfg Config,
-) (float64, error) {
-	scr := acquireHopScratch(ev)
-	defer releaseHopScratch(scr)
-	return SessionTotalRateWith(a, s, ev, ledger, cfg, scr)
-}
-
-// SessionTotalRateWith is SessionTotalRate with a caller-owned scratch.
 func SessionTotalRateWith(
 	a *assign.Assignment,
 	s model.SessionID,
@@ -464,9 +451,9 @@ func SessionTotalRateWith(
 	es := scr.eval
 
 	be := ev.BeginSession(a, s, es)
-	ledger.RemoveSparse(es.CurLoad())
+	ledger.Remove(es.CurLoad())
 	_, err := scr.price(a, s, ev, ledger, cfg, false)
-	ledger.AddSparse(es.CurLoad())
+	ledger.Add(es.CurLoad())
 	if err != nil {
 		return 0, err
 	}

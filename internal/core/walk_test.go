@@ -425,7 +425,7 @@ func TestSessionMemoMatchesFreshEvaluation(t *testing.T) {
 							// fill the rest of the agent's download up to the
 							// envelope's slack, 0.5e-9 inside it or 1e-9 past.
 							down, _, _ := ledgerMemo.UsageAt(x)
-							own := ev.Params().SessionLoadOf(aMemo, s).Down[x]
+							own, _, _, _ := ev.Params().SessionLoadOf(aMemo, s).At(x)
 							var env cost.EnvelopeAgent
 							for _, e := range memo.env {
 								if model.AgentID(e.Agent) == x {
@@ -438,9 +438,8 @@ func TestSessionMemoMatchesFreshEvaluation(t *testing.T) {
 								perturbed[kind]--
 								break
 							}
-							push := &cost.SessionLoad{Down: make([]float64, sc.NumAgents()), Up: make([]float64, sc.NumAgents()),
-								Tasks: make([]int, sc.NumAgents()), Inter: make([]float64, sc.NumAgents())}
-							push.Down[x] = extra
+							push := cost.NewSparseLoad(sc.NumAgents())
+							push.AddAt(x, extra, 0, 0, 0)
 							ledgerMemo.Add(push)
 							ledgerFresh.Add(push)
 							undo = func() {

@@ -110,7 +110,7 @@ func TestTrafficTranscoderPlacements(t *testing.T) {
 			if got := sl.TotalInterTraffic(); math.Abs(got-tt.wantTraffic) > 1e-9 {
 				t.Fatalf("inter-agent traffic = %v, want %v", got, tt.wantTraffic)
 			}
-			if got := sl.Tasks[tt.wantTasksAt]; got != 1 {
+			if got := sl.tasks[tt.wantTasksAt]; got != 1 {
 				t.Fatalf("tasks at agent %d = %d, want 1", tt.wantTasksAt, got)
 			}
 			if got := sl.TotalTasks(); got != 1 {
@@ -127,10 +127,10 @@ func TestTrafficIncludesReverseNativeFlow(t *testing.T) {
 	a := fx.assignment(t, 0, 1, 0)
 	sl := p.SessionLoadOf(a, 0)
 	// Edges: A→B 1 (transcoded 360p), B→A 5 (u1's native 720p).
-	if got := sl.Inter[0]; math.Abs(got-5) > 1e-9 {
+	if got := sl.inter[0]; math.Abs(got-5) > 1e-9 {
 		t.Fatalf("x at agent A = %v, want 5 (u1's native stream)", got)
 	}
-	if got := sl.Inter[1]; math.Abs(got-1) > 1e-9 {
+	if got := sl.inter[1]; math.Abs(got-1) > 1e-9 {
 		t.Fatalf("x at agent B = %v, want 1 (transcoded 360p)", got)
 	}
 }
@@ -162,19 +162,19 @@ func TestLastMileAccounting(t *testing.T) {
 	a := fx.assignment(t, 0, 1, 0)
 	sl := p.SessionLoadOf(a, 0)
 	// Agent A download: u0's 8 Mbps upstream + 5 Mbps incoming from B.
-	if got := sl.Down[0]; math.Abs(got-13) > 1e-9 {
+	if got := sl.down[0]; math.Abs(got-13) > 1e-9 {
 		t.Fatalf("Down[A] = %v, want 13", got)
 	}
 	// Agent A upload: u0 downloads u1's 720p (5) + transcoded edge A→B (1).
-	if got := sl.Up[0]; math.Abs(got-6) > 1e-9 {
+	if got := sl.up[0]; math.Abs(got-6) > 1e-9 {
 		t.Fatalf("Up[A] = %v, want 6", got)
 	}
 	// Agent B download: u1's 5 Mbps upstream + 1 Mbps transcoded incoming.
-	if got := sl.Down[1]; math.Abs(got-6) > 1e-9 {
+	if got := sl.down[1]; math.Abs(got-6) > 1e-9 {
 		t.Fatalf("Down[B] = %v, want 6", got)
 	}
 	// Agent B upload: u1 downloads u0-as-360p (1) + native edge B→A (5).
-	if got := sl.Up[1]; math.Abs(got-6) > 1e-9 {
+	if got := sl.up[1]; math.Abs(got-6) > 1e-9 {
 		t.Fatalf("Up[B] = %v, want 6", got)
 	}
 }
@@ -213,7 +213,7 @@ func TestTaskDeduplicationAcrossDestinations(t *testing.T) {
 	}
 	p := DefaultParams()
 	sl := p.SessionLoadOf(a, 0)
-	if got := sl.Tasks[1]; got != 2 {
+	if got := sl.tasks[1]; got != 2 {
 		t.Fatalf("tasks at transcoder = %d, want 2 (360p + 480p)", got)
 	}
 	// Traffic: raw 0→1 (8 Mbps, one copy). Transcoded copies back toward
@@ -406,7 +406,7 @@ func TestLedgerAddRemoveFits(t *testing.T) {
 	if !g.Fits(nil) {
 		t.Fatal("empty ledger should fit")
 	}
-	if !g.Fits(NewSparseLoadFromDense(sl)) {
+	if !g.Fits(sl) {
 		t.Fatal("single session should fit 1000 Mbps agents")
 	}
 	g.Add(sl)
@@ -438,7 +438,7 @@ func TestLedgerRejectsOverCapacity(t *testing.T) {
 	p := DefaultParams()
 	sl := p.SessionLoadOf(a, 0)
 	g := NewLedger(sc)
-	if g.Fits(NewSparseLoadFromDense(sl)) {
+	if g.Fits(sl) {
 		t.Fatal("8 Mbps upstream must not fit a 6 Mbps agent")
 	}
 	ev, err := NewEvaluator(sc, p)
@@ -515,8 +515,17 @@ func TestReportSystemAggregates(t *testing.T) {
 	if rep.MeanDelayMS <= 0 || rep.WorstDelayMS < rep.MeanDelayMS {
 		t.Fatalf("delay stats inconsistent: mean %v worst %v", rep.MeanDelayMS, rep.WorstDelayMS)
 	}
-	if got := MeanConferencingDelayMS(a); math.Abs(got-rep.MeanDelayMS) > 1e-9 {
-		t.Fatalf("MeanConferencingDelayMS = %v, want %v", got, rep.MeanDelayMS)
+	// The paper's conferencing delay: the mean over all users of each
+	// user's maximum incoming-flow delay.
+	total, users := 0.0, 0
+	for s := 0; s < fx.sc.NumSessions(); s++ {
+		for _, d := range SessionDelaysOf(a, model.SessionID(s)).PerUserMaxMS {
+			total += d
+			users++
+		}
+	}
+	if want := total / float64(users); math.Abs(rep.MeanDelayMS-want) > 1e-9 {
+		t.Fatalf("MeanDelayMS = %v, want the mean of per-user maxima %v", rep.MeanDelayMS, want)
 	}
 }
 
@@ -568,13 +577,13 @@ func TestSessionLoadInvariantsProperty(t *testing.T) {
 		for s := 0; s < sc.NumSessions(); s++ {
 			sl := p.SessionLoadOf(a, model.SessionID(s))
 			interSum, upSum, downSum := 0.0, 0.0, 0.0
-			for l := range sl.Inter {
-				if sl.Inter[l] < 0 || sl.Up[l] < 0 || sl.Down[l] < 0 || sl.Tasks[l] < 0 {
+			for l := range sl.inter {
+				if sl.inter[l] < 0 || sl.up[l] < 0 || sl.down[l] < 0 || sl.tasks[l] < 0 {
 					return false
 				}
-				interSum += sl.Inter[l]
-				upSum += sl.Up[l]
-				downSum += sl.Down[l]
+				interSum += sl.inter[l]
+				upSum += sl.up[l]
+				downSum += sl.down[l]
 			}
 			// Up = last-mile downstream + inter edges; Down = last-mile
 			// upstream + inter edges. So Σup − Σinter and Σdown − Σinter are

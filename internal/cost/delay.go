@@ -98,22 +98,3 @@ func DelayFeasible(a *assign.Assignment, s model.SessionID) bool {
 	}
 	return true
 }
-
-// MeanConferencingDelayMS returns the system-wide conferencing delay metric
-// the paper reports: the average over all users of each user's maximum
-// incoming-flow delay. Single-user sessions contribute zero.
-func MeanConferencingDelayMS(a *assign.Assignment) float64 {
-	sc := a.Scenario()
-	total, n := 0.0, 0
-	for s := 0; s < sc.NumSessions(); s++ {
-		sd := SessionDelaysOf(a, model.SessionID(s))
-		for _, d := range sd.PerUserMaxMS {
-			total += d
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / float64(n)
-}

@@ -80,10 +80,10 @@ func TestDelayCacheBitIdenticalToRebuild(t *testing.T) {
 				}
 			}
 		}
-		wl, cl := warm.CurLoad().Dense(), cold.CurLoad().Dense()
+		wl, cl := warm.CurLoad(), cold.CurLoad()
 		for l := 0; l < sc.NumAgents(); l++ {
-			if wl.Down[l] != cl.Down[l] || wl.Up[l] != cl.Up[l] ||
-				wl.Inter[l] != cl.Inter[l] || wl.Tasks[l] != cl.Tasks[l] {
+			if wl.down[l] != cl.down[l] || wl.up[l] != cl.up[l] ||
+				wl.inter[l] != cl.inter[l] || wl.tasks[l] != cl.tasks[l] {
 				t.Fatalf("step %d session %d: cached load diverged at agent %d", step, s, l)
 			}
 		}

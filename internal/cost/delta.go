@@ -41,7 +41,7 @@ func TouchedSession(sc *model.Scenario, d assign.Decision) (model.SessionID, err
 // are recomputed lazily on the next query — through the sparse evaluation
 // pipeline (an owned Scratch), so a refresh allocates nothing at steady
 // state. Loads are kept at rest (packed, O(touched) bytes per session) and
-// handed out through one dense view, see SessionLoad. Not safe for
+// handed out through one view, see SessionLoad. Not safe for
 // concurrent use — the orchestrator queries it only under its commit lock.
 type ObjectiveCache struct {
 	ev     *Evaluator
@@ -140,16 +140,6 @@ func (c *ObjectiveCache) Invalidate(s model.SessionID) {
 	}
 }
 
-// InvalidateDecision invalidates the one session the decision touches.
-func (c *ObjectiveCache) InvalidateDecision(d assign.Decision) error {
-	s, err := TouchedSession(c.ev.Scenario(), d)
-	if err != nil {
-		return err
-	}
-	c.Invalidate(s)
-	return nil
-}
-
 // refresh recomputes session s from the assignment if dirty, via the sparse
 // pipeline: the scratch computes load and Φ_s, and the load is packed into
 // the session's record (storage reused across refreshes).
@@ -192,7 +182,7 @@ func (c *ObjectiveCache) SessionObjective(a *assign.Assignment, s model.SessionI
 }
 
 // SessionLoad returns session s's cached load (nil when inactive), unpacked
-// into the cache's one dense view. Every call returns the same *SparseLoad
+// into the cache's one view. Every call returns the same *SparseLoad
 // and overwrites it: the result is valid until the next SessionLoad call on
 // this cache, for any session — use or copy one session's load before asking
 // for another's. Nothing else the cache does touches the view; callers must

@@ -75,8 +75,11 @@ func TestObjectiveCacheMatchesFullEvaluation(t *testing.T) {
 	for s := 0; s < sc.NumSessions(); s++ {
 		c.SetActive(model.SessionID(s), true)
 	}
-	if got, want := c.TotalObjective(a), ev.TotalObjective(a); math.Abs(got-want) > 1e-9 {
+	if got, want := c.TotalObjective(a), denseTotal(ev, a); got != want {
 		t.Fatalf("cached total %v != full %v", got, want)
+	}
+	if got, want := ev.TotalObjective(a), denseTotal(ev, a); got != want {
+		t.Fatalf("TotalObjective %v != full %v", got, want)
 	}
 
 	// Mutate session 1, invalidate only it, and check the cache tracks.
@@ -84,12 +87,23 @@ func TestObjectiveCacheMatchesFullEvaluation(t *testing.T) {
 	if _, err := a.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.InvalidateDecision(d); err != nil {
+	touched, err := TouchedSession(sc, d)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.TotalObjective(a), ev.TotalObjective(a); math.Abs(got-want) > 1e-9 {
+	c.Invalidate(touched)
+	if got, want := c.TotalObjective(a), denseTotal(ev, a); got != want {
 		t.Fatalf("after move: cached total %v != full %v", got, want)
 	}
+}
+
+// denseTotal is Φ = Σ_s Φ_s on the reference.
+func denseTotal(ev *Evaluator, a *assign.Assignment) float64 {
+	total := 0.0
+	for s := 0; s < ev.Scenario().NumSessions(); s++ {
+		total += sessionObjectiveDense(ev, a, model.SessionID(s))
+	}
+	return total
 }
 
 func TestObjectiveCacheRecomputesOnlyTouched(t *testing.T) {
@@ -115,9 +129,11 @@ func TestObjectiveCacheRecomputesOnlyTouched(t *testing.T) {
 		if _, err := a.Apply(d); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.InvalidateDecision(d); err != nil {
+		touched, err := TouchedSession(sc, d)
+		if err != nil {
 			t.Fatal(err)
 		}
+		c.Invalidate(touched)
 		c.TotalObjective(a)
 	}
 	if got := c.Recomputes() - base; got != 10 {

@@ -9,7 +9,8 @@ import (
 )
 
 // Evaluator computes objectives and feasibility for assignments over a fixed
-// scenario. It is stateless and safe for concurrent use.
+// scenario. It is stateless and safe for concurrent use: the objective and
+// report methods evaluate on scratches drawn from a process-wide pool.
 type Evaluator struct {
 	sc *model.Scenario
 	p  Params
@@ -32,43 +33,21 @@ func (e *Evaluator) Scenario() *model.Scenario { return e.sc }
 // SessionObjective computes Φ_s = α1·F(d_s) + α2·G(x_s) + α3·H(y_s): the
 // local objective of session s (§IV-A-2), which is all Alg. 1 needs to
 // compute hop probabilities — the property that enables the parallel,
-// per-session implementation.
+// per-session implementation. It evaluates from scratch on a pooled scratch
+// (BeginSession's rebuild branch), so it keeps nothing per session.
 func (e *Evaluator) SessionObjective(a *assign.Assignment, s model.SessionID) float64 {
-	sl := e.p.SessionLoadOf(a, s)
-	return e.sessionObjectiveFromLoad(a, s, sl)
-}
-
-func (e *Evaluator) sessionObjectiveFromLoad(a *assign.Assignment, s model.SessionID, sl *SessionLoad) float64 {
-	phi := 0.0
-	if e.p.Alpha1 > 0 {
-		phi += e.p.Alpha1 * SessionDelaysOf(a, s).MeanOfMaxMS
-	}
-	if e.p.Alpha2 > 0 {
-		g := 0.0
-		for l, x := range sl.Inter {
-			if x > 0 {
-				g += e.p.trafficCost(e.sc.Agent(model.AgentID(l)).TrafficPricePerMbps, x)
-			}
-		}
-		phi += e.p.Alpha2 * g
-	}
-	if e.p.Alpha3 > 0 {
-		h := 0.0
-		for l, y := range sl.Tasks {
-			if y > 0 {
-				h += e.p.transcodeCost(e.sc.Agent(model.AgentID(l)).TranscodePricePerTask, y)
-			}
-		}
-		phi += e.p.Alpha3 * h
-	}
-	return phi
+	scr := GetScratch()
+	defer PutScratch(scr)
+	return e.beginSession(a, s, scr, nil).Phi
 }
 
 // TotalObjective computes Φ_f = Σ_s Φ_s for a complete assignment.
 func (e *Evaluator) TotalObjective(a *assign.Assignment) float64 {
+	scr := GetScratch()
+	defer PutScratch(scr)
 	total := 0.0
 	for s := 0; s < e.sc.NumSessions(); s++ {
-		total += e.SessionObjective(a, model.SessionID(s))
+		total += e.beginSession(a, model.SessionID(s), scr, nil).Phi
 	}
 	return total
 }
@@ -84,18 +63,24 @@ type SessionReport struct {
 	DelayFeasible bool
 }
 
-// ReportSession evaluates one session fully.
+// ReportSession evaluates one session fully, from scratch on a pooled
+// scratch like SessionObjective.
 func (e *Evaluator) ReportSession(a *assign.Assignment, s model.SessionID) SessionReport {
-	sl := e.p.SessionLoadOf(a, s)
-	sd := SessionDelaysOf(a, s)
+	scr := GetScratch()
+	defer PutScratch(scr)
+	return e.report(a, s, scr)
+}
+
+func (e *Evaluator) report(a *assign.Assignment, s model.SessionID, scr *Scratch) SessionReport {
+	be := e.beginSession(a, s, scr, nil)
 	return SessionReport{
 		Session:       s,
-		Objective:     e.sessionObjectiveFromLoad(a, s, sl),
-		InterTraffic:  sl.TotalInterTraffic(),
-		Tasks:         sl.TotalTasks(),
-		MeanDelayMS:   sd.MeanOfMaxMS,
-		WorstDelayMS:  sd.WorstMS,
-		DelayFeasible: sd.WorstMS <= e.sc.DMaxMS,
+		Objective:     be.Phi,
+		InterTraffic:  scr.cur.TotalInterTraffic(),
+		Tasks:         scr.cur.TotalTasks(),
+		MeanDelayMS:   be.MeanDelayMS,
+		WorstDelayMS:  be.WorstMS,
+		DelayFeasible: be.DelayFeasible(e.sc.DMaxMS),
 	}
 }
 
@@ -112,10 +97,12 @@ type SystemReport struct {
 
 // ReportSystem evaluates the whole assignment.
 func (e *Evaluator) ReportSystem(a *assign.Assignment) SystemReport {
+	scr := GetScratch()
+	defer PutScratch(scr)
 	out := SystemReport{AllDelayOK: true}
 	totalDelay, users := 0.0, 0
 	for s := 0; s < e.sc.NumSessions(); s++ {
-		r := e.ReportSession(a, model.SessionID(s))
+		r := e.report(a, model.SessionID(s), scr)
 		out.SessionReports = append(out.SessionReports, r)
 		out.Objective += r.Objective
 		out.InterTraffic += r.InterTraffic
@@ -234,35 +221,18 @@ func (g *Ledger) Violations() []model.AgentID {
 // candidate keeps every agent within capacity OR, where an agent is already
 // over its (possibly degraded) capacity, does not worsen it. This lets the
 // chain execute repair migrations after a capacity degradation: strict Fits
-// would freeze every session touching the overloaded agent.
-func (g *Ledger) FitsRepair(candidate, current *SessionLoad) bool {
-	const eps = 1e-9
+// would freeze every session touching the overloaded agent. It scans the
+// whole fleet — the reference FitsRepairDelta, which visits only the agents
+// either load touches, is checked against.
+func (g *Ledger) FitsRepair(candidate, current *SparseLoad) bool {
 	for l := 0; l < g.sc.NumAgents(); l++ {
-		capDown, capUp, capTasks := g.effectiveCaps(l)
-		newDown := g.down[l] + candidate.Down[l]
-		newUp := g.up[l] + candidate.Up[l]
-		newTasks := g.tasks[l] + candidate.Tasks[l]
-		oldDown := g.down[l] + current.Down[l]
-		oldUp := g.up[l] + current.Up[l]
-		oldTasks := g.tasks[l] + current.Tasks[l]
-		if newDown > capDown+eps && newDown > oldDown+eps {
-			return false
-		}
-		if newUp > capUp+eps && newUp > oldUp+eps {
-			return false
-		}
-		if newTasks > capTasks && newTasks > oldTasks {
+		if !g.fitsRepairAt(l, candidate.down[l], candidate.up[l], candidate.tasks[l],
+			current.down[l], current.up[l], current.tasks[l]) {
 			return false
 		}
 	}
 	return true
 }
-
-// Add accumulates a session load into the ledger.
-func (g *Ledger) Add(sl *SessionLoad) { sl.AddTo(g.down, g.up, g.tasks) }
-
-// Remove subtracts a session load from the ledger.
-func (g *Ledger) Remove(sl *SessionLoad) { sl.SubtractFrom(g.down, g.up, g.tasks) }
 
 // Fits reports whether the ledger plus the candidate session load respects
 // every agent's (scaled) download, upload and transcoding capacity

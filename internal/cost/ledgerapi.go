@@ -13,20 +13,16 @@ import "vconf/internal/model"
 // program against: accounting (constraints (5)–(7)), feasibility queries,
 // and runtime capacity degradation. Two backends satisfy it:
 //
-//   - *Ledger (this package): dense, single-owner, no internal locking —
-//     the solver-engine and snapshot workhorse.
+//   - *Ledger (this package): one fleet-wide usage vector, single-owner, no
+//     internal locking — the solver-engine and snapshot workhorse.
 //   - *shard.Ledger: the same arithmetic behind P lock-striped ID-range
 //     shards, safe for concurrent commit pipelines.
 //
-// Every check takes the sparse load; only Add and Remove also take the dense
-// reference form SessionLoadOf computes.
+// Every method that takes a load takes its one form, *SparseLoad.
 type LedgerAPI interface {
-	// Add and Remove account a dense session load in and out.
-	Add(sl *SessionLoad)
-	Remove(sl *SessionLoad)
-	// AddSparse and RemoveSparse are the O(touched) sparse forms.
-	AddSparse(sl *SparseLoad)
-	RemoveSparse(sl *SparseLoad)
+	// Add and Remove account a session load in and out.
+	Add(sl *SparseLoad)
+	Remove(sl *SparseLoad)
 	// Fits reports whether the ledger plus the candidate respects every
 	// capacity; nil checks the ledger alone.
 	Fits(candidate *SparseLoad) bool
@@ -53,18 +49,18 @@ type LedgerAPI interface {
 	SetCapacityScale(l model.AgentID, factor float64) error
 }
 
-// Compile-time check: the dense ledger satisfies the API.
+// Compile-time check: the single-owner ledger satisfies the API.
 var _ LedgerAPI = (*Ledger)(nil)
 
-// TryAdd implements the atomic check-then-add admission. The dense ledger
-// is single-owner (no internal locking), so this is the two calls fused —
-// kept on the interface so bootstrap code is backend-agnostic and the
-// sharded backend can make the same step genuinely atomic.
+// TryAdd implements the atomic check-then-add admission. This ledger has no
+// internal locking, so this is the two calls fused — kept on the interface
+// so bootstrap code is backend-agnostic and the sharded backend can make the
+// same step genuinely atomic.
 func (g *Ledger) TryAdd(load *SparseLoad) bool {
 	if !g.Fits(load) {
 		return false
 	}
-	g.AddSparse(load)
+	g.Add(load)
 	return true
 }
 
@@ -77,11 +73,11 @@ func (sl *SparseLoad) Touched() []int32 { return sl.touched }
 // NumAgents returns the agent-space dimension the load was sized for.
 func (sl *SparseLoad) NumAgents() int { return len(sl.down) }
 
-// AddSparseRange accumulates the load's components on agents in [lo, hi)
-// into the ledger — AddSparse restricted to one shard's range. Each slot
-// receives exactly the addition the unrestricted call would apply, so a
-// partition of [0, NumAgents) reproduces AddSparse bit for bit.
-func (g *Ledger) AddSparseRange(sl *SparseLoad, lo, hi int) {
+// AddRange accumulates the load's components on agents in [lo, hi) into the
+// ledger — Add restricted to one shard's range. Each slot receives exactly
+// the addition the unrestricted call would apply, so a partition of
+// [0, NumAgents) reproduces Add bit for bit.
+func (g *Ledger) AddRange(sl *SparseLoad, lo, hi int) {
 	for _, l32 := range sl.touched {
 		l := int(l32)
 		if l < lo || l >= hi {
@@ -93,8 +89,8 @@ func (g *Ledger) AddSparseRange(sl *SparseLoad, lo, hi int) {
 	}
 }
 
-// RemoveSparseRange subtracts the load's components on agents in [lo, hi).
-func (g *Ledger) RemoveSparseRange(sl *SparseLoad, lo, hi int) {
+// RemoveRange subtracts the load's components on agents in [lo, hi).
+func (g *Ledger) RemoveRange(sl *SparseLoad, lo, hi int) {
 	for _, l32 := range sl.touched {
 		l := int(l32)
 		if l < lo || l >= hi {

@@ -9,9 +9,9 @@ import (
 	"vconf/internal/model"
 )
 
-// Tests of the plan-driven evaluation path against the dense reference
-// (SessionLoadOf, SessionDelaysOf, SessionObjective), which still derives
-// everything from the scenario's accessors.
+// Tests of the plan-driven evaluation path against the reference
+// (dense_ref_test.go and SessionDelaysOf), which still derives everything
+// from the scenario's accessors.
 
 // nonDyadicScenario draws a random scenario whose bitrates (0.3 / 1.7 / 4.1
 // Mbps) do not sum exactly in every order — the default 1 / 2.5 / 5 / 8 set
@@ -95,21 +95,6 @@ func nonDyadicReps(t *testing.T) *model.RepresentationSet {
 	return reps
 }
 
-func sameLoad(t *testing.T, what string, sparse *SparseLoad, dense *SessionLoad) {
-	t.Helper()
-	got := sparse.Dense()
-	for l := range dense.Down {
-		if math.Float64bits(got.Down[l]) != math.Float64bits(dense.Down[l]) ||
-			math.Float64bits(got.Up[l]) != math.Float64bits(dense.Up[l]) ||
-			math.Float64bits(got.Inter[l]) != math.Float64bits(dense.Inter[l]) ||
-			got.Tasks[l] != dense.Tasks[l] {
-			t.Fatalf("%s: agent %d: plan-driven load (down %v up %v inter %v tasks %d) != dense (down %v up %v inter %v tasks %d)",
-				what, l, got.Down[l], got.Up[l], got.Inter[l], got.Tasks[l],
-				dense.Down[l], dense.Up[l], dense.Inter[l], dense.Tasks[l])
-		}
-	}
-}
-
 func sameBits(t *testing.T, what string, got, want float64) {
 	t.Helper()
 	if math.Float64bits(got) != math.Float64bits(want) {
@@ -123,7 +108,7 @@ func sameBits(t *testing.T, what string, got, want float64) {
 // candidate load, Φ_s and delay feasibility the hop pipeline computes from
 // the plan are bit-equal to the dense reference, and so are the mean and
 // worst delay of the neighbour state on both the warm-patch and the rebuild
-// path.
+// path, and so is the Evaluator's report of the neighbour state.
 func TestPlanDrivenNeighboursMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	feasible, infeasible := 0, 0
@@ -150,15 +135,15 @@ func TestPlanDrivenNeighboursMatchDense(t *testing.T) {
 
 		for s := model.SessionID(0); int(s) < sc.NumSessions(); s++ {
 			be := ev.BeginSession(a, s, warm)
-			sameLoad(t, "current", warm.CurLoad(), p.SessionLoadOf(a, s))
-			sameBits(t, "current Φ", be.Phi, ev.SessionObjective(a, s))
+			sameLoad(t, "current", warm.CurLoad(), sessionLoadDense(p, a, s))
+			sameBits(t, "current Φ", be.Phi, sessionObjectiveDense(ev, a, s))
 
 			for _, d := range a.AppendSessionNeighborDecisionsOpts(nil, s, opts) {
 				inv, err := a.Apply(d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameLoad(t, d.String(), ev.CandidateLoad(a, s, warm), p.SessionLoadOf(a, s))
+				sameLoad(t, d.String(), ev.CandidateLoad(a, s, warm), sessionLoadDense(p, a, s))
 				sd := SessionDelaysOf(a, s)
 				phi, ok := ev.CandidatePhi(a, s, d, warm)
 				if want := sd.WorstMS <= sc.DMaxMS; ok != want {
@@ -166,7 +151,7 @@ func TestPlanDrivenNeighboursMatchDense(t *testing.T) {
 				}
 				if ok {
 					feasible++
-					sameBits(t, d.String()+" Φ", phi, ev.SessionObjective(a, s))
+					sameBits(t, d.String()+" Φ", phi, sessionObjectiveDense(ev, a, s))
 				} else {
 					infeasible++
 				}
@@ -184,8 +169,9 @@ func TestPlanDrivenNeighboursMatchDense(t *testing.T) {
 					got := ev.BeginSession(a, s, scr)
 					sameBits(t, d.String()+" mean delay", got.MeanDelayMS, sd.MeanOfMaxMS)
 					sameBits(t, d.String()+" worst delay", got.WorstMS, sd.WorstMS)
-					sameBits(t, d.String()+" Φ (BeginSession)", got.Phi, ev.SessionObjective(a, s))
+					sameBits(t, d.String()+" Φ (BeginSession)", got.Phi, sessionObjectiveDense(ev, a, s))
 				}
+				sameReport(t, d.String()+" report", ev.ReportSession(a, s), reportSessionDense(ev, a, s))
 				if _, err := a.Apply(inv); err != nil {
 					t.Fatal(err)
 				}
@@ -285,7 +271,7 @@ func TestCandidatePhiLeavesBaseIntact(t *testing.T) {
 			t.Fatalf("%v: feasible = %v, want %v", dec, ok, wantOK)
 		}
 		if ok {
-			sameBits(t, dec.String()+" Φ", phi, ev.SessionObjective(a, s))
+			sameBits(t, dec.String()+" Φ", phi, sessionObjectiveDense(ev, a, s))
 		}
 		if _, err := a.Apply(inv); err != nil {
 			t.Fatal(err)

@@ -9,13 +9,17 @@ package cost
 // load, the capacity-delta feasibility inputs, and Φ_s incrementally — only
 // the flows whose endpoints moved are re-evaluated.
 //
-// Exactness contract: every sparse computation in this file is bit-identical
-// to its dense counterpart (SessionLoadOf, SessionDelaysOf, SessionObjective,
-// FitsRepair). Accumulations follow the same per-slot sequence of additions,
-// and cost sums iterate touched agents in ascending agent order, which is the
-// order the dense loops visit them (skipped zero entries are exact identity
-// additions). The differential tests in internal/core assert the contract by
-// replaying whole engine runs against the dense reference path.
+// Exactness contract: this file is the one program path for a session's
+// load and objective. The candidate and warm-cache paths are bit-identical to
+// a from-scratch evaluation (BeginSession's rebuild branch, which the
+// Evaluator's objective and report methods run), and the load kernel and Φ_s
+// assembly are bit-identical to the map-based reference kept test-side in
+// dense_ref_test.go. Accumulations follow the reference's per-slot sequence
+// of additions, and cost sums iterate touched agents in ascending agent
+// order, which is the order the reference's fleet-wide loops visit them
+// (skipped zero entries are exact identity additions). The differential
+// tests here and in internal/core assert the contract state by state and by
+// replaying whole engine runs.
 
 import (
 	"fmt"
@@ -27,10 +31,23 @@ import (
 	"vconf/internal/model"
 )
 
-// SparseLoad is a session load (see SessionLoad) in sparse form: dense
-// per-agent arrays for O(1) indexing plus the list of touched agents, so
-// iteration, reset, ledger accounting, and cost sums are O(touched) instead
-// of O(NumAgents). The zero value is unusable; loads are created by
+// SparseLoad is one session's resource usage, per agent: dense per-agent
+// arrays for O(1) indexing plus the list of touched agents, so iteration,
+// reset, ledger accounting, and cost sums are O(touched) instead of
+// O(NumAgents). Loads of different sessions add: agent l's global usage is
+// the sum of every session's components at l. Per agent l:
+//
+//   - down: the session's download usage in Mbps — last-mile upstream of the
+//     users subscribed at l plus incoming inter-agent traffic (left side of
+//     constraint (5));
+//   - up: its upload usage — last-mile downstream to the users at l plus
+//     outgoing inter-agent traffic (left side of constraint (6));
+//   - tasks: the transcoding tasks ν it runs at l, one per distinct (source,
+//     output representation) pair (left side of constraint (7));
+//   - inter: x_ls, the incoming inter-agent traffic in Mbps, the argument of
+//     the bandwidth cost g_l.
+//
+// The zero value is unusable; loads are created by SessionLoadOf,
 // Evaluator.NewScratch, NewSparseLoad, or ObjectiveCache.
 type SparseLoad struct {
 	down, up, inter []float64
@@ -92,15 +109,14 @@ func (sl *SparseLoad) addTask(l model.AgentID) {
 }
 
 // addIn records w Mbps of inter-agent traffic arriving at dst: the receiving
-// half of SessionLoad.addEdge.
+// half of addEdge.
 func (sl *SparseLoad) addIn(dst model.AgentID, w float64) {
 	sl.touch(dst)
 	sl.down[dst] += w
 	sl.inter[dst] += w
 }
 
-// addEdge records w Mbps of inter-agent traffic src → dst, mirroring
-// SessionLoad.addEdge.
+// addEdge records w Mbps of inter-agent traffic src → dst.
 func (sl *SparseLoad) addEdge(src, dst model.AgentID, w float64) {
 	sl.touch(src)
 	sl.up[src] += w
@@ -108,7 +124,7 @@ func (sl *SparseLoad) addEdge(src, dst model.AgentID, w float64) {
 }
 
 // sortTouched orders the touched list ascending so cost sums visit agents in
-// the same order as the dense loops (bit-identical floating-point sums).
+// the same order as a fleet-wide loop (bit-identical floating-point sums).
 // Insertion sort: the list is a handful of entries.
 func (sl *SparseLoad) sortTouched() {
 	if sl.sorted {
@@ -189,12 +205,25 @@ func (pl *packedLoad) sortAgents() {
 	}
 }
 
+// AddAt adds the given components to the load at agent l. The kernel fills
+// loads from an assignment; AddAt is for loads no assignment produces, such
+// as background usage a ledger test puts on an agent.
+func (sl *SparseLoad) AddAt(l model.AgentID, down, up, inter float64, tasks int) {
+	sl.touch(l)
+	sl.down[l] += down
+	sl.up[l] += up
+	sl.inter[l] += inter
+	sl.tasks[l] += tasks
+}
+
 // At returns the load components at agent l.
 func (sl *SparseLoad) At(l model.AgentID) (down, up, inter float64, tasks int) {
 	return sl.down[l], sl.up[l], sl.inter[l], sl.tasks[l]
 }
 
-// TotalInterTraffic returns Σ_l x_ls, bit-identical to the dense sum.
+// TotalInterTraffic returns Σ_l x_ls: the session's total inter-agent
+// traffic in Mbps — the paper's headline operational-cost metric. It sums in
+// ascending agent order, bit-identical to a fleet-wide sum.
 func (sl *SparseLoad) TotalInterTraffic() float64 {
 	sl.sortTouched()
 	t := 0.0
@@ -211,45 +240,6 @@ func (sl *SparseLoad) TotalTasks() int {
 		n += sl.tasks[l]
 	}
 	return n
-}
-
-// Dense converts to the dense SessionLoad representation (freshly
-// allocated) — bridging for callers and tests outside the hot path.
-func (sl *SparseLoad) Dense() *SessionLoad {
-	L := len(sl.down)
-	out := &SessionLoad{
-		Down:  make([]float64, L),
-		Up:    make([]float64, L),
-		Tasks: make([]int, L),
-		Inter: make([]float64, L),
-	}
-	for _, l := range sl.touched {
-		out.Down[l] = sl.down[l]
-		out.Up[l] = sl.up[l]
-		out.Inter[l] = sl.inter[l]
-		out.Tasks[l] = sl.tasks[l]
-	}
-	return out
-}
-
-// NewSparseLoadFromDense converts a dense SessionLoad into a freshly
-// allocated sparse one (touched = slots with any nonzero component, in
-// ascending agent order) — the inverse bridge of Dense, for callers and
-// tests that assemble loads outside the evaluation pipeline.
-func NewSparseLoadFromDense(d *SessionLoad) *SparseLoad {
-	sl := NewSparseLoad(len(d.Down))
-	for l := range d.Down {
-		if d.Down[l] == 0 && d.Up[l] == 0 && d.Inter[l] == 0 && d.Tasks[l] == 0 {
-			continue
-		}
-		sl.touch(model.AgentID(l))
-		sl.down[l] = d.Down[l]
-		sl.up[l] = d.Up[l]
-		sl.inter[l] = d.Inter[l]
-		sl.tasks[l] = d.Tasks[l]
-	}
-	sl.sorted = true
-	return sl
 }
 
 // AppendAgents appends the IDs of agents carrying load (nonzero download,
@@ -405,170 +395,6 @@ func (scr *Scratch) delayCache() *DelayCache {
 // (or SessionLoadSparse). Valid until the next call on this scratch.
 func (scr *Scratch) CurLoad() *SparseLoad { return &scr.cur }
 
-// CandLoad returns the candidate load computed by the last CandidateLoad.
-func (scr *Scratch) CandLoad() *SparseLoad { return &scr.cand }
-
-// sessionLoadSparse computes session s's load under a into dst, bit-identical
-// to Params.SessionLoadOf (see that function for the μ formula commentary).
-// A source sends its raw stream once per agent hosting a destination, not
-// once per destination, so the kernel groups the session by hosting agent
-// first — g distinct agents with a member count each — and every source then
-// walks its own transcoding flows and those g agents instead of its n−1
-// pairs: O(n·g + F). Everything constant across candidates is read from the
-// scenario's compiled plan; the only per-candidate inputs are the members'
-// agents and the session's flow-agent view.
-//
-// Per slot the sequence of additions is SessionLoadOf's, except where the
-// order provably does not matter: terms 1–2 of μ add the same value upRate
-// once to each of a set of distinct destination slots and repeatedly to
-// up[k], so the order in which the destination agents are visited is free.
-func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *SparseLoad, scr *Scratch) {
-	sc := a.Scenario()
-	dst.Reset()
-	plan := sc.Plan(s)
-	flowTo := a.SessionFlowAgents(s)
-
-	// The members' agents, and the distinct hosting agents in order of first
-	// appearance with the number of members each hosts.
-	lambda, hosts := scr.lambda[:0], scr.hosts[:0]
-	for _, u := range sc.Session(s).Users {
-		l := a.UserAgent(u)
-		lambda = append(lambda, l)
-		if l == assign.Unassigned {
-			continue
-		}
-		if scr.hostCnt[l] == 0 {
-			hosts = append(hosts, int32(l))
-		}
-		scr.hostCnt[l]++
-	}
-	scr.lambda, scr.hosts = lambda, hosts
-
-	for i, k := range lambda { // k: source agent of member i
-		if k == assign.Unassigned {
-			continue
-		}
-		mem := &plan.Members[i]
-		upRate := mem.UpMbps
-		flows := plan.Flows[mem.FlowStart:mem.FlowEnd]
-		to := flowTo[mem.FlowStart:mem.FlowEnd] // aligned with flows
-
-		// Last-mile upstream and downstream (constraints (5)/(6) first
-		// terms). up[k] stays in a register until term 3: terms 1–2 add to it
-		// and to slots other than k only.
-		dst.addDown(k, upRate)
-		up := dst.up[k] + mem.InMbps
-
-		// One pass over i's transcoding flows collects the transcoding agents
-		// of its stream with their ν tasks (deduped per distinct (transcoder,
-		// representation) pair) and counts, per agent, the destinations that
-		// do not take the raw stream — a flow with θ = 1 is never native,
-		// whether or not its transcoder is assigned yet.
-		scr.transList = scr.transList[:0]
-		scr.taskKeys = scr.taskKeys[:0]
-		for f := range flows {
-			fl := &flows[f]
-			if lv := lambda[fl.Dst]; lv != assign.Unassigned {
-				scr.transDst[lv]++
-			}
-			m := to[f]
-			if m == assign.Unassigned {
-				continue
-			}
-			if !scr.transMark[m] {
-				scr.transMark[m] = true
-				scr.transList = append(scr.transList, int32(m))
-			}
-			dup := false
-			for _, tk := range scr.taskKeys {
-				if tk.m == int32(m) && tk.r == fl.Rep {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				scr.taskKeys = append(scr.taskKeys, mrKey{m: int32(m), r: fl.Rep})
-				dst.addTask(m)
-			}
-		}
-
-		// Term 1 of μ: one raw copy k → every transcoding agent m ≠ k.
-		for _, m32 := range scr.transList {
-			if m := model.AgentID(m32); m != k {
-				up += upRate
-				dst.addIn(m, upRate)
-			}
-		}
-
-		// Term 2 of μ: raw stream k → agents hosting native-representation
-		// destinations, unless the raw copy already arrived for transcoding
-		// there (the (1−ν'_lu) factor). Every member on an agent l ≠ k is a
-		// destination of i, so l hosts a native one exactly when it hosts
-		// more members than transcoded destinations of i.
-		for _, l32 := range hosts {
-			if l := model.AgentID(l32); l != k && scr.hostCnt[l] > scr.transDst[l] && !scr.transMark[l] {
-				up += upRate
-				dst.addIn(l, upRate)
-			}
-		}
-		dst.up[k] = up
-
-		// Term 3 of μ: transcoded stream at rep r from transcoder m to every
-		// agent hosting a destination demanding r; one copy per (m, agent, r).
-		// The same walk clears the per-source counts.
-		scr.sentEdges = scr.sentEdges[:0]
-		for f := range flows {
-			fl := &flows[f]
-			lv := lambda[fl.Dst]
-			if lv == assign.Unassigned {
-				continue
-			}
-			scr.transDst[lv] = 0
-			m := to[f]
-			if m == assign.Unassigned || lv == m {
-				continue
-			}
-			if p.StrictPaperTraffic && lv == k {
-				continue
-			}
-			dup := false
-			for _, ek := range scr.sentEdges {
-				if ek.m == int32(m) && ek.lv == int32(lv) && ek.r == fl.Rep {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			scr.sentEdges = append(scr.sentEdges, edgeKey3{m: int32(m), lv: int32(lv), r: fl.Rep})
-			dst.addEdge(m, lv, fl.OutMbps)
-		}
-		for _, m32 := range scr.transList {
-			scr.transMark[m32] = false
-		}
-	}
-	for _, l32 := range hosts {
-		scr.hostCnt[l32] = 0
-	}
-}
-
-// SessionLoadSparse computes session s's load into the scratch's CurLoad
-// with zero allocations, bit-identical to Params.SessionLoadOf.
-func (e *Evaluator) SessionLoadSparse(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
-	return e.p.SessionLoadSparse(a, s, scr)
-}
-
-// SessionLoadSparse is the evaluator-free form for callers that hold only
-// the parameters (admission policies): the scratch binds to a's scenario. A
-// session with unassigned users or flows gets the load of its assigned part,
-// as SessionLoadOf does.
-func (p Params) SessionLoadSparse(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
-	scr.bind(a.Scenario())
-	p.sessionLoadSparse(a, s, &scr.cur, scr)
-	return &scr.cur
-}
-
 // LedgerOf returns a ledger holding the load of every session of a's
 // scenario under a (sessions without assigned variables add nothing).
 func (p Params) LedgerOf(a *assign.Assignment) *Ledger {
@@ -576,17 +402,18 @@ func (p Params) LedgerOf(a *assign.Assignment) *Ledger {
 	g := NewLedger(sc)
 	var scr Scratch
 	for s := 0; s < sc.NumSessions(); s++ {
-		g.AddSparse(p.SessionLoadSparse(a, model.SessionID(s), &scr))
+		g.Add(p.SessionLoadSparse(a, model.SessionID(s), &scr))
 	}
 	return g
 }
 
-// scratches pools the scratches of callers that price loads without an
-// evaluator of their own; see GetScratch.
+// scratches pools the scratches of callers that price loads without a
+// scratch of their own; see GetScratch.
 var scratches = sync.Pool{New: func() any { return new(Scratch) }}
 
 // GetScratch takes a scratch from a process-wide pool: admission policies,
-// whose signatures carry no scratch, price every placement attempt on it.
+// whose signatures carry no scratch, price every placement attempt on it,
+// and so do SessionLoadOf and the Evaluator's objective and report methods.
 // It rebinds to whatever scenario it is next used with; return it with
 // PutScratch when done.
 func GetScratch() *Scratch { return scratches.Get().(*Scratch) }
@@ -594,10 +421,10 @@ func GetScratch() *Scratch { return scratches.Get().(*Scratch) }
 // PutScratch returns a scratch taken with GetScratch.
 func PutScratch(scr *Scratch) { scratches.Put(scr) }
 
-// phiFromSparse assembles Φ_s from the delay mean and a sparse load exactly
-// as sessionObjectiveFromLoad does from a dense one: G and H are summed in
-// one ascending walk of the touched agents, each in its own accumulator, so
-// each sum keeps the dense loop's order (a sum whose α is zero is not used).
+// phiFromSparse assembles Φ_s = α1·F + α2·G + α3·H from the delay mean and
+// the session's load: G and H are summed in one ascending walk of the touched
+// agents, each in its own accumulator, so each sum keeps the order of a
+// fleet-wide loop (a sum whose α is zero is not used).
 func (e *Evaluator) phiFromSparse(meanDelayMS float64, sl *SparseLoad) float64 {
 	phi := 0.0
 	if e.p.Alpha1 > 0 {
@@ -628,7 +455,7 @@ func (e *Evaluator) phiFromSparse(meanDelayMS float64, sl *SparseLoad) float64 {
 
 // SessionEval summarizes one session's objective and delay picture.
 type SessionEval struct {
-	// Phi is Φ_s = α1·F + α2·G + α3·H, bit-identical to SessionObjective.
+	// Phi is Φ_s = α1·F + α2·G + α3·H.
 	Phi float64
 	// MeanDelayMS is F's argument: mean over users of max incoming delay.
 	MeanDelayMS float64
@@ -659,6 +486,15 @@ func (se SessionEval) DelayFeasible(dMaxMS float64) bool { return se.WorstMS <= 
 // (see delaycache.go for the staleness contract).
 func (e *Evaluator) BeginSession(a *assign.Assignment, s model.SessionID, scr *Scratch) SessionEval {
 	scr.Ensure(e)
+	return e.beginSession(a, s, scr, scr.delayCache())
+}
+
+// beginSession is BeginSession over the delay cache dc. A nil dc selects the
+// rebuild branch: everything is evaluated from the assignment and nothing is
+// kept per session — what SetDelayCacheEnabled(false) selects, and what the
+// Evaluator's objective and report methods run on a pooled scratch.
+func (e *Evaluator) beginSession(a *assign.Assignment, s model.SessionID, scr *Scratch, dc *DelayCache) SessionEval {
+	scr.Ensure(e)
 
 	// Bind the session: its members and its compiled plan.
 	scr.sid = s
@@ -677,12 +513,11 @@ func (e *Evaluator) BeginSession(a *assign.Assignment, s model.SessionID, scr *S
 		scr.hOwn[i] = ownDelay(e.sc, a.UserAgent(u), u)
 	}
 
-	if dc := scr.delayCache(); dc != nil {
+	if dc != nil {
 		return e.beginSessionCached(a, s, scr, dc)
 	}
 
-	// Rebuild reference path (pre-cache), kept verbatim behind
-	// SetDelayCacheEnabled(false).
+	// Rebuild branch: the reference the cached path is bit-identical to.
 	e.p.sessionLoadSparse(a, s, &scr.cur, scr)
 	if cap(scr.ownBase) < n*n {
 		scr.ownBase = make([]float64, n*n)
@@ -1026,26 +861,11 @@ func (e *Evaluator) CandidatePhi(a *assign.Assignment, s model.SessionID, d assi
 	return e.phiFromSparse(mean, &scr.cand), true
 }
 
-// ReportSessionWith evaluates one session like ReportSession but through the
-// scratch: zero allocations, bit-identical observables.
-func (e *Evaluator) ReportSessionWith(a *assign.Assignment, s model.SessionID, scr *Scratch) SessionReport {
-	be := e.BeginSession(a, s, scr)
-	return SessionReport{
-		Session:       s,
-		Objective:     be.Phi,
-		InterTraffic:  scr.cur.TotalInterTraffic(),
-		Tasks:         scr.cur.TotalTasks(),
-		MeanDelayMS:   be.MeanDelayMS,
-		WorstDelayMS:  be.WorstMS,
-		DelayFeasible: be.WorstMS <= e.sc.DMaxMS,
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Ledger sparse operations
+// Ledger operations on a load
 
-// AddSparse accumulates a sparse session load into the ledger in O(touched).
-func (g *Ledger) AddSparse(sl *SparseLoad) {
+// Add accumulates a session load into the ledger in O(touched).
+func (g *Ledger) Add(sl *SparseLoad) {
 	for _, l := range sl.touched {
 		g.down[l] += sl.down[l]
 		g.up[l] += sl.up[l]
@@ -1053,9 +873,8 @@ func (g *Ledger) AddSparse(sl *SparseLoad) {
 	}
 }
 
-// RemoveSparse subtracts a sparse session load from the ledger in
-// O(touched).
-func (g *Ledger) RemoveSparse(sl *SparseLoad) {
+// Remove subtracts a session load from the ledger in O(touched).
+func (g *Ledger) Remove(sl *SparseLoad) {
 	for _, l := range sl.touched {
 		g.down[l] -= sl.down[l]
 		g.up[l] -= sl.up[l]

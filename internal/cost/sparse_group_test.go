@@ -67,20 +67,39 @@ func groupScenario(t *testing.T, downscaleOnly bool) *model.Scenario {
 	return sc
 }
 
-// Placement bytes: byte 0 carries DownscaleOnly (bit 0) and
-// StrictPaperTraffic (bit 1); the next five place the members and the rest
-// the transcoding flows, each as b mod 7 − 1, so 0 is Unassigned and 1–6 are
-// agents 0–5. Missing bytes read as 0.
+// Placement bytes: byte 0 carries the flags — DownscaleOnly (bit 0),
+// StrictPaperTraffic (bit 1), α2 = α3 = 0 (bit 2) and cost exponents ≠ 1
+// (bit 3) — the next five place the members and the rest the transcoding
+// flows, each as b mod 7 − 1, so 0 is Unassigned and 1–6 are agents 0–5.
+// Missing bytes read as 0.
 const groupUnassigned = 0
 
 func groupPlacement(flags byte, members [5]byte, flows ...byte) []byte {
 	return append(append([]byte{flags}, members[:]...), flows...)
 }
 
+// groupFlags is the number of flag combinations byte 0 selects among.
+const groupFlags = 16
+
+// groupParams are the objective parameters flag byte f selects.
+func groupParams(f byte) Params {
+	p := DefaultParams()
+	p.StrictPaperTraffic = f&2 != 0
+	if f&4 != 0 {
+		p.Alpha2, p.Alpha3 = 0, 0
+	}
+	if f&8 != 0 {
+		p.TrafficExponent, p.TranscodeExponent = 1.5, 2.25
+	}
+	return p
+}
+
 // checkGroupedLoad evaluates the placement through the sparse kernel, twice
 // on one scratch (a counter left dirty by the first call would corrupt the
-// second), and requires the load bit-equal to SessionLoadOf and Φ_s
-// bit-equal to SessionObjective.
+// second) and once through SessionLoadOf, and requires each load bit-equal
+// to the reference (dense_ref_test.go); then it requires Φ_s from
+// BeginSession and SessionObjective, and the whole ReportSession — traffic,
+// tasks, mean and worst delay — bit-equal to the reference's.
 func checkGroupedLoad(t *testing.T, data []byte) {
 	t.Helper()
 	at := func(i int) model.AgentID {
@@ -94,8 +113,7 @@ func checkGroupedLoad(t *testing.T, data []byte) {
 		flags = data[0]
 	}
 	sc := groupScenario(t, flags&1 != 0)
-	p := DefaultParams()
-	p.StrictPaperTraffic = flags&2 != 0
+	p := groupParams(flags)
 	ev, err := NewEvaluator(sc, p)
 	if err != nil {
 		t.Fatal(err)
@@ -110,11 +128,15 @@ func checkGroupedLoad(t *testing.T, data []byte) {
 		}
 	}
 	scr := ev.NewScratch()
-	dense := p.SessionLoadOf(a, 0)
+	dense := sessionLoadDense(p, a, 0)
 	for _, pass := range []string{"first", "second"} {
 		sameLoad(t, pass+" evaluation", ev.SessionLoadSparse(a, 0, scr), dense)
 	}
-	sameBits(t, "Φ", ev.BeginSession(a, 0, scr).Phi, ev.SessionObjective(a, 0))
+	sameLoad(t, "SessionLoadOf", p.SessionLoadOf(a, 0), dense)
+	want := reportSessionDense(ev, a, 0)
+	sameBits(t, "Φ (BeginSession)", ev.BeginSession(a, 0, scr).Phi, want.Objective)
+	sameBits(t, "Φ (SessionObjective)", ev.SessionObjective(a, 0), want.Objective)
+	sameReport(t, "ReportSession", ev.ReportSession(a, 0), want)
 }
 
 // groupCases are the placements the counting rule of term 2 ("an agent takes
@@ -148,8 +170,9 @@ var groupCases = []struct {
 
 func TestGroupedLoadAdversarialPlacements(t *testing.T) {
 	for _, tc := range groupCases {
-		for flags := byte(0); flags < 4; flags++ {
-			t.Run(fmt.Sprintf("%s/downscale=%v,strict=%v", tc.name, flags&1 != 0, flags&2 != 0), func(t *testing.T) {
+		for flags := byte(0); flags < groupFlags; flags++ {
+			t.Run(fmt.Sprintf("%s/downscale=%v,strict=%v,delayonly=%v,convex=%v", tc.name,
+				flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0), func(t *testing.T) {
 				checkGroupedLoad(t, groupPlacement(flags, tc.members, tc.flows...))
 			})
 		}
@@ -157,11 +180,11 @@ func TestGroupedLoadAdversarialPlacements(t *testing.T) {
 }
 
 // FuzzSessionLoadSparse: arbitrary placements of the fixed scenario, members
-// and flows Unassigned included. The seed corpus is the adversarial table
-// under all four flag settings, so plain `go test` replays it.
+// and flows Unassigned included, under every flag setting. The seed corpus is
+// the adversarial table under all sixteen, so plain `go test` replays it.
 func FuzzSessionLoadSparse(f *testing.F) {
 	for _, tc := range groupCases {
-		for flags := byte(0); flags < 4; flags++ {
+		for flags := byte(0); flags < groupFlags; flags++ {
 			f.Add(groupPlacement(flags, tc.members, tc.flows...))
 		}
 	}

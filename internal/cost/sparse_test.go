@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -60,23 +61,18 @@ func TestSparseLoadMatchesDenseOnRandomStates(t *testing.T) {
 		a := randomComplete(sc, rng)
 		for s := 0; s < sc.NumSessions(); s++ {
 			sid := model.SessionID(s)
-			dense := ev.Params().SessionLoadOf(a, sid)
+			dense := sessionLoadDense(ev.Params(), a, sid)
+			what := fmt.Sprintf("trial %d session %d", trial, s)
+			sameLoad(t, what, ev.SessionLoadSparse(a, sid, scr), dense)
+			sameLoad(t, what+" (SessionLoadOf)", ev.Params().SessionLoadOf(a, sid), dense)
 			sparse := ev.SessionLoadSparse(a, sid, scr)
-			asDense := sparse.Dense()
-			for l := 0; l < sc.NumAgents(); l++ {
-				if dense.Down[l] != asDense.Down[l] || dense.Up[l] != asDense.Up[l] ||
-					dense.Inter[l] != asDense.Inter[l] || dense.Tasks[l] != asDense.Tasks[l] {
-					t.Fatalf("trial %d session %d agent %d: sparse load differs from dense", trial, s, l)
-				}
-			}
 			if dense.TotalInterTraffic() != sparse.TotalInterTraffic() ||
 				dense.TotalTasks() != sparse.TotalTasks() {
-				t.Fatalf("trial %d session %d: totals differ", trial, s)
+				t.Fatalf("%s: totals differ", what)
 			}
-			if phi := ev.SessionObjective(a, sid); phi != ev.BeginSession(a, sid, scr).Phi {
-				t.Fatalf("trial %d session %d: Φ differs: dense %v sparse %v",
-					trial, s, phi, ev.BeginSession(a, sid, scr).Phi)
-			}
+			want := sessionObjectiveDense(ev, a, sid)
+			sameBits(t, what+" Φ (BeginSession)", ev.BeginSession(a, sid, scr).Phi, want)
+			sameBits(t, what+" Φ (SessionObjective)", ev.SessionObjective(a, sid), want)
 		}
 	}
 }
@@ -96,7 +92,7 @@ func TestFitsDeltaChecksMatchDense(t *testing.T) {
 		base := randomComplete(sc, rng)
 		ledger := NewLedger(sc)
 		for s := 0; s < sc.NumSessions(); s++ {
-			ledger.Add(p.SessionLoadOf(base, model.SessionID(s)))
+			addDense(ledger, sessionLoadDense(p, base, model.SessionID(s)))
 		}
 		// Occasionally degrade an agent so the repair branch is exercised
 		// against an overloaded ledger.
@@ -106,18 +102,20 @@ func TestFitsDeltaChecksMatchDense(t *testing.T) {
 			}
 		}
 		s := model.SessionID(rng.Intn(sc.NumSessions()))
-		curDense := p.SessionLoadOf(base, s)
+		curDense := sessionLoadDense(p, base, s)
 		cur.CopyFrom(ev.SessionLoadSparse(base, s, scr))
-		ledger.Remove(curDense)
+		removeDense(ledger, curDense)
 
 		cand := randomComplete(sc, rng)
-		candDense := p.SessionLoadOf(cand, s)
+		candDense := sessionLoadDense(p, cand, s)
 		candSparse := ev.SessionLoadSparse(cand, s, scr)
 
-		denseRepair := ledger.FitsRepair(candDense, curDense)
-		sparseRepair := ledger.FitsRepairDelta(candSparse, cur)
-		if denseRepair != sparseRepair {
-			t.Fatalf("trial %d: FitsRepair %v vs FitsRepairDelta %v", trial, denseRepair, sparseRepair)
+		denseRepair := fitsRepairDense(ledger, candDense, curDense)
+		if sparseRepair := ledger.FitsRepairDelta(candSparse, cur); denseRepair != sparseRepair {
+			t.Fatalf("trial %d: dense repair check %v vs FitsRepairDelta %v", trial, denseRepair, sparseRepair)
+		}
+		if fleetRepair := ledger.FitsRepair(candSparse, cur); denseRepair != fleetRepair {
+			t.Fatalf("trial %d: dense repair check %v vs FitsRepair %v", trial, denseRepair, fleetRepair)
 		}
 		denseFits := fitsDense(ledger, candDense)
 		if sparseFits := ledger.Fits(nil) && ledger.FitsTouched(candSparse); denseFits != sparseFits {
@@ -131,22 +129,6 @@ func TestFitsDeltaChecksMatchDense(t *testing.T) {
 	if agree[true] == 0 || agree[false] == 0 {
 		t.Fatalf("capacity checks never exercised both outcomes: %v", agree)
 	}
-}
-
-// fitsDense is the strict capacity check as it read on the dense load: the
-// candidate added to the ledger on every agent, then compared to capacity.
-func fitsDense(g *Ledger, candidate *SessionLoad) bool {
-	const eps = 1e-9
-	for l := 0; l < g.sc.NumAgents(); l++ {
-		capDown, capUp, capTasks := g.effectiveCaps(l)
-		down := g.down[l] + candidate.Down[l]
-		up := g.up[l] + candidate.Up[l]
-		tasks := g.tasks[l] + candidate.Tasks[l]
-		if down > capDown+eps || up > capUp+eps || tasks > capTasks {
-			return false
-		}
-	}
-	return true
 }
 
 func TestSparseLoadHelpers(t *testing.T) {
@@ -186,13 +168,13 @@ func TestSparseLoadHelpers(t *testing.T) {
 		t.Fatal("Reset left residual load")
 	}
 
-	// Ledger round-trip: AddSparse then RemoveSparse restores emptiness.
+	// Ledger round-trip: Add then Remove restores emptiness.
 	ledger := NewLedger(sc)
-	ledger.AddSparse(sl)
+	ledger.Add(sl)
 	if ledger.Fits(nil) != true {
 		t.Fatal("single session must fit")
 	}
-	ledger.RemoveSparse(sl)
+	ledger.Remove(sl)
 	gd, gu, gt := ledger.Usage()
 	for l := range gd {
 		if gd[l] != 0 || gu[l] != 0 || gt[l] != 0 {
@@ -215,16 +197,8 @@ func TestObjectiveCacheServesSparseLoads(t *testing.T) {
 
 	for s := 0; s < 2; s++ {
 		sid := model.SessionID(s)
-		want := ev.Params().SessionLoadOf(a, sid)
-		got := cache.SessionLoad(a, sid).Dense()
-		for l := 0; l < sc.NumAgents(); l++ {
-			if want.Down[l] != got.Down[l] || want.Tasks[l] != got.Tasks[l] {
-				t.Fatalf("cache load differs for session %d agent %d", s, l)
-			}
-		}
-		if cache.SessionObjective(a, sid) != ev.SessionObjective(a, sid) {
-			t.Fatalf("cache Φ differs for session %d", s)
-		}
+		sameLoad(t, fmt.Sprintf("session %d", s), cache.SessionLoad(a, sid), sessionLoadDense(ev.Params(), a, sid))
+		sameBits(t, fmt.Sprintf("session %d Φ", s), cache.SessionObjective(a, sid), sessionObjectiveDense(ev, a, sid))
 	}
 	// Mutate session 0, invalidate, and verify the refreshed load reuses the
 	// owned buffers while reflecting the new state.
@@ -235,13 +209,7 @@ func TestObjectiveCacheServesSparseLoads(t *testing.T) {
 	if before != after {
 		t.Fatal("cache must reuse the owned SparseLoad across refreshes")
 	}
-	want := ev.Params().SessionLoadOf(a, 0)
-	got := after.Dense()
-	for l := 0; l < sc.NumAgents(); l++ {
-		if want.Down[l] != got.Down[l] {
-			t.Fatalf("refreshed load stale at agent %d", l)
-		}
-	}
+	sameLoad(t, "refreshed", after, sessionLoadDense(ev.Params(), a, 0))
 	cache.SetActive(0, false)
 	if cache.SessionLoad(a, 0) != nil {
 		t.Fatal("inactive session must read nil load")

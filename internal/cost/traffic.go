@@ -5,227 +5,194 @@ import (
 	"vconf/internal/model"
 )
 
-// SessionLoad aggregates one session's resource usage, per agent. Loads from
-// different sessions add: the global usage of agent l is the sum of every
-// session's Down[l]/Up[l]/Tasks[l].
-type SessionLoad struct {
-	// Down[l] is the session's contribution to agent l's download usage in
-	// Mbps: last-mile upstream of users subscribed at l plus incoming
-	// inter-agent traffic (left side of constraint (5)).
-	Down []float64
-	// Up[l] is the contribution to agent l's upload usage in Mbps: last-mile
-	// downstream to users at l plus outgoing inter-agent traffic (left side
-	// of constraint (6)).
-	Up []float64
-	// Tasks[l] is the number of transcoding tasks ν the session runs at l
-	// (left side of constraint (7)). A task is a distinct (source, output
-	// representation) pair regardless of how many destinations it serves.
-	Tasks []int
-	// Inter[l] is x_ls: the incoming inter-agent traffic at l in Mbps, the
-	// argument of the bandwidth cost g_l.
-	Inter []float64
+// SessionLoadOf returns session s's load under assignment a as a fresh
+// SparseLoad the caller owns. It prices on a pooled scratch and copies the
+// result out, so it allocates one fleet-sized load and nothing else; callers
+// in a loop price on a scratch of their own (SessionLoadSparse) instead.
+// Users or flows that are still Unassigned contribute nothing, which makes
+// it usable during incremental bootstrap admission.
+func (p Params) SessionLoadOf(a *assign.Assignment, s model.SessionID) *SparseLoad {
+	scr := GetScratch()
+	defer PutScratch(scr)
+	out := NewSparseLoad(a.Scenario().NumAgents())
+	out.CopyFrom(p.SessionLoadSparse(a, s, scr))
+	return out
 }
 
-// TotalInterTraffic returns Σ_l x_ls: the session's total inter-agent
-// traffic in Mbps — the paper's headline operational-cost metric.
-func (sl *SessionLoad) TotalInterTraffic() float64 {
-	t := 0.0
-	for _, v := range sl.Inter {
-		t += v
-	}
-	return t
+// SessionLoadSparse computes session s's load into the scratch's CurLoad
+// with zero allocations.
+func (e *Evaluator) SessionLoadSparse(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
+	return e.p.SessionLoadSparse(a, s, scr)
 }
 
-// TotalTasks returns Σ_l y_ls.
-func (sl *SessionLoad) TotalTasks() int {
-	n := 0
-	for _, v := range sl.Tasks {
-		n += v
-	}
-	return n
+// SessionLoadSparse is the evaluator-free form for callers that hold only
+// the parameters (admission policies): the scratch binds to a's scenario. A
+// session with unassigned users or flows gets the load of its assigned part.
+func (p Params) SessionLoadSparse(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
+	scr.bind(a.Scenario())
+	p.sessionLoadSparse(a, s, &scr.cur, scr)
+	return &scr.cur
 }
 
-// AddTo accumulates the session load into global per-agent usage slices.
-func (sl *SessionLoad) AddTo(down, up []float64, tasks []int) {
-	for l := range sl.Down {
-		down[l] += sl.Down[l]
-		up[l] += sl.Up[l]
-		tasks[l] += sl.Tasks[l]
-	}
-}
-
-// SubtractFrom removes the session load from global per-agent usage slices.
-func (sl *SessionLoad) SubtractFrom(down, up []float64, tasks []int) {
-	for l := range sl.Down {
-		down[l] -= sl.Down[l]
-		up[l] -= sl.Up[l]
-		tasks[l] -= sl.Tasks[l]
-	}
-}
-
-// addEdge records w Mbps of inter-agent traffic from agent src to agent dst.
-func (sl *SessionLoad) addEdge(src, dst model.AgentID, w float64) {
-	sl.Up[src] += w
-	sl.Down[dst] += w
-	sl.Inter[dst] += w
-}
-
-// transcoderOf returns, for source user u, a map output-representation →
-// transcoding agent, derived from the γ variables of u's outgoing flows.
-// Flows without an assigned transcoder are skipped (partial assignments).
+// sessionLoadSparse computes session s's load under a into dst: the
+// last-mile terms of constraints (5)/(6), the μ inter-agent traffic of
+// §III-B and the ν transcoding tasks of constraint (7). Users and flows
+// still Unassigned contribute nothing.
+//
+// A source sends its raw stream once per agent hosting a destination, not
+// once per destination, so the kernel groups the session by hosting agent
+// first — g distinct agents with a member count each — and every source then
+// walks its own transcoding flows and those g agents instead of its n−1
+// pairs: O(n·g + F). Everything constant across candidates is read from the
+// scenario's compiled plan; the only per-candidate inputs are the members'
+// agents and the session's flow-agent view.
+//
+// Per slot the sequence of additions is the map-based reference's (kept
+// test-side in dense_ref_test.go), except where the order provably does not
+// matter: terms 1–2 of μ add the same value upRate once to each of a set of
+// distinct destination slots and repeatedly to up[k], so the order in which
+// the destination agents are visited is free.
 //
 // Note on constraint (3): the paper requires exactly one agent per flow, and
 // its ν/μ terms implicitly assume all same-representation flows of a source
 // share one transcoder (a task serves every destination demanding that rep).
 // When a solver nonetheless splits same-rep flows across agents, traffic
-// edges follow each flow's own γ agent (see SessionLoadOf) and each agent
-// pays its own ν task, so capacity accounting stays exact.
-func transcoderOf(a *assign.Assignment, u model.UserID) map[model.Representation]model.AgentID {
+// edges follow each flow's own γ agent and each agent pays its own ν task,
+// so capacity accounting stays exact.
+func (p Params) sessionLoadSparse(a *assign.Assignment, s model.SessionID, dst *SparseLoad, scr *Scratch) {
 	sc := a.Scenario()
-	var out map[model.Representation]model.AgentID
-	for _, v := range sc.Participants(u) {
-		if !sc.Theta(u, v) {
-			continue
-		}
-		f := model.Flow{Src: u, Dst: v}
-		m, ok := a.FlowAgent(f)
-		if !ok || m == assign.Unassigned {
-			continue
-		}
-		if out == nil {
-			out = make(map[model.Representation]model.AgentID, 2)
-		}
-		out[sc.DownstreamRep(f)] = m
-	}
-	return out
-}
+	dst.Reset()
+	plan := sc.Plan(s)
+	flowTo := a.SessionFlowAgents(s)
 
-// SessionLoadOf computes the session's full load vector under assignment a.
-// Users or flows that are still Unassigned contribute nothing; this makes
-// the function usable during incremental bootstrap admission.
-func (p Params) SessionLoadOf(a *assign.Assignment, s model.SessionID) *SessionLoad {
-	sc := a.Scenario()
-	L := sc.NumAgents()
-	sl := &SessionLoad{
-		Down:  make([]float64, L),
-		Up:    make([]float64, L),
-		Tasks: make([]int, L),
-		Inter: make([]float64, L),
-	}
-
-	type taskKey struct {
-		m model.AgentID
-		u model.UserID
-		r model.Representation
-	}
-	tasks := make(map[taskKey]bool)
-
-	type edgeKey struct {
-		src model.AgentID
-		dst model.AgentID
-		r   model.Representation
-	}
-
+	// The members' agents, and the distinct hosting agents in order of first
+	// appearance with the number of members each hosts.
+	lambda, hosts := scr.lambda[:0], scr.hosts[:0]
 	for _, u := range sc.Session(s).Users {
-		k := a.UserAgent(u) // source agent of u
+		l := a.UserAgent(u)
+		lambda = append(lambda, l)
+		if l == assign.Unassigned {
+			continue
+		}
+		if scr.hostCnt[l] == 0 {
+			hosts = append(hosts, int32(l))
+		}
+		scr.hostCnt[l]++
+	}
+	scr.lambda, scr.hosts = lambda, hosts
+
+	for i, k := range lambda { // k: source agent of member i
 		if k == assign.Unassigned {
 			continue
 		}
-		user := sc.User(u)
-		upRate := sc.Reps.Bitrate(user.Upstream)
+		mem := &plan.Members[i]
+		upRate := mem.UpMbps
+		flows := plan.Flows[mem.FlowStart:mem.FlowEnd]
+		to := flowTo[mem.FlowStart:mem.FlowEnd] // aligned with flows
 
-		// Last-mile upstream: user u uploads its stream into agent k
-		// (first term of constraint (5)).
-		sl.Down[k] += upRate
+		// Last-mile upstream: member i uploads its stream into agent k
+		// (first term of constraint (5)). Last-mile downstream: agent k
+		// uploads to i the streams of every other participant at their
+		// effective representations (first term of constraint (6)); the
+		// n−1 terms are a constant of the scenario, summed on their own in
+		// Participants order and added once (model.PlanMember.InMbps).
+		// up[k] stays in a register until term 3: terms 1–2 add to it and
+		// to slots other than k only.
+		dst.addDown(k, upRate)
+		up := dst.up[k] + mem.InMbps
 
-		// Last-mile downstream: agent k uploads to u the streams of every
-		// other participant at their effective representations (first term
-		// of constraint (6)). The n−1 terms are a constant of the scenario:
-		// they are summed on their own, in Participants order, and added
-		// once — the association model.PlanMember.InMbps compiles.
-		in := 0.0
-		for _, v := range sc.Participants(u) {
-			in += sc.Reps.Bitrate(sc.Downstream(u, v))
-		}
-		sl.Up[k] += in
-
-		// ---- Inter-agent edges generated by u's outgoing stream ----
-
-		// Transcoding agents of u's stream, and their ν tasks.
-		transAgents := make(map[model.AgentID]bool, 2)
-		for _, v := range sc.Participants(u) {
-			if !sc.Theta(u, v) {
+		// One pass over i's transcoding flows collects the transcoding agents
+		// of its stream with their ν tasks (deduped per distinct (transcoder,
+		// representation) pair) and counts, per agent, the destinations that
+		// do not take the raw stream — a flow with θ = 1 is never native,
+		// whether or not its transcoder is assigned yet.
+		scr.transList = scr.transList[:0]
+		scr.taskKeys = scr.taskKeys[:0]
+		for f := range flows {
+			fl := &flows[f]
+			if lv := lambda[fl.Dst]; lv != assign.Unassigned {
+				scr.transDst[lv]++
+			}
+			m := to[f]
+			if m == assign.Unassigned {
 				continue
 			}
-			f := model.Flow{Src: u, Dst: v}
-			m, ok := a.FlowAgent(f)
-			if !ok || m == assign.Unassigned {
-				continue
+			if !scr.transMark[m] {
+				scr.transMark[m] = true
+				scr.transList = append(scr.transList, int32(m))
 			}
-			transAgents[m] = true
-			tasks[taskKey{m: m, u: u, r: sc.DownstreamRep(f)}] = true
+			dup := false
+			for _, tk := range scr.taskKeys {
+				if tk.m == int32(m) && tk.r == fl.Rep {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				scr.taskKeys = append(scr.taskKeys, mrKey{m: int32(m), r: fl.Rep})
+				dst.addTask(m)
+			}
 		}
 
 		// Term 1 of μ: one raw copy k → every transcoding agent m ≠ k.
-		for m := range transAgents {
-			if m != k {
-				sl.addEdge(k, m, upRate)
+		for _, m32 := range scr.transList {
+			if m := model.AgentID(m32); m != k {
+				up += upRate
+				dst.addIn(m, upRate)
 			}
 		}
 
 		// Term 2 of μ: raw stream k → agents hosting native-representation
 		// destinations, unless the raw copy already arrived for transcoding
-		// there (the (1−ν'_lu) factor).
-		nativeDst := make(map[model.AgentID]bool)
-		for _, v := range sc.Participants(u) {
-			if sc.Theta(u, v) {
-				continue
-			}
-			lv := a.UserAgent(v)
-			if lv != assign.Unassigned && lv != k {
-				nativeDst[lv] = true
+		// there (the (1−ν'_lu) factor). Every member on an agent l ≠ k is a
+		// destination of i, so l hosts a native one exactly when it hosts
+		// more members than transcoded destinations of i.
+		for _, l32 := range hosts {
+			if l := model.AgentID(l32); l != k && scr.hostCnt[l] > scr.transDst[l] && !scr.transMark[l] {
+				up += upRate
+				dst.addIn(l, upRate)
 			}
 		}
-		for l := range nativeDst {
-			if !transAgents[l] {
-				sl.addEdge(k, l, upRate)
-			}
-		}
+		dst.up[k] = up
 
 		// Term 3 of μ: transcoded stream at rep r from its transcoder m to
-		// every agent hosting a destination demanding r; one copy per
-		// (m, destination agent, r). The paper's strict formula multiplies
-		// by (1−λ_lu): no transcoded traffic is counted toward the source's
-		// own agent.
-		sentTranscoded := make(map[edgeKey]bool)
-		for _, v := range sc.Participants(u) {
-			if !sc.Theta(u, v) {
+		// every agent hosting a destination demanding r; one copy per (m,
+		// destination agent, r). The paper's strict formula multiplies by
+		// (1−λ_lu): no transcoded traffic is counted toward the source's own
+		// agent. The same walk clears the per-source counts.
+		scr.sentEdges = scr.sentEdges[:0]
+		for f := range flows {
+			fl := &flows[f]
+			lv := lambda[fl.Dst]
+			if lv == assign.Unassigned {
 				continue
 			}
-			f := model.Flow{Src: u, Dst: v}
-			m, ok := a.FlowAgent(f)
-			if !ok || m == assign.Unassigned {
-				continue
-			}
-			lv := a.UserAgent(v)
-			if lv == assign.Unassigned || lv == m {
+			scr.transDst[lv] = 0
+			m := to[f]
+			if m == assign.Unassigned || lv == m {
 				continue
 			}
 			if p.StrictPaperTraffic && lv == k {
 				continue
 			}
-			r := sc.DownstreamRep(f)
-			ek := edgeKey{src: m, dst: lv, r: r}
-			if sentTranscoded[ek] {
+			dup := false
+			for _, ek := range scr.sentEdges {
+				if ek.m == int32(m) && ek.lv == int32(lv) && ek.r == fl.Rep {
+					dup = true
+					break
+				}
+			}
+			if dup {
 				continue
 			}
-			sentTranscoded[ek] = true
-			sl.addEdge(m, lv, sc.Reps.Bitrate(r))
+			scr.sentEdges = append(scr.sentEdges, edgeKey3{m: int32(m), lv: int32(lv), r: fl.Rep})
+			dst.addEdge(m, lv, fl.OutMbps)
+		}
+		for _, m32 := range scr.transList {
+			scr.transMark[m32] = false
 		}
 	}
-
-	for tk := range tasks {
-		sl.Tasks[tk.m]++
+	for _, l32 := range hosts {
+		scr.hostCnt[l32] = 0
 	}
-	return sl
 }

@@ -384,21 +384,21 @@ func (c *Coordinator) handleFreeze(conn net.Conn, dec *json.Decoder, enc *json.E
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: fmt.Sprintf("unknown agent %d", d.To)})
 	}
 	curLoad := c.ev.SessionLoadSparse(c.a, sid, c.scr)
-	c.ledger.RemoveSparse(curLoad)
+	c.ledger.Remove(curLoad)
 	inv, err := c.a.Apply(d)
 	if err != nil {
-		c.ledger.AddSparse(curLoad)
+		c.ledger.Add(curLoad)
 		c.bump(&c.stats.Rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: err.Error()})
 	}
 	newLoad := c.ev.CandidateLoad(c.a, sid, c.scr)
 	if !c.ledger.FitsRepairDelta(newLoad, curLoad) || !cost.DelayFeasible(c.a, sid) {
 		c.a.Apply(inv)
-		c.ledger.AddSparse(curLoad)
+		c.ledger.Add(curLoad)
 		c.bump(&c.stats.Rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: "infeasible commit"})
 	}
-	c.ledger.AddSparse(newLoad)
+	c.ledger.Add(newLoad)
 	c.bump(&c.stats.Commits)
 	return enc.Encode(frame{Type: frameCommitted, Session: session})
 }

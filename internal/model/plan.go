@@ -16,7 +16,8 @@ type PlanMember struct {
 	// InMbps is the member's last-mile downstream: the bitrates of the
 	// effective downstream representations of its n−1 incoming flows, summed
 	// in Participants order. This sum is the canonical association of the
-	// first term of constraint (6); SessionLoadOf builds it the same way.
+	// first term of constraint (6); cost's load kernel adds it once per
+	// member, and the kernel's test-side reference forms the same sum.
 	InMbps float64
 	// UpRep is r^u_u, the member's upstream representation.
 	UpRep Representation

@@ -700,7 +700,7 @@ func (o *Orchestrator) checkInvariants() error {
 	want := cost.NewLedger(o.sc)
 	scr := o.ev.NewScratch()
 	for s := range o.cache.EachActive() {
-		want.AddSparse(o.ev.SessionLoadSparse(o.a, s, scr))
+		want.Add(o.ev.SessionLoadSparse(o.a, s, scr))
 	}
 	gotDown, gotUp, gotTasks := o.ledger.Usage()
 	wantDown, wantUp, wantTasks := want.Usage()

@@ -256,7 +256,7 @@ func (o *Orchestrator) activateLocked(s model.SessionID) (bool, error) {
 // warm cache; worker entries re-validate by signature the next time the
 // session is owned. Caller holds o.mu and owns s.
 func (o *Orchestrator) teardownLocked(s model.SessionID) error {
-	o.ledger.RemoveSparse(o.cache.SessionLoad(o.a, s))
+	o.ledger.Remove(o.cache.SessionLoad(o.a, s))
 	for _, u := range o.sc.Session(s).Users {
 		o.a.SetUserAgent(u, assign.Unassigned)
 	}

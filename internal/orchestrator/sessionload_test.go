@@ -8,7 +8,7 @@ import (
 )
 
 // TestSessionLoadCallersKeepTheViewContract guards the callers of
-// cost.ObjectiveCache.SessionLoad, which hands every caller the same dense
+// cost.ObjectiveCache.SessionLoad, which hands every caller the same
 // view and overwrites it on the next call. Each of the orchestrator's uses
 // feeds the ledger (departure, eviction) or a touched set (admission, the
 // committed-agents index), so a caller that kept the view across another

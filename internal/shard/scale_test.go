@@ -55,7 +55,7 @@ func TestShardCapacityScaleStorm(t *testing.T) {
 		for i, s := range admitted {
 			initial[i] = cost.NewSparseLoad(sc.NumAgents())
 			initial[i].CopyFrom(ev.SessionLoadSparse(a, s, scr))
-			sl.AddSparse(initial[i])
+			sl.Add(initial[i])
 		}
 
 		// The chaos goroutine flips a band of agents between failed (0),
@@ -114,7 +114,7 @@ func TestShardCapacityScaleStorm(t *testing.T) {
 		// accumulated in commit order, so allow float slack.
 		want := cost.NewLedger(sc)
 		for _, load := range final {
-			want.AddSparse(load)
+			want.Add(load)
 		}
 		gotDown, gotUp, gotTasks := sl.Usage()
 		wantDown, wantUp, wantTasks := want.Usage()
@@ -153,11 +153,8 @@ func TestShardCapacityScaleStorm(t *testing.T) {
 		snap := cost.NewLedger(sc)
 		epochs = sl.SnapshotInto(snap, epochs[:0])
 		probe := cost.NewSparseLoad(sc.NumAgents())
-		dense := final[0].Dense()
-		dense.Down[0] += 5
-		dense.Up[0] += 5
-		dense.Tasks[0]++
-		probe.CopyFrom(cost.NewSparseLoadFromDense(dense))
+		probe.CopyFrom(final[0])
+		probe.AddAt(0, 5, 5, 0, 1)
 		if res := sl.CommitDelta(probe, final[0], epochs, &route); res != Infeasible {
 			t.Fatalf("shards=%d: commit onto a zero-scaled agent returned %v, want Infeasible", shards, res)
 		}

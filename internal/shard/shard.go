@@ -41,7 +41,7 @@
 // which the equivalence tests pin bit for bit.
 //
 // All float arithmetic lives in internal/cost range primitives
-// (AddSparseRange, FitsRepairDeltaRange, ...); this package contributes
+// (AddRange, FitsRepairDeltaRange, ...); this package contributes
 // only routing, locking, and epochs, so sharded and dense results are
 // bit-identical by construction.
 package shard
@@ -224,44 +224,27 @@ func (sl *Ledger) bumpAll() {
 // ---------------------------------------------------------------------------
 // cost.LedgerAPI: whole-fleet convenience surface (lock-all + delegate)
 
-// Add accounts a dense session load in (bootstrap path).
-func (sl *Ledger) Add(load *cost.SessionLoad) {
-	sl.lockAll()
-	sl.inner.Add(load)
-	sl.bumpAll()
-	sl.unlockAll()
-}
-
-// Remove accounts a dense session load out.
-func (sl *Ledger) Remove(load *cost.SessionLoad) {
-	sl.lockAll()
-	sl.inner.Remove(load)
-	sl.bumpAll()
-	sl.unlockAll()
-}
-
-// AddSparse accounts a sparse session load in, bumping only the shards it
-// touches.
-func (sl *Ledger) AddSparse(load *cost.SparseLoad) {
+// Add accounts a session load in, bumping only the shards it touches.
+func (sl *Ledger) Add(load *cost.SparseLoad) {
 	var r Route
 	r.reset(len(sl.shards))
 	sl.route(&r, load, nil)
 	sl.lockRoute(&r)
 	for _, si := range r.list {
-		sl.inner.AddSparseRange(load, int(sl.bounds[si]), int(sl.bounds[si+1]))
+		sl.inner.AddRange(load, int(sl.bounds[si]), int(sl.bounds[si+1]))
 		sl.shards[si].epoch++
 	}
 	sl.unlockRoute(&r)
 }
 
-// RemoveSparse accounts a sparse session load out (departure path).
-func (sl *Ledger) RemoveSparse(load *cost.SparseLoad) {
+// Remove accounts a session load out (departure path).
+func (sl *Ledger) Remove(load *cost.SparseLoad) {
 	var r Route
 	r.reset(len(sl.shards))
 	sl.route(&r, load, nil)
 	sl.lockRoute(&r)
 	for _, si := range r.list {
-		sl.inner.RemoveSparseRange(load, int(sl.bounds[si]), int(sl.bounds[si+1]))
+		sl.inner.RemoveRange(load, int(sl.bounds[si]), int(sl.bounds[si+1]))
 		sl.shards[si].epoch++
 	}
 	sl.unlockRoute(&r)
@@ -285,7 +268,7 @@ func (sl *Ledger) TryAdd(load *cost.SparseLoad) bool {
 	if !sl.inner.Fits(load) {
 		return false
 	}
-	sl.inner.AddSparse(load)
+	sl.inner.Add(load)
 	sl.bumpAll()
 	return true
 }
@@ -462,7 +445,7 @@ func (sl *Ledger) CommitDelta(candidate, current *cost.SparseLoad, snap Epochs, 
 	// load, check repair feasibility of the replacement, then apply or
 	// restore — restricted per shard, which is exact (see internal/cost).
 	for _, si := range route.list {
-		sl.inner.RemoveSparseRange(current, int(sl.bounds[si]), int(sl.bounds[si+1]))
+		sl.inner.RemoveRange(current, int(sl.bounds[si]), int(sl.bounds[si+1]))
 	}
 	ok := true
 	for _, si := range route.list {
@@ -473,12 +456,12 @@ func (sl *Ledger) CommitDelta(candidate, current *cost.SparseLoad, snap Epochs, 
 	}
 	if ok {
 		for _, si := range route.list {
-			sl.inner.AddSparseRange(candidate, int(sl.bounds[si]), int(sl.bounds[si+1]))
+			sl.inner.AddRange(candidate, int(sl.bounds[si]), int(sl.bounds[si+1]))
 			sl.shards[si].epoch++
 		}
 	} else {
 		for _, si := range route.list {
-			sl.inner.AddSparseRange(current, int(sl.bounds[si]), int(sl.bounds[si+1]))
+			sl.inner.AddRange(current, int(sl.bounds[si]), int(sl.bounds[si+1]))
 		}
 	}
 	sl.unlockRoute(route)

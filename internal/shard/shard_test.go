@@ -46,22 +46,10 @@ func fixture(t testing.TB, agents, users int, seed int64) (*model.Scenario, *cos
 // few random ones, with jittered magnitudes — commit traffic that overlaps
 // the original's shards and usually some others.
 func mutateLoad(sc *model.Scenario, src *cost.SparseLoad, rng *rand.Rand) *cost.SparseLoad {
-	dense := src.Dense()
 	l := model.AgentID(rng.Intn(sc.NumAgents()))
-	dense.Down[l] += 2 + 10*rng.Float64()
-	dense.Up[l] += 2 + 10*rng.Float64()
-	dense.Tasks[l]++
 	out := cost.NewSparseLoad(sc.NumAgents())
-	out.CopyFrom(sparseFromDense(sc, dense))
-	return out
-}
-
-// sparseFromDense converts a dense load back to sparse form (test helper).
-func sparseFromDense(sc *model.Scenario, d *cost.SessionLoad) *cost.SparseLoad {
-	// Round-trip through an evaluator-independent path: accumulate into a
-	// ledger-compatible sparse load via public APIs.
-	out := cost.NewSparseLoadFromDense(d)
-	_ = sc
+	out.CopyFrom(src)
+	out.AddAt(l, 2+10*rng.Float64(), 2+10*rng.Float64(), 0, 1)
 	return out
 }
 
@@ -87,7 +75,7 @@ func TestShardedMatchesDenseSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cur := make([]*cost.SparseLoad, len(loads))
 	for s, load := range loads {
-		all(func(g cost.LedgerAPI) { g.AddSparse(load) })
+		all(func(g cost.LedgerAPI) { g.Add(load) })
 		cur[s] = load
 	}
 	for step := 0; step < 300; step++ {
@@ -109,11 +97,11 @@ func TestShardedMatchesDenseSequential(t *testing.T) {
 			}
 		}
 		// Dense path applies the same swap sequence the pipeline would.
-		dense.RemoveSparse(cur[s])
+		dense.Remove(cur[s])
 		if wantFits {
-			dense.AddSparse(cand)
+			dense.Add(cand)
 		} else {
-			dense.AddSparse(cur[s])
+			dense.Add(cur[s])
 		}
 		for i, sl := range sharded {
 			var r Route
@@ -245,7 +233,7 @@ func TestShardConcurrentCommitStorm(t *testing.T) {
 		for i, s := range admitted {
 			initial[i] = cost.NewSparseLoad(sc.NumAgents())
 			initial[i].CopyFrom(ev.SessionLoadSparse(a, s, scr))
-			sl.AddSparse(initial[i])
+			sl.Add(initial[i])
 		}
 
 		final := make([]*cost.SparseLoad, workers)
@@ -284,7 +272,7 @@ func TestShardConcurrentCommitStorm(t *testing.T) {
 		// float-accumulation slack.
 		want := cost.NewLedger(sc)
 		for _, load := range final {
-			want.AddSparse(load)
+			want.Add(load)
 		}
 		gotDown, gotUp, gotTasks := sl.Usage()
 		wantDown, wantUp, wantTasks := want.Usage()
@@ -319,7 +307,7 @@ func TestShardCommitHotPathAllocs(t *testing.T) {
 	sc, ev, loads := fixture(t, 64, 40, 4)
 	sl := New(sc, 8)
 	for _, load := range loads {
-		sl.AddSparse(load)
+		sl.Add(load)
 	}
 	snap := cost.NewLedger(sc)
 	var epochs Epochs
@@ -350,7 +338,7 @@ func BenchmarkShardCommit(b *testing.B) {
 		_ = ev
 		sl := New(sc, shards)
 		for _, load := range loads {
-			sl.AddSparse(load)
+			sl.Add(load)
 		}
 		name := map[int]string{1: "serial/shards=1", 8: "serial/shards=8"}[shards]
 		b.Run(name, func(b *testing.B) {
@@ -373,7 +361,7 @@ func BenchmarkShardCommit(b *testing.B) {
 		_ = ev
 		sl := New(sc, shards)
 		for _, load := range loads {
-			sl.AddSparse(load)
+			sl.Add(load)
 		}
 		b.Run(map[int]string{1: "contended/shards=1", 8: "contended/shards=8"}[shards], func(b *testing.B) {
 			var next atomic.Int64
@@ -395,9 +383,9 @@ func BenchmarkShardCommit(b *testing.B) {
 	}
 }
 
-// tryAddFixture builds a finite-capacity scenario plus a fabricated dense
-// load sized so each agent absorbs only a few copies — the admission shape
-// TryAdd exists for.
+// tryAddFixture builds a finite-capacity scenario plus a fabricated load on
+// every agent, sized so each agent absorbs only a few copies — the admission
+// shape TryAdd exists for.
 func tryAddFixture(t testing.TB) (*model.Scenario, *cost.SparseLoad) {
 	t.Helper()
 	wl := workload.Prototype(17)
@@ -407,19 +395,11 @@ func tryAddFixture(t testing.TB) (*model.Scenario, *cost.SparseLoad) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	L := sc.NumAgents()
-	load := &cost.SessionLoad{
-		Down:  make([]float64, L),
-		Up:    make([]float64, L),
-		Tasks: make([]int, L),
-		Inter: make([]float64, L),
+	load := cost.NewSparseLoad(sc.NumAgents())
+	for l := 0; l < sc.NumAgents(); l++ {
+		load.AddAt(model.AgentID(l), 30, 30, 0, 1)
 	}
-	for l := 0; l < L; l++ {
-		load.Down[l] = 30
-		load.Up[l] = 30
-		load.Tasks[l] = 1
-	}
-	return sc, cost.NewSparseLoadFromDense(load)
+	return sc, load
 }
 
 // TestShardTryAddMatchesDense pins TryAdd semantics against the dense
@@ -481,7 +461,7 @@ func TestShardTryAddAtomicStorm(t *testing.T) {
 						fail.Store(true)
 						return
 					}
-					sl.RemoveSparse(load)
+					sl.Remove(load)
 				}
 			}
 		}()
