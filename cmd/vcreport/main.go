@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"vconf/internal/sim"
+	"vconf/internal/telemetry"
 )
 
 func main() {
@@ -162,65 +163,6 @@ func reportSimTraceAB(w io.Writer, pathA, pathB string) (bool, error) {
 
 // ---- windowed health, alert timelines and metric snapshots ---------------
 
-// tsDoc / tsWindow / tsClass mirror telemetry.TimeseriesDoc's JSON surface
-// (the subset vcreport reads).
-type tsDoc struct {
-	IntervalS    float64    `json:"interval_s"`
-	WindowsTotal int64      `json:"windows_total"`
-	Windows      []tsWindow `json:"windows"`
-}
-
-type tsWindow struct {
-	Index         int64     `json:"index"`
-	StartS        float64   `json:"start_s"`
-	EndS          float64   `json:"end_s"`
-	Events        int64     `json:"events"`
-	Commits       int64     `json:"commits"`
-	Rejects       int64     `json:"rejects"`
-	Conflicts     int64     `json:"conflicts"`
-	Arrivals      int64     `json:"arrivals"`
-	Drops         int64     `json:"drops"`
-	Orphans       int64     `json:"orphans"`
-	EvacRejects   int64     `json:"evac_rejects"`
-	Faults        int64     `json:"faults"`
-	Incident      int       `json:"incident"`
-	IncidentKind  string    `json:"incident_kind"`
-	CommitsPerS   float64   `json:"commits_per_s"`
-	RejectRatio   float64   `json:"reject_ratio"`
-	ConflictRatio float64   `json:"conflict_ratio"`
-	DropRatio     float64   `json:"drop_ratio"`
-	Classes       []tsClass `json:"classes"`
-}
-
-type tsClass struct {
-	Class  string `json:"class"`
-	DelayN int64  `json:"delay_n"`
-	P99US  int64  `json:"delay_p99_us"`
-}
-
-// alertsDoc mirrors telemetry.AlertsDoc's JSON surface.
-type alertsDoc struct {
-	IntervalS float64 `json:"interval_s"`
-	Status    []struct {
-		Rule          string  `json:"rule"`
-		Firing        bool    `json:"firing"`
-		Fires         int     `json:"fires"`
-		Resolves      int     `json:"resolves"`
-		FiringS       float64 `json:"firing_s"`
-		MaxFastBurn   float64 `json:"max_fast_burn"`
-		FiringWindows int64   `json:"firing_windows"`
-	} `json:"status"`
-	Events []struct {
-		Rule         string  `json:"rule"`
-		State        string  `json:"state"`
-		TimeS        float64 `json:"time_s"`
-		FastBurn     float64 `json:"fast_burn"`
-		SlowBurn     float64 `json:"slow_burn"`
-		Incident     int     `json:"incident"`
-		IncidentKind string  `json:"incident_kind"`
-	} `json:"events"`
-}
-
 func loadJSONDoc(path string, into interface{}) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -235,7 +177,7 @@ func loadJSONDoc(path string, into interface{}) error {
 // healthAggregates flattens one timeseries document into run-level
 // comparables. Ratio means are event-weighted (totals over totals, not a
 // mean of per-window ratios), so sparse windows don't dominate.
-func healthAggregates(doc *tsDoc) map[string]float64 {
+func healthAggregates(doc *telemetry.TimeseriesDoc) map[string]float64 {
 	var commits, rejects, nochange, conflicts, arrivals, drops, orphans, evacRej int64
 	var unhealthy int64
 	classN := map[string]int64{}
@@ -298,7 +240,7 @@ func healthDir(key string) int {
 }
 
 func reportTimeseries(w io.Writer, path string) error {
-	var doc tsDoc
+	var doc telemetry.TimeseriesDoc
 	if err := loadJSONDoc(path, &doc); err != nil {
 		return err
 	}
@@ -332,7 +274,7 @@ func reportTimeseries(w io.Writer, path string) error {
 }
 
 func reportAlerts(w io.Writer, path string) error {
-	var doc alertsDoc
+	var doc telemetry.AlertsDoc
 	if err := loadJSONDoc(path, &doc); err != nil {
 		return err
 	}
@@ -358,17 +300,7 @@ func reportAlerts(w io.Writer, path string) error {
 // reportMetrics summarizes a final /metrics.json snapshot: totals per
 // counter family plus the latency-histogram percentiles.
 func reportMetrics(w io.Writer, path string) error {
-	var doc struct {
-		Metrics []struct {
-			Name  string            `json:"name"`
-			Type  string            `json:"type"`
-			Label map[string]string `json:"labels"`
-			Value float64           `json:"value"`
-			Count int64             `json:"count"`
-			P50   int64             `json:"p50"`
-			P99   int64             `json:"p99"`
-		} `json:"metrics"`
-	}
+	var doc telemetry.MetricsDoc
 	if err := loadJSONDoc(path, &doc); err != nil {
 		return err
 	}
@@ -403,7 +335,7 @@ func reportMetrics(w io.Writer, path string) error {
 // reportHealthAB compares two runs' windowed-health aggregates (plus alert
 // minutes when timelines are given) and returns the regression count.
 func reportHealthAB(w io.Writer, pathA, pathB, alertsA, alertsB string, tol float64) (int, error) {
-	var a, b tsDoc
+	var a, b telemetry.TimeseriesDoc
 	if err := loadJSONDoc(pathA, &a); err != nil {
 		return 0, err
 	}
@@ -412,14 +344,14 @@ func reportHealthAB(w io.Writer, pathA, pathB, alertsA, alertsB string, tol floa
 	}
 	aggA, aggB := healthAggregates(&a), healthAggregates(&b)
 	if alertsA != "" {
-		var da, db alertsDoc
+		var da, db telemetry.AlertsDoc
 		if err := loadJSONDoc(alertsA, &da); err != nil {
 			return 0, err
 		}
 		if err := loadJSONDoc(alertsB, &db); err != nil {
 			return 0, err
 		}
-		sum := func(d *alertsDoc) (s float64) {
+		sum := func(d *telemetry.AlertsDoc) (s float64) {
 			for _, st := range d.Status {
 				s += st.FiringS
 			}
@@ -472,15 +404,6 @@ func reportHealthAB(w io.Writer, pathA, pathB, alertsA, alertsB string, tol floa
 
 // ---- per-class delay + fairness from a decision trace --------------------
 
-// traceRecord is the subset of telemetry.DecisionRecord vcreport reads.
-type traceRecord struct {
-	Kind     string  `json:"kind"`
-	Session  int     `json:"session"`
-	Admitted bool    `json:"admitted"`
-	Class    string  `json:"class"`
-	DelayMS  float64 `json:"delay_ms"`
-}
-
 func reportTrace(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -496,7 +419,7 @@ func reportTrace(w io.Writer, path string) error {
 		if line == "" {
 			continue
 		}
-		var rec traceRecord
+		var rec telemetry.DecisionRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			return fmt.Errorf("%s:%d: %w", path, records+1, err)
 		}
@@ -571,15 +494,6 @@ func jain(xs []float64) float64 {
 
 // ---- per-phase attribution from spans ------------------------------------
 
-// spanRecord is the subset of telemetry.SpanRecord vcreport reads.
-type spanRecord struct {
-	ID     uint64 `json:"id"`
-	Parent uint64 `json:"parent"`
-	Name   string `json:"name"`
-	Cat    string `json:"cat"`
-	DurNs  int64  `json:"dur_ns"`
-}
-
 func reportSpans(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -600,7 +514,7 @@ func reportSpans(w io.Writer, path string) error {
 		if line == "" {
 			continue
 		}
-		var rec spanRecord
+		var rec telemetry.SpanRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			return fmt.Errorf("%s:%d: %w", path, spans+1, err)
 		}

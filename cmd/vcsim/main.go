@@ -33,6 +33,7 @@ import (
 	"vconf/internal/faults"
 	"vconf/internal/model"
 	"vconf/internal/orchestrator"
+	"vconf/internal/sim"
 	"vconf/internal/telemetry"
 	"vconf/internal/workload"
 )
@@ -300,24 +301,21 @@ func printHealBreakdown(w io.Writer, sink *telemetry.Sink, incidents int) {
 // /alerts.json and /flightrec.json. All virtual-time, so the block is
 // byte-identical across same-seed runs.
 func printHealthSummary(w io.Writer, sink *telemetry.Sink) {
-	if eng := sink.Alerts(); eng != nil {
-		for _, ev := range eng.Events() {
-			inc := ""
-			if ev.Incident != 0 {
-				inc = fmt.Sprintf(" incident=%d(%s)", ev.Incident, ev.IncidentKind)
-			}
-			fmt.Fprintf(w, "slo: t=%7.1fs %-7s %-18s fast burn %.1f slow burn %.1f%s\n",
-				ev.TimeS, ev.State, ev.Rule, ev.FastBurn, ev.SlowBurn, inc)
+	alerts := sink.AlertsDoc()
+	for _, ev := range alerts.Events {
+		inc := ""
+		if ev.Incident != 0 {
+			inc = fmt.Sprintf(" incident=%d(%s)", ev.Incident, ev.IncidentKind)
 		}
-		for _, rs := range eng.Summary() {
-			fmt.Fprintf(w, "slo: rule %-18s fires=%d resolves=%d firing %.0fs (%d windows), max fast burn %.1f\n",
-				rs.Rule, rs.Fires, rs.Resolves, rs.FiringS, rs.FiringWindows, rs.MaxFastBurn)
-		}
+		fmt.Fprintf(w, "slo: t=%7.1fs %-7s %-18s fast burn %.1f slow burn %.1f%s\n",
+			ev.TimeS, ev.State, ev.Rule, ev.FastBurn, ev.SlowBurn, inc)
 	}
-	if fl := sink.Flight(); fl != nil {
-		if dumps := fl.Dumps(); len(dumps) > 0 || fl.Dropped() > 0 {
-			fmt.Fprintf(w, "flightrec: %d dumps frozen (%d dropped)\n", len(dumps), fl.Dropped())
-		}
+	for _, rs := range alerts.Status {
+		fmt.Fprintf(w, "slo: rule %-18s fires=%d resolves=%d firing %.0fs (%d windows), max fast burn %.1f\n",
+			rs.Rule, rs.Fires, rs.Resolves, rs.FiringS, rs.FiringWindows, rs.MaxFastBurn)
+	}
+	if fl := sink.FlightDoc(); len(fl.Dumps) > 0 || fl.Dropped > 0 {
+		fmt.Fprintf(w, "flightrec: %d dumps frozen (%d dropped)\n", len(fl.Dumps), fl.Dropped)
 	}
 }
 
@@ -379,7 +377,7 @@ type churnOpts struct {
 // runChurn drives the online orchestrator over the drained event source and
 // reports per-interval telemetry plus the final drift vs a from-scratch
 // re-solve oracle.
-func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src orchestrator.EventSource, opts churnOpts) error {
+func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src sim.EventSource, opts churnOpts) error {
 	// The whole schedule is drained up front: its length sizes the
 	// telemetry rings.
 	var events []workload.Event
@@ -408,9 +406,7 @@ func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src orchestra
 			SpanCapacity:  16 * (len(events) + 8),
 			Classes:       workload.SLOClassNames,
 			SessionClass:  workload.SessionClasses(sc, 0),
-		}
-		if opts.sampleEvery > 0 {
-			cfg.Sample = &telemetry.SamplerConfig{IntervalS: opts.sampleEvery}
+			SampleEveryS:  opts.sampleEvery,
 		}
 		if opts.slo {
 			targets := make(map[string]int64, len(workload.SLOClassNames))
@@ -509,9 +505,9 @@ func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src orchestra
 		}
 	}
 
-	// Close the sampler's partial tail window so the final series, alert
-	// evaluation and file dumps cover the whole horizon.
-	sink.FlushSampler()
+	// Close the partial tail window so the final series, alert evaluation
+	// and file dumps cover the whole horizon.
+	sink.Flush()
 
 	st := orc.Stats()
 	rts := rt.Stats()
@@ -589,22 +585,25 @@ func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src orchestra
 		fmt.Fprintf(w, "metrics: wrote final snapshot to %s\n", opts.metricsOut)
 	}
 	if opts.tsOut != "" {
-		if err := writeDoc(opts.tsOut, sink.Sampler().WriteJSON); err != nil {
+		doc := sink.TimeseriesDoc()
+		if err := writeDoc(opts.tsOut, doc.WriteJSON); err != nil {
 			return fmt.Errorf("timeseries-out: %w", err)
 		}
-		fmt.Fprintf(w, "timeseries: wrote %d windows to %s\n", sink.Sampler().TotalWindows(), opts.tsOut)
+		fmt.Fprintf(w, "timeseries: wrote %d windows to %s\n", doc.WindowsTotal, opts.tsOut)
 	}
 	if opts.alertsOut != "" {
-		if err := writeDoc(opts.alertsOut, sink.Alerts().WriteJSON); err != nil {
+		doc := sink.AlertsDoc()
+		if err := writeDoc(opts.alertsOut, doc.WriteJSON); err != nil {
 			return fmt.Errorf("alerts-out: %w", err)
 		}
-		fmt.Fprintf(w, "alerts: wrote %d transitions to %s\n", len(sink.Alerts().Events()), opts.alertsOut)
+		fmt.Fprintf(w, "alerts: wrote %d transitions to %s\n", len(doc.Events), opts.alertsOut)
 	}
 	if opts.flightOut != "" {
-		if err := writeDoc(opts.flightOut, sink.Flight().WriteJSON); err != nil {
+		doc := sink.FlightDoc()
+		if err := writeDoc(opts.flightOut, doc.WriteJSON); err != nil {
 			return fmt.Errorf("flightrec-out: %w", err)
 		}
-		fmt.Fprintf(w, "flightrec: wrote %d dumps to %s\n", len(sink.Flight().Dumps()), opts.flightOut)
+		fmt.Fprintf(w, "flightrec: wrote %d dumps to %s\n", len(doc.Dumps), opts.flightOut)
 	}
 	if opts.listen != "" && opts.linger > 0 {
 		// Keep the endpoint alive so an external scraper (e.g. the CI smoke

@@ -27,7 +27,7 @@ import (
 // eventSource builds the run's one event stream: the replayer of a
 // recorded trace, or the sim engine over the churn generator, merged with
 // the fault generator in chaos mode. closeSrc releases the trace file.
-func eventSource(opts churnOpts) (src orchestrator.EventSource, closeSrc func(), err error) {
+func eventSource(opts churnOpts) (src sim.EventSource, closeSrc func(), err error) {
 	if opts.replayTrace != "" {
 		f, err := os.Open(opts.replayTrace)
 		if err != nil {
@@ -57,7 +57,7 @@ func eventSource(opts churnOpts) (src orchestrator.EventSource, closeSrc func(),
 // runVirtual drives the online orchestrator from the event source (the
 // sim engine over the churn/fault generators, or a trace replayer) and
 // prints the decoupled virtual-vs-wall rate report.
-func runVirtual(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src orchestrator.EventSource, opts churnOpts) error {
+func runVirtual(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src sim.EventSource, opts churnOpts) error {
 	rp, _ := src.(*sim.Replayer)
 
 	var (

@@ -329,6 +329,43 @@ func TestDelayConstraintViolation(t *testing.T) {
 	_ = fx
 }
 
+// TestDelayCapBoundaryIsFeasible pins constraint (8) at its boundary,
+// d_uv ≤ Dmax: a session whose worst flow delay equals the cap exactly is
+// feasible on all three paths that judge it (the flow-wise check, the
+// sparse kernel's session report, and CheckFeasible), and one ulp less of
+// cap makes all three reject it.
+func TestDelayCapBoundaryIsFeasible(t *testing.T) {
+	fx := newFixture(t, 0)
+	a := fx.assignment(t, 0, 1, 2)
+	worst := SessionDelaysOf(a, 0).WorstMS
+	for _, c := range []struct {
+		dMaxMS float64
+		want   bool
+	}{
+		{worst, true},
+		{math.Nextafter(worst, 0), false},
+	} {
+		fx.sc.DMaxMS = c.dMaxMS
+		ev, err := NewEvaluator(fx.sc, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := ev.ReportSession(a, 0)
+		if rep.WorstDelayMS != worst {
+			t.Fatalf("report worst %v, flow-wise worst %v: the two paths disagree", rep.WorstDelayMS, worst)
+		}
+		if got := DelayFeasible(a, 0); got != c.want {
+			t.Fatalf("DelayFeasible at Dmax %v (worst %v) = %v, want %v", c.dMaxMS, worst, got, c.want)
+		}
+		if rep.DelayFeasible != c.want {
+			t.Fatalf("ReportSession.DelayFeasible at Dmax %v (worst %v) = %v, want %v", c.dMaxMS, worst, rep.DelayFeasible, c.want)
+		}
+		if err := ev.CheckFeasible(a); (err == nil) != c.want {
+			t.Fatalf("CheckFeasible at Dmax %v (worst %v) = %v, want feasible %v", c.dMaxMS, worst, err, c.want)
+		}
+	}
+}
+
 func TestObjectiveComposition(t *testing.T) {
 	fx := newFixture(t, 0)
 	a := fx.assignment(t, 0, 1, 0)

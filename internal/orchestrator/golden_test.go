@@ -113,7 +113,7 @@ func goldenFixtures() []goldenFixture {
 // recordGolden drives a fresh orchestrator over src and returns the
 // vconf-trace of its decision digests and its final state. check, when
 // non-nil, sees each digest before it is recorded.
-func recordGolden(t *testing.T, fx goldenFixture, cfg Config, src EventSource, check func(sim.Digest) error) ([]byte, goldenFinal) {
+func recordGolden(t *testing.T, fx goldenFixture, cfg Config, src sim.EventSource, check func(sim.Digest) error) ([]byte, goldenFinal) {
 	t.Helper()
 	ev, boot := fx.stack(t)
 	o, err := New(ev, boot, cfg)

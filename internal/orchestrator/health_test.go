@@ -17,7 +17,7 @@ func healthConfig(seed int64, fc workload.FleetConfig, nEvents int) (Config, *te
 		Workers:       4,
 		TraceCapacity: nEvents + 8,
 		SpanCapacity:  16 * (nEvents + 8),
-		Sample:        &telemetry.SamplerConfig{IntervalS: 5},
+		SampleEveryS:  5,
 		SLO: []telemetry.SLORule{{
 			Name: "availability", Kind: telemetry.RuleAvailability,
 			Budget: 0.01, FastWindows: 2, SlowWindows: 6, FireBurn: 5,
@@ -28,7 +28,7 @@ func healthConfig(seed int64, fc workload.FleetConfig, nEvents int) (Config, *te
 	return cfg, sink
 }
 
-// healthDocs renders the sampler windows and alert timeline of one chaos
+// healthDocs renders the health windows and alert timeline of one chaos
 // run.
 func healthDocs(t *testing.T, fc workload.FleetConfig, events []workload.Event, cfg Config, sink *telemetry.Sink) (string, string) {
 	t.Helper()
@@ -41,12 +41,12 @@ func healthDocs(t *testing.T, fc workload.FleetConfig, events []workload.Event, 
 	if _, err := o.Run(events, 1e18); err != nil {
 		t.Fatal(err)
 	}
-	sink.FlushSampler()
+	sink.Flush()
 	var ts, al bytes.Buffer
-	if err := sink.Sampler().WriteJSON(&ts); err != nil {
+	if err := sink.TimeseriesDoc().WriteJSON(&ts); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Alerts().WriteJSON(&al); err != nil {
+	if err := sink.AlertsDoc().WriteJSON(&al); err != nil {
 		t.Fatal(err)
 	}
 	return ts.String(), al.String()
@@ -97,7 +97,7 @@ func TestFaultsFreezeCorrelatedFlightDumps(t *testing.T) {
 	if len(kinds) == 0 {
 		t.Fatal("schedule carries no incident ids")
 	}
-	dumps := sink.Flight().Dumps()
+	dumps := sink.FlightDoc().Dumps
 	if len(dumps) == 0 {
 		t.Fatal("chaos run froze no flight dumps")
 	}
@@ -150,7 +150,7 @@ func TestInvariantFailureTriggersFlight(t *testing.T) {
 	if err := o.CheckInvariants(); err != nil {
 		t.Fatalf("healthy state flagged: %v", err)
 	}
-	before := len(sink.Flight().Dumps())
+	before := len(sink.FlightDoc().Dumps)
 
 	// Sabotage the ledger out from under the live sessions: shrinking a
 	// loaded agent's capacity to (effectively) zero makes Fits fail.
@@ -165,7 +165,7 @@ func TestInvariantFailureTriggersFlight(t *testing.T) {
 	if err == nil {
 		t.Fatal("sabotaged ledger passed CheckInvariants")
 	}
-	dumps := sink.Flight().Dumps()
+	dumps := sink.FlightDoc().Dumps
 	if len(dumps) != before+1 {
 		t.Fatalf("invariant failure froze %d dumps, want exactly 1 more than %d", len(dumps), before)
 	}

@@ -68,6 +68,7 @@ import (
 	"vconf/internal/model"
 	"vconf/internal/pipeline"
 	"vconf/internal/shard"
+	"vconf/internal/sim"
 	"vconf/internal/telemetry"
 	"vconf/internal/workload"
 )
@@ -603,7 +604,7 @@ func (o *Orchestrator) capReopt(trigger model.SessionID, touched []model.Session
 // returns.
 func (o *Orchestrator) Run(events []workload.Event, horizonS float64) ([]EventReport, error) {
 	reports := make([]EventReport, 0, len(events))
-	err := o.RunSource(&sliceSource{events: events}, horizonS, func(rep EventReport) error {
+	err := o.RunSource(sim.NewSliceSource(events), horizonS, func(rep EventReport) error {
 		reports = append(reports, rep)
 		return nil
 	})

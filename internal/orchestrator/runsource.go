@@ -1,10 +1,10 @@
 package orchestrator
 
 // RunSource is the one ingestion loop: the orchestrator pulls events one at
-// a time from an EventSource (an internal/sim engine over lazy generators,
-// a trace replayer, or Run's slice) and streams finished reports to a
-// callback — memory stays O(in-flight events) however long the virtual
-// horizon. For the same seeds, a lazy engine and the drained slice of the
+// a time from a sim.EventSource (an internal/sim engine over lazy
+// generators, a trace replayer, or Run's slice) and streams finished
+// reports to a callback — memory stays O(in-flight events) however long the
+// virtual horizon. For the same seeds, a lazy engine and the drained slice of the
 // same schedule produce the same assignments, objective bits, Stats counters and
 // decision-record stream (runsource_test.go).
 
@@ -13,32 +13,8 @@ import (
 	"math"
 	"sync"
 
-	"vconf/internal/workload"
+	"vconf/internal/sim"
 )
-
-// EventSource is the pull-based lazy event stream RunSource consumes:
-// events in non-decreasing time order, ok=false at exhaustion, Err for
-// stream failures. sim.Engine, the lazy generators and sim.Replayer all
-// satisfy it; the interface is redeclared here (Go structural typing) so
-// the orchestrator does not depend on the sim package.
-type EventSource interface {
-	Next() (workload.Event, bool)
-	Err() error
-}
-
-// sliceSource is the EventSource over a pre-materialized schedule.
-type sliceSource struct{ events []workload.Event }
-
-func (s *sliceSource) Next() (workload.Event, bool) {
-	if len(s.events) == 0 {
-		return workload.Event{}, false
-	}
-	e := s.events[0]
-	s.events = s.events[1:]
-	return e, true
-}
-
-func (s *sliceSource) Err() error { return nil }
 
 // RunSource processes events pulled from src in order until exhaustion,
 // letting events with disjoint footprints overlap (Config.MaxInFlight).
@@ -49,7 +25,7 @@ func (s *sliceSource) Err() error { return nil }
 // scheduler drains, because healing rewrites sessions that in-flight events
 // may own. With a runtime attached, the data plane is ticked to each
 // event's time as it is admitted and to horizonS after the final drain.
-func (o *Orchestrator) RunSource(src EventSource, horizonS float64, onReport func(EventReport) error) error {
+func (o *Orchestrator) RunSource(src sim.EventSource, horizonS float64, onReport func(EventReport) error) error {
 	var cbMu sync.Mutex
 	var cbErr error
 	emit := func(rep EventReport) {

@@ -184,7 +184,7 @@ func TestRunSourceRecordReplay(t *testing.T) {
 	_, _, homes := chaosStack(t, fc)
 	ccfg, fcfg := chaosGenConfigs(67, fc, homes, 300, 0.12)
 
-	record := func(src EventSource, rec *sim.Recorder) (string, float64) {
+	record := func(src sim.EventSource, rec *sim.Recorder) (string, float64) {
 		ev, boot, _ := chaosStack(t, fc)
 		o, err := New(ev, boot, chaosConfig(67, fc))
 		if err != nil {
@@ -345,7 +345,7 @@ func TestRunSourcePipelinedStorm(t *testing.T) {
 
 // countingSource counts the events RunSource pulls.
 type countingSource struct {
-	EventSource
+	sim.EventSource
 	pulled int
 }
 

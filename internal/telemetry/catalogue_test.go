@@ -31,10 +31,10 @@ func TestMetricCatalogueMatchesREADME(t *testing.T) {
 
 	// A sink with every subsystem on registers the full catalogue up front.
 	s := New(Config{
-		Workers: 2,
-		Regions: 2,
-		Classes: []string{"interactive", "broadcast"},
-		Sample:  &SamplerConfig{IntervalS: 1},
+		Workers:      2,
+		Regions:      2,
+		Classes:      []string{"interactive", "broadcast"},
+		SampleEveryS: 1,
 		SLO: []SLORule{{
 			Name: "availability", Kind: RuleAvailability, Budget: 0.01,
 		}},

@@ -19,9 +19,9 @@ var documents = []struct {
 	{"/trace.jsonl", "application/x-ndjson", func(s *Sink, w io.Writer) error { return s.rec.WriteJSONL(w) }},
 	{"/spans.jsonl", "application/x-ndjson", func(s *Sink, w io.Writer) error { return s.spans.WriteJSONL(w) }},
 	{"/trace.chrome.json", "application/json", (*Sink).WriteChromeTrace},
-	{"/timeseries.json", "application/json", func(s *Sink, w io.Writer) error { return s.sampler.WriteJSON(w) }},
-	{"/alerts.json", "application/json", func(s *Sink, w io.Writer) error { return s.alerts.WriteJSON(w) }},
-	{"/flightrec.json", "application/json", func(s *Sink, w io.Writer) error { return s.flight.WriteJSON(w) }},
+	{"/timeseries.json", "application/json", func(s *Sink, w io.Writer) error { return s.TimeseriesDoc().WriteJSON(w) }},
+	{"/alerts.json", "application/json", func(s *Sink, w io.Writer) error { return s.AlertsDoc().WriteJSON(w) }},
+	{"/flightrec.json", "application/json", func(s *Sink, w io.Writer) error { return s.FlightDoc().WriteJSON(w) }},
 }
 
 // Documents lists the paths Handler serves, in route-table order (pprof's
@@ -42,14 +42,16 @@ func Documents() []string {
 //	/spans.jsonl        the span ring, one JSON object per line
 //	/trace.chrome.json  records + spans merged into one Chrome trace-event
 //	                    file (spans nested as a causal flame graph)
-//	/timeseries.json    the windowed sampler's closed windows
+//	/timeseries.json    the health monitor's closed windows
 //	/alerts.json        SLO rules, per-rule status and the deterministic
 //	                    alert fire/resolve timeline
-//	/flightrec.json     the incident flight recorder's frozen dumps
+//	/flightrec.json     the flight recorder's frozen dumps
 //	/debug/pprof/...    the standard runtime profiles
 //
-// The health-monitoring endpoints serve valid empty documents when the
-// sampler/alert engine is off, so scrapers never need feature detection.
+// The three health documents are the sink's TimeseriesDoc, AlertsDoc and
+// FlightDoc; they are valid empty documents when windows or rules are off
+// (Config.SampleEveryS, Config.SLO), so scrapers never need feature
+// detection.
 //
 // Returns a 503-only handler on a nil sink, so a disabled sink can still
 // be mounted unconditionally.

@@ -42,9 +42,9 @@ func TestServeBusyPortReturnsError(t *testing.T) {
 // documents, in this order — and the Content-Type header each is served
 // with: scrapers and browsers key off them.
 func TestServeContentTypes(t *testing.T) {
-	s := New(Config{Workers: 1, Sample: &SamplerConfig{IntervalS: 1}})
+	s := New(Config{Workers: 1, SampleEveryS: 1})
 	s.Record(DecisionRecord{TimeS: 0.5, Kind: "arrive", Admitted: true})
-	s.FlushSampler()
+	s.Flush()
 	srv, err := Serve(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,15 +11,14 @@ import (
 	"time"
 )
 
-// healthSink builds a sink with a 1s sampler window and one availability
-// rule tight enough to fire from a handful of windows.
+// healthSink builds a sink with 1s health windows and the given rules.
 func healthSink(t *testing.T, rules []SLORule) *Sink {
 	t.Helper()
 	return New(Config{
-		Workers: 2,
-		Classes: []string{"interactive", "broadcast"},
-		Sample:  &SamplerConfig{IntervalS: 1},
-		SLO:     rules,
+		Workers:      2,
+		Classes:      []string{"interactive", "broadcast"},
+		SampleEveryS: 1,
+		SLO:          rules,
 	})
 }
 
@@ -37,17 +37,13 @@ func tightAvailability() []SLORule {
 
 func TestSamplerWindowDeltas(t *testing.T) {
 	s := healthSink(t, nil)
-	sp := s.Sampler()
-	if sp == nil {
-		t.Fatal("sampler not built despite Config.Sample")
-	}
 	// Window 0: two commits, one drop; window 1: one conflict-heavy event.
 	s.Record(DecisionRecord{TimeS: 0.2, Kind: "arrive", Admitted: true, Commits: 2, DelayMS: 100})
 	s.Record(DecisionRecord{TimeS: 0.8, Kind: "arrive", Admitted: false})
 	s.Record(DecisionRecord{TimeS: 1.5, Kind: "depart", Admitted: true, Commits: 1, Conflicts: 3, Rejects: 1})
-	s.FlushSampler()
+	s.Flush()
 
-	ws := sp.Windows()
+	ws := s.TimeseriesDoc().Windows
 	if len(ws) != 2 {
 		t.Fatalf("windows = %d, want 2", len(ws))
 	}
@@ -85,8 +81,8 @@ func TestSamplerDeltasNotCumulative(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Record(DecisionRecord{TimeS: float64(i) + 0.5, Kind: "arrive", Admitted: true, Commits: 1})
 	}
-	s.FlushSampler()
-	for _, w := range s.Sampler().Windows() {
+	s.Flush()
+	for _, w := range s.TimeseriesDoc().Windows {
 		if w.Commits != 1 {
 			t.Fatalf("window %d commits = %d: cumulative leak, want per-window delta 1", w.Index, w.Commits)
 		}
@@ -97,8 +93,8 @@ func TestSamplerGapClosesEmptyWindows(t *testing.T) {
 	s := healthSink(t, nil)
 	s.Record(DecisionRecord{TimeS: 0.5, Kind: "arrive", Admitted: true})
 	s.Record(DecisionRecord{TimeS: 4.5, Kind: "arrive", Admitted: true})
-	s.FlushSampler()
-	ws := s.Sampler().Windows()
+	s.Flush()
+	ws := s.TimeseriesDoc().Windows
 	if len(ws) != 5 {
 		t.Fatalf("windows = %d, want 5 (indices 0..4 with 1..3 empty)", len(ws))
 	}
@@ -113,15 +109,20 @@ func TestSamplerIncidentInheritance(t *testing.T) {
 	s := healthSink(t, nil)
 	s.Record(DecisionRecord{TimeS: 0.5, Kind: "region-outage", Incident: 3, Orphans: 2, EvacRejects: 2})
 	s.Record(DecisionRecord{TimeS: 2.5, Kind: "arrive", Admitted: true})
-	s.FlushSampler()
-	ws := s.Sampler().Windows()
-	if len(ws) != 3 {
-		t.Fatalf("windows = %d, want 3", len(ws))
+	// A new incident past a gap: the empty windows 3-4 keep incident 3.
+	s.Record(DecisionRecord{TimeS: 5.5, Kind: "agent-fail", Incident: 4})
+	s.Flush()
+	ws := s.TimeseriesDoc().Windows
+	if len(ws) != 6 {
+		t.Fatalf("windows = %d, want 6", len(ws))
 	}
-	for _, w := range ws {
+	for _, w := range ws[:5] {
 		if w.Incident != 3 || w.IncidentKind != "region-outage" {
 			t.Fatalf("window %d lost the incident marker: %+v", w.Index, w)
 		}
+	}
+	if ws[5].Incident != 4 || ws[5].IncidentKind != "agent-fail" {
+		t.Fatalf("window 5 missed its own incident: %+v", ws[5])
 	}
 	if ws[0].Faults != 1 || ws[0].Orphans != 2 || ws[0].EvacRejects != 2 {
 		t.Fatalf("fault window deltas wrong: %+v", ws[0])
@@ -132,35 +133,36 @@ func TestSamplerIncidentInheritance(t *testing.T) {
 }
 
 func TestSamplerRingWrap(t *testing.T) {
-	s := New(Config{Workers: 1, Sample: &SamplerConfig{IntervalS: 1, Capacity: 4}})
-	for i := 0; i < 10; i++ {
+	s := New(Config{Workers: 1, SampleEveryS: 1})
+	const n = windowCap + 6
+	for i := 0; i < n; i++ {
 		s.Record(DecisionRecord{TimeS: float64(i) + 0.5, Kind: "arrive", Admitted: true})
 	}
-	s.FlushSampler()
-	sp := s.Sampler()
-	if sp.TotalWindows() != 10 {
-		t.Fatalf("total windows = %d, want 10", sp.TotalWindows())
+	s.Flush()
+	doc := s.TimeseriesDoc()
+	if doc.WindowsTotal != n {
+		t.Fatalf("total windows = %d, want %d", doc.WindowsTotal, n)
 	}
-	ws := sp.Windows()
-	if len(ws) != 4 {
-		t.Fatalf("held windows = %d, want capacity 4", len(ws))
+	if len(doc.Windows) != windowCap {
+		t.Fatalf("held windows = %d, want capacity %d", len(doc.Windows), windowCap)
 	}
-	for i, w := range ws {
+	for i, w := range doc.Windows {
 		if w.Index != int64(6+i) {
 			t.Fatalf("held window %d has index %d, want %d (oldest-first after wrap)", i, w.Index, 6+i)
 		}
 	}
-	if tail := sp.Tail(2); len(tail) != 2 || tail[1].Index != 9 {
-		t.Fatalf("Tail(2) = %+v, want the last two windows", tail)
+	s.TriggerFlight("invariant", "tail probe")
+	if tail := s.FlightDoc().Dumps[0].Windows; len(tail) != dumpWindows || tail[dumpWindows-1].Index != n-1 {
+		t.Fatalf("dump window tail = %d windows ending at %d, want the newest %d", len(tail), tail[len(tail)-1].Index, dumpWindows)
 	}
 }
 
 func TestSamplerWriteJSONShape(t *testing.T) {
 	s := healthSink(t, nil)
 	s.Record(DecisionRecord{TimeS: 0.5, Kind: "arrive", Admitted: true, Commits: 1})
-	s.FlushSampler()
+	s.Flush()
 	var buf bytes.Buffer
-	if err := s.Sampler().WriteJSON(&buf); err != nil {
+	if err := s.TimeseriesDoc().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc TimeseriesDoc
@@ -218,7 +220,7 @@ func alertStream(s *Sink, count int, bad map[int]bool) {
 			s.Record(DecisionRecord{TimeS: ts + 0.1, Kind: "arrive", Admitted: false, Session: 2})
 		}
 	}
-	s.FlushSampler()
+	s.Flush()
 }
 
 func TestAlertEngineFireAndResolve(t *testing.T) {
@@ -227,7 +229,7 @@ func TestAlertEngineFireAndResolve(t *testing.T) {
 	bad := map[int]bool{5: true, 6: true, 7: true, 8: true}
 	alertStream(s, 15, bad)
 
-	evs := s.Alerts().Events()
+	evs := s.AlertsDoc().Events
 	if len(evs) != 2 {
 		t.Fatalf("events = %+v, want one fire + one resolve", evs)
 	}
@@ -243,7 +245,7 @@ func TestAlertEngineFireAndResolve(t *testing.T) {
 	if res.State != "resolve" || res.Window != 10 {
 		t.Fatalf("resolve event wrong: %+v (fast window clears two windows after last drop)", res)
 	}
-	st := s.Alerts().Summary()
+	st := s.AlertsDoc().Status
 	if len(st) != 1 || st[0].Fires != 1 || st[0].Resolves != 1 || st[0].Firing {
 		t.Fatalf("summary wrong: %+v", st)
 	}
@@ -271,7 +273,7 @@ func TestAlertTimelineDeterministic(t *testing.T) {
 		s := healthSink(t, tightAvailability())
 		alertStream(s, 20, map[int]bool{3: true, 4: true, 5: true, 11: true, 12: true})
 		var buf bytes.Buffer
-		if err := s.Alerts().WriteJSON(&buf); err != nil {
+		if err := s.AlertsDoc().WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -292,8 +294,8 @@ func TestAlertDelayRule(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Record(DecisionRecord{TimeS: float64(i) + 0.5, Kind: "arrive", Admitted: true, DelayMS: 400})
 	}
-	s.FlushSampler()
-	evs := s.Alerts().Events()
+	s.Flush()
+	evs := s.AlertsDoc().Events
 	if len(evs) != 1 || evs[0].State != "fire" || evs[0].Window != 0 {
 		t.Fatalf("delay rule events = %+v, want one fire at window 0 (burn 20 ≥ 10 immediately)", evs)
 	}
@@ -303,7 +305,7 @@ func TestAlertEventCorrelatesIncident(t *testing.T) {
 	s := healthSink(t, tightAvailability())
 	s.Record(DecisionRecord{TimeS: 0.5, Kind: "region-outage", Incident: 7, Orphans: 2, EvacRejects: 2})
 	alertStream(s, 4, map[int]bool{1: true, 2: true})
-	evs := s.Alerts().Events()
+	evs := s.AlertsDoc().Events
 	if len(evs) == 0 {
 		t.Fatal("no alert fired")
 	}
@@ -358,7 +360,7 @@ func TestFlightTriggerAndIncidentDedupe(t *testing.T) {
 	s.Record(DecisionRecord{TimeS: 1.5, Kind: "agent-fail", Incident: 2})
 	s.TriggerFlight("fault", "agent-fail")
 
-	dumps := s.Flight().Dumps()
+	dumps := s.FlightDoc().Dumps
 	if len(dumps) != 2 {
 		t.Fatalf("dumps = %d, want 2 (fault re-triggers dedupe per incident)", len(dumps))
 	}
@@ -375,25 +377,30 @@ func TestFlightTriggerAndIncidentDedupe(t *testing.T) {
 	// Alert/invariant triggers are not deduped by incident.
 	s.TriggerFlight("invariant", "ledger off by one")
 	s.TriggerFlight("invariant", "still off")
-	if n := len(s.Flight().Dumps()); n != 4 {
+	if n := len(s.FlightDoc().Dumps); n != 4 {
 		t.Fatalf("dumps after invariant re-triggers = %d, want 4", n)
 	}
 }
 
 func TestFlightMaxDumpsAndDropCount(t *testing.T) {
-	s := New(Config{Workers: 1, Flight: &FlightConfig{MaxDumps: 2}})
-	for i := 0; i < 5; i++ {
+	s := New(Config{Workers: 1})
+	for i := 0; i < maxDumps+3; i++ {
 		s.TriggerFlight("invariant", "overflow probe")
 	}
-	fl := s.Flight()
-	if len(fl.Dumps()) != 2 || fl.Dropped() != 3 {
-		t.Fatalf("dumps=%d dropped=%d, want 2/3", len(fl.Dumps()), fl.Dropped())
+	fl := s.FlightDoc()
+	if len(fl.Dumps) != maxDumps || fl.Dropped != 3 {
+		t.Fatalf("dumps=%d dropped=%d, want %d/3", len(fl.Dumps), fl.Dropped, maxDumps)
+	}
+	for i, d := range fl.Dumps {
+		if d.Seq != i {
+			t.Fatalf("dump %d has seq %d", i, d.Seq)
+		}
 	}
 	var prom bytes.Buffer
 	if err := s.Registry().WriteProm(&prom); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(prom.String(), `vconf_flight_dumps_total{trigger="invariant"} 2`) {
+	if !strings.Contains(prom.String(), fmt.Sprintf(`vconf_flight_dumps_total{trigger="invariant"} %d`, maxDumps)) {
 		t.Fatal("dump counter did not track frozen dumps")
 	}
 }
@@ -405,7 +412,7 @@ func TestFlightCapacityScaleMirror(t *testing.T) {
 	s.SetCapacityScale(7, 0.9)
 	s.SetCapacityScale(7, 1) // healed: evicted from the sparse map
 	s.TriggerFlight("fault", "scale probe")
-	d := s.Flight().Dumps()[0]
+	d := s.FlightDoc().Dumps[0]
 	want := []AgentScale{{Agent: 1, Scale: 0}, {Agent: 3, Scale: 0.5}}
 	if !reflect.DeepEqual(d.CapacityScales, want) {
 		t.Fatalf("capacity scales = %+v, want %+v (sorted, healed agents evicted)", d.CapacityScales, want)
@@ -413,9 +420,9 @@ func TestFlightCapacityScaleMirror(t *testing.T) {
 }
 
 func TestFlightDumpIncludesWindowTail(t *testing.T) {
-	// Rings smaller than the run but larger than a dump's tails (default
-	// FlightConfig: 16 windows, 64 records, 128 spans), so both wrap.
-	s := New(Config{Workers: 2, Sample: &SamplerConfig{IntervalS: 1}, TraceCapacity: 100, SpanCapacity: 200})
+	// Rings smaller than the run but larger than a dump's tails (16
+	// windows, 64 records, 128 spans), so both wrap.
+	s := New(Config{Workers: 2, SampleEveryS: 1, TraceCapacity: 100, SpanCapacity: 200})
 	for i := 0; i < 150; i++ {
 		s.Record(DecisionRecord{TimeS: float64(i)/5 + 0.1, Kind: "arrive", Admitted: true})
 	}
@@ -433,7 +440,7 @@ func TestFlightDumpIncludesWindowTail(t *testing.T) {
 	}
 	s.TriggerFlight("invariant", "second tail probe")
 
-	dumps := s.Flight().Dumps()
+	dumps := s.FlightDoc().Dumps
 	if len(dumps) != 2 {
 		t.Fatalf("dumps = %d, want 2", len(dumps))
 	}
@@ -468,14 +475,15 @@ func TestAlertFireFreezesFlightDump(t *testing.T) {
 	s.Record(DecisionRecord{TimeS: 0.5, Kind: "region-outage", Incident: 4, Orphans: 1, EvacRejects: 1})
 	alertStream(s, 5, map[int]bool{1: true, 2: true, 3: true})
 	var alertDump *FlightDump
-	for i, d := range s.Flight().Dumps() {
+	dumps := s.FlightDoc().Dumps
+	for i, d := range dumps {
 		if d.Trigger == "alert" {
-			alertDump = &s.Flight().Dumps()[i]
+			alertDump = &dumps[i]
 			break
 		}
 	}
 	if alertDump == nil {
-		t.Fatalf("no alert-triggered dump; dumps = %+v", s.Flight().Dumps())
+		t.Fatalf("no alert-triggered dump; dumps = %+v", dumps)
 	}
 	if alertDump.Incident != 4 {
 		t.Fatalf("alert dump incident = %d, want 4", alertDump.Incident)
@@ -488,66 +496,68 @@ func TestAlertFireFreezesFlightDump(t *testing.T) {
 	}
 }
 
+// TestHealthDocsNilSafe pins that a nil sink's three documents are valid
+// empty JSON and carry no data, and that Flush is safe on it.
 func TestHealthDocsNilSafe(t *testing.T) {
-	var sp *Sampler
-	var eng *AlertEngine
-	var fl *FlightRecorder
+	var s *Sink
+	s.Flush()
 	for name, write := range map[string]func(*bytes.Buffer) error{
-		"timeseries": func(b *bytes.Buffer) error { return sp.WriteJSON(b) },
-		"alerts":     func(b *bytes.Buffer) error { return eng.WriteJSON(b) },
-		"flightrec":  func(b *bytes.Buffer) error { return fl.WriteJSON(b) },
+		"timeseries": func(b *bytes.Buffer) error { return s.TimeseriesDoc().WriteJSON(b) },
+		"alerts":     func(b *bytes.Buffer) error { return s.AlertsDoc().WriteJSON(b) },
+		"flightrec":  func(b *bytes.Buffer) error { return s.FlightDoc().WriteJSON(b) },
 	} {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {
-			t.Fatalf("%s: nil WriteJSON errored: %v", name, err)
+			t.Fatalf("%s: nil-sink document errored: %v", name, err)
 		}
 		var doc map[string]interface{}
 		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-			t.Fatalf("%s: nil doc not valid JSON: %v", name, err)
+			t.Fatalf("%s: nil-sink document not valid JSON: %v", name, err)
 		}
 	}
-	if sp.Tail(4) != nil || sp.Windows() != nil || sp.TotalWindows() != 0 || sp.Interval() != 0 {
-		t.Fatal("nil sampler leaked data")
+	ts, al, fl := s.TimeseriesDoc(), s.AlertsDoc(), s.FlightDoc()
+	if ts.IntervalS != 0 || ts.WindowsTotal != 0 || len(ts.Windows) != 0 {
+		t.Fatalf("nil sink leaked windows: %+v", ts)
 	}
-	if eng.Events() != nil || eng.Summary() != nil || eng.ActiveAlerts() != nil {
-		t.Fatal("nil engine leaked data")
+	if al.IntervalS != 0 || len(al.Rules) != 0 || len(al.Status) != 0 || len(al.Events) != 0 || al.Dropped != 0 {
+		t.Fatalf("nil sink leaked alerts: %+v", al)
 	}
-	if fl.Dumps() != nil || fl.Dropped() != 0 {
-		t.Fatal("nil recorder leaked data")
+	if len(fl.Dumps) != 0 || fl.Dropped != 0 {
+		t.Fatalf("nil sink leaked dumps: %+v", fl)
 	}
-	sp.Flush()
 }
 
 func TestNilSinkHealthMethodsZeroAlloc(t *testing.T) {
 	var s *Sink
-	s.TriggerFlight("fault", "nil")
-	s.SetCapacityScale(1, 0.5)
-	s.FlushSampler()
-	if s.Sampler() != nil || s.Alerts() != nil || s.Flight() != nil {
-		t.Fatal("nil sink leaked health components")
-	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.SetCapacityScale(1, 0.5)
 		s.TriggerFlight("fault", "nil")
-		s.FlushSampler()
-		_ = s.Sampler()
-		_ = s.Alerts()
-		_ = s.Flight()
+		s.Flush()
+		_ = s.TimeseriesDoc()
+		_ = s.AlertsDoc()
+		_ = s.FlightDoc()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-sink health path allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestSamplerOffByDefault pins that a sink without Sample configured has no
-// sampler or alert engine — existing users see no new overhead or families.
+// TestSamplerOffByDefault pins that a sink without SampleEveryS or SLO
+// rules keeps no windows and registers no alert families — existing users
+// see no new overhead — while its flight recorder still dumps.
 func TestSamplerOffByDefault(t *testing.T) {
 	s := New(Config{Workers: 1})
-	if s.Sampler() != nil || s.Alerts() != nil {
-		t.Fatal("sampler/alerts built without Config.Sample/SLO")
+	s.Record(DecisionRecord{TimeS: 2.5, Kind: "region-outage", Incident: 1})
+	s.Flush()
+	if ts := s.TimeseriesDoc(); ts.IntervalS != 0 || ts.WindowsTotal != 0 || len(ts.Windows) != 0 {
+		t.Fatalf("windows kept without Config.SampleEveryS: %+v", ts)
 	}
-	if s.Flight() == nil {
-		t.Fatal("flight recorder must be on for every enabled sink")
+	if al := s.AlertsDoc(); al.IntervalS != 0 || len(al.Rules) != 0 {
+		t.Fatalf("alerts built without Config.SLO: %+v", al)
+	}
+	s.TriggerFlight("fault", "probe")
+	if d := s.FlightDoc().Dumps; len(d) != 1 || d[0].Incident != 1 || d[0].Windows != nil {
+		t.Fatalf("flight recorder must be on for every enabled sink: %+v", d)
 	}
 	var prom bytes.Buffer
 	if err := s.Registry().WriteProm(&prom); err != nil {
@@ -555,5 +565,19 @@ func TestSamplerOffByDefault(t *testing.T) {
 	}
 	if strings.Contains(prom.String(), "vconf_alert") {
 		t.Fatal("alert families registered without sampling configured")
+	}
+}
+
+// TestSamplerDefaultsWithRules pins "SampleEveryS <= 0 means 1s when rules
+// are set": the rules always have windows to read.
+func TestSamplerDefaultsWithRules(t *testing.T) {
+	s := New(Config{Workers: 1, SLO: tightAvailability()})
+	s.Record(DecisionRecord{TimeS: 2.5, Kind: "arrive", Admitted: true})
+	s.Flush()
+	if ts := s.TimeseriesDoc(); ts.IntervalS != 1 || ts.WindowsTotal != 1 || ts.Windows[0].Index != 2 {
+		t.Fatalf("rules without SampleEveryS: %+v, want 1s windows", ts)
+	}
+	if al := s.AlertsDoc(); al.IntervalS != 1 || len(al.Status) != 1 {
+		t.Fatalf("alerts doc = %+v, want interval 1 and one rule", al)
 	}
 }

@@ -1,8 +1,9 @@
 // Package telemetry is the unified observability layer: a concurrency-safe
 // metrics registry (sharded counters, gauges, a reusable log-scale
 // histogram), one bounded overwrite-oldest Ring carrying decision records,
-// spans and sampler windows, a windowed sampler with burn-rate alerts and
-// an incident flight recorder, and HTTP exposition of one route table
+// spans and closed health windows, one health monitor on the retire path
+// (windowed sampler, burn-rate alerts and incident flight recorder under
+// one lock, health.go), and HTTP exposition of one route table
 // (Prometheus-style text, JSON snapshots, JSONL rings and a Chrome
 // trace-event file, with net/http/pprof wired alongside).
 //
@@ -463,11 +464,12 @@ type MetricSnapshot struct {
 	Type   string            `json:"type"`
 	// Value carries counter and gauge readings.
 	Value float64 `json:"value"`
-	// Count/Sum/P50/P99 carry histogram readings (native unit).
-	Count int64 `json:"count,omitempty"`
-	Sum   int64 `json:"sum,omitempty"`
-	P50   int64 `json:"p50,omitempty"`
-	P99   int64 `json:"p99,omitempty"`
+	// Count/Sum/P50/P99 carry histogram readings (native unit). Sum is a
+	// float, like Prometheus's _sum, so a document may write it as 6e6.
+	Count int64   `json:"count,omitempty"`
+	Sum   float64 `json:"sum,omitempty"`
+	P50   int64   `json:"p50,omitempty"`
+	P99   int64   `json:"p99,omitempty"`
 }
 
 // Snapshot returns every instrument's current reading.
@@ -489,7 +491,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			s.Value = m.gauge.Value()
 		case HistogramType:
 			s.Count = m.hist.Count()
-			s.Sum = m.hist.Sum()
+			s.Sum = float64(m.hist.Sum())
 			ps := m.hist.Quantiles([]float64{0.50, 0.99})
 			s.P50, s.P99 = ps[0], ps[1]
 		}
@@ -498,11 +500,21 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	return out
 }
 
-// WriteJSON renders the snapshot as a JSON document.
+// MetricsDoc is the /metrics.json document (also what vcreport ingests
+// offline).
+type MetricsDoc struct {
+	Metrics []MetricSnapshot `json:"metrics"`
+}
+
+// WriteJSON renders the snapshot as a MetricsDoc.
 func (r *Registry) WriteJSON(w io.Writer) error {
+	return writeIndented(w, MetricsDoc{Metrics: r.Snapshot()})
+}
+
+// writeIndented is the one encoding of every JSON document the sink
+// serves and vcsim writes to files.
+func writeIndented(w io.Writer, doc any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Metrics []MetricSnapshot `json:"metrics"`
-	}{Metrics: r.Snapshot()})
+	return enc.Encode(doc)
 }

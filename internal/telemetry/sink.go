@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -44,17 +43,15 @@ type Config struct {
 	// keeps the PR 6 region-only label shape.
 	Classes      []string
 	SessionClass []int
-	// Sample enables the windowed time-series sampler (nil = off; forced
-	// on with defaults when SLO rules are configured).
-	Sample *SamplerConfig
-	// SLO declares the burn-rate alert rules evaluated over the sampler's
-	// windows. Invalid rules panic at New — a programmer error, like a
+	// SampleEveryS is the health monitor's window width in virtual
+	// seconds: /timeseries.json and the SLO rules read its windows. <= 0
+	// means no windows, or 1s when SLO rules are set.
+	SampleEveryS float64
+	// SLO declares the burn-rate alert rules evaluated as each window
+	// closes. Invalid rules panic at New — a programmer error, like a
 	// duplicate metric registration (validate with SLORule.Validate when
 	// the rules come from user input).
 	SLO []SLORule
-	// Flight resizes the always-on incident flight recorder (nil keeps
-	// the defaults).
-	Flight *FlightConfig
 }
 
 // Sink is the instrumentation facade the orchestrator and schedulers call
@@ -138,11 +135,9 @@ type Sink struct {
 	objective *Gauge
 	active    *Gauge
 
-	// Continuous health monitoring: the windowed sampler, the burn-rate
-	// alert engine over its windows, and the incident flight recorder.
-	sampler *Sampler
-	alerts  *AlertEngine
-	flight  *FlightRecorder
+	// health is the windowed sampler, the burn-rate alerts and the
+	// incident flight recorder: one stage on the retire path.
+	health *health
 
 	// prevObjective backs ObjectiveDelta (Record is invoked from the
 	// serialized event-retire path only).
@@ -260,53 +255,7 @@ func New(cfg Config) *Sink {
 	// The flight recorder is always on for an enabled sink: it costs
 	// nothing until triggered, and -chaos runs without SLO rules still
 	// want fault dumps.
-	var fcfg FlightConfig
-	if cfg.Flight != nil {
-		fcfg = *cfg.Flight
-	}
-	s.flight = newFlightRecorder(fcfg)
-	s.flight.shard = s.eventShard
-	s.flight.dumpCtr = make(map[string]*Counter, len(flightTriggers))
-	for _, t := range flightTriggers {
-		s.flight.dumpCtr[t] = s.reg.Counter("vconf_flight_dumps_total", "flight-recorder dumps frozen, by trigger",
-			Label{Key: "trigger", Value: t})
-	}
-
-	if cfg.Sample == nil && len(cfg.SLO) > 0 {
-		cfg.Sample = &SamplerConfig{}
-	}
-	if cfg.Sample != nil {
-		classNames := s.classes
-		if len(classNames) == 0 {
-			classNames = []string{"default"}
-		}
-		s.sampler = newSampler(*cfg.Sample, classNames)
-		if len(cfg.SLO) > 0 {
-			eng, err := newAlertEngine(cfg.SLO, s.sampler.Interval())
-			if err != nil {
-				panic(err)
-			}
-			eng.shard = s.eventShard
-			eng.firingGauge = s.reg.Gauge("vconf_alerts_firing", "SLO burn-rate rules currently firing")
-			eng.transitions = make([][2]*Counter, len(eng.rules))
-			for i, r := range eng.rules {
-				eng.transitions[i][0] = s.reg.Counter("vconf_alert_transitions_total", "SLO alert transitions, by rule and state",
-					Label{Key: "rule", Value: r.Name}, Label{Key: "state", Value: "fire"})
-				eng.transitions[i][1] = s.reg.Counter("vconf_alert_transitions_total", "SLO alert transitions, by rule and state",
-					Label{Key: "rule", Value: r.Name}, Label{Key: "state", Value: "resolve"})
-			}
-			eng.onFire = func(rule SLORule, ev AlertEvent, tail []Window, active []string) {
-				if fw := s.flight.cfg.Windows; len(tail) > fw {
-					tail = tail[len(tail)-fw:]
-				}
-				reason := fmt.Sprintf("%s: fast burn %.2f, slow burn %.2f at window %d", rule.Name, ev.FastBurn, ev.SlowBurn, ev.Window)
-				s.triggerFlight("alert", reason, tail, active)
-			}
-			s.alerts = eng
-			s.sampler.onClose = eng.observe
-			s.sampler.tailNeed = max(eng.maxWindows(), s.flight.cfg.Windows)
-		}
-	}
+	s.health = newHealth(s, cfg.SampleEveryS, cfg.SLO)
 	return s
 }
 
@@ -485,17 +434,10 @@ func (s *Sink) Record(rec DecisionRecord) {
 	s.prevObjective = rec.Objective
 	s.haveObjective = true
 
-	// Health monitoring rides the serialized retire path: the flight
-	// recorder advances its incident marker, then the sampler folds the
-	// record into the current window (closing windows — and evaluating
-	// alert rules — when the virtual clock crossed a boundary). Workers
-	// never see any of this.
-	if s.flight != nil {
-		s.flight.noteRecord(&rec)
-	}
-	if s.sampler != nil {
-		s.sampler.observe(&rec, class)
-	}
+	// Health monitoring rides the serialized retire path, before the
+	// counters and the ring see this record (see health.go for the order).
+	// Workers never see any of this.
+	s.health.observe(&rec, class)
 
 	sh := s.eventShard
 	if rec.DelayMS > 0 {
@@ -556,32 +498,6 @@ func (s *Sink) jainLocked() float64 {
 		return 0
 	}
 	return sum * sum / (float64(n) * sumSq)
-}
-
-// Sampler exposes the windowed time-series sampler (nil when disabled).
-func (s *Sink) Sampler() *Sampler {
-	if s == nil {
-		return nil
-	}
-	return s.sampler
-}
-
-// Alerts exposes the SLO burn-rate alert engine (nil when disabled).
-func (s *Sink) Alerts() *AlertEngine {
-	if s == nil {
-		return nil
-	}
-	return s.alerts
-}
-
-// FlushSampler closes the sampler's final partial window so end-of-run
-// exposition and alert evaluation see the full horizon. No-op when the
-// sampler is off.
-func (s *Sink) FlushSampler() {
-	if s == nil {
-		return
-	}
-	s.sampler.Flush()
 }
 
 // DistFreeze observes one coordinator freeze hold (grant → release, ns).
