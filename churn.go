@@ -39,8 +39,8 @@ func GenerateChurn(cfg ChurnConfig) ([]ChurnEvent, error) {
 type Orchestrator = orchestrator.Orchestrator
 
 // OrchestratorConfig tunes the orchestrator: Shards sets the solver worker
-// count, LedgerShards the lock-striped capacity ledger's stripe count (0 =
-// one ID-range stripe per worker), plus the per-task hop budget,
+// count (and the lock-striped capacity ledger's stripe count: one ID-range
+// stripe per worker), plus the per-task hop budget,
 // touched-set cap, N_ngbr candidate window (Core.NeighborWindow) and the
 // refinement chain parameters. Every event goes through the
 // dependency-aware scheduler (internal/pipeline); MaxInFlight (default 1)

@@ -19,7 +19,6 @@ var reportInputs = []string{"-trace", "-spans", "-timeseries", "-alerts", "-metr
 // availability rule firing on the drops.
 func seedDocuments(f *testing.F) [][]byte {
 	s := telemetry.New(telemetry.Config{
-		Workers:      1,
 		Classes:      []string{"interactive", "broadcast"},
 		SampleEveryS: 1,
 		SLO: []telemetry.SLORule{{

@@ -20,7 +20,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -395,12 +394,7 @@ func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src sim.Event
 	var sink *telemetry.Sink
 	if opts.listen != "" || opts.traceOut != "" || opts.spanOut != "" || opts.chaos || opts.slo ||
 		opts.metricsOut != "" || opts.tsOut != "" || opts.alertsOut != "" || opts.flightOut != "" {
-		workers := opts.shards
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		cfg := telemetry.Config{
-			Workers:       workers,
 			TraceCapacity: len(events) + 8,
 			SessionRegion: opts.homes,
 			SpanCapacity:  16 * (len(events) + 8),

@@ -26,7 +26,7 @@ func promText(t *testing.T, s *telemetry.Sink) string {
 // dist:freeze roots with grant/await-commit/commit children — and the
 // vconf_dist_* families are registered and fed.
 func TestDistSpansNestUnderParent(t *testing.T) {
-	sink := telemetry.New(telemetry.Config{Workers: 2})
+	sink := telemetry.New(telemetry.Config{})
 	coord, pn := pipeCoordinator(t, 21, Config{Telemetry: sink})
 
 	cfg := core.DefaultConfig(21)
@@ -118,7 +118,7 @@ func TestDistRetryCounter(t *testing.T) {
 	ev, _ := distStack(t, 22)
 	pn, _ := killingNet(t)
 
-	sink := telemetry.New(telemetry.Config{Workers: 2})
+	sink := telemetry.New(telemetry.Config{})
 	cfg := core.DefaultConfig(22)
 	cfg.MeanCountdownS = 0.001
 	r, err := NewRunner(ev, 0, cfg)
@@ -144,7 +144,7 @@ func TestDistRetryCounter(t *testing.T) {
 // crashes between GRANTED and COMMIT registers one abandon on the metric
 // alongside Stats().Abandons.
 func TestDistAbandonCounter(t *testing.T) {
-	sink := telemetry.New(telemetry.Config{Workers: 2})
+	sink := telemetry.New(telemetry.Config{})
 	coord, pn := pipeCoordinator(t, 23, Config{Telemetry: sink})
 
 	a, adec, aenc := rawConn(t, pn)

@@ -53,7 +53,7 @@ func TestDelayCacheConcurrentInvalidationStorm(t *testing.T) {
 
 	cfg := DefaultConfig(67)
 	cfg.Shards = 8
-	cfg.LedgerShards = fc.NumAgents
+	cfg.ledgerShards = fc.NumAgents
 	cfg.HopBudget = 12
 	cfg.MaxReoptSessions = 8
 	cfg.Core.NeighborWindow = 6

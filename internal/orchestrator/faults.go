@@ -208,7 +208,7 @@ func (st *eventState) degradeLocked(agents []int) error {
 			rep.EvacRejects++
 		}
 		evac.EndArg(int64(s))
-		o.tel.Evacuation(o.tel.RegionOf(int(s)), ok, time.Since(start).Nanoseconds())
+		o.tel.Evacuation(int(s), ok, time.Since(start).Nanoseconds())
 	}
 	rehome.EndArg(int64(rep.Evacuated))
 	o.stats.Orphans += rep.Orphans

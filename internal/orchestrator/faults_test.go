@@ -235,7 +235,7 @@ func TestOrchestratorChaosStorm(t *testing.T) {
 
 	cfg := DefaultConfig(53)
 	cfg.Shards = 8
-	cfg.LedgerShards = fc.NumAgents
+	cfg.ledgerShards = fc.NumAgents
 	cfg.HopBudget = 12
 	cfg.MaxReoptSessions = 8
 	cfg.Core.NeighborWindow = 6

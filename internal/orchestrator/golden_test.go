@@ -195,7 +195,7 @@ func TestGoldenDecisionStreamsPerAgentStripes(t *testing.T) {
 	for _, fx := range goldenFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
 			replayGolden(t, fx, dir, func(cfg *Config) {
-				cfg.LedgerShards = math.MaxInt32 // clamped to the agent count
+				cfg.ledgerShards = math.MaxInt32 // clamped to the agent count
 			})
 		})
 	}

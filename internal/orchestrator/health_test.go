@@ -14,7 +14,6 @@ import (
 // availability rule into a chaos-capable orchestrator config.
 func healthConfig(seed int64, fc workload.FleetConfig, nEvents int) (Config, *telemetry.Sink) {
 	sink := telemetry.New(telemetry.Config{
-		Workers:       4,
 		TraceCapacity: nEvents + 8,
 		SpanCapacity:  16 * (nEvents + 8),
 		SampleEveryS:  5,

@@ -55,8 +55,8 @@
 package orchestrator
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -75,14 +75,10 @@ import (
 
 // Config tunes the orchestrator.
 type Config struct {
-	// Shards is the solver pool size (worker goroutines). Defaults to
-	// GOMAXPROCS.
+	// Shards is the solver pool size (worker goroutines), and the capacity
+	// ledger's stripe count (internal/shard): one ID-range stripe per
+	// worker. Defaults to GOMAXPROCS.
 	Shards int
-	// LedgerShards is the capacity ledger's stripe count (internal/shard).
-	// 0 (default) gives one ID-range stripe per worker; a positive value
-	// fixes the count (clamped to the agent count). Negative values are
-	// rejected with ErrSingleLockRemoved.
-	LedgerShards int
 	// HopBudget bounds the Markov refinement walk per re-optimization task.
 	// Defaults to 24 hops.
 	HopBudget int
@@ -120,6 +116,10 @@ type Config struct {
 	// each evaluation rebuilds its delay base: the reference path the
 	// package's golden and fault differentials replay against.
 	rebuildDelayBase bool
+	// ledgerShards, when positive, fixes the capacity ledger's stripe count
+	// (clamped to the agent count) apart from the worker count: the tests'
+	// per-agent and single-stripe ledgers.
+	ledgerShards int
 }
 
 // DefaultConfig returns the orchestrator defaults over the paper's chain
@@ -127,11 +127,6 @@ type Config struct {
 func DefaultConfig(seed int64) Config {
 	return Config{Core: core.DefaultConfig(seed)}
 }
-
-// ErrSingleLockRemoved rejects Config.LedgerShards < 0, which used to select
-// a single-lock commit path; the striped ledger at one stripe made the same
-// decisions.
-var ErrSingleLockRemoved = errors.New("orchestrator: LedgerShards < 0 (the single-lock commit path) is no longer supported; use 0 or a stripe count")
 
 const (
 	// improvementEps is the minimum Φ_s decrease a proposal must deliver to
@@ -159,9 +154,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 1
-	}
-	if c.LedgerShards < 0 {
-		return c, ErrSingleLockRemoved
 	}
 	if c.Shards < 1 || c.HopBudget < 1 || c.MaxReoptSessions < 1 || c.MaxInFlight < 1 {
 		return c, fmt.Errorf("orchestrator: invalid config: shards=%d hops=%d reopt=%d max in-flight=%d",
@@ -393,8 +385,8 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 	// The objective cache's refresh scratch (guarded by o.mu) keeps its own
 	// per-session delay cache, so the reference rebuild path covers it too.
 	o.cache.SetDelayCacheEnabled(!cfg.rebuildDelayBase)
-	p := cfg.LedgerShards
-	if p == 0 {
+	p := cfg.ledgerShards
+	if p <= 0 {
 		p = cfg.Shards
 	}
 	o.ledger = shard.New(sc, p)
@@ -488,33 +480,36 @@ func eventSpanName(k workload.EventKind) string {
 	}
 }
 
-// observeDelay fills the tally's post-decision session delay for admitted
-// arrivals — the per-class SLO reading. Pure observation (enabled-telemetry
-// runs read, never write, extra state), so nil-vs-enabled runs stay
-// bit-identical. The caller must still own the trigger session's
-// variables: the event's reopt stage calls it before the scheduler releases
-// the footprint.
-func (o *Orchestrator) observeDelay(tally *eventTally, e workload.Event, admitted bool) {
+// observeDelay returns the post-decision session delay of an admitted
+// arrival's session — the per-class SLO reading — and 0 for every other
+// event or without a sink. Pure observation (enabled-telemetry runs read,
+// never write, extra state), so nil-vs-enabled runs stay bit-identical.
+// The caller must still own the trigger session's variables: the event's
+// reopt stage calls it before the scheduler releases the footprint.
+func (o *Orchestrator) observeDelay(e workload.Event, admitted bool) float64 {
 	if o.tel == nil || e.Kind != workload.EventArrival || !admitted {
-		return
+		return 0
 	}
-	tally.delayMS = cost.SessionDelaysOf(o.a, model.SessionID(e.Session)).MeanOfMaxMS
+	return cost.SessionDelaysOf(o.a, model.SessionID(e.Session)).MeanOfMaxMS
 }
 
 // emitRecord publishes one event's decision record to the telemetry sink
 // (no-op when telemetry is disabled). Event-scoped counters (events by
 // kind, stalls, drops, latency histograms, objective gauges) are derived
-// inside the sink from the record itself; task-scoped counters were already
-// bumped worker-side, so the two views reconcile exactly.
-func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled bool) {
+// inside the sink from the record itself, and the task families were
+// counted from the same result slots the record sums, so the two views
+// reconcile exactly. The decisive hop is that of the event's first
+// committed task in re-optimization-set order.
+func (o *Orchestrator) emitRecord(st *eventState) {
 	if o.tel == nil {
 		return
 	}
+	rep := st.rep
 	rec := telemetry.DecisionRecord{
 		TimeS:          rep.Event.TimeS,
 		Session:        int(rep.Event.Session),
 		Admitted:       rep.Admitted,
-		Stalled:        stalled,
+		Stalled:        st.stalled,
 		Reopt:          len(rep.Reopt),
 		Commits:        rep.Commits,
 		Rejects:        rep.Rejects,
@@ -529,17 +524,23 @@ func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled b
 		Orphans:     rep.Orphans,
 		Evacuated:   rep.Evacuated,
 		EvacRejects: rep.EvacRejects,
-		DelayMS:     tally.delayMS,
-		SnapshotNs:  tally.snapshotNs,
-		WalkNs:      tally.walkNs,
-		CommitNs:    tally.commitNs,
-		CacheWarm:   tally.cacheWarm,
-		CacheCold:   tally.cacheCold,
-		ChosenAgent: tally.chosenAgent,
+		DelayMS:     st.delayMS,
+		ChosenAgent: -1,
 	}
-	if tally.cfValid {
-		rec.CfGap = tally.cfGap
-		rec.CfValid = true
+	for i := range st.results {
+		r := &st.results[i]
+		rec.SnapshotNs += r.SnapshotNs
+		rec.WalkNs += r.WalkNs
+		rec.CommitNs += r.CommitNs
+		rec.CacheWarm += int(r.CacheHits + r.CachePatches)
+		rec.CacheCold += int(r.CacheRebuilds)
+		if rec.ChosenAgent < 0 && r.Outcome == telemetry.OutcomeCommit {
+			rec.ChosenAgent = r.cfAgent
+			if !math.IsInf(r.cfGap, 1) {
+				rec.CfGap = r.cfGap
+				rec.CfValid = true
+			}
+		}
 	}
 	switch rep.Event.Kind {
 	case workload.EventArrival:

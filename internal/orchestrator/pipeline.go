@@ -47,6 +47,7 @@ import (
 	"vconf/internal/agrank"
 	"vconf/internal/assign"
 	"vconf/internal/baseline"
+	"vconf/internal/core"
 	"vconf/internal/model"
 	"vconf/internal/pipeline"
 	"vconf/internal/shard"
@@ -57,11 +58,17 @@ import (
 // eventState carries one event across its scheduler stages. The report
 // pointer is stable; callers read it after the retire channel closes.
 type eventState struct {
-	o     *Orchestrator
-	e     workload.Event
-	seq   int
-	rep   *EventReport
-	tally eventTally
+	o   *Orchestrator
+	e   workload.Event
+	seq int
+	rep *EventReport
+	// results are the event's task result slots, aligned with rep.Reopt:
+	// each written only by the worker running its task, folded once the
+	// tasks have all finished, and read again by the decision record.
+	results []taskResult
+	// delayMS is the trigger session's post-decision mean-of-max delay
+	// (admitted arrivals only; see Orchestrator.observeDelay).
+	delayMS float64
 	// stalled records whether this event's admission waited in the
 	// scheduler (the OnAdmit hook), for the decision record.
 	stalled bool
@@ -88,12 +95,11 @@ func (o *Orchestrator) submitEvent(e workload.Event, emit func(EventReport)) (*e
 		return nil, nil, err
 	}
 	st := &eventState{
-		o:     o,
-		e:     e,
-		seq:   o.eventIdx,
-		rep:   &EventReport{Event: e, Admitted: true},
-		tally: eventTally{chosenAgent: -1},
-		emit:  emit,
+		o:    o,
+		e:    e,
+		seq:  o.eventIdx,
+		rep:  &EventReport{Event: e, Admitted: true},
+		emit: emit,
 	}
 	// In-flight events overlap, so each gets its own trace lane (reused
 	// modulo pipelineLanes — far above any realistic MaxInFlight, so live
@@ -191,7 +197,7 @@ func (st *eventState) applyAdmission() (pipeline.Footprint, error) {
 			o.stats.Dropped++
 			if o.impaired > 0 {
 				o.stats.DegradedRejects++
-				o.tel.DegradedReject(o.tel.RegionOf(int(s)))
+				o.tel.DegradedReject(int(s))
 			}
 			st.rep.Admitted = false
 			return pipeline.Footprint{}, nil
@@ -276,26 +282,64 @@ func (o *Orchestrator) teardownLocked(s model.SessionID) error {
 }
 
 // reoptStage feeds the event's re-optimization tasks to the shared worker
-// pool and waits for them — the per-event (not global) barrier.
+// pool, waits for them — the per-event (not global) barrier — and folds
+// their results.
 func (st *eventState) reoptStage() error {
 	o := st.o
 	if len(st.rep.Reopt) > 0 {
-		st.rep.Latency = o.dispatch(st.rep.Reopt, st.seq, &st.tally, st.span)
+		st.results = make([]taskResult, len(st.rep.Reopt))
+		st.rep.Latency = o.dispatch(st.rep.Reopt, st.seq, st.results, st.span)
+		st.foldTasks()
 	}
 	// Read the trigger's delay now, while this event still owns its
 	// footprint — the scheduler releases it when this stage returns, before
 	// retire runs.
-	o.observeDelay(&st.tally, st.e, st.rep.Admitted)
+	st.delayMS = o.observeDelay(st.e, st.rep.Admitted)
 	return nil
 }
 
-// retire finalizes the event's report in arrival order: per-event outcome
-// tallies, the post-event objective (every cache entry is clean, so this
-// never reads in-flight assignment state), the aggregate latency telemetry
-// and, for an incident, its time to recovery (healing start through this
-// retire, which follows its re-optimization). At MaxInFlight > 1 the Objective/
-// ActiveSessions fields sample whatever admissions have applied by retire
-// time — deterministic in order, timing-dependent in value.
+// foldTasks folds the event's finished task results, in
+// re-optimization-set order, into its report and the aggregate stats
+// under one o.mu hold, and into the sink's task families (one Sink.Task
+// per task).
+func (st *eventState) foldTasks() {
+	o, rep := st.o, st.rep
+	var walk core.WalkStats
+	for i := range st.results {
+		r := &st.results[i].TaskResult
+		switch r.Outcome {
+		case telemetry.OutcomeCommit:
+			rep.Commits++
+		case telemetry.OutcomeReject:
+			rep.Rejects++
+		case telemetry.OutcomeNoChange:
+			rep.NoChange++
+		}
+		rep.Conflicts += r.Conflicts
+		walk.Hops += r.Hops
+		walk.Reused += r.Reused
+		walk.ReusedAcross += r.ReusedAcross
+		o.tel.Task(int(rep.Reopt[i]), *r)
+	}
+	o.mu.Lock()
+	o.stats.Tasks += len(st.results)
+	o.stats.Commits += rep.Commits
+	o.stats.Rejects += rep.Rejects
+	o.stats.NoChange += rep.NoChange
+	o.stats.Conflicts += rep.Conflicts
+	o.stats.WalkHops += walk.Hops
+	o.stats.WalkReused += walk.Reused
+	o.stats.WalkReusedAcross += walk.ReusedAcross
+	o.mu.Unlock()
+}
+
+// retire finalizes the event's report in arrival order: the post-event
+// objective (every cache entry is clean, so this never reads in-flight
+// assignment state), the aggregate latency telemetry and, for an incident,
+// its time to recovery (healing start through this retire, which follows
+// its re-optimization). At MaxInFlight > 1 the Objective/ActiveSessions
+// fields sample whatever admissions have applied by retire time —
+// deterministic in order, timing-dependent in value.
 func (st *eventState) retire() {
 	o := st.o
 	incident := !st.healStart.IsZero()
@@ -304,14 +348,14 @@ func (st *eventState) retire() {
 		ttr = time.Since(st.healStart)
 	}
 	o.mu.Lock()
-	o.finishEventLocked(st.rep, &st.tally)
+	o.finishEventLocked(st.rep)
 	if incident {
 		o.stats.Incidents++
 		o.ttr.ObserveDuration(ttr)
 	}
 	o.mu.Unlock()
 	st.span.EndArg(int64(st.e.Session))
-	o.emitRecord(st.rep, &st.tally, st.stalled)
+	o.emitRecord(st)
 	if incident {
 		o.tel.Incident(ttr.Nanoseconds())
 		// Freeze the black box for capacity-reducing incidents. The record
@@ -331,20 +375,16 @@ func (st *eventState) retire() {
 	}
 }
 
-// finishEventLocked copies the event's task outcomes into its report,
-// stamps the post-event objective and folds the event into the aggregate
-// counters. Caller holds o.mu.
-func (o *Orchestrator) finishEventLocked(rep *EventReport, tally *eventTally) {
+// finishEventLocked stamps the post-event objective into the event's
+// report and folds the event into the aggregate counters. Caller holds
+// o.mu.
+func (o *Orchestrator) finishEventLocked(rep *EventReport) {
 	o.stats.Events++
 	o.stats.ReoptTotal += rep.Latency
 	if rep.Latency > o.stats.ReoptMax {
 		o.stats.ReoptMax = rep.Latency
 	}
 	o.lat.ObserveDuration(rep.Latency)
-	rep.Commits = tally.commits
-	rep.Rejects = tally.rejects
-	rep.NoChange = tally.noChange
-	rep.Conflicts = tally.conflicts
 	rep.Objective = o.cache.TotalObjective(o.a)
 	rep.ActiveSessions = o.cache.NumActive()
 }

@@ -1,7 +1,6 @@
 package orchestrator
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -51,7 +50,7 @@ func TestPipelineStorm(t *testing.T) {
 
 	cfg := DefaultConfig(51)
 	cfg.Shards = 8
-	cfg.LedgerShards = fc.NumAgents // per-agent stripes: maximal footprint disjointness
+	cfg.ledgerShards = fc.NumAgents // per-agent stripes: maximal footprint disjointness
 	cfg.HopBudget = 12
 	cfg.MaxReoptSessions = 8
 	cfg.Core.NeighborWindow = 6
@@ -124,7 +123,7 @@ func TestPipelineOverlapHappens(t *testing.T) {
 	}
 	cfg := DefaultConfig(52)
 	cfg.Shards = 4
-	cfg.LedgerShards = fc.NumAgents
+	cfg.ledgerShards = fc.NumAgents
 	cfg.HopBudget = 24
 	cfg.Core.NeighborWindow = 4
 	cfg.MaxInFlight = 4
@@ -148,17 +147,12 @@ func TestPipelineOverlapHappens(t *testing.T) {
 	}
 }
 
-// TestPipelineConfigValidation pins the event-path config contract: the
-// removed single-lock selector is refused by name, a negative in-flight cap
-// is refused, and the deprecated Pipeline flag is accepted and ignored.
+// TestPipelineConfigValidation pins the event-path config contract: a
+// negative in-flight cap is refused, and the deprecated Pipeline flag is
+// accepted and ignored.
 func TestPipelineConfigValidation(t *testing.T) {
 	ev, boot := testStack(t, workload.Prototype(53))
 	bad := DefaultConfig(53)
-	bad.LedgerShards = -1
-	if _, err := New(ev, boot, bad); !errors.Is(err, ErrSingleLockRemoved) {
-		t.Fatalf("LedgerShards -1: got %v, want ErrSingleLockRemoved", err)
-	}
-	bad = DefaultConfig(53)
 	bad.MaxInFlight = -1
 	if _, err := New(ev, boot, bad); err == nil {
 		t.Fatal("negative max in-flight accepted")

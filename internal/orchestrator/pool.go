@@ -1,7 +1,6 @@
 package orchestrator
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -15,89 +14,29 @@ import (
 )
 
 // reoptTask is one unit of shard-pool work: re-optimize one session's
-// variables by a bounded Markov refinement walk. tally attributes the
-// task's outcome to its event, so per-event reports stay exact while events
-// overlap.
+// variables by a bounded Markov refinement walk. res is the task's own
+// result slot in its event's state: the worker that runs the task is its
+// only writer, and the event folds it after the event's tasks have all
+// finished (eventState.foldTasks).
 type reoptTask struct {
 	session model.SessionID
 	seed    int64
 	wg      *sync.WaitGroup
-	tally   *eventTally
+	res     *taskResult
 	// parent is the causal span of the event (or heal) that scheduled this
 	// task; the finished task's attribution spans nest under it (zero when
 	// telemetry is off).
 	parent telemetry.Span
 }
 
-// eventTally accumulates one event's task outcomes; its fields are guarded
-// by o.mu alongside the global stats counters. Every event — churn or
-// fault — carries one, and its report and decision record are filled from
-// it. chosenAgent must be initialized to -1.
-type eventTally struct {
-	commits, rejects, noChange, conflicts int
-	// Per-task telemetry, merged at task finish (telemetry enabled only):
-	// phase durations and delay-cache outcome deltas.
-	snapshotNs, walkNs, commitNs int64
-	cacheWarm, cacheCold         int
-	// The counterfactual-k reading of the event's first committed proposal
-	// (see noteDecisive); only the decision record reads it.
-	chosenAgent int
-	cfGap       float64
-	cfValid     bool
-	// delayMS is the trigger session's post-decision mean-of-max delay
-	// (admitted arrivals only; see Orchestrator.observeDelay).
-	delayMS float64
-}
-
-// noteDecisive keeps the decisive hop of the event's first committed
-// proposal: its target agent and its counterfactual-k gap (Φ runner-up −
-// Φ chosen; +Inf, and not valid, when the hop had no runner-up).
-func (ty *eventTally) noteDecisive(b bestState) {
-	if ty.chosenAgent >= 0 || b.cfAgent < 0 {
-		return
-	}
-	ty.chosenAgent = b.cfAgent
-	if !math.IsInf(b.cfGap, 1) {
-		ty.cfGap = b.cfGap
-		ty.cfValid = true
-	}
-}
-
-// bumpTask increments a global outcome counter and the matching per-event
-// tally slot under the state lock, and moves the worker's walk tallies into
-// the stats with them.
-func (o *Orchestrator) bumpTask(w *workerState, global, local *int) {
-	o.mu.Lock()
-	*global++
-	*local++
-	o.flushWalk(w)
-	o.mu.Unlock()
-}
-
-// flushWalk moves the hops worker w has walked since its last flush into the
-// stats. The caller holds o.mu.
-func (o *Orchestrator) flushWalk(w *workerState) {
-	o.stats.WalkHops += w.walk.Hops
-	o.stats.WalkReused += w.walk.Reused
-	o.stats.WalkReusedAcross += w.walk.ReusedAcross
-	w.walk = core.WalkStats{}
-}
-
-// telOutcome mirrors one task outcome into the telemetry sink's
-// per-(class,region) sharded counters (no-op when telemetry is off).
-func (o *Orchestrator) telOutcome(worker int, s model.SessionID, oc telemetry.TaskOutcome) {
-	if o.tel == nil {
-		return
-	}
-	o.tel.TaskOutcome(worker, o.tel.RegionOf(int(s)), o.tel.ClassOf(int(s)), oc)
-}
-
-// telConflict mirrors one lost commit race into the telemetry sink.
-func (o *Orchestrator) telConflict(worker int, s model.SessionID) {
-	if o.tel == nil {
-		return
-	}
-	o.tel.TaskConflict(worker, o.tel.RegionOf(int(s)), o.tel.ClassOf(int(s)))
+// taskResult is one task's result slot: what the sink counts (outcome,
+// conflicts, walk hops and, with a sink, phase times and delay-cache
+// outcomes) plus the decisive hop of a committed proposal — its target
+// agent and its counterfactual-k gap, which only the decision record reads.
+type taskResult struct {
+	telemetry.TaskResult
+	cfAgent int
+	cfGap   float64
 }
 
 // taskSeed derives a deterministic per-task RNG seed, so a task's walk
@@ -112,9 +51,9 @@ func taskSeed(seed int64, s model.SessionID, eventIdx int) int64 {
 }
 
 // dispatch hands one event's session set (event index seq) to the worker
-// pool and blocks until every task has been refined and merged, returning
-// the wall-clock latency — the orchestrator's headline responsiveness
-// metric.
+// pool, task i writing results[i], and blocks until every task has been
+// refined and merged, returning the wall-clock latency — the
+// orchestrator's headline responsiveness metric.
 //
 // Session ownership is what makes the lock-free parts of the commit path
 // sound: the scheduler guarantees no other in-flight event owns these
@@ -122,17 +61,14 @@ func taskSeed(seed int64, s model.SessionID, eventIdx int) int64 {
 // any other event's — and every session appears in at most one task, so a
 // task is the only goroutine reading or writing its session's variables in
 // the live assignment.
-func (o *Orchestrator) dispatch(sessions []model.SessionID, seq int, tally *eventTally, parent telemetry.Span) time.Duration {
+func (o *Orchestrator) dispatch(sessions []model.SessionID, seq int, results []taskResult, parent telemetry.Span) time.Duration {
 	start := time.Now()
 	var wg sync.WaitGroup
-	for _, s := range sessions {
+	for i, s := range sessions {
 		wg.Add(1)
-		o.tasks <- reoptTask{session: s, seed: taskSeed(o.cfg.Core.Seed, s, seq), wg: &wg, tally: tally, parent: parent}
+		o.tasks <- reoptTask{session: s, seed: taskSeed(o.cfg.Core.Seed, s, seq), wg: &wg, res: &results[i], parent: parent}
 	}
 	wg.Wait()
-	o.mu.Lock()
-	o.stats.Tasks += len(sessions)
-	o.mu.Unlock()
 	return time.Since(start)
 }
 
@@ -143,11 +79,9 @@ func (o *Orchestrator) dispatch(sessions []model.SessionID, seq int, tally *even
 // task, which yields exactly the stream a fresh one would — so steady-state
 // refinement allocates nothing.
 type workerState struct {
-	id  int // counter-shard index into the telemetry sink
+	id  int // trace lane offset of the worker's task spans
 	scr *core.HopScratch
 	rng *rand.Rand
-	// walk tallies the hops walked since the last flushWalk.
-	walk core.WalkStats
 	// probe is the reused per-task instrumentation scratch (telemetry
 	// enabled only), so enabling the sink adds no per-task allocation.
 	probe     taskProbe
@@ -194,21 +128,19 @@ func (o *Orchestrator) beginTaskProbe(w *workerState) *taskProbe {
 	return &w.probe
 }
 
-// finishTaskProbe publishes one task's probe: phase counters and cache
-// deltas to the sink (worker-sharded, lock-free), the probe's timers
-// promoted into a task span with snapshot/walk/commit attribution children
-// on the worker's trace lane, and — when the task carries an event tally —
-// the same readings into the event's record fields under o.mu.
+// finishTaskProbe publishes one task's probe: phase times and cache
+// deltas into the task's result slot, and the probe's timers promoted into
+// a task span with snapshot/walk/commit attribution children on the
+// worker's trace lane.
 func (o *Orchestrator) finishTaskProbe(t reoptTask, w *workerState, probe *taskProbe) {
 	probe.flushCommit()
-	var hits, patches, rebuilds int64
+	r := t.res
 	if dc := w.scr.Eval().DelayCacheStats(); dc != nil {
-		hits = int64(dc.Hits()) - probe.baseHits
-		patches = int64(dc.Patches()) - probe.basePatches
-		rebuilds = int64(dc.Rebuilds()) - probe.baseRebuilds
+		r.CacheHits = int64(dc.Hits()) - probe.baseHits
+		r.CachePatches = int64(dc.Patches()) - probe.basePatches
+		r.CacheRebuilds = int64(dc.Rebuilds()) - probe.baseRebuilds
 	}
-	o.tel.TaskPhases(w.id, probe.snapshotNs, probe.walkNs, probe.commitNs)
-	o.tel.CacheEvals(w.id, hits, patches, rebuilds)
+	r.SnapshotNs, r.WalkNs, r.CommitNs = probe.snapshotNs, probe.walkNs, probe.commitNs
 	// Promote the finished timers into spans: the task span covers the full
 	// wall interval on the worker's lane (workers run tasks serially, so
 	// lanes never self-overlap); the phase children are laid contiguously
@@ -227,17 +159,10 @@ func (o *Orchestrator) finishTaskProbe(t reoptTask, w *workerState, probe *taskP
 		o.tel.EmitSpan(ph.name, "task", task, lane, at, ph.ns, int64(t.session))
 		at = at.Add(time.Duration(ph.ns))
 	}
-	o.mu.Lock()
-	t.tally.snapshotNs += probe.snapshotNs
-	t.tally.walkNs += probe.walkNs
-	t.tally.commitNs += probe.commitNs
-	t.tally.cacheWarm += int(hits + patches)
-	t.tally.cacheCold += int(rebuilds)
-	o.mu.Unlock()
 }
 
-// worker is one solver shard: it refines tasks until the pool closes. id is
-// the worker's counter-shard index in the telemetry sink.
+// worker is one solver shard: it refines tasks until the pool closes. id
+// places the worker's task spans on their own trace lane.
 func (o *Orchestrator) worker(id int) {
 	w := &workerState{id: id, scr: core.NewHopScratch(o.ev), rng: rand.New(&lazySource{})}
 	w.scr.SetProximityIndex(o.nbrIdx)
@@ -270,9 +195,11 @@ func (o *Orchestrator) worker(id int) {
 //
 // No lock guards the live assignment accesses here: this task is the sole
 // owner of its session's variables (see dispatch), and o.mu is taken only
-// for the brief stats/cache/runtime update after a successful capacity
-// commit.
+// for the brief cache/index/runtime update after a successful capacity
+// commit. The outcome goes into the task's result slot, which only this
+// worker writes.
 func (o *Orchestrator) refine(t reoptTask, w *workerState) {
+	r := t.res
 	if !o.cache.Active(t.session) {
 		return
 	}
@@ -357,8 +284,7 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 			probe.commitStart = now
 		}
 		if !best.improved {
-			o.bumpTask(w, &o.stats.NoChange, &t.tally.noChange)
-			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
+			r.Outcome = telemetry.OutcomeNoChange
 			return
 		}
 
@@ -380,8 +306,7 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 			}
 		}
 		if len(w.ds) == 0 {
-			o.bumpTask(w, &o.stats.NoChange, &t.tally.noChange)
-			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
+			r.Outcome = telemetry.OutcomeNoChange
 			return
 		}
 
@@ -390,13 +315,11 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 		newEval := o.ev.BeginSession(w.aw, t.session, es)
 		newLoad := es.CurLoad()
 		if newEval.Phi >= startPhi-improvementEps {
-			o.bumpTask(w, &o.stats.NoChange, &t.tally.noChange)
-			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
+			r.Outcome = telemetry.OutcomeNoChange
 			return
 		}
 		if !newEval.DelayFeasible(o.sc.DMaxMS) {
-			o.bumpTask(w, &o.stats.Rejects, &t.tally.rejects)
-			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
+			r.Outcome = telemetry.OutcomeReject
 			return
 		}
 
@@ -410,6 +333,8 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 					return
 				}
 			}
+			r.Outcome = telemetry.OutcomeCommit
+			r.cfAgent, r.cfGap = best.cfAgent, best.cfGap
 			// Keep the touched-set index and the objective cache current
 			// from the committing worker's own evaluation, so no later
 			// admission or retire ever recomputes this session from the
@@ -419,10 +344,6 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 			o.mu.Lock()
 			o.cache.Prime(t.session, newEval.Phi, newLoad)
 			o.touchIdx[t.session] = idxAgents
-			o.stats.Commits++
-			o.flushWalk(w)
-			t.tally.commits++
-			t.tally.noteDecisive(best)
 			if o.rt != nil {
 				for _, d := range w.ds {
 					if err := o.rt.Migrate(o.now, d); err != nil {
@@ -434,22 +355,18 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 				o.stats.Migrations += len(w.ds)
 			}
 			o.mu.Unlock()
-			o.telOutcome(w.id, t.session, telemetry.OutcomeCommit)
 			return
 		case shard.Conflict:
 			// A sibling commit changed a routed shard after our snapshot:
 			// the walk ran on stale residual capacities. Retry bounded.
-			o.bumpTask(w, &o.stats.Conflicts, &t.tally.conflicts)
-			o.telConflict(w.id, t.session)
+			r.Conflicts++
 			if attempt < commitRetries {
 				continue
 			}
-			o.bumpTask(w, &o.stats.Rejects, &t.tally.rejects)
-			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
+			r.Outcome = telemetry.OutcomeReject
 			return
 		default: // shard.Infeasible
-			o.bumpTask(w, &o.stats.Rejects, &t.tally.rejects)
-			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
+			r.Outcome = telemetry.OutcomeReject
 			return
 		}
 	}
@@ -470,7 +387,8 @@ type bestState struct {
 // ledger snapshot and leaves the best state seen in w.userTo/w.flowTo,
 // aligned with the session's users and flows: the chain may pass through
 // worse states (that is what lets it escape local minima). memo is the
-// session's walk memo. The caller seeds w.rng.
+// session's walk memo. The walk's hop tallies add into the task's result
+// slot. The caller seeds w.rng.
 func (o *Orchestrator) walkBest(t reoptTask, w *workerState, memo *core.WalkMemo, startPhi float64) (bestState, error) {
 	users := o.sc.Session(t.session).Users
 	curFlowTo := w.aw.SessionFlowAgents(t.session)
@@ -490,10 +408,9 @@ func (o *Orchestrator) walkBest(t reoptTask, w *workerState, memo *core.WalkMemo
 				capture()
 			}
 		})
-	w.walk.Hops += ws.Hops
-	w.walk.Reused += ws.Reused
-	w.walk.ReusedAcross += ws.ReusedAcross
-	o.tel.WalkHops(w.id, ws.Hops, ws.Reused, ws.ReusedAcross)
+	t.res.Hops += ws.Hops
+	t.res.Reused += ws.Reused
+	t.res.ReusedAcross += ws.ReusedAcross
 	return best, err
 }
 

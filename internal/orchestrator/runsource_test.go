@@ -2,12 +2,15 @@ package orchestrator
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vconf/internal/faults"
+	"vconf/internal/pipeline"
 	"vconf/internal/sim"
 	"vconf/internal/telemetry"
 	"vconf/internal/workload"
@@ -116,7 +119,7 @@ func TestRunSourceDifferential(t *testing.T) {
 	run := func(lazy bool) result {
 		ev, boot, _ := chaosStack(t, fc)
 		cfg := chaosConfig(61, fc)
-		cfg.Telemetry = telemetry.New(telemetry.Config{Workers: cfg.Shards, TraceCapacity: len(events) + 8})
+		cfg.Telemetry = telemetry.New(telemetry.Config{TraceCapacity: len(events) + 8})
 		o, err := New(ev, boot, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -317,7 +320,7 @@ func TestRunSourcePipelinedStorm(t *testing.T) {
 	ccfg, fcfg := chaosGenConfigs(71, fc, homes, 400, 0.2)
 	cfg := chaosConfig(71, fc)
 	cfg.Shards = 4
-	cfg.LedgerShards = 4
+	cfg.ledgerShards = 4
 	cfg.MaxInFlight = 4
 	ev, boot, _ := chaosStack(t, fc)
 	o, err := New(ev, boot, cfg)
@@ -340,6 +343,70 @@ func TestRunSourcePipelinedStorm(t *testing.T) {
 	}
 	if err := o.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseMidStream pins a clean Close in the middle of a RunSource
+// stream: Close called from another goroutine while events are in flight
+// makes RunSource return (with the scheduler's ErrClosed, since it could
+// not submit the rest), without a panic or a deadlock; the state it leaves
+// holds every invariant, a second Close is a no-op and HandleEvent
+// afterwards returns an error. Run under -race in CI.
+func TestCloseMidStream(t *testing.T) {
+	for _, inFlight := range []int{1, 4} {
+		fc := chaosFleet(73)
+		ev, boot, homes := chaosStack(t, fc)
+		ccfg, fcfg := chaosGenConfigs(73, fc, homes, 400, 0.2)
+		cfg := chaosConfig(73, fc)
+		cfg.Shards = 4
+		cfg.MaxInFlight = inFlight
+		o, err := New(ev, boot, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const closeAt = 40
+		var n atomic.Int64
+		closed := make(chan struct{})
+		// Reports arrive on the scheduler's retire goroutine, which Close
+		// waits for: close from a goroutine of its own.
+		onReport := func(EventReport) error {
+			if n.Add(1) == closeAt {
+				go func() {
+					o.Close()
+					close(closed)
+				}()
+			}
+			return nil
+		}
+		src := &countingSource{EventSource: chaosEngine(t, ccfg, fcfg)}
+		done := make(chan error, 1)
+		go func() { done <- o.RunSource(src, 1e18, onReport) }()
+		select {
+		case err = <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("in-flight %d: RunSource did not return after Close", inFlight)
+		}
+		select {
+		case <-closed:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("in-flight %d: Close did not return", inFlight)
+		}
+		if !errors.Is(err, pipeline.ErrClosed) {
+			t.Fatalf("in-flight %d: RunSource after Close returned %v, want ErrClosed", inFlight, err)
+		}
+		if _, ok := src.Next(); !ok {
+			t.Fatalf("in-flight %d: the source ran dry before Close; the stream was not cut", inFlight)
+		}
+		if got := o.Stats().Events; int64(got) != n.Load() || got < closeAt {
+			t.Fatalf("in-flight %d: %d events retired, %d reported", inFlight, got, n.Load())
+		}
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatalf("in-flight %d: %v", inFlight, err)
+		}
+		o.Close() // a no-op
+		if _, err := o.HandleEvent(workload.Event{TimeS: 1e9, Kind: workload.EventDeparture, Session: 0}); err == nil {
+			t.Fatalf("in-flight %d: HandleEvent after Close succeeded", inFlight)
+		}
 	}
 }
 
@@ -415,7 +482,7 @@ func TestFaultSoak(t *testing.T) {
 			cfg.MaxInFlight = inFlight
 			if inFlight > 1 {
 				cfg.Shards = 2
-				cfg.LedgerShards = 4
+				cfg.ledgerShards = 4
 				cfg.Core.NeighborWindow = 4
 			}
 			o, err := New(ev, boot, cfg)

@@ -57,13 +57,13 @@ func TestShardedShardCountInvariant(t *testing.T) {
 
 	ref := DefaultConfig(21)
 	ref.Shards = 4
-	ref.LedgerShards = 1
+	ref.ledgerShards = 1
 	encWant, phiWant, stWant := runSchedule(t, wl(), events, ref)
 
 	for _, shards := range []int{2, 6} {
 		cfg := DefaultConfig(21)
 		cfg.Shards = 4
-		cfg.LedgerShards = shards
+		cfg.ledgerShards = shards
 		enc, phi, st := runSchedule(t, wl(), events, cfg)
 		if enc != encWant {
 			t.Fatalf("ledger shards=%d diverged from the one-stripe assignment", shards)
@@ -118,7 +118,7 @@ func TestOrchestratorRegionalConflictStorm(t *testing.T) {
 
 	cfg := DefaultConfig(31)
 	cfg.Shards = 8
-	cfg.LedgerShards = 6
+	cfg.ledgerShards = 6
 	cfg.HopBudget = 12
 	cfg.MaxReoptSessions = 12
 	// Candidate windows switch workers onto route-restricted snapshots, so

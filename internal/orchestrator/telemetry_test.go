@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -128,7 +129,7 @@ func reconcile(t *testing.T, o *Orchestrator, sink *telemetry.Sink, nEvents int)
 func TestTelemetryReconciliationSerial(t *testing.T) {
 	ev, boot := testStack(t, workload.Prototype(11))
 	events := churn(t, ev, 11, 300, 0.08, 120)
-	sink := telemetry.New(telemetry.Config{Workers: 4, TraceCapacity: len(events) + 8})
+	sink := telemetry.New(telemetry.Config{TraceCapacity: len(events) + 8})
 	cfg := DefaultConfig(11)
 	cfg.Shards = 4
 	cfg.Telemetry = sink
@@ -157,7 +158,7 @@ func TestTelemetryReconciliationSerial(t *testing.T) {
 func TestTelemetryReconciliationPipelined(t *testing.T) {
 	ev, boot := testStack(t, workload.Prototype(13))
 	events := churn(t, ev, 13, 300, 0.10, 120)
-	sink := telemetry.New(telemetry.Config{Workers: 4, TraceCapacity: len(events) + 8})
+	sink := telemetry.New(telemetry.Config{TraceCapacity: len(events) + 8})
 	cfg := DefaultConfig(13)
 	cfg.Shards = 4
 	cfg.MaxInFlight = 4
@@ -197,7 +198,7 @@ func TestTelemetryDifferentialNilVsEnabled(t *testing.T) {
 		return reps, o.Objective()
 	}
 	plain, phiPlain := run(nil)
-	instr, phiInstr := run(telemetry.New(telemetry.Config{Workers: 4}))
+	instr, phiInstr := run(telemetry.New(telemetry.Config{}))
 	if phiPlain != phiInstr {
 		t.Fatalf("objective diverged: nil sink %v, enabled %v", phiPlain, phiInstr)
 	}
@@ -218,7 +219,9 @@ func TestTelemetryDifferentialNilVsEnabled(t *testing.T) {
 
 // TestTelemetryPerRegionLabels pins the per-region label plumbing: with a
 // session→region map, the exposition must carry region-labeled commit
-// counters and latency histograms.
+// counters and latency histograms, and each task's outcome must count
+// under its own session's region, not its event trigger's, through the
+// fold of four workers' results.
 func TestTelemetryPerRegionLabels(t *testing.T) {
 	ev, boot := testStack(t, workload.Prototype(15))
 	events := churn(t, ev, 15, 300, 0.08, 120)
@@ -226,7 +229,7 @@ func TestTelemetryPerRegionLabels(t *testing.T) {
 	for s := range regions {
 		regions[s] = s % 3
 	}
-	sink := telemetry.New(telemetry.Config{Workers: 4, SessionRegion: regions, TraceCapacity: len(events) + 8})
+	sink := telemetry.New(telemetry.Config{SessionRegion: regions, TraceCapacity: len(events) + 8})
 	cfg := DefaultConfig(15)
 	cfg.Shards = 4
 	cfg.Telemetry = sink
@@ -235,8 +238,44 @@ func TestTelemetryPerRegionLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Close()
-	if _, err := o.Run(events, 300); err != nil {
-		t.Fatal(err)
+	// Each task's outcome must land in its own session's region: per
+	// event, a region gains at most one outcome per re-optimized session
+	// it holds, and the regions together gain the event's outcomes.
+	outcomes := func() (n [3]int64) {
+		for _, m := range sink.Registry().Snapshot() {
+			switch m.Name {
+			case "vconf_commits_total", "vconf_rejects_total", "vconf_nochange_total":
+				r, err := strconv.Atoi(m.Labels["region"])
+				if err != nil {
+					t.Fatal(err)
+				}
+				n[r] += int64(m.Value)
+			}
+		}
+		return n
+	}
+	var prev [3]int64
+	for i, e := range events {
+		rep, err := o.HandleEvent(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held [3]int64
+		for _, s := range rep.Reopt {
+			held[int(s)%3]++
+		}
+		cur, total := outcomes(), int64(0)
+		for r := range cur {
+			if d := cur[r] - prev[r]; d > held[r] {
+				t.Fatalf("event %d: region %d counted %d task outcomes, but holds %d of the re-optimized sessions %v",
+					i, r, d, held[r], rep.Reopt)
+			}
+			total += cur[r] - prev[r]
+		}
+		if want := int64(rep.Commits + rep.Rejects + rep.NoChange); total != want {
+			t.Fatalf("event %d: %d task outcomes counted, report has %d", i, total, want)
+		}
+		prev = cur
 	}
 	reconcile(t, o, sink, len(events))
 
@@ -274,7 +313,6 @@ func TestTelemetryHealSpansReconcile(t *testing.T) {
 	ev, boot, homes := chaosStack(t, fc)
 	events := chaosSchedule(t, 43, fc, homes, 400, 0.15)
 	sink := telemetry.New(telemetry.Config{
-		Workers:       2,
 		TraceCapacity: len(events) + 8,
 		SpanCapacity:  1 << 17,
 	})
@@ -361,7 +399,6 @@ func TestTelemetryClassLabels(t *testing.T) {
 	sc := ev.Scenario()
 	classes := workload.SessionClasses(sc, 0)
 	sink := telemetry.New(telemetry.Config{
-		Workers:       4,
 		TraceCapacity: len(events) + 8,
 		Classes:       workload.SLOClassNames,
 		SessionClass:  classes,

@@ -41,6 +41,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -130,28 +131,25 @@ type Exec struct {
 	Retire func()
 }
 
+// ErrClosed is Submit's error after Close.
+var ErrClosed = errors.New("pipeline: submit after close")
+
 // Config tunes the scheduler.
 type Config struct {
 	// MaxInFlight bounds the events between admission and re-optimization
 	// completion. 1 degenerates to strict serial execution in submission
-	// order. Defaults to 1.
+	// order. Defaults to 1. It also sizes the submit window: Submit blocks
+	// while 4 × MaxInFlight submissions await admission (backpressure, and
+	// what makes the queue-depth telemetry meaningful).
 	MaxInFlight int
-	// SubmitWindow bounds the un-admitted submissions buffered before
-	// Submit blocks (backpressure, and what makes the queue-depth telemetry
-	// meaningful). Defaults to 4×MaxInFlight.
-	SubmitWindow int
 }
 
 func (c Config) withDefaults() (Config, error) {
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 1
 	}
-	if c.SubmitWindow == 0 {
-		c.SubmitWindow = 4 * c.MaxInFlight
-	}
-	if c.MaxInFlight < 1 || c.SubmitWindow < 1 {
-		return c, fmt.Errorf("pipeline: invalid config: max in-flight %d, submit window %d",
-			c.MaxInFlight, c.SubmitWindow)
+	if c.MaxInFlight < 1 {
+		return c, fmt.Errorf("pipeline: invalid config: max in-flight %d", c.MaxInFlight)
 	}
 	return c, nil
 }
@@ -236,7 +234,7 @@ func New(cfg Config) (*Scheduler, error) {
 
 // Submit enqueues one event and returns a channel closed when it retires
 // (or is discarded by a stream abort). Blocks while the pending queue is at
-// the submit window. Returns an error after Close.
+// the submit window. Returns ErrClosed after Close.
 func (s *Scheduler) Submit(exec Exec) (<-chan struct{}, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -244,11 +242,11 @@ func (s *Scheduler) Submit(exec Exec) (<-chan struct{}, error) {
 	// dispatcher keeps discarding pending heads (broadcasting each time),
 	// so blocked submitters make progress without ever buffering the whole
 	// remaining schedule.
-	for !s.closed && s.pending >= s.cfg.SubmitWindow {
+	for !s.closed && s.pending >= 4*s.cfg.MaxInFlight {
 		s.cond.Wait()
 	}
 	if s.closed {
-		return nil, fmt.Errorf("pipeline: submit after close")
+		return nil, ErrClosed
 	}
 	e := &event{seq: s.nextSeq, exec: exec, retired: make(chan struct{})}
 	s.nextSeq++

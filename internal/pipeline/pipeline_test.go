@@ -423,7 +423,7 @@ func TestAbortRetiresStrictPrefix(t *testing.T) {
 // TestStatsPeaks sanity-checks the queue-depth and in-flight high-water
 // marks on a burst of disjoint events.
 func TestStatsPeaks(t *testing.T) {
-	s, err := New(Config{MaxInFlight: 3, SubmitWindow: 8})
+	s, err := New(Config{MaxInFlight: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ func TestMetricCatalogueMatchesREADME(t *testing.T) {
 
 	// A sink with every subsystem on registers the full catalogue up front.
 	s := New(Config{
-		Workers:      2,
 		Regions:      2,
 		Classes:      []string{"interactive", "broadcast"},
 		SampleEveryS: 1,

@@ -24,7 +24,7 @@ func getWithType(t *testing.T, addr, path string) (int, string, string) {
 // Serve must return an error — no panic, no half-started server — and the
 // original endpoint must keep working.
 func TestServeBusyPortReturnsError(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	srv, err := Serve(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestServeBusyPortReturnsError(t *testing.T) {
 // documents, in this order — and the Content-Type header each is served
 // with: scrapers and browsers key off them.
 func TestServeContentTypes(t *testing.T) {
-	s := New(Config{Workers: 1, SampleEveryS: 1})
+	s := New(Config{SampleEveryS: 1})
 	s.Record(DecisionRecord{TimeS: 0.5, Kind: "arrive", Admitted: true})
 	s.Flush()
 	srv, err := Serve(s, "127.0.0.1:0")
@@ -82,7 +82,7 @@ func TestServeContentTypes(t *testing.T) {
 // TestServeUnknownPath404s pins that unmounted paths return 404, not a
 // catch-all handler's output.
 func TestServeUnknownPath404s(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	srv, err := Serve(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestServeUnknownPath404s(t *testing.T) {
 // serve valid empty documents when sampling is off — scrapers need no
 // feature detection.
 func TestHealthEndpointsEmptyWithoutSampler(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	srv, err := Serve(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -42,8 +42,8 @@ import (
 //
 // Determinism contract: windows are indexed by virtual event time
 // (floor(TimeS/interval)) and filled only from the decision-record stream,
-// which retires in event order, never from racing reads of counter
-// shards. Two runs with the same seed produce byte-identical
+// which retires in event order, never from racing reads of live
+// counters. Two runs with the same seed produce byte-identical
 // /timeseries.json and /alerts.json (no wall-clock field is kept).
 
 // Sizes of the health monitor's bounded state.
@@ -597,7 +597,7 @@ func (h *health) transitionLocked(i, state int, w *Window, fast, slow float64) {
 			IncidentKind: w.IncidentKind,
 		})
 	}
-	h.transitions[i][state].Inc(h.s.eventShard)
+	h.transitions[i][state].Inc()
 }
 
 // freezeLocked files one flight dump with the given window tail, unless
@@ -654,7 +654,7 @@ func (h *health) freezeLocked(trigger, reason string, windows []Window) {
 	}
 	h.dumps = append(h.dumps, d)
 	if c := h.dumpCtr[trigger]; c != nil {
-		c.Inc(s.eventShard)
+		c.Inc()
 	}
 }
 

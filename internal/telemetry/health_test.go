@@ -15,7 +15,6 @@ import (
 func healthSink(t *testing.T, rules []SLORule) *Sink {
 	t.Helper()
 	return New(Config{
-		Workers:      2,
 		Classes:      []string{"interactive", "broadcast"},
 		SampleEveryS: 1,
 		SLO:          rules,
@@ -133,7 +132,7 @@ func TestSamplerIncidentInheritance(t *testing.T) {
 }
 
 func TestSamplerRingWrap(t *testing.T) {
-	s := New(Config{Workers: 1, SampleEveryS: 1})
+	s := New(Config{SampleEveryS: 1})
 	const n = windowCap + 6
 	for i := 0; i < n; i++ {
 		s.Record(DecisionRecord{TimeS: float64(i) + 0.5, Kind: "arrive", Admitted: true})
@@ -179,7 +178,7 @@ func TestSamplerWriteJSONShape(t *testing.T) {
 }
 
 func TestQuantilesMatchesRepeatedPercentile(t *testing.T) {
-	h := NewRegistry(2).Histogram("parity_ns", "parity")
+	h := NewRegistry().Histogram("parity_ns", "parity")
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 5000; i++ {
 		h.Observe(rng.Int63n(10_000_000) + 1)
@@ -333,7 +332,7 @@ func TestSLORuleValidation(t *testing.T) {
 			t.Fatal("New accepted an invalid SLO rule")
 		}
 	}()
-	New(Config{Workers: 1, SLO: []SLORule{{Name: "x", Kind: "nope"}}})
+	New(Config{SLO: []SLORule{{Name: "x", Kind: "nope"}}})
 }
 
 func TestDefaultSLORules(t *testing.T) {
@@ -383,7 +382,7 @@ func TestFlightTriggerAndIncidentDedupe(t *testing.T) {
 }
 
 func TestFlightMaxDumpsAndDropCount(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	for i := 0; i < maxDumps+3; i++ {
 		s.TriggerFlight("invariant", "overflow probe")
 	}
@@ -422,7 +421,7 @@ func TestFlightCapacityScaleMirror(t *testing.T) {
 func TestFlightDumpIncludesWindowTail(t *testing.T) {
 	// Rings smaller than the run but larger than a dump's tails (16
 	// windows, 64 records, 128 spans), so both wrap.
-	s := New(Config{Workers: 2, SampleEveryS: 1, TraceCapacity: 100, SpanCapacity: 200})
+	s := New(Config{SampleEveryS: 1, TraceCapacity: 100, SpanCapacity: 200})
 	for i := 0; i < 150; i++ {
 		s.Record(DecisionRecord{TimeS: float64(i)/5 + 0.1, Kind: "arrive", Admitted: true})
 	}
@@ -546,7 +545,7 @@ func TestNilSinkHealthMethodsZeroAlloc(t *testing.T) {
 // rules keeps no windows and registers no alert families — existing users
 // see no new overhead — while its flight recorder still dumps.
 func TestSamplerOffByDefault(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	s.Record(DecisionRecord{TimeS: 2.5, Kind: "region-outage", Incident: 1})
 	s.Flush()
 	if ts := s.TimeseriesDoc(); ts.IntervalS != 0 || ts.WindowsTotal != 0 || len(ts.Windows) != 0 {
@@ -571,7 +570,7 @@ func TestSamplerOffByDefault(t *testing.T) {
 // TestSamplerDefaultsWithRules pins "SampleEveryS <= 0 means 1s when rules
 // are set": the rules always have windows to read.
 func TestSamplerDefaultsWithRules(t *testing.T) {
-	s := New(Config{Workers: 1, SLO: tightAvailability()})
+	s := New(Config{SLO: tightAvailability()})
 	s.Record(DecisionRecord{TimeS: 2.5, Kind: "arrive", Admitted: true})
 	s.Flush()
 	if ts := s.TimeseriesDoc(); ts.IntervalS != 1 || ts.WindowsTotal != 1 || ts.Windows[0].Index != 2 {

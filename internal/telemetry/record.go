@@ -46,10 +46,11 @@ type DecisionRecord struct {
 	CacheCold        int `json:"cache_cold"`
 	CacheInvalidated int `json:"cache_invalidated"`
 	// ChosenAgent is the decisive hop's target agent of the event's first
-	// committed proposal (-1 when nothing committed). CfGap is
-	// counterfactual-k: Φ(2nd-best candidate) − Φ(chosen candidate) at
-	// that hop — positive means the chosen placement beat the runner-up by
-	// that margin; CfValid is false when no second candidate existed.
+	// committed proposal in re-optimization-set order (-1 when nothing
+	// committed). CfGap is counterfactual-k: Φ(2nd-best candidate) −
+	// Φ(chosen candidate) at that hop — positive means the chosen placement
+	// beat the runner-up by that margin; CfValid is false when no second
+	// candidate existed.
 	ChosenAgent int     `json:"chosen_agent"`
 	CfGap       float64 `json:"cf_gap"`
 	CfValid     bool    `json:"cf_valid"`
@@ -67,7 +68,7 @@ type DecisionRecord struct {
 	// (0 for churn events); Orphans/Evacuated/EvacRejects the healing
 	// outcome of that event. They make the serialized decision stream
 	// self-contained for the windowed sampler, so window contents never
-	// depend on racing reads of live counter shards.
+	// depend on racing reads of live counters.
 	Incident    int `json:"incident,omitempty"`
 	Orphans     int `json:"orphans,omitempty"`
 	Evacuated   int `json:"evacuated,omitempty"`

@@ -1,5 +1,5 @@
 // Package telemetry is the unified observability layer: a concurrency-safe
-// metrics registry (sharded counters, gauges, a reusable log-scale
+// metrics registry (atomic counters, gauges, a reusable log-scale
 // histogram), one bounded overwrite-oldest Ring carrying decision records,
 // spans and closed health windows, one health monitor on the retire path
 // (windowed sampler, burn-rate alerts and incident flight recorder under
@@ -14,9 +14,11 @@
 //     nil-receiver safe; a nil sink reduces each site to a pointer test
 //     (no allocation, no atomic, no branch misprediction of note — the
 //     alloc-pin tests enforce 0 allocs/op).
-//   - Counters are sharded across cache-line-padded cells (one per worker
-//     goroutine plus one for the event loop) and merged on read, so
-//     concurrent workers never contend on a shared line.
+//   - A counter is one atomic. Workers write no counter: each
+//     re-optimization task fills its own result, and the event's
+//     re-optimization stage counts the results once its tasks have all
+//     finished (Sink.Task), so the writers are the event stages, not the
+//     solver pool.
 //   - The histogram is the orchestrator's quarter-octave log-scale
 //     latencyHist, promoted: 256 fixed buckets over int64 values
 //     (nanoseconds in practice), O(1) atomic adds, constant memory for
@@ -64,37 +66,20 @@ func (t MetricType) String() string {
 	}
 }
 
-// counterCell is one shard of a Counter, padded to its own cache line so
-// concurrent workers never false-share.
-type counterCell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing sharded counter: writers pick a
-// shard (their worker index) and add without any coordination; readers merge
-// all cells. Adds are lock-free and allocation-free.
+// Counter is a monotonically increasing counter: one atomic, so adds are
+// lock-free and allocation-free.
 type Counter struct {
-	cells []counterCell
+	v atomic.Int64
 }
 
-// Add increments the counter by d on the given shard. Shard indices wrap,
-// so any non-negative index is safe regardless of the configured width.
-func (c *Counter) Add(shard int, d int64) {
-	c.cells[uint(shard)%uint(len(c.cells))].v.Add(d)
-}
+// Add increments the counter by d.
+func (c *Counter) Add(d int64) { c.v.Add(d) }
 
-// Inc is Add(shard, 1).
-func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
+// Inc is Add(1).
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value merges all shards.
-func (c *Counter) Value() int64 {
-	var total int64
-	for i := range c.cells {
-		total += c.cells[i].v.Load()
-	}
-	return total
-}
+// Value loads the counter.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a last-write-wins float64 value (atomic bit store).
 type Gauge struct {
@@ -312,22 +297,14 @@ func labelString(labels []Label) string {
 // programmer error, like a duplicate expvar).
 type Registry struct {
 	mu      sync.Mutex
-	shards  int
 	metrics []*metric
 	byKey   map[string]*metric
 }
 
-// NewRegistry builds a registry whose counters carry `shards` cells
-// (typically workers+1; minimum 1).
-func NewRegistry(shards int) *Registry {
-	if shards < 1 {
-		shards = 1
-	}
-	return &Registry{shards: shards, byKey: make(map[string]*metric)}
+// NewRegistry builds an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{byKey: make(map[string]*metric)}
 }
-
-// Shards returns the counter cell count.
-func (r *Registry) Shards() int { return r.shards }
 
 func (r *Registry) getOrCreate(name, help string, typ MetricType, labels []Label) *metric {
 	key := name + labelString(labels)
@@ -342,7 +319,7 @@ func (r *Registry) getOrCreate(name, help string, typ MetricType, labels []Label
 	m := &metric{name: name, help: help, labels: append([]Label(nil), labels...), key: key, typ: typ}
 	switch typ {
 	case CounterType:
-		m.counter = &Counter{cells: make([]counterCell, r.shards)}
+		m.counter = &Counter{}
 	case GaugeType:
 		m.gauge = &Gauge{}
 	case HistogramType:

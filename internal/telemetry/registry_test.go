@@ -126,7 +126,7 @@ func TestHistogramEmptyAndEdges(t *testing.T) {
 func TestRegistryRaceStorm(t *testing.T) {
 	const writers = 16
 	const perWriter = 5000
-	reg := NewRegistry(writers)
+	reg := NewRegistry()
 	c := reg.Counter("storm_total", "storm counter")
 	g := reg.Gauge("storm_gauge", "storm gauge")
 	h := reg.Histogram("storm_hist", "storm histogram")
@@ -141,11 +141,11 @@ func TestRegistryRaceStorm(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				c.Inc(id)
-				c.Add(id, 2)
+				c.Inc()
+				c.Add(2)
 				g.Set(float64(id))
 				h.Observe(int64(i%1000 + 1))
-				labeled[id%len(labeled)].Inc(id)
+				labeled[id%len(labeled)].Inc()
 			}
 		}(wtr)
 	}
@@ -170,7 +170,7 @@ func TestRegistryRaceStorm(t *testing.T) {
 }
 
 func TestRegistryGetOrCreateIdentityAndMismatch(t *testing.T) {
-	reg := NewRegistry(2)
+	reg := NewRegistry()
 	a := reg.Counter("dup_total", "dup")
 	b := reg.Counter("dup_total", "dup")
 	if a != b {
@@ -189,9 +189,9 @@ func TestRegistryGetOrCreateIdentityAndMismatch(t *testing.T) {
 }
 
 func TestWritePromAndJSON(t *testing.T) {
-	reg := NewRegistry(2)
-	reg.Counter("vconf_test_total", "a counter", Label{Key: "region", Value: "0"}).Add(0, 7)
-	reg.Counter("vconf_test_total", "a counter", Label{Key: "region", Value: "1"}).Add(1, 3)
+	reg := NewRegistry()
+	reg.Counter("vconf_test_total", "a counter", Label{Key: "region", Value: "0"}).Add(7)
+	reg.Counter("vconf_test_total", "a counter", Label{Key: "region", Value: "1"}).Add(3)
 	reg.Gauge("vconf_test_gauge", "a gauge").Set(2.5)
 	h := reg.Histogram("vconf_test_ns", "a histogram")
 	h.Observe(1000)
@@ -232,7 +232,7 @@ func TestWritePromAndJSON(t *testing.T) {
 }
 
 func TestHistogramPromBucketsCumulative(t *testing.T) {
-	reg := NewRegistry(1)
+	reg := NewRegistry()
 	h := reg.Histogram("cum_ns", "cumulative check")
 	for i := 0; i < 10; i++ {
 		h.Observe(100)

@@ -99,7 +99,7 @@ func TestRing(t *testing.T) {
 	}
 
 	t.Run("sink_drop_counters", func(t *testing.T) {
-		s := New(Config{Workers: 2, TraceCapacity: 2, SpanCapacity: 2})
+		s := New(Config{TraceCapacity: 2, SpanCapacity: 2})
 		for i := 0; i < 5; i++ {
 			s.StartRoot("event", "event", 0).End()
 			s.Record(DecisionRecord{Kind: "arrive", Session: i, Admitted: true})

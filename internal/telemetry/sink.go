@@ -12,23 +12,46 @@ import (
 type TaskOutcome int
 
 const (
-	OutcomeCommit TaskOutcome = iota
+	// OutcomeNone: the task ended without an outcome (its session had
+	// departed, or the walk failed).
+	OutcomeNone TaskOutcome = iota
+	OutcomeCommit
 	OutcomeReject
 	OutcomeNoChange
 )
 
+// TaskResult is what one finished re-optimization task reports: its
+// outcome, its lost commit races, its walk's hops and, with a sink, its
+// phase times and delay-cache outcomes. The worker that runs the task is
+// its only writer; Sink.Task counts it once the event's tasks have all
+// finished.
+type TaskResult struct {
+	Outcome   TaskOutcome
+	Conflicts int
+	// Hops is the number of hops the task's walks took; Reused of them took
+	// their candidate set from the walk's memo, ReusedAcross from the
+	// session's memo of earlier walks, the rest evaluated it.
+	Hops, Reused, ReusedAcross int
+	// SnapshotNs, WalkNs and CommitNs are the task's phase times.
+	SnapshotNs, WalkNs, CommitNs int64
+	// CacheHits, CachePatches and CacheRebuilds are the task's delay-cache
+	// evaluation outcomes.
+	CacheHits, CachePatches, CacheRebuilds int64
+}
+
 // Config sizes a Sink.
 type Config struct {
-	// Workers hints the counter shard width: one cache-line-padded cell
-	// per solver worker plus one for the event loop. 0 defaults to 9
-	// (8 workers + event loop); indices wrap, so an under-estimate is
-	// safe — it costs sharing, never correctness.
+	// Deprecated: Workers has no effect; it is kept so callers that set it
+	// still compile. Counters are single atomics written by the event
+	// stages (Record, Task, ...), never by solver workers.
 	Workers int
 	// TraceCapacity bounds the decision-record ring. 0 defaults to 4096.
 	TraceCapacity int
 	// SessionRegion maps session ID → region for per-region metric labels
-	// (e.g. a geo-federated fleet's home regions). Nil labels everything
-	// region 0.
+	// (e.g. a geo-federated fleet's home regions): a record counts under
+	// its trigger session's region, a task under its own session's, an
+	// evacuation or degraded reject under its orphan's or arrival's. Nil
+	// labels everything region 0.
 	SessionRegion []int
 	// Regions fixes the region count; 0 derives it from SessionRegion
 	// (max+1, minimum 1).
@@ -75,7 +98,7 @@ type Sink struct {
 	numClasses    int      // max(1, len(classes))
 
 	// Per-(class,region) handle slices indexed class*regions+region,
-	// resolved once at construction so the hot path is an index, not a
+	// resolved once at construction so a count is an index, not a
 	// registry lookup. Without configured classes the class dimension
 	// collapses to 1 and labels stay region-only. arrivals/departs stay
 	// per-region: the churn kind label already identifies them.
@@ -143,15 +166,11 @@ type Sink struct {
 	// serialized event-retire path only).
 	prevObjective float64
 	haveObjective bool
-	eventShard    int
 }
 
 // New builds an enabled sink. A nil *Sink (not New's result) is the
 // disabled state.
 func New(cfg Config) *Sink {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
 	if cfg.TraceCapacity <= 0 {
 		cfg.TraceCapacity = 4096
 	}
@@ -172,7 +191,7 @@ func New(cfg Config) *Sink {
 		numClasses = 1
 	}
 	s := &Sink{
-		reg:           NewRegistry(cfg.Workers + 1),
+		reg:           NewRegistry(),
 		rec:           NewRing(cfg.TraceCapacity, func(r *DecisionRecord, q int64) { r.Seq = q }),
 		spans:         NewRing(cfg.SpanCapacity, func(r *SpanRecord, q int64) { r.Seq = q }),
 		sessionRegion: cfg.SessionRegion,
@@ -180,7 +199,6 @@ func New(cfg Config) *Sink {
 		sessionClass:  cfg.SessionClass,
 		classes:       cfg.Classes,
 		numClasses:    numClasses,
-		eventShard:    cfg.Workers,
 	}
 	s.commits = make([]*Counter, numClasses*regions)
 	s.rejects = make([]*Counter, numClasses*regions)
@@ -259,9 +277,6 @@ func New(cfg Config) *Sink {
 	return s
 }
 
-// Enabled reports whether the sink is live.
-func (s *Sink) Enabled() bool { return s != nil }
-
 // Registry exposes the metric registry (nil when disabled).
 func (s *Sink) Registry() *Registry {
 	if s == nil {
@@ -278,18 +293,10 @@ func (s *Sink) Recorder() *Ring[DecisionRecord] {
 	return s.rec
 }
 
-// EventShard is the counter shard reserved for the event loop / retire
-// path (workers use their own indices).
-func (s *Sink) EventShard() int {
-	if s == nil {
-		return 0
-	}
-	return s.eventShard
-}
-
-// RegionOf maps a session to its metric region (0 without a map).
-func (s *Sink) RegionOf(session int) int {
-	if s == nil || session < 0 || session >= len(s.sessionRegion) {
+// regionOf maps a session to its metric region (0 without a map or out
+// of range).
+func (s *Sink) regionOf(session int) int {
+	if session < 0 || session >= len(s.sessionRegion) {
 		return 0
 	}
 	r := s.sessionRegion[session]
@@ -299,17 +306,10 @@ func (s *Sink) RegionOf(session int) int {
 	return r
 }
 
-// Regions returns the label cardinality of the per-region series.
-func (s *Sink) Regions() int {
-	if s == nil {
-		return 0
-	}
-	return s.regions
-}
-
-// ClassOf maps a session to its SLO class index (0 without a class map).
-func (s *Sink) ClassOf(session int) int {
-	if s == nil || session < 0 || session >= len(s.sessionClass) {
+// classOf maps a session to its SLO class index (0 without a class map or
+// out of range).
+func (s *Sink) classOf(session int) int {
+	if session < 0 || session >= len(s.sessionClass) {
 		return 0
 	}
 	c := s.sessionClass[session]
@@ -317,15 +317,6 @@ func (s *Sink) ClassOf(session int) int {
 		return 0
 	}
 	return c
-}
-
-// Classes returns the configured class names (nil when class labels are
-// off).
-func (s *Sink) Classes() []string {
-	if s == nil {
-		return nil
-	}
-	return s.classes
 }
 
 // className is the label value for class c ("default" when classes are
@@ -337,79 +328,43 @@ func (s *Sink) className(c int) string {
 	return "default"
 }
 
-// crIndex flattens (class, region) into the per-(class,region) handle
-// slices, clamping both out-of-range dimensions to 0.
-func (s *Sink) crIndex(class, region int) int {
-	if region < 0 || region >= s.regions {
-		region = 0
-	}
-	if class < 0 || class >= s.numClasses {
-		class = 0
-	}
-	return class*s.regions + region
+// crIndex flattens session's (class, region) labels into the
+// per-(class,region) handle slices.
+func (s *Sink) crIndex(session int) int {
+	return s.classOf(session)*s.regions + s.regionOf(session)
 }
 
-// TaskOutcome counts one task's terminal outcome on the worker's counter
-// shard, labeled with the task session's region and SLO class.
-func (s *Sink) TaskOutcome(worker, region, class int, oc TaskOutcome) {
+// Task counts one finished re-optimization task of session under the
+// session's (class, region) labels: its outcome and lost commit races,
+// plus its phase times, delay-cache outcomes and walk hops. The event's
+// re-optimization stage calls it once per task after the event's tasks
+// have all finished; stages of overlapping events may call it
+// concurrently.
+func (s *Sink) Task(session int, r TaskResult) {
 	if s == nil {
 		return
 	}
-	i := s.crIndex(class, region)
-	switch oc {
+	i := s.crIndex(session)
+	switch r.Outcome {
 	case OutcomeCommit:
-		s.commits[i].Inc(worker)
+		s.commits[i].Inc()
 	case OutcomeReject:
-		s.rejects[i].Inc(worker)
+		s.rejects[i].Inc()
 	case OutcomeNoChange:
-		s.noChange[i].Inc(worker)
+		s.noChange[i].Inc()
 	}
-}
-
-// TaskConflict counts one lost cross-shard commit race.
-func (s *Sink) TaskConflict(worker, region, class int) {
-	if s == nil {
-		return
+	if r.Conflicts != 0 {
+		s.conflicts[i].Add(int64(r.Conflicts))
 	}
-	s.conflicts[s.crIndex(class, region)].Inc(worker)
-}
-
-// TaskPhases accumulates one task's phase durations (ns).
-func (s *Sink) TaskPhases(worker int, snapshotNs, walkNs, commitNs int64) {
-	if s == nil {
-		return
-	}
-	s.phaseSnapshot.Add(worker, snapshotNs)
-	s.phaseWalk.Add(worker, walkNs)
-	s.phaseCommit.Add(worker, commitNs)
-}
-
-// CacheEvals accumulates delay-cache outcome deltas from one task.
-func (s *Sink) CacheEvals(worker int, hits, patches, rebuilds int64) {
-	if s == nil {
-		return
-	}
-	if hits != 0 {
-		s.cacheHits.Add(worker, hits)
-	}
-	if patches != 0 {
-		s.cachePatches.Add(worker, patches)
-	}
-	if rebuilds != 0 {
-		s.cacheRebuilds.Add(worker, rebuilds)
-	}
-}
-
-// WalkHops accumulates one refinement walk's hops: reused of them took
-// their candidate set from the walk's memo, across of them from the
-// session's memo of earlier walks, the rest evaluated it.
-func (s *Sink) WalkHops(worker, hops, reused, across int) {
-	if s == nil {
-		return
-	}
-	s.walkEvaluated.Add(worker, int64(hops-reused-across))
-	s.walkReused.Add(worker, int64(reused))
-	s.walkAcross.Add(worker, int64(across))
+	s.phaseSnapshot.Add(r.SnapshotNs)
+	s.phaseWalk.Add(r.WalkNs)
+	s.phaseCommit.Add(r.CommitNs)
+	s.cacheHits.Add(r.CacheHits)
+	s.cachePatches.Add(r.CachePatches)
+	s.cacheRebuilds.Add(r.CacheRebuilds)
+	s.walkEvaluated.Add(int64(r.Hops - r.Reused - r.ReusedAcross))
+	s.walkReused.Add(int64(r.Reused))
+	s.walkAcross.Add(int64(r.ReusedAcross))
 }
 
 // Record emits one decision record: it fills the derived fields (region,
@@ -420,8 +375,8 @@ func (s *Sink) Record(rec DecisionRecord) {
 	if s == nil {
 		return
 	}
-	rec.Region = s.RegionOf(rec.Session)
-	class := s.ClassOf(rec.Session)
+	rec.Region = s.regionOf(rec.Session)
+	class := s.classOf(rec.Session)
 	if len(s.classes) > 0 {
 		rec.Class = s.className(class)
 	}
@@ -439,7 +394,6 @@ func (s *Sink) Record(rec DecisionRecord) {
 	// Workers never see any of this.
 	s.health.observe(&rec, class)
 
-	sh := s.eventShard
 	if rec.DelayMS > 0 {
 		s.classDelay[class].Observe(int64(rec.DelayMS * 1e3))
 		s.classDelaySum[class] += rec.DelayMS
@@ -448,33 +402,33 @@ func (s *Sink) Record(rec DecisionRecord) {
 	}
 	switch rec.Kind {
 	case "depart":
-		s.departs[rec.Region].Inc(sh)
+		s.departs[rec.Region].Inc()
 		if !rec.Admitted {
-			s.skips.Inc(sh)
+			s.skips.Inc()
 		}
 	case "arrive":
-		s.arrivals[rec.Region].Inc(sh)
+		s.arrivals[rec.Region].Inc()
 		if !rec.Admitted {
-			s.drops.Inc(sh)
+			s.drops.Inc()
 		}
 	default:
 		// Fault-injection kinds count into their own family, never into the
 		// churn event/drop/skip counters.
 		if c := s.faults[rec.Kind]; c != nil {
-			c.Inc(sh)
+			c.Inc()
 		}
 	}
 	if rec.Stalled {
-		s.stalls.Inc(sh)
+		s.stalls.Inc()
 	}
 	if rec.CacheInvalidated > 0 {
-		s.invalidations.Add(sh, int64(rec.CacheInvalidated))
+		s.invalidations.Add(int64(rec.CacheInvalidated))
 	}
-	s.reoptLat[s.crIndex(class, rec.Region)].Observe(rec.LatencyNs)
+	s.reoptLat[class*s.regions+rec.Region].Observe(rec.LatencyNs)
 	s.objective.Set(rec.Objective)
 	s.active.Set(float64(rec.ActiveSessions))
 	if s.rec.Append(rec) {
-		s.recDropped.Inc(sh)
+		s.recDropped.Inc()
 	}
 }
 
@@ -513,7 +467,7 @@ func (s *Sink) DistAbandon() {
 	if s == nil {
 		return
 	}
-	s.distAbandons.Inc(s.eventShard)
+	s.distAbandons.Inc()
 }
 
 // DistRetry counts one re-dialed runner attempt after a failed exchange.
@@ -521,28 +475,26 @@ func (s *Sink) DistRetry() {
 	if s == nil {
 		return
 	}
-	s.distRetries.Inc(s.eventShard)
+	s.distRetries.Inc()
 }
 
 // faultKinds are the record kinds routed to vconf_faults_injected_total
 // (workload.EventKind.String() for the fault kinds).
 var faultKinds = []string{"agent-fail", "agent-recover", "region-outage", "region-recover", "degrade", "flash-crowd"}
 
-// Evacuation counts one orphan's re-home attempt (ok or reject) and its
-// latency. Called from the serialized fault-handling path.
-func (s *Sink) Evacuation(region int, ok bool, latencyNs int64) {
+// Evacuation counts one orphaned session's re-home attempt (ok or reject)
+// under the session's region, and its latency. Called from the serialized
+// fault-handling path.
+func (s *Sink) Evacuation(session int, ok bool, latencyNs int64) {
 	if s == nil {
 		return
 	}
-	if region < 0 || region >= s.regions {
-		region = 0
-	}
-	sh := s.eventShard
-	s.orphans.Inc(sh)
+	region := s.regionOf(session)
+	s.orphans.Inc()
 	if ok {
-		s.evacOK[region].Inc(sh)
+		s.evacOK[region].Inc()
 	} else {
-		s.evacRej[region].Inc(sh)
+		s.evacRej[region].Inc()
 	}
 	s.evacLat.Observe(latencyNs)
 }
@@ -555,15 +507,13 @@ func (s *Sink) Incident(ttrNs int64) {
 	s.recoveryLat.Observe(ttrNs)
 }
 
-// DegradedReject counts one arrival rejected while the fleet was impaired.
-func (s *Sink) DegradedReject(region int) {
+// DegradedReject counts one arrival of session rejected while the fleet
+// was impaired, under the session's region.
+func (s *Sink) DegradedReject(session int) {
 	if s == nil {
 		return
 	}
-	if region < 0 || region >= s.regions {
-		region = 0
-	}
-	s.degRejects[region].Inc(s.eventShard)
+	s.degRejects[s.regionOf(session)].Inc()
 }
 
 // CounterfactualSummary aggregates counterfactual-k over the held records:

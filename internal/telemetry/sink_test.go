@@ -12,20 +12,12 @@ import (
 // no-op, never a panic — that is the disabled-telemetry contract.
 func TestNilSinkSafe(t *testing.T) {
 	var s *Sink
-	if s.Enabled() {
-		t.Fatal("nil sink reports enabled")
-	}
 	if s.Registry() != nil || s.Recorder() != nil || s.Spans() != nil {
 		t.Fatal("nil sink leaked non-nil components")
 	}
-	if s.RegionOf(3) != 0 || s.Regions() != 0 || s.EventShard() != 0 {
-		t.Fatal("nil sink returned nonzero identities")
-	}
-	s.TaskOutcome(1, 0, 0, OutcomeCommit)
-	s.TaskConflict(1, 0, 0)
-	s.TaskPhases(1, 1, 2, 3)
-	s.CacheEvals(1, 1, 2, 3)
-	s.WalkHops(1, 12, 5, 3)
+	s.Task(3, TaskResult{Outcome: OutcomeCommit, Conflicts: 1, Hops: 12, Reused: 5, ReusedAcross: 3})
+	s.Evacuation(3, true, 100)
+	s.DegradedReject(3)
 	s.Record(DecisionRecord{Kind: "arrive"})
 	if n, mean, p99 := s.CounterfactualSummary(); n != 0 || mean != 0 || p99 != 0 {
 		t.Fatal("nil sink returned a counterfactual summary")
@@ -36,64 +28,70 @@ func TestNilSinkSafe(t *testing.T) {
 // every instrumentation call on a nil sink must reduce to a pointer test.
 func TestNilSinkZeroAlloc(t *testing.T) {
 	var s *Sink
+	r := TaskResult{Outcome: OutcomeCommit, Conflicts: 1, Hops: 12, Reused: 5, ReusedAcross: 3,
+		SnapshotNs: 1, WalkNs: 2, CommitNs: 3, CacheHits: 1, CachePatches: 2, CacheRebuilds: 3}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.TaskOutcome(0, 0, 0, OutcomeCommit)
-		s.TaskConflict(0, 0, 0)
-		s.TaskPhases(0, 1, 2, 3)
-		s.CacheEvals(0, 1, 2, 3)
-		s.WalkHops(0, 12, 5, 3)
-		_ = s.RegionOf(5)
+		s.Task(5, r)
+		s.DegradedReject(5)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-sink hot path allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestEnabledHotPathZeroAlloc pins the enabled worker-side hot path too:
-// sharded counter bumps and histogram observes are lock-free and
-// allocation-free.
+// TestEnabledHotPathZeroAlloc pins the enabled task count too: Sink.Task
+// is atomic adds on handles resolved at New, with no allocation.
 func TestEnabledHotPathZeroAlloc(t *testing.T) {
-	s := New(Config{Workers: 4})
+	s := New(Config{SessionRegion: []int{0, 1, 2, 1}})
+	r := TaskResult{Outcome: OutcomeCommit, Conflicts: 1, Hops: 12, Reused: 5, ReusedAcross: 3,
+		SnapshotNs: 10, WalkNs: 20, CommitNs: 30, CacheHits: 1, CacheRebuilds: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.TaskOutcome(1, 0, 0, OutcomeCommit)
-		s.TaskConflict(2, 0, 0)
-		s.TaskPhases(3, 10, 20, 30)
-		s.CacheEvals(0, 1, 0, 1)
-		s.WalkHops(1, 12, 5, 3)
+		s.Task(2, r)
 	})
 	if allocs != 0 {
-		t.Fatalf("enabled worker hot path allocates %.1f/op, want 0", allocs)
+		t.Fatalf("enabled Sink.Task allocates %.1f/op, want 0", allocs)
 	}
 }
 
+// TestSinkRegionMapping pins where the sink's region labels come from: a
+// task counts under its own session's region — not the region of the
+// event that scheduled it — records carry their trigger's region, and
+// sessions outside the map land in region 0.
 func TestSinkRegionMapping(t *testing.T) {
-	s := New(Config{Workers: 2, SessionRegion: []int{0, 1, 2, 1}})
-	if s.Regions() != 3 {
-		t.Fatalf("Regions = %d, want 3", s.Regions())
-	}
-	if s.RegionOf(2) != 2 || s.RegionOf(3) != 1 {
-		t.Fatalf("RegionOf mapping wrong: %d %d", s.RegionOf(2), s.RegionOf(3))
-	}
-	if s.RegionOf(-1) != 0 || s.RegionOf(99) != 0 {
-		t.Fatal("out-of-range sessions must map to region 0")
-	}
-	s.TaskOutcome(0, 2, 0, OutcomeCommit)
-	s.Record(DecisionRecord{Kind: "arrive", Session: 2, Admitted: true})
+	s := New(Config{SessionRegion: []int{0, 1, 2, 1}})
+	// An arrival of session 3 (region 1) whose re-optimization set holds
+	// session 2 (region 2): the task counts in region 2, the event in 1.
+	s.Task(2, TaskResult{Outcome: OutcomeCommit, Conflicts: 2})
+	s.Task(99, TaskResult{Outcome: OutcomeReject})
+	s.Task(-1, TaskResult{Outcome: OutcomeNoChange})
+	s.Record(DecisionRecord{Kind: "arrive", Session: 3, Admitted: true, Commits: 1, Reopt: 1})
+	s.Record(DecisionRecord{Kind: "arrive", Session: 99, Admitted: true})
 	var sb strings.Builder
 	if err := s.Registry().WriteProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, `vconf_commits_total{region="2"} 1`) {
-		t.Errorf("per-region commit counter missing:\n%s", out)
+	for _, want := range []string{
+		`vconf_commits_total{region="2"} 1`,
+		`vconf_commits_total{region="1"} 0`,
+		`vconf_conflicts_total{region="2"} 2`,
+		`vconf_rejects_total{region="0"} 1`,
+		`vconf_nochange_total{region="0"} 1`,
+		`vconf_events_total{kind="arrive",region="1"} 1`,
+		`vconf_events_total{kind="arrive",region="0"} 1`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
 	}
-	if !strings.Contains(out, `vconf_events_total{kind="arrive",region="2"} 1`) {
-		t.Errorf("per-region event counter missing:\n%s", out)
+	recs := s.Recorder().Items()
+	if len(recs) != 2 || recs[0].Region != 1 || recs[1].Region != 0 {
+		t.Fatalf("record regions: %+v", recs)
 	}
 }
 
 func TestSinkRecordDerivedFields(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	s.Record(DecisionRecord{Kind: "arrive", Session: 0, Admitted: true, Objective: 10})
 	s.Record(DecisionRecord{Kind: "depart", Session: 0, Admitted: true, Objective: 7, CacheInvalidated: 1})
 	recs := s.Recorder().Items()
@@ -109,8 +107,8 @@ func TestSinkRecordDerivedFields(t *testing.T) {
 	if recs[0].WallNs == 0 {
 		t.Fatal("WallNs not stamped")
 	}
-	// Record must not bump the task-scoped commit counters (those are
-	// worker-side), but must count the event and the invalidation.
+	// Record must not bump the task-scoped commit counters (Sink.Task
+	// counts those), but must count the event and the invalidation.
 	var sb strings.Builder
 	if err := s.Registry().WriteProm(&sb); err != nil {
 		t.Fatal(err)
@@ -128,7 +126,7 @@ func TestSinkRecordDerivedFields(t *testing.T) {
 }
 
 func TestCounterfactualSummary(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	gaps := []float64{0.1, 0.2, 0.3, 0.4}
 	for _, g := range gaps {
 		s.Record(DecisionRecord{Kind: "arrive", Admitted: true, Commits: 1, CfGap: g, CfValid: true})
@@ -149,8 +147,8 @@ func TestCounterfactualSummary(t *testing.T) {
 }
 
 func TestServeEndpoints(t *testing.T) {
-	s := New(Config{Workers: 1})
-	s.TaskOutcome(0, 0, 0, OutcomeCommit)
+	s := New(Config{})
+	s.Task(0, TaskResult{Outcome: OutcomeCommit})
 	s.Record(DecisionRecord{Kind: "arrive", Admitted: true, Commits: 1})
 	srv, err := Serve(s, "127.0.0.1:0")
 	if err != nil {

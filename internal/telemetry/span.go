@@ -122,7 +122,7 @@ func (s *Sink) EmitSpan(name, cat string, parent Span, track int32, start time.T
 // appendSpan routes a finished span into the ring and counts overwrites.
 func (s *Sink) appendSpan(rec SpanRecord) {
 	if s.spans.Append(rec) {
-		s.spanDropped.Inc(s.eventShard)
+		s.spanDropped.Inc()
 	}
 }
 

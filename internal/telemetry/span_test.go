@@ -29,9 +29,6 @@ func TestSpanNilSink(t *testing.T) {
 	s.DistFreeze(100)
 	s.DistAbandon()
 	s.DistRetry()
-	if s.ClassOf(3) != 0 || s.Classes() != nil {
-		t.Fatal("nil sink returned class identities")
-	}
 	if err := s.WriteChromeTrace(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +46,11 @@ func TestSpanZeroAlloc(t *testing.T) {
 		sp.EndArg(1)
 		nilSink.DistFreeze(5)
 		nilSink.DistRetry()
-		_ = nilSink.ClassOf(2)
 	}); allocs != 0 {
 		t.Fatalf("nil-sink span path allocates %.1f/op, want 0", allocs)
 	}
 
-	s := New(Config{Workers: 2, SpanCapacity: 64})
+	s := New(Config{SpanCapacity: 64})
 	if allocs := testing.AllocsPerRun(1000, func() {
 		sp := s.StartRoot("event", "event", 0)
 		ch := s.StartSpan("heal", sp)
@@ -71,7 +67,7 @@ func TestSpanZeroAlloc(t *testing.T) {
 // time containment holding on every lane so the viewer renders a flame
 // graph — plus the id/parent causal links in args.
 func TestChromeTraceNestedShape(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := New(Config{})
 	root := s.StartRoot("event:arrive", "event", 0)
 	base := time.Now()
 	task := s.EmitSpan("task", "task", root, 100, base, 1000, 7)
@@ -165,7 +161,7 @@ func TestChromeTraceNestedShape(t *testing.T) {
 // the sink — run under -race this is the data-race proof for the merged
 // exporters.
 func TestExpositionRaceStorm(t *testing.T) {
-	s := New(Config{Workers: 4, TraceCapacity: 128, SpanCapacity: 128})
+	s := New(Config{TraceCapacity: 128, SpanCapacity: 128})
 	srv, err := Serve(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +171,8 @@ func TestExpositionRaceStorm(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	// One serialized recorder goroutine (Record's contract: the event loop /
-	// retire path is single-caller) plus concurrent worker-side writers.
+	// retire path is single-caller) plus concurrent writers standing in
+	// for overlapping events' re-optimization stages and task spans.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -198,7 +195,7 @@ func TestExpositionRaceStorm(t *testing.T) {
 					return
 				default:
 				}
-				s.TaskOutcome(w, 0, 0, OutcomeCommit)
+				s.Task(i, TaskResult{Outcome: OutcomeCommit, Hops: 3, Reused: 1})
 				root := s.StartRoot("event:arrive", "event", int32(w))
 				s.EmitSpan("task", "task", root, 100+int32(w), time.Now(), 50, int64(i))
 				root.EndArg(int64(i))

@@ -6,7 +6,7 @@ import (
 
 // TelemetrySink is the unified observability sink the orchestrator can
 // carry (OrchestratorConfig.Telemetry): a concurrency-safe metrics registry
-// with per-worker sharded counters, a bounded per-decision trace ring, and
+// with atomic counters, a bounded per-decision trace ring, and
 // live Prometheus/JSON/Chrome-trace exposition. A nil *TelemetrySink is the
 // disabled state — every instrumentation site reduces to a pointer test
 // with zero allocation, so hot paths carry no overhead when observability
@@ -14,9 +14,10 @@ import (
 // measurement in runtime.go — a different thing.)
 type TelemetrySink = telemetry.Sink
 
-// TelemetryConfig sizes a telemetry sink: counter shard width (≈ solver
-// worker count), trace-ring capacity, and the optional session→region map
-// that labels per-region metric series.
+// TelemetryConfig sizes a telemetry sink: trace- and span-ring capacities,
+// the optional session→region and session→class maps that label
+// per-region and per-class metric series, and the health monitor's window
+// width and SLO rules.
 type TelemetryConfig = telemetry.Config
 
 // DecisionRecord is one churn event's structured trace record: virtual and
