@@ -180,3 +180,13 @@ func TestAssignMultipleSessionsSharedCapacity(t *testing.T) {
 		t.Fatalf("ample capacity: %v", err)
 	}
 }
+
+// RemoveSession evicts an admitted session: subtracts its load from the
+// ledger and clears its decision variables. Used by the dynamics experiments
+// when sessions depart (Fig. 5).
+func RemoveSession(a *assign.Assignment, s model.SessionID, p cost.Params, ledger cost.LedgerAPI) {
+	scr := cost.GetScratch()
+	defer cost.PutScratch(scr)
+	ledger.Remove(p.SessionLoadSparse(a, s, scr))
+	rollbackSession(a, s)
+}

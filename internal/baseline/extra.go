@@ -3,66 +3,20 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"vconf/internal/assign"
 	"vconf/internal/cost"
 	"vconf/internal/model"
 )
 
-// This file adds two more comparison policies beyond Nrst:
-//
-//   - Random assignment: a calibration floor — any sensible policy must beat
-//     it; useful for sanity-checking experiment pipelines.
-//   - Single-agent ("topology control"): per session, subscribe every
-//     participant to the one agent minimizing the session's worst
-//     end-to-end delay, with transcoding co-located. This mirrors the
-//     delay-only server-selection approach of Zhang et al. (NOSSDAV'14),
-//     cited as [24] in the paper's related work: it ignores provider cost
-//     entirely and optimizes latency by topology choice.
-
-// AssignSessionRandom bootstraps session s uniformly at random over agents
-// (users and transcoding tasks independently), retrying up to maxTries to
-// find a feasible draw. On success the load is added to the ledger.
-func AssignSessionRandom(a *assign.Assignment, s model.SessionID, p cost.Params, ledger cost.LedgerAPI, rng *rand.Rand, maxTries int) error {
-	sc := a.Scenario()
-	if maxTries < 1 {
-		maxTries = 1
-	}
-	scr := cost.GetScratch()
-	defer cost.PutScratch(scr)
-	for try := 0; try < maxTries; try++ {
-		for _, u := range sc.Session(s).Users {
-			a.SetUserAgent(u, model.AgentID(rng.Intn(sc.NumAgents())))
-		}
-		for _, f := range a.SessionFlows(s) {
-			if err := a.SetFlowAgent(f, model.AgentID(rng.Intn(sc.NumAgents()))); err != nil {
-				rollbackSession(a, s)
-				return err
-			}
-		}
-		// Atomic check-then-add (see LedgerAPI.TryAdd): final admission must
-		// not validate against usage a concurrent commit then grows.
-		if cost.DelayFeasible(a, s) && ledger.TryAdd(p.SessionLoadSparse(a, s, scr)) {
-			return nil
-		}
-	}
-	rollbackSession(a, s)
-	return fmt.Errorf("%w: session %d found no feasible random draw in %d tries",
-		ErrInfeasible, s, maxTries)
-}
-
-// AssignRandom bootstraps every session randomly in ID order.
-func AssignRandom(a *assign.Assignment, p cost.Params, ledger cost.LedgerAPI, seed int64, maxTries int) error {
-	sc := a.Scenario()
-	rng := rand.New(rand.NewSource(seed))
-	for s := 0; s < sc.NumSessions(); s++ {
-		if err := AssignSessionRandom(a, model.SessionID(s), p, ledger, rng, maxTries); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// This file adds one more comparison policy beyond Nrst, single-agent
+// ("topology control"): per session, subscribe every participant to the one
+// agent minimizing the session's worst end-to-end delay, with transcoding
+// co-located. This mirrors the delay-only server-selection approach of
+// Zhang et al. (NOSSDAV'14), cited as [24] in the paper's related work: it
+// ignores provider cost entirely and optimizes latency by topology choice.
+// (Random assignment, the calibration floor any sensible policy must beat,
+// has no caller outside its tests and lives in extra_test.go.)
 
 // AssignSessionSingleAgent bootstraps session s onto the single agent that
 // minimizes the session's mean per-user delay (F's shape), among agents

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -125,4 +126,47 @@ func TestAssignSingleAgentInfeasible(t *testing.T) {
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
+}
+
+// AssignSessionRandom bootstraps session s uniformly at random over agents
+// (users and transcoding tasks independently), retrying up to maxTries to
+// find a feasible draw. On success the load is added to the ledger.
+func AssignSessionRandom(a *assign.Assignment, s model.SessionID, p cost.Params, ledger cost.LedgerAPI, rng *rand.Rand, maxTries int) error {
+	sc := a.Scenario()
+	if maxTries < 1 {
+		maxTries = 1
+	}
+	scr := cost.GetScratch()
+	defer cost.PutScratch(scr)
+	for try := 0; try < maxTries; try++ {
+		for _, u := range sc.Session(s).Users {
+			a.SetUserAgent(u, model.AgentID(rng.Intn(sc.NumAgents())))
+		}
+		for _, f := range a.SessionFlows(s) {
+			if err := a.SetFlowAgent(f, model.AgentID(rng.Intn(sc.NumAgents()))); err != nil {
+				rollbackSession(a, s)
+				return err
+			}
+		}
+		// Atomic check-then-add (see LedgerAPI.TryAdd): final admission must
+		// not validate against usage a concurrent commit then grows.
+		if cost.DelayFeasible(a, s) && ledger.TryAdd(p.SessionLoadSparse(a, s, scr)) {
+			return nil
+		}
+	}
+	rollbackSession(a, s)
+	return fmt.Errorf("%w: session %d found no feasible random draw in %d tries",
+		ErrInfeasible, s, maxTries)
+}
+
+// AssignRandom bootstraps every session randomly in ID order.
+func AssignRandom(a *assign.Assignment, p cost.Params, ledger cost.LedgerAPI, seed int64, maxTries int) error {
+	sc := a.Scenario()
+	rng := rand.New(rand.NewSource(seed))
+	for s := 0; s < sc.NumSessions(); s++ {
+		if err := AssignSessionRandom(a, model.SessionID(s), p, ledger, rng, maxTries); err != nil {
+			return err
+		}
+	}
+	return nil
 }

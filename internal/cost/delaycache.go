@@ -117,18 +117,6 @@ func (dc *DelayCache) Invalidate(s model.SessionID) {
 	}
 }
 
-// InvalidateAll marks every entry cold and releases all retained buffers.
-func (dc *DelayCache) InvalidateAll() {
-	for i := range dc.ent {
-		dc.ent[i] = delayEntry{}
-	}
-}
-
-// Warm reports whether session s currently has a warm entry.
-func (dc *DelayCache) Warm(s model.SessionID) bool {
-	return int(s) >= 0 && int(s) < len(dc.ent) && dc.ent[s].valid
-}
-
 // Hits returns the count of warm evaluations that reused the entry with an
 // unchanged signature (no flow recomputed).
 func (dc *DelayCache) Hits() int { return dc.hits }

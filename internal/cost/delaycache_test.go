@@ -208,3 +208,15 @@ func TestCandidatePhiStaleScratchFailsLoudly(t *testing.T) {
 	d := assign.Decision{Kind: assign.UserMove, User: foreign, To: 0}
 	ev.CandidatePhi(a, s, d, scr)
 }
+
+// InvalidateAll marks every entry cold and releases all retained buffers.
+func (dc *DelayCache) InvalidateAll() {
+	for i := range dc.ent {
+		dc.ent[i] = delayEntry{}
+	}
+}
+
+// Warm reports whether session s currently has a warm entry.
+func (dc *DelayCache) Warm(s model.SessionID) bool {
+	return int(s) >= 0 && int(s) < len(dc.ent) && dc.ent[s].valid
+}

@@ -12,8 +12,9 @@ import (
 // scenario. It is stateless and safe for concurrent use: the objective and
 // report methods evaluate on scratches drawn from a process-wide pool.
 type Evaluator struct {
-	sc *model.Scenario
-	p  Params
+	sc    *model.Scenario
+	p     Params
+	exact bool // exactRates(sc)
 }
 
 // NewEvaluator builds an evaluator; the parameters are validated once here.
@@ -21,7 +22,28 @@ func NewEvaluator(sc *model.Scenario, p Params) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Evaluator{sc: sc, p: p}, nil
+	return &Evaluator{sc: sc, p: p, exact: exactRates(sc)}, nil
+}
+
+// exactRates is the certificate under which CandidateLoad prices a flow
+// move as a delta: every bitrate an integer multiple of 2⁻⁸ Mbps and at
+// most 2¹⁶ Mbps, and every session at most 1 024 members. A slot of one
+// session's load then sums fewer than 2²² such terms, so every partial sum
+// is a multiple of 2⁻⁸ below 2⁴⁶·2⁻⁸, exact in a float64: addition and
+// subtraction are exact and their order is free.
+func exactRates(sc *model.Scenario) bool {
+	for r := range sc.Reps.Len() {
+		q := sc.Reps.Bitrate(model.Representation(r)) * (1 << 8)
+		if q != math.Trunc(q) || q > 1<<24 {
+			return false
+		}
+	}
+	for s := range sc.NumSessions() {
+		if len(sc.Session(model.SessionID(s)).Users) > 1024 {
+			return false
+		}
+	}
+	return true
 }
 
 // Params returns the evaluator's parameters.
@@ -175,12 +197,7 @@ func (g *Ledger) SetCapacityScale(l model.AgentID, factor float64) error {
 	if int(l) < 0 || int(l) >= g.sc.NumAgents() {
 		return fmt.Errorf("cost: unknown agent %d", l)
 	}
-	if g.scale == nil {
-		g.scale = make([]float64, g.sc.NumAgents())
-		for i := range g.scale {
-			g.scale[i] = 1
-		}
-	}
+	g.EnsureScale()
 	g.scale[l] = factor
 	return nil
 }

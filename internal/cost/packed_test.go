@@ -77,7 +77,7 @@ func TestPackedLoadRoundTrip(t *testing.T) {
 		{"two members and one of their flows", [5]byte{2, 0, 5, 0, 0}, []byte{0, 3}},
 	}...)
 	for flags := byte(0); flags < 4; flags++ {
-		sc := groupScenario(t, flags&1 != 0)
+		sc := groupScenario(t, flags)
 		p := DefaultParams()
 		p.StrictPaperTraffic = flags&2 != 0
 		ev, err := NewEvaluator(sc, p)

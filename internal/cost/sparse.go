@@ -7,7 +7,8 @@ package cost
 // arrays, Scratch holds every reusable buffer one evaluation needs, and the
 // Evaluator's BeginSession/CandidateLoad/CandidatePhi methods compute the
 // load, the capacity-delta feasibility inputs, and Φ_s incrementally — only
-// the flows whose endpoints moved are re-evaluated.
+// the flows whose endpoints moved are re-evaluated, and a single-flow move's
+// load is the current load plus its change.
 //
 // Exactness contract: this file is the one program path for a session's
 // load and objective. The candidate and warm-cache paths are bit-identical to
@@ -17,9 +18,11 @@ package cost
 // dense_ref_test.go. Accumulations follow the reference's per-slot sequence
 // of additions, and cost sums iterate touched agents in ascending agent
 // order, which is the order the reference's fleet-wide loops visit them
-// (skipped zero entries are exact identity additions). The differential
-// tests here and in internal/core assert the contract state by state and by
-// replaying whole engine runs.
+// (skipped zero entries are exact identity additions). The flow-move delta
+// reorders additions freely, so it runs only where the scenario's rates
+// certify that every partial sum is exact (exactRates); elsewhere the
+// candidate is rebuilt. The differential tests here and in internal/core
+// assert the contract state by state and by replaying whole engine runs.
 
 import (
 	"fmt"
@@ -320,6 +323,13 @@ type Scratch struct {
 	dc           *DelayCache
 	dcOff        bool
 	movedMembers []int32
+
+	// The state cur holds the load of, which flowMoveDelta diffs a candidate
+	// against: the bound session's member and flow agents, valid while curOK.
+	// Every writer of cur sets or clears it.
+	curOK    bool
+	curUsers []model.AgentID
+	curFlows []model.AgentID
 }
 
 // NewScratch returns a Scratch sized for the evaluator's scenario.
@@ -353,6 +363,7 @@ func (scr *Scratch) bind(sc *model.Scenario) {
 	scr.sentEdges = scr.sentEdges[:0]
 	scr.members = nil
 	scr.n = 0
+	scr.curOK = false
 	// The delay cache is dimensioned for one scenario; rebinding drops it
 	// (it is rebuilt lazily against the new scenario).
 	scr.dc = nil
@@ -509,9 +520,15 @@ func (e *Evaluator) beginSession(a *assign.Assignment, s model.SessionID, scr *S
 	}
 	scr.candMax = scr.candMax[:n]
 	scr.hOwn = scr.hOwn[:n]
+	// Every branch below leaves cur holding the load of the state recorded
+	// here.
+	scr.curUsers = scr.curUsers[:0]
 	for i, u := range scr.members {
 		scr.hOwn[i] = ownDelay(e.sc, a.UserAgent(u), u)
+		scr.curUsers = append(scr.curUsers, a.UserAgent(u))
 	}
+	scr.curFlows = append(scr.curFlows[:0], a.SessionFlowAgents(s)...)
+	scr.curOK = true
 
 	if dc != nil {
 		return e.beginSessionCached(a, s, scr, dc)
@@ -754,10 +771,127 @@ func (scr *Scratch) delaySummary(maxBuf []float64) (meanOfMax, worst float64) {
 }
 
 // CandidateLoad computes the candidate session load into CandLoad. The
-// assignment must already hold the candidate state (decision applied).
+// assignment must already hold the candidate state (decision applied). A
+// single-flow move from the state BeginSession prepared is priced as the
+// current load plus its exact change (flowMoveDelta); anything else is
+// rebuilt.
 func (e *Evaluator) CandidateLoad(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
-	e.p.sessionLoadSparse(a, s, &scr.cand, scr)
+	if !e.flowMoveDelta(a, s, scr) {
+		e.p.sessionLoadSparse(a, s, &scr.cand, scr)
+	}
 	return &scr.cand
+}
+
+// flowMoveDelta computes the candidate load into cand as cur plus the change
+// of one moved flow, and reports whether it could: a must differ from the
+// state cur holds in exactly one flow agent, with the flow's source,
+// destination and both transcoders assigned, and the scenario's rates must
+// carry the exactness certificate (exactRates), under which every partial
+// sum is exact, so cur plus the change is the rebuild bit for bit.
+//
+// Flow f of source member i (on agent k) to a destination on agent lv moves
+// from transcoder m to m2. Only source i's terms change, and only at k, m,
+// m2 and lv: the ν tasks (m, r) and (m2, r), the raw copies k → m and
+// k → m2 of terms 1–2 (an agent l ≠ k takes one when it transcodes for i
+// or hosts a native destination of i), and the term-3 edges (m, lv, r) and
+// (m2, lv, r). Each is decided by whether another flow of i shares it,
+// found in one scan of i's flows, and by the members on m and m2.
+func (e *Evaluator) flowMoveDelta(a *assign.Assignment, s model.SessionID, scr *Scratch) bool {
+	if !e.exact || !scr.curOK || scr.sid != s {
+		return false
+	}
+	lambda, flowTo := scr.curUsers, a.SessionFlowAgents(s)
+	f := -1
+	for g, to := range flowTo {
+		if to != scr.curFlows[g] {
+			if f >= 0 {
+				return false
+			}
+			f = g
+		}
+	}
+	if f < 0 {
+		return false
+	}
+	m, m2 := scr.curFlows[f], flowTo[f]
+	var hostM, hostM2 int // the session's members on m and m2
+	for i, u := range scr.members {
+		switch l := a.UserAgent(u); {
+		case l != lambda[i]:
+			return false
+		case l == m:
+			hostM++
+		case l == m2:
+			hostM2++
+		}
+	}
+	fl := &scr.plan.Flows[f]
+	i := e.sc.MemberIndex(a.SessionFlowsShared(s)[f].Src)
+	k, lv := lambda[i], lambda[fl.Dst]
+	if k == assign.Unassigned || lv == assign.Unassigned || m == assign.Unassigned || m2 == assign.Unassigned {
+		return false
+	}
+
+	// Whether another flow of i sits on m (m2): at all, with rep r, and with
+	// rep r toward lv; and how many of i's destinations each agent hosts.
+	var onM, onM2 [3]bool
+	var dstM, dstM2 int
+	mem := &scr.plan.Members[i]
+	for g := int(mem.FlowStart); g < int(mem.FlowEnd); g++ {
+		gf := &scr.plan.Flows[g]
+		switch lambda[gf.Dst] {
+		case m:
+			dstM++
+		case m2:
+			dstM2++
+		}
+		on := &onM
+		if g == f {
+			continue
+		} else if flowTo[g] == m2 {
+			on = &onM2
+		} else if flowTo[g] != m {
+			continue
+		}
+		on[0] = true
+		if gf.Rep == fl.Rep {
+			on[1] = true
+			on[2] = on[2] || lambda[gf.Dst] == lv
+		}
+	}
+
+	c := &scr.cand
+	c.CopyFrom(&scr.cur)
+	up, out := mem.UpMbps, fl.OutMbps
+	edge := !(e.p.StrictPaperTraffic && lv == k)
+	if !onM[1] {
+		c.tasks[m]--
+	}
+	if m != k && !onM[0] && hostM <= dstM {
+		c.up[k] -= up
+		c.addIn(m, -up)
+	}
+	if edge && lv != m && !onM[2] {
+		c.addEdge(m, lv, -out)
+	}
+	if !onM2[1] {
+		c.addTask(m2)
+	}
+	if m2 != k && !onM2[0] && hostM2 <= dstM2 {
+		c.up[k] += up
+		c.addIn(m2, up)
+	}
+	if edge && lv != m2 && !onM2[2] {
+		c.addEdge(m2, lv, out)
+	}
+	// Only m can be left empty: k and lv host members, whose last-mile
+	// upstream keeps their download above zero (and inter ≤ down).
+	if c.down[m] == 0 && c.up[m] == 0 && c.tasks[m] == 0 {
+		c.mark[m] = false
+		j := slices.Index(c.touched, int32(m))
+		c.touched = slices.Delete(c.touched, j, j+1)
+	}
+	return true
 }
 
 // memberIndex resolves a user to its member index in the session prepared

@@ -17,7 +17,9 @@ const groupAgents = 6
 
 // groupScenario is one session of five members over six agents with
 // non-dyadic bitrates (0.3 / 1.7 / 4.1 Mbps) and distinct prices, so a
-// reordered sum shows. Upstreams: u0 hi, u1 mid, u2 hi, u3 lo, u4 mid.
+// reordered sum shows; flag bit 4 selects the dyadic 0.375 / 1.75 / 4.125
+// set instead, under which CandidateLoad prices flow moves as deltas, and
+// bit 0 DownscaleOnly. Upstreams: u0 hi, u1 mid, u2 hi, u3 lo, u4 mid.
 // Transcoding flows, in SessionFlowAgents order:
 //
 //	0: u0→u1 lo   1: u0→u2 mid   2: u0→u3 lo   (u4 takes u0's stream natively)
@@ -25,12 +27,15 @@ const groupAgents = 6
 //
 // Under DownscaleOnly the two upward demands (3 and 6) clamp to native and
 // the rest close ranks: u1→u4 is flow 3, u2→u0 flow 4.
-func groupScenario(t *testing.T, downscaleOnly bool) *model.Scenario {
+func groupScenario(t *testing.T, flags byte) *model.Scenario {
 	t.Helper()
 	const lo, mid, hi = 0, 1, 2
 	reps := nonDyadicReps(t)
+	if flags&16 != 0 {
+		reps = dyadicReps(t)
+	}
 	b := model.NewBuilder(reps)
-	if downscaleOnly {
+	if flags&1 != 0 {
 		b.RestrictDownscaleOnly()
 	}
 	d := make([][]float64, groupAgents)
@@ -68,8 +73,8 @@ func groupScenario(t *testing.T, downscaleOnly bool) *model.Scenario {
 }
 
 // Placement bytes: byte 0 carries the flags — DownscaleOnly (bit 0),
-// StrictPaperTraffic (bit 1), α2 = α3 = 0 (bit 2) and cost exponents ≠ 1
-// (bit 3) — the next five place the members and the rest the transcoding
+// StrictPaperTraffic (bit 1), α2 = α3 = 0 (bit 2), cost exponents ≠ 1
+// (bit 3) and dyadic bitrates (bit 4) — the next five place the members and the rest the transcoding
 // flows, each as b mod 7 − 1, so 0 is Unassigned and 1–6 are agents 0–5.
 // Missing bytes read as 0.
 const groupUnassigned = 0
@@ -79,7 +84,7 @@ func groupPlacement(flags byte, members [5]byte, flows ...byte) []byte {
 }
 
 // groupFlags is the number of flag combinations byte 0 selects among.
-const groupFlags = 16
+const groupFlags = 32
 
 // groupParams are the objective parameters flag byte f selects.
 func groupParams(f byte) Params {
@@ -99,7 +104,9 @@ func groupParams(f byte) Params {
 // second) and once through SessionLoadOf, and requires each load bit-equal
 // to the reference (dense_ref_test.go); then it requires Φ_s from
 // BeginSession and SessionObjective, and the whole ReportSession — traffic,
-// tasks, mean and worst delay — bit-equal to the reference's.
+// tasks, mean and worst delay — bit-equal to the reference's. Last, every
+// single-flow move of the placement must price to the reference's load
+// (checkFlowMoves).
 func checkGroupedLoad(t *testing.T, data []byte) {
 	t.Helper()
 	at := func(i int) model.AgentID {
@@ -112,7 +119,7 @@ func checkGroupedLoad(t *testing.T, data []byte) {
 	if len(data) > 0 {
 		flags = data[0]
 	}
-	sc := groupScenario(t, flags&1 != 0)
+	sc := groupScenario(t, flags)
 	p := groupParams(flags)
 	ev, err := NewEvaluator(sc, p)
 	if err != nil {
@@ -137,6 +144,7 @@ func checkGroupedLoad(t *testing.T, data []byte) {
 	sameBits(t, "Φ (BeginSession)", ev.BeginSession(a, 0, scr).Phi, want.Objective)
 	sameBits(t, "Φ (SessionObjective)", ev.SessionObjective(a, 0), want.Objective)
 	sameReport(t, "ReportSession", ev.ReportSession(a, 0), want)
+	checkFlowMoves(t, ev, a, 0, scr, &flowMoveCases{})
 }
 
 // groupCases are the placements the counting rule of term 2 ("an agent takes
@@ -171,8 +179,12 @@ var groupCases = []struct {
 func TestGroupedLoadAdversarialPlacements(t *testing.T) {
 	for _, tc := range groupCases {
 		for flags := byte(0); flags < groupFlags; flags++ {
-			t.Run(fmt.Sprintf("%s/downscale=%v,strict=%v,delayonly=%v,convex=%v", tc.name,
-				flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0), func(t *testing.T) {
+			name := fmt.Sprintf("%s/downscale=%v,strict=%v,delayonly=%v,convex=%v", tc.name,
+				flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0)
+			if flags&16 != 0 {
+				name += ",dyadic"
+			}
+			t.Run(name, func(t *testing.T) {
 				checkGroupedLoad(t, groupPlacement(flags, tc.members, tc.flows...))
 			})
 		}
@@ -181,7 +193,7 @@ func TestGroupedLoadAdversarialPlacements(t *testing.T) {
 
 // FuzzSessionLoadSparse: arbitrary placements of the fixed scenario, members
 // and flows Unassigned included, under every flag setting. The seed corpus is
-// the adversarial table under all sixteen, so plain `go test` replays it.
+// the adversarial table under all thirty-two, so plain `go test` replays it.
 func FuzzSessionLoadSparse(f *testing.F) {
 	for _, tc := range groupCases {
 		for flags := byte(0); flags < groupFlags; flags++ {

@@ -130,39 +130,6 @@ func (e *Enumeration) Stationary(beta, scale float64) []float64 {
 	return out
 }
 
-// PerturbedStationary returns p̄_f of Eq. (11) for the uniform quantized
-// perturbation model: the perturbed Φ_f takes values Φ_f + (j/n)Δ for
-// j ∈ {−n..n} with equal probability, giving
-// δ_f = (1/(2n+1)) Σ_j exp(β·scale·jΔ/n), identical for every state under
-// the uniform model, so p̄ = p* exactly — the stationary distribution is
-// perturbation-invariant when δ_f is state-independent (a corollary the
-// tests verify). For state-dependent Δ_f, pass deltas (one per state).
-func (e *Enumeration) PerturbedStationary(beta, scale float64, deltas []float64, levels int) ([]float64, error) {
-	n := len(e.States)
-	if len(deltas) != n {
-		return nil, fmt.Errorf("exact: %d deltas for %d states", len(deltas), n)
-	}
-	if levels < 1 {
-		return nil, fmt.Errorf("exact: levels must be ≥ 1")
-	}
-	out := make([]float64, n)
-	minPhi := e.MinPhi
-	sum := 0.0
-	for i, st := range e.States {
-		delta := 0.0
-		for j := -levels; j <= levels; j++ {
-			delta += math.Exp(beta * scale * float64(j) * deltas[i] / float64(levels))
-		}
-		delta /= float64(2*levels + 1)
-		out[i] = delta * math.Exp(-beta*scale*(st.Phi-minPhi))
-		sum += out[i]
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out, nil
-}
-
 // ExpectedPhi returns Φ_avg = Σ_f p_f Φ_f for a given distribution.
 func (e *Enumeration) ExpectedPhi(dist []float64) float64 {
 	avg := 0.0

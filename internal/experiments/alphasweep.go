@@ -42,12 +42,6 @@ type SweepConfig struct {
 	Workload func(seed int64) workload.Config
 }
 
-// DefaultSweepConfig mirrors the paper's setup (100 scenarios) with a
-// 200-second optimization horizon.
-func DefaultSweepConfig(seed int64) SweepConfig {
-	return SweepConfig{Seed: seed, NumScenarios: 100, DurationS: 200}
-}
-
 // SweepCell accumulates per-scenario observations for one (init, case) pair.
 type SweepCell struct {
 	Traffic []float64

@@ -19,15 +19,6 @@ type Fig10Config struct {
 	Workload     func(seed int64) workload.Config
 }
 
-// DefaultFig10Config sweeps n_ngbr = 1…7 over the large-scale workload.
-func DefaultFig10Config(seed int64) Fig10Config {
-	return Fig10Config{
-		Seed:         seed,
-		NumScenarios: 100,
-		NNgbrValues:  []int{1, 2, 3, 4, 5, 6, 7},
-	}
-}
-
 // Fig10Result holds mean traffic and delay per n_ngbr.
 type Fig10Result struct {
 	NNgbrValues []int

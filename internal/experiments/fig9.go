@@ -22,20 +22,6 @@ type Fig9Config struct {
 	Workload func(seed int64) workload.Config
 }
 
-// DefaultFig9Config mirrors the paper's sweep ranges, extended past 900 Mbps
-// so the saturation toward 100% is visible under this repository's latency
-// and demand calibration (the synthesized workload's per-agent demand is
-// somewhat heavier than the paper's testbed, which shifts the crossover
-// right; see EXPERIMENTS.md).
-func DefaultFig9Config(seed int64) Fig9Config {
-	return Fig9Config{
-		Seed:                seed,
-		NumScenarios:        100,
-		BandwidthPointsMbps: []float64{400, 500, 600, 700, 750, 800, 900, 1200, 1600, 2000},
-		TranscodePoints:     []int{20, 30, 40, 50, 60},
-	}
-}
-
 // Fig9Result holds success percentages per policy and sweep point.
 type Fig9Result struct {
 	Policies []string

@@ -25,16 +25,6 @@ type SolverCompareConfig struct {
 	Workload         func(seed int64) workload.Config
 }
 
-// DefaultSolverCompareConfig compares on mid-size workloads.
-func DefaultSolverCompareConfig(seed int64) SolverCompareConfig {
-	return SolverCompareConfig{
-		Seed:             seed,
-		NumScenarios:     10,
-		DurationS:        200,
-		AnnealIterations: 20000,
-	}
-}
-
 // SolverCompareResult holds per-solver objective/traffic/delay means.
 type SolverCompareResult struct {
 	Solvers []string

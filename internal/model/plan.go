@@ -29,8 +29,8 @@ type PlanMember struct {
 // member i as the source, its participant j as the destination.
 type PlanPair struct {
 	// Flow is the index of flow i→j among the session's transcoding flows
-	// (SessionThetaFlows order, the order assign.SessionFlowAgents is
-	// aligned with), or -1 when θ_ij = 0.
+	// (source-major, the order assign.SessionFlowAgents is aligned with),
+	// or -1 when θ_ij = 0.
 	Flow int32
 	// Rep is the effective downstream representation of flow i→j.
 	Rep int32
@@ -50,19 +50,13 @@ type PlanFlow struct {
 // SessionPlan is one session's view into the scenario's compiled plan.
 // Members is aligned with Session.Users; Pairs holds member i's n−1 pairs
 // at [i·(n−1), (i+1)·(n−1)) in Participants order; Flows is aligned with
-// assign.SessionFlowAgents (SessionThetaFlows order: source-major, each
-// source's flows in Participants order). All are shared slices; callers
+// assign.SessionFlowAgents (source-major, each source's flows in
+// Participants order). All are shared slices; callers
 // must not mutate them.
 type SessionPlan struct {
 	Members []PlanMember
 	Pairs   []PlanPair
 	Flows   []PlanFlow
-}
-
-// Row returns member i's pairs, aligned with Participants(Users[i]).
-func (p SessionPlan) Row(i int) []PlanPair {
-	w := len(p.Members) - 1
-	return p.Pairs[i*w : (i+1)*w]
 }
 
 // Pair returns the pair with source member i and destination member j
@@ -106,7 +100,7 @@ func (sc *Scenario) pair(src, dst UserID) *PlanPair {
 }
 
 // ThetaFlowIndex returns the index of f among the transcoding flows of its
-// session (SessionThetaFlows order), or -1 when f needs no transcoding.
+// session (source-major), or -1 when f needs no transcoding.
 func (sc *Scenario) ThetaFlowIndex(f Flow) int {
 	if p := sc.pair(f.Src, f.Dst); p != nil {
 		return int(p.Flow)
@@ -115,7 +109,7 @@ func (sc *Scenario) ThetaFlowIndex(f Flow) int {
 }
 
 // ThetaFlowTable returns every transcoding flow of the scenario, session by
-// session in SessionThetaFlows order; start[s]..start[s+1] delimit session
+// session, source-major; start[s]..start[s+1] delimit session
 // s's. Shared; callers must not mutate either.
 func (sc *Scenario) ThetaFlowTable() (flows []Flow, start []int32) {
 	return sc.thetaFlows, sc.flowStart

@@ -138,3 +138,25 @@ func TestPlanViewsDoNotAllocate(t *testing.T) {
 	}
 	_ = sink
 }
+
+// SessionThetaFlows returns the transcoding flows (source, destination)
+// inside session s, in deterministic order.
+func (sc *Scenario) SessionThetaFlows(s SessionID) []Flow {
+	var flows []Flow
+	plan := sc.Plan(s)
+	for i, u := range sc.Sessions[s].Users {
+		row := plan.Row(i)
+		for jj, v := range sc.participants[u] {
+			if row[jj].Flow >= 0 {
+				flows = append(flows, Flow{Src: u, Dst: v})
+			}
+		}
+	}
+	return flows
+}
+
+// Row returns member i's pairs, aligned with Participants(Users[i]).
+func (p SessionPlan) Row(i int) []PlanPair {
+	w := len(p.Members) - 1
+	return p.Pairs[i*w : (i+1)*w]
+}

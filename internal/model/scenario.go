@@ -179,22 +179,6 @@ func (sc *Scenario) ThetaSum() int { return sc.thetaSum }
 // slice is shared; callers must not mutate it.
 func (sc *Scenario) Participants(u UserID) []UserID { return sc.participants[u] }
 
-// SessionThetaFlows returns the transcoding flows (source, destination)
-// inside session s, in deterministic order.
-func (sc *Scenario) SessionThetaFlows(s SessionID) []Flow {
-	var flows []Flow
-	plan := sc.Plan(s)
-	for i, u := range sc.Sessions[s].Users {
-		row := plan.Row(i)
-		for jj, v := range sc.participants[u] {
-			if row[jj].Flow >= 0 {
-				flows = append(flows, Flow{Src: u, Dst: v})
-			}
-		}
-	}
-	return flows
-}
-
 // Flow identifies one directed stream from a source user to a destination
 // user within a session.
 type Flow struct {

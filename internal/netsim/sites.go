@@ -39,13 +39,6 @@ func EC2Sites() []Site {
 	}
 }
 
-// PrototypeSites returns the six cloud sites of the prototype experiments
-// (§V-A uses 6 Linux EC2 instances in different regions).
-func PrototypeSites() []Site {
-	all := EC2Sites()
-	return all[:6] // OR, VA, SP, IR, SG, TO
-}
-
 // AnchorSites returns the full anchor-city pool (copy) — the metropolitan
 // areas user nodes cluster around. Workload generators that need regional
 // structure beyond the 7 EC2 sites (workload.GenerateSyntheticFleet's

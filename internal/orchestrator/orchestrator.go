@@ -403,7 +403,10 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 }
 
 // Close stops the event scheduler (draining in-flight events) and the shard
-// pool. The orchestrator must not be used afterwards.
+// pool. The orchestrator must not be used afterwards. Close waits for the
+// scheduler's dispatcher, which is the goroutine that runs RunSource's
+// onReport: calling Close from inside that callback deadlocks. To stop a
+// stream from inside it, return an error; RunSource returns it.
 func (o *Orchestrator) Close() {
 	o.closeOnce.Do(func() {
 		o.pipe.Close()

@@ -410,6 +410,60 @@ func TestCloseMidStream(t *testing.T) {
 	}
 }
 
+// TestStopFromReportCallback: onReport runs on the dispatcher that Close
+// waits for, so a callback stops the stream by returning an error. The
+// error returned at the tenth report surfaces from RunSource, the state
+// holds its invariants, and a later Close returns.
+func TestStopFromReportCallback(t *testing.T) {
+	for _, inFlight := range []int{1, 4} {
+		fc := chaosFleet(73)
+		ev, boot, homes := chaosStack(t, fc)
+		ccfg, fcfg := chaosGenConfigs(73, fc, homes, 400, 0.2)
+		cfg := chaosConfig(73, fc)
+		cfg.Shards = 4
+		cfg.MaxInFlight = inFlight
+		o, err := New(ev, boot, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := errors.New("stop at report 10")
+		n := 0 // reports arrive one at a time, in schedule order
+		onReport := func(EventReport) error {
+			if n++; n == 10 {
+				return stop
+			}
+			return nil
+		}
+		src := &countingSource{EventSource: chaosEngine(t, ccfg, fcfg)}
+		done := make(chan error, 1)
+		go func() { done <- o.RunSource(src, 1e18, onReport) }()
+		select {
+		case err = <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("in-flight %d: RunSource did not return after the callback's error", inFlight)
+		}
+		if !errors.Is(err, stop) {
+			t.Fatalf("in-flight %d: RunSource returned %v, want the callback's error", inFlight, err)
+		}
+		if _, ok := src.Next(); !ok {
+			t.Fatalf("in-flight %d: the source ran dry; the stream was not cut", inFlight)
+		}
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatalf("in-flight %d: %v", inFlight, err)
+		}
+		closed := make(chan struct{})
+		go func() {
+			o.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("in-flight %d: Close did not return", inFlight)
+		}
+	}
+}
+
 // countingSource counts the events RunSource pulls.
 type countingSource struct {
 	sim.EventSource

@@ -193,14 +193,6 @@ func New(sc *model.Scenario, p int) *Ledger {
 // NumShards returns the shard count P.
 func (sl *Ledger) NumShards() int { return len(sl.shards) }
 
-// ShardOf returns the shard index guarding agent l.
-func (sl *Ledger) ShardOf(l model.AgentID) int { return int(sl.shardOf[l]) }
-
-// Bounds returns the agent range [lo, hi) of shard i.
-func (sl *Ledger) Bounds(i int) (lo, hi int) {
-	return int(sl.bounds[i]), int(sl.bounds[i+1])
-}
-
 // lockAll acquires every shard lock in canonical order.
 func (sl *Ledger) lockAll() {
 	for i := range sl.shards {

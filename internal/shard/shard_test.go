@@ -480,3 +480,11 @@ func TestShardTryAddAtomicStorm(t *testing.T) {
 		}
 	}
 }
+
+// ShardOf returns the shard index guarding agent l.
+func (sl *Ledger) ShardOf(l model.AgentID) int { return int(sl.shardOf[l]) }
+
+// Bounds returns the agent range [lo, hi) of shard i.
+func (sl *Ledger) Bounds(i int) (lo, hi int) {
+	return int(sl.bounds[i]), int(sl.bounds[i+1])
+}

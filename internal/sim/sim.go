@@ -137,10 +137,6 @@ func (e *Engine) Clock() *Clock { return &e.clock }
 // Now returns the current virtual time (the last popped event's timestamp).
 func (e *Engine) Now() float64 { return e.clock.now }
 
-// Popped returns how many events the engine has delivered — the merged
-// stream's sequence counter, which trace records index by.
-func (e *Engine) Popped() uint64 { return e.seq }
-
 // SliceSource adapts a pre-sorted event slice to the EventSource contract,
 // so recorded or hand-built schedules mix with the lazy generators.
 type SliceSource struct {

@@ -190,3 +190,7 @@ func TestEngineRejectsNonFiniteTime(t *testing.T) {
 		}
 	}
 }
+
+// Popped returns how many events the engine has delivered — the merged
+// stream's sequence counter, which trace records index by.
+func (e *Engine) Popped() uint64 { return e.seq }

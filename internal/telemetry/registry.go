@@ -189,11 +189,6 @@ func (h *Histogram) Percentile(q float64) int64 {
 	return 0
 }
 
-// PercentileDuration is Percentile as a time.Duration.
-func (h *Histogram) PercentileDuration(q float64) time.Duration {
-	return time.Duration(h.Percentile(q))
-}
-
 // Quantiles returns the readings for every quantile in qs from a single
 // bucket scan — Percentile re-walks all 256 buckets per call, so batch
 // reads (p50/p90/p99 fills) should come here instead. The result aligns

@@ -250,3 +250,8 @@ func TestHistogramPromBucketsCumulative(t *testing.T) {
 		t.Fatalf("count missing:\n%s", out)
 	}
 }
+
+// PercentileDuration is Percentile as a time.Duration.
+func (h *Histogram) PercentileDuration(q float64) time.Duration {
+	return time.Duration(h.Percentile(q))
+}
