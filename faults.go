@@ -2,7 +2,6 @@ package vconf
 
 import (
 	"vconf/internal/faults"
-	"vconf/internal/orchestrator"
 	"vconf/internal/workload"
 )
 
@@ -43,11 +42,3 @@ func MergeSchedules(a, b []ChurnEvent) []ChurnEvent { return faults.Merge(a, b) 
 // (agent i lives in region i mod regions) — the map FaultConfig.AgentRegion
 // and OrchestratorConfig.AgentRegion consume.
 func AgentRegions(numAgents, regions int) []int { return workload.AgentRegions(numAgents, regions) }
-
-// FullResolveDegraded is FullResolve over a degraded fleet: scales[l] is
-// agent l's effective capacity scale (nil ⇒ all healthy), matching
-// Orchestrator.CapacityScales — the from-scratch yardstick a healed
-// post-incident state is judged against.
-func (s *Solver) FullResolveDegraded(active []SessionID, durationS float64, scales []float64) (*Assignment, float64, error) {
-	return orchestrator.OracleDegraded(s.ev, active, s.bootstrapper(), s.coreConfig(), durationS, scales)
-}

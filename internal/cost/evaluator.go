@@ -25,9 +25,9 @@ func NewEvaluator(sc *model.Scenario, p Params) (*Evaluator, error) {
 	return &Evaluator{sc: sc, p: p, exact: exactRates(sc)}, nil
 }
 
-// exactRates is the certificate under which CandidateLoad prices a flow
-// move as a delta: every bitrate an integer multiple of 2⁻⁸ Mbps and at
-// most 2¹⁶ Mbps, and every session at most 1 024 members. A slot of one
+// exactRates is the certificate under which CandidateLoad prices a flow or
+// member move as a delta: every bitrate an integer multiple of 2⁻⁸ Mbps and
+// at most 2¹⁶ Mbps, and every session at most 1 024 members. A slot of one
 // session's load then sums fewer than 2²² such terms, so every partial sum
 // is a multiple of 2⁻⁸ below 2⁴⁶·2⁻⁸, exact in a float64: addition and
 // subtraction are exact and their order is free.

@@ -11,7 +11,7 @@ import (
 )
 
 // Tests of CandidateLoad's single-flow-move delta (flowMoveDelta) against a
-// rebuild of the moved state.
+// rebuild of the moved state; usermove_test.go holds the member-move one.
 
 // dyadicReps is a lo 0.375 / mid 1.75 / hi 4.125 Mbps set: every bitrate a
 // multiple of 2⁻⁸ Mbps, so the exactness certificate holds.
@@ -61,23 +61,10 @@ func checkFlowMoves(t *testing.T, ev *Evaluator, a *assign.Assignment, s model.S
 				t.Fatal(err)
 			}
 			want := ev.exact && k != assign.Unassigned && lv != assign.Unassigned && m != assign.Unassigned
-			if got := ev.flowMoveDelta(a, s, scr); got != want {
+			if got := ev.loadDelta(a, s, scr); got != want {
 				t.Fatalf("%s: delta applied = %v, want %v", what, got, want)
 			}
-			cand := ev.CandidateLoad(a, s, scr)
-			sameLoad(t, what, cand, sessionLoadDense(ev.p, a, s))
-			fresh := ev.p.SessionLoadOf(a, s)
-			got, ref := slices.Clone(cand.touched), slices.Clone(fresh.touched)
-			slices.Sort(got)
-			slices.Sort(ref)
-			if !slices.Equal(got, ref) {
-				t.Fatalf("%s: touched %v, rebuild touches %v", what, got, ref)
-			}
-			for l := range cand.mark {
-				if cand.mark[l] != fresh.mark[l] {
-					t.Fatalf("%s: mark[%d] = %v, rebuild %v", what, l, cand.mark[l], fresh.mark[l])
-				}
-			}
+			ref := sameCandidate(t, what, ev, a, s, ev.CandidateLoad(a, s, scr))
 			if _, err := a.Apply(inv); err != nil {
 				t.Fatal(err)
 			}
@@ -107,6 +94,47 @@ func checkFlowMoves(t *testing.T, ev *Evaluator, a *assign.Assignment, s model.S
 					break
 				}
 			}
+		}
+	}
+}
+
+// sameCandidate requires the candidate load of session s to be the
+// reference's in all four components at every agent, with the touched set
+// and marks of a fresh rebuild, and returns the rebuild's touched agents in
+// ascending order.
+func sameCandidate(t *testing.T, what string, ev *Evaluator, a *assign.Assignment, s model.SessionID, cand *SparseLoad) []int32 {
+	t.Helper()
+	sameLoad(t, what, cand, sessionLoadDense(ev.p, a, s))
+	fresh := ev.p.SessionLoadOf(a, s)
+	got, ref := slices.Clone(cand.touched), slices.Clone(fresh.touched)
+	slices.Sort(got)
+	slices.Sort(ref)
+	if !slices.Equal(got, ref) {
+		t.Fatalf("%s: touched %v, rebuild touches %v", what, got, ref)
+	}
+	for l := range cand.mark {
+		if cand.mark[l] != fresh.mark[l] {
+			t.Fatalf("%s: mark[%d] = %v, rebuild %v", what, l, cand.mark[l], fresh.mark[l])
+		}
+	}
+	return ref
+}
+
+// checkNeighbourSequence prices every one-decision neighbour of session s
+// in the hop's order on one scratch prepared once, as Alg. 1's candidate
+// loop does, so each delta starts from the cand the one before it left;
+// each candidate must match the reference. a is left as it was.
+func checkNeighbourSequence(t *testing.T, ev *Evaluator, a *assign.Assignment, s model.SessionID, scr *Scratch) {
+	t.Helper()
+	ev.BeginSession(a, s, scr)
+	for _, d := range a.AppendSessionNeighborDecisions(nil, s) {
+		inv, err := a.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCandidate(t, "neighbour "+d.String(), ev, a, s, ev.CandidateLoad(a, s, scr))
+		if _, err := a.Apply(inv); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -7,8 +7,9 @@ package cost
 // arrays, Scratch holds every reusable buffer one evaluation needs, and the
 // Evaluator's BeginSession/CandidateLoad/CandidatePhi methods compute the
 // load, the capacity-delta feasibility inputs, and Φ_s incrementally — only
-// the flows whose endpoints moved are re-evaluated, and a single-flow move's
-// load is the current load plus its change.
+// the flows whose endpoints moved are re-evaluated, and the load of a
+// one-decision move (one flow or one member) is the current load plus its
+// change.
 //
 // Exactness contract: this file is the one program path for a session's
 // load and objective. The candidate and warm-cache paths are bit-identical to
@@ -18,11 +19,12 @@ package cost
 // dense_ref_test.go. Accumulations follow the reference's per-slot sequence
 // of additions, and cost sums iterate touched agents in ascending agent
 // order, which is the order the reference's fleet-wide loops visit them
-// (skipped zero entries are exact identity additions). The flow-move delta
-// reorders additions freely, so it runs only where the scenario's rates
-// certify that every partial sum is exact (exactRates); elsewhere the
-// candidate is rebuilt. The differential tests here and in internal/core
-// assert the contract state by state and by replaying whole engine runs.
+// (skipped zero entries are exact identity additions). The flow-move and
+// member-move deltas reorder additions freely, so they run only where the
+// scenario's rates certify that every partial sum is exact (exactRates);
+// elsewhere the candidate is rebuilt. The differential tests here and in
+// internal/core assert the contract state by state and by replaying whole
+// engine runs.
 
 import (
 	"fmt"
@@ -124,6 +126,16 @@ func (sl *SparseLoad) addEdge(src, dst model.AgentID, w float64) {
 	sl.touch(src)
 	sl.up[src] += w
 	sl.addIn(dst, w)
+}
+
+// untouchIfEmpty drops l from the touched set when all its components are
+// zero, as a rebuild would never have touched it.
+func (sl *SparseLoad) untouchIfEmpty(l model.AgentID) {
+	if sl.down[l] == 0 && sl.up[l] == 0 && sl.tasks[l] == 0 {
+		sl.mark[l] = false
+		j := slices.Index(sl.touched, int32(l))
+		sl.touched = slices.Delete(sl.touched, j, j+1)
+	}
 }
 
 // sortTouched orders the touched list ascending so cost sums visit agents in
@@ -298,6 +310,11 @@ type Scratch struct {
 	taskKeys  []mrKey
 	sentEdges []edgeKey3
 
+	// repBits dedupes a moved member's term-3 edges toward its old and new
+	// agent in userMoveDelta: bit r, or 32+r, of its transcoder's word.
+	// Zero between calls.
+	repBits []uint64
+
 	// Delay state of the session prepared by BeginSession. base is the
 	// active n×n flow-delay matrix (row = source member index): it aliases
 	// the session's DelayCache entry when the cache is on, and ownBase —
@@ -324,7 +341,7 @@ type Scratch struct {
 	dcOff        bool
 	movedMembers []int32
 
-	// The state cur holds the load of, which flowMoveDelta diffs a candidate
+	// The state cur holds the load of, which loadDelta diffs a candidate
 	// against: the bound session's member and flow agents, valid while curOK.
 	// Every writer of cur sets or clears it.
 	curOK    bool
@@ -359,6 +376,7 @@ func (scr *Scratch) bind(sc *model.Scenario) {
 	scr.transMark = make([]bool, L)
 	scr.transList = scr.transList[:0]
 	scr.transDst = make([]int32, L)
+	scr.repBits = make([]uint64, L)
 	scr.taskKeys = scr.taskKeys[:0]
 	scr.sentEdges = scr.sentEdges[:0]
 	scr.members = nil
@@ -772,22 +790,60 @@ func (scr *Scratch) delaySummary(maxBuf []float64) (meanOfMax, worst float64) {
 
 // CandidateLoad computes the candidate session load into CandLoad. The
 // assignment must already hold the candidate state (decision applied). A
-// single-flow move from the state BeginSession prepared is priced as the
-// current load plus its exact change (flowMoveDelta); anything else is
-// rebuilt.
+// candidate one decision away from the state BeginSession prepared — one
+// flow or one member moved — is priced as the current load plus its exact
+// change (loadDelta); anything else is rebuilt.
 func (e *Evaluator) CandidateLoad(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
-	if !e.flowMoveDelta(a, s, scr) {
+	if !e.loadDelta(a, s, scr) {
 		e.p.sessionLoadSparse(a, s, &scr.cand, scr)
 	}
 	return &scr.cand
 }
 
-// flowMoveDelta computes the candidate load into cand as cur plus the change
-// of one moved flow, and reports whether it could: a must differ from the
-// state cur holds in exactly one flow agent, with the flow's source,
-// destination and both transcoders assigned, and the scenario's rates must
-// carry the exactness certificate (exactRates), under which every partial
-// sum is exact, so cur plus the change is the rebuild bit for bit.
+// loadDelta computes the candidate load into cand as cur plus the change of
+// one decision and reports whether it could. One scan of the session's flow
+// agents and one of its members' agents against the state cur holds
+// classify the candidate: one flow moved and no member (flowMoveDelta), or
+// one member moved and no flow, with every member and flow assigned
+// (userMoveDelta). The scenario's rates must carry the exactness
+// certificate (exactRates), under which every partial sum is exact, so cur
+// plus the change is the rebuild bit for bit.
+func (e *Evaluator) loadDelta(a *assign.Assignment, s model.SessionID, scr *Scratch) bool {
+	if !e.exact || !scr.curOK || scr.sid != s {
+		return false
+	}
+	flowTo := a.SessionFlowAgents(s)
+	f, full := -1, true // full: every flow assigned
+	for g, to := range flowTo {
+		if to != scr.curFlows[g] {
+			if f >= 0 {
+				return false
+			}
+			f = g
+		}
+		full = full && to != assign.Unassigned
+	}
+	i := -1
+	for v, u := range scr.members {
+		if a.UserAgent(u) != scr.curUsers[v] {
+			if f >= 0 || i >= 0 {
+				return false
+			}
+			i = v
+		}
+	}
+	switch {
+	case f >= 0:
+		return e.flowMoveDelta(a, scr, f)
+	case i >= 0 && full && e.sc.Reps.Len() <= 32: // a repBits word holds two sets of 32
+		return e.userMoveDelta(a, scr, i)
+	}
+	return false
+}
+
+// flowMoveDelta prices a move of flow f alone; it reports false, leaving
+// the rebuild, unless the flow's source, destination and both transcoders
+// are assigned.
 //
 // Flow f of source member i (on agent k) to a destination on agent lv moves
 // from transcoder m to m2. Only source i's terms change, and only at k, m,
@@ -796,40 +852,18 @@ func (e *Evaluator) CandidateLoad(a *assign.Assignment, s model.SessionID, scr *
 // or hosts a native destination of i), and the term-3 edges (m, lv, r) and
 // (m2, lv, r). Each is decided by whether another flow of i shares it,
 // found in one scan of i's flows, and by the members on m and m2.
-func (e *Evaluator) flowMoveDelta(a *assign.Assignment, s model.SessionID, scr *Scratch) bool {
-	if !e.exact || !scr.curOK || scr.sid != s {
-		return false
-	}
-	lambda, flowTo := scr.curUsers, a.SessionFlowAgents(s)
-	f := -1
-	for g, to := range flowTo {
-		if to != scr.curFlows[g] {
-			if f >= 0 {
-				return false
-			}
-			f = g
-		}
-	}
-	if f < 0 {
-		return false
-	}
+func (e *Evaluator) flowMoveDelta(a *assign.Assignment, scr *Scratch, f int) bool {
+	lambda, flowTo := scr.curUsers, a.SessionFlowAgents(scr.sid)
 	m, m2 := scr.curFlows[f], flowTo[f]
-	var hostM, hostM2 int // the session's members on m and m2
-	for i, u := range scr.members {
-		switch l := a.UserAgent(u); {
-		case l != lambda[i]:
-			return false
-		case l == m:
-			hostM++
-		case l == m2:
-			hostM2++
-		}
-	}
 	fl := &scr.plan.Flows[f]
-	i := e.sc.MemberIndex(a.SessionFlowsShared(s)[f].Src)
+	i := e.sc.MemberIndex(a.SessionFlowsShared(scr.sid)[f].Src)
 	k, lv := lambda[i], lambda[fl.Dst]
 	if k == assign.Unassigned || lv == assign.Unassigned || m == assign.Unassigned || m2 == assign.Unassigned {
 		return false
+	}
+	var hostM, hostM2 int // the session's members on m and m2
+	for _, l := range lambda {
+		hostM, hostM2 = hostM+b2i(l == m), hostM2+b2i(l == m2)
 	}
 
 	// Whether another flow of i sits on m (m2): at all, with rep r, and with
@@ -886,12 +920,150 @@ func (e *Evaluator) flowMoveDelta(a *assign.Assignment, s model.SessionID, scr *
 	}
 	// Only m can be left empty: k and lv host members, whose last-mile
 	// upstream keeps their download above zero (and inter ≤ down).
-	if c.down[m] == 0 && c.up[m] == 0 && c.tasks[m] == 0 {
-		c.mark[m] = false
-		j := slices.Index(c.touched, int32(m))
-		c.touched = slices.Delete(c.touched, j, j+1)
-	}
+	c.untouchIfEmpty(m)
 	return true
+}
+
+// userMoveDelta prices a move of member i alone, from agent k to k2, in
+// O(n + F): one scan of the members and one of each source's flows. It
+// reports false, leaving the rebuild, unless every member is assigned
+// before and after the move.
+//
+//   - Source i's block: its last-mile terms move from k to k2, and it sends
+//     one raw copy to each agent of U (its transcoders and the agents
+//     hosting a native destination of it) but its own. U does not depend on
+//     where i sits, so only up[k], up[k2] and the copies into k and k2
+//     change. Under StrictPaperTraffic its term-3 edges toward k appear and
+//     those toward k2 vanish, one per (transcoder, representation).
+//   - Every other source j, at k and k2 only. When i is a native
+//     destination of j, j's raw copy into k goes if i was its last native
+//     destination there, and one into k2 comes if k2 had none (the kernel's
+//     term-2 rule over the host counts before and after the move). When j→i
+//     transcodes at m, its edge (m, k, r) goes unless another flow of j
+//     shares it, and (m, k2, r) comes unless one already does.
+//
+// The traffic into k and into k2 is summed apart and added once. Only k can
+// be left empty: every other agent changed hosts a member or a transcoder.
+func (e *Evaluator) userMoveDelta(a *assign.Assignment, scr *Scratch, i int) bool {
+	plan, lambda, flowTo := &scr.plan, scr.curUsers, a.SessionFlowAgents(scr.sid)
+	k, k2 := lambda[i], a.UserAgent(scr.members[i])
+	if k2 == assign.Unassigned {
+		return false
+	}
+	var hostK, hostK2 int // the members on k and k2 before the move
+	for _, l := range lambda {
+		if l == assign.Unassigned {
+			return false
+		}
+		hostK, hostK2 = hostK+b2i(l == k), hostK2+b2i(l == k2)
+	}
+	c := &scr.cand
+	c.CopyFrom(&scr.cur)
+	strict := e.p.StrictPaperTraffic
+	var inK, inK2 float64 // the change of the traffic into k and into k2
+
+	u, n1 := scr.transList[:0], len(lambda)-1 // U, marked in transMark
+	for j, kj := range lambda {
+		if j == i {
+			continue
+		}
+		// plan.Pair(i, j) and plan.Pair(j, i), indexed without a branch.
+		if plan.Pairs[i*n1+j-b2i(j > i)].Flow < 0 && !scr.transMark[kj] {
+			scr.transMark[kj] = true
+			u = append(u, int32(kj))
+		}
+		mj := &plan.Members[j]
+		ji := plan.Pairs[j*n1+i-b2i(i > j)].Flow
+		m, r := assign.Unassigned, int32(-1) // j→i's transcoder and rep
+		if ji >= 0 {
+			m, r = flowTo[ji], plan.Flows[ji].Rep
+		}
+		var dstK, dstK2 int // j's transcoded destinations on k and k2
+		var transK, transK2, shareK, shareK2 bool
+		for g := mj.FlowStart; g < mj.FlowEnd; g++ {
+			lv, tg := lambda[plan.Flows[g].Dst], flowTo[g]
+			dstK, dstK2 = dstK+b2i(lv == k), dstK2+b2i(lv == k2)
+			transK, transK2 = transK || tg == k, transK2 || tg == k2
+			if g != ji && tg == m && plan.Flows[g].Rep == r {
+				shareK, shareK2 = shareK || lv == k, shareK2 || lv == k2
+			}
+		}
+		if ji < 0 {
+			if k != kj && !transK && hostK == dstK+1 {
+				c.up[kj] -= mj.UpMbps
+				inK -= mj.UpMbps
+			}
+			if k2 != kj && !transK2 && hostK2 == dstK2 {
+				c.up[kj] += mj.UpMbps
+				inK2 += mj.UpMbps
+			}
+			continue
+		}
+		out := plan.Flows[ji].OutMbps
+		if k != m && !(strict && k == kj) && !shareK {
+			c.up[m] -= out
+			inK -= out
+		}
+		if k2 != m && !(strict && k2 == kj) && !shareK2 {
+			c.up[m] += out
+			inK2 += out
+		}
+	}
+
+	mem := &plan.Members[i]
+	flows, to := plan.Flows[mem.FlowStart:mem.FlowEnd], flowTo[mem.FlowStart:mem.FlowEnd]
+	for _, m := range to {
+		if !scr.transMark[m] {
+			scr.transMark[m] = true
+			u = append(u, int32(m))
+		}
+	}
+	up, copiesK, copiesK2 := mem.UpMbps, len(u), len(u)
+	if scr.transMark[k] {
+		copiesK--
+		inK += up
+	}
+	if scr.transMark[k2] {
+		copiesK2--
+		inK2 -= up
+	}
+	for _, l := range u {
+		scr.transMark[l] = false
+	}
+	scr.transList = u
+	for f := 0; strict && f < len(flows); f++ {
+		lv, m, out := lambda[flows[f].Dst], to[f], flows[f].OutMbps
+		bit := uint64(1) << (flows[f].Rep + 32*int32(b2i(lv == k2)))
+		if (lv == k || lv == k2) && lv != m && scr.repBits[m]&bit == 0 {
+			scr.repBits[m] |= bit
+			if lv == k {
+				c.up[m] += out
+				inK += out
+			} else {
+				c.up[m] -= out
+				inK2 -= out
+			}
+		}
+	}
+	for f := 0; strict && f < len(to); f++ {
+		scr.repBits[to[f]] = 0
+	}
+	c.addDown(k2, up)
+	c.addIn(k2, inK2)
+	c.up[k2] += mem.InMbps + up*float64(copiesK2)
+	c.down[k] -= up
+	c.addIn(k, inK)
+	c.up[k] -= mem.InMbps + up*float64(copiesK)
+	c.untouchIfEmpty(k)
+	return true
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // memberIndex resolves a user to its member index in the session prepared
@@ -1016,8 +1188,13 @@ func (g *Ledger) Remove(sl *SparseLoad) {
 	}
 }
 
-// fitsRepairAt is the per-agent FitsRepair condition.
+// fitsRepairAt is the per-agent FitsRepair condition. An agent a move
+// leaves unchanged passes without a look at its capacity: its new usage is
+// its old.
 func (g *Ledger) fitsRepairAt(l int, candDown, candUp float64, candTasks int, curDown, curUp float64, curTasks int) bool {
+	if candDown == curDown && candUp == curUp && candTasks == curTasks {
+		return true
+	}
 	const eps = 1e-9
 	capDown, capUp, capTasks := g.effectiveCaps(l)
 	newDown := g.down[l] + candDown

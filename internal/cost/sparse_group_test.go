@@ -18,8 +18,8 @@ const groupAgents = 6
 // groupScenario is one session of five members over six agents with
 // non-dyadic bitrates (0.3 / 1.7 / 4.1 Mbps) and distinct prices, so a
 // reordered sum shows; flag bit 4 selects the dyadic 0.375 / 1.75 / 4.125
-// set instead, under which CandidateLoad prices flow moves as deltas, and
-// bit 0 DownscaleOnly. Upstreams: u0 hi, u1 mid, u2 hi, u3 lo, u4 mid.
+// set instead, under which CandidateLoad prices one-decision moves as
+// deltas, and bit 0 DownscaleOnly. Upstreams: u0 hi, u1 mid, u2 hi, u3 lo, u4 mid.
 // Transcoding flows, in SessionFlowAgents order:
 //
 //	0: u0→u1 lo   1: u0→u2 mid   2: u0→u3 lo   (u4 takes u0's stream natively)
@@ -105,8 +105,9 @@ func groupParams(f byte) Params {
 // to the reference (dense_ref_test.go); then it requires Φ_s from
 // BeginSession and SessionObjective, and the whole ReportSession — traffic,
 // tasks, mean and worst delay — bit-equal to the reference's. Last, every
-// single-flow move of the placement must price to the reference's load
-// (checkFlowMoves).
+// single-flow and every single-member move of the placement must price to
+// the reference's load, one at a time and in the hop's sequence
+// (checkFlowMoves, checkUserMoves, checkNeighbourSequence).
 func checkGroupedLoad(t *testing.T, data []byte) {
 	t.Helper()
 	at := func(i int) model.AgentID {
@@ -145,6 +146,8 @@ func checkGroupedLoad(t *testing.T, data []byte) {
 	sameBits(t, "Φ (SessionObjective)", ev.SessionObjective(a, 0), want.Objective)
 	sameReport(t, "ReportSession", ev.ReportSession(a, 0), want)
 	checkFlowMoves(t, ev, a, 0, scr, &flowMoveCases{})
+	checkUserMoves(t, ev, a, 0, scr, &userMoveCases{})
+	checkNeighbourSequence(t, ev, a, 0, scr)
 }
 
 // groupCases are the placements the counting rule of term 2 ("an agent takes

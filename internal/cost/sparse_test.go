@@ -131,6 +131,28 @@ func TestFitsDeltaChecksMatchDense(t *testing.T) {
 	}
 }
 
+// TestFitsRepairUnchangedAgent: an agent where the candidate equals the
+// current load passes the repair check even over capacity, and one where only
+// the task count rises on a full agent is still refused.
+func TestFitsRepairUnchangedAgent(t *testing.T) {
+	sc := sparseScenario(t)
+	n, l := sc.NumAgents(), model.AgentID(0)
+	g := NewLedger(sc)
+	full := NewSparseLoad(n)
+	full.AddAt(l, 0, 0, 0, sc.Agent(l).TranscodeSlots)
+	g.Add(full)
+	cur, same, more := NewSparseLoad(n), NewSparseLoad(n), NewSparseLoad(n)
+	cur.AddAt(l, 1, 1, 1, 1)
+	same.AddAt(l, 1, 1, 1, 1)
+	more.AddAt(l, 1, 1, 1, 2)
+	if !g.FitsRepairDelta(same, cur) {
+		t.Fatal("an unchanged agent over capacity refused the move")
+	}
+	if g.FitsRepairDelta(more, cur) {
+		t.Fatal("a task added to a full agent passed")
+	}
+}
+
 func TestSparseLoadHelpers(t *testing.T) {
 	sc := sparseScenario(t)
 	ev, err := NewEvaluator(sc, DefaultParams())

@@ -164,36 +164,12 @@ func (h *Histogram) Count() int64 { return h.n.Load() }
 // Sum returns the sum of all positive samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Percentile returns the lower bound of the bucket holding the q-quantile,
-// or 0 when the histogram is empty. A histogram holding only zero samples
-// reads 0: bucket 0's lower bound, not the first real bucket's upper half.
+// Quantiles returns the readings for every quantile in qs from a single
+// bucket scan: each the lower bound of the bucket holding the q-quantile,
+// or 0 when the histogram is empty (a histogram of only zero samples reads
+// bucket 0's lower bound, 0). The result aligns with qs (any order).
 // Concurrent with writers the answer is a consistent-enough estimate;
 // quiesced it is exact (to bucket resolution).
-func (h *Histogram) Percentile(q float64) int64 {
-	n := h.n.Load()
-	if n == 0 {
-		return 0
-	}
-	target := int64(q*float64(n) + 0.5)
-	if target < 1 {
-		target = 1
-	}
-	var acc int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		acc += c
-		if c > 0 && acc >= target {
-			return bucketLowerBound(i)
-		}
-	}
-	return 0
-}
-
-// Quantiles returns the readings for every quantile in qs from a single
-// bucket scan — Percentile re-walks all 256 buckets per call, so batch
-// reads (p50/p90/p99 fills) should come here instead. The result aligns
-// with qs (any order); each entry equals Percentile(q) exactly (the
-// parity test pins this).
 func (h *Histogram) Quantiles(qs []float64) []int64 {
 	out := make([]int64, len(qs))
 	n := h.n.Load()
@@ -221,9 +197,9 @@ func (h *Histogram) QuantilesDuration(qs []float64) []time.Duration {
 // quantilesFromCounts resolves every quantile in qs over a quarter-octave
 // bucket array in one pass, writing bucket lower bounds into out (aligned
 // with qs). n is the authoritative sample count (it may exceed the sum of
-// counts when writers race a live histogram — the same slack Percentile
-// accepts). Shared by Histogram.Quantiles and the windowed sampler's
-// per-window delta buckets.
+// counts when writers race a live histogram; a target past the counted
+// samples leaves its entry 0). Shared by Histogram.Quantiles and the health
+// stage's per-window delta buckets.
 func quantilesFromCounts(counts *[histBuckets]int64, n int64, qs []float64, out []int64) {
 	if n <= 0 {
 		return

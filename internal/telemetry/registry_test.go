@@ -251,6 +251,29 @@ func TestHistogramPromBucketsCumulative(t *testing.T) {
 	}
 }
 
+// Percentile is the one-quantile bucket walk Quantiles batches: the lower
+// bound of the bucket holding the q-quantile, or 0 when the histogram is
+// empty. The parity tests hold Quantiles to it.
+func (h *Histogram) Percentile(q float64) int64 {
+	n := h.n.Load()
+	if n == 0 {
+		return 0
+	}
+	target := int64(q*float64(n) + 0.5)
+	if target < 1 {
+		target = 1
+	}
+	var acc int64
+	for i := range h.counts {
+		c := h.counts[i].Load()
+		acc += c
+		if c > 0 && acc >= target {
+			return bucketLowerBound(i)
+		}
+	}
+	return 0
+}
+
 // PercentileDuration is Percentile as a time.Duration.
 func (h *Histogram) PercentileDuration(q float64) time.Duration {
 	return time.Duration(h.Percentile(q))

@@ -15,8 +15,7 @@ import (
 // the horizon. The churn and fault sources are the only generators:
 // GenerateChurn and GenerateFaults drain them, so an engine over both
 // yields exactly MergeSchedules(GenerateChurn, GenerateFaults) for the same
-// configs. Orchestrator.RunSource consumes an engine (or a TraceReplayer)
-// directly.
+// configs. Orchestrator.RunSource consumes an engine directly.
 
 // SimEventSource is the pull contract lazy generators satisfy: events in
 // non-decreasing time order, ok=false at exhaustion.
@@ -40,28 +39,9 @@ func NewChurnEventSource(cfg ChurnConfig) (SimEventSource, error) {
 // drain into a slice.
 func NewFaultEventSource(cfg FaultConfig) (SimEventSource, error) { return faults.NewSource(cfg) }
 
-// NewSliceEventSource adapts a time-ordered []ChurnEvent slice to
-// the source contract, so recorded or hand-built schedules feed the engine.
-func NewSliceEventSource(events []ChurnEvent) SimEventSource { return sim.NewSliceSource(events) }
-
 // TraceDigest is the per-event decision fingerprint carried in a trace:
 // the post-event objective Φ (bit-exact), active sessions and commits.
 type TraceDigest = sim.Digest
-
-// TraceRecorder tees a merged event stream plus decision digests to a
-// versioned JSONL trace (vcsim -record-trace writes one).
-type TraceRecorder = sim.Recorder
-
-// NewTraceRecorder writes the trace header and returns the recorder.
-func NewTraceRecorder(w io.Writer) (*TraceRecorder, error) { return sim.NewRecorder(w) }
-
-// TraceReplayer feeds a recorded trace back as a SimEventSource and checks
-// each retiring decision digest against the recording; the first mismatch
-// is reported as a TraceDivergence.
-type TraceReplayer = sim.Replayer
-
-// NewTraceReplayer validates the trace header and returns the replayer.
-func NewTraceReplayer(r io.Reader) (*TraceReplayer, error) { return sim.NewReplayer(r) }
 
 // TraceDivergence is the first decision mismatch of a replay or a
 // trace-vs-trace comparison; it satisfies error.
