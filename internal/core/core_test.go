@@ -134,11 +134,12 @@ func TestHopPreservesFeasibilityAndLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = eng // engine tested below; here exercise HopSession directly
+	_ = eng // engine tested below; here exercise HopSessionWith directly
 	rng := newTestRNG(7)
+	scr := NewHopScratch(ev)
 	for i := 0; i < 200; i++ {
 		s := model.SessionID(i % sc.NumSessions())
-		if _, err := HopSession(a, s, ev, ledger, cfg, rng); err != nil {
+		if _, err := HopSessionWith(a, s, ev, ledger, cfg, rng, scr); err != nil {
 			t.Fatalf("hop %d: %v", i, err)
 		}
 	}
@@ -178,7 +179,7 @@ func TestHopWithSingleAgentStays(t *testing.T) {
 	if err := baseline.Assign(a, ev.Params(), ledger); err != nil {
 		t.Fatal(err)
 	}
-	res, err := HopSession(a, 0, ev, ledger, DefaultConfig(1), newTestRNG(1))
+	res, err := HopSessionWith(a, 0, ev, ledger, DefaultConfig(1), newTestRNG(1), NewHopScratch(ev))
 	if err != nil {
 		t.Fatal(err)
 	}

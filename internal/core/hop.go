@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sync"
 
 	"vconf/internal/assign"
 	"vconf/internal/cost"
@@ -95,19 +94,6 @@ func (scr *HopScratch) ensure(ev *cost.Evaluator) {
 	scr.eval.Ensure(ev)
 }
 
-// hopScratchPool recycles scratches for the pool-backed HopSession entry
-// point, so callers without worker state still run allocation-free at steady
-// state.
-var hopScratchPool = sync.Pool{New: func() interface{} { return &HopScratch{} }}
-
-func acquireHopScratch(ev *cost.Evaluator) *HopScratch {
-	scr := hopScratchPool.Get().(*HopScratch)
-	scr.ensure(ev)
-	return scr
-}
-
-func releaseHopScratch(scr *HopScratch) { hopScratchPool.Put(scr) }
-
 // SetProximityIndex hands the scratch a prebuilt proximity index, so a host
 // running several workers builds the U × window table once and shares it
 // (the index is immutable). Hops whose scenario or window differ from the
@@ -133,34 +119,17 @@ func (scr *HopScratch) appendNeighbors(a *assign.Assignment, s model.SessionID, 
 		assign.NeighborOptions{Window: cfg.NeighborWindow, Index: scr.nbrIdx})
 }
 
-// HopSession executes one HOP of Alg. 1 (lines 9–16) for session s:
+// HopSessionWith executes one HOP of Alg. 1 (lines 9–16) for session s:
 // enumerate all feasible single-variable neighbors, evaluate their local
 // objectives against the shared residual-capacity ledger, and migrate with
-// probability ∝ exp(½·β·scale·(Φ_s,f − Φ_s,f')).
+// probability ∝ exp(½·β·scale·(Φ_s,f − Φ_s,f')). It is the one-hop walk, on
+// the caller's scratch: zero allocations at steady state.
 //
 // The ledger must contain the loads of ALL admitted sessions including s;
 // on return it reflects the (possibly migrated) state. The assignment is
 // mutated in place. Callers are responsible for mutual exclusion across
 // sessions (the virtual-time engine serializes events; a dist runner hops
 // on a snapshot granted under the coordinator's FREEZE lock).
-//
-// Evaluation runs on the sparse delta pipeline (cost.Scratch) with a pooled
-// scratch; long-lived callers hold their own and use HopSessionWith.
-func HopSession(
-	a *assign.Assignment,
-	s model.SessionID,
-	ev *cost.Evaluator,
-	ledger *cost.Ledger,
-	cfg Config,
-	rng *rand.Rand,
-) (HopResult, error) {
-	scr := acquireHopScratch(ev)
-	defer releaseHopScratch(scr)
-	return HopSessionWith(a, s, ev, ledger, cfg, rng, scr)
-}
-
-// HopSessionWith is HopSession with a caller-owned scratch: zero allocations
-// at steady state. It is the one-hop walk.
 func HopSessionWith(
 	a *assign.Assignment,
 	s model.SessionID,
@@ -191,7 +160,7 @@ type WalkStats struct{ Hops, Reused, ReusedAcross int }
 // The walk takes s's own load out of the ledger at its first hop (line 11:
 // fetch residual capacities) and puts the final state's load back on every
 // return; in between the ledger is the other sessions' usage and the caller
-// keeps every writer off it (HopSession's mutual-exclusion contract), so a
+// keeps every writer off it (HopSessionWith's mutual-exclusion contract), so a
 // state's feasible candidates and their noiseless Φ are a pure function of
 // the state. β-weighted jumps send a session at a local optimum
 // f → f′ → f → f″ → f, and the walk memoizes each state it prices in the
@@ -201,7 +170,7 @@ type WalkStats struct{ Hops, Reused, ReusedAcross int }
 // longer fits; it serves states new to this walk and keeps the certified
 // states the walk prices. A hop from a memoized state skips only the
 // candidate evaluation: BeginSession, the noise readings, the weights, the
-// rng draw, Apply, the chosen state's CandidateLoad and
+// rng draw, the chosen state's NeighbourLoad, Apply and
 // CommitSessionDecision run as on a miss, in the same order.
 func WalkSession(
 	a *assign.Assignment,
@@ -257,13 +226,17 @@ func WalkSession(
 			break
 		}
 		res.Moved, res.Decision, res.PhiAfter = true, ds[chosen], phis[chosen]
+		load, err := ev.NeighbourLoad(a, s, res.Decision, es)
+		if err != nil {
+			return st, err
+		}
 		if _, err := a.Apply(res.Decision); err != nil {
 			return st, err
 		}
 		// Commit notification: re-sync the session's warm delay-cache entry
 		// from the chosen state's load and its already-evaluated Φ, so the
 		// session's next BeginSession is a pure warm hit instead of a patch.
-		own = ev.CandidateLoad(a, s, es)
+		own = load
 		ev.CommitSessionDecision(a, s, es, own, res.PhiAfter)
 		visit(res)
 	}
@@ -275,9 +248,12 @@ func WalkSession(
 // the k nearest agents per variable when cfg.NeighborWindow > 0): it fills
 // scr.decisions with the neighbors and scr.vals with one noiseless Φ per
 // neighbor, NaN where capacity or the delay cap refuses it. The ledger must
-// hold the other sessions' usage only. Each candidate costs O(session)
-// work: a sparse load rebuild, a touched-agents capacity check, and a delay
-// re-evaluation of only the flows the decision moved. With fold, the loads
+// hold the other sessions' usage only, and the assignment stays in the
+// prepared state. The cost package prices the neighbours one decision
+// variable at a time: what moving a member or flow leaves behind once per
+// variable, then per target agent only the change the target makes to the
+// load (NeighbourLoad), a touched-agents capacity check, and the delays of
+// the flows the decision moved (CandidatePhi). With fold, the loads
 // of the candidates are folded into per-agent maxima, O(touched) each, and
 // certified reports that no neighbor was refused for capacity and that the
 // envelope of the maxima (scr.env) fits.
@@ -297,11 +273,10 @@ func (scr *HopScratch) price(a *assign.Assignment, s model.SessionID, ev *cost.E
 	}()
 	refused := false
 	for _, d := range scr.decisions {
-		inv, err := a.Apply(d)
+		load, err := ev.NeighbourLoad(a, s, d, es)
 		if err != nil {
 			return false, err
 		}
-		load := ev.CandidateLoad(a, s, es)
 		val := math.NaN()
 		// FitsRepairDelta (not Fits) so that after a runtime capacity
 		// degradation, sessions can still migrate off the overloaded agent
@@ -316,9 +291,6 @@ func (scr *HopScratch) price(a *assign.Assignment, s model.SessionID, ev *cost.E
 			}
 		}
 		scr.vals = append(scr.vals, val)
-		if _, err := a.Apply(inv); err != nil {
-			return false, err
-		}
 	}
 	if !fold || refused {
 		return false, nil

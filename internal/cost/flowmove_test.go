@@ -10,8 +10,9 @@ import (
 	"vconf/internal/model"
 )
 
-// Tests of CandidateLoad's single-flow-move delta (flowMoveDelta) against a
-// rebuild of the moved state; usermove_test.go holds the member-move one.
+// Tests of CandidateLoad's single-flow-move delta (prepareFlow, flowLoad)
+// against a rebuild of the moved state; usermove_test.go holds the
+// member-move one.
 
 // dyadicReps is a lo 0.375 / mid 1.75 / hi 4.125 Mbps set: every bitrate a
 // multiple of 2⁻⁸ Mbps, so the exactness certificate holds.

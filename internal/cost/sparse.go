@@ -4,12 +4,12 @@ package cost
 // A single-variable decision touches O(session size) agents, not the whole
 // fleet, so the steady-state candidate loop of Alg. 1 must not pay O(L) per
 // neighbor: SparseLoad keeps a touched-agent index list over dense scratch
-// arrays, Scratch holds every reusable buffer one evaluation needs, and the
-// Evaluator's BeginSession/CandidateLoad/CandidatePhi methods compute the
-// load, the capacity-delta feasibility inputs, and Φ_s incrementally — only
-// the flows whose endpoints moved are re-evaluated, and the load of a
-// one-decision move (one flow or one member) is the current load plus its
-// change.
+// arrays, Scratch holds every reusable buffer one evaluation needs, and
+// BeginSession prepares the session's load, delay base and summary that the
+// neighbourhood kernel (neighbour.go) prices each one-decision move against:
+// once per moved variable what the move leaves behind, then per target agent
+// only the change the target makes to the load and the delays of the flows
+// the move re-routes.
 //
 // Exactness contract: this file is the one program path for a session's
 // load and objective. The candidate and warm-cache paths are bit-identical to
@@ -22,9 +22,10 @@ package cost
 // (skipped zero entries are exact identity additions). The flow-move and
 // member-move deltas reorder additions freely, so they run only where the
 // scenario's rates certify that every partial sum is exact (exactRates);
-// elsewhere the candidate is rebuilt. The differential tests here and in
-// internal/core assert the contract state by state and by replaying whole
-// engine runs.
+// elsewhere the candidate is rebuilt. Flow-delay sums carry no such
+// certificate and keep flowDelay's order of additions. The differential
+// tests here and in internal/core assert the contract state by state and by
+// replaying whole engine runs.
 
 import (
 	"fmt"
@@ -310,9 +311,9 @@ type Scratch struct {
 	taskKeys  []mrKey
 	sentEdges []edgeKey3
 
-	// repBits dedupes a moved member's term-3 edges toward its old and new
-	// agent in userMoveDelta: bit r, or 32+r, of its transcoder's word.
-	// Zero between calls.
+	// repBits dedupes a moved member's term-3 edges toward one agent (its old
+	// one in prepareMember, a target in memberLoad): bit r of its
+	// transcoder's word. Zero between calls.
 	repBits []uint64
 
 	// Delay state of the session prepared by BeginSession. base is the
@@ -341,12 +342,22 @@ type Scratch struct {
 	dcOff        bool
 	movedMembers []int32
 
-	// The state cur holds the load of, which loadDelta diffs a candidate
-	// against: the bound session's member and flow agents, valid while curOK.
-	// Every writer of cur sets or clears it.
+	// The state cur holds the load of, which the neighbourhood kernel prices
+	// moves from: the bound session's member and flow agents, valid while
+	// curOK, and curHost, its member count per agent. Every writer of cur
+	// sets or clears them (dropCur).
 	curOK    bool
 	curUsers []model.AgentID
 	curFlows []model.AgentID
+	curHost  []int32
+
+	// The neighbourhood kernel's prepared variable (see neighbour.go) and its
+	// per-agent flags and destination counts, nonzero only at the agents
+	// listed in mvAgents.
+	mv       moveVar
+	onAt     []uint8
+	dstAt    []int32
+	mvAgents []int32
 }
 
 // NewScratch returns a Scratch sized for the evaluator's scenario.
@@ -377,11 +388,17 @@ func (scr *Scratch) bind(sc *model.Scenario) {
 	scr.transList = scr.transList[:0]
 	scr.transDst = make([]int32, L)
 	scr.repBits = make([]uint64, L)
+	scr.curHost = make([]int32, L)
+	scr.onAt = make([]uint8, L)
+	scr.dstAt = make([]int32, L)
+	scr.mvAgents = scr.mvAgents[:0]
 	scr.taskKeys = scr.taskKeys[:0]
 	scr.sentEdges = scr.sentEdges[:0]
 	scr.members = nil
 	scr.n = 0
+	scr.curUsers = scr.curUsers[:0]
 	scr.curOK = false
+	scr.mv.kind = 0
 	// The delay cache is dimensioned for one scenario; rebinding drops it
 	// (it is rebuilt lazily against the new scenario).
 	scr.dc = nil
@@ -501,10 +518,13 @@ func (se SessionEval) DelayFeasible(dMaxMS float64) bool { return se.WorstMS <= 
 // the per-flow delay matrix and per-user delay maxima, and returns the
 // current Φ_s and delay summary — all with zero allocations after warm-up.
 //
-// The hop pipeline calls BeginSession once per hop, then for each candidate:
-// Apply(d) → CandidateLoad → Ledger.FitsRepairDelta → CandidatePhi →
-// Apply(inverse). The base delay matrix always reflects the state a held at
-// BeginSession time; CandidatePhi restores it before returning.
+// The hop pipeline calls BeginSession once per hop, then for each candidate
+// d, with the assignment left in the prepared state: NeighbourLoad(d) →
+// Ledger.FitsRepairDelta → CandidatePhi(d). Candidates moving the same
+// variable share its preparation (see neighbour.go). Callers holding an
+// applied candidate use CandidateLoad, which finds the moved variable itself.
+// The base delay matrix always reflects the state a held at BeginSession
+// time; the candidate evaluation only reads it.
 //
 // With the delay cache enabled (the default), the delay base, load and
 // summary are retained per session across calls and re-validated against
@@ -540,10 +560,14 @@ func (e *Evaluator) beginSession(a *assign.Assignment, s model.SessionID, scr *S
 	scr.hOwn = scr.hOwn[:n]
 	// Every branch below leaves cur holding the load of the state recorded
 	// here.
-	scr.curUsers = scr.curUsers[:0]
+	scr.dropCur()
 	for i, u := range scr.members {
-		scr.hOwn[i] = ownDelay(e.sc, a.UserAgent(u), u)
-		scr.curUsers = append(scr.curUsers, a.UserAgent(u))
+		l := a.UserAgent(u)
+		scr.hOwn[i] = ownDelay(e.sc, l, u)
+		scr.curUsers = append(scr.curUsers, l)
+		if l != assign.Unassigned {
+			scr.curHost[l]++
+		}
 	}
 	scr.curFlows = append(scr.curFlows[:0], a.SessionFlowAgents(s)...)
 	scr.curOK = true
@@ -561,6 +585,19 @@ func (e *Evaluator) beginSession(a *assign.Assignment, s model.SessionID, scr *S
 	scr.userMax = scr.ownMax[:n]
 	scr.fillDelayBase(a)
 	return e.summarize(scr)
+}
+
+// dropCur forgets the state cur was recorded for, with its host counts, and
+// the neighbourhood kernel's prepared variable.
+func (scr *Scratch) dropCur() {
+	for _, l := range scr.curUsers {
+		if l != assign.Unassigned {
+			scr.curHost[l] = 0
+		}
+	}
+	scr.curUsers = scr.curUsers[:0]
+	scr.curOK = false
+	scr.mv.kind = 0
 }
 
 // summarize derives the evaluation of the bound session from its filled
@@ -588,18 +625,26 @@ func ownDelay(sc *model.Scenario, l model.AgentID, u model.UserID) float64 {
 // access delays from hOwn. Same terms, same order of additions:
 // bit-identical to FlowDelayMS.
 func (scr *Scratch) flowDelay(a *assign.Assignment, flowTo []model.AgentID, i, j int) float64 {
+	pr := scr.plan.Pair(i, j)
+	m := assign.Unassigned
+	if pr.Flow >= 0 {
+		m = flowTo[pr.Flow]
+	}
+	return scr.flowDelayVia(a, i, j, pr, m)
+}
+
+// flowDelayVia is flowDelay for the pair pr of members i and j, transcoded
+// at m when pr transcodes.
+func (scr *Scratch) flowDelayVia(a *assign.Assignment, i, j int, pr *model.PlanPair, m model.AgentID) float64 {
 	sc := scr.sc
-	u, v := scr.members[i], scr.members[j]
-	lu, lv := a.UserAgent(u), a.UserAgent(v)
+	lu, lv := a.UserAgent(scr.members[i]), a.UserAgent(scr.members[j])
 	if lu == assign.Unassigned || lv == assign.Unassigned {
 		return math.Inf(1)
 	}
 	d := scr.hOwn[i] + scr.hOwn[j]
-	pr := scr.plan.Pair(i, j)
 	if pr.Flow < 0 {
 		return d + sc.D(lu, lv)
 	}
-	m := flowTo[pr.Flow]
 	if m == assign.Unassigned {
 		return math.Inf(1)
 	}
@@ -746,6 +791,7 @@ func (e *Evaluator) CommitSessionDecision(a *assign.Assignment, s model.SessionI
 	if !ent.valid || ent.base == nil {
 		return
 	}
+	scr.mv.kind = 0 // the base and hOwn move to the committed state
 	scr.base = ent.base
 	scr.userMax = ent.userMax
 	e.patchEntry(a, scr, ent, a.SessionFlowsShared(s), a.SessionFlowAgents(s))
@@ -786,276 +832,6 @@ func (scr *Scratch) delaySummary(maxBuf []float64) (meanOfMax, worst float64) {
 		sum += maxBuf[j]
 	}
 	return sum / float64(n), worst
-}
-
-// CandidateLoad computes the candidate session load into CandLoad. The
-// assignment must already hold the candidate state (decision applied). A
-// candidate one decision away from the state BeginSession prepared — one
-// flow or one member moved — is priced as the current load plus its exact
-// change (loadDelta); anything else is rebuilt.
-func (e *Evaluator) CandidateLoad(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
-	if !e.loadDelta(a, s, scr) {
-		e.p.sessionLoadSparse(a, s, &scr.cand, scr)
-	}
-	return &scr.cand
-}
-
-// loadDelta computes the candidate load into cand as cur plus the change of
-// one decision and reports whether it could. One scan of the session's flow
-// agents and one of its members' agents against the state cur holds
-// classify the candidate: one flow moved and no member (flowMoveDelta), or
-// one member moved and no flow, with every member and flow assigned
-// (userMoveDelta). The scenario's rates must carry the exactness
-// certificate (exactRates), under which every partial sum is exact, so cur
-// plus the change is the rebuild bit for bit.
-func (e *Evaluator) loadDelta(a *assign.Assignment, s model.SessionID, scr *Scratch) bool {
-	if !e.exact || !scr.curOK || scr.sid != s {
-		return false
-	}
-	flowTo := a.SessionFlowAgents(s)
-	f, full := -1, true // full: every flow assigned
-	for g, to := range flowTo {
-		if to != scr.curFlows[g] {
-			if f >= 0 {
-				return false
-			}
-			f = g
-		}
-		full = full && to != assign.Unassigned
-	}
-	i := -1
-	for v, u := range scr.members {
-		if a.UserAgent(u) != scr.curUsers[v] {
-			if f >= 0 || i >= 0 {
-				return false
-			}
-			i = v
-		}
-	}
-	switch {
-	case f >= 0:
-		return e.flowMoveDelta(a, scr, f)
-	case i >= 0 && full && e.sc.Reps.Len() <= 32: // a repBits word holds two sets of 32
-		return e.userMoveDelta(a, scr, i)
-	}
-	return false
-}
-
-// flowMoveDelta prices a move of flow f alone; it reports false, leaving
-// the rebuild, unless the flow's source, destination and both transcoders
-// are assigned.
-//
-// Flow f of source member i (on agent k) to a destination on agent lv moves
-// from transcoder m to m2. Only source i's terms change, and only at k, m,
-// m2 and lv: the ν tasks (m, r) and (m2, r), the raw copies k → m and
-// k → m2 of terms 1–2 (an agent l ≠ k takes one when it transcodes for i
-// or hosts a native destination of i), and the term-3 edges (m, lv, r) and
-// (m2, lv, r). Each is decided by whether another flow of i shares it,
-// found in one scan of i's flows, and by the members on m and m2.
-func (e *Evaluator) flowMoveDelta(a *assign.Assignment, scr *Scratch, f int) bool {
-	lambda, flowTo := scr.curUsers, a.SessionFlowAgents(scr.sid)
-	m, m2 := scr.curFlows[f], flowTo[f]
-	fl := &scr.plan.Flows[f]
-	i := e.sc.MemberIndex(a.SessionFlowsShared(scr.sid)[f].Src)
-	k, lv := lambda[i], lambda[fl.Dst]
-	if k == assign.Unassigned || lv == assign.Unassigned || m == assign.Unassigned || m2 == assign.Unassigned {
-		return false
-	}
-	var hostM, hostM2 int // the session's members on m and m2
-	for _, l := range lambda {
-		hostM, hostM2 = hostM+b2i(l == m), hostM2+b2i(l == m2)
-	}
-
-	// Whether another flow of i sits on m (m2): at all, with rep r, and with
-	// rep r toward lv; and how many of i's destinations each agent hosts.
-	var onM, onM2 [3]bool
-	var dstM, dstM2 int
-	mem := &scr.plan.Members[i]
-	for g := int(mem.FlowStart); g < int(mem.FlowEnd); g++ {
-		gf := &scr.plan.Flows[g]
-		switch lambda[gf.Dst] {
-		case m:
-			dstM++
-		case m2:
-			dstM2++
-		}
-		on := &onM
-		if g == f {
-			continue
-		} else if flowTo[g] == m2 {
-			on = &onM2
-		} else if flowTo[g] != m {
-			continue
-		}
-		on[0] = true
-		if gf.Rep == fl.Rep {
-			on[1] = true
-			on[2] = on[2] || lambda[gf.Dst] == lv
-		}
-	}
-
-	c := &scr.cand
-	c.CopyFrom(&scr.cur)
-	up, out := mem.UpMbps, fl.OutMbps
-	edge := !(e.p.StrictPaperTraffic && lv == k)
-	if !onM[1] {
-		c.tasks[m]--
-	}
-	if m != k && !onM[0] && hostM <= dstM {
-		c.up[k] -= up
-		c.addIn(m, -up)
-	}
-	if edge && lv != m && !onM[2] {
-		c.addEdge(m, lv, -out)
-	}
-	if !onM2[1] {
-		c.addTask(m2)
-	}
-	if m2 != k && !onM2[0] && hostM2 <= dstM2 {
-		c.up[k] += up
-		c.addIn(m2, up)
-	}
-	if edge && lv != m2 && !onM2[2] {
-		c.addEdge(m2, lv, out)
-	}
-	// Only m can be left empty: k and lv host members, whose last-mile
-	// upstream keeps their download above zero (and inter ≤ down).
-	c.untouchIfEmpty(m)
-	return true
-}
-
-// userMoveDelta prices a move of member i alone, from agent k to k2, in
-// O(n + F): one scan of the members and one of each source's flows. It
-// reports false, leaving the rebuild, unless every member is assigned
-// before and after the move.
-//
-//   - Source i's block: its last-mile terms move from k to k2, and it sends
-//     one raw copy to each agent of U (its transcoders and the agents
-//     hosting a native destination of it) but its own. U does not depend on
-//     where i sits, so only up[k], up[k2] and the copies into k and k2
-//     change. Under StrictPaperTraffic its term-3 edges toward k appear and
-//     those toward k2 vanish, one per (transcoder, representation).
-//   - Every other source j, at k and k2 only. When i is a native
-//     destination of j, j's raw copy into k goes if i was its last native
-//     destination there, and one into k2 comes if k2 had none (the kernel's
-//     term-2 rule over the host counts before and after the move). When j→i
-//     transcodes at m, its edge (m, k, r) goes unless another flow of j
-//     shares it, and (m, k2, r) comes unless one already does.
-//
-// The traffic into k and into k2 is summed apart and added once. Only k can
-// be left empty: every other agent changed hosts a member or a transcoder.
-func (e *Evaluator) userMoveDelta(a *assign.Assignment, scr *Scratch, i int) bool {
-	plan, lambda, flowTo := &scr.plan, scr.curUsers, a.SessionFlowAgents(scr.sid)
-	k, k2 := lambda[i], a.UserAgent(scr.members[i])
-	if k2 == assign.Unassigned {
-		return false
-	}
-	var hostK, hostK2 int // the members on k and k2 before the move
-	for _, l := range lambda {
-		if l == assign.Unassigned {
-			return false
-		}
-		hostK, hostK2 = hostK+b2i(l == k), hostK2+b2i(l == k2)
-	}
-	c := &scr.cand
-	c.CopyFrom(&scr.cur)
-	strict := e.p.StrictPaperTraffic
-	var inK, inK2 float64 // the change of the traffic into k and into k2
-
-	u, n1 := scr.transList[:0], len(lambda)-1 // U, marked in transMark
-	for j, kj := range lambda {
-		if j == i {
-			continue
-		}
-		// plan.Pair(i, j) and plan.Pair(j, i), indexed without a branch.
-		if plan.Pairs[i*n1+j-b2i(j > i)].Flow < 0 && !scr.transMark[kj] {
-			scr.transMark[kj] = true
-			u = append(u, int32(kj))
-		}
-		mj := &plan.Members[j]
-		ji := plan.Pairs[j*n1+i-b2i(i > j)].Flow
-		m, r := assign.Unassigned, int32(-1) // j→i's transcoder and rep
-		if ji >= 0 {
-			m, r = flowTo[ji], plan.Flows[ji].Rep
-		}
-		var dstK, dstK2 int // j's transcoded destinations on k and k2
-		var transK, transK2, shareK, shareK2 bool
-		for g := mj.FlowStart; g < mj.FlowEnd; g++ {
-			lv, tg := lambda[plan.Flows[g].Dst], flowTo[g]
-			dstK, dstK2 = dstK+b2i(lv == k), dstK2+b2i(lv == k2)
-			transK, transK2 = transK || tg == k, transK2 || tg == k2
-			if g != ji && tg == m && plan.Flows[g].Rep == r {
-				shareK, shareK2 = shareK || lv == k, shareK2 || lv == k2
-			}
-		}
-		if ji < 0 {
-			if k != kj && !transK && hostK == dstK+1 {
-				c.up[kj] -= mj.UpMbps
-				inK -= mj.UpMbps
-			}
-			if k2 != kj && !transK2 && hostK2 == dstK2 {
-				c.up[kj] += mj.UpMbps
-				inK2 += mj.UpMbps
-			}
-			continue
-		}
-		out := plan.Flows[ji].OutMbps
-		if k != m && !(strict && k == kj) && !shareK {
-			c.up[m] -= out
-			inK -= out
-		}
-		if k2 != m && !(strict && k2 == kj) && !shareK2 {
-			c.up[m] += out
-			inK2 += out
-		}
-	}
-
-	mem := &plan.Members[i]
-	flows, to := plan.Flows[mem.FlowStart:mem.FlowEnd], flowTo[mem.FlowStart:mem.FlowEnd]
-	for _, m := range to {
-		if !scr.transMark[m] {
-			scr.transMark[m] = true
-			u = append(u, int32(m))
-		}
-	}
-	up, copiesK, copiesK2 := mem.UpMbps, len(u), len(u)
-	if scr.transMark[k] {
-		copiesK--
-		inK += up
-	}
-	if scr.transMark[k2] {
-		copiesK2--
-		inK2 -= up
-	}
-	for _, l := range u {
-		scr.transMark[l] = false
-	}
-	scr.transList = u
-	for f := 0; strict && f < len(flows); f++ {
-		lv, m, out := lambda[flows[f].Dst], to[f], flows[f].OutMbps
-		bit := uint64(1) << (flows[f].Rep + 32*int32(b2i(lv == k2)))
-		if (lv == k || lv == k2) && lv != m && scr.repBits[m]&bit == 0 {
-			scr.repBits[m] |= bit
-			if lv == k {
-				c.up[m] += out
-				inK += out
-			} else {
-				c.up[m] -= out
-				inK2 -= out
-			}
-		}
-	}
-	for f := 0; strict && f < len(to); f++ {
-		scr.repBits[to[f]] = 0
-	}
-	c.addDown(k2, up)
-	c.addIn(k2, inK2)
-	c.up[k2] += mem.InMbps + up*float64(copiesK2)
-	c.down[k] -= up
-	c.addIn(k, inK)
-	c.up[k] -= mem.InMbps + up*float64(copiesK)
-	c.untouchIfEmpty(k)
-	return true
 }
 
 // b2i is 1 for true and 0 for false.
@@ -1103,68 +879,6 @@ func (scr *Scratch) candColumnMax(i, j int, v float64) float64 {
 		}
 	}
 	return m
-}
-
-// CandidatePhi evaluates the candidate state's Φ_s and delay feasibility by
-// re-computing only the flows decision d moved: a UserMove re-evaluates the
-// moved member's incoming and outgoing flows (2(n−1) of n(n−1)), a FlowMove
-// exactly one. The per-user maxima are updated from the base's in O(n) —
-// the moved member's own maximum from its n−1 new incoming delays, every
-// other user's from its one changed entry (candColumnMax) — and a maximum
-// is the same number in whatever order it is taken, so the summary is
-// bit-identical to a full delaySummary over the patched matrix. The
-// assignment must hold the candidate state (d applied after BeginSession),
-// and CandidateLoad must have run for the same state. The base delay matrix
-// and its maxima are only read, so callers revert only the assignment.
-// Returns ok = false (and phi 0) when the candidate violates the Dmax delay
-// cap.
-//
-// Staleness contract: d must move a variable of the session most recently
-// prepared by BeginSession on this scratch (the decision's user, or both
-// flow endpoints, are members). A decision referencing any other session —
-// a stale scratch, or candidates generated for the wrong session — is a
-// caller bug and panics with a descriptive message.
-func (e *Evaluator) CandidatePhi(a *assign.Assignment, s model.SessionID, d assign.Decision, scr *Scratch) (phi float64, ok bool) {
-	n := scr.n
-	mean := 0.0
-	if n >= 2 {
-		flowTo := a.SessionFlowAgents(s)
-		cm := scr.candMax
-		copy(cm, scr.userMax)
-		switch d.Kind {
-		case assign.UserMove:
-			iu := scr.memberIndex(d.User)
-			bound := scr.hOwn[iu]
-			scr.hOwn[iu] = ownDelay(e.sc, a.UserAgent(d.User), d.User) // d.To: d is applied
-			own := 0.0
-			for j := 0; j < n; j++ {
-				if j == iu {
-					continue
-				}
-				cm[j] = scr.candColumnMax(iu, j, scr.flowDelay(a, flowTo, iu, j))
-				if in := scr.flowDelay(a, flowTo, j, iu); in > own {
-					own = in
-				}
-			}
-			scr.hOwn[iu] = bound
-			cm[iu] = own
-		case assign.FlowMove:
-			i, j := scr.memberIndex(d.Flow.Src), scr.memberIndex(d.Flow.Dst)
-			cm[j] = scr.candColumnMax(i, j, scr.flowDelay(a, flowTo, i, j))
-		}
-		sum, worst := 0.0, 0.0
-		for _, m := range cm {
-			sum += m
-			if m > worst {
-				worst = m
-			}
-		}
-		if worst > e.sc.DMaxMS {
-			return 0, false
-		}
-		mean = sum / float64(n)
-	}
-	return e.phiFromSparse(mean, &scr.cand), true
 }
 
 // ---------------------------------------------------------------------------

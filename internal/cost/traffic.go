@@ -31,7 +31,7 @@ func (e *Evaluator) SessionLoadSparse(a *assign.Assignment, s model.SessionID, s
 func (p Params) SessionLoadSparse(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
 	scr.bind(a.Scenario())
 	p.sessionLoadSparse(a, s, &scr.cur, scr)
-	scr.curOK = false
+	scr.dropCur()
 	return &scr.cur
 }
 

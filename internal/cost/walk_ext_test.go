@@ -14,7 +14,7 @@ import (
 )
 
 // TestSparsePrimitivesMatchDense: along a live chain trajectory (one
-// core.HopSession per step over the prototype workload), every session's
+// core.HopSessionWith per step over the prototype workload), every session's
 // load — on a caller's scratch and through SessionLoadOf — and its report
 // equal the map-based reference bit for bit, state by state.
 func TestSparsePrimitivesMatchDense(t *testing.T) {
@@ -37,6 +37,7 @@ func TestSparsePrimitivesMatchDense(t *testing.T) {
 	scr := ev.NewScratch()
 	rng := rand.New(rand.NewSource(13))
 	cfg := core.DefaultConfig(13)
+	hop := core.NewHopScratch(ev)
 	moved := 0
 	for i := 0; i < 120; i++ {
 		s := model.SessionID(i % sc.NumSessions())
@@ -57,7 +58,7 @@ func TestSparsePrimitivesMatchDense(t *testing.T) {
 		if got != want {
 			t.Fatalf("step %d session %d: reports differ:\nkernel:    %+v\nreference: %+v", i, s, got, want)
 		}
-		res, err := core.HopSession(a, s, ev, ledger, cfg, rng)
+		res, err := core.HopSessionWith(a, s, ev, ledger, cfg, rng, hop)
 		if err != nil {
 			t.Fatal(err)
 		}

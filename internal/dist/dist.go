@@ -17,8 +17,10 @@
 // lock, so exactly one session migrates at a time — the same mutual
 // exclusion the paper's intra-cloud FREEZE broadcast establishes. The
 // runner computes the hop from the granted snapshot with the shared
-// core.HopSession logic, so the distributed deployment and the in-process
-// engines walk statistically identical chains.
+// core.HopSessionWith logic on a scratch of its own (its delay cache
+// re-validates the session's entry against every granted snapshot), so the
+// distributed deployment and the in-process engines walk statistically
+// identical chains.
 //
 // Frames are newline-delimited JSON over a byte stream; both ends of an
 // exchange run in lockstep, so no framing beyond the newline is needed. A
@@ -425,6 +427,7 @@ type Runner struct {
 	ev  *cost.Evaluator
 	s   model.SessionID
 	cfg core.Config
+	hop *core.HopScratch
 	// TimeScale compresses virtual seconds into wall time: a countdown of c
 	// virtual seconds sleeps c×TimeScale. Defaults to 1 ms per virtual
 	// second.
@@ -469,7 +472,7 @@ func NewRunner(ev *cost.Evaluator, session model.SessionID, cfg core.Config) (*R
 		return nil, fmt.Errorf("dist: unknown session %d", session)
 	}
 	return &Runner{
-		ev: ev, s: session, cfg: cfg,
+		ev: ev, s: session, cfg: cfg, hop: core.NewHopScratch(ev),
 		TimeScale:   time.Millisecond,
 		MaxAttempts: 1,
 		BackoffBase: 5 * time.Millisecond,
@@ -601,7 +604,7 @@ func (r *Runner) exchange(dec *json.Decoder, enc *json.Encoder, rng *rand.Rand) 
 	if err != nil {
 		return false, err
 	}
-	res, err := core.HopSession(a, r.s, r.ev, ledger, r.cfg, rng)
+	res, err := core.HopSessionWith(a, r.s, r.ev, ledger, r.cfg, rng, r.hop)
 	if err != nil {
 		return false, fmt.Errorf("dist: hop session %d: %w", r.s, err)
 	}
