@@ -117,15 +117,16 @@ func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg Anneal
 		}
 		d := decisions[rng.Intn(len(decisions))]
 
+		// Price the proposal by its decision; only an accepted move is
+		// applied.
 		ev.BeginSession(a, s, scr)
 		curLoad := scr.CurLoad()
 		ledger.Remove(curLoad)
-		inv, err := a.Apply(d)
+		newLoad, err := ev.NeighbourLoad(a, s, d, scr)
 		if err != nil {
 			ledger.Add(curLoad)
 			return nil, err
 		}
-		newLoad := ev.CandidateLoad(a, s, scr)
 		var accept bool
 		var newSessionPhi float64
 		if (fullFeasible || ledger.Fits(nil)) && ledger.FitsTouched(newLoad) {
@@ -135,25 +136,25 @@ func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg Anneal
 				accept = delta <= 0 || rng.Float64() < math.Exp(-delta/temp)
 			}
 		}
-		if accept {
-			ledger.Add(newLoad)
-			fullFeasible = true // base + fitting candidate ⇒ feasible ledger
-			// Commit notification: the accepted candidate's load and Φ are
-			// already evaluated — re-sync the delay-cache entry so the next
-			// proposal for this session starts from a pure warm hit.
-			ev.CommitSessionDecision(a, s, scr, newLoad, newSessionPhi)
-			curPhi += newSessionPhi - sessionPhi[s]
-			sessionPhi[s] = newSessionPhi
-			res.Accepted++
-			if curPhi < bestPhi {
-				bestPhi = curPhi
-				best = a.Clone()
-			}
-		} else {
-			if _, err := a.Apply(inv); err != nil {
-				return nil, err
-			}
+		if !accept {
 			ledger.Add(curLoad)
+			continue
+		}
+		if _, err := a.Apply(d); err != nil {
+			return nil, err
+		}
+		ledger.Add(newLoad)
+		fullFeasible = true // base + fitting candidate ⇒ feasible ledger
+		// Commit notification: the accepted candidate's load and Φ are
+		// already evaluated — re-sync the delay-cache entry so the next
+		// proposal for this session starts from a pure warm hit.
+		ev.CommitSessionDecision(a, s, scr, newLoad, newSessionPhi)
+		curPhi += newSessionPhi - sessionPhi[s]
+		sessionPhi[s] = newSessionPhi
+		res.Accepted++
+		if curPhi < bestPhi {
+			bestPhi = curPhi
+			best = a.Clone()
 		}
 	}
 	res.Assignment = best
@@ -215,12 +216,11 @@ func GreedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfi
 			decisions = a.AppendSessionNeighborDecisions(decisions[:0], sid)
 			for _, d := range decisions {
 				res.Iterations++
-				inv, err := a.Apply(d)
+				load, err := ev.NeighbourLoad(a, sid, d, scr)
 				if err != nil {
 					ledger.Add(curLoad)
 					return nil, err
 				}
-				load := ev.CandidateLoad(a, sid, scr)
 				if baseOK && ledger.FitsTouched(load) {
 					if phi, ok := ev.CandidatePhi(a, sid, d, scr); ok && phi < bestPhi-1e-12 {
 						bestPhi = phi
@@ -228,10 +228,8 @@ func GreedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfi
 						found = true
 					}
 				}
-				if _, err := a.Apply(inv); err != nil {
-					return nil, err
-				}
 			}
+			// Only the best move is applied.
 			if found {
 				if _, err := a.Apply(bestD); err != nil {
 					return nil, err

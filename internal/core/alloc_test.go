@@ -112,12 +112,23 @@ func TestSessionTotalRateZeroAllocs(t *testing.T) {
 
 func TestFitsRepairDeltaZeroAllocs(t *testing.T) {
 	ev, a, ledger := allocFixture(t, 3)
-	sc := ev.Scenario()
 	scr := ev.NewScratch()
-	cur := ev.SessionLoadSparse(a, 0, scr)
-	own := cost.NewSparseLoad(sc.NumAgents())
-	own.CopyFrom(cur)
-	cand := ev.CandidateLoad(a, 0, scr)
+	ev.BeginSession(a, 0, scr)
+	own := scr.CurLoad()
+	var cand *cost.SparseLoad
+	for _, d := range a.AppendSessionNeighborDecisions(nil, 0) {
+		load, err := ev.NeighbourLoad(a, 0, d, scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ledger.FitsRepairDelta(load, own) {
+			cand = load
+			break
+		}
+	}
+	if cand == nil {
+		t.Fatal("no neighbour of session 0 fits")
+	}
 
 	res := testing.Benchmark(func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
@@ -131,7 +142,7 @@ func TestFitsRepairDeltaZeroAllocs(t *testing.T) {
 	}
 }
 
-// The candidate-evaluation primitives (sparse load rebuild + delta delay Φ)
+// The candidate-evaluation primitives (NeighbourLoad + delta delay Φ)
 // must also stay allocation-free, independent of the hop wrapper.
 func TestCandidateEvalZeroAllocs(t *testing.T) {
 	ev, a, _ := allocFixture(t, 4)
@@ -147,17 +158,11 @@ func TestCandidateEvalZeroAllocs(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			d := decisions[n%len(decisions)]
-			inv, err := a.Apply(d)
-			if err != nil {
+			if _, err := ev.NeighbourLoad(a, s, d, scr); err != nil {
 				evalErr = err
 				return
 			}
-			ev.CandidateLoad(a, s, scr)
 			ev.CandidatePhi(a, s, d, scr)
-			if _, err := a.Apply(inv); err != nil {
-				evalErr = err
-				return
-			}
 		}
 	})
 	if evalErr != nil {

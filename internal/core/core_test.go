@@ -554,7 +554,7 @@ func TestEngineArrivalFailurePropagates(t *testing.T) {
 // TestEngineRepairsAfterCapacityDegradation injects an agent failure: agent
 // B's capacity collapses to 5% mid-run. The split placement (each user at
 // its nearest agent) is objective-optimal beforehand, so only the repair
-// path (Ledger.FitsRepair) can move sessions off the degraded agent; after
+// path (Ledger.FitsRepairDelta) can move sessions off the degraded agent; after
 // the run no agent may remain over capacity.
 func TestEngineRepairsAfterCapacityDegradation(t *testing.T) {
 	b := model.NewBuilder(nil)
@@ -605,7 +605,7 @@ func TestEngineRepairsAfterCapacityDegradation(t *testing.T) {
 
 	// Inject the failure: agent 1 collapses to 5% — capacity 5 is below the
 	// 10 Mbps even a single session needs there, so any load on it now
-	// violates; only the FitsRepair path can move sessions off.
+	// violates; only the FitsRepairDelta path can move sessions off.
 	if err := eng.DegradeAgent(1, 0.05); err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,10 @@ import (
 )
 
 // The from-scratch reference kernels the hop pipeline is checked against:
-// every candidate pays a fresh SessionLoadOf, a fleet-wide FitsRepair scan,
-// and a from-scratch DelayFeasible and SessionObjective — no walk memo, delay
-// cache, incremental CandidatePhi or FitsRepairDelta. They take the engine's
+// every candidate is applied and pays a fresh SessionLoadOf, the repair
+// check FitsRepairDelta, and a from-scratch DelayFeasible and
+// SessionObjective — no walk memo, delay cache, neighbourhood kernel or
+// incremental CandidatePhi. They take the engine's
 // kernel signatures (the scratch is unused), so a test engine runs on them by
 // swapping its hop and rate fields; see runDifferential.
 
@@ -51,7 +52,7 @@ func hopSessionDense(
 			return HopResult{}, err
 		}
 		load := p.SessionLoadOf(a, s)
-		if ledger.FitsRepair(load, curLoad) && cost.DelayFeasible(a, s) {
+		if ledger.FitsRepairDelta(load, curLoad) && cost.DelayFeasible(a, s) {
 			phi := ev.SessionObjective(a, s)
 			reading := phi
 			if cfg.Noise != nil {
@@ -137,7 +138,7 @@ func sessionTotalRateDense(
 			return 0, err
 		}
 		load := p.SessionLoadOf(a, s)
-		if ledger.FitsRepair(load, curLoad) && cost.DelayFeasible(a, s) {
+		if ledger.FitsRepairDelta(load, curLoad) && cost.DelayFeasible(a, s) {
 			total += math.Exp(halfBeta * (phiCur - ev.SessionObjective(a, s)))
 		}
 		if _, err := a.Apply(inv); err != nil {

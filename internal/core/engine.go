@@ -172,7 +172,7 @@ func (e *Engine) DeactivateSession(s model.SessionID) error {
 // DegradeAgent shrinks agent l's effective capacities to factor × nominal
 // at the current virtual time (failure injection). Sessions currently
 // overloading the agent are not evicted; the chain's repair moves migrate
-// load away on subsequent hops (see Ledger.FitsRepair). factor = 1 restores
+// load away on subsequent hops (see Ledger.FitsRepairDelta). factor = 1 restores
 // full capacity.
 func (e *Engine) DegradeAgent(l model.AgentID, factor float64) error {
 	return e.ledger.SetCapacityScale(l, factor)

@@ -18,7 +18,8 @@ import (
 
 // TouchedSession returns the unique session whose objective a decision can
 // change: the session of the re-subscribed user (UserMove) or of the moved
-// flow's source (FlowMove).
+// flow's endpoints (FlowMove). A flow whose destination is unknown, is its
+// source, or sits in another session is an error.
 func TouchedSession(sc *model.Scenario, d assign.Decision) (model.SessionID, error) {
 	switch d.Kind {
 	case assign.UserMove:
@@ -27,10 +28,14 @@ func TouchedSession(sc *model.Scenario, d assign.Decision) (model.SessionID, err
 		}
 		return sc.User(d.User).Session, nil
 	case assign.FlowMove:
-		if int(d.Flow.Src) < 0 || int(d.Flow.Src) >= sc.NumUsers() {
-			return 0, fmt.Errorf("cost: touched session: unknown flow source %d", d.Flow.Src)
+		src, dst := d.Flow.Src, d.Flow.Dst
+		if int(src) < 0 || int(src) >= sc.NumUsers() {
+			return 0, fmt.Errorf("cost: touched session: unknown flow source %d", src)
 		}
-		return sc.User(d.Flow.Src).Session, nil
+		if int(dst) < 0 || int(dst) >= sc.NumUsers() || dst == src || sc.User(dst).Session != sc.User(src).Session {
+			return 0, fmt.Errorf("cost: touched session: flow %d→%d has no destination in its source's session", src, dst)
+		}
+		return sc.User(src).Session, nil
 	default:
 		return 0, fmt.Errorf("cost: touched session: invalid decision kind %d", d.Kind)
 	}

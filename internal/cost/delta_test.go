@@ -62,6 +62,12 @@ func TestTouchedSession(t *testing.T) {
 	if _, err := TouchedSession(sc, assign.Decision{}); err == nil {
 		t.Fatal("invalid decision accepted")
 	}
+	// A flow's destination must be another member of its source's session.
+	for _, f := range []model.Flow{{Src: 0, Dst: -1}, {Src: 0, Dst: 4}, {Src: 0, Dst: 0}, {Src: 0, Dst: 2}, {Src: -1, Dst: 1}} {
+		if s, err := TouchedSession(sc, assign.Decision{Kind: assign.FlowMove, Flow: f, To: 2}); err == nil {
+			t.Fatalf("flow %d→%d accepted as session %d", f.Src, f.Dst, s)
+		}
+	}
 }
 
 func TestObjectiveCacheMatchesFullEvaluation(t *testing.T) {

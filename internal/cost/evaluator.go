@@ -25,7 +25,7 @@ func NewEvaluator(sc *model.Scenario, p Params) (*Evaluator, error) {
 	return &Evaluator{sc: sc, p: p, exact: exactRates(sc)}, nil
 }
 
-// exactRates is the certificate under which CandidateLoad prices a flow or
+// exactRates is the certificate under which NeighbourLoad prices a flow or
 // member move as a delta: every bitrate an integer multiple of 2⁻⁸ Mbps and
 // at most 2¹⁶ Mbps, and every session at most 1 024 members. A slot of one
 // session's load then sums fewer than 2²² such terms, so every partial sum
@@ -152,9 +152,9 @@ func (e *Evaluator) ReportSystem(a *assign.Assignment) SystemReport {
 // adds the candidate load, and asks Fits.
 //
 // A ledger can also model runtime capacity degradation (failure injection):
-// SetCapacityScale shrinks an agent's effective capacities, and FitsRepair
-// lets the chain keep migrating off a newly-overloaded agent even while the
-// violation persists.
+// SetCapacityScale shrinks an agent's effective capacities, and
+// FitsRepairDelta lets the chain keep migrating off a newly-overloaded agent
+// even while the violation persists.
 type Ledger struct {
 	sc    *model.Scenario
 	down  []float64
@@ -232,23 +232,6 @@ func (g *Ledger) Violations() []model.AgentID {
 		}
 	}
 	return out
-}
-
-// FitsRepair reports whether replacing a session's current load with the
-// candidate keeps every agent within capacity OR, where an agent is already
-// over its (possibly degraded) capacity, does not worsen it. This lets the
-// chain execute repair migrations after a capacity degradation: strict Fits
-// would freeze every session touching the overloaded agent. It scans the
-// whole fleet — the reference FitsRepairDelta, which visits only the agents
-// either load touches, is checked against.
-func (g *Ledger) FitsRepair(candidate, current *SparseLoad) bool {
-	for l := 0; l < g.sc.NumAgents(); l++ {
-		if !g.fitsRepairAt(l, candidate.down[l], candidate.up[l], candidate.tasks[l],
-			current.down[l], current.up[l], current.tasks[l]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Fits reports whether the ledger plus the candidate session load respects

@@ -10,7 +10,7 @@ import (
 	"vconf/internal/model"
 )
 
-// Tests of CandidateLoad's single-flow-move delta (prepareFlow, flowLoad)
+// Tests of NeighbourLoad's single-flow-move delta (prepareFlow, flowLoad)
 // against a rebuild of the moved state; usermove_test.go holds the
 // member-move one.
 
@@ -36,9 +36,9 @@ type flowMoveCases struct {
 }
 
 // checkFlowMoves tries every single-flow move of session s from the state a
-// holds: BeginSession, Apply, then the delta (which must apply exactly when
-// the certificate holds and the moved flow's source, destination and old
-// transcoder are assigned) and CandidateLoad, whose load must be the
+// holds: BeginSession, then the delta (which must apply exactly when the
+// certificate holds and the moved flow's source, destination and old
+// transcoder are assigned) and NeighbourLoad, whose load must be the
 // reference's in all four components at every agent, with the touched set
 // and marks of a fresh rebuild. a is left as it was.
 func checkFlowMoves(t *testing.T, ev *Evaluator, a *assign.Assignment, s model.SessionID, scr *Scratch, tally *flowMoveCases) {
@@ -57,18 +57,11 @@ func checkFlowMoves(t *testing.T, ev *Evaluator, a *assign.Assignment, s model.S
 			what := fmt.Sprintf("flow %d (%d→%d) %d→%d", f, i, j, m, m2)
 			ev.BeginSession(a, s, scr)
 			before := slices.Clone(scr.cur.touched)
-			inv, err := a.Apply(assign.Decision{Kind: assign.FlowMove, Flow: fl, To: m2})
-			if err != nil {
-				t.Fatal(err)
-			}
 			want := ev.exact && k != assign.Unassigned && lv != assign.Unassigned && m != assign.Unassigned
-			if got := ev.loadDelta(a, s, scr); got != want {
+			if got := ev.exact && ev.moveLoad(a, s, scr, assign.FlowMove, f, m2); got != want {
 				t.Fatalf("%s: delta applied = %v, want %v", what, got, want)
 			}
-			ref := sameCandidate(t, what, ev, a, s, ev.CandidateLoad(a, s, scr))
-			if _, err := a.Apply(inv); err != nil {
-				t.Fatal(err)
-			}
+			ref := sameNeighbour(t, what, ev, a, s, assign.Decision{Kind: assign.FlowMove, Flow: fl, To: m2}, scr)
 			if !want {
 				tally.rebuilt++
 				continue
@@ -97,6 +90,23 @@ func checkFlowMoves(t *testing.T, ev *Evaluator, a *assign.Assignment, s model.S
 			}
 		}
 	}
+}
+
+// sameNeighbour prices d with NeighbourLoad from the state a holds, which
+// BeginSession prepared on scr, and requires the load to be that of the
+// state d reaches (sameCandidate). a is left as it was.
+func sameNeighbour(t *testing.T, what string, ev *Evaluator, a *assign.Assignment, s model.SessionID, d assign.Decision, scr *Scratch) []int32 {
+	t.Helper()
+	load, err := ev.NeighbourLoad(a, s, d, scr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := a.Apply(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Apply(inv)
+	return sameCandidate(t, what, ev, a, s, load)
 }
 
 // sameCandidate requires the candidate load of session s to be the
@@ -129,14 +139,7 @@ func checkNeighbourSequence(t *testing.T, ev *Evaluator, a *assign.Assignment, s
 	t.Helper()
 	ev.BeginSession(a, s, scr)
 	for _, d := range a.AppendSessionNeighborDecisions(nil, s) {
-		inv, err := a.Apply(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCandidate(t, "neighbour "+d.String(), ev, a, s, ev.CandidateLoad(a, s, scr))
-		if _, err := a.Apply(inv); err != nil {
-			t.Fatal(err)
-		}
+		sameNeighbour(t, "neighbour "+d.String(), ev, a, s, d, scr)
 	}
 }
 
@@ -246,9 +249,9 @@ func TestFlowMoveLoadDeltaMatchesRebuild(t *testing.T) {
 		ev.BeginSession(a, 0, scr)
 		move(fl, (from+1)%numAgents)
 		ev.SessionLoadSparse(a, 0, scr) // cur now holds another state
-		move(fl, (from+2)%numAgents)    // one flow away from the prepared one
-		sameLoad(t, "move after SessionLoadSparse", ev.CandidateLoad(a, 0, scr), sessionLoadDense(ev.p, a, 0))
-		move(fl, from)
+		move(fl, from)                  // back to the prepared one
+		sameNeighbour(t, "move after SessionLoadSparse", ev, a, 0,
+			assign.Decision{Kind: assign.FlowMove, Flow: fl, To: (from + 2) % numAgents}, scr)
 	}
 
 	// Rates off the 2⁻⁸ grid, or above 2¹⁶ Mbps, refuse the certificate.

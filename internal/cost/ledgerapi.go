@@ -32,9 +32,9 @@ type LedgerAPI interface {
 	// separate Fits-then-Add could. Bootstrap policies must use it for
 	// their final admission step.
 	TryAdd(load *SparseLoad) bool
-	// FitsRepairDelta is the repair-semantics check (see Ledger.FitsRepair):
-	// replacing current with candidate must not worsen any already-overloaded
-	// agent.
+	// FitsRepairDelta is the repair-semantics check (see
+	// Ledger.FitsRepairDelta): replacing current with candidate must not
+	// worsen any already-overloaded agent.
 	FitsRepairDelta(candidate, current *SparseLoad) bool
 	// FitsTouched is the strict check restricted to the candidate's touched
 	// agents (callers must guard a degraded background; see sparse.go).

@@ -14,10 +14,9 @@ package cost
 // needs only one pays only for it.
 //
 // NeighbourLoad and CandidatePhi take the decision and leave the assignment
-// alone; CandidateLoad finds the moved variable by diffing the assignment
-// against the state cur holds (loadDelta) and runs the same kernel. A
-// preparation is valid while cur, the delay base and hOwn describe the
-// state it was made from: every writer of any of them drops it
+// alone: a caller prices a neighbour by its decision and applies only the
+// move it keeps. A preparation is valid while cur, the delay base and hOwn
+// describe the state it was made from: every writer of any of them drops it
 // (Scratch.dropCur, CommitSessionDecision).
 
 import (
@@ -122,52 +121,21 @@ const (
 	inU
 )
 
-// CandidateLoad computes the candidate session load into CandLoad. The
-// assignment must already hold the candidate state (decision applied). A
-// candidate one decision away from the state BeginSession prepared is priced
-// by the neighbourhood kernel as the load its moved variable leaves behind
-// plus the change at its target (loadDelta); anything else is rebuilt.
+// CandidateLoad rebuilds into CandLoad the load of the state a holds, the
+// candidate applied. Its one caller is the benchmark battery's layer pass
+// (bench/layers.go), and it goes when that pass moves to NeighbourLoad.
 func (e *Evaluator) CandidateLoad(a *assign.Assignment, s model.SessionID, scr *Scratch) *SparseLoad {
-	if !e.loadDelta(a, s, scr) {
-		e.p.sessionLoadSparse(a, s, &scr.cand, scr)
-	}
+	e.p.sessionLoadSparse(a, s, &scr.cand, scr)
 	return &scr.cand
-}
-
-// loadDelta is CandidateLoad's classifier: one scan of the session's flow
-// agents and one of its members' agents against the state cur holds find
-// the one variable that moved, and the kernel prices the move into cand. It
-// reports false, leaving the rebuild, when nothing or more than one variable
-// moved or the kernel cannot take the delta.
-func (e *Evaluator) loadDelta(a *assign.Assignment, s model.SessionID, scr *Scratch) bool {
-	if !e.exact || !scr.curOK || scr.sid != s {
-		return false
-	}
-	kind, v, to := assign.DecisionKind(0), -1, assign.Unassigned
-	for g, l := range a.SessionFlowAgents(s) {
-		if l != scr.curFlows[g] {
-			if v >= 0 {
-				return false
-			}
-			kind, v, to = assign.FlowMove, g, l
-		}
-	}
-	for x, u := range scr.members {
-		if l := a.UserAgent(u); l != scr.curUsers[x] {
-			if v >= 0 {
-				return false
-			}
-			kind, v, to = assign.UserMove, x, l
-		}
-	}
-	return v >= 0 && e.moveLoad(a, s, scr, kind, v, to)
 }
 
 // NeighbourLoad computes into CandLoad the load of the state decision d
 // reaches from the one BeginSession prepared, without applying d: a holds
-// the prepared state, and holds it again on return. d must move a member or
-// flow of that session. The kernel prices it when it can; otherwise d is
-// applied, the candidate rebuilt and d undone. The error is Apply's.
+// the prepared state, and holds it again on return. d must name a member or
+// flow of that session (a user outside it panics, see moveVar); one that
+// leaves its variable where it is prices as CurLoad. The kernel prices d
+// when it can; otherwise d is applied, the candidate rebuilt and d undone.
+// The error is Apply's.
 func (e *Evaluator) NeighbourLoad(a *assign.Assignment, s model.SessionID, d assign.Decision, scr *Scratch) (*SparseLoad, error) {
 	if kind, v := scr.moveVar(d); v >= 0 && e.exact && scr.curOK && scr.sid == s &&
 		e.moveLoad(a, s, scr, kind, v, d.To) {
@@ -184,7 +152,7 @@ func (e *Evaluator) NeighbourLoad(a *assign.Assignment, s model.SessionID, d ass
 
 // CandidatePhi evaluates Φ_s and delay feasibility of the state decision d
 // reaches from the one BeginSession prepared, with the load in CandLoad
-// (CandidateLoad or NeighbourLoad must have priced the same decision). It
+// (NeighbourLoad must have priced the same decision). It
 // reads the moved variable from d alone, so a may hold either state. Only
 // the flows d moved are re-evaluated: a UserMove's 2(n−1), a FlowMove's one.
 // The per-user maxima are updated from the base's in O(n) — the moved
@@ -246,9 +214,18 @@ func (scr *Scratch) use(kind assign.DecisionKind, v int) {
 
 // moveLoad prices a move of member or flow v to agent to into cand as cur
 // plus the change, preparing the variable's load half first if needed, and
-// reports whether it could. The scenario must carry the exactness
-// certificate and cur a recorded state of the session.
+// reports whether it could; a move to v's own agent is cur itself. The
+// scenario must carry the exactness certificate and cur a recorded state of
+// the session.
 func (e *Evaluator) moveLoad(a *assign.Assignment, s model.SessionID, scr *Scratch, kind assign.DecisionKind, v int, to model.AgentID) bool {
+	at := scr.curUsers
+	if kind == assign.FlowMove {
+		at = scr.curFlows
+	}
+	if at[v] == to { // a move to where v already is
+		scr.cand.CopyFrom(&scr.cur)
+		return true
+	}
 	scr.use(kind, v)
 	mv := &scr.mv
 	if !mv.loadReady {

@@ -123,9 +123,8 @@ type neighbourCases struct {
 // TestNeighbourhoodPricingMatchesPerCandidate prices every windowed and
 // full-scan neighbour of random sessions two ways — variable by variable on
 // one prepared scratch (NeighbourLoad, FitsRepairDelta, CandidatePhi, the
-// assignment untouched), and one candidate at a time on a freshly prepared
-// scratch (Apply, CandidateLoad, FitsRepairDelta, CandidatePhi, Apply of
-// the inverse) — and requires the two bit for bit: the load's components,
+// assignment untouched), and one candidate at a time, each on a freshly
+// prepared scratch — and requires the two bit for bit: the load's components,
 // touched list and marks, the capacity and delay verdicts and Φ. Each
 // neighbour is also checked against the dense reference: load, delay
 // feasibility and Φ. Sessions of 2…14 members, packed or spread, strict
@@ -255,11 +254,10 @@ func checkNeighbourhood(t *testing.T, ev *Evaluator, a *assign.Assignment, s mod
 		for x, d := range ds {
 			what := fmt.Sprintf("n=%d %v", len(sc.Session(s).Users), d)
 			ev.BeginSession(a, s, ps)
-			inv, err := a.Apply(d)
+			load, err := ev.NeighbourLoad(a, s, d, ps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			load := ev.CandidateLoad(a, s, ps)
 			fits := ledger.FitsRepairDelta(load, ps.CurLoad())
 			var phi float64
 			var ok bool
@@ -269,6 +267,10 @@ func checkNeighbourhood(t *testing.T, ev *Evaluator, a *assign.Assignment, s mod
 			want := pricedOf(load, fits, ok, phi)
 			samePriced(t, what, byVar[x], want)
 
+			inv, err := a.Apply(d)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sameLoad(t, what, load, sessionLoadDense(ev.p, a, s))
 			switch {
 			case !fits:
@@ -284,6 +286,34 @@ func checkNeighbourhood(t *testing.T, ev *Evaluator, a *assign.Assignment, s mod
 			if _, err := a.Apply(inv); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// TestNeighbourLoadOfStay: a decision that leaves its member or flow where
+// it is reaches the prepared state itself, and NeighbourLoad must price it
+// so, not as a move off and back onto the same agent.
+func TestNeighbourLoadOfStay(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, strict := range []bool{false, true} {
+		sc := flowMoveScenario(t, rng, dyadicReps(t), 7, 5, false)
+		p := DefaultParams()
+		p.StrictPaperTraffic = strict
+		ev, err := NewEvaluator(sc, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := randomComplete(sc, rng)
+		scr := ev.NewScratch()
+		ev.BeginSession(a, 0, scr)
+		for _, u := range sc.Session(0).Users {
+			d := assign.Decision{Kind: assign.UserMove, User: u, To: a.UserAgent(u)}
+			sameNeighbour(t, "stay "+d.String(), ev, a, 0, d, scr)
+		}
+		for _, fl := range a.Flows() {
+			to, _ := a.FlowAgent(fl)
+			d := assign.Decision{Kind: assign.FlowMove, Flow: fl, To: to}
+			sameNeighbour(t, "stay "+d.String(), ev, a, 0, d, scr)
 		}
 	}
 }

@@ -139,11 +139,15 @@ func TestPlanDrivenNeighboursMatchDense(t *testing.T) {
 			sameBits(t, "current Φ", be.Phi, sessionObjectiveDense(ev, a, s))
 
 			for _, d := range a.AppendSessionNeighborDecisionsOpts(nil, s, opts) {
+				load, err := ev.NeighbourLoad(a, s, d, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
 				inv, err := a.Apply(d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameLoad(t, d.String(), ev.CandidateLoad(a, s, warm), sessionLoadDense(p, a, s))
+				sameLoad(t, d.String(), load, sessionLoadDense(p, a, s))
 				sd := SessionDelaysOf(a, s)
 				phi, ok := ev.CandidatePhi(a, s, d, warm)
 				if want := sd.WorstMS <= sc.DMaxMS; ok != want {
@@ -261,11 +265,13 @@ func TestCandidatePhiLeavesBaseIntact(t *testing.T) {
 	try := func(to model.AgentID, wantOK bool) {
 		t.Helper()
 		dec := assign.Decision{Kind: assign.UserMove, User: 0, To: to}
+		if _, err := ev.NeighbourLoad(a, s, dec, scr); err != nil {
+			t.Fatal(err)
+		}
 		inv, err := a.Apply(dec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.CandidateLoad(a, s, scr)
 		phi, ok := ev.CandidatePhi(a, s, dec, scr)
 		if ok != wantOK {
 			t.Fatalf("%v: feasible = %v, want %v", dec, ok, wantOK)

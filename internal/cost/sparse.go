@@ -6,10 +6,10 @@ package cost
 // neighbor: SparseLoad keeps a touched-agent index list over dense scratch
 // arrays, Scratch holds every reusable buffer one evaluation needs, and
 // BeginSession prepares the session's load, delay base and summary that the
-// neighbourhood kernel (neighbour.go) prices each one-decision move against:
-// once per moved variable what the move leaves behind, then per target agent
-// only the change the target makes to the load and the delays of the flows
-// the move re-routes.
+// neighbourhood kernel (neighbour.go) prices each one-decision move against,
+// named by its decision and never applied: once per moved variable what the
+// move leaves behind, then per target agent only the change the target makes
+// to the load and the delays of the flows the move re-routes.
 //
 // Exactness contract: this file is the one program path for a session's
 // load and objective. The candidate and warm-cache paths are bit-identical to
@@ -518,11 +518,11 @@ func (se SessionEval) DelayFeasible(dMaxMS float64) bool { return se.WorstMS <= 
 // the per-flow delay matrix and per-user delay maxima, and returns the
 // current Φ_s and delay summary — all with zero allocations after warm-up.
 //
-// The hop pipeline calls BeginSession once per hop, then for each candidate
-// d, with the assignment left in the prepared state: NeighbourLoad(d) →
-// Ledger.FitsRepairDelta → CandidatePhi(d). Candidates moving the same
-// variable share its preparation (see neighbour.go). Callers holding an
-// applied candidate use CandidateLoad, which finds the moved variable itself.
+// Every caller that prices neighbours calls BeginSession once per state,
+// then for each candidate d, with the assignment left in the prepared state:
+// NeighbourLoad(d) → a ledger check → CandidatePhi(d), and applies only the
+// move it keeps. Candidates moving the same variable share its preparation
+// (see neighbour.go).
 // The base delay matrix always reflects the state a held at BeginSession
 // time; the candidate evaluation only reads it.
 //
@@ -775,7 +775,7 @@ func (e *Evaluator) patchEntry(a *assign.Assignment, scr *Scratch, ent *delayEnt
 // CommitSessionDecision is the hop pipeline's commit notification: after a
 // chosen candidate is applied permanently (the assignment holds the
 // committed state), the committing evaluation already has the state's
-// sparse load (the winning CandidateLoad) and its Φ_s (the winning
+// sparse load (the winning NeighbourLoad) and its Φ_s (the winning
 // CandidatePhi), so the session's warm delay-cache entry can be
 // re-synchronized by patching just the committed decision's flows — the
 // next BeginSession for the session is then a pure warm hit instead of a
@@ -885,24 +885,12 @@ func (scr *Scratch) candColumnMax(i, j int, v float64) float64 {
 // Ledger operations on a load
 
 // Add accumulates a session load into the ledger in O(touched).
-func (g *Ledger) Add(sl *SparseLoad) {
-	for _, l := range sl.touched {
-		g.down[l] += sl.down[l]
-		g.up[l] += sl.up[l]
-		g.tasks[l] += sl.tasks[l]
-	}
-}
+func (g *Ledger) Add(sl *SparseLoad) { g.AddRange(sl, 0, len(g.down)) }
 
 // Remove subtracts a session load from the ledger in O(touched).
-func (g *Ledger) Remove(sl *SparseLoad) {
-	for _, l := range sl.touched {
-		g.down[l] -= sl.down[l]
-		g.up[l] -= sl.up[l]
-		g.tasks[l] -= sl.tasks[l]
-	}
-}
+func (g *Ledger) Remove(sl *SparseLoad) { g.RemoveRange(sl, 0, len(g.down)) }
 
-// fitsRepairAt is the per-agent FitsRepair condition. An agent a move
+// fitsRepairAt is the per-agent FitsRepairDelta condition. An agent a move
 // leaves unchanged passes without a look at its capacity: its new usage is
 // its old.
 func (g *Ledger) fitsRepairAt(l int, candDown, candUp float64, candTasks int, curDown, curUp float64, curTasks int) bool {
@@ -929,28 +917,16 @@ func (g *Ledger) fitsRepairAt(l int, candDown, candUp float64, candTasks int, cu
 	return true
 }
 
-// FitsRepairDelta is FitsRepair restricted to the agents candidate or
-// current touch — exact: on any other agent both loads contribute zero, so
-// the repair condition (do not worsen an already-overloaded agent) holds
-// trivially there regardless of the background ledger.
+// FitsRepairDelta reports whether replacing a session's current load with
+// the candidate keeps every agent within capacity OR, where an agent is
+// already over its (possibly degraded) capacity, does not worsen it. This
+// lets the chain execute repair migrations after a capacity degradation:
+// strict Fits would freeze every session touching the overloaded agent. Only
+// the agents candidate or current touch are visited — exact: on any other
+// agent both loads contribute zero, so the condition holds trivially there
+// whatever the background ledger.
 func (g *Ledger) FitsRepairDelta(candidate, current *SparseLoad) bool {
-	for _, l32 := range candidate.touched {
-		l := int(l32)
-		if !g.fitsRepairAt(l, candidate.down[l], candidate.up[l], candidate.tasks[l],
-			current.down[l], current.up[l], current.tasks[l]) {
-			return false
-		}
-	}
-	for _, l32 := range current.touched {
-		if candidate.mark[l32] {
-			continue // already checked above
-		}
-		l := int(l32)
-		if !g.fitsRepairAt(l, 0, 0, 0, current.down[l], current.up[l], current.tasks[l]) {
-			return false
-		}
-	}
-	return true
+	return g.FitsRepairDeltaRange(candidate, current, 0, len(g.down))
 }
 
 // FitsTouched is the strict capacity check (constraints (5)–(7)) restricted
@@ -994,7 +970,7 @@ func roundUp32(x float64) float32 {
 
 // FitsEnvelope reports whether the envelope's bounds, added to the ledger's
 // usage, stay within every agent's scaled capacity — the plain branch of
-// the FitsRepair condition. It is an exact certificate for the loads under
+// the FitsRepairDelta condition. It is an exact certificate for the loads under
 // the envelope: fl(usage + x) is monotone in x, so where the bound fits,
 // every load it bounds fits too, and FitsRepairDelta accepts each of them
 // whatever the current load.

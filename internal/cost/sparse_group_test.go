@@ -18,7 +18,7 @@ const groupAgents = 6
 // groupScenario is one session of five members over six agents with
 // non-dyadic bitrates (0.3 / 1.7 / 4.1 Mbps) and distinct prices, so a
 // reordered sum shows; flag bit 4 selects the dyadic 0.375 / 1.75 / 4.125
-// set instead, under which CandidateLoad prices one-decision moves as
+// set instead, under which NeighbourLoad prices one-decision moves as
 // deltas, and bit 0 DownscaleOnly. Upstreams: u0 hi, u1 mid, u2 hi, u3 lo, u4 mid.
 // Transcoding flows, in SessionFlowAgents order:
 //

@@ -114,9 +114,6 @@ func TestFitsDeltaChecksMatchDense(t *testing.T) {
 		if sparseRepair := ledger.FitsRepairDelta(candSparse, cur); denseRepair != sparseRepair {
 			t.Fatalf("trial %d: dense repair check %v vs FitsRepairDelta %v", trial, denseRepair, sparseRepair)
 		}
-		if fleetRepair := ledger.FitsRepair(candSparse, cur); denseRepair != fleetRepair {
-			t.Fatalf("trial %d: dense repair check %v vs FitsRepair %v", trial, denseRepair, fleetRepair)
-		}
 		denseFits := fitsDense(ledger, candDense)
 		if sparseFits := ledger.Fits(nil) && ledger.FitsTouched(candSparse); denseFits != sparseFits {
 			t.Fatalf("trial %d: dense Fits %v vs FitsTouched %v", trial, denseFits, sparseFits)

@@ -19,9 +19,9 @@ type userMoveCases struct {
 }
 
 // checkUserMoves tries every single-member move of session s from the state
-// a holds: BeginSession, Apply, then the delta (which must apply exactly when
-// the certificate holds and every member and flow is assigned) and
-// CandidateLoad, whose load must be the reference's in all four components
+// a holds: BeginSession, then the delta (which must apply exactly when the
+// certificate holds and every member and flow is assigned) and
+// NeighbourLoad, whose load must be the reference's in all four components
 // at every agent, with the touched set and marks of a fresh rebuild. a is
 // left as it was.
 func checkUserMoves(t *testing.T, ev *Evaluator, a *assign.Assignment, s model.SessionID, scr *Scratch, tally *userMoveCases) {
@@ -45,18 +45,11 @@ func checkUserMoves(t *testing.T, ev *Evaluator, a *assign.Assignment, s model.S
 			what := fmt.Sprintf("member %d %d→%d", i, k, k2)
 			ev.BeginSession(a, s, scr)
 			before := slices.Clone(scr.cur.touched)
-			inv, err := a.Apply(assign.Decision{Kind: assign.UserMove, User: u, To: k2})
-			if err != nil {
-				t.Fatal(err)
-			}
 			want := ev.exact && full
-			if got := ev.loadDelta(a, s, scr); got != want {
+			if got := ev.exact && ev.moveLoad(a, s, scr, assign.UserMove, i, k2); got != want {
 				t.Fatalf("%s: delta applied = %v, want %v", what, got, want)
 			}
-			ref := sameCandidate(t, what, ev, a, s, ev.CandidateLoad(a, s, scr))
-			if _, err := a.Apply(inv); err != nil {
-				t.Fatal(err)
-			}
+			ref := sameNeighbour(t, what, ev, a, s, assign.Decision{Kind: assign.UserMove, User: u, To: k2}, scr)
 			if !want {
 				tally.rebuilt++
 				continue
@@ -169,10 +162,10 @@ func TestUserMoveLoadDeltaMatchesRebuild(t *testing.T) {
 		from := a.UserAgent(model.UserID(u))
 		ev.BeginSession(a, 0, scr)
 		a.SetUserAgent(model.UserID(u), (from+1)%numAgents)
-		ev.SessionLoadSparse(a, 0, scr) // cur now holds another state
-		a.SetUserAgent(model.UserID(u), (from+2)%numAgents)
-		sameLoad(t, "move after SessionLoadSparse", ev.CandidateLoad(a, 0, scr), sessionLoadDense(ev.p, a, 0))
-		a.SetUserAgent(model.UserID(u), from)
+		ev.SessionLoadSparse(a, 0, scr)       // cur now holds another state
+		a.SetUserAgent(model.UserID(u), from) // back to the prepared one
+		sameNeighbour(t, "move after SessionLoadSparse", ev, a, 0,
+			assign.Decision{Kind: assign.UserMove, User: model.UserID(u), To: (from + 2) % numAgents}, scr)
 	}
 
 	// Rates off the 2⁻⁸ grid refuse the certificate; the moves rebuild.
@@ -186,11 +179,11 @@ func TestUserMoveLoadDeltaMatchesRebuild(t *testing.T) {
 	checkUserMoves(t, ev, randomComplete(sc, rng), 0, ev.NewScratch(), &userMoveCases{})
 }
 
-// BenchmarkCandidateLoadUserMove times CandidateLoad over every member move
+// BenchmarkNeighbourLoadUserMove times NeighbourLoad over every member move
 // of a session of n members on the shipped bitrate set, packed on four of 16
 // agents with about one transcoding flow per member, against rebuilding the
-// same candidates.
-func BenchmarkCandidateLoadUserMove(b *testing.B) {
+// same candidates applied.
+func BenchmarkNeighbourLoadUserMove(b *testing.B) {
 	for _, n := range []int{5, 12} {
 		for _, path := range []string{"delta", "rebuild"} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, path), func(b *testing.B) {
@@ -233,13 +226,14 @@ func BenchmarkCandidateLoadUserMove(b *testing.B) {
 				for it := 0; it < b.N; it++ {
 					u := users[it%n]
 					from := a.UserAgent(u)
-					a.SetUserAgent(u, model.AgentID((int(from)+1+it/n%15)%16))
+					to := model.AgentID((int(from) + 1 + it/n%15) % 16)
 					if path == "delta" {
-						ev.CandidateLoad(a, s, scr)
+						ev.NeighbourLoad(a, s, assign.Decision{Kind: assign.UserMove, User: u, To: to}, scr)
 					} else {
+						a.SetUserAgent(u, to)
 						ev.p.sessionLoadSparse(a, s, &scr.cand, scr)
+						a.SetUserAgent(u, from)
 					}
-					a.SetUserAgent(u, from)
 				}
 			})
 		}

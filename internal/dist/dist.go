@@ -385,20 +385,23 @@ func (c *Coordinator) handleFreeze(conn net.Conn, dec *json.Decoder, enc *json.E
 		c.bump(&c.stats.Rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: fmt.Sprintf("unknown agent %d", d.To)})
 	}
-	curLoad := c.ev.SessionLoadSparse(c.a, sid, c.scr)
+	// Price the decision on the state it moves from: the assignment changes
+	// only once the move is known to fit and to keep the delay cap.
+	c.ev.BeginSession(c.a, sid, c.scr)
+	curLoad := c.scr.CurLoad()
 	c.ledger.Remove(curLoad)
-	inv, err := c.a.Apply(d)
+	newLoad, err := c.ev.NeighbourLoad(c.a, sid, d, c.scr)
+	if err == nil {
+		if _, delayOK := c.ev.CandidatePhi(c.a, sid, d, c.scr); !delayOK || !c.ledger.FitsRepairDelta(newLoad, curLoad) {
+			err = errors.New("infeasible commit")
+		} else {
+			_, err = c.a.Apply(d)
+		}
+	}
 	if err != nil {
 		c.ledger.Add(curLoad)
 		c.bump(&c.stats.Rejects)
 		return enc.Encode(frame{Type: frameReject, Session: session, Err: err.Error()})
-	}
-	newLoad := c.ev.CandidateLoad(c.a, sid, c.scr)
-	if !c.ledger.FitsRepairDelta(newLoad, curLoad) || !cost.DelayFeasible(c.a, sid) {
-		c.a.Apply(inv)
-		c.ledger.Add(curLoad)
-		c.bump(&c.stats.Rejects)
-		return enc.Encode(frame{Type: frameReject, Session: session, Err: "infeasible commit"})
 	}
 	c.ledger.Add(newLoad)
 	c.bump(&c.stats.Commits)

@@ -461,3 +461,94 @@ func TestRejectedCommitRestoresLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCoordinatorRejectsHostileCommit commits, by hand, decisions no honest
+// runner sends: each must be rejected without a panic, and leave the
+// coordinator's ledger usage and assignment exactly as they were. The
+// coordinator prices a commit before it applies it, so a decision that
+// names a variable outside the frozen session must be refused before it is
+// priced.
+func TestCoordinatorRejectsHostileCommit(t *testing.T) {
+	coord, pn := pipeCoordinator(t, 31, Config{})
+	sc := coord.ev.Scenario()
+	a := coord.Assignment()
+	// A transcoding flow of session 0, a pair of session 0 that does not
+	// transcode, and a user of another session.
+	var flow, native model.Flow
+	for _, f := range a.Flows() {
+		if sc.User(f.Src).Session == 0 {
+			flow = f
+			break
+		}
+	}
+	members := sc.Session(0).Users
+	for _, u := range members {
+		for _, v := range members {
+			if u != v && !sc.Theta(u, v) {
+				native = model.Flow{Src: u, Dst: v}
+			}
+		}
+	}
+	if native.Src == native.Dst {
+		t.Fatal("no non-transcoding pair in session 0")
+	}
+	foreign := sc.Session(1).Users[0]
+	// The over-capacity move sends a member to an agent whose capacity is
+	// degraded to zero: any load it adds there worsens an overloaded agent.
+	u := members[0]
+	to := (a.UserAgent(u) + 1) % model.AgentID(sc.NumAgents())
+	coord.mu.Lock()
+	if err := coord.ledger.SetCapacityScale(to, 0); err != nil {
+		t.Fatal(err)
+	}
+	coord.mu.Unlock()
+
+	hostile := []struct {
+		name string
+		d    assign.Decision
+	}{
+		{"foreign Dst", assign.Decision{Kind: assign.FlowMove, Flow: model.Flow{Src: flow.Src, Dst: foreign}, To: 0}},
+		{"Src == Dst", assign.Decision{Kind: assign.FlowMove, Flow: model.Flow{Src: flow.Src, Dst: flow.Src}, To: 0}},
+		{"non-transcoding pair", assign.Decision{Kind: assign.FlowMove, Flow: native, To: 0}},
+		{"foreign user", assign.Decision{Kind: assign.UserMove, User: foreign, To: 0}},
+		{"To = -1", assign.Decision{Kind: assign.FlowMove, Flow: flow, To: -1}},
+		{"To = L", assign.Decision{Kind: assign.UserMove, User: u, To: model.AgentID(sc.NumAgents())}},
+		{"over capacity", assign.Decision{Kind: assign.UserMove, User: u, To: to}},
+	}
+	c, dec, enc := rawConn(t, pn)
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	for _, h := range hostile {
+		name := h.name
+		coord.mu.Lock()
+		down, up, tasks := coord.ledger.Usage()
+		coord.mu.Unlock()
+		freezeGranted(t, dec, enc, 0)
+		if err := enc.Encode(frame{Type: frameCommit, Session: 0, Moved: true, Decision: toWire(h.d)}); err != nil {
+			t.Fatal(err)
+		}
+		var ack frame
+		if err := dec.Decode(&ack); err != nil || ack.Type != frameReject {
+			t.Fatalf("%s: ack = %+v, err %v", name, ack, err)
+		}
+		if name == "over capacity" && ack.Err != "infeasible commit" {
+			t.Fatalf("%s: rejected for %q, not for capacity", name, ack.Err)
+		}
+		coord.mu.Lock()
+		down2, up2, tasks2 := coord.ledger.Usage()
+		same := coord.a.Equal(a)
+		coord.mu.Unlock()
+		if !same {
+			t.Fatalf("%s: the rejected commit changed the assignment", name)
+		}
+		for l := range tasks {
+			if down[l] != down2[l] || up[l] != up2[l] || tasks[l] != tasks2[l] {
+				t.Fatalf("%s: agent %d usage (%v, %v, %d) became (%v, %v, %d)",
+					name, l, down[l], up[l], tasks[l], down2[l], up2[l], tasks2[l])
+			}
+		}
+	}
+	if st := coord.Stats(); st.Rejects != len(hostile) || st.Commits != 0 {
+		t.Fatalf("stats %+v, want %d rejects and no commit", st, len(hostile))
+	}
+}

@@ -308,6 +308,15 @@ func FuzzDistFrames(f *testing.F) {
 	f.Add([]byte(freeze + move(infeasibleMove(f, ev, start))))
 	f.Add([]byte(freeze + move(assign.Decision{Kind: assign.UserMove, To: 9999})))
 	f.Add([]byte(freeze + move(assign.Decision{Kind: assign.FlowMove, Flow: model.Flow{Src: -1}})))
+	// A flow of session 0 whose destination sits in session 1.
+	sc := ev.Scenario()
+	for _, fl := range start.Flows() {
+		if sc.User(fl.Src).Session == 0 {
+			f.Add([]byte(freeze + move(assign.Decision{Kind: assign.FlowMove,
+				Flow: model.Flow{Src: fl.Src, Dst: sc.Session(1).Users[0]}})))
+			break
+		}
+	}
 	f.Add([]byte(freeze + line(frame{Type: frameCommit, Session: 1, Moved: true, Decision: &wireDecision{Kind: 1}})))
 	f.Add([]byte(freeze + freeze))
 	f.Add([]byte(line(frame{Type: frameCommit}) + freeze))
