@@ -262,15 +262,16 @@ func fleetScenario(b *testing.B, seed int64) (*cost.Evaluator, *assign.Assignmen
 	return ev, a, ledger
 }
 
-// BenchmarkHopSession measures one HOP of Alg. 1 on a 100-agent fleet:
-// "sparse-warm" is the production delta pipeline with the persistent
-// per-session delay cache (target: 0 allocs/op), "sparse-rebuild" the same
-// pipeline rebuilding the delay base every hop (the pre-cache path, on a
-// scratch whose delay cache is off), and "sparse-7agents" the classic
+// BenchmarkHopSession measures one HOP of Alg. 1 on a 100-agent fleet,
+// walking each session for walkHops hops back to back as an orchestrator
+// worker does: "sparse-warm" is the production delta pipeline, whose
+// BeginSession starts from the state the scratch last prepared (target:
+// 0 allocs/op), "sparse-rebuild" the same pipeline rebuilding the delay base
+// every hop (a scratch with reuse off), and "sparse-7agents" the classic
 // paper-scale workload for continuity with older baselines (the dense
-// reference lives in internal/core's tests). The "warm-hop"/"rebuild-hop" pair runs
-// the N_ngbr = 1 candidate window (Fig. 10's tightest pruning), where the
-// once-per-hop BeginSession is a large share of the hop and the warm cache
+// reference lives in internal/core's tests). The "warm-hop"/"rebuild-hop"
+// pair runs the N_ngbr = 1 candidate window (Fig. 10's tightest pruning),
+// where the once-per-hop BeginSession is a large share of the hop and reuse
 // pays off most.
 func BenchmarkHopSession(b *testing.B) {
 	run := func(b *testing.B, ev *cost.Evaluator, a *assign.Assignment, ledger *cost.Ledger, rebuild bool, window int) {
@@ -282,8 +283,9 @@ func BenchmarkHopSession(b *testing.B) {
 		sessions := ev.Scenario().NumSessions()
 		b.ReportAllocs()
 		b.ResetTimer()
+		const walkHops = 12
 		for i := 0; i < b.N; i++ {
-			if _, err := core.HopSessionWith(a, model.SessionID(i%sessions), ev, ledger, cfg, rng, scr); err != nil {
+			if _, err := core.HopSessionWith(a, model.SessionID(i/walkHops%sessions), ev, ledger, cfg, rng, scr); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -297,8 +299,8 @@ func BenchmarkHopSession(b *testing.B) {
 		run(b, ev, a, ledger, true, 0)
 	})
 	// The acceptance pair: the N_ngbr = 1 windowed chain (Fig. 10's
-	// tightest pruning), where every hop's BeginSession lands on the entry
-	// its previous commit re-synchronized — a pure warm hit.
+	// tightest pruning), where a hop's BeginSession after the walk's first
+	// lands on the state its previous commit advanced the scratch to — a hit.
 	b.Run("warm-hop", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
 		run(b, ev, a, ledger, false, 1)
@@ -325,10 +327,10 @@ func BenchmarkSessionLoad(b *testing.B) {
 
 // BenchmarkSessionObjective compares the dense Φ_s evaluation (fresh load
 // vectors + from-scratch delays) against the sparse scratch-based one, with
-// and without the persistent delay cache: the "warm" series evaluates
-// unchanged sessions, so it isolates what the cache saves on the
-// once-per-hop BeginSession term (signature compare vs full delay-base
-// rebuild).
+// and without reuse: the "warm" series re-evaluates the unchanged session the
+// scratch holds, so it isolates what reuse saves on the once-per-hop
+// BeginSession term (a compare of the session's variables vs a full
+// delay-base rebuild).
 func BenchmarkSessionObjective(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		ev, a, _ := benchScenario(b, 3)
@@ -352,15 +354,12 @@ func BenchmarkSessionObjective(b *testing.B) {
 	})
 	b.Run("sparse-warm", func(b *testing.B) {
 		ev, a, _ := benchScenario(b, 3)
-		sessions := ev.Scenario().NumSessions()
 		scr := ev.NewScratch()
-		for s := 0; s < sessions; s++ { // warm every entry
-			_ = ev.BeginSession(a, model.SessionID(s), scr).Phi
-		}
+		_ = ev.BeginSession(a, 0, scr).Phi
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = ev.BeginSession(a, model.SessionID(i%sessions), scr).Phi
+			_ = ev.BeginSession(a, 0, scr).Phi
 		}
 	})
 }

@@ -40,8 +40,8 @@ type AnnealConfig struct {
 	TEnd float64
 	Seed int64
 	// rebuildDelayBase rebuilds the full delay base on every BeginSession
-	// instead of reusing the chain's per-session delay cache: the reference
-	// the package's differential test replays against.
+	// instead of reusing the state the chain's scratch last prepared: the
+	// reference the package's differential test replays against.
 	rebuildDelayBase bool
 }
 
@@ -89,11 +89,11 @@ func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg Anneal
 	cooling := math.Pow(cfg.TEnd/cfg.T0, 1/float64(cfg.Iterations))
 	temp := cfg.T0
 
-	// One evaluation scratch serves the whole run: its per-session delay
-	// cache persists across the chain, so a proposal for a session whose
-	// variables did not move since its last evaluation skips the delay-base
-	// rebuild entirely, and an accepted move patches only the moved flows.
-	// No per-iteration allocations either way.
+	// One evaluation scratch serves the whole run. It keeps the session it
+	// last prepared, so a proposal for the same session as the last one
+	// skips the delay-base rebuild (after an accepted move, too: the commit
+	// advances the scratch); a proposal for another session rebuilds. No
+	// per-iteration allocations either way.
 	scr := ev.NewScratch()
 	scr.SetDelayCacheEnabled(!cfg.rebuildDelayBase)
 	var decisions []assign.Decision
@@ -146,8 +146,8 @@ func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg Anneal
 		ledger.Add(newLoad)
 		fullFeasible = true // base + fitting candidate ⇒ feasible ledger
 		// Commit notification: the accepted candidate's load and Φ are
-		// already evaluated — re-sync the delay-cache entry so the next
-		// proposal for this session starts from a pure warm hit.
+		// already evaluated — advance the scratch's record so a next proposal
+		// for this session starts from a hit.
 		ev.CommitSessionDecision(a, s, scr, newLoad, newSessionPhi)
 		curPhi += newSessionPhi - sessionPhi[s]
 		sessionPhi[s] = newSessionPhi
@@ -190,10 +190,9 @@ func GreedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfi
 	ledger := ev.Params().LedgerOf(a)
 
 	res := &Result{}
-	// One scratch serves the descent; its delay cache keeps each session's
-	// base warm across rounds (a session that did not improve last round
-	// re-evaluates in O(signature compare), and an applied best move
-	// patches only its own flows next round).
+	// One scratch serves the descent. It sweeps the sessions in turn, so
+	// each BeginSession rebuilds the session it prepares; no allocations
+	// after the first round either way.
 	scr := ev.NewScratch()
 	scr.SetDelayCacheEnabled(!cfg.rebuildDelayBase)
 	var decisions []assign.Decision

@@ -273,10 +273,10 @@ func tinyScenario(rng *rand.Rand) *model.Scenario {
 	return sc
 }
 
-// TestAnnealDelayCacheBitIdentical replays SA and greedy descent with the
-// persistent delay cache (default) and with the per-iteration delay-base
-// rebuild: identical seeds must walk identical chains — same accepted-move
-// counts, same objective bits, same final assignment.
+// TestAnnealDelayCacheBitIdentical replays SA and greedy descent reusing
+// the scratch's prepared state (default) and with the per-iteration
+// delay-base rebuild: identical seeds must walk identical chains — same
+// accepted-move counts, same objective bits, same final assignment.
 func TestAnnealDelayCacheBitIdentical(t *testing.T) {
 	ev, start := smallScenario(t, 5)
 

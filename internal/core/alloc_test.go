@@ -37,8 +37,9 @@ func allocFixture(t *testing.T, seed int64) (*cost.Evaluator, *assign.Assignment
 }
 
 func TestHopSessionZeroAllocs(t *testing.T) {
-	// Both sparse paths — the warm delay cache (production default) and the
-	// per-hop rebuild reference — must run allocation-free at steady state.
+	// Both sparse paths — reuse of the prepared state (production default)
+	// and the per-hop rebuild reference — must run allocation-free at steady
+	// state.
 	for _, tc := range []struct {
 		name    string
 		rebuild bool
@@ -51,8 +52,7 @@ func TestHopSessionZeroAllocs(t *testing.T) {
 			scr := NewHopScratch(ev)
 			scr.Eval().SetDelayCacheEnabled(!tc.rebuild)
 
-			// Warm-up: one pass over every session sizes all buffers (and,
-			// on the cached path, allocates every session's delay entry).
+			// Warm-up: one pass over every session sizes all buffers.
 			for s := 0; s < sessions; s++ {
 				if _, err := HopSessionWith(a, model.SessionID(s), ev, ledger, cfg, rng, scr); err != nil {
 					t.Fatal(err)

@@ -66,8 +66,9 @@ func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, dense, rebuil
 }
 
 // compareDifferential asserts that the dense reference, the sparse pipeline
-// with its persistent delay cache (the production default), and the sparse
-// pipeline with the per-hop delay-base rebuild replay identical runs.
+// reusing the state its scratch last prepared (the production default), and
+// the sparse pipeline with the per-hop delay-base rebuild replay identical
+// runs.
 func compareDifferential(t *testing.T, sc *model.Scenario, cfg Config, untilS float64,
 	degrade func(e *Engine)) {
 	t.Helper()
@@ -177,10 +178,11 @@ func TestDifferentialSparseDenseExactCTMC(t *testing.T) {
 	compareDifferential(t, fig3Scenario(t), cfg, 120, nil)
 }
 
-// Shape 5: session churn through the engine's event loop — departures and
-// re-arrivals exercise the delay cache's invalidation (bootstrap/teardown
-// mark entries cold) interleaved with warm hops. Cached and rebuild paths
-// must replay identical runs.
+// Shape 5: session churn through the engine's event loop — departures tear
+// every variable of a session down and re-arrivals bootstrap it afresh,
+// interleaved with hops of the other sessions on the engine's one scratch, so
+// its prepared state is rebuilt, patched and reused across teardowns it is
+// not told about. Reusing and rebuild paths must replay identical runs.
 func TestDifferentialDelayCacheChurn(t *testing.T) {
 	sc := multiScenario(t, 6)
 	run := func(rebuild bool) ([]hopTrace, []Sample, *assign.Assignment) {

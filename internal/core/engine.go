@@ -136,9 +136,6 @@ func (e *Engine) ActivateSession(s model.SessionID, boot Bootstrapper) error {
 	if err := boot(e.a, s, e.ledger); err != nil {
 		return fmt.Errorf("core: bootstrap session %d: %w", s, err)
 	}
-	// The bootstrap rewrote every variable of the session: drop any cached
-	// delay state so the first hop rebuilds instead of patching it all.
-	e.scratch.Eval().InvalidateDelay(s)
 	e.active[s] = true
 	e.scheduleHop(s)
 	return nil
@@ -163,9 +160,6 @@ func (e *Engine) DeactivateSession(s model.SessionID) error {
 	e.active[s] = false
 	e.epochOf(s) // ensure allocated
 	e.epochs[s]++
-	// Departure tears every variable down; invalidate the session's cached
-	// delay state (a later re-arrival full-rebuilds).
-	e.scratch.Eval().InvalidateDelay(s)
 	return nil
 }
 

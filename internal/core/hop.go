@@ -49,8 +49,8 @@ func (r *HopResult) rankCandidates(phis []float64) {
 }
 
 // HopScratch pools every reusable buffer one hop needs: the cost package's
-// evaluation scratch (sparse loads, delay matrix, and the persistent
-// per-session delay cache BeginSession reuses across hops) plus the
+// evaluation scratch (sparse loads, delay matrix, and the prepared state
+// BeginSession reuses from one hop of a session to the next) plus the
 // candidate-set buffers of the jump sampling. One scratch per worker; not
 // safe for concurrent use.
 type HopScratch struct {
@@ -233,9 +233,9 @@ func WalkSession(
 		if _, err := a.Apply(res.Decision); err != nil {
 			return st, err
 		}
-		// Commit notification: re-sync the session's warm delay-cache entry
-		// from the chosen state's load and its already-evaluated Φ, so the
-		// session's next BeginSession is a pure warm hit instead of a patch.
+		// Commit notification: advance the scratch's record to the chosen
+		// state from its load and its already-evaluated Φ, so the session's
+		// next BeginSession is a hit instead of a patch.
 		own = load
 		ev.CommitSessionDecision(a, s, es, own, res.PhiAfter)
 		visit(res)

@@ -71,7 +71,7 @@ func TestHopSessionWindowedSharedIndexZeroAllocs(t *testing.T) {
 		}
 	}
 	for s := 0; s < 2*sessions; s++ {
-		hop(s) // size the buffers and allocate every session's cache entry
+		hop(s) // size the buffers
 	}
 	s := 0
 	if allocs := testing.AllocsPerRun(200, func() { hop(s); s++ }); allocs != 0 {

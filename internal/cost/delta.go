@@ -91,21 +91,16 @@ func (c *ObjectiveCache) SetActive(s model.SessionID, on bool) {
 		c.phi[s] = 0
 		c.dirty[s] = false
 		c.load[s].recs = c.load[s].recs[:0]
-		// The session is departing: its variables are about to be torn
-		// down wholesale, so drop the refresh scratch's delay-cache entry —
-		// a re-arrival full-rebuilds instead of patching a fully-changed
-		// matrix.
-		c.scr.InvalidateDelay(s)
 	}
 }
 
 // Active reports whether session s is active.
 func (c *ObjectiveCache) Active(s model.SessionID) bool { return c.active[s] }
 
-// SetDelayCacheEnabled toggles the persistent delay cache on the cache's
-// internal refresh scratch — a control plane replaying on the rebuild
-// reference path turns it off here too, so every evaluation path it owns,
-// refreshes included, rebuilds.
+// SetDelayCacheEnabled toggles BeginSession's reuse on the cache's internal
+// refresh scratch — a control plane replaying on the rebuild reference path
+// turns it off here too, so every evaluation path it owns, refreshes
+// included, rebuilds.
 func (c *ObjectiveCache) SetDelayCacheEnabled(on bool) { c.scr.SetDelayCacheEnabled(on) }
 
 // EachActive visits the active session IDs in ascending order without

@@ -60,7 +60,7 @@ func (e *Evaluator) Scenario() *model.Scenario { return e.sc }
 func (e *Evaluator) SessionObjective(a *assign.Assignment, s model.SessionID) float64 {
 	scr := GetScratch()
 	defer PutScratch(scr)
-	return e.beginSession(a, s, scr, nil).Phi
+	return e.beginSession(a, s, scr).Phi
 }
 
 // TotalObjective computes Φ_f = Σ_s Φ_s for a complete assignment.
@@ -69,7 +69,7 @@ func (e *Evaluator) TotalObjective(a *assign.Assignment) float64 {
 	defer PutScratch(scr)
 	total := 0.0
 	for s := 0; s < e.sc.NumSessions(); s++ {
-		total += e.beginSession(a, model.SessionID(s), scr, nil).Phi
+		total += e.beginSession(a, model.SessionID(s), scr).Phi
 	}
 	return total
 }
@@ -94,7 +94,7 @@ func (e *Evaluator) ReportSession(a *assign.Assignment, s model.SessionID) Sessi
 }
 
 func (e *Evaluator) report(a *assign.Assignment, s model.SessionID, scr *Scratch) SessionReport {
-	be := e.beginSession(a, s, scr, nil)
+	be := e.beginSession(a, s, scr)
 	return SessionReport{
 		Session:       s,
 		Objective:     be.Phi,

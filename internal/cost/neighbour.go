@@ -17,7 +17,7 @@ package cost
 // alone: a caller prices a neighbour by its decision and applies only the
 // move it keeps. A preparation is valid while cur, the delay base and hOwn
 // describe the state it was made from: every writer of any of them drops it
-// (Scratch.dropCur, CommitSessionDecision).
+// (Scratch.dropCur, catchUp).
 
 import (
 	"fmt"

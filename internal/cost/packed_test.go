@@ -11,10 +11,11 @@ import (
 	"vconf/internal/model"
 )
 
-// Tests of the at-rest form of a load (packedLoad) and of the two caches
-// that keep it: the round trip is exact, what a cache retains per session
-// does not grow with the fleet, and ObjectiveCache.SessionLoad's one-view
-// contract is what its comment says.
+// Tests of the at-rest form of a load (packedLoad) and of the cache that
+// keeps it: the round trip is exact, what ObjectiveCache retains per session
+// does not grow with the fleet, a scratch retains nothing per session it
+// prepared, and ObjectiveCache.SessionLoad's one-view contract is what its
+// comment says.
 
 // sameSparse requires got to be want in every observable: touched order,
 // the sorted flag, all four components by bits at every agent of the fleet
@@ -97,12 +98,6 @@ func TestPackedLoadRoundTrip(t *testing.T) {
 			}
 			pl.unpack(dst)
 			sameSparse(t, what, dst, src)
-
-			// The record sort is sortTouched: the same order, the same flag.
-			pl.sortAgents()
-			pl.unpack(dst)
-			src.sortTouched()
-			sameSparse(t, what+"/sorted", dst, src)
 		}
 	}
 }
@@ -176,10 +171,11 @@ func heapGrowth(entries int, prepare func() (fill func())) float64 {
 }
 
 // TestRetainedLoadsDoNotScaleWithFleet warms the same sessions on a 48-agent
-// and on a 768-agent fleet: what a cache keeps per session must be under
-// 2 kB on both and within 1.5 × of each other. (With a fleet-sized load per
-// entry the delay cache reads ≈ 1.9 kB vs ≈ 25.6 kB, the objective cache
-// twice that.)
+// and on a 768-agent fleet: what the objective cache keeps per session must
+// be under 2 kB on both and within 1.5 × of each other (with a fleet-sized
+// load per entry it reads ≈ 3.8 kB vs ≈ 51 kB), and a scratch that prepares
+// the sessions in turn must keep nothing per session on either (a table of
+// per-session delay state read ≈ 300 B per session).
 func TestRetainedLoadsDoNotScaleWithFleet(t *testing.T) {
 	check := func(t *testing.T, perEntry func(ev *Evaluator, a *assign.Assignment) float64, sessions int) {
 		evN, aN := wideFleet(t, 48, sessions)
@@ -193,21 +189,24 @@ func TestRetainedLoadsDoNotScaleWithFleet(t *testing.T) {
 			t.Fatalf("retained bytes scale with the fleet: %.0f B per session on 48 agents, %.0f B on 768", narrow, wide)
 		}
 	}
-	t.Run("delay cache", func(t *testing.T) {
-		const sessions = 40
-		check(t, func(ev *Evaluator, a *assign.Assignment) float64 {
+	t.Run("prepared state", func(t *testing.T) {
+		const sessions = 200
+		for _, agents := range []int{48, 768} {
+			ev, a := wideFleet(t, agents, sessions)
 			scr := ev.NewScratch()
-			warm := func() {
+			prepare := func() {
 				for s := 0; s < sessions; s++ {
 					ev.BeginSession(a, model.SessionID(s), scr)
 				}
 			}
-			warm() // sizes the scratch's own buffers and the entry table
-			return heapGrowth(sessions, func() func() {
-				scr.DelayCacheStats().InvalidateAll()
-				return warm
-			})
-		}, sessions)
+			prepare() // sizes the scratch's own buffers
+			per := heapGrowth(sessions, func() func() { return prepare })
+			t.Logf("%.0f B per session on %d agents", per, agents)
+			if per > 64 {
+				t.Fatalf("preparing %d sessions in turn left %.0f B live per session on %d agents, want nothing",
+					sessions, per, agents)
+			}
+		}
 	})
 	t.Run("objective cache", func(t *testing.T) {
 		const sessions = 200
@@ -281,8 +280,9 @@ func TestSessionLoadIsOneView(t *testing.T) {
 	sameSparse(t, "session 0 re-arrived", c.SessionLoad(a, 0), held)
 }
 
-// TestWarmBeginSessionHitZeroAllocs: a hit unpacks the retained load into
-// the scratch and allocates nothing; so does a patch that repacks it.
+// TestWarmBeginSessionHitZeroAllocs: once the scratch's buffers are sized,
+// BeginSession allocates nothing, whether it rebuilds another session, reuses
+// the session it holds or patches it.
 func TestWarmBeginSessionHitZeroAllocs(t *testing.T) {
 	ev, a := wideFleet(t, 96, 8)
 	scr := ev.NewScratch()
@@ -291,7 +291,10 @@ func TestWarmBeginSessionHitZeroAllocs(t *testing.T) {
 	}
 	s := model.SessionID(0)
 	if allocs := testing.AllocsPerRun(200, func() { ev.BeginSession(a, s, scr); s = (s + 1) % 8 }); allocs != 0 {
-		t.Fatalf("warm hit allocates %.1f times", allocs)
+		t.Fatalf("rebuild allocates %.1f times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { ev.BeginSession(a, 3, scr) }); allocs != 0 {
+		t.Fatalf("hit allocates %.1f times", allocs)
 	}
 	u := ev.Scenario().Session(3).Users[0]
 	home, away := a.UserAgent(u), a.UserAgent(ev.Scenario().Session(3).Users[1])
@@ -304,9 +307,9 @@ func TestWarmBeginSessionHitZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBeginSessionCold times the evaluation that allocates a session's
-// cache entry: invalidate, then BeginSession. B/op is the entry — base,
-// maxima, signatures, packed load — and must not grow with the fleet.
+// BenchmarkBeginSessionCold times a rebuild: invalidate, then BeginSession.
+// Once the scratch's buffers are sized it allocates nothing on any fleet:
+// the scratch keeps one session's state, not one per session.
 func BenchmarkBeginSessionCold(b *testing.B) {
 	for _, agents := range []int{96, 384} {
 		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {

@@ -11,8 +11,30 @@ package cost
 // move leaves behind, then per target agent only the change the target makes
 // to the load and the delays of the flows the move re-routes.
 //
+// One-entry contract (what makes reuse exact): a Scratch keeps the state it
+// last prepared — the session, its members' and flows' agents (curUsers,
+// curFlows), and what BeginSession computed from them: the load (cur), the
+// n×n flow-delay base with its per-user maxima, the members' access delays,
+// and Φ_s with the delay summary. A session's delays and load are a pure
+// function of its own decision variables plus immutable scenario data (H, D,
+// σ, θ, representations): no other session's variables and no capacity state
+// enter them. So the record is exact for any assignment that gives the
+// session's variables the recorded values, whoever wrote it and through
+// whatever code path. A BeginSession of the recorded session diffs the record
+// against the assignment and recomputes only what moved: a moved member's row
+// and column of the base (2(n−1) flows, the set CandidatePhi re-routes for a
+// UserMove), a moved flow's one entry, then the load and the summary; when
+// nothing moved it is a hit and returns the record as it is. Any other
+// session, or none recorded, takes the rebuild branch. CommitSessionDecision
+// advances the record to the state a hop commits, from the load and Φ_s the
+// hop already priced, so the next hop's BeginSession is a hit. Every other
+// writer of cur drops the record (dropCur), and so does rebinding to another
+// scenario (Ensure). Alg. 1 is session-local: a walk prepares one session hop
+// after hop, so one record serves it, and a caller that interleaves sessions
+// pays a rebuild per switch.
+//
 // Exactness contract: this file is the one program path for a session's
-// load and objective. The candidate and warm-cache paths are bit-identical to
+// load and objective. The candidate and reuse paths are bit-identical to
 // a from-scratch evaluation (BeginSession's rebuild branch, which the
 // Evaluator's objective and report methods run), and the load kernel and Φ_s
 // assembly are bit-identical to the map-based reference kept test-side in
@@ -23,9 +45,11 @@ package cost
 // member-move deltas reorder additions freely, so they run only where the
 // scenario's rates certify that every partial sum is exact (exactRates);
 // elsewhere the candidate is rebuilt. Flow-delay sums carry no such
-// certificate and keep flowDelay's order of additions. The differential
-// tests here and in internal/core assert the contract state by state and by
-// replaying whole engine runs.
+// certificate and keep flowDelay's order of additions; a patched base entry
+// is the same flowDelay on the same inputs a rebuild uses. The differential
+// tests here, in internal/core, internal/anneal and internal/orchestrator
+// assert the contract state by state and by replaying whole runs with reuse
+// on and off (Scratch.SetDelayCacheEnabled).
 
 import (
 	"fmt"
@@ -171,10 +195,10 @@ func (sl *SparseLoad) CopyFrom(src *SparseLoad) {
 }
 
 // packedLoad is a load at rest: one record per touched agent, in touched
-// order, nothing sized by the fleet. The caches that keep a load per session
-// (delayEntry.load, ObjectiveCache.load) hold this form and unpack it into a
-// SparseLoad to compute with it; pack and unpack are the O(touched) loop
-// CopyFrom is and move every component unchanged.
+// order, nothing sized by the fleet. ObjectiveCache keeps a load per session
+// in this form and unpacks it into a SparseLoad to compute with it; pack and
+// unpack are the O(touched) loop CopyFrom is and move every component
+// unchanged.
 type packedLoad struct {
 	recs   []packedAgent
 	sorted bool
@@ -211,14 +235,6 @@ func (pl *packedLoad) unpack(dst *SparseLoad) {
 		dst.touched = append(dst.touched, r.agent)
 	}
 	dst.sorted = pl.sorted
-}
-
-// sortAgents is sortTouched for a load at rest: records ascending by agent.
-func (pl *packedLoad) sortAgents() {
-	if !pl.sorted {
-		slices.SortFunc(pl.recs, func(a, b packedAgent) int { return int(a.agent - b.agent) })
-		pl.sorted = true
-	}
 }
 
 // AddAt adds the given components to the load at agent l. The kernel fills
@@ -316,40 +332,38 @@ type Scratch struct {
 	// transcoder's word. Zero between calls.
 	repBits []uint64
 
-	// Delay state of the session prepared by BeginSession. base is the
-	// active n×n flow-delay matrix (row = source member index): it aliases
-	// the session's DelayCache entry when the cache is on, and ownBase —
-	// the scratch-owned rebuild buffer — when it is off.
-	// userMax holds the base's per-user maxima (it aliases the cache entry's
-	// like base does, ownMax otherwise); candMax is the per-candidate copy
-	// CandidatePhi updates. hOwn[i] is member i's access delay
-	// H(λ(u_i), u_i), read once per bind and per move, never per flow.
+	// Delay state of the session prepared by BeginSession: base is its n×n
+	// flow-delay matrix (row = source member index) and userMax the base's
+	// per-user maxima; candMax is the per-candidate copy CandidatePhi
+	// updates. hOwn[i] is member i's access delay H(λ(u_i), u_i), read once
+	// per bind and per move, never per flow.
 	sid     model.SessionID
 	members []model.UserID
 	plan    model.SessionPlan
 	n       int
 	base    []float64
-	ownBase []float64
 	userMax []float64
-	ownMax  []float64
 	candMax []float64
 	hOwn    []float64
 
-	// dc is the persistent per-session delay cache (see delaycache.go),
-	// created lazily unless disabled; movedMembers is the warm path's
-	// reusable moved-member index buffer.
-	dc           *DelayCache
-	dcOff        bool
-	movedMembers []int32
-
-	// The state cur holds the load of, which the neighbourhood kernel prices
-	// moves from: the bound session's member and flow agents, valid while
-	// curOK, and curHost, its member count per agent. Every writer of cur
-	// sets or clears them (dropCur).
+	// The state the scratch last prepared (see the one-entry contract above),
+	// which the neighbourhood kernel prices moves from: the bound session's
+	// member and flow agents, valid while curOK, with curHost, its member
+	// count per agent, and eval, its evaluation. cur holds its load and the
+	// delay state above its delays. Every writer of cur sets or clears them
+	// (dropCur).
 	curOK    bool
 	curUsers []model.AgentID
 	curFlows []model.AgentID
 	curHost  []int32
+	eval     SessionEval
+
+	// rebuildAll sends every BeginSession to the rebuild branch
+	// (SetDelayCacheEnabled(false)); moved is catchUp's moved-member buffer;
+	// hits, patches and rebuilds count BeginSession's outcomes otherwise.
+	rebuildAll              bool
+	moved                   []int32
+	hits, patches, rebuilds int
 
 	// The neighbourhood kernel's prepared variable (see neighbour.go) and its
 	// per-agent flags and destination counts, nonzero only at the agents
@@ -399,42 +413,28 @@ func (scr *Scratch) bind(sc *model.Scenario) {
 	scr.curUsers = scr.curUsers[:0]
 	scr.curOK = false
 	scr.mv.kind = 0
-	// The delay cache is dimensioned for one scenario; rebinding drops it
-	// (it is rebuilt lazily against the new scenario).
-	scr.dc = nil
 }
 
-// SetDelayCacheEnabled toggles the persistent per-session delay cache. On
-// (the default) BeginSession reuses and patches cached delay state; off,
-// it rebuilds the full delay base every call — the pre-cache reference
-// path the differential tests replay against. Warm entries survive a
-// disable/re-enable round trip (their signatures re-validate them).
-func (scr *Scratch) SetDelayCacheEnabled(on bool) { scr.dcOff = !on }
+// SetDelayCacheEnabled toggles BeginSession's reuse of the state the scratch
+// holds. On (the default) a call for the recorded session patches or reuses
+// it; off, every call rebuilds — the reference path the differential tests
+// replay against. The record stays exact across a round trip: a rebuild
+// records the state it evaluates, and the diff catches what moved since.
+func (scr *Scratch) SetDelayCacheEnabled(on bool) { scr.rebuildAll = !on }
 
-// InvalidateDelay marks session s's delay-cache entry cold, if a cache
-// exists. Engines and the orchestrator call it on session departure and
-// re-arrival, where every variable changes and a full rebuild beats
-// patching.
+// InvalidateDelay forgets the prepared state if it is session s's, so s's
+// next BeginSession rebuilds.
 func (scr *Scratch) InvalidateDelay(s model.SessionID) {
-	if scr.dc != nil {
-		scr.dc.Invalidate(s)
+	if scr.sid == s {
+		scr.dropCur()
 	}
 }
 
-// DelayCacheStats exposes the scratch's delay cache for tests and
-// benchmarks (nil when disabled or never used).
-func (scr *Scratch) DelayCacheStats() *DelayCache { return scr.dc }
-
-// delayCache returns the scratch's cache, creating it lazily, or nil when
-// disabled.
-func (scr *Scratch) delayCache() *DelayCache {
-	if scr.dcOff {
-		return nil
-	}
-	if scr.dc == nil {
-		scr.dc = NewDelayCache(scr.sc)
-	}
-	return scr.dc
+// DelayCounts returns how many BeginSession calls, with reuse on, were hits
+// (the recorded session, nothing moved), patches (the recorded session, some
+// of its variables moved) and rebuilds (another session, or none recorded).
+func (scr *Scratch) DelayCounts() (hits, patches, rebuilds int) {
+	return scr.hits, scr.patches, scr.rebuilds
 }
 
 // CurLoad returns the current-state load computed by the last BeginSession
@@ -526,23 +526,35 @@ func (se SessionEval) DelayFeasible(dMaxMS float64) bool { return se.WorstMS <= 
 // The base delay matrix always reflects the state a held at BeginSession
 // time; the candidate evaluation only reads it.
 //
-// With the delay cache enabled (the default), the delay base, load and
-// summary are retained per session across calls and re-validated against
-// the session's decision variables, so a warm call recomputes only the
-// flows whose endpoints moved since the last evaluation — O(moved flows)
-// instead of O(n²) — and a call with an unchanged session costs only the
-// signature comparison. The cached and rebuild paths are bit-identical
-// (see delaycache.go for the staleness contract).
+// When s is the session the scratch last prepared, the call starts from that
+// record (the one-entry contract at the top of this file): it recomputes only
+// the flows whose endpoints moved since — O(moved flows) instead of O(n²) —
+// and costs only the comparison of the session's variables when nothing
+// moved. Any other session is rebuilt. Both are bit-identical to the rebuild.
 func (e *Evaluator) BeginSession(a *assign.Assignment, s model.SessionID, scr *Scratch) SessionEval {
 	scr.Ensure(e)
-	return e.beginSession(a, s, scr, scr.delayCache())
+	if scr.rebuildAll {
+		return e.beginSession(a, s, scr)
+	}
+	if !scr.curOK || scr.sid != s {
+		scr.rebuilds++
+		return e.beginSession(a, s, scr)
+	}
+	if e.catchUp(a, scr) == 0 {
+		scr.hits++
+		return scr.eval
+	}
+	scr.patches++
+	e.p.sessionLoadSparse(a, s, &scr.cur, scr)
+	scr.eval = e.summarize(scr)
+	return scr.eval
 }
 
-// beginSession is BeginSession over the delay cache dc. A nil dc selects the
-// rebuild branch: everything is evaluated from the assignment and nothing is
-// kept per session — what SetDelayCacheEnabled(false) selects, and what the
+// beginSession is BeginSession's rebuild branch: everything is evaluated from
+// the assignment and recorded. It is the reference the reuse paths are
+// bit-identical to, what SetDelayCacheEnabled(false) selects, and what the
 // Evaluator's objective and report methods run on a pooled scratch.
-func (e *Evaluator) beginSession(a *assign.Assignment, s model.SessionID, scr *Scratch, dc *DelayCache) SessionEval {
+func (e *Evaluator) beginSession(a *assign.Assignment, s model.SessionID, scr *Scratch) SessionEval {
 	scr.Ensure(e)
 
 	// Bind the session: its members and its compiled plan.
@@ -552,14 +564,17 @@ func (e *Evaluator) beginSession(a *assign.Assignment, s model.SessionID, scr *S
 	n := len(scr.members)
 	scr.n = n
 	if cap(scr.candMax) < n {
-		scr.ownMax = make([]float64, n)
+		scr.userMax = make([]float64, n)
 		scr.candMax = make([]float64, n)
 		scr.hOwn = make([]float64, n)
 	}
+	if cap(scr.base) < n*n {
+		scr.base = make([]float64, n*n)
+	}
+	scr.base = scr.base[:n*n]
+	scr.userMax = scr.userMax[:n]
 	scr.candMax = scr.candMax[:n]
 	scr.hOwn = scr.hOwn[:n]
-	// Every branch below leaves cur holding the load of the state recorded
-	// here.
 	scr.dropCur()
 	for i, u := range scr.members {
 		l := a.UserAgent(u)
@@ -572,19 +587,10 @@ func (e *Evaluator) beginSession(a *assign.Assignment, s model.SessionID, scr *S
 	scr.curFlows = append(scr.curFlows[:0], a.SessionFlowAgents(s)...)
 	scr.curOK = true
 
-	if dc != nil {
-		return e.beginSessionCached(a, s, scr, dc)
-	}
-
-	// Rebuild branch: the reference the cached path is bit-identical to.
 	e.p.sessionLoadSparse(a, s, &scr.cur, scr)
-	if cap(scr.ownBase) < n*n {
-		scr.ownBase = make([]float64, n*n)
-	}
-	scr.base = scr.ownBase[:n*n]
-	scr.userMax = scr.ownMax[:n]
 	scr.fillDelayBase(a)
-	return e.summarize(scr)
+	scr.eval = e.summarize(scr)
+	return scr.eval
 }
 
 // dropCur forgets the state cur was recorded for, with its host counts, and
@@ -653,8 +659,7 @@ func (scr *Scratch) flowDelayVia(a *assign.Assignment, i, j int, pr *model.PlanP
 }
 
 // fillDelayBase computes every per-flow delay of the prepared session into
-// scr.base (the full rebuild both the cold cache path and the reference
-// path run).
+// scr.base: the rebuild, and catchUp's refill when half the session moved.
 func (scr *Scratch) fillDelayBase(a *assign.Assignment) {
 	n := scr.n
 	flowTo := a.SessionFlowAgents(scr.sid)
@@ -667,142 +672,91 @@ func (scr *Scratch) fillDelayBase(a *assign.Assignment) {
 	}
 }
 
-// beginSessionCached is BeginSession's delay-cache path: bind the session's
-// persistent entry as the active delay base, re-validate it against the
-// live decision variables, and recompute only what moved. The session and n
-// are already bound by the caller.
-func (e *Evaluator) beginSessionCached(a *assign.Assignment, s model.SessionID, scr *Scratch, dc *DelayCache) SessionEval {
+// catchUp brings the recorded state's variables and delays up to the state a
+// holds for the same session: it diffs the record's member and flow agents
+// against a and recomputes exactly the base entries whose endpoints moved —
+// a moved member's row and column with its access delay and host count, a
+// moved flow's one entry. It returns the number of moved variables; on 0 the
+// record is bitwise unchanged. A recomputed entry is the same pure flowDelay
+// a rebuild calls, so the patched base is bit-identical to a rebuild. The
+// caller brings cur and the summary up to date when anything moved.
+func (e *Evaluator) catchUp(a *assign.Assignment, scr *Scratch) int {
 	n := scr.n
-	ent := &dc.ent[s]
-	flows := a.SessionFlowsShared(s)
-	flowTo := a.SessionFlowAgents(s)
-	if ent.base == nil {
-		ent.base = make([]float64, n*n)
-		ent.userMax = make([]float64, n)
-		ent.userSig = make([]model.AgentID, n)
-		ent.flowSig = make([]model.AgentID, len(flows))
-		ent.valid = false
-	}
-	scr.base = ent.base
-	scr.userMax = ent.userMax
-
-	finish := func(out SessionEval) SessionEval {
-		// Synchronize the entry to the evaluated state.
-		ent.load.pack(&scr.cur)
-		ent.phi, ent.mean, ent.worst = out.Phi, out.MeanDelayMS, out.WorstMS
-		ent.valid = true
-		return out
-	}
-	rebuild := func() SessionEval {
-		e.p.sessionLoadSparse(a, s, &scr.cur, scr)
-		scr.fillDelayBase(a)
-		out := e.summarize(scr)
-		for i, u := range scr.members {
-			ent.userSig[i] = a.UserAgent(u)
-		}
-		copy(ent.flowSig, flowTo)
-		return finish(out)
-	}
-
-	if !ent.valid {
-		dc.rebuilds++
-		return rebuild()
-	}
-
-	if moved := e.patchEntry(a, scr, ent, flows, flowTo); moved == 0 {
-		// Unchanged signature: matrix, maxima, load, Φ_s and summary are
-		// all bitwise-unchanged — reuse everything.
-		dc.hits++
-		ent.load.unpack(&scr.cur)
-		return SessionEval{Phi: ent.phi, MeanDelayMS: ent.mean, WorstMS: ent.worst}
-	}
-	dc.patches++
-	e.p.sessionLoadSparse(a, s, &scr.cur, scr)
-	return finish(e.summarize(scr))
-}
-
-// patchEntry diffs the warm entry's decision signature against the live
-// assignment and recomputes exactly the delay entries whose endpoints
-// moved: a moved member invalidates its row and column, a moved flow one
-// entry. Returns the number of moved variables (0 = the matrix is
-// bitwise-unchanged). The recomputed values come from the same pure
-// flowDelay a full rebuild would call, so the patched matrix is
-// bit-identical to a rebuild.
-func (e *Evaluator) patchEntry(a *assign.Assignment, scr *Scratch, ent *delayEntry,
-	flows []model.Flow, flowTo []model.AgentID) int {
-	n := scr.n
-	scr.movedMembers = scr.movedMembers[:0]
+	scr.moved = scr.moved[:0]
 	for i, u := range scr.members {
-		if l := a.UserAgent(u); ent.userSig[i] != l {
-			ent.userSig[i] = l
-			scr.hOwn[i] = ownDelay(e.sc, l, u)
-			scr.movedMembers = append(scr.movedMembers, int32(i))
+		l, was := a.UserAgent(u), scr.curUsers[i]
+		if l == was {
+			continue
 		}
+		if was != assign.Unassigned {
+			scr.curHost[was]--
+		}
+		if l != assign.Unassigned {
+			scr.curHost[l]++
+		}
+		scr.curUsers[i] = l
+		scr.hOwn[i] = ownDelay(e.sc, l, u)
+		scr.moved = append(scr.moved, int32(i))
 	}
+	flows, flowTo := a.SessionFlowsShared(scr.sid), a.SessionFlowAgents(scr.sid)
 	movedFlows := 0
 	for k, l := range flowTo {
-		if ent.flowSig[k] != l {
-			ent.flowSig[k] = l
+		if scr.curFlows[k] != l {
+			scr.curFlows[k] = l
 			i, j := e.sc.MemberIndex(flows[k].Src), e.sc.MemberIndex(flows[k].Dst)
 			scr.base[i*n+j] = scr.flowDelay(a, flowTo, i, j)
 			movedFlows++
 		}
 	}
-	if len(scr.movedMembers) == 0 {
-		return movedFlows
+	moved := movedFlows + len(scr.moved)
+	if moved > 0 {
+		scr.mv.kind = 0 // the prepared variable was priced from the old state
 	}
-	if 2*len(scr.movedMembers) >= n {
+	if len(scr.moved) > 0 && 2*len(scr.moved) >= n {
 		// Patching m moved members costs 2m(n−1) flow evaluations vs
 		// n(n−1) for a full refill: refill when half the session moved.
 		// (The flow-moved entries above are simply overwritten again with
 		// identical values.)
 		scr.fillDelayBase(a)
-	} else {
-		for _, i32 := range scr.movedMembers {
-			i := int(i32)
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
+		return moved
+	}
+	for _, i32 := range scr.moved {
+		i := int(i32)
+		for j := 0; j < n; j++ {
+			if j != i {
 				scr.base[i*n+j] = scr.flowDelay(a, flowTo, i, j)
 				scr.base[j*n+i] = scr.flowDelay(a, flowTo, j, i)
 			}
 		}
 	}
-	return movedFlows + len(scr.movedMembers)
+	return moved
 }
 
 // CommitSessionDecision is the hop pipeline's commit notification: after a
 // chosen candidate is applied permanently (the assignment holds the
 // committed state), the committing evaluation already has the state's
 // sparse load (the winning NeighbourLoad) and its Φ_s (the winning
-// CandidatePhi), so the session's warm delay-cache entry can be
-// re-synchronized by patching just the committed decision's flows — the
-// next BeginSession for the session is then a pure warm hit instead of a
-// patch. load and phi must describe the committed state exactly (they are
-// bit-identical to what a fresh BeginSession would compute, since Φ_s is a
-// pure function of the session's variables). No-op when the cache is off,
-// cold, or the scratch is prepared for a different session.
+// CandidatePhi), so the scratch advances its record to the committed state —
+// the decision's flows patched in the base, load copied into CurLoad — and
+// the session's next BeginSession is a hit. load and phi must describe the
+// committed state exactly (they are bit-identical to what a fresh
+// BeginSession would compute, since Φ_s is a pure function of the session's
+// variables). No-op when reuse is off or the scratch holds another session.
 func (e *Evaluator) CommitSessionDecision(a *assign.Assignment, s model.SessionID, scr *Scratch, load *SparseLoad, phi float64) {
-	if scr.dcOff || scr.dc == nil || scr.sid != s || int(s) >= len(scr.dc.ent) {
+	if scr.rebuildAll || !scr.curOK || scr.sid != s {
 		return
 	}
-	ent := &scr.dc.ent[s]
-	if !ent.valid || ent.base == nil {
-		return
+	e.catchUp(a, scr)
+	if load != &scr.cur {
+		scr.cur.CopyFrom(load)
 	}
-	scr.mv.kind = 0 // the base and hOwn move to the committed state
-	scr.base = ent.base
-	scr.userMax = ent.userMax
-	e.patchEntry(a, scr, ent, a.SessionFlowsShared(s), a.SessionFlowAgents(s))
-	ent.mean, ent.worst = scr.delaySummary(scr.userMax)
-	ent.load.pack(load)
-	// Canonicalize to ascending agent order — the state phiFromSparse
-	// leaves behind on the rebuild path. (Every load consumer is
-	// order-insensitive per slot or sorts first, so this is cosmetic for
-	// exactness but keeps warm-restored loads byte-comparable.)
-	ent.load.sortAgents()
-	ent.phi = phi
+	// Canonicalize to ascending agent order — the state phiFromSparse leaves
+	// behind on the rebuild path. (Every load consumer is order-insensitive
+	// per slot or sorts first, so this is cosmetic for exactness but keeps a
+	// reused load byte-comparable with a rebuilt one.)
+	scr.cur.sortTouched()
+	scr.eval.Phi = phi
+	scr.eval.MeanDelayMS, scr.eval.WorstMS = scr.delaySummary(scr.userMax)
 }
 
 // delaySummary computes per-user maxima (into maxBuf), their mean, and the

@@ -17,8 +17,8 @@
 // lock, so exactly one session migrates at a time — the same mutual
 // exclusion the paper's intra-cloud FREEZE broadcast establishes. The
 // runner computes the hop from the granted snapshot with the shared
-// core.HopSessionWith logic on a scratch of its own (its delay cache
-// re-validates the session's entry against every granted snapshot), so the
+// core.HopSessionWith logic on a scratch of its own (which diffs the state it
+// last prepared against every granted snapshot), so the
 // distributed deployment and the in-process engines walk statistically
 // identical chains.
 //

@@ -10,14 +10,14 @@ import (
 	"vconf/internal/workload"
 )
 
-// TestDelayCacheConcurrentInvalidationStorm races warm worker caches
-// against commit- and departure-driven invalidation: overlapping events on
-// a churn-heavy regional fleet (short holds, so departures — the explicit
-// invalidation path under the state lock — fire constantly while sibling
-// workers evaluate warm entries).
-// Chunked execution drains the scheduler repeatedly and the full invariant
-// checker must pass after every chunk; CI runs this under -race, which
-// would flag any cross-goroutine cache access.
+// TestDelayCacheConcurrentInvalidationStorm races the workers' prepared
+// states against commits and departures: overlapping events on a
+// churn-heavy regional fleet (short holds, so departures tear sessions down
+// and re-arrivals bootstrap them afresh while a worker's scratch may still
+// hold the session's old state, which only its diff against the variables
+// can catch). Chunked execution drains the scheduler repeatedly and the full
+// invariant checker must pass after every chunk; CI runs this under -race,
+// which would flag any cross-goroutine access to a scratch.
 func TestDelayCacheConcurrentInvalidationStorm(t *testing.T) {
 	fc := workload.DefaultFleetConfig(67)
 	fc.NumAgents = 24
@@ -41,8 +41,7 @@ func TestDelayCacheConcurrentInvalidationStorm(t *testing.T) {
 	}
 	// High arrival rate + short holds: the schedule is dominated by
 	// arrival/departure pairs, so sessions are constantly torn down and
-	// re-bootstrapped while their old delay entries sit warm in worker
-	// caches.
+	// re-bootstrapped while worker scratches may hold their old state.
 	events, err := workload.PoissonSchedule(workload.ChurnConfig{
 		Seed: 67, HorizonS: 300, ArrivalRatePerS: 0.5, MeanHoldS: 40,
 		NumSessions: sc.NumSessions(),
@@ -82,7 +81,7 @@ func TestDelayCacheConcurrentInvalidationStorm(t *testing.T) {
 		t.Fatalf("processed %d events, want %d", st.Events, len(events))
 	}
 	if st.Departures == 0 || st.Commits == 0 {
-		t.Fatalf("storm exercised no invalidation or commits: %+v", st)
+		t.Fatalf("storm exercised no departures or commits: %+v", st)
 	}
 	t.Logf("storm: %d events (%d departures), %d tasks, %d commits, %d conflicts, in-flight peak %d",
 		st.Events, st.Departures, st.Tasks, st.Commits, st.Conflicts, st.InFlightPeak)

@@ -189,12 +189,12 @@ func TestFaultHealingInvariants(t *testing.T) {
 }
 
 // TestDelayCacheFaultDifferential is the failure-path extension of the
-// warm-vs-rebuild differential: across a schedule full of agent failures,
-// regional outages and recoveries, the persistent delay cache must produce
-// bit-identical results to the per-hop delay-base rebuild. Eviction-driven
-// invalidation is exactly what is under test — a warm entry surviving its
-// agent's failure would resurface a stale delay base on the session's next
-// bootstrap and diverge here.
+// reuse-vs-rebuild differential: across a schedule full of agent failures,
+// regional outages and recoveries, reusing each scratch's prepared state must
+// produce bit-identical results to the per-hop delay-base rebuild. Evictions
+// are exactly what is under test — a prepared state that outlived its
+// session's eviction and re-homing without the diff catching every moved
+// variable would resurface a stale delay base and diverge here.
 func TestDelayCacheFaultDifferential(t *testing.T) {
 	fc := chaosFleet(47)
 	_, _, homes := chaosStack(t, fc)

@@ -29,7 +29,7 @@ type goldenFixture struct {
 	events func(t *testing.T) []workload.Event
 	config func() Config
 	// rebuild also replays the stream with the per-hop delay-base rebuild
-	// (Config.rebuildDelayBase): the persistent delay cache must not move a
+	// (Config.rebuildDelayBase): reusing prepared state must not move a
 	// single decision.
 	rebuild bool
 }

@@ -112,9 +112,10 @@ type Config struct {
 	// disables instrumentation at zero hot-path cost — every call site
 	// reduces to a pointer test, pinned by the alloc tests.
 	Telemetry *telemetry.Sink
-	// rebuildDelayBase turns off every delay cache the orchestrator owns, so
-	// each evaluation rebuilds its delay base: the reference path the
-	// package's golden and fault differentials replay against.
+	// rebuildDelayBase turns off the reuse of prepared state on every scratch
+	// the orchestrator owns, so each evaluation rebuilds its delay base: the
+	// reference path the package's golden and fault differentials replay
+	// against.
 	rebuildDelayBase bool
 	// ledgerShards, when positive, fixes the capacity ledger's stripe count
 	// (clamped to the agent count) apart from the worker count: the tests'
@@ -382,8 +383,8 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 		o.agentRegion = cfg.AgentRegion
 		o.regionOut = make([]bool, o.numRegions)
 	}
-	// The objective cache's refresh scratch (guarded by o.mu) keeps its own
-	// per-session delay cache, so the reference rebuild path covers it too.
+	// The objective cache's refresh scratch (guarded by o.mu) reuses the
+	// state it last prepared, so the reference rebuild path covers it too.
 	o.cache.SetDelayCacheEnabled(!cfg.rebuildDelayBase)
 	p := cfg.ledgerShards
 	if p <= 0 {
@@ -550,15 +551,9 @@ func (o *Orchestrator) emitRecord(st *eventState) {
 		rec.Kind = "arrive"
 	case workload.EventDeparture:
 		rec.Kind = "depart"
-		if rep.Admitted {
-			// A live departure tears down the session's delay-cache entry.
-			rec.CacheInvalidated = 1
-		}
 	default:
-		// Fault kinds label themselves; evictions tore down one delay-cache
-		// entry per orphan.
+		// Fault kinds label themselves.
 		rec.Kind = rep.Event.Kind.String()
-		rec.CacheInvalidated = rep.Orphans
 	}
 	o.tel.Record(rec)
 }

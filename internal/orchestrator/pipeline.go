@@ -255,12 +255,10 @@ func (o *Orchestrator) activateLocked(s model.SessionID) (bool, error) {
 }
 
 // teardownLocked releases session s entirely: ledger load, decision
-// variables, objective and delay-cache entries, committed-agents index and
-// data-plane session — the departure teardown, reused for fault orphans.
-// Because the session leaves touchIdx (and so every future footprint and
-// touched set), no in-flight evaluation can leak its stale variables into a
-// warm cache; worker entries re-validate by signature the next time the
-// session is owned. Caller holds o.mu and owns s.
+// variables, objective-cache entry, committed-agents index and data-plane
+// session — the departure teardown, reused for fault orphans. A worker
+// scratch that last prepared s diffs its record against the variables the
+// next time the session is owned. Caller holds o.mu and owns s.
 func (o *Orchestrator) teardownLocked(s model.SessionID) error {
 	o.ledger.Remove(o.cache.SessionLoad(o.a, s))
 	for _, u := range o.sc.Session(s).Users {

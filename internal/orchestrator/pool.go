@@ -105,7 +105,7 @@ type taskProbe struct {
 	start                               time.Time
 	snapshotNs, walkNs, commitNs        int64
 	commitStart                         time.Time
-	baseHits, basePatches, baseRebuilds int64
+	baseHits, basePatches, baseRebuilds int
 }
 
 // flushCommit closes an open commit-phase interval.
@@ -120,11 +120,7 @@ func (p *taskProbe) flushCommit() {
 // baseline. Caller must have checked o.tel != nil.
 func (o *Orchestrator) beginTaskProbe(w *workerState) *taskProbe {
 	w.probe = taskProbe{start: time.Now()}
-	if dc := w.scr.Eval().DelayCacheStats(); dc != nil {
-		w.probe.baseHits = int64(dc.Hits())
-		w.probe.basePatches = int64(dc.Patches())
-		w.probe.baseRebuilds = int64(dc.Rebuilds())
-	}
+	w.probe.baseHits, w.probe.basePatches, w.probe.baseRebuilds = w.scr.Eval().DelayCounts()
 	return &w.probe
 }
 
@@ -135,11 +131,10 @@ func (o *Orchestrator) beginTaskProbe(w *workerState) *taskProbe {
 func (o *Orchestrator) finishTaskProbe(t reoptTask, w *workerState, probe *taskProbe) {
 	probe.flushCommit()
 	r := t.res
-	if dc := w.scr.Eval().DelayCacheStats(); dc != nil {
-		r.CacheHits = int64(dc.Hits()) - probe.baseHits
-		r.CachePatches = int64(dc.Patches()) - probe.basePatches
-		r.CacheRebuilds = int64(dc.Rebuilds()) - probe.baseRebuilds
-	}
+	hits, patches, rebuilds := w.scr.Eval().DelayCounts()
+	r.CacheHits = int64(hits - probe.baseHits)
+	r.CachePatches = int64(patches - probe.basePatches)
+	r.CacheRebuilds = int64(rebuilds - probe.baseRebuilds)
 	r.SnapshotNs, r.WalkNs, r.CommitNs = probe.snapshotNs, probe.walkNs, probe.commitNs
 	// Promote the finished timers into spans: the task span covers the full
 	// wall interval on the worker's lane (workers run tasks serially, so
@@ -166,14 +161,6 @@ func (o *Orchestrator) finishTaskProbe(t reoptTask, w *workerState, probe *taskP
 func (o *Orchestrator) worker(id int) {
 	w := &workerState{id: id, scr: core.NewHopScratch(o.ev), rng: rand.New(&lazySource{})}
 	w.scr.SetProximityIndex(o.nbrIdx)
-	// The worker's scratch carries a private per-session delay cache that
-	// stays warm across the hops of one refinement walk (and across tasks,
-	// when the session's variables did not change in between). Entries
-	// self-validate against the session's decision variables, so commits by
-	// sibling workers and the event loop's arrivals/departures — all of
-	// which rewrite those variables — are picked up as signature mismatches
-	// on the next evaluation; stale state is never reused (see
-	// cost.DelayCache's staleness contract).
 	w.scr.Eval().SetDelayCacheEnabled(!o.cfg.rebuildDelayBase)
 	w.snap = cost.NewLedger(o.sc)
 	w.epochs = make(shard.Epochs, 0, o.ledger.NumShards())

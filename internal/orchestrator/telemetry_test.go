@@ -15,7 +15,7 @@ import (
 type recordSums struct {
 	events, arrives, departs              int
 	commits, rejects, noChange, conflicts int
-	stalls, notAdmitted, invalidated      int
+	stalls, notAdmitted                   int
 }
 
 func foldRecords(recs []telemetry.DecisionRecord) recordSums {
@@ -38,7 +38,6 @@ func foldRecords(recs []telemetry.DecisionRecord) recordSums {
 		if !r.Admitted {
 			rs.notAdmitted++
 		}
-		rs.invalidated += r.CacheInvalidated
 	}
 	return rs
 }

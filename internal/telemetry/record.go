@@ -38,13 +38,11 @@ type DecisionRecord struct {
 	SnapshotNs int64 `json:"snapshot_ns"`
 	WalkNs     int64 `json:"walk_ns"`
 	CommitNs   int64 `json:"commit_ns"`
-	// CacheWarm/CacheCold count delay-cache evaluations served warm
-	// (hit or patch) vs cold (full rebuild) during the event's tasks;
-	// CacheInvalidated counts entries torn down by the event (1 on a live
-	// departure).
-	CacheWarm        int `json:"cache_warm"`
-	CacheCold        int `json:"cache_cold"`
-	CacheInvalidated int `json:"cache_invalidated"`
+	// CacheWarm/CacheCold count the BeginSession calls of the event's tasks
+	// that started from their scratch's prepared state (hit or patch) vs
+	// rebuilt it.
+	CacheWarm int `json:"cache_warm"`
+	CacheCold int `json:"cache_cold"`
 	// ChosenAgent is the decisive hop's target agent of the event's first
 	// committed proposal in re-optimization-set order (-1 when nothing
 	// committed). CfGap is counterfactual-k: Φ(2nd-best candidate) −

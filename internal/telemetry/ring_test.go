@@ -155,7 +155,7 @@ func TestRing(t *testing.T) {
 func TestWriteJSONLRoundTrip(t *testing.T) {
 	r := NewRing(16, func(rec *DecisionRecord, q int64) { rec.Seq = q })
 	r.Append(DecisionRecord{TimeS: 1.5, Session: 3, Kind: "arrive", Admitted: true, Commits: 2, CfGap: 0.25, CfValid: true, Objective: 12.5})
-	r.Append(DecisionRecord{TimeS: 2.0, Session: 3, Kind: "depart", Admitted: true, CacheInvalidated: 1})
+	r.Append(DecisionRecord{TimeS: 2.0, Session: 3, Kind: "depart", Admitted: true, CacheCold: 1})
 	var sb strings.Builder
 	if err := r.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 	if back[0].Kind != "arrive" || back[0].Commits != 2 || !back[0].CfValid || back[0].CfGap != 0.25 {
 		t.Fatalf("record 0 mangled: %+v", back[0])
 	}
-	if back[1].CacheInvalidated != 1 || back[1].Seq != 1 {
+	if back[1].CacheCold != 1 || back[1].Seq != 1 {
 		t.Fatalf("record 1 mangled: %+v", back[1])
 	}
 }

@@ -143,7 +143,6 @@ type Sink struct {
 	stalls        *Counter
 	drops         *Counter
 	skips         *Counter
-	invalidations *Counter
 	cacheHits     *Counter
 	cachePatches  *Counter
 	cacheRebuilds *Counter
@@ -257,7 +256,6 @@ func New(cfg Config) *Sink {
 	s.stalls = s.reg.Counter("vconf_admission_stalls_total", "events whose admission waited in the pipelined scheduler")
 	s.drops = s.reg.Counter("vconf_dropped_arrivals_total", "arrivals rejected at admission")
 	s.skips = s.reg.Counter("vconf_skipped_departures_total", "departures for never-admitted sessions")
-	s.invalidations = s.reg.Counter("vconf_delay_cache_invalidations_total", "delay-cache entries torn down by departures")
 	s.cacheHits = s.reg.Counter("vconf_delay_cache_evals_total", "delay-cache evaluation outcomes", Label{Key: "result", Value: "hit"})
 	s.cachePatches = s.reg.Counter("vconf_delay_cache_evals_total", "delay-cache evaluation outcomes", Label{Key: "result", Value: "patch"})
 	s.cacheRebuilds = s.reg.Counter("vconf_delay_cache_evals_total", "delay-cache evaluation outcomes", Label{Key: "result", Value: "rebuild"})
@@ -420,9 +418,6 @@ func (s *Sink) Record(rec DecisionRecord) {
 	}
 	if rec.Stalled {
 		s.stalls.Inc()
-	}
-	if rec.CacheInvalidated > 0 {
-		s.invalidations.Add(int64(rec.CacheInvalidated))
 	}
 	s.reoptLat[class*s.regions+rec.Region].Observe(rec.LatencyNs)
 	s.objective.Set(rec.Objective)

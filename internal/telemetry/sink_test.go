@@ -93,7 +93,7 @@ func TestSinkRegionMapping(t *testing.T) {
 func TestSinkRecordDerivedFields(t *testing.T) {
 	s := New(Config{})
 	s.Record(DecisionRecord{Kind: "arrive", Session: 0, Admitted: true, Objective: 10})
-	s.Record(DecisionRecord{Kind: "depart", Session: 0, Admitted: true, Objective: 7, CacheInvalidated: 1})
+	s.Record(DecisionRecord{Kind: "depart", Session: 0, Admitted: true, Objective: 7})
 	recs := s.Recorder().Items()
 	if len(recs) != 2 {
 		t.Fatalf("got %d records", len(recs))
@@ -108,7 +108,7 @@ func TestSinkRecordDerivedFields(t *testing.T) {
 		t.Fatal("WallNs not stamped")
 	}
 	// Record must not bump the task-scoped commit counters (Sink.Task
-	// counts those), but must count the event and the invalidation.
+	// counts those), but must count the event.
 	var sb strings.Builder
 	if err := s.Registry().WriteProm(&sb); err != nil {
 		t.Fatal(err)
@@ -116,9 +116,6 @@ func TestSinkRecordDerivedFields(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, `vconf_events_total{kind="depart",region="0"} 1`) {
 		t.Errorf("depart event not counted:\n%s", out)
-	}
-	if !strings.Contains(out, "vconf_delay_cache_invalidations_total 1") {
-		t.Errorf("invalidation not counted:\n%s", out)
 	}
 	if strings.Contains(out, `vconf_commits_total{region="0"} 1`) {
 		t.Errorf("Record double-counted commits:\n%s", out)

@@ -54,7 +54,7 @@ type FleetConfig struct {
 	// (constraint (8)); 0 keeps model.DefaultDMaxMS. Tight caps model a
 	// converged, delay-bound fleet where most single-variable moves are
 	// delay-infeasible — the shape the warm-hop benchmarks measure (hops
-	// mostly stay put, so per-session delay state is reused across hops).
+	// mostly stay put, so a session's prepared state is reused across hops).
 	DelayCapMS float64
 }
 
