@@ -38,9 +38,11 @@ func seedDocuments(f *testing.F) [][]byte {
 	for _, write := range []func(io.Writer) error{
 		s.Recorder().WriteJSONL,
 		s.Spans().WriteJSONL,
-		s.TimeseriesDoc().WriteJSON,
-		s.AlertsDoc().WriteJSON,
-		s.Registry().WriteJSON,
+		func(w io.Writer) error { return telemetry.WriteJSON(w, s.TimeseriesDoc()) },
+		func(w io.Writer) error { return telemetry.WriteJSON(w, s.AlertsDoc()) },
+		func(w io.Writer) error {
+			return telemetry.WriteJSON(w, telemetry.MetricsDoc{Metrics: s.Registry().Snapshot()})
+		},
 	} {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {

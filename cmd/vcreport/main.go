@@ -15,6 +15,10 @@
 //	         [-alerts-a A.json -alerts-b B.json]   ... with alert minutes
 //	vcreport -trace-a A.jsonl -trace-b B.jsonl     sim-trace divergence (vcsim -record-trace)
 //
+// -trace and -spans read JSONL, one object per non-blank line (a bad line
+// fails as path:N); per-class p50/p99 are nearest-rank and the fairness line
+// is the Jain index of the sink's vconf_class_delay_fairness gauge.
+//
 // Modes combine freely. The windowed-health A/B (-tsa/-tsb, optionally
 // -alerts-a/-alerts-b) compares run-level health aggregates: drop, reject
 // and conflict ratios, unhealthy-window counts, per-class windowed p99 delay
@@ -24,11 +28,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strings"
@@ -178,7 +182,7 @@ func loadJSONDoc(path string, into interface{}) error {
 // comparables. Ratio means are event-weighted (totals over totals, not a
 // mean of per-window ratios), so sparse windows don't dominate.
 func healthAggregates(doc *telemetry.TimeseriesDoc) map[string]float64 {
-	var commits, rejects, nochange, conflicts, arrivals, drops, orphans, evacRej int64
+	var commits, rejects, conflicts, arrivals, drops, orphans, evacRej int64
 	var unhealthy int64
 	classN := map[string]int64{}
 	classP99Sum := map[string]float64{}
@@ -203,7 +207,6 @@ func healthAggregates(doc *telemetry.TimeseriesDoc) map[string]float64 {
 			}
 		}
 	}
-	_ = nochange
 	agg := map[string]float64{
 		"windows":           float64(len(doc.Windows)),
 		"commits_per_s":     0,
@@ -404,36 +407,46 @@ func reportHealthAB(w io.Writer, pathA, pathB, alertsA, alertsB string, tol floa
 
 // ---- per-class delay + fairness from a decision trace --------------------
 
-func reportTrace(w io.Writer, path string) error {
+// readJSONL decodes path as one JSON object per non-blank line, calls each
+// on every decoded value in file order, and returns how many it decoded. A
+// line that does not decode fails as path:N, N counting non-blank lines.
+func readJSONL[T any](path string, each func(*T)) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Close()
-	byClass := map[string][]float64{}
-	records := 0
+	n := 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		var rec telemetry.DecisionRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return fmt.Errorf("%s:%d: %w", path, records+1, err)
+		var v T
+		if err := json.Unmarshal(line, &v); err != nil {
+			return n, fmt.Errorf("%s:%d: %w", path, n+1, err)
 		}
-		records++
+		n++
+		each(&v)
+	}
+	return n, sc.Err()
+}
+
+func reportTrace(w io.Writer, path string) error {
+	byClass := map[string][]float64{}
+	records, err := readJSONL(path, func(rec *telemetry.DecisionRecord) {
 		if rec.DelayMS <= 0 {
-			continue
+			return
 		}
 		class := rec.Class
 		if class == "" {
 			class = "default"
 		}
 		byClass[class] = append(byClass[class], rec.DelayMS)
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	if len(byClass) == 0 {
@@ -458,67 +471,22 @@ func reportTrace(w io.Writer, path string) error {
 		mean /= float64(len(d))
 		means = append(means, mean)
 		fmt.Fprintf(w, "  %-12s n=%-5d mean=%8.2fms p50=%8.2fms p99=%8.2fms\n",
-			c, len(d), mean, quantile(d, 0.50), quantile(d, 0.99))
+			c, len(d), mean, telemetry.NearestRank(d, 0.50), telemetry.NearestRank(d, 0.99))
 	}
-	fmt.Fprintf(w, "  fairness (Jain over class means): %.4f\n", jain(means))
+	fmt.Fprintf(w, "  fairness (Jain over class means): %.4f\n", telemetry.Jain(means))
 	return nil
-}
-
-// quantile reads q from an ascending-sorted slice (nearest-rank).
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-// jain is the fairness index (Σx)²/(n·Σx²) ∈ (0, 1].
-func jain(xs []float64) float64 {
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if len(xs) == 0 || sumSq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
 // ---- per-phase attribution from spans ------------------------------------
 
 func reportSpans(w io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	type agg struct {
 		count int
 		total int64
 	}
 	byName := map[string]*agg{}
 	var names []string
-	spans := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec telemetry.SpanRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return fmt.Errorf("%s:%d: %w", path, spans+1, err)
-		}
-		spans++
+	spans, err := readJSONL(path, func(rec *telemetry.SpanRecord) {
 		a := byName[rec.Name]
 		if a == nil {
 			a = &agg{}
@@ -527,8 +495,8 @@ func reportSpans(w io.Writer, path string) error {
 		}
 		a.count++
 		a.total += rec.DurNs
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	if spans == 0 {

@@ -11,7 +11,11 @@
 // The -churn mode replaces the static solve with the online orchestrator: a
 // Poisson arrival/departure schedule drives event-by-event incremental
 // re-optimization on a sharded solver pool, and the final objective is
-// compared against a from-scratch re-solve oracle.
+// compared against a from-scratch re-solve oracle. -chaos adds seeded fault
+// injection; -virtual drives the control plane from the virtual clock.
+// -trace-out and -span-out write the decision and span rings as JSONL and
+// print how many records each ring overwrote, so a wrapped ring never reads
+// as complete; the other -*-out flags write the JSON documents -listen serves.
 package main
 
 import (
@@ -46,48 +50,52 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vcsim", flag.ContinueOnError)
+	// The -churn/-chaos/-virtual knobs land in opts and the fault rates in
+	// fc; the remaining flags shape the scenario and the static solve.
 	var (
-		seed     = fs.Int64("seed", 1, "random seed")
-		duration = fs.Float64("duration", 120, "virtual seconds to simulate")
-		beta     = fs.Float64("beta", 400, "Markov approximation β")
-		initName = fs.String("init", "agrank", "bootstrap policy: agrank or nrst")
-		users    = fs.Int("users", 38, "number of conferencing users")
-		interval = fs.Float64("interval", 10, "telemetry print interval (virtual seconds)")
-
-		churn     = fs.Bool("churn", false, "online mode: Poisson churn through the orchestrator")
-		virtual   = fs.Bool("virtual", false, "virtual-clock mode: drive the orchestrator from the lazy discrete-event engine (control plane only, decoupled from wall time)")
-		recTrace  = fs.String("record-trace", "", "virtual: record the merged event stream + decision digests as a versioned JSONL trace (implies -virtual)")
-		repTrace  = fs.String("replay-trace", "", "virtual: replay a recorded trace and verify every decision digest; scenario flags must match the recording run (implies -virtual)")
-		rate      = fs.Float64("rate", 0.05, "churn: session arrival rate λ (per virtual second)")
-		hold      = fs.Float64("hold", 120, "churn: mean session hold time (virtual seconds)")
-		shards    = fs.Int("shards", 0, "churn: solver pool size (0 = GOMAXPROCS)")
-		hopBudget = fs.Int("hops", 0, "churn: refinement hop budget per task (0 = default)")
-
-		listen   = fs.String("listen", "", "churn: serve the telemetry documents and pprof on this address (e.g. 127.0.0.1:9464)")
-		traceOut = fs.String("trace-out", "", "churn: write the per-decision trace as JSONL to this file")
-		spanOut  = fs.String("span-out", "", "churn: write the finished causal spans as JSONL to this file")
-		linger   = fs.Float64("linger", 0, "churn: keep the -listen endpoint up this many wall seconds after the run")
-
-		slo         = fs.Bool("slo", false, "churn: evaluate burn-rate SLO alerts over the health sampler windows and print the alert timeline")
-		sloDelayMS  = fs.Float64("slo-delay-ms", 400, "churn: per-class p-high session-delay SLO target (ms) for -slo")
-		sampleEvery = fs.Float64("sample-every", 1, "churn: health sampler window length (virtual seconds; 0 disables sampling)")
-		metricsOut  = fs.String("metrics-out", "", "churn: write the final /metrics.json snapshot to this file")
-		tsOut       = fs.String("timeseries-out", "", "churn: write the health sampler windows (/timeseries.json) to this file")
-		alertsOut   = fs.String("alerts-out", "", "churn: write the SLO alert timeline (/alerts.json) to this file")
-		flightOut   = fs.String("flightrec-out", "", "churn: write the flight-recorder dumps (/flightrec.json) to this file")
-
-		chaos      = fs.Bool("chaos", false, "chaos mode: regional fleet churn with seeded fault injection (agent failures, regional outages, degradations, flash crowds)")
-		agents     = fs.Int("agents", 24, "chaos: fleet size")
-		regions    = fs.Int("regions", 4, "chaos: fleet regions")
-		agentMTBF  = fs.Float64("agent-mtbf", 300, "chaos: mean time between per-agent failures (virtual s; 0 disables)")
-		agentMTTR  = fs.Float64("agent-mttr", 60, "chaos: mean agent repair time (virtual s)")
-		regionMTBF = fs.Float64("region-mtbf", 600, "chaos: mean time between per-region outages (virtual s; 0 disables)")
-		regionMTTR = fs.Float64("region-mttr", 60, "chaos: mean region repair time (virtual s)")
-		degMTBF    = fs.Float64("degrade-mtbf", 300, "chaos: mean time between partial capacity degradations (virtual s; 0 disables)")
-		degMTTR    = fs.Float64("degrade-mttr", 60, "chaos: mean degradation repair time (virtual s)")
-		flashMTBF  = fs.Float64("flash-mtbf", 300, "chaos: mean time between per-region flash crowds (virtual s; 0 disables)")
-		flashSize  = fs.Int("flash-intensity", 3, "chaos: burst arrivals per flash crowd")
+		opts churnOpts
+		fc   = faults.Config{DegradeFloor: 0.4}
 	)
+	fs.Int64Var(&opts.seed, "seed", 1, "random seed")
+	fs.Float64Var(&opts.duration, "duration", 120, "virtual seconds to simulate")
+	beta := fs.Float64("beta", 400, "Markov approximation β")
+	fs.StringVar(&opts.initName, "init", "agrank", "bootstrap policy: agrank or nrst")
+	users := fs.Int("users", 38, "number of conferencing users")
+	fs.Float64Var(&opts.interval, "interval", 10, "telemetry print interval (virtual seconds)")
+
+	churn := fs.Bool("churn", false, "online mode: Poisson churn through the orchestrator")
+	virtual := fs.Bool("virtual", false, "virtual-clock mode: drive the orchestrator from the lazy discrete-event engine (control plane only, decoupled from wall time)")
+	fs.StringVar(&opts.recordTrace, "record-trace", "", "virtual: record the merged event stream + decision digests as a versioned JSONL trace (implies -virtual)")
+	fs.StringVar(&opts.replayTrace, "replay-trace", "", "virtual: replay a recorded trace and verify every decision digest; scenario flags must match the recording run (implies -virtual)")
+	fs.Float64Var(&opts.rate, "rate", 0.05, "churn: session arrival rate λ (per virtual second)")
+	fs.Float64Var(&opts.hold, "hold", 120, "churn: mean session hold time (virtual seconds)")
+	fs.IntVar(&opts.shards, "shards", 0, "churn: solver pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.hopBudget, "hops", 0, "churn: refinement hop budget per task (0 = default)")
+
+	fs.StringVar(&opts.listen, "listen", "", "churn: serve the telemetry documents and pprof on this address (e.g. 127.0.0.1:9464)")
+	fs.StringVar(&opts.traceOut, "trace-out", "", "churn: write the per-decision trace as JSONL to this file")
+	fs.StringVar(&opts.spanOut, "span-out", "", "churn: write the finished causal spans as JSONL to this file")
+	fs.Float64Var(&opts.linger, "linger", 0, "churn: keep the -listen endpoint up this many wall seconds after the run")
+
+	fs.BoolVar(&opts.slo, "slo", false, "churn: evaluate burn-rate SLO alerts over the health sampler windows and print the alert timeline")
+	fs.Float64Var(&opts.sloDelayMS, "slo-delay-ms", 400, "churn: per-class p-high session-delay SLO target (ms) for -slo")
+	fs.Float64Var(&opts.sampleEvery, "sample-every", 1, "churn: health sampler window length (virtual seconds; 0 disables sampling)")
+	fs.StringVar(&opts.metricsOut, "metrics-out", "", "churn: write the final /metrics.json snapshot to this file")
+	fs.StringVar(&opts.tsOut, "timeseries-out", "", "churn: write the health sampler windows (/timeseries.json) to this file")
+	fs.StringVar(&opts.alertsOut, "alerts-out", "", "churn: write the SLO alert timeline (/alerts.json) to this file")
+	fs.StringVar(&opts.flightOut, "flightrec-out", "", "churn: write the flight-recorder dumps (/flightrec.json) to this file")
+
+	fs.BoolVar(&opts.chaos, "chaos", false, "chaos mode: regional fleet churn with seeded fault injection (agent failures, regional outages, degradations, flash crowds)")
+	agents := fs.Int("agents", 24, "chaos: fleet size")
+	regions := fs.Int("regions", 4, "chaos: fleet regions")
+	fs.Float64Var(&fc.AgentMTBFS, "agent-mtbf", 300, "chaos: mean time between per-agent failures (virtual s; 0 disables)")
+	fs.Float64Var(&fc.AgentMTTRS, "agent-mttr", 60, "chaos: mean agent repair time (virtual s)")
+	fs.Float64Var(&fc.RegionMTBFS, "region-mtbf", 600, "chaos: mean time between per-region outages (virtual s; 0 disables)")
+	fs.Float64Var(&fc.RegionMTTRS, "region-mttr", 60, "chaos: mean region repair time (virtual s)")
+	fs.Float64Var(&fc.DegradeMTBFS, "degrade-mtbf", 300, "chaos: mean time between partial capacity degradations (virtual s; 0 disables)")
+	fs.Float64Var(&fc.DegradeMTTRS, "degrade-mttr", 60, "chaos: mean degradation repair time (virtual s)")
+	fs.Float64Var(&fc.FlashMTBFS, "flash-mtbf", 300, "chaos: mean time between per-region flash crowds (virtual s; 0 disables)")
+	fs.IntVar(&fc.FlashIntensity, "flash-intensity", 3, "chaos: burst arrivals per flash crowd")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -98,20 +106,20 @@ func run(args []string, w io.Writer) error {
 		agentRegion []int
 		err         error
 	)
-	if *chaos {
-		fc := workload.DefaultFleetConfig(*seed)
-		fc.NumAgents = *agents
-		fc.NumUsers = *users
-		fc.Regions = *regions
-		fc.AgentBandwidthMbps = 500
-		fc.AgentTranscodeSlots = 16
-		sc, homes, err = workload.GenerateSyntheticFleetRegions(fc)
+	if opts.chaos {
+		fleet := workload.DefaultFleetConfig(opts.seed)
+		fleet.NumAgents = *agents
+		fleet.NumUsers = *users
+		fleet.Regions = *regions
+		fleet.AgentBandwidthMbps = 500
+		fleet.AgentTranscodeSlots = 16
+		sc, homes, err = workload.GenerateSyntheticFleetRegions(fleet)
 		if err != nil {
 			return err
 		}
 		agentRegion = workload.AgentRegions(*agents, *regions)
 	} else {
-		wl := workload.Prototype(*seed)
+		wl := workload.Prototype(opts.seed)
 		wl.NumUsers = *users
 		sc, err = workload.Generate(wl)
 		if err != nil {
@@ -125,7 +133,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	var boot core.Bootstrapper
-	switch *initName {
+	switch opts.initName {
 	case "agrank":
 		opts := agrank.DefaultOptions(2)
 		boot = func(a *assign.Assignment, s model.SessionID, ledger cost.LedgerAPI) error {
@@ -137,76 +145,41 @@ func run(args []string, w io.Writer) error {
 			return baseline.AssignSessionNearest(a, s, p, ledger)
 		}
 	default:
-		return fmt.Errorf("unknown init policy %q", *initName)
+		return fmt.Errorf("unknown init policy %q", opts.initName)
 	}
 
-	coreCfg := core.DefaultConfig(*seed)
+	coreCfg := core.DefaultConfig(opts.seed)
 	coreCfg.Beta = *beta
-	virtualMode := *virtual || *recTrace != "" || *repTrace != ""
-	if *churn || *chaos || virtualMode {
-		opts := churnOpts{
-			params:      p,
-			boot:        boot,
-			core:        coreCfg,
-			seed:        *seed,
-			duration:    *duration,
-			interval:    *interval,
-			rate:        *rate,
-			hold:        *hold,
-			shards:      *shards,
-			hopBudget:   *hopBudget,
-			initName:    *initName,
-			listen:      *listen,
-			traceOut:    *traceOut,
-			spanOut:     *spanOut,
-			linger:      *linger,
-			slo:         *slo,
-			sloDelayMS:  *sloDelayMS,
-			sampleEvery: *sampleEvery,
-			metricsOut:  *metricsOut,
-			tsOut:       *tsOut,
-			alertsOut:   *alertsOut,
-			flightOut:   *flightOut,
-			chaos:       *chaos,
-			agentRegion: agentRegion,
-			homes:       homes,
-			recordTrace: *recTrace,
-			replayTrace: *repTrace,
-		}
+	virtualMode := *virtual || opts.recordTrace != "" || opts.replayTrace != ""
+	if *churn || opts.chaos || virtualMode {
+		opts.params = p
+		opts.boot = boot
+		opts.core = coreCfg
+		opts.agentRegion = agentRegion
+		opts.homes = homes
 		opts.churnCfg = workload.ChurnConfig{
-			Seed:            *seed,
-			HorizonS:        *duration,
-			ArrivalRatePerS: *rate,
-			MeanHoldS:       *hold,
+			Seed:            opts.seed,
+			HorizonS:        opts.duration,
+			ArrivalRatePerS: opts.rate,
+			MeanHoldS:       opts.hold,
 			NumSessions:     sc.NumSessions(),
 		}
-		if *chaos {
+		if opts.chaos {
 			// Churn draws from the front of the session pool; flash crowds
 			// burst from the remaining sessions, grouped by home region, so
 			// the two generators can never double-arrive a session.
 			nChurn := len(homes) * 3 / 5
 			opts.churnCfg.NumSessions = nChurn
-			pools := make([][]int, *regions)
+			fc.FlashSessions = make([][]int, *regions)
 			for s := nChurn; s < len(homes); s++ {
-				pools[homes[s]] = append(pools[homes[s]], s)
+				fc.FlashSessions[homes[s]] = append(fc.FlashSessions[homes[s]], s)
 			}
-			opts.faultCfg = &faults.Config{
-				Seed:           *seed + 1,
-				HorizonS:       *duration,
-				NumAgents:      *agents,
-				AgentRegion:    agentRegion,
-				AgentMTBFS:     *agentMTBF,
-				AgentMTTRS:     *agentMTTR,
-				RegionMTBFS:    *regionMTBF,
-				RegionMTTRS:    *regionMTTR,
-				DegradeMTBFS:   *degMTBF,
-				DegradeMTTRS:   *degMTTR,
-				DegradeFloor:   0.4,
-				FlashMTBFS:     *flashMTBF,
-				FlashIntensity: *flashSize,
-				FlashHoldS:     *hold / 2,
-				FlashSessions:  pools,
-			}
+			fc.Seed = opts.seed + 1
+			fc.HorizonS = opts.duration
+			fc.NumAgents = *agents
+			fc.AgentRegion = agentRegion
+			fc.FlashHoldS = opts.hold / 2
+			opts.faultCfg = &fc
 		}
 		src, closeSrc, err := eventSource(opts)
 		if err != nil {
@@ -222,7 +195,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rt, err := confsim.New(sc, p, confsim.DefaultConfig(*seed))
+	rt, err := confsim.New(sc, p, confsim.DefaultConfig(opts.seed))
 	if err != nil {
 		return err
 	}
@@ -240,17 +213,17 @@ func run(args []string, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "vcsim: %d users, %d sessions, %d agents, init=%s, β=%.0f\n",
-		sc.NumUsers(), sc.NumSessions(), sc.NumAgents(), *initName, *beta)
+		sc.NumUsers(), sc.NumSessions(), sc.NumAgents(), opts.initName, *beta)
 	init := ev.ReportSystem(eng.Assignment())
 	fmt.Fprintf(w, "t=    0.0s traffic=%8.2f Mbps delay=%6.1f ms objective=%.2f\n",
 		init.InterTraffic, init.MeanDelayMS, init.Objective)
 
-	for t := *interval; t <= *duration+1e-9; t += *interval {
+	for t := opts.interval; t <= opts.duration+1e-9; t += opts.interval {
 		if _, err := eng.Run(t, 0); err != nil {
 			return err
 		}
 		rt.SetAssignment(eng.Assignment())
-		tel, err := rt.Tick(*interval)
+		tel, err := rt.Tick(opts.interval)
 		if err != nil {
 			return err
 		}
@@ -318,13 +291,19 @@ func printHealthSummary(w io.Writer, sink *telemetry.Sink) {
 	}
 }
 
-// writeDoc streams one exposition document to a file.
-func writeDoc(path string, write func(io.Writer) error) error {
+// writeDoc writes one exposition document to a file: a ring as JSONL, any
+// other document as indented JSON.
+func writeDoc(path string, doc any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := write(f)
+	var werr error
+	if ring, ok := doc.(interface{ WriteJSONL(io.Writer) error }); ok {
+		werr = ring.WriteJSONL(f)
+	} else {
+		werr = telemetry.WriteJSON(f, doc)
+	}
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -560,44 +539,31 @@ func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src sim.Event
 		return fmt.Errorf("final state infeasible: %w", err)
 	}
 	fmt.Fprintln(w, "final state feasible: capacities and delay caps hold")
-	if opts.traceOut != "" {
-		if err := writeDoc(opts.traceOut, sink.Recorder().WriteJSONL); err != nil {
-			return fmt.Errorf("trace-out: %w", err)
+	if sink != nil {
+		// Each document asked for goes to its file, followed by a line saying
+		// what it held.
+		recs, spans := sink.Recorder(), sink.Spans()
+		ts, alerts, flight := sink.TimeseriesDoc(), sink.AlertsDoc(), sink.FlightDoc()
+		for _, out := range []struct {
+			flag, path string
+			doc        any
+			note       string
+		}{
+			{"trace-out", opts.traceOut, recs, fmt.Sprintf("trace: wrote %d decision records to %s (%d dropped)", recs.Len(), opts.traceOut, recs.Dropped())},
+			{"span-out", opts.spanOut, spans, fmt.Sprintf("spans: wrote %d span records to %s (%d dropped)", spans.Len(), opts.spanOut, spans.Dropped())},
+			{"metrics-out", opts.metricsOut, telemetry.MetricsDoc{Metrics: sink.Registry().Snapshot()}, "metrics: wrote final snapshot to " + opts.metricsOut},
+			{"timeseries-out", opts.tsOut, ts, fmt.Sprintf("timeseries: wrote %d windows to %s", ts.WindowsTotal, opts.tsOut)},
+			{"alerts-out", opts.alertsOut, alerts, fmt.Sprintf("alerts: wrote %d transitions to %s", len(alerts.Events), opts.alertsOut)},
+			{"flightrec-out", opts.flightOut, flight, fmt.Sprintf("flightrec: wrote %d dumps to %s", len(flight.Dumps), opts.flightOut)},
+		} {
+			if out.path == "" {
+				continue
+			}
+			if err := writeDoc(out.path, out.doc); err != nil {
+				return fmt.Errorf("%s: %w", out.flag, err)
+			}
+			fmt.Fprintln(w, out.note)
 		}
-		fmt.Fprintf(w, "trace: wrote %d decision records to %s\n", sink.Recorder().Len(), opts.traceOut)
-	}
-	if opts.spanOut != "" {
-		if err := writeDoc(opts.spanOut, sink.Spans().WriteJSONL); err != nil {
-			return fmt.Errorf("span-out: %w", err)
-		}
-		fmt.Fprintf(w, "spans: wrote %d span records to %s\n", sink.Spans().Len(), opts.spanOut)
-	}
-	if opts.metricsOut != "" {
-		if err := writeDoc(opts.metricsOut, sink.Registry().WriteJSON); err != nil {
-			return fmt.Errorf("metrics-out: %w", err)
-		}
-		fmt.Fprintf(w, "metrics: wrote final snapshot to %s\n", opts.metricsOut)
-	}
-	if opts.tsOut != "" {
-		doc := sink.TimeseriesDoc()
-		if err := writeDoc(opts.tsOut, doc.WriteJSON); err != nil {
-			return fmt.Errorf("timeseries-out: %w", err)
-		}
-		fmt.Fprintf(w, "timeseries: wrote %d windows to %s\n", doc.WindowsTotal, opts.tsOut)
-	}
-	if opts.alertsOut != "" {
-		doc := sink.AlertsDoc()
-		if err := writeDoc(opts.alertsOut, doc.WriteJSON); err != nil {
-			return fmt.Errorf("alerts-out: %w", err)
-		}
-		fmt.Fprintf(w, "alerts: wrote %d transitions to %s\n", len(doc.Events), opts.alertsOut)
-	}
-	if opts.flightOut != "" {
-		doc := sink.FlightDoc()
-		if err := writeDoc(opts.flightOut, doc.WriteJSON); err != nil {
-			return fmt.Errorf("flightrec-out: %w", err)
-		}
-		fmt.Fprintf(w, "flightrec: wrote %d dumps to %s\n", len(doc.Dumps), opts.flightOut)
 	}
 	if opts.listen != "" && opts.linger > 0 {
 		// Keep the endpoint alive so an external scraper (e.g. the CI smoke

@@ -62,13 +62,19 @@ func TestRunChurnTraceOut(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.jsonl")
 	var buf bytes.Buffer
 	err := run([]string{"-churn", "-duration", "120", "-rate", "0.1", "-hold", "60",
-		"-interval", "30", "-users", "24", "-shards", "2", "-trace-out", out}, &buf)
+		"-interval", "30", "-users", "24", "-shards", "2", "-trace-out", out,
+		"-span-out", filepath.Join(t.TempDir(), "spans.jsonl")}, &buf)
 	if err != nil {
 		t.Fatalf("run churn -trace-out: %v", err)
 	}
 	log := buf.String()
-	for _, want := range []string{"counterfactual-k:", "trace: wrote"} {
-		if !strings.Contains(log, want) {
+	if !strings.Contains(log, "counterfactual-k:") {
+		t.Fatalf("output missing the counterfactual-k line:\n%s", log)
+	}
+	// Both ring files say how many records their ring overwrote; the
+	// decision ring is sized to the schedule, so it drops none.
+	for _, want := range []string{`trace: wrote \d+ decision records to \S+ \(0 dropped\)`, `spans: wrote \d+ span records to \S+ \(\d+ dropped\)`} {
+		if !regexp.MustCompile(want).MatchString(log) {
 			t.Fatalf("output missing %q:\n%s", want, log)
 		}
 	}

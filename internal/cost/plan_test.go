@@ -102,6 +102,37 @@ func sameBits(t *testing.T, what string, got, want float64) {
 	}
 }
 
+// TestReportSessionMeanDelayMatchesSessionDelaysOf: the mean-of-max delay
+// the Evaluator reports from its scratch is bit-equal to SessionDelaysOf's
+// on random states, single-member sessions and Unassigned members and flows
+// included, so callers may read either.
+func TestReportSessionMeanDelayMatchesSessionDelaysOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 60; trial++ {
+		sc := nonDyadicScenario(t, rng, trial%2 == 1)
+		ev, err := NewEvaluator(sc, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := randomComplete(sc, rng)
+		for u := 0; u < sc.NumUsers(); u++ {
+			if rng.Intn(5) == 0 {
+				a.SetUserAgent(model.UserID(u), assign.Unassigned)
+			}
+		}
+		for _, f := range a.Flows() {
+			if rng.Intn(5) == 0 {
+				if err := a.SetFlowAgent(f, assign.Unassigned); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for s := model.SessionID(0); int(s) < sc.NumSessions(); s++ {
+			sameBits(t, "mean delay", ev.ReportSession(a, s).MeanDelayMS, SessionDelaysOf(a, s).MeanOfMaxMS)
+		}
+	}
+}
+
 // TestPlanDrivenNeighboursMatchDense: for every windowed neighbour of every
 // session of random non-dyadic scenarios — DownscaleOnly and
 // StrictPaperTraffic on and off, some members and flows Unassigned — the

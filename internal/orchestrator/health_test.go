@@ -42,10 +42,10 @@ func healthDocs(t *testing.T, fc workload.FleetConfig, events []workload.Event, 
 	}
 	sink.Flush()
 	var ts, al bytes.Buffer
-	if err := sink.TimeseriesDoc().WriteJSON(&ts); err != nil {
+	if err := telemetry.WriteJSON(&ts, sink.TimeseriesDoc()); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.AlertsDoc().WriteJSON(&al); err != nil {
+	if err := telemetry.WriteJSON(&al, sink.AlertsDoc()); err != nil {
 		t.Fatal(err)
 	}
 	return ts.String(), al.String()

@@ -486,15 +486,16 @@ func eventSpanName(k workload.EventKind) string {
 
 // observeDelay returns the post-decision session delay of an admitted
 // arrival's session — the per-class SLO reading — and 0 for every other
-// event or without a sink. Pure observation (enabled-telemetry runs read,
-// never write, extra state), so nil-vs-enabled runs stay bit-identical.
+// event or without a sink. Pure observation: the evaluation runs on a
+// pooled scratch, whose prepared state never changes a result, so
+// nil-vs-enabled runs stay bit-identical.
 // The caller must still own the trigger session's variables: the event's
 // reopt stage calls it before the scheduler releases the footprint.
 func (o *Orchestrator) observeDelay(e workload.Event, admitted bool) float64 {
 	if o.tel == nil || e.Kind != workload.EventArrival || !admitted {
 		return 0
 	}
-	return cost.SessionDelaysOf(o.a, model.SessionID(e.Session)).MeanOfMaxMS
+	return o.ev.ReportSession(o.a, model.SessionID(e.Session)).MeanDelayMS
 }
 
 // emitRecord publishes one event's decision record to the telemetry sink

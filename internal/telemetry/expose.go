@@ -15,13 +15,13 @@ var documents = []struct {
 	write             func(s *Sink, w io.Writer) error
 }{
 	{"/metrics", "text/plain; version=0.0.4; charset=utf-8", func(s *Sink, w io.Writer) error { return s.reg.WriteProm(w) }},
-	{"/metrics.json", "application/json", func(s *Sink, w io.Writer) error { return s.reg.WriteJSON(w) }},
+	{"/metrics.json", "application/json", func(s *Sink, w io.Writer) error { return WriteJSON(w, MetricsDoc{Metrics: s.reg.Snapshot()}) }},
 	{"/trace.jsonl", "application/x-ndjson", func(s *Sink, w io.Writer) error { return s.rec.WriteJSONL(w) }},
 	{"/spans.jsonl", "application/x-ndjson", func(s *Sink, w io.Writer) error { return s.spans.WriteJSONL(w) }},
 	{"/trace.chrome.json", "application/json", (*Sink).WriteChromeTrace},
-	{"/timeseries.json", "application/json", func(s *Sink, w io.Writer) error { return s.TimeseriesDoc().WriteJSON(w) }},
-	{"/alerts.json", "application/json", func(s *Sink, w io.Writer) error { return s.AlertsDoc().WriteJSON(w) }},
-	{"/flightrec.json", "application/json", func(s *Sink, w io.Writer) error { return s.FlightDoc().WriteJSON(w) }},
+	{"/timeseries.json", "application/json", func(s *Sink, w io.Writer) error { return WriteJSON(w, s.TimeseriesDoc()) }},
+	{"/alerts.json", "application/json", func(s *Sink, w io.Writer) error { return WriteJSON(w, s.AlertsDoc()) }},
+	{"/flightrec.json", "application/json", func(s *Sink, w io.Writer) error { return WriteJSON(w, s.FlightDoc()) }},
 }
 
 // Documents lists the paths Handler serves, in route-table order (pprof's

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -338,18 +337,6 @@ type FlightDoc struct {
 	Dropped int64        `json:"dropped,omitempty"`
 }
 
-// WriteJSON renders the document as indented JSON (the -timeseries-out
-// format).
-func (d TimeseriesDoc) WriteJSON(w io.Writer) error { return writeIndented(w, d) }
-
-// WriteJSON renders the document as indented JSON (the -alerts-out
-// format).
-func (d AlertsDoc) WriteJSON(w io.Writer) error { return writeIndented(w, d) }
-
-// WriteJSON renders the document as indented JSON (the -flightrec-out
-// format).
-func (d FlightDoc) WriteJSON(w io.Writer) error { return writeIndented(w, d) }
-
 // health is the monitor behind the three documents. Record, Flush,
 // TriggerFlight and SetCapacityScale reach it from the serialized retire
 // and fault paths. mu guards all of its state; interval, classes, rules,
@@ -642,13 +629,13 @@ func (h *health) freezeLocked(trigger, reason string, windows []Window) {
 			Region:          r,
 			Arrivals:        s.arrivals[r].Value(),
 			Departures:      s.departs[r].Value(),
-			EvacOK:          s.evacOK[r].Value(),
-			EvacRejects:     s.evacRej[r].Value(),
+			EvacOK:          s.evac[0][r].Value(),
+			EvacRejects:     s.evac[1][r].Value(),
 			DegradedRejects: s.degRejects[r].Value(),
 		}
 		for c := 0; c < s.numClasses; c++ {
-			rh.Commits += s.commits[c*s.regions+r].Value()
-			rh.Rejects += s.rejects[c*s.regions+r].Value()
+			rh.Commits += s.outcomes[OutcomeCommit][c*s.regions+r].Value()
+			rh.Rejects += s.outcomes[OutcomeReject][c*s.regions+r].Value()
 		}
 		d.Regions = append(d.Regions, rh)
 	}

@@ -161,7 +161,7 @@ func TestSamplerWriteJSONShape(t *testing.T) {
 	s.Record(DecisionRecord{TimeS: 0.5, Kind: "arrive", Admitted: true, Commits: 1})
 	s.Flush()
 	var buf bytes.Buffer
-	if err := s.TimeseriesDoc().WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, s.TimeseriesDoc()); err != nil {
 		t.Fatal(err)
 	}
 	var doc TimeseriesDoc
@@ -272,7 +272,7 @@ func TestAlertTimelineDeterministic(t *testing.T) {
 		s := healthSink(t, tightAvailability())
 		alertStream(s, 20, map[int]bool{3: true, 4: true, 5: true, 11: true, 12: true})
 		var buf bytes.Buffer
-		if err := s.AlertsDoc().WriteJSON(&buf); err != nil {
+		if err := WriteJSON(&buf, s.AlertsDoc()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -501,9 +501,9 @@ func TestHealthDocsNilSafe(t *testing.T) {
 	var s *Sink
 	s.Flush()
 	for name, write := range map[string]func(*bytes.Buffer) error{
-		"timeseries": func(b *bytes.Buffer) error { return s.TimeseriesDoc().WriteJSON(b) },
-		"alerts":     func(b *bytes.Buffer) error { return s.AlertsDoc().WriteJSON(b) },
-		"flightrec":  func(b *bytes.Buffer) error { return s.FlightDoc().WriteJSON(b) },
+		"timeseries": func(b *bytes.Buffer) error { return WriteJSON(b, s.TimeseriesDoc()) },
+		"alerts":     func(b *bytes.Buffer) error { return WriteJSON(b, s.AlertsDoc()) },
+		"flightrec":  func(b *bytes.Buffer) error { return WriteJSON(b, s.FlightDoc()) },
 	} {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {

@@ -26,6 +26,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -44,27 +45,12 @@ type Label struct {
 	Value string
 }
 
-// MetricType distinguishes the registry's instrument kinds.
-type MetricType int
-
+// The registry's instrument kinds, by the type names its renderings print.
 const (
-	CounterType MetricType = iota
-	GaugeType
-	HistogramType
+	counterType   = "counter"
+	gaugeType     = "gauge"
+	histogramType = "histogram"
 )
-
-func (t MetricType) String() string {
-	switch t {
-	case CounterType:
-		return "counter"
-	case GaugeType:
-		return "gauge"
-	case HistogramType:
-		return "histogram"
-	default:
-		return "unknown"
-	}
-}
 
 // Counter is a monotonically increasing counter: one atomic, so adds are
 // lock-free and allocation-free.
@@ -172,16 +158,19 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // quiesced it is exact (to bucket resolution).
 func (h *Histogram) Quantiles(qs []float64) []int64 {
 	out := make([]int64, len(qs))
-	n := h.n.Load()
-	if n == 0 || len(qs) == 0 {
-		return out
-	}
 	var counts [histBuckets]int64
+	n, _ := h.load(&counts)
+	quantilesFromCounts(&counts, n, qs, out)
+	return out
+}
+
+// load reads the sample count, every bucket count into counts, and the sum.
+func (h *Histogram) load(counts *[histBuckets]int64) (n, sum int64) {
+	n = h.n.Load()
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()
 	}
-	quantilesFromCounts(&counts, n, qs, out)
-	return out
+	return n, h.sum.Load()
 }
 
 // QuantilesDuration is Quantiles as time.Durations.
@@ -237,7 +226,7 @@ type metric struct {
 	help   string
 	labels []Label
 	key    string // name + rendered labels
-	typ    MetricType
+	typ    string // counterType, gaugeType or histogramType
 
 	counter *Counter
 	gauge   *Gauge
@@ -277,7 +266,7 @@ func NewRegistry() *Registry {
 	return &Registry{byKey: make(map[string]*metric)}
 }
 
-func (r *Registry) getOrCreate(name, help string, typ MetricType, labels []Label) *metric {
+func (r *Registry) getOrCreate(name, help, typ string, labels []Label) *metric {
 	key := name + labelString(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -289,11 +278,11 @@ func (r *Registry) getOrCreate(name, help string, typ MetricType, labels []Label
 	}
 	m := &metric{name: name, help: help, labels: append([]Label(nil), labels...), key: key, typ: typ}
 	switch typ {
-	case CounterType:
+	case counterType:
 		m.counter = &Counter{}
-	case GaugeType:
+	case gaugeType:
 		m.gauge = &Gauge{}
-	case HistogramType:
+	case histogramType:
 		m.hist = NewHistogram()
 	}
 	r.metrics = append(r.metrics, m)
@@ -304,108 +293,21 @@ func (r *Registry) getOrCreate(name, help string, typ MetricType, labels []Label
 // Counter returns the counter registered under (name, labels), creating it
 // on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.getOrCreate(name, help, CounterType, labels).counter
+	return r.getOrCreate(name, help, counterType, labels).counter
 }
 
 // Gauge returns the gauge registered under (name, labels).
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.getOrCreate(name, help, GaugeType, labels).gauge
+	return r.getOrCreate(name, help, gaugeType, labels).gauge
 }
 
 // Histogram returns the histogram registered under (name, labels).
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	return r.getOrCreate(name, help, HistogramType, labels).hist
+	return r.getOrCreate(name, help, histogramType, labels).hist
 }
 
-// sortedMetrics snapshots the registered instruments ordered by
-// (name, labels) so families are contiguous in exposition.
-func (r *Registry) sortedMetrics() []*metric {
-	r.mu.Lock()
-	ms := append([]*metric(nil), r.metrics...)
-	r.mu.Unlock()
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].name != ms[j].name {
-			return ms[i].name < ms[j].name
-		}
-		return ms[i].key < ms[j].key
-	})
-	return ms
-}
-
-// WriteProm renders the registry in the Prometheus text exposition format:
-// one HELP/TYPE header per family, counters and gauges as plain samples,
-// histograms as cumulative {le=...} buckets (non-empty buckets plus +Inf)
-// with _sum and _count.
-func (r *Registry) WriteProm(w io.Writer) error {
-	lastName := ""
-	for _, m := range r.sortedMetrics() {
-		if m.name != lastName {
-			if m.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ); err != nil {
-				return err
-			}
-			lastName = m.name
-		}
-		ls := labelString(m.labels)
-		switch m.typ {
-		case CounterType:
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", m.name, ls, m.counter.Value()); err != nil {
-				return err
-			}
-		case GaugeType:
-			if _, err := fmt.Fprintf(w, "%s%s %g\n", m.name, ls, m.gauge.Value()); err != nil {
-				return err
-			}
-		case HistogramType:
-			if err := writePromHistogram(w, m, ls); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// writePromHistogram emits the cumulative bucket series of one histogram.
-// Bucket le bounds are the quarter-octave upper bounds in the histogram's
-// native unit (nanoseconds on the latency series).
-func writePromHistogram(w io.Writer, m *metric, ls string) error {
-	inner := strings.TrimSuffix(strings.TrimPrefix(ls, "{"), "}")
-	withLe := func(le string) string {
-		if inner == "" {
-			return fmt.Sprintf("{le=%q}", le)
-		}
-		return fmt.Sprintf("{%s,le=%q}", inner, le)
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		c := m.hist.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		cum += c
-		le := fmt.Sprintf("%d", bucketLowerBound(i+1))
-		if i == histBuckets-1 {
-			le = "+Inf"
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, withLe(le), cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, withLe("+Inf"), m.hist.Count()); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", m.name, ls, m.hist.Sum()); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, ls, m.hist.Count())
-	return err
-}
-
-// MetricSnapshot is one instrument's state in the JSON snapshot.
+// MetricSnapshot is one instrument's reading: an element of the JSON
+// snapshot, and what the text format renders.
 type MetricSnapshot struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
@@ -418,14 +320,33 @@ type MetricSnapshot struct {
 	Sum   float64 `json:"sum,omitempty"`
 	P50   int64   `json:"p50,omitempty"`
 	P99   int64   `json:"p99,omitempty"`
+
+	// What only the text format prints: the family's help, the labels
+	// rendered in registration order, a counter's reading or a histogram's
+	// sum as an exact integer, and a histogram's bucket counts.
+	help    string
+	labels  string
+	integer int64
+	buckets *[histBuckets]int64
 }
 
-// Snapshot returns every instrument's current reading.
+// Snapshot returns every instrument's current reading, ordered by (name,
+// labels) so families are contiguous. It is the registry's one read of its
+// instruments: WriteProm and the /metrics.json document render it.
 func (r *Registry) Snapshot() []MetricSnapshot {
-	ms := r.sortedMetrics()
-	out := make([]MetricSnapshot, 0, len(ms))
-	for _, m := range ms {
-		s := MetricSnapshot{Name: m.name, Type: m.typ.String()}
+	r.mu.Lock()
+	ms := append([]*metric(nil), r.metrics...)
+	r.mu.Unlock()
+	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].name != ms[j].name {
+			return ms[i].name < ms[j].name
+		}
+		return ms[i].key < ms[j].key
+	})
+	out := make([]MetricSnapshot, len(ms))
+	for i, m := range ms {
+		s := &out[i]
+		*s = MetricSnapshot{Name: m.name, Type: m.typ, help: m.help, labels: m.key[len(m.name):]}
 		if len(m.labels) > 0 {
 			s.Labels = make(map[string]string, len(m.labels))
 			for _, l := range m.labels {
@@ -433,19 +354,76 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			}
 		}
 		switch m.typ {
-		case CounterType:
-			s.Value = float64(m.counter.Value())
-		case GaugeType:
+		case counterType:
+			s.integer = m.counter.Value()
+			s.Value = float64(s.integer)
+		case gaugeType:
 			s.Value = m.gauge.Value()
-		case HistogramType:
-			s.Count = m.hist.Count()
-			s.Sum = float64(m.hist.Sum())
-			ps := m.hist.Quantiles([]float64{0.50, 0.99})
+		case histogramType:
+			s.buckets = new([histBuckets]int64)
+			s.Count, s.integer = m.hist.load(s.buckets)
+			s.Sum = float64(s.integer)
+			var ps [2]int64
+			quantilesFromCounts(s.buckets, s.Count, []float64{0.50, 0.99}, ps[:])
 			s.P50, s.P99 = ps[0], ps[1]
 		}
-		out = append(out, s)
 	}
 	return out
+}
+
+// WriteProm renders the snapshot in the Prometheus text exposition format:
+// one HELP/TYPE header per family, counters and gauges as plain samples,
+// histograms as cumulative {le=...} buckets (non-empty buckets plus +Inf)
+// with _sum and _count.
+func (r *Registry) WriteProm(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	lastName := ""
+	for _, m := range r.Snapshot() {
+		if m.Name != lastName {
+			if m.help != "" {
+				fmt.Fprintf(bw, "# HELP %s %s\n", m.Name, m.help)
+			}
+			fmt.Fprintf(bw, "# TYPE %s %s\n", m.Name, m.Type)
+			lastName = m.Name
+		}
+		switch m.Type {
+		case counterType:
+			fmt.Fprintf(bw, "%s%s %d\n", m.Name, m.labels, m.integer)
+		case gaugeType:
+			fmt.Fprintf(bw, "%s%s %g\n", m.Name, m.labels, m.Value)
+		case histogramType:
+			writePromHistogram(bw, &m)
+		}
+	}
+	return bw.Flush()
+}
+
+// writePromHistogram emits the cumulative bucket series of one histogram.
+// Bucket le bounds are the quarter-octave upper bounds in the histogram's
+// native unit (nanoseconds on the latency series).
+func writePromHistogram(w io.Writer, m *MetricSnapshot) {
+	inner := strings.TrimSuffix(strings.TrimPrefix(m.labels, "{"), "}")
+	withLe := func(le string) string {
+		if inner == "" {
+			return fmt.Sprintf("{le=%q}", le)
+		}
+		return fmt.Sprintf("{%s,le=%q}", inner, le)
+	}
+	var cum int64
+	for i, c := range m.buckets {
+		if c == 0 {
+			continue
+		}
+		cum += c
+		le := fmt.Sprintf("%d", bucketLowerBound(i+1))
+		if i == histBuckets-1 {
+			le = "+Inf"
+		}
+		fmt.Fprintf(w, "%s_bucket%s %d\n", m.Name, withLe(le), cum)
+	}
+	fmt.Fprintf(w, "%s_bucket%s %d\n", m.Name, withLe("+Inf"), m.Count)
+	fmt.Fprintf(w, "%s_sum%s %d\n", m.Name, m.labels, m.integer)
+	fmt.Fprintf(w, "%s_count%s %d\n", m.Name, m.labels, m.Count)
 }
 
 // MetricsDoc is the /metrics.json document (also what vcreport ingests
@@ -454,14 +432,9 @@ type MetricsDoc struct {
 	Metrics []MetricSnapshot `json:"metrics"`
 }
 
-// WriteJSON renders the snapshot as a MetricsDoc.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return writeIndented(w, MetricsDoc{Metrics: r.Snapshot()})
-}
-
-// writeIndented is the one encoding of every JSON document the sink
-// serves and vcsim writes to files.
-func writeIndented(w io.Writer, doc any) error {
+// WriteJSON renders doc as indented JSON: the one encoding of every JSON
+// document the sink serves and vcsim writes to files.
+func WriteJSON(w io.Writer, doc any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)

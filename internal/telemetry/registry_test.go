@@ -222,7 +222,7 @@ func TestWritePromAndJSON(t *testing.T) {
 	}
 
 	sb.Reset()
-	if err := reg.WriteJSON(&sb); err != nil {
+	if err := WriteJSON(&sb, MetricsDoc{Metrics: reg.Snapshot()}); err != nil {
 		t.Fatal(err)
 	}
 	js := sb.String()

@@ -20,6 +20,22 @@ const (
 	OutcomeNoChange
 )
 
+// outcomeFamilies names the counter family each TaskOutcome counts into
+// (OutcomeNone counts nowhere).
+var outcomeFamilies = [...]struct{ name, help string }{
+	OutcomeCommit:   {"vconf_commits_total", "re-optimization proposals committed"},
+	OutcomeReject:   {"vconf_rejects_total", "re-optimization proposals rejected at commit validation"},
+	OutcomeNoChange: {"vconf_nochange_total", "re-optimization walks that found no improvement"},
+}
+
+// The label values of the Task families counted from the three TaskResult
+// triples, in TaskResult's field order.
+var (
+	evalResults = [...]string{"hit", "patch", "rebuild"}
+	taskPhases  = [...]string{"snapshot", "walk", "commit"}
+	hopSources  = [...]string{"evaluated", "reused", "reused_across"}
+)
+
 // TaskResult is what one finished re-optimization task reports: its
 // outcome, its lost commit races, its walk's hops and, with a sink, its
 // phase times and delay-cache outcomes. The worker that runs the task is
@@ -100,21 +116,22 @@ type Sink struct {
 	// Per-(class,region) handle slices indexed class*regions+region,
 	// resolved once at construction so a count is an index, not a
 	// registry lookup. Without configured classes the class dimension
-	// collapses to 1 and labels stay region-only. arrivals/departs stay
+	// collapses to 1 and labels stay region-only. outcomes is indexed by
+	// TaskOutcome (OutcomeNone's slice is nil). arrivals/departs stay
 	// per-region: the churn kind label already identifies them.
-	commits   []*Counter
-	rejects   []*Counter
-	noChange  []*Counter
+	outcomes  [len(outcomeFamilies)][]*Counter
 	conflicts []*Counter
 	arrivals  []*Counter
 	departs   []*Counter
 	reoptLat  []*Histogram
 
 	// Per-class SLO observability: post-decision session delay histograms,
-	// running per-class delay sums backing the Jain fairness gauge.
+	// running per-class delay sums backing the Jain fairness gauge, and the
+	// buffer the gauge's per-class means are gathered in.
 	classDelay    []*Histogram
 	classDelaySum []float64
 	classDelayN   []int64
+	classMeans    []float64
 	fairness      *Gauge
 
 	// Dist protocol families (pre-registered so scrapers see them at zero
@@ -128,30 +145,24 @@ type Sink struct {
 	spanDropped *Counter
 
 	// Fault-injection and self-healing instrumentation: injected fault
-	// events by kind, orphaned sessions, per-region evacuation outcomes,
-	// evacuation-latency and time-to-recovery histograms, and
-	// rejects-during-degradation.
+	// events by kind, orphaned sessions, per-region evacuation outcomes
+	// (evac[0] re-homed, evac[1] dropped), evacuation-latency and
+	// time-to-recovery histograms, and rejects-during-degradation.
 	faults      map[string]*Counter
 	orphans     *Counter
-	evacOK      []*Counter
-	evacRej     []*Counter
+	evac        [2][]*Counter
 	evacLat     *Histogram
 	recoveryLat *Histogram
 	degRejects  []*Counter
 
-	// Global counters.
-	stalls        *Counter
-	drops         *Counter
-	skips         *Counter
-	cacheHits     *Counter
-	cachePatches  *Counter
-	cacheRebuilds *Counter
-	phaseSnapshot *Counter
-	phaseWalk     *Counter
-	phaseCommit   *Counter
-	walkEvaluated *Counter
-	walkReused    *Counter
-	walkAcross    *Counter
+	// Global counters; each array is one family indexed by its label's
+	// values (evalResults, taskPhases, hopSources).
+	stalls     *Counter
+	drops      *Counter
+	skips      *Counter
+	cacheEvals [len(evalResults)]*Counter
+	phases     [len(taskPhases)]*Counter
+	walkHops   [len(hopSources)]*Counter
 
 	// Gauges (event-loop writers only): the live placement.
 	objective *Gauge
@@ -199,46 +210,37 @@ func New(cfg Config) *Sink {
 		classes:       cfg.Classes,
 		numClasses:    numClasses,
 	}
-	s.commits = make([]*Counter, numClasses*regions)
-	s.rejects = make([]*Counter, numClasses*regions)
-	s.noChange = make([]*Counter, numClasses*regions)
-	s.conflicts = make([]*Counter, numClasses*regions)
-	s.reoptLat = make([]*Histogram, numClasses*regions)
-	s.arrivals = make([]*Counter, regions)
-	s.departs = make([]*Counter, regions)
-	s.evacOK = make([]*Counter, regions)
-	s.evacRej = make([]*Counter, regions)
-	s.degRejects = make([]*Counter, regions)
+	// The handles append in index order: class*regions+region, then region.
 	for c := 0; c < numClasses; c++ {
 		for r := 0; r < regions; r++ {
 			lbls := []Label{{Key: "region", Value: strconv.Itoa(r)}}
 			if len(s.classes) > 0 {
 				lbls = []Label{{Key: "class", Value: s.classes[c]}, {Key: "region", Value: strconv.Itoa(r)}}
 			}
-			i := c*regions + r
-			s.commits[i] = s.reg.Counter("vconf_commits_total", "re-optimization proposals committed", lbls...)
-			s.rejects[i] = s.reg.Counter("vconf_rejects_total", "re-optimization proposals rejected at commit validation", lbls...)
-			s.noChange[i] = s.reg.Counter("vconf_nochange_total", "re-optimization walks that found no improvement", lbls...)
-			s.conflicts[i] = s.reg.Counter("vconf_conflicts_total", "commit attempts that lost a cross-shard race", lbls...)
-			s.reoptLat[i] = s.reg.Histogram("vconf_reopt_latency_ns", "per-event re-optimization barrier latency (ns)", lbls...)
+			for o := OutcomeCommit; o < TaskOutcome(len(outcomeFamilies)); o++ {
+				f := outcomeFamilies[o]
+				s.outcomes[o] = append(s.outcomes[o], s.reg.Counter(f.name, f.help, lbls...))
+			}
+			s.conflicts = append(s.conflicts, s.reg.Counter("vconf_conflicts_total", "commit attempts that lost a cross-shard race", lbls...))
+			s.reoptLat = append(s.reoptLat, s.reg.Histogram("vconf_reopt_latency_ns", "per-event re-optimization barrier latency (ns)", lbls...))
 		}
 	}
 	for r := 0; r < regions; r++ {
 		lbl := Label{Key: "region", Value: strconv.Itoa(r)}
-		s.arrivals[r] = s.reg.Counter("vconf_events_total", "churn events handled", Label{Key: "kind", Value: "arrive"}, lbl)
-		s.departs[r] = s.reg.Counter("vconf_events_total", "churn events handled", Label{Key: "kind", Value: "depart"}, lbl)
-		s.evacOK[r] = s.reg.Counter("vconf_evacuations_total", "orphaned sessions re-homed (ok) or dropped (reject) during healing",
-			Label{Key: "result", Value: "ok"}, lbl)
-		s.evacRej[r] = s.reg.Counter("vconf_evacuations_total", "orphaned sessions re-homed (ok) or dropped (reject) during healing",
-			Label{Key: "result", Value: "reject"}, lbl)
-		s.degRejects[r] = s.reg.Counter("vconf_degraded_rejects_total", "arrivals rejected while agents were failed or degraded", lbl)
+		s.arrivals = append(s.arrivals, s.reg.Counter("vconf_events_total", "churn events handled", Label{Key: "kind", Value: "arrive"}, lbl))
+		s.departs = append(s.departs, s.reg.Counter("vconf_events_total", "churn events handled", Label{Key: "kind", Value: "depart"}, lbl))
+		for k, result := range [2]string{"ok", "reject"} {
+			s.evac[k] = append(s.evac[k], s.reg.Counter("vconf_evacuations_total",
+				"orphaned sessions re-homed (ok) or dropped (reject) during healing", Label{Key: "result", Value: result}, lbl))
+		}
+		s.degRejects = append(s.degRejects, s.reg.Counter("vconf_degraded_rejects_total", "arrivals rejected while agents were failed or degraded", lbl))
 	}
-	s.classDelay = make([]*Histogram, numClasses)
 	s.classDelaySum = make([]float64, numClasses)
 	s.classDelayN = make([]int64, numClasses)
+	s.classMeans = make([]float64, 0, numClasses)
 	for c := 0; c < numClasses; c++ {
-		s.classDelay[c] = s.reg.Histogram("vconf_session_delay_us", "post-decision session mean-of-max delay (µs), by SLO class",
-			Label{Key: "class", Value: s.className(c)})
+		s.classDelay = append(s.classDelay, s.reg.Histogram("vconf_session_delay_us", "post-decision session mean-of-max delay (µs), by SLO class",
+			Label{Key: "class", Value: s.className(c)}))
 	}
 	s.fairness = s.reg.Gauge("vconf_class_delay_fairness", "Jain fairness index over per-class mean session delay (1 = perfectly fair)")
 	s.distFreeze = s.reg.Histogram("vconf_dist_freeze_ns", "dist coordinator: per-session freeze hold (grant to release, ns)")
@@ -256,15 +258,15 @@ func New(cfg Config) *Sink {
 	s.stalls = s.reg.Counter("vconf_admission_stalls_total", "events whose admission waited in the pipelined scheduler")
 	s.drops = s.reg.Counter("vconf_dropped_arrivals_total", "arrivals rejected at admission")
 	s.skips = s.reg.Counter("vconf_skipped_departures_total", "departures for never-admitted sessions")
-	s.cacheHits = s.reg.Counter("vconf_delay_cache_evals_total", "delay-cache evaluation outcomes", Label{Key: "result", Value: "hit"})
-	s.cachePatches = s.reg.Counter("vconf_delay_cache_evals_total", "delay-cache evaluation outcomes", Label{Key: "result", Value: "patch"})
-	s.cacheRebuilds = s.reg.Counter("vconf_delay_cache_evals_total", "delay-cache evaluation outcomes", Label{Key: "result", Value: "rebuild"})
-	s.phaseSnapshot = s.reg.Counter("vconf_task_phase_ns_total", "cumulative task time per phase (ns)", Label{Key: "phase", Value: "snapshot"})
-	s.phaseWalk = s.reg.Counter("vconf_task_phase_ns_total", "cumulative task time per phase (ns)", Label{Key: "phase", Value: "walk"})
-	s.phaseCommit = s.reg.Counter("vconf_task_phase_ns_total", "cumulative task time per phase (ns)", Label{Key: "phase", Value: "commit"})
-	s.walkEvaluated = s.reg.Counter("vconf_walk_hops_total", "refinement-walk hops, by where the candidate set came from", Label{Key: "result", Value: "evaluated"})
-	s.walkReused = s.reg.Counter("vconf_walk_hops_total", "refinement-walk hops, by where the candidate set came from", Label{Key: "result", Value: "reused"})
-	s.walkAcross = s.reg.Counter("vconf_walk_hops_total", "refinement-walk hops, by where the candidate set came from", Label{Key: "result", Value: "reused_across"})
+	for k, v := range evalResults {
+		s.cacheEvals[k] = s.reg.Counter("vconf_delay_cache_evals_total", "delay-cache evaluation outcomes", Label{Key: "result", Value: v})
+	}
+	for k, v := range taskPhases {
+		s.phases[k] = s.reg.Counter("vconf_task_phase_ns_total", "cumulative task time per phase (ns)", Label{Key: "phase", Value: v})
+	}
+	for k, v := range hopSources {
+		s.walkHops[k] = s.reg.Counter("vconf_walk_hops_total", "refinement-walk hops, by where the candidate set came from", Label{Key: "result", Value: v})
+	}
 	s.objective = s.reg.Gauge("vconf_objective", "Σ Φ_s over active sessions")
 	s.active = s.reg.Gauge("vconf_active_sessions", "live session count")
 
@@ -343,26 +345,21 @@ func (s *Sink) Task(session int, r TaskResult) {
 		return
 	}
 	i := s.crIndex(session)
-	switch r.Outcome {
-	case OutcomeCommit:
-		s.commits[i].Inc()
-	case OutcomeReject:
-		s.rejects[i].Inc()
-	case OutcomeNoChange:
-		s.noChange[i].Inc()
+	if c := s.outcomes[r.Outcome]; c != nil {
+		c[i].Inc()
 	}
 	if r.Conflicts != 0 {
 		s.conflicts[i].Add(int64(r.Conflicts))
 	}
-	s.phaseSnapshot.Add(r.SnapshotNs)
-	s.phaseWalk.Add(r.WalkNs)
-	s.phaseCommit.Add(r.CommitNs)
-	s.cacheHits.Add(r.CacheHits)
-	s.cachePatches.Add(r.CachePatches)
-	s.cacheRebuilds.Add(r.CacheRebuilds)
-	s.walkEvaluated.Add(int64(r.Hops - r.Reused - r.ReusedAcross))
-	s.walkReused.Add(int64(r.Reused))
-	s.walkAcross.Add(int64(r.ReusedAcross))
+	for k, v := range [len(taskPhases)]int64{r.SnapshotNs, r.WalkNs, r.CommitNs} {
+		s.phases[k].Add(v)
+	}
+	for k, v := range [len(evalResults)]int64{r.CacheHits, r.CachePatches, r.CacheRebuilds} {
+		s.cacheEvals[k].Add(v)
+	}
+	for k, v := range [len(hopSources)]int{r.Hops - r.Reused - r.ReusedAcross, r.Reused, r.ReusedAcross} {
+		s.walkHops[k].Add(int64(v))
+	}
 }
 
 // Record emits one decision record: it fills the derived fields (region,
@@ -396,7 +393,13 @@ func (s *Sink) Record(rec DecisionRecord) {
 		s.classDelay[class].Observe(int64(rec.DelayMS * 1e3))
 		s.classDelaySum[class] += rec.DelayMS
 		s.classDelayN[class]++
-		s.fairness.Set(s.jainLocked())
+		s.classMeans = s.classMeans[:0]
+		for c, n := range s.classDelayN {
+			if n > 0 {
+				s.classMeans = append(s.classMeans, s.classDelaySum[c]/float64(n))
+			}
+		}
+		s.fairness.Set(Jain(s.classMeans))
 	}
 	switch rec.Kind {
 	case "depart":
@@ -427,26 +430,29 @@ func (s *Sink) Record(rec DecisionRecord) {
 	}
 }
 
-// jainLocked computes the Jain fairness index (Σx)²/(n·Σx²) over the
-// per-class mean delays with at least one observation. 1 means every class
-// sees the same mean delay; 1/n means one class absorbs all of it. Called
-// only from the serialized Record path (like the running sums it reads).
-func (s *Sink) jainLocked() float64 {
+// Jain is the fairness index (Σx)²/(n·Σx²) ∈ (0, 1], 0 for no values or
+// all zeros. Over per-class mean delays, 1 means every class sees the same
+// mean; 1/n means one class absorbs all of the delay.
+func Jain(xs []float64) float64 {
 	var sum, sumSq float64
-	n := 0
-	for c := 0; c < s.numClasses; c++ {
-		if s.classDelayN[c] == 0 {
-			continue
-		}
-		m := s.classDelaySum[c] / float64(s.classDelayN[c])
-		sum += m
-		sumSq += m * m
-		n++
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
 	}
-	if n == 0 || sumSq == 0 {
+	if len(xs) == 0 || sumSq == 0 {
 		return 0
 	}
-	return sum * sum / (float64(n) * sumSq)
+	return sum * sum / (float64(len(xs)) * sumSq)
+}
+
+// NearestRank reads the q-quantile of an ascending-sorted slice by the
+// nearest-rank rule (0 when empty).
+func NearestRank(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }
 
 // DistFreeze observes one coordinator freeze hold (grant → release, ns).
@@ -484,13 +490,12 @@ func (s *Sink) Evacuation(session int, ok bool, latencyNs int64) {
 	if s == nil {
 		return
 	}
-	region := s.regionOf(session)
-	s.orphans.Inc()
-	if ok {
-		s.evacOK[region].Inc()
-	} else {
-		s.evacRej[region].Inc()
+	result := 0
+	if !ok {
+		result = 1
 	}
+	s.orphans.Inc()
+	s.evac[result][s.regionOf(session)].Inc()
 	s.evacLat.Observe(latencyNs)
 }
 
@@ -519,22 +524,16 @@ func (s *Sink) CounterfactualSummary() (n int, mean, p99 float64) {
 		return 0, 0, 0
 	}
 	var gaps []float64
+	sum := 0.0
 	for _, rec := range s.rec.Items() {
 		if rec.CfValid && rec.Commits > 0 {
 			gaps = append(gaps, rec.CfGap)
+			sum += rec.CfGap
 		}
 	}
 	if len(gaps) == 0 {
 		return 0, 0, 0
 	}
-	sum := 0.0
-	for _, g := range gaps {
-		sum += g
-	}
 	sort.Float64s(gaps)
-	idx := int(math.Ceil(0.99*float64(len(gaps)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return len(gaps), sum / float64(len(gaps)), gaps[idx]
+	return len(gaps), sum / float64(len(gaps)), NearestRank(gaps, 0.99)
 }

@@ -39,16 +39,37 @@ func (sp Span) EndArg(arg int64) {
 	if sp.sink == nil {
 		return
 	}
-	sp.sink.appendSpan(SpanRecord{
+	sp.record(time.Since(sp.start).Nanoseconds(), arg)
+}
+
+// record appends the span, durNs long, to the ring and counts an
+// overwrite.
+func (sp Span) record(durNs, arg int64) {
+	if sp.sink.spans.Append(SpanRecord{
 		ID:      sp.id,
 		Parent:  sp.parent,
 		Name:    sp.name,
 		Cat:     sp.cat,
 		Track:   sp.track,
 		StartNs: sp.start.UnixNano(),
-		DurNs:   time.Since(sp.start).Nanoseconds(),
+		DurNs:   durNs,
 		Arg:     arg,
-	})
+	}) {
+		sp.sink.spanDropped.Inc()
+	}
+}
+
+// newSpan opens a span with a fresh causal identity (s is non-nil).
+func (s *Sink) newSpan(name, cat string, parent uint64, track int32, start time.Time) Span {
+	return Span{
+		sink:   s,
+		id:     atomic.AddUint64(&s.spanSeq, 1),
+		parent: parent,
+		track:  track,
+		name:   name,
+		cat:    cat,
+		start:  start,
+	}
 }
 
 // StartRoot opens a top-level span on an explicit track. Tracks partition
@@ -60,14 +81,7 @@ func (s *Sink) StartRoot(name, cat string, track int32) Span {
 	if s == nil {
 		return Span{}
 	}
-	return Span{
-		sink:  s,
-		id:    atomic.AddUint64(&s.spanSeq, 1),
-		track: track,
-		name:  name,
-		cat:   cat,
-		start: time.Now(),
-	}
+	return s.newSpan(name, cat, 0, track, time.Now())
 }
 
 // StartSpan opens a child span under parent, inheriting its category and
@@ -78,15 +92,7 @@ func (s *Sink) StartSpan(name string, parent Span) Span {
 	if s == nil {
 		return Span{}
 	}
-	return Span{
-		sink:   s,
-		id:     atomic.AddUint64(&s.spanSeq, 1),
-		parent: parent.id,
-		track:  parent.track,
-		name:   name,
-		cat:    parent.cat,
-		start:  time.Now(),
-	}
+	return s.newSpan(name, parent.cat, parent.id, parent.track, time.Now())
 }
 
 // EmitSpan records an already-measured interval retroactively — the bridge
@@ -97,33 +103,9 @@ func (s *Sink) EmitSpan(name, cat string, parent Span, track int32, start time.T
 	if s == nil {
 		return Span{}
 	}
-	sp := Span{
-		sink:   s,
-		id:     atomic.AddUint64(&s.spanSeq, 1),
-		parent: parent.id,
-		track:  track,
-		name:   name,
-		cat:    cat,
-		start:  start,
-	}
-	s.appendSpan(SpanRecord{
-		ID:      sp.id,
-		Parent:  sp.parent,
-		Name:    name,
-		Cat:     cat,
-		Track:   track,
-		StartNs: start.UnixNano(),
-		DurNs:   durNs,
-		Arg:     arg,
-	})
+	sp := s.newSpan(name, cat, parent.id, track, start)
+	sp.record(durNs, arg)
 	return sp
-}
-
-// appendSpan routes a finished span into the ring and counts overwrites.
-func (s *Sink) appendSpan(rec SpanRecord) {
-	if s.spans.Append(rec) {
-		s.spanDropped.Inc()
-	}
 }
 
 // Spans exposes the span ring (nil when disabled).
