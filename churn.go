@@ -42,9 +42,9 @@ type Orchestrator = orchestrator.Orchestrator
 // count (and the lock-striped capacity ledger's stripe count: one ID-range
 // stripe per worker), plus the per-task hop budget,
 // touched-set cap, N_ngbr candidate window (Core.NeighborWindow) and the
-// refinement chain parameters. Every event goes through the
-// dependency-aware scheduler (internal/pipeline); MaxInFlight (default 1)
-// lets churn events with disjoint conflict footprints overlap end-to-end,
+// refinement chain parameters. Every event goes through the scheduler
+// (internal/pipeline), which re-optimizes one event at a time;
+// MaxInFlight (default 1) lets admission run that many events ahead of it,
 // and reports still arrive in schedule order. Pipeline is deprecated and
 // has no effect.
 type OrchestratorConfig = orchestrator.Config

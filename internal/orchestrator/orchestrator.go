@@ -7,15 +7,15 @@
 //
 // Architecture (scheduler → shard pool → commit → migrate):
 //
-//  1. Every event goes through the dependency-aware scheduler in
-//     internal/pipeline. Its admission stage applies the arrival or
-//     departure against the authoritative assignment under the state lock:
-//     arrivals bootstrap through the configured policy (AgRank or Nrst),
-//     departures release their load from the capacity ledger. Admission
-//     also fixes the event's conflict footprint — the sessions it owns and
-//     the ledger stripes their walks can reach — and events whose
-//     footprints are disjoint overlap, up to Config.MaxInFlight (default 1:
-//     one event at a time). Reports retire in arrival order.
+//  1. Every event goes through the scheduler in internal/pipeline. Its
+//     admission stage applies the arrival or departure against the
+//     authoritative assignment under the state lock: arrivals bootstrap
+//     through the configured policy (AgRank or Nrst), departures release
+//     their load from the capacity ledger. Admission also fixes the
+//     event's footprint — the sessions it owns. Events re-optimize one at
+//     a time, in admission order, and admission may run up to
+//     Config.MaxInFlight events ahead of re-optimization (default 1: one
+//     event at a time). Reports retire in arrival order.
 //  2. The event then triggers incremental re-optimization of the *touched*
 //     session set — the arriving/departing session plus active sessions
 //     sharing agents with it — on a sharded solver pool: worker goroutines
@@ -86,16 +86,16 @@ type Config struct {
 	// (the triggering session always included). Defaults to 8.
 	MaxReoptSessions int
 	// Deprecated: Pipeline has no effect. Every event goes through the
-	// dependency-aware scheduler; MaxInFlight sets how many overlap.
+	// scheduler; MaxInFlight sets how far admission runs ahead.
 	Pipeline bool
 	// MaxInFlight bounds the events in flight at once (admitted,
-	// re-optimization not yet complete). Events whose conflict footprints
-	// (owned sessions + routed ledger stripes) are disjoint overlap; the
-	// others queue behind the specific events they conflict with. Reports
-	// retire in arrival order either way. Defaults to 1, which runs one
-	// event at a time, deterministically. Public snapshot methods
-	// (Assignment, CheckInvariants, ...) must only be called quiesced:
-	// between HandleEvent calls or after Run returns.
+	// re-optimization not yet complete). Events re-optimize one at a time,
+	// in admission order; MaxInFlight is how far admission may run ahead of
+	// that, so the next events' admissions overlap the current
+	// re-optimization. Reports retire in arrival order either way. Defaults
+	// to 1, which runs one event at a time, deterministically. Public
+	// snapshot methods (Assignment, CheckInvariants, ...) must only be
+	// called quiesced: between HandleEvent calls or after Run returns.
 	MaxInFlight int
 	// AgentRegion maps agent → region (len NumAgents). Required to handle
 	// regional fault events (EventRegionOutage/EventRegionRecover); nil
@@ -235,8 +235,8 @@ type Stats struct {
 	// AdmissionStalls, ReoptWaits, QueueDepthPeak and InFlightPeak are
 	// event-scheduler telemetry: events whose admission had to wait
 	// (in-flight cap or a claimed trigger session), events whose
-	// re-optimization queued behind a conflicting in-flight event, and the
-	// high-water marks of the pending queue and the in-flight set. They
+	// re-optimization waited for an earlier-admitted event's to finish, and
+	// the high-water marks of the pending queue and the in-flight set. They
 	// depend on goroutine timing.
 	AdmissionStalls int
 	ReoptWaits      int
@@ -315,7 +315,7 @@ type Orchestrator struct {
 	tel    *telemetry.Sink
 	refErr error // first worker error, surfaced by the next HandleEvent
 
-	// pipe is the dependency-aware event scheduler; touchIdx[s] is active
+	// pipe is the event scheduler; touchIdx[s] is active
 	// session s's committed agent set (ascending, nonzero-usage agents),
 	// maintained under mu at every bootstrap/commit/departure so footprint
 	// and touched-set computation never read an in-flight session's
@@ -403,15 +403,19 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 	return o, nil
 }
 
-// Close stops the event scheduler (draining in-flight events) and the shard
-// pool. The orchestrator must not be used afterwards. Close waits for the
-// scheduler's dispatcher, which is the goroutine that runs RunSource's
-// onReport: calling Close from inside that callback deadlocks. To stop a
-// stream from inside it, return an error; RunSource returns it.
+// Close stops accepting events and returns at once: events already
+// submitted finish in the background, and the shard pool stops after the
+// last of them, since an event's re-optimization may still be feeding it.
+// It may be called from inside RunSource's onReport; RunSource then stops
+// at its next submission with pipeline.ErrClosed. The orchestrator must
+// not be used afterwards.
 func (o *Orchestrator) Close() {
 	o.closeOnce.Do(func() {
-		o.pipe.Close()
-		close(o.tasks)
+		done := o.pipe.Close()
+		go func() {
+			<-done
+			close(o.tasks)
+		}()
 	})
 }
 

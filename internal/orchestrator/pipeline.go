@@ -1,23 +1,24 @@
 package orchestrator
 
 // This file is the event path: every event — arrival, departure or fault —
-// goes through the dependency-aware scheduler in internal/pipeline as admit
-// → re-optimize → retire, so independent events can overlap end-to-end
-// (Config.MaxInFlight > 1) instead of barriering one at a time.
+// goes through the scheduler in internal/pipeline as admit → re-optimize →
+// retire. Re-optimization runs one event at a time, in admission order;
+// up to Config.MaxInFlight events may be admitted ahead of it, so the next
+// event's admission overlaps the current one's re-optimization instead of
+// waiting for it.
 //
-// Consistency story (what makes overlap safe):
+// Consistency story (what makes that overlap safe):
 //
-//   - Session ownership. An event's footprint session set is the trigger
-//     plus its re-optimization set, fixed at admission; the scheduler
-//     guarantees (a) no two events owning a common session ever execute
-//     concurrently and (b) an event's admission never runs while an
-//     in-flight event claims its trigger. Since session variables live in
-//     disjoint slice ranges (internal/assign) and refinement tasks touch
-//     only their own session, all unlocked assignment accesses stay
+//   - Session ownership. An event's footprint is the trigger plus its
+//     re-optimization set, fixed at admission; the scheduler never runs an
+//     admission while an in-flight event's footprint claims its trigger,
+//     and never runs two re-optimizations at once. Since session variables
+//     live in disjoint slice ranges (internal/assign) and refinement tasks
+//     touch only their own session, all unlocked assignment accesses stay
 //     single-owner. A fault has no trigger (-1) and its healing rewrites
 //     sessions no footprint names, so RunSource drains the scheduler before
-//     submitting one; while its re-optimization runs, later disjoint events
-//     may be admitted as usual.
+//     submitting one; while its re-optimization runs, later events may be
+//     admitted as usual.
 //   - Touched-set consistency. Admissions must discover which sessions
 //     share agents with the trigger (or with a fault's violating agents)
 //     *without* reading in-flight sessions' assignment state. touchIdx[s] —
@@ -29,10 +30,11 @@ package orchestrator
 //     Prime it from their own evaluation, departures deactivate it.
 //     Retire-time objective sums therefore never recompute from the shared
 //     assignment.
-//   - Capacity. The lock-striped shard ledger validates every commit
-//     against live usage, and the epoch-stamped Conflict/retry path absorbs
-//     whatever footprint under-estimation admits (walks evaluated on
-//     snapshots another in-flight event has since invalidated).
+//   - Capacity. The ledger is written concurrently by one event's sibling
+//     tasks and by the one admission that may run beside them. The
+//     lock-striped shard ledger validates every commit against live usage,
+//     and the epoch-stamped Conflict/retry path absorbs the snapshots those
+//     writers invalidate.
 //
 // At MaxInFlight = 1 the scheduler runs admit → re-optimize → retire one
 // event at a time, in arrival order, and the decision stream is fully
@@ -50,7 +52,6 @@ import (
 	"vconf/internal/core"
 	"vconf/internal/model"
 	"vconf/internal/pipeline"
-	"vconf/internal/shard"
 	"vconf/internal/telemetry"
 	"vconf/internal/workload"
 )
@@ -167,7 +168,7 @@ func (st *eventState) admit() (pipeline.Footprint, error) {
 
 // applyAdmission is the event's serialized admission stage: tick the data
 // plane to the event's time, apply the arrival, departure or fault against
-// the authoritative state and derive the conflict footprint. The scheduler
+// the authoritative state and derive the footprint. The scheduler
 // guarantees the trigger session is unclaimed, so every trigger-session
 // access here is single-owner; everything else goes through the
 // stripe-locked ledger, the committed-agents index, or o.mu.
@@ -225,7 +226,7 @@ func (st *eventState) applyAdmission() (pipeline.Footprint, error) {
 		}
 		s = -1
 	}
-	return o.footprintLocked(s, st.rep.Reopt), nil
+	return footprint(s, st.rep.Reopt), nil
 }
 
 // activateLocked bootstraps session s through the configured policy and
@@ -411,15 +412,10 @@ func (o *Orchestrator) touchedIndexed(trigger model.SessionID, agents []model.Ag
 	return out
 }
 
-// footprintLocked derives an event's conflict footprint: the owned session
-// set (trigger + re-optimization set) and the ledger stripes those
-// sessions' walks can read or commit to — each session's committed agents
-// plus its members' candidate windows. Without a candidate window a walk
-// can move a session onto any agent, so the footprint claims every stripe
-// (correct, but serializing: windows are what unlock event-level
-// parallelism). A fault's trigger is -1: it owns only its re-optimization
-// set. Caller holds o.mu.
-func (o *Orchestrator) footprintLocked(trigger model.SessionID, reopt []model.SessionID) pipeline.Footprint {
+// footprint is an event's owned session set: the trigger plus its
+// re-optimization set. A fault's trigger is -1: it owns only its
+// re-optimization set.
+func footprint(trigger model.SessionID, reopt []model.SessionID) pipeline.Footprint {
 	fp := pipeline.Footprint{Sessions: make([]int32, 0, len(reopt)+1)}
 	if trigger >= 0 {
 		fp.Sessions = append(fp.Sessions, int32(trigger))
@@ -429,27 +425,5 @@ func (o *Orchestrator) footprintLocked(trigger model.SessionID, reopt []model.Se
 			fp.Sessions = append(fp.Sessions, int32(s))
 		}
 	}
-	if o.nbrIdx == nil {
-		fp.Shards = make([]int32, o.ledger.NumShards())
-		for i := range fp.Shards {
-			fp.Shards[i] = int32(i)
-		}
-		return fp
-	}
-	var agents []model.AgentID
-	for _, s32 := range fp.Sessions {
-		s := model.SessionID(s32)
-		agents = append(agents, o.touchIdx[s]...)
-		if s == trigger && o.touchIdx[s] == nil {
-			continue // departed trigger: owned but never walked
-		}
-		for _, u := range o.sc.Session(s).Users {
-			agents = append(agents, o.nbrIdx.UserWindow(u)...)
-		}
-	}
-	var r shard.Route
-	o.ledger.ResetRoute(&r)
-	o.ledger.RouteAgents(&r, agents)
-	fp.Shards = append(fp.Shards, r.Shards()...)
 	return fp
 }

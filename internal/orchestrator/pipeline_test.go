@@ -14,8 +14,9 @@ import (
 
 // TestPipelineStorm is the pipelined concurrency storm: overlapping events
 // on a finite-capacity regional fleet whose clustered sessions share their
-// home regions' agents, several events in flight, candidate windows ON so
-// footprints actually admit in parallel. The schedule runs in chunks; after
+// home regions' agents, several events in flight (admissions running beside
+// the current re-optimization, whose sibling tasks commit concurrently),
+// candidate windows ON. The schedule runs in chunks; after
 // every chunk the orchestrator is drained and the full invariant checker —
 // capacity, completeness, delay cap, and exact ledger-vs-assignment
 // reconciliation — must pass. Run under -race in CI.
@@ -50,7 +51,7 @@ func TestPipelineStorm(t *testing.T) {
 
 	cfg := DefaultConfig(51)
 	cfg.Shards = 8
-	cfg.ledgerShards = fc.NumAgents // per-agent stripes: maximal footprint disjointness
+	cfg.ledgerShards = fc.NumAgents // per-agent stripes: the most disjoint commit routes
 	cfg.HopBudget = 12
 	cfg.MaxReoptSessions = 8
 	cfg.Core.NeighborWindow = 6
@@ -88,10 +89,10 @@ func TestPipelineStorm(t *testing.T) {
 		st.ReoptP50, st.ReoptP99)
 }
 
-// TestPipelineOverlapHappens asserts the scheduler actually overlaps events
-// on a low-conflict workload (disjoint regional sessions, windows on): the
-// in-flight high-water mark must exceed 1 and the latency percentiles must
-// be populated.
+// TestPipelineOverlapHappens asserts the scheduler actually admits events
+// ahead of the running re-optimization on a low-conflict workload (disjoint
+// regional sessions, windows on): the in-flight high-water mark must exceed
+// 1 and the latency percentiles must be populated.
 func TestPipelineOverlapHappens(t *testing.T) {
 	fc := workload.DefaultFleetConfig(52)
 	fc.NumAgents = 32
@@ -172,7 +173,7 @@ func TestPipelineConfigValidation(t *testing.T) {
 // TestPipelinedDropsAndSkips replays the admission edge cases through the
 // scheduler at two events in flight: an infeasible arrival is dropped with
 // clean state, and its echo departure is skipped — both producing empty
-// footprints that never enter the conflict DAG.
+// footprints that claim no session.
 func TestPipelinedDropsAndSkips(t *testing.T) {
 	wl := workload.Prototype(54)
 	wl.MeanBandwidthMbps = 30

@@ -56,11 +56,12 @@ func taskSeed(seed int64, s model.SessionID, eventIdx int) int64 {
 // orchestrator's headline responsiveness metric.
 //
 // Session ownership is what makes the lock-free parts of the commit path
-// sound: the scheduler guarantees no other in-flight event owns these
-// sessions — a fault's re-homed or re-balanced set is its footprint like
-// any other event's — and every session appears in at most one task, so a
-// task is the only goroutine reading or writing its session's variables in
-// the live assignment.
+// sound: the scheduler runs one event's re-optimization at a time and
+// admits no event whose trigger these sessions include — a fault's
+// re-homed or re-balanced set is its footprint like any other event's —
+// and every session appears in at most one task, so a task is the only
+// goroutine reading or writing its session's variables in the live
+// assignment.
 func (o *Orchestrator) dispatch(sessions []model.SessionID, seq int, results []taskResult, parent telemetry.Span) time.Duration {
 	start := time.Now()
 	var wg sync.WaitGroup

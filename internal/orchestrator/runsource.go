@@ -17,15 +17,17 @@ import (
 )
 
 // RunSource processes events pulled from src in order until exhaustion,
-// letting events with disjoint footprints overlap (Config.MaxInFlight).
-// Each finished report — churn and fault alike — is passed to onReport
-// (nil to discard) in schedule order from the scheduler's dispatcher, the
-// goroutine Close waits for, so onReport must not call Close: a non-nil
-// onReport error is how it stops the stream. That error, or an event's
-// admission error, stops pulling and surfaces from RunSource. Before a
-// fault event is submitted the scheduler drains, because healing rewrites
-// sessions that in-flight events may own. With a runtime attached, the data plane is ticked to each
-// event's time as it is admitted and to horizonS after the final drain.
+// admitting up to Config.MaxInFlight events ahead of the one
+// re-optimization running. Each finished report — churn and fault alike —
+// is passed to onReport (nil to discard) in schedule order from the
+// scheduler's dispatcher. onReport stops the stream by returning an error,
+// which RunSource returns, or by calling Close: RunSource then stops at its
+// next submission, with pipeline.ErrClosed. An event's admission error
+// also stops pulling and surfaces from RunSource. Before a fault event is
+// submitted the scheduler drains, because healing rewrites sessions that
+// in-flight events may own. With a runtime attached, the data plane is
+// ticked to each event's time as it is admitted and to horizonS after the
+// final drain.
 func (o *Orchestrator) RunSource(src sim.EventSource, horizonS float64, onReport func(EventReport) error) error {
 	var cbMu sync.Mutex
 	var cbErr error

@@ -367,8 +367,8 @@ func TestCloseMidStream(t *testing.T) {
 		const closeAt = 40
 		var n atomic.Int64
 		closed := make(chan struct{})
-		// Reports arrive on the scheduler's retire goroutine, which Close
-		// waits for: close from a goroutine of its own.
+		// Close from a goroutine of its own, racing the stream
+		// (TestCloseFromReportCallback closes from inside the callback).
 		onReport := func(EventReport) error {
 			if n.Add(1) == closeAt {
 				go func() {
@@ -410,10 +410,9 @@ func TestCloseMidStream(t *testing.T) {
 	}
 }
 
-// TestStopFromReportCallback: onReport runs on the dispatcher that Close
-// waits for, so a callback stops the stream by returning an error. The
-// error returned at the tenth report surfaces from RunSource, the state
-// holds its invariants, and a later Close returns.
+// TestStopFromReportCallback: a callback stops the stream by returning an
+// error. The error returned at the tenth report surfaces from RunSource,
+// the state holds its invariants, and a later Close returns.
 func TestStopFromReportCallback(t *testing.T) {
 	for _, inFlight := range []int{1, 4} {
 		fc := chaosFleet(73)
@@ -461,6 +460,57 @@ func TestStopFromReportCallback(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatalf("in-flight %d: Close did not return", inFlight)
 		}
+	}
+}
+
+// TestCloseFromReportCallback: onReport runs on the scheduler's
+// dispatcher, and a Close made from inside it returns instead of waiting
+// for that dispatcher. RunSource then stops at its next submission with
+// ErrClosed, the state holds its invariants, and HandleEvent afterwards
+// returns an error. Run under -race in CI.
+func TestCloseFromReportCallback(t *testing.T) {
+	for _, inFlight := range []int{1, 4} {
+		fc := chaosFleet(73)
+		ev, boot, homes := chaosStack(t, fc)
+		ccfg, fcfg := chaosGenConfigs(73, fc, homes, 400, 0.2)
+		cfg := chaosConfig(73, fc)
+		cfg.Shards = 4
+		cfg.MaxInFlight = inFlight
+		o, err := New(ev, boot, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0 // reports arrive one at a time, in schedule order
+		onReport := func(EventReport) error {
+			if n++; n == 10 {
+				o.Close()
+			}
+			return nil
+		}
+		src := &countingSource{EventSource: chaosEngine(t, ccfg, fcfg)}
+		done := make(chan error, 1)
+		go func() { done <- o.RunSource(src, 1e18, onReport) }()
+		select {
+		case err = <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("in-flight %d: RunSource did not return after Close from onReport", inFlight)
+		}
+		if !errors.Is(err, pipeline.ErrClosed) {
+			t.Fatalf("in-flight %d: RunSource returned %v, want ErrClosed", inFlight, err)
+		}
+		if _, ok := src.Next(); !ok {
+			t.Fatalf("in-flight %d: the source ran dry; the stream was not cut", inFlight)
+		}
+		if got := o.Stats().Events; got != n || got < 10 {
+			t.Fatalf("in-flight %d: %d events retired, %d reported", inFlight, got, n)
+		}
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatalf("in-flight %d: %v", inFlight, err)
+		}
+		if _, err := o.HandleEvent(workload.Event{TimeS: 1e9, Kind: workload.EventDeparture, Session: 0}); err == nil {
+			t.Fatalf("in-flight %d: HandleEvent after Close succeeded", inFlight)
+		}
+		o.Close() // a no-op
 	}
 }
 

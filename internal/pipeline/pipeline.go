@@ -1,38 +1,31 @@
-// Package pipeline implements the dependency-aware churn-event scheduler:
-// the concurrency layer that lets the orchestrator keep several events in
-// flight at once instead of barriering per event.
+// Package pipeline implements the churn-event scheduler: the layer that
+// lets the orchestrator admit the next event while the current one
+// re-optimizes, instead of barriering per event.
 //
 // The paper's online setting is a stream of join/leave events, each
-// triggering incremental re-optimization of a handful of sessions. Because
-// Φ = Σ_s Φ_s decomposes by session and capacity is the only cross-session
-// coupling, two events whose state surfaces are disjoint are fully
-// independent: nothing one reads or writes can affect the other. This
-// package schedules on exactly that structure. Each submitted event carries
-// a conflict Footprint — the session set it will exclusively own during
-// re-optimization, plus the capacity-ledger stripes its walks can read or
-// its commits can touch — and the scheduler:
+// triggering incremental re-optimization of a handful of sessions. Φ =
+// Σ_s Φ_s decomposes by session, and capacity is the only cross-session
+// coupling. Each submitted event names a trigger session, and its admission
+// returns a Footprint: the session set the event exclusively owns during
+// re-optimization. The scheduler:
 //
 //  1. admits an event (runs its serialized state-mutating admission, which
-//     finalizes the footprint) as soon as its trigger session is unclaimed
+//     derives the footprint) as soon as its trigger session is unclaimed
 //     and the in-flight cap allows, possibly out of submission order;
-//  2. starts the event's re-optimization immediately when its footprint is
-//     disjoint from every in-flight event, and otherwise queues it behind
-//     exactly the events it conflicts with (a ticket-ordered wait: an event
-//     defers only to conflicting events admitted before it, so the implicit
-//     DAG is acyclic and every wait resolves);
+//  2. re-optimizes admitted events one at a time, in admission order: an
+//     event's Reopt starts only after every event admitted before it has
+//     finished its own. The one overlap across events is an admission
+//     running beside a re-optimization;
 //  3. retires events strictly in submission order, so the *shape* of
 //     reporting — which event retires when, relative to its peers — is
 //     deterministic no matter how execution interleaved. (Values sampled
 //     at retire time may still reflect later events' admissions at
 //     MaxInFlight > 1; only cap 1 pins them bit-for-bit.)
 //
-// Footprints are allowed to under-estimate the *stripe* set (capacity
-// safety never depends on them: stripe locks plus commit-time validation in
-// internal/shard make concurrent commits safe, and the epoch-stamped
-// Conflict/retry path absorbs stale snapshots). The *session* set is the
-// safety-critical half: the client must guarantee an event's execution
-// touches only sessions in its footprint, and the scheduler guarantees two
-// events owning a common session never execute concurrently.
+// The footprint is what keeps an admission off the sessions a
+// re-optimization is walking: the client must guarantee an event's
+// execution touches only sessions in its footprint, and the scheduler never
+// admits an event whose trigger an in-flight event's footprint claims.
 //
 // With MaxInFlight = 1 the scheduler degenerates to strict serial
 // execution: admit → re-optimize → retire, one event at a time, in
@@ -47,30 +40,17 @@ import (
 	"sync"
 )
 
-// Footprint is the conflict surface of one event. Both sets are treated as
-// unordered ID sets; Normalize sorts them so Conflicts can merge-scan.
+// Footprint is the session set one event owns, treated as an unordered ID
+// set; Normalize sorts it for ContainsSession.
 type Footprint struct {
 	// Sessions are the session IDs the event exclusively owns while
-	// executing: the trigger plus its re-optimization set. Safety-critical —
-	// the event must touch no session outside this set.
+	// executing: the trigger plus its re-optimization set. The event must
+	// touch no session outside this set.
 	Sessions []int32
-	// Shards are the capacity-ledger stripe indices the event's walks can
-	// read or its commits can touch. Advisory — an under-estimate costs
-	// commit conflicts/retries, never correctness.
-	Shards []int32
 }
 
-// Normalize sorts both sets ascending.
-func (f *Footprint) Normalize() {
-	slices.Sort(f.Sessions)
-	slices.Sort(f.Shards)
-}
-
-// Conflicts reports whether two normalized footprints overlap in either
-// set.
-func (f Footprint) Conflicts(g Footprint) bool {
-	return intersects(f.Sessions, g.Sessions) || intersects(f.Shards, g.Shards)
-}
+// Normalize sorts the session set ascending.
+func (f *Footprint) Normalize() { slices.Sort(f.Sessions) }
 
 // ContainsSession reports whether the (normalized) session set contains s.
 func (f Footprint) ContainsSession(s int32) bool {
@@ -80,22 +60,6 @@ func (f Footprint) ContainsSession(s int32) bool {
 		}
 		if x > s {
 			return false
-		}
-	}
-	return false
-}
-
-// intersects merge-scans two ascending sets.
-func intersects(a, b []int32) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
 		}
 	}
 	return false
@@ -112,9 +76,9 @@ type Exec struct {
 	Trigger int32
 	// Admit applies the event's state mutation (bootstrap/release) and
 	// derives its footprint. Admissions are serialized — the scheduler never
-	// runs two concurrently — but may run while other events' Reopt stages
-	// are executing, and may run out of submission order. An error aborts
-	// the stream (no further admissions; see Drain).
+	// runs two concurrently — but may run while an earlier event's Reopt
+	// stage is executing, and may run out of submission order. An error
+	// aborts the stream (no further admissions; see Drain).
 	Admit func() (Footprint, error)
 	// OnAdmit, when non-nil, is called immediately before Admit with the
 	// event's stall flag: true iff this admission waited at least once —
@@ -122,9 +86,10 @@ type Exec struct {
 	// observers reconcile with the aggregate counter. Called on the
 	// dispatcher goroutine, outside the scheduler lock.
 	OnAdmit func(stalled bool)
-	// Reopt runs the event's re-optimization stage. It may run concurrently
-	// with other events' Reopt stages whose footprints are disjoint, and
-	// must touch only sessions in the event's footprint.
+	// Reopt runs the event's re-optimization stage, after every event
+	// admitted before it has finished its own: Reopt stages never overlap.
+	// It may run beside a later event's Admit, and must touch only sessions
+	// in the event's footprint.
 	Reopt func() error
 	// Retire runs after the event and every earlier event have finished;
 	// retires are serialized in submission order.
@@ -137,10 +102,11 @@ var ErrClosed = errors.New("pipeline: submit after close")
 // Config tunes the scheduler.
 type Config struct {
 	// MaxInFlight bounds the events between admission and re-optimization
-	// completion. 1 degenerates to strict serial execution in submission
-	// order. Defaults to 1. It also sizes the submit window: Submit blocks
-	// while 4 × MaxInFlight submissions await admission (backpressure, and
-	// what makes the queue-depth telemetry meaningful).
+	// completion: how far admission may run ahead of the one
+	// re-optimization running. 1 degenerates to strict serial execution in
+	// submission order. Defaults to 1. It also sizes the submit window:
+	// Submit blocks while 4 × MaxInFlight submissions await admission
+	// (backpressure, and what makes the queue-depth telemetry meaningful).
 	MaxInFlight int
 }
 
@@ -159,11 +125,12 @@ type Stats struct {
 	Submitted int
 	Retired   int
 	// AdmissionStalls counts events whose admission had to wait at least
-	// once — on the in-flight cap, on an earlier same-trigger event, or on
-	// an in-flight event claiming their trigger session.
+	// once — on the in-flight cap (admission already MaxInFlight events
+	// ahead of re-optimization), on an earlier same-trigger event, or on an
+	// in-flight event claiming their trigger session.
 	AdmissionStalls int
-	// ReoptWaits counts events whose re-optimization stage had to queue
-	// behind a conflicting in-flight event at least once (the DAG edges).
+	// ReoptWaits counts events whose re-optimization stage had to wait for
+	// an earlier-admitted event's to finish.
 	ReoptWaits int
 	// QueueDepthPeak is the high-water mark of submitted-but-unadmitted
 	// events.
@@ -186,7 +153,7 @@ type event struct {
 	exec    Exec
 	phase   evPhase
 	fp      Footprint
-	ticket  int  // admission order; conflict waits defer to smaller tickets
+	ticket  int  // admission order: re-optimization runs in ticket order
 	stalled bool // passed over by at least one admission scan
 	skipped bool // aborted without running (admission error or stream abort)
 	retired chan struct{}
@@ -194,7 +161,7 @@ type event struct {
 
 // Scheduler runs submitted events per the package contract. One dispatcher
 // goroutine owns admissions and retirements; each in-flight event gets a
-// goroutine for its conflict wait + Reopt. Submit/Drain/Close follow the
+// goroutine for its turn wait + Reopt. Submit/Drain/Close follow the
 // orchestrator's single-caller discipline, though they are internally
 // locked.
 type Scheduler struct {
@@ -203,9 +170,11 @@ type Scheduler struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// queue holds every un-retired event in ascending submission order.
-	queue    []*event
-	nextSeq  int
-	tickets  int
+	queue   []*event
+	nextSeq int
+	tickets int
+	// reopted counts finished Reopt stages: the ticket whose turn it is.
+	reopted  int
 	inFlight int
 	pending  int
 	err      error
@@ -290,17 +259,19 @@ func (s *Scheduler) Stats() Stats {
 	return s.stats
 }
 
-// Close stops the scheduler after the queue empties (in-flight events
-// finish; a stream error discards what remains) and waits for the
-// dispatcher to exit. The scheduler must not be used afterwards.
-func (s *Scheduler) Close() {
+// Close stops the scheduler: Submit returns ErrClosed from now on, and the
+// dispatcher exits once the queue empties (in-flight events finish; a
+// stream error discards what remains). Close does not wait for that exit —
+// Retire runs on the dispatcher, so a Close from inside it could not — and
+// returns a channel closed when the dispatcher has exited.
+func (s *Scheduler) Close() <-chan struct{} {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
-	<-s.done
+	return s.done
 }
 
 // dispatch is the scheduler's single dispatcher loop: it retires done
@@ -436,18 +407,16 @@ func (s *Scheduler) triggerBlockedLocked(e *event, idx int) bool {
 	return false
 }
 
-// run executes one admitted event: wait until no conflicting in-flight
-// event with a smaller ticket remains (the DAG edge — tickets are admission
-// order, so waits are acyclic), then run the re-optimization stage.
+// run executes one admitted event: wait until every event admitted before
+// it has finished re-optimizing (tickets are admission order), then run the
+// re-optimization stage.
 func (s *Scheduler) run(e *event) {
 	s.mu.Lock()
-	waited := false
-	for s.conflictLocked(e) {
-		if !waited {
-			waited = true
-			s.stats.ReoptWaits++
+	if s.reopted < e.ticket {
+		s.stats.ReoptWaits++
+		for s.reopted < e.ticket {
+			s.cond.Wait()
 		}
-		s.cond.Wait()
 	}
 	s.mu.Unlock()
 
@@ -460,17 +429,7 @@ func (s *Scheduler) run(e *event) {
 	}
 	e.phase = phaseDone
 	s.inFlight--
+	s.reopted++
 	s.cond.Broadcast()
 	s.mu.Unlock()
-}
-
-// conflictLocked reports whether a conflicting in-flight event admitted
-// before e is still executing.
-func (s *Scheduler) conflictLocked(e *event) bool {
-	for _, f := range s.queue {
-		if f.phase == phaseInFlight && f.ticket < e.ticket && f.fp.Conflicts(e.fp) {
-			return true
-		}
-	}
-	return false
 }

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -26,8 +28,8 @@ func (r *recorder) snapshot() []string {
 	return append([]string(nil), r.log...)
 }
 
-// submitN submits n trivially disjoint events (trigger i, footprint
-// {sessions: {i}, shards: {i}}) that log their stages.
+// submitN submits n trivially disjoint events (trigger i, footprint {i})
+// that log their stages.
 func submitN(t *testing.T, s *Scheduler, rec *recorder, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -36,7 +38,7 @@ func submitN(t *testing.T, s *Scheduler, rec *recorder, n int) {
 			Trigger: int32(i),
 			Admit: func() (Footprint, error) {
 				rec.add(fmt.Sprintf("admit-%d", i))
-				return Footprint{Sessions: []int32{int32(i)}, Shards: []int32{int32(i)}}, nil
+				return Footprint{Sessions: []int32{int32(i)}}, nil
 			},
 			Reopt:  func() error { rec.add(fmt.Sprintf("reopt-%d", i)); return nil },
 			Retire: func() { rec.add(fmt.Sprintf("retire-%d", i)) },
@@ -47,29 +49,19 @@ func submitN(t *testing.T, s *Scheduler, rec *recorder, n int) {
 	}
 }
 
-func TestFootprintConflicts(t *testing.T) {
-	a := Footprint{Sessions: []int32{3, 1}, Shards: []int32{7, 2}}
+func TestFootprintContainsSession(t *testing.T) {
+	a := Footprint{Sessions: []int32{7, 3, 1}}
 	a.Normalize()
-	if a.Sessions[0] != 1 || a.Shards[0] != 2 {
+	if a.Sessions[0] != 1 || a.Sessions[1] != 3 || a.Sessions[2] != 7 {
 		t.Fatalf("normalize did not sort: %+v", a)
 	}
-	cases := []struct {
-		b    Footprint
-		want bool
-	}{
-		{Footprint{Sessions: []int32{2}, Shards: []int32{4}}, false},
-		{Footprint{Sessions: []int32{3}, Shards: []int32{}}, true},
-		{Footprint{Sessions: []int32{}, Shards: []int32{7}}, true},
-		{Footprint{}, false},
-	}
-	for i, tc := range cases {
-		tc.b.Normalize()
-		if got := a.Conflicts(tc.b); got != tc.want {
-			t.Fatalf("case %d: conflicts=%v, want %v", i, got, tc.want)
+	for s, want := range map[int32]bool{0: false, 1: true, 2: false, 3: true, 7: true, 8: false} {
+		if got := a.ContainsSession(s); got != want {
+			t.Fatalf("ContainsSession(%d) = %v, want %v", s, got, want)
 		}
 	}
-	if !a.ContainsSession(3) || a.ContainsSession(4) {
-		t.Fatal("ContainsSession wrong")
+	if (Footprint{}).ContainsSession(0) {
+		t.Fatal("empty footprint contains a session")
 	}
 }
 
@@ -104,7 +96,8 @@ func TestSerialAtCapOne(t *testing.T) {
 }
 
 // TestRetireOrder pins that retires follow submission order even when
-// execution completes out of order.
+// later events are admitted (and, at their turn, re-optimized) while the
+// stream head is still in flight.
 func TestRetireOrder(t *testing.T) {
 	s, err := New(Config{MaxInFlight: 4})
 	if err != nil {
@@ -112,7 +105,7 @@ func TestRetireOrder(t *testing.T) {
 	}
 	rec := &recorder{}
 	release := make(chan struct{})
-	// Event 0 blocks until released; events 1..3 are free to finish first.
+	// Event 0 blocks until released; events 1..3 are admitted behind it.
 	_, err = s.Submit(Exec{
 		Trigger: 0,
 		Admit:   func() (Footprint, error) { return Footprint{Sessions: []int32{0}}, nil },
@@ -122,20 +115,21 @@ func TestRetireOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{}, 3)
+	admitted := make(chan struct{}, 3)
 	for i := 1; i < 4; i++ {
 		i := i
 		if _, err := s.Submit(Exec{
 			Trigger: int32(i),
+			OnAdmit: func(bool) { admitted <- struct{}{} },
 			Admit:   func() (Footprint, error) { return Footprint{Sessions: []int32{int32(i)}}, nil },
-			Reopt:   func() error { done <- struct{}{}; return nil },
+			Reopt:   func() error { return nil },
 			Retire:  func() { rec.add(fmt.Sprintf("retire-%d", i)) },
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		<-done // all later events finished their reopt
+		<-admitted // all later events admitted while event 0 re-optimizes
 	}
 	if got := rec.snapshot(); len(got) != 0 {
 		t.Fatalf("events retired before the stream head: %v", got)
@@ -154,96 +148,94 @@ func TestRetireOrder(t *testing.T) {
 	}
 }
 
-// TestConflictQueuesBehindSpecificEvent pins the DAG edge: an event whose
-// footprint overlaps an in-flight event waits for it, while a disjoint
-// event proceeds concurrently.
-func TestConflictQueuesBehindSpecificEvent(t *testing.T) {
+// TestReoptRunsInAdmissionOrder pins the re-optimization order: a later
+// event with a disjoint footprint is admitted while an earlier one
+// re-optimizes but does not start its own Reopt until that one finishes,
+// and an event admitted out of submission order re-optimizes in admission
+// order.
+func TestReoptRunsInAdmissionOrder(t *testing.T) {
 	s, err := New(Config{MaxInFlight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	admits, reopts, retires := &recorder{}, &recorder{}, &recorder{}
 	var mu sync.Mutex
-	aRunning, aDone := false, false
+	aRunning := false
 	aStarted := make(chan struct{})
 	release := make(chan struct{})
-	disjointRan := make(chan struct{})
-
-	// Event A: owns session 1 / shard 0, blocks until released.
-	if _, err := s.Submit(Exec{
-		Trigger: 1,
-		Admit:   func() (Footprint, error) { return Footprint{Sessions: []int32{1}, Shards: []int32{0}}, nil },
-		Reopt: func() error {
-			mu.Lock()
-			aRunning = true
-			mu.Unlock()
-			close(aStarted)
-			<-release
-			mu.Lock()
-			aRunning = false
-			aDone = true
-			mu.Unlock()
-			return nil
-		},
-		Retire: func() {},
-	}); err != nil {
+	ev := func(name string, trigger int32, fp []int32, reopt func()) Exec {
+		return Exec{
+			Trigger: trigger,
+			Admit:   func() (Footprint, error) { admits.add(name); return Footprint{Sessions: fp}, nil },
+			Reopt: func() error {
+				reopts.add(name)
+				if reopt != nil {
+					reopt()
+				}
+				return nil
+			},
+			Retire: func() { retires.add(name) },
+		}
+	}
+	notWhileA := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if aRunning {
+			t.Error("a later event re-optimized while an earlier one was still re-optimizing")
+		}
+	}
+	// A owns sessions {1, 5} and blocks in Reopt until released.
+	if _, err := s.Submit(ev("A", 1, []int32{1, 5}, func() {
+		mu.Lock()
+		aRunning = true
+		mu.Unlock()
+		close(aStarted)
+		<-release
+		mu.Lock()
+		aRunning = false
+		mu.Unlock()
+	})); err != nil {
 		t.Fatal(err)
 	}
 	<-aStarted
-
-	// Event B: shares shard 0 with A → must wait for A.
-	if _, err := s.Submit(Exec{
-		Trigger: 2,
-		Admit:   func() (Footprint, error) { return Footprint{Sessions: []int32{2}, Shards: []int32{0}}, nil },
-		Reopt: func() error {
-			mu.Lock()
-			defer mu.Unlock()
-			if aRunning || !aDone {
-				t.Error("conflicting event ran while its predecessor was in flight")
-			}
-			return nil
-		},
-		Retire: func() {},
-	}); err != nil {
+	// B's trigger 5 is claimed by A: its admission waits for A. C is
+	// disjoint from A, so it is admitted first, out of submission order.
+	if _, err := s.Submit(ev("B", 5, []int32{5}, notWhileA)); err != nil {
 		t.Fatal(err)
 	}
-
-	// Event C: disjoint → runs while A is still blocked.
-	if _, err := s.Submit(Exec{
-		Trigger: 3,
-		Admit:   func() (Footprint, error) { return Footprint{Sessions: []int32{3}, Shards: []int32{9}}, nil },
-		Reopt: func() error {
-			mu.Lock()
-			running := aRunning
-			mu.Unlock()
-			if !running {
-				t.Error("disjoint event did not overlap the in-flight event")
-			}
-			close(disjointRan)
-			return nil
-		},
-		Retire: func() {},
-	}); err != nil {
+	if _, err := s.Submit(ev("C", 3, []int32{3}, notWhileA)); err != nil {
 		t.Fatal(err)
 	}
-
-	select {
-	case <-disjointRan:
-	case <-time.After(5 * time.Second):
-		t.Fatal("disjoint event never ran while predecessor was in flight")
-	}
-	// Hold A in flight until B's execution goroutine has registered its
-	// conflict wait, so the ReoptWaits assertion below is deterministic.
-	for deadline := time.Now().Add(5 * time.Second); s.Stats().ReoptWaits == 0 && time.Now().Before(deadline); {
+	// C's Reopt registers its wait for A once C is admitted.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().ReoptWaits == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the disjoint event's re-optimization never waited for the running one")
+		}
 		time.Sleep(time.Millisecond)
+	}
+	if got := reopts.snapshot(); len(got) != 1 {
+		t.Fatalf("re-optimizations started while A runs: %v, want [A]", got)
 	}
 	close(release)
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	st := s.Stats()
-	if st.ReoptWaits != 1 {
-		t.Fatalf("ReoptWaits = %d, want 1 (only the conflicting event)", st.ReoptWaits)
+	for _, c := range []struct {
+		what string
+		got  []string
+		want string
+	}{
+		{"admission", admits.snapshot(), "[A C B]"},
+		{"re-optimization", reopts.snapshot(), "[A C B]"},
+		{"retire", retires.snapshot(), "[A B C]"},
+	} {
+		if got := fmt.Sprint(c.got); got != c.want {
+			t.Fatalf("%s order %s, want %s", c.what, got, c.want)
+		}
+	}
+	if st := s.Stats(); st.InFlightPeak != 2 {
+		t.Fatalf("InFlightPeak = %d, want 2 (A and C)", st.InFlightPeak)
 	}
 }
 
@@ -393,11 +385,13 @@ func TestAbortRetiresStrictPrefix(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Event 2: disjoint → admitted out of order and completes while event 0
-	// is still blocked; its retire must be suppressed by event 1's abort.
-	ran := make(chan struct{})
+	// Event 2: disjoint → admitted out of order while event 0 is still
+	// blocked, and re-optimizes after it; its retire must be suppressed by
+	// event 1's abort.
+	admitted, ran := make(chan struct{}), make(chan struct{})
 	if _, err := s.Submit(Exec{
 		Trigger: 3,
+		OnAdmit: func(bool) { close(admitted) },
 		Admit:   func() (Footprint, error) { return Footprint{Sessions: []int32{3}}, nil },
 		Reopt:   func() error { close(ran); return nil },
 		Retire:  func() { rec.add("retire-2") },
@@ -405,15 +399,20 @@ func TestAbortRetiresStrictPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-ran:
+	case <-admitted:
 	case <-time.After(5 * time.Second):
-		t.Fatal("disjoint event never ran out of order")
+		t.Fatal("disjoint event was never admitted out of order")
 	}
 	close(release)
 	if got := s.Drain(); got != boom {
 		t.Fatalf("Drain = %v, want %v", got, boom)
 	}
 	s.Close()
+	select {
+	case <-ran:
+	default:
+		t.Fatal("the admitted event never re-optimized")
+	}
 	log := rec.snapshot()
 	if len(log) != 1 || log[0] != "retire-0" {
 		t.Fatalf("aborted stream retired %v, want strict prefix [retire-0]", log)
@@ -428,29 +427,27 @@ func TestStatsPeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	var started sync.WaitGroup
-	started.Add(3)
+	var admitted sync.WaitGroup
+	admitted.Add(3)
 	for i := 0; i < 8; i++ {
 		i := i
-		first := i < 3
-		if _, err := s.Submit(Exec{
+		exec := Exec{
 			Trigger: int32(i),
-			Admit: func() (Footprint, error) {
-				return Footprint{Sessions: []int32{int32(i)}, Shards: []int32{int32(i)}}, nil
-			},
-			Reopt: func() error {
-				if first {
-					started.Done()
-					<-release
-				}
-				return nil
-			},
-			Retire: func() {},
-		}); err != nil {
+			Admit:   func() (Footprint, error) { return Footprint{Sessions: []int32{int32(i)}}, nil },
+			Reopt:   func() error { return nil },
+			Retire:  func() {},
+		}
+		if i < 3 {
+			exec.OnAdmit = func(bool) { admitted.Done() }
+		}
+		if i == 0 {
+			exec.Reopt = func() error { <-release; return nil }
+		}
+		if _, err := s.Submit(exec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	started.Wait() // cap reached: 3 events blocked in flight, rest queued
+	admitted.Wait() // cap reached: event 0 re-optimizing, 1 and 2 admitted behind it, rest queued
 	close(release)
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
@@ -540,5 +537,109 @@ func TestOnAdmitMirrorsAdmissionStalls(t *testing.T) {
 	}
 	if !flags[1] {
 		t.Fatal("second event reported unstalled: it waited on the in-flight cap")
+	}
+}
+
+// TestSchedulerStorm races the scheduler on a random stream: 1 500 events
+// whose triggers and footprints are drawn over 48 sessions, some
+// re-optimizations slow, at in-flight caps 1, 2 and 4. At every moment at
+// most one Reopt runs; no admission touches a session an in-flight event
+// owns; events sharing a trigger are admitted in submission order;
+// re-optimization follows admission order and retirement submission order;
+// and admission runs the full cap ahead of re-optimization (InFlightPeak
+// equals the cap). Run under -race in CI.
+func TestSchedulerStorm(t *testing.T) {
+	const n, sessions = 1500, 48
+	for _, limit := range []int{1, 2, 4} {
+		s, err := New(Config{MaxInFlight: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(limit)))
+		var (
+			mu          sync.Mutex
+			owned       [sessions]int
+			running     int
+			lastAdmit   [sessions]int
+			admitOrder  []int
+			reoptOrder  []int
+			retireOrder []int
+		)
+		for i := range lastAdmit {
+			lastAdmit[i] = -1
+		}
+		for seq := 0; seq < n; seq++ {
+			seq := seq
+			trigger := int32(rng.Intn(sessions))
+			fp := []int32{trigger}
+			for k := rng.Intn(4); k > 0; k-- {
+				if x := int32(rng.Intn(sessions)); !slices.Contains(fp, x) {
+					fp = append(fp, x)
+				}
+			}
+			slow := rng.Intn(8) == 0
+			if _, err := s.Submit(Exec{
+				Trigger: trigger,
+				Admit: func() (Footprint, error) {
+					mu.Lock()
+					defer mu.Unlock()
+					if owned[trigger] > 0 {
+						t.Errorf("limit %d: event %d admitted while its trigger %d is owned", limit, seq, trigger)
+					}
+					if lastAdmit[trigger] > seq {
+						t.Errorf("limit %d: event %d admitted after event %d with the same trigger", limit, seq, lastAdmit[trigger])
+					}
+					lastAdmit[trigger] = seq
+					for _, x := range fp {
+						owned[x]++
+					}
+					admitOrder = append(admitOrder, seq)
+					return Footprint{Sessions: fp}, nil
+				},
+				Reopt: func() error {
+					mu.Lock()
+					if running++; running > 1 {
+						t.Errorf("limit %d: %d re-optimizations run at once", limit, running)
+					}
+					reoptOrder = append(reoptOrder, seq)
+					mu.Unlock()
+					if slow {
+						time.Sleep(50 * time.Microsecond)
+					}
+					mu.Lock()
+					running--
+					for _, x := range fp {
+						owned[x]--
+					}
+					mu.Unlock()
+					return nil
+				},
+				Retire: func() {
+					mu.Lock()
+					retireOrder = append(retireOrder, seq)
+					mu.Unlock()
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		mu.Lock()
+		if !slices.Equal(reoptOrder, admitOrder) {
+			t.Fatalf("limit %d: re-optimization order differs from admission order", limit)
+		}
+		if len(retireOrder) != n || !slices.IsSorted(retireOrder) {
+			t.Fatalf("limit %d: %d events retired, not in submission order", limit, len(retireOrder))
+		}
+		mu.Unlock()
+		st := s.Stats()
+		if st.Retired != n || st.InFlightPeak != limit {
+			t.Fatalf("limit %d: retired %d of %d, InFlightPeak %d", limit, st.Retired, n, st.InFlightPeak)
+		}
+		t.Logf("limit %d: stalls %d, reopt waits %d, queue peak %d, in-flight peak %d",
+			limit, st.AdmissionStalls, st.ReoptWaits, st.QueueDepthPeak, st.InFlightPeak)
 	}
 }

@@ -124,10 +124,6 @@ func (r *Route) sort() {
 	}
 }
 
-// Shards returns the routed shard indices (ascending after a pipeline
-// call). Shared slice; valid until the route's next use.
-func (r *Route) Shards() []int32 { return r.list }
-
 // pad keeps each shard's lock and epoch on its own cache line so
 // uncontended commits on neighboring shards do not false-share.
 type shardState struct {

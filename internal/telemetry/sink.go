@@ -338,8 +338,7 @@ func (s *Sink) crIndex(session int) int {
 // session's (class, region) labels: its outcome and lost commit races,
 // plus its phase times, delay-cache outcomes and walk hops. The event's
 // re-optimization stage calls it once per task after the event's tasks
-// have all finished; stages of overlapping events may call it
-// concurrently.
+// have all finished.
 func (s *Sink) Task(session int, r TaskResult) {
 	if s == nil {
 		return
