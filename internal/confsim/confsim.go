@@ -253,7 +253,7 @@ func (r *Runtime) Tick(dtS float64) (Telemetry, error) {
 	overhead := 0.0
 	for _, f := range r.feeds {
 		if f.untilS > start {
-			overlap := minFloat(f.untilS, start+dtS) - maxFloat(f.startS, start)
+			overlap := min(f.untilS, start+dtS) - max(f.startS, start)
 			if overlap > 0 {
 				overhead += f.mbps * overlap / dtS
 			}
@@ -387,18 +387,4 @@ func (r *Runtime) jitter() float64 {
 	z ^= z >> 32
 	u := float64(z>>11) / float64(1<<53) // [0,1)
 	return (2*u - 1) * r.cfg.JitterFrac
-}
-
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

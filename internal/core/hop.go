@@ -56,13 +56,13 @@ func (r *HopResult) rankCandidates(phis []float64) {
 type HopScratch struct {
 	eval *cost.Scratch
 	// decisions are the neighbors of the current state and vals their Φs as
-	// price computes them (NaN: not a candidate); key is the state's memo
-	// key and memo the walk's own memo, which holds the candidate sets the
-	// hop samples from.
+	// price computes them or a memo table serves them (NaN: not a
+	// candidate); key is the state's memo key and memo the walk's own memo,
+	// which holds the candidate sets the hop samples from.
 	decisions []assign.Decision
 	vals      []float64
 	key       []int32
-	memo      WalkMemo
+	memo      walkMemo
 	// bounds are the per-agent maxima of the candidate loads price folds,
 	// envAt maps an agent to 1 + its index in them (0 otherwise), and env
 	// is their envelope at rest.
@@ -148,7 +148,8 @@ func HopSessionWith(
 // feasible neighbor included) and, among them, Reused — hops from a state
 // the walk had already been in, which took its candidate set from the
 // walk's memo — and ReusedAcross — hops from a state new to the walk that
-// an earlier walk of the session had priced. The rest evaluated theirs.
+// an earlier walk of the session had certified, served by the memo table.
+// The rest evaluated theirs.
 type WalkStats struct{ Hops, Reused, ReusedAcross int }
 
 // WalkSession executes up to hops consecutive HOPs of session s — the same
@@ -165,13 +166,15 @@ type WalkStats struct{ Hops, Reused, ReusedAcross int }
 // the state. β-weighted jumps send a session at a local optimum
 // f → f′ → f → f″ → f, and the walk memoizes each state it prices in the
 // scratch's memo, emptied when the walk starts. memo, when non-nil, is the
-// session's own memo (see WalkMemo): checked against the ledger once, right
-// after the session's load is taken out, and emptied if its envelope no
-// longer fits; it serves states new to this walk and keeps the certified
-// states the walk prices. A hop from a memoized state skips only the
-// candidate evaluation: BeginSession, the noise readings, the weights, the
-// rng draw, the chosen state's NeighbourLoad, Apply and
-// CommitSessionDecision run as on a miss, in the same order.
+// host's table of states earlier walks certified (see MemoTable): the
+// session's envelope is checked against the ledger once, right after the
+// session's load is taken out; the table serves states new to this walk and
+// keeps the certified states the walk prices. A hop from a memoized state
+// skips only the candidate evaluation: BeginSession, the noise readings, the
+// weights, the rng draw, the chosen state's NeighbourLoad, Apply and
+// CommitSessionDecision run as on a miss, in the same order. The walk's last
+// hop skips CommitSessionDecision: no hop of this walk reads the record, and
+// the session's next BeginSession catches up by diff.
 func WalkSession(
 	a *assign.Assignment,
 	s model.SessionID,
@@ -180,14 +183,14 @@ func WalkSession(
 	cfg Config,
 	rng *rand.Rand,
 	scr *HopScratch,
-	memo *WalkMemo,
+	memo *MemoTable,
 	hops int,
 	visit func(HopResult),
 ) (WalkStats, error) {
 	var st WalkStats
 	scr.ensure(ev)
 	es := scr.eval
-	scr.memo.Clear()
+	scr.memo.clear()
 
 	// own is the load of the state the session is in, nil before the first hop.
 	var own *cost.SparseLoad
@@ -202,9 +205,7 @@ func WalkSession(
 		be := ev.BeginSession(a, s, es)
 		if own == nil {
 			ledger.Remove(es.CurLoad())
-			if memo != nil && !ledger.FitsEnvelope(memo.env) {
-				memo.Clear()
-			}
+			memo.renewUnless(s, ledger.FitsEnvelope)
 		}
 		own = es.CurLoad()
 		ds, phis, src, err := scr.candidateSet(a, s, ev, ledger, cfg, memo)
@@ -237,19 +238,20 @@ func WalkSession(
 		// state from its load and its already-evaluated Φ, so the session's
 		// next BeginSession is a hit instead of a patch.
 		own = load
-		ev.CommitSessionDecision(a, s, es, own, res.PhiAfter)
+		if st.Hops < hops {
+			ev.CommitSessionDecision(a, s, es, own, res.PhiAfter)
+		}
 		visit(res)
 	}
 	return st, nil
 }
 
 // price evaluates F_s of the state BeginSession last prepared on the
-// scratch — all feasible solutions one decision away (line 12; windowed to
-// the k nearest agents per variable when cfg.NeighborWindow > 0): it fills
-// scr.decisions with the neighbors and scr.vals with one noiseless Φ per
-// neighbor, NaN where capacity or the delay cap refuses it. The ledger must
-// hold the other sessions' usage only, and the assignment stays in the
-// prepared state. The cost package prices the neighbours one decision
+// scratch — all feasible solutions one decision away (line 12), which
+// appendNeighbors left in scr.decisions: it fills scr.vals with one
+// noiseless Φ per neighbor, NaN where capacity or the delay cap refuses it.
+// The ledger must hold the other sessions' usage only, and the assignment
+// stays in the prepared state. The cost package prices the neighbours one decision
 // variable at a time: what moving a member or flow leaves behind once per
 // variable, then per target agent only the change the target makes to the
 // load (NeighbourLoad), a touched-agents capacity check, and the delays of
@@ -257,10 +259,9 @@ func WalkSession(
 // of the candidates are folded into per-agent maxima, O(touched) each, and
 // certified reports that no neighbor was refused for capacity and that the
 // envelope of the maxima (scr.env) fits.
-func (scr *HopScratch) price(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, cfg Config, fold bool) (certified bool, err error) {
+func (scr *HopScratch) price(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, fold bool) (certified bool, err error) {
 	es := scr.eval
 	curLoad := es.CurLoad()
-	scr.decisions = scr.appendNeighbors(a, s, cfg)
 	scr.vals = scr.vals[:0]
 	scr.bounds = scr.bounds[:0]
 	if n := a.Scenario().NumAgents(); fold && len(scr.envAt) != n {
@@ -335,30 +336,28 @@ const (
 
 // candidateSet returns the feasible candidates of the state a holds and
 // their noiseless Φ: from the walk's memo when the walk has been in this
-// state before, else from the session's memo (when given) when an earlier
-// walk priced it, else by price — storing the state in the session's memo
-// when certified. Either of the last two becomes the walk memo's set.
-func (scr *HopScratch) candidateSet(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, cfg Config, memo *WalkMemo) (ds []assign.Decision, phis []float64, src int, err error) {
+// state before, else from the memo table (when given) when an earlier walk
+// certified it, else by price — storing the state in the table when
+// certified. Either of the last two becomes the walk memo's set.
+func (scr *HopScratch) candidateSet(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, cfg Config, memo *MemoTable) (ds []assign.Decision, phis []float64, src int, err error) {
 	scr.key = appendKey(scr.key[:0], a, s)
 	if phis, ds, ok := scr.memo.lookup(scr.key); ok {
 		return ds, phis, fromWalk, nil
 	}
-	vals, _, ok := memo.lookup(scr.key)
+	scr.decisions = scr.appendNeighbors(a, s, cfg)
 	src = fromSession
-	if ok {
-		scr.decisions = scr.appendNeighbors(a, s, cfg)
-	} else {
+	var ok bool
+	if scr.vals, ok = memo.lookup(s, scr.key, scr.vals[:0]); !ok {
 		src = priced
-		certified, err := scr.price(a, s, ev, ledger, cfg, memo.roomy())
+		certified, err := scr.price(a, s, ev, ledger, memo != nil)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		vals = scr.vals
-		if certified && memo.store(scr.key, vals) {
-			memo.widen(scr.env, scr.envAt)
+		if certified {
+			memo.store(s, scr.key, scr.vals, scr.env, scr.envAt)
 		}
 	}
-	ds, phis = scr.memo.keep(scr.key, scr.decisions, vals)
+	ds, phis = scr.memo.keep(scr.key, scr.decisions, scr.vals)
 	return ds, phis, src, nil
 }
 
@@ -424,7 +423,8 @@ func SessionTotalRateWith(
 
 	be := ev.BeginSession(a, s, es)
 	ledger.Remove(es.CurLoad())
-	_, err := scr.price(a, s, ev, ledger, cfg, false)
+	scr.decisions = scr.appendNeighbors(a, s, cfg)
+	_, err := scr.price(a, s, ev, ledger, false)
 	ledger.Add(es.CurLoad())
 	if err != nil {
 		return 0, err

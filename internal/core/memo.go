@@ -3,149 +3,59 @@ package core
 import (
 	"math"
 	"slices"
-	"sync/atomic"
+	"sync"
 
 	"vconf/internal/assign"
 	"vconf/internal/cost"
 	"vconf/internal/model"
 )
 
-// WalkMemo holds the candidate sets of states of one session, each keyed by
-// the session's own decision variables — the member agents, then the flow
-// agents — in a few arenas per memo (keys at a fixed stride, values end to
-// end), with no per-state slice headers and nothing sized by the fleet.
-//
-// A memo has one of two owners. The hop scratch owns one that it empties
-// when each walk starts, and keeps each state's candidate set as the hop
-// uses it: the feasible decisions and their noiseless Φ. Capacity refusals
-// in it hold only against the walk's own background. A host can give
-// WalkSession a memo of its own (NewWalkMemo) that outlives the walk. That
-// one keeps, per state, one Φ per neighbor in appendNeighbors order, NaN for
-// a neighbor that is not a candidate, and no decisions: they are a pure
-// function of the state and the candidate window, so a hit enumerates them
-// again. It keeps only states whose every candidate fitted through the
-// plain capacity branch, with their envelope — per agent, the largest down,
-// up and tasks of any candidate's load — and each later walk keeps the
-// states only if the envelope still fits its background
-// (cost.Ledger.FitsEnvelope): Φ and delay feasibility are a pure function of
-// the state, so a kept state prices exactly as a fresh evaluation would.
-// Such a memo draws the bytes of its keys and Φs from a shared MemoBudget
-// and, when the budget is spent, overwrites its own least recently used
-// state.
-type WalkMemo struct {
-	k    int     // key length
-	keys []int32 // state e's key: keys[e*k : (e+1)*k]
-	// vals holds state e's values at vals[states[e-1].end : states[e].end]:
-	// one Φ per neighbor (host-owned) or the feasible candidates' Φs,
-	// aligned with ds (scratch-owned).
-	vals   []float64
-	ds     []assign.Decision
-	states []memoState
-	// env bounds the loads of every candidate of every state stored since
-	// the memo was last emptied (host-owned memos only).
-	env    []cost.EnvelopeAgent
-	clock  uint32
-	bytes  int64
-	budget *MemoBudget
+// walkMemo holds the states one walk has been in, emptied when each walk
+// starts: per state its key — the session's own decision variables, the
+// member agents, then the flow agents — and its candidate set as the hop
+// uses it, the feasible decisions and their noiseless Φ, in a few arenas
+// (keys at a fixed stride, candidates end to end), with no per-state slice
+// headers and nothing sized by the fleet. A capacity refusal in it holds
+// only against the walk's own background.
+type walkMemo struct {
+	// keys holds state e's key at keys[e*k : (e+1)*k], k the key length: a
+	// walk has one session, so all its keys have one length.
+	keys []int32
+	// ends[e] ends state e's candidates in vals and ds, which start where
+	// state e-1's end.
+	ends []int32
+	vals []float64
+	ds   []assign.Decision
 }
 
-type memoState struct {
-	end  int32  // end of the state's Φs in vals
-	used uint32 // clock at the state's last use
-}
-
-// MemoBudget is the byte budget — 4 per key entry, 8 per Φ — that the
-// memos drawing on it share. Safe for concurrent use.
-type MemoBudget struct {
-	Limit int64
-	used  atomic.Int64
-}
-
-// Used returns the bytes the memos drawing on the budget hold.
-func (b *MemoBudget) Used() int64 { return b.used.Load() }
-
-// reserve adds n bytes to the budget's use and reports whether it did: a
-// release (n ≤ 0) always, a growth only while the use is under the limit,
-// so stores overshoot the limit by at most one state.
-func (b *MemoBudget) reserve(n int64) bool {
-	for {
-		u := b.used.Load()
-		if n > 0 && u >= b.Limit {
-			return false
-		}
-		if b.used.CompareAndSwap(u, u+n) {
-			return true
-		}
-	}
-}
-
-// walkMemoStates bounds the states a scratch-owned memo keeps in one walk,
-// and with it the scratch memory a long walk can pin; later states are not
-// kept.
+// walkMemoStates bounds the states a walk's memo keeps, and with it the
+// scratch memory a long walk can pin; later states are not kept.
 const walkMemoStates = 64
 
-// NewWalkMemo returns an empty memo that outlives walks, drawing its bytes
-// from budget. Only one walk at a time may use it.
-func NewWalkMemo(budget *MemoBudget) *WalkMemo { return &WalkMemo{budget: budget} }
-
-// Bytes returns the bytes of keys and Φs the memo holds.
-func (m *WalkMemo) Bytes() int64 { return m.bytes }
-
-// Clear empties the memo and returns its bytes to its budget; a host-owned
-// memo drops its storage too. A nil memo is empty.
-func (m *WalkMemo) Clear() {
-	switch {
-	case m == nil:
-	case m.budget != nil:
-		m.budget.reserve(-m.bytes)
-		*m = WalkMemo{budget: m.budget}
-	default:
-		m.keys, m.vals, m.ds, m.states = m.keys[:0], m.vals[:0], m.ds[:0], m.states[:0]
-	}
+func (m *walkMemo) clear() {
+	m.keys, m.ends, m.vals, m.ds = m.keys[:0], m.ends[:0], m.vals[:0], m.ds[:0]
 }
 
-// Restrict empties the memo unless covered holds for every agent of its
-// envelope: a walk whose ledger is current only on some agents can certify
-// nothing that reads the others.
-func (m *WalkMemo) Restrict(covered func(model.AgentID) bool) {
-	for _, e := range m.env {
-		if !covered(model.AgentID(e.Agent)) {
-			m.Clear()
-			return
+// lookup returns the candidate set of the state keyed by key.
+func (m *walkMemo) lookup(key []int32) ([]float64, []assign.Decision, bool) {
+	lo, k := int32(0), len(key)
+	for e, hi := range m.ends {
+		if slices.Equal(m.keys[e*k:(e+1)*k], key) {
+			return m.vals[lo:hi], m.ds[lo:hi], true
 		}
-	}
-}
-
-// lookup returns the values of the state keyed by key and, in a
-// scratch-owned memo, its feasible decisions.
-func (m *WalkMemo) lookup(key []int32) ([]float64, []assign.Decision, bool) {
-	if m == nil || m.k != len(key) {
-		return nil, nil, false
-	}
-	lo := int32(0)
-	for e := range m.states {
-		st := &m.states[e]
-		if slices.Equal(m.keys[e*m.k:(e+1)*m.k], key) {
-			m.clock++
-			st.used = m.clock
-			if m.budget != nil {
-				return m.vals[lo:st.end], nil, true
-			}
-			return m.vals[lo:st.end], m.ds[lo:st.end], true
-		}
-		lo = st.end
+		lo = hi
 	}
 	return nil, nil, false
 }
 
 // keep makes the feasible candidates among decisions — vals holds one Φ per
 // decision, NaN for a neighbor that is not a candidate — the candidate set
-// of the state keyed by key in a scratch-owned memo, recorded while the
-// memo holds fewer than walkMemoStates states, and returns it.
-func (m *WalkMemo) keep(key []int32, decisions []assign.Decision, vals []float64) ([]assign.Decision, []float64) {
+// of the state keyed by key, recorded while the memo holds fewer than
+// walkMemoStates states, and returns it.
+func (m *walkMemo) keep(key []int32, decisions []assign.Decision, vals []float64) ([]assign.Decision, []float64) {
 	lo := int32(0)
-	if n := len(m.states); n > 0 {
-		lo = m.states[n-1].end
+	if n := len(m.ends); n > 0 {
+		lo = m.ends[n-1]
 	}
 	m.ds, m.vals = m.ds[:lo], m.vals[:lo]
 	for i, v := range vals {
@@ -154,84 +64,264 @@ func (m *WalkMemo) keep(key []int32, decisions []assign.Decision, vals []float64
 			m.vals = append(m.vals, v)
 		}
 	}
-	if len(m.states) < walkMemoStates {
-		m.k = len(key)
+	if len(m.ends) < walkMemoStates {
 		m.keys = append(m.keys, key...)
-		m.states = append(m.states, memoState{end: int32(len(m.vals))})
+		m.ends = append(m.ends, int32(len(m.vals)))
 	}
 	return m.ds[lo:], m.vals[lo:]
 }
 
-// store records a state in a host-owned memo and reports whether it did: as
-// a new state while the budget has room, otherwise in place of the least
-// recently used one.
-func (m *WalkMemo) store(key []int32, vals []float64) bool {
-	size := memoBytes(len(key), len(vals))
-	if !m.budget.reserve(size) {
-		return len(m.states) > 0 && m.replaceLRU(key, vals)
+// MemoTable holds the candidate sets that outlive their walk, for every
+// session of one host: per state, one noiseless Φ per neighbor in
+// appendNeighbors order, NaN for a neighbor that is not a candidate, and no
+// decisions — a pure function of the state and the candidate window, which
+// a hit enumerates again. A table serves one evaluator and one window.
+//
+// A state is stored only with price's certificate: no candidate was refused
+// for capacity, and the envelope of the candidates' loads fits. A session
+// keeps the envelope of what it stored and a generation; a state is keyed
+// by (session, generation, member agents, flow agents), and a lookup
+// compares the whole key. Each walk checks the envelope against its
+// background once, right after taking the session's own load out; where it
+// no longer fits, or Restrict finds an agent the walk's ledger does not
+// cover, the session moves to a new generation with an empty envelope,
+// which orphans all its states at once. Φ and delay feasibility are a pure
+// function of the state, so a served state prices exactly as a fresh
+// evaluation would. A departure drops nothing: a re-arrival's first walk
+// checks the envelope against its new background like any other walk.
+//
+// The states lie end to end in a ring of words, found through chains of an
+// index, one per eight words, that a hash of the key picks. Ring and index
+// grow together, never past the table's byte limit. Once the ring is full,
+// the oldest state makes room, unless a lookup has used it since it was
+// written: then it is written again at the head (second chance). Safe for
+// concurrent use by walks of different sessions, one walk per session at a
+// time.
+type MemoTable struct {
+	// mu guards the ring and the index. A session's generation and
+	// envelope belong to the walk that owns the session.
+	mu sync.Mutex
+	// ring holds the states from tail to head, wrapping at wrap when
+	// wrapped, and grows to at most most words; index[i] is 1 + the ring
+	// offset of the first state of chain i, 0 for none.
+	ring                   []uint64
+	index                  []int32
+	tail, head, wrap, most int
+	wrapped                bool
+	sess                   []memoSession
+	kw                     []uint64 // the key being looked up or stored, packed
+	collide                bool     // test hook: every state hashes to chain 0
+}
+
+// A state is memoHeader words — its size << 32 | 1 + the ring offset of the
+// next state of its chain (0: none); its session << 32 | its key length << 1
+// | a used mark; its generation — then its key two entries to a word, then
+// its Φs.
+const memoHeader = 3
+
+// memoSession is one session's certificate: the generation its states are
+// keyed by and the envelope of every state stored under it.
+type memoSession struct {
+	gen uint64
+	env []cost.EnvelopeAgent
+}
+
+// NewMemoTable returns an empty table for sessions 0 … sessions−1 whose ring
+// and index never allocate more than limit bytes (at least a kilobyte)
+// between them.
+func NewMemoTable(limit, sessions int) *MemoTable {
+	return &MemoTable{most: 2 * limit / 17, sess: make([]memoSession, sessions)}
+}
+
+// Bytes returns the bytes the table's ring and index have allocated.
+func (t *MemoTable) Bytes() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return 8*cap(t.ring) + 4*cap(t.index)
+}
+
+// Restrict moves session s to a new generation unless covered holds for
+// every agent of its envelope: a walk whose ledger is current only on some
+// agents can certify nothing that reads the others.
+func (t *MemoTable) Restrict(s model.SessionID, covered func(model.AgentID) bool) {
+	t.renewUnless(s, func(env []cost.EnvelopeAgent) bool {
+		return !slices.ContainsFunc(env, func(e cost.EnvelopeAgent) bool { return !covered(model.AgentID(e.Agent)) })
+	})
+}
+
+// renewUnless moves session s to a new generation with an empty envelope,
+// which orphans all its states, unless ok holds for its envelope.
+func (t *MemoTable) renewUnless(s model.SessionID, ok func([]cost.EnvelopeAgent) bool) {
+	if t == nil {
+		return
 	}
-	m.bytes += size
-	m.k = len(key)
-	m.keys = append(m.keys, key...)
-	m.vals = append(m.vals, vals...)
-	m.clock++
-	m.states = append(m.states, memoState{end: int32(len(m.vals)), used: m.clock})
-	return true
+	if ms := &t.sess[s]; !ok(ms.env) {
+		ms.gen, ms.env = ms.gen+1, ms.env[:0]
+	}
 }
 
-// roomy reports whether a host-owned memo could store a state now: while
-// the budget has room, or in place of one of its own.
-func (m *WalkMemo) roomy() bool {
-	return m != nil && (len(m.states) > 0 || m.budget.Used() < m.budget.Limit)
-}
-
-// replaceLRU overwrites the least recently used state with (key, vals) if
-// the budget covers any growth.
-func (m *WalkMemo) replaceLRU(key []int32, vals []float64) bool {
-	e := 0
-	for i, st := range m.states {
-		if st.used < m.states[e].used {
-			e = i
+// lookup appends the Φs of session s's state keyed by key to dst and
+// reports whether the table holds the state.
+func (t *MemoTable) lookup(s model.SessionID, key []int32, dst []float64) ([]float64, bool) {
+	if t == nil {
+		return dst, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.index) == 0 {
+		return dst, false
+	}
+	id, gen, kw := memoID(s, key), t.sess[s].gen, t.pack(key)
+	for off := int(t.index[t.slot(id, gen, kw)]) - 1; off >= 0; off = int(uint32(t.ring[off])) - 1 {
+		if t.ring[off+1]&^1 == id && t.ring[off+2] == gen &&
+			slices.Equal(t.ring[off+memoHeader:off+memoHeader+len(kw)], kw) {
+			t.ring[off+1] |= 1
+			for _, w := range t.ring[off+memoHeader+len(kw) : off+int(t.ring[off]>>32)] {
+				dst = append(dst, math.Float64frombits(w))
+			}
+			return dst, true
 		}
 	}
-	lo := int32(0)
-	if e > 0 {
-		lo = m.states[e-1].end
-	}
-	hi := m.states[e].end
-	delta := memoBytes(0, len(vals)) - memoBytes(0, int(hi-lo))
-	if !m.budget.reserve(delta) {
-		return false
-	}
-	m.bytes += delta
-	copy(m.keys[e*m.k:], key)
-	m.vals = slices.Replace(m.vals, int(lo), int(hi), vals...)
-	for i := e; i < len(m.states); i++ {
-		m.states[i].end += int32(len(vals)) - (hi - lo)
-	}
-	m.clock++
-	m.states[e].used = m.clock
-	return true
+	return dst, false
 }
 
-func memoBytes(keys, vals int) int64 { return int64(4*keys + 8*vals) }
+// store records session s's state keyed by key, with vals one Φ per
+// neighbor, and widens the session's envelope by env, the state's certified
+// envelope (at: see widen).
+func (t *MemoTable) store(s model.SessionID, key []int32, vals []float64, env []cost.EnvelopeAgent, at []int32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	kw := t.pack(key)
+	size := memoHeader + len(kw) + len(vals)
+	if size > t.most {
+		return
+	}
+	ms := &t.sess[s]
+	off := t.alloc(size)
+	t.ring[off], t.ring[off+1], t.ring[off+2] = uint64(size)<<32, memoID(s, key), ms.gen
+	copy(t.ring[off+memoHeader:], kw)
+	for i, v := range vals {
+		t.ring[off+memoHeader+len(kw)+i] = math.Float64bits(v)
+	}
+	t.link(off)
+	ms.widen(env, at)
+}
 
-// widen raises the memo's envelope to cover env. at is a zeroed dense
+func memoID(s model.SessionID, key []int32) uint64 {
+	return uint64(uint32(s))<<32 | uint64(len(key))<<1
+}
+
+// pack returns key two entries to a word, in the table's key buffer.
+func (t *MemoTable) pack(key []int32) []uint64 {
+	t.kw = t.kw[:0]
+	for i := 0; i < len(key); i += 2 {
+		w := uint64(uint32(key[i]))
+		if i+1 < len(key) {
+			w |= uint64(uint32(key[i+1])) << 32
+		}
+		t.kw = append(t.kw, w)
+	}
+	return t.kw
+}
+
+func (t *MemoTable) slot(id, gen uint64, kw []uint64) int {
+	if t.collide {
+		return 0
+	}
+	h := id*0x9e3779b97f4a7c15 ^ gen*0xbf58476d1ce4e5b9
+	for _, w := range kw {
+		h = (h ^ w) * 0x94d049bb133111eb
+	}
+	return int((h ^ h>>32) % uint64(len(t.index)))
+}
+
+// chain returns the index chain of the state at ring offset off.
+func (t *MemoTable) chain(off int) int {
+	id := t.ring[off+1] &^ 1
+	return t.slot(id, t.ring[off+2], t.ring[off+memoHeader:off+memoHeader+(int(uint32(id)>>1)+1)/2])
+}
+
+// link puts the state at ring offset off first in its chain.
+func (t *MemoTable) link(off int) {
+	i := t.chain(off)
+	t.ring[off] = t.ring[off]&^math.MaxUint32 | uint64(uint32(t.index[i]))
+	t.index[i] = int32(off + 1)
+}
+
+// alloc returns the ring offset of size free words at the head: growing the
+// ring while the limit allows, then wrapping to its start and evicting from
+// the tail.
+func (t *MemoTable) alloc(size int) int {
+	for {
+		if t.wrapped {
+			if t.head+size <= t.tail {
+				break
+			}
+		} else if t.head+size <= len(t.ring) {
+			break
+		} else if len(t.ring) < t.most {
+			// The ring has not wrapped yet: its states run from 0 to the head.
+			ring := make([]uint64, min(max(2*len(t.ring), 1<<10), t.most))
+			copy(ring, t.ring[:t.head])
+			t.ring, t.index = ring, make([]int32, len(ring)/8)
+			for off := 0; off < t.head; off += int(t.ring[off] >> 32) {
+				t.link(off)
+			}
+			continue
+		} else if t.tail == t.head {
+			t.tail, t.head = 0, 0
+			continue
+		} else if size <= t.tail {
+			t.wrap, t.head, t.wrapped = t.head, 0, true
+			continue
+		}
+		t.evict()
+	}
+	t.head += size
+	return t.head - size
+}
+
+// evict frees the oldest state or, if a lookup has used it since it was
+// written, clears its mark and writes it again at the head.
+func (t *MemoTable) evict() {
+	off := t.tail
+	size, i, to := int(t.ring[off]>>32), t.chain(off), int32(uint32(t.ring[off]))
+	if t.tail += size; t.wrapped && t.tail == t.wrap {
+		t.tail, t.wrapped = 0, false
+	}
+	if t.ring[off+1]&1 != 0 {
+		t.ring[off+1] &^= 1
+		// The state's own words are free now, so this evicts nothing.
+		n := t.alloc(size)
+		copy(t.ring[n:n+size], t.ring[off:off+size])
+		to = int32(n + 1)
+	}
+	// Point the link to off, from the index or its chain predecessor, at to.
+	if p := int(t.index[i]) - 1; p == off {
+		t.index[i] = to
+	} else {
+		for int(uint32(t.ring[p]))-1 != off {
+			p = int(uint32(t.ring[p])) - 1
+		}
+		t.ring[p] = t.ring[p]&^math.MaxUint32 | uint64(uint32(to))
+	}
+}
+
+// widen raises the session's envelope to cover env. at is a zeroed dense
 // agent → index+1 map, zeroed again on return.
-func (m *WalkMemo) widen(env []cost.EnvelopeAgent, at []int32) {
-	for i, e := range m.env {
+func (ms *memoSession) widen(env []cost.EnvelopeAgent, at []int32) {
+	for i, e := range ms.env {
 		at[e.Agent] = int32(i + 1)
 	}
 	for _, e := range env {
 		i := at[e.Agent] - 1
 		if i < 0 {
-			m.env = append(m.env, cost.EnvelopeAgent{Agent: e.Agent})
-			i = int32(len(m.env) - 1)
+			i, ms.env = int32(len(ms.env)), append(ms.env, cost.EnvelopeAgent{Agent: e.Agent})
 			at[e.Agent] = i + 1
 		}
-		m.env[i].Raise(float64(e.Down), float64(e.Up), int(e.Tasks))
+		ms.env[i].Raise(float64(e.Down), float64(e.Up), int(e.Tasks))
 	}
-	for _, e := range m.env {
+	for _, e := range ms.env {
 		at[e.Agent] = 0
 	}
 }

@@ -124,8 +124,8 @@ func TestSharedPlanConcurrentWorkers(t *testing.T) {
 }
 
 // BenchmarkWalkSession times the orchestrator's unit of work: a 12-hop walk
-// of one session (candidate window 4, shared index, warm scratch, a memo per
-// session) on sessions of 5 and of 12 users, and reports the share of hops
+// of one session (candidate window 4, shared index, warm scratch, one memo
+// table) on sessions of 5 and of 12 users, and reports the share of hops
 // that reused a candidate set from the walk's own memo (reused/hop) and from
 // an earlier walk's (across/hop). CI runs it with -benchtime=1x.
 func BenchmarkWalkSession(b *testing.B) {
@@ -141,14 +141,10 @@ func BenchmarkWalkSession(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			scr := NewHopScratch(ev)
 			scr.SetProximityIndex(assign.NewProximityIndex(ev.Scenario(), hopWindow))
-			budget := &MemoBudget{Limit: 1 << 20}
-			memos := make([]*WalkMemo, sessions)
-			for i := range memos {
-				memos[i] = NewWalkMemo(budget)
-			}
+			memo := NewMemoTable(1<<20, sessions)
 			var total WalkStats
 			walk := func(i int) {
-				st, err := WalkSession(a, model.SessionID(i%sessions), ev, ledger, cfg, rng, scr, memos[i%sessions], 12, func(HopResult) {})
+				st, err := WalkSession(a, model.SessionID(i%sessions), ev, ledger, cfg, rng, scr, memo, 12, func(HopResult) {})
 				if err != nil {
 					b.Fatal(err)
 				}

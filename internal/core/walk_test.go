@@ -296,18 +296,18 @@ func TestWalkConcurrentWorkersSharedPlan(t *testing.T) {
 }
 
 // TestWalkMemoCertificateSeesCapacityChange: a capacity change between
-// walks must reach a session memo through its certificate. Session 0 is
-// walked twice from the same state with one memo (and one scratch): the
+// walks must reach a memo table through its certificate. Session 0 is
+// walked twice from the same state with one table (and one scratch): the
 // second walk takes its states from the first. The fleet's capacity is then
 // scaled down to almost nothing, and a third walk from the same state with
-// the same memo must see the degraded fleet — fewer feasible neighbors on its
+// the same table must see the degraded fleet — fewer feasible neighbors on its
 // first hop, nothing reused across walks, and hop for hop what a walk with a
 // fresh scratch and no memo computes.
 func TestWalkMemoCertificateSeesCapacityChange(t *testing.T) {
 	ev, a0, ledger := fleetFixture(t, 5)
 	cfg := DefaultConfig(1)
 	cfg.NeighborWindow = hopWindow
-	walk := func(scr *HopScratch, memo *WalkMemo) ([]HopResult, WalkStats) {
+	walk := func(scr *HopScratch, memo *MemoTable) ([]HopResult, WalkStats) {
 		var trail []HopResult
 		st, err := WalkSession(a0.Clone(), 0, ev, ledger.Clone(), cfg, rand.New(rand.NewSource(6)), scr, memo, walkBudget,
 			func(res HopResult) { trail = append(trail, res) })
@@ -327,7 +327,7 @@ func TestWalkMemoCertificateSeesCapacityChange(t *testing.T) {
 			}
 		}
 	}
-	used, memo := NewHopScratch(ev), NewWalkMemo(&MemoBudget{Limit: 1 << 20})
+	used, memo := NewHopScratch(ev), NewMemoTable(1<<20, ev.Scenario().NumSessions())
 	before, _ := walk(used, memo)
 	again, st := walk(used, memo)
 	if st.ReusedAcross == 0 {
@@ -351,26 +351,73 @@ func TestWalkMemoCertificateSeesCapacityChange(t *testing.T) {
 	sameTrail("degraded walk", after, fresh)
 }
 
-// TestSessionMemoMatchesFreshEvaluation is the session memo's differential
-// test: every session walks 30 times with a memo of its own (a budget a few
-// states wide, so states are overwritten) and, in lockstep from the same
-// state and seed, with no memo. Before every other walk the two ledgers get
-// the same perturbation, taken in turn: an agent of the memo's
-// envelope scaled to 0, or to 0.4; another session's load pushing an
-// envelope agent to within 1e-9 of its download cap, on either side of the
-// certificate's slack; that agent dropped from the walk's snapshot
-// (Restrict). Every HopResult must agree field by field, and so must the
+// sessionState is one session's decision variables: member agents, then
+// flow agents.
+type sessionState struct{ users, flows []model.AgentID }
+
+func stateOf(a *assign.Assignment, s model.SessionID) sessionState {
+	var st sessionState
+	for _, u := range a.Scenario().Session(s).Users {
+		st.users = append(st.users, a.UserAgent(u))
+	}
+	st.flows = append(st.flows, a.SessionFlowAgents(s)...)
+	return st
+}
+
+// setState gives session s the variables st, moving its load in the ledger
+// with it; an empty st leaves the session unplaced and its load out.
+func setState(t *testing.T, ev *cost.Evaluator, a *assign.Assignment, g *cost.Ledger, s model.SessionID, st sessionState) {
+	t.Helper()
+	users := ev.Scenario().Session(s).Users
+	if a.UserAgent(users[0]) != assign.Unassigned {
+		g.Remove(ev.Params().SessionLoadOf(a, s))
+	}
+	if st.users == nil {
+		for _, u := range users {
+			a.SetUserAgent(u, assign.Unassigned)
+		}
+		for _, f := range a.SessionFlows(s) {
+			if err := a.SetFlowAgent(f, assign.Unassigned); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	for i, u := range users {
+		a.SetUserAgent(u, st.users[i])
+	}
+	a.SetSessionFlowAgents(s, st.flows)
+	g.Add(ev.Params().SessionLoadOf(a, s))
+}
+
+// TestSessionMemoMatchesFreshEvaluation is the memo table's differential
+// test: every session walks 30 times with one table shared by all of them
+// and, in lockstep from the same state and seed, with none. The table holds
+// about twenty states, so states are evicted and the ring wraps, and it
+// runs once more with every state hashed to one chain, so lookups tell
+// states apart by their full key alone. Before every other walk the two ledgers get
+// the same perturbation, taken in turn: an agent of the session's envelope
+// scaled to 0, or to 0.4; another session's load pushing an envelope agent to
+// within 1e-9 of its download cap, on either side of the certificate's
+// slack; that agent dropped from the walk's snapshot (Restrict); or the
+// session departs — its load leaves the ledgers while the other sessions
+// walk — and arrives again into the state an earlier walk started from,
+// with an envelope agent scaled to 0 or to 0.4 in between, or with nothing
+// changed. Every HopResult must agree field by field, and so must the
 // assignments and the ledgers after each walk.
 func TestSessionMemoMatchesFreshEvaluation(t *testing.T) {
+	const limit = 16 << 10
 	for _, tc := range []struct {
-		name string
-		tune func(*workload.FleetConfig)
+		name    string
+		tune    func(*workload.FleetConfig)
+		collide bool
 	}{
-		{"roomy", func(*workload.FleetConfig) {}},
+		{"roomy", func(*workload.FleetConfig) {}, false},
 		{"capacity-tight", func(fc *workload.FleetConfig) {
 			fc.AgentBandwidthMbps = 250
 			fc.AgentTranscodeSlots = 2
-		}},
+		}, false},
+		{"roomy-one-chain", func(*workload.FleetConfig) {}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ev, a0, ledger0 := tunedFleetFixture(t, 5, tc.tune)
@@ -379,61 +426,88 @@ func TestSessionMemoMatchesFreshEvaluation(t *testing.T) {
 			cfg.NeighborWindow = hopWindow
 			aMemo, ledgerMemo, scrMemo := a0.Clone(), ledger0.Clone(), NewHopScratch(ev)
 			aFresh, ledgerFresh, scrFresh := a0.Clone(), ledger0.Clone(), NewHopScratch(ev)
-			budget := &MemoBudget{Limit: 12 << 10}
-			memos := make([]*WalkMemo, sc.NumSessions())
-			// oneState bounds a stored state's bytes: its key and a Φ per
-			// neighbor — at most the window per member, twice it per flow.
-			var oneState int64
-			for i := range memos {
-				memos[i] = NewWalkMemo(budget)
-				n, f := len(sc.Session(model.SessionID(i)).Users), len(a0.SessionFlowAgents(model.SessionID(i)))
-				oneState = max(oneState, memoBytes(n+f, (n+2*f)*hopWindow))
-			}
-			var total WalkStats
-			var perturbed [6]int
-			var peak int64
+			memo := NewMemoTable(limit, sc.NumSessions())
+			memo.collide = tc.collide
+			sessions := sc.NumSessions()
+			// started[s] is the state session s's last unperturbed walk
+			// started from; away[s] the perturbation its departure awaits
+			// arriving again with (0: present).
+			started := make([]sessionState, sessions)
+			away, turn := make([]int, sessions), make([]int, sessions)
+			var total, rearrived WalkStats
+			var perturbed [9]int
+			wrapped := false
 			for seed := int64(0); seed < 30; seed++ {
-				for si := range memos {
-					s, memo := model.SessionID(si), memos[si]
-					// Every other walk is unperturbed, so the memo has
-					// refilled before the next perturbation.
+				for si := range sessions {
+					s := model.SessionID(si)
+					// Every other walk is unperturbed, so the table has
+					// refilled before the next perturbation. A departed
+					// session stays away for one of those and arrives again
+					// in place of its next perturbation.
 					kind := 0
 					if seed%2 == 1 {
-						kind = 1 + (int(seed/2)+si)%(len(perturbed)-1)
+						if kind = away[si]; kind == 0 {
+							kind = 1 + (turn[si]+si)%(len(perturbed)-1)
+							turn[si]++
+						}
+					} else if away[si] > 0 {
+						continue
+					}
+					env := memo.sess[s].env
+					if kind >= 6 && away[si] == 0 {
+						if len(env) == 0 || started[si].users == nil {
+							continue
+						}
+						// Depart: the other sessions walk without this one.
+						setState(t, ev, aMemo, ledgerMemo, s, sessionState{})
+						setState(t, ev, aFresh, ledgerFresh, s, sessionState{})
+						away[si] = kind
+						perturbed[kind]++
+						continue
 					}
 					undo := func() {}
-					if kind > 0 && len(memo.env) > 0 {
-						x := model.AgentID(memo.env[int(seed)%len(memo.env)].Agent)
-						perturbed[kind]++
-						switch kind {
-						case 1, 2:
-							scale := map[int]float64{1: 0, 2: 0.4}[kind]
+					scaleAgent := func(x model.AgentID, scale float64) {
+						for _, g := range []*cost.Ledger{ledgerMemo, ledgerFresh} {
+							if err := g.SetCapacityScale(x, scale); err != nil {
+								t.Fatal(err)
+							}
+						}
+						undo = func() {
 							for _, g := range []*cost.Ledger{ledgerMemo, ledgerFresh} {
-								if err := g.SetCapacityScale(x, scale); err != nil {
+								if err := g.SetCapacityScale(x, 1); err != nil {
 									t.Fatal(err)
 								}
 							}
-							undo = func() {
-								for _, g := range []*cost.Ledger{ledgerMemo, ledgerFresh} {
-									if err := g.SetCapacityScale(x, 1); err != nil {
-										t.Fatal(err)
-									}
-								}
-							}
+						}
+					}
+					if away[si] > 0 {
+						// Arrive again into an earlier walk's start state.
+						if kind > 6 {
+							scaleAgent(model.AgentID(env[int(seed)%len(env)].Agent), map[int]float64{7: 0, 8: 0.4}[kind])
+						}
+						setState(t, ev, aMemo, ledgerMemo, s, started[si])
+						setState(t, ev, aFresh, ledgerFresh, s, started[si])
+						away[si] = 0
+					} else if kind > 0 && len(env) > 0 {
+						x := model.AgentID(env[int(seed)%len(env)].Agent)
+						perturbed[kind]++
+						switch kind {
+						case 1, 2:
+							scaleAgent(x, map[int]float64{1: 0, 2: 0.4}[kind])
 						case 3, 4:
 							// The walk takes the session's own load out first;
 							// fill the rest of the agent's download up to the
 							// envelope's slack, 0.5e-9 inside it or 1e-9 past.
 							down, _, _ := ledgerMemo.UsageAt(x)
 							own, _, _, _ := ev.Params().SessionLoadOf(aMemo, s).At(x)
-							var env cost.EnvelopeAgent
-							for _, e := range memo.env {
-								if model.AgentID(e.Agent) == x {
-									env = e
+							var e cost.EnvelopeAgent
+							for _, ea := range env {
+								if model.AgentID(ea.Agent) == x {
+									e = ea
 								}
 							}
 							fill := map[int]float64{3: 0.5e-9, 4: 2e-9}[kind]
-							extra := sc.Agent(x).Download + fill - (down - own) - float64(env.Down)
+							extra := sc.Agent(x).Download + fill - (down - own) - float64(e.Down)
 							if extra <= 0 {
 								perturbed[kind]--
 								break
@@ -447,8 +521,10 @@ func TestSessionMemoMatchesFreshEvaluation(t *testing.T) {
 								ledgerFresh.Remove(push)
 							}
 						case 5:
-							memo.Restrict(func(l model.AgentID) bool { return l != x })
+							memo.Restrict(s, func(l model.AgentID) bool { return l != x })
 						}
+					} else if kind == 0 {
+						started[si] = stateOf(aMemo, s)
 					}
 					var fresh, got []HopResult
 					rngFresh, rngMemo := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
@@ -464,37 +540,44 @@ func TestSessionMemoMatchesFreshEvaluation(t *testing.T) {
 					total.Hops += st.Hops
 					total.Reused += st.Reused
 					total.ReusedAcross += st.ReusedAcross
+					if kind == 6 {
+						rearrived.Hops += st.Hops
+						rearrived.ReusedAcross += st.ReusedAcross
+					}
 					if len(got) != len(fresh) {
-						t.Fatalf("seed %d session %d (perturbation %d): %d hops with the memo, %d without", seed, s, kind, len(got), len(fresh))
+						t.Fatalf("seed %d session %d (perturbation %d): %d hops with the table, %d without", seed, s, kind, len(got), len(fresh))
 					}
 					for i := range fresh {
 						if !sameHop(got[i], fresh[i]) {
-							t.Fatalf("seed %d session %d (perturbation %d) hop %d:\n memo  %+v\n fresh %+v", seed, s, kind, i, got[i], fresh[i])
+							t.Fatalf("seed %d session %d (perturbation %d) hop %d:\n table %+v\n fresh %+v", seed, s, kind, i, got[i], fresh[i])
 						}
 					}
 					undo()
 					if !aMemo.Equal(aFresh) || !sameLedger(ledgerMemo, ledgerFresh) {
 						t.Fatalf("seed %d session %d: the walks left different states", seed, s)
 					}
-					if used := budget.Used(); used > budget.Limit+oneState {
-						t.Fatalf("memos hold %d bytes: more than one state over a budget of %d", used, budget.Limit)
-					} else if used > peak {
-						peak = used
+					if b := memo.Bytes(); b > limit {
+						t.Fatalf("the table allocated %d bytes, over its limit of %d", b, limit)
 					}
+					wrapped = wrapped || memo.wrapped
 				}
 			}
-			if total.ReusedAcross == 0 {
-				t.Fatalf("no hop of %d reused a state across walks: the session memo was not exercised", total.Hops)
+			if total.ReusedAcross == 0 || rearrived.ReusedAcross == 0 {
+				t.Fatalf("%d hops reused a state across walks, %d of them on arriving again: the table was not exercised",
+					total.ReusedAcross, rearrived.ReusedAcross)
 			}
 			for kind, n := range perturbed[1:] {
 				if n == 0 {
 					t.Fatalf("perturbation %d never applied", kind+1)
 				}
 			}
-			if peak < budget.Limit {
-				t.Fatalf("the memos held at most %d bytes of a %d-byte budget: nothing was overwritten", peak, budget.Limit)
+			// The head wraps only to words the tail has left, so states were
+			// evicted too.
+			if !wrapped {
+				t.Fatal("the ring never wrapped")
 			}
-			t.Logf("%d hops: %d reused within walks, %d across; perturbations %v", total.Hops, total.Reused, total.ReusedAcross, perturbed)
+			t.Logf("%d hops: %d reused within walks, %d across (%d of %d on arriving again); perturbations %v",
+				total.Hops, total.Reused, total.ReusedAcross, rearrived.ReusedAcross, rearrived.Hops, perturbed)
 		})
 	}
 }

@@ -1,93 +1,105 @@
 package orchestrator
 
 import (
+	"math"
 	"testing"
 
-	"vconf/internal/model"
+	"vconf/internal/core"
+	"vconf/internal/sim"
 	"vconf/internal/workload"
 )
 
-// TestWalkMemoBudget drives churn through two workers whose sessions' memos
-// share a budget a few states wide. After every event the budget's count is
-// the sum of what the memos hold and at most one state over the limit, and a
-// departed session's memo is gone, so a session that arrives again starts
-// with an empty one. Once every session has left, the budget is back at 0.
+// TestWalkMemoBudget drives churn through two workers that share a memo
+// table too small for every state they certify. After every event the table has allocated at most
+// its limit. A departed session's states stay in the table, so a session that
+// arrives again takes candidate sets from its earlier incarnation: on the
+// re-arrivals whose re-optimization is the arriving session's walk alone,
+// some hops reuse a set across walks, which a first walk could not if
+// departure dropped the session's states.
 func TestWalkMemoBudget(t *testing.T) {
 	ev, boot := testStack(t, workload.Prototype(5))
-	events := churn(t, ev, 5, 400, 0.1, 90)
+	events := churn(t, ev, 5, 1200, 0.1, 90)
 	cfg := DefaultConfig(5)
 	cfg.Shards = 2
+	cfg.Core.NeighborWindow = 3
+	// One ledger stripe: every snapshot covers the fleet, so Restrict never
+	// moves a session to a new generation.
+	cfg.ledgerShards = 1
+	o, err := New(ev, boot, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	const limit = 12 << 10
+	o.memo = core.NewMemoTable(limit, ev.Scenario().NumSessions())
+	seen := map[int]bool{}
+	var peak, rearrived, alone, across int
+	for _, e := range events {
+		before := o.Stats().WalkReusedAcross
+		rep, err := o.HandleEvent(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := o.memo.Bytes()
+		if b > limit {
+			t.Fatalf("after %+v: the table allocated %d bytes, over its limit of %d", e, b, limit)
+		}
+		peak = max(peak, b)
+		if e.Kind != workload.EventArrival || !rep.Admitted {
+			continue
+		}
+		if seen[e.Session] {
+			rearrived++
+			if len(rep.Reopt) == 1 {
+				alone++
+				across += o.Stats().WalkReusedAcross - before
+			}
+		}
+		seen[e.Session] = true
+	}
+	if rearrived == 0 || alone == 0 || peak < limit*3/4 {
+		t.Fatalf("the schedule did not exercise the table: %d re-arrivals, %d walked alone, peak %d of %d bytes",
+			rearrived, alone, peak, limit)
+	}
+	if across == 0 {
+		t.Fatalf("%d re-arrivals walked alone and none reused a candidate set of an earlier incarnation", alone)
+	}
+	t.Logf("%d re-arrivals, %d walked alone: %d hops reused across incarnations; table peak %d bytes", rearrived, alone, across, peak)
+}
+
+// TestMemoTableStorm races four workers over one memo table a few states
+// wide: 48 sessions under churn with admission four events ahead, the
+// invariants checked at the end. Run under -race in CI.
+func TestMemoTableStorm(t *testing.T) {
+	fc := chaosFleet(73)
+	fc.NumUsers, fc.MinSessionSize, fc.MaxSessionSize = 192, 4, 4
+	ev, boot, _ := chaosStack(t, fc)
+	if n := ev.Scenario().NumSessions(); n != 48 {
+		t.Fatalf("%d sessions, want 48", n)
+	}
+	cfg := DefaultConfig(73)
+	cfg.Shards = 4
+	cfg.MaxInFlight = 4
 	cfg.Core.NeighborWindow = 3
 	o, err := New(ev, boot, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer o.Close()
-	o.memoBudget.Limit = 6 << 10
-	// oneState bounds a stored state's bytes: 4 per key entry (members,
-	// then flows) and 8 per neighbor — the window per member, at most twice
-	// it per flow.
-	sc := ev.Scenario()
-	var oneState int64
-	for s := range sc.NumSessions() {
-		n, f := len(sc.Session(model.SessionID(s)).Users), len(o.a.SessionFlowAgents(model.SessionID(s)))
-		oneState = max(oneState, int64(4*(n+f)+8*(n+2*f)*cfg.Core.NeighborWindow))
+	const limit = 4 << 10
+	o.memo = core.NewMemoTable(limit, ev.Scenario().NumSessions())
+	if err := o.RunSource(sim.NewSliceSource(churn(t, ev, 73, 300, 0.4, 60)), math.Inf(1), func(EventReport) error {
+		if b := o.memo.Bytes(); b > limit {
+			t.Errorf("the table allocated %d bytes, over its limit of %d", b, limit)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	check := func(e workload.Event) {
-		t.Helper()
-		var held int64
-		for _, m := range o.memos {
-			if m != nil {
-				held += m.Bytes()
-			}
-		}
-		used := o.memoBudget.Used()
-		if used != held {
-			t.Fatalf("after %+v: the budget counts %d bytes, the memos hold %d", e, used, held)
-		}
-		if used > o.memoBudget.Limit+oneState {
-			t.Fatalf("after %+v: %d bytes held, more than one state (%d) over the limit %d", e, used, oneState, o.memoBudget.Limit)
-		}
+	if err := o.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
-	arrivals := map[int]int{}
-	var peak int64
-	rearrived := 0
-	for _, e := range events {
-		if _, err := o.HandleEvent(e); err != nil {
-			t.Fatal(err)
-		}
-		check(e)
-		peak = max(peak, o.memoBudget.Used())
-		switch e.Kind {
-		case workload.EventDeparture:
-			if o.memos[e.Session] != nil {
-				t.Fatalf("session %d departed and kept its memo", e.Session)
-			}
-		case workload.EventArrival:
-			if arrivals[e.Session] > 0 {
-				rearrived++
-			}
-			arrivals[e.Session]++
-		}
-	}
-	last := events[len(events)-1].TimeS
-	for _, s := range o.ActiveSessions() {
-		e := workload.Event{TimeS: last, Kind: workload.EventDeparture, Session: int(s)}
-		if _, err := o.HandleEvent(e); err != nil {
-			t.Fatal(err)
-		}
-		check(e)
-	}
-	if used := o.memoBudget.Used(); used != 0 {
-		t.Fatalf("every session left and the memos still hold %d bytes", used)
-	}
-	for s, m := range o.memos {
-		if m != nil {
-			t.Fatalf("session %d left and kept its memo", s)
-		}
-	}
-	if st := o.Stats(); rearrived == 0 || peak < o.memoBudget.Limit || st.WalkReusedAcross == 0 {
-		t.Fatalf("the schedule did not exercise the memos: %d re-arrivals, peak %d of %d bytes, %d hops reused across walks",
-			rearrived, peak, o.memoBudget.Limit, st.WalkReusedAcross)
+	if st := o.Stats(); st.WalkReusedAcross == 0 {
+		t.Fatalf("%d hops, none reused across walks: the storm did not exercise the table", st.WalkHops)
 	}
 }

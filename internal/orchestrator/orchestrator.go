@@ -136,10 +136,9 @@ const (
 	// commitRetries bounds how many times a task re-snapshots and re-walks
 	// after losing a cross-shard commit race (shard.Conflict).
 	commitRetries = 2
-	// memoBudgetBytes caps the keys and Φs all sessions' walk memos hold.
-	// With the arenas' growth slack, state records and envelopes they occupy
-	// up to about 2× that at rest (see the package README).
-	memoBudgetBytes = 96 << 10
+	// memoTableBytes caps what the walk memo table allocates (see the
+	// package README).
+	memoTableBytes = 256 << 10
 )
 
 // withDefaults fills zero fields and validates.
@@ -194,9 +193,11 @@ type Stats struct {
 	// WalkReused those among them that started from a state their walk had
 	// already been in and reused its candidate set, and WalkReusedAcross
 	// those that started from a state new to the walk whose candidate set an
-	// earlier walk of the session had priced (core.WalkSession). The rest
-	// evaluated theirs. With more than one worker, WalkReusedAcross depends
-	// on timing: the memos share one byte budget.
+	// earlier walk of the session had certified — in this incarnation of the
+	// session or an earlier one, since the memo table keeps a departed
+	// session's states (core.WalkSession). The rest evaluated theirs. With
+	// more than one worker, WalkReusedAcross depends on timing: the
+	// sessions share the table's bytes.
 	WalkHops         int
 	WalkReused       int
 	WalkReusedAcross int
@@ -322,12 +323,9 @@ type Orchestrator struct {
 	// assignment state.
 	pipe     *pipeline.Scheduler
 	touchIdx [][]model.AgentID
-	// memos[s] is active session s's walk memo (nil until its first walk),
-	// kept across its walks and dropped at teardown; the task that owns s is
-	// the only goroutine that touches it, or teardownLocked under mu. The
-	// memos' keys and Φs draw on memoBudget.
-	memos      []*core.WalkMemo
-	memoBudget core.MemoBudget
+	// memo holds the candidate sets the workers' walks certified, for every
+	// session and across its departures.
+	memo *core.MemoTable
 
 	tasks     chan reoptTask
 	closeOnce sync.Once
@@ -358,10 +356,9 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 		ttr:      telemetry.NewHistogram(),
 		tel:      cfg.Telemetry,
 		touchIdx: make([][]model.AgentID, sc.NumSessions()),
-		memos:    make([]*core.WalkMemo, sc.NumSessions()),
+		memo:     core.NewMemoTable(memoTableBytes, sc.NumSessions()),
 		tasks:    make(chan reoptTask),
 	}
-	o.memoBudget.Limit = memoBudgetBytes
 	o.failed = make([]bool, sc.NumAgents())
 	o.baseScale = make([]float64, sc.NumAgents())
 	for i := range o.baseScale {

@@ -272,8 +272,6 @@ func (o *Orchestrator) teardownLocked(s model.SessionID) error {
 	}
 	o.cache.SetActive(s, false)
 	o.touchIdx[s] = nil
-	o.memos[s].Clear()
-	o.memos[s] = nil
 	if o.rt != nil {
 		o.rt.DeactivateSession(s)
 	}

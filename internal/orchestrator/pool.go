@@ -207,11 +207,6 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 		probe = o.beginTaskProbe(w)
 		defer o.finishTaskProbe(t, w, probe)
 	}
-	memo := o.memos[t.session]
-	if memo == nil {
-		memo = core.NewWalkMemo(&o.memoBudget)
-		o.memos[t.session] = memo
-	}
 
 	for attempt := 0; ; attempt++ {
 		if probe != nil {
@@ -259,9 +254,9 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 
 		if o.nbrIdx != nil {
 			// Stripes outside the route hold stale values in the snapshot.
-			memo.Restrict(func(l model.AgentID) bool { return o.ledger.Routes(&w.snapRoute, l) })
+			o.memo.Restrict(t.session, func(l model.AgentID) bool { return o.ledger.Routes(&w.snapRoute, l) })
 		}
-		best, err := o.walkBest(t, w, memo, startPhi)
+		best, err := o.walkBest(t, w, startPhi)
 		if err != nil {
 			o.reportErr(err)
 			return
@@ -374,10 +369,9 @@ type bestState struct {
 // worker's private assignment holds (objective startPhi) against its
 // ledger snapshot and leaves the best state seen in w.userTo/w.flowTo,
 // aligned with the session's users and flows: the chain may pass through
-// worse states (that is what lets it escape local minima). memo is the
-// session's walk memo. The walk's hop tallies add into the task's result
-// slot. The caller seeds w.rng.
-func (o *Orchestrator) walkBest(t reoptTask, w *workerState, memo *core.WalkMemo, startPhi float64) (bestState, error) {
+// worse states (that is what lets it escape local minima). The walk's hop
+// tallies add into the task's result slot. The caller seeds w.rng.
+func (o *Orchestrator) walkBest(t reoptTask, w *workerState, startPhi float64) (bestState, error) {
 	users := o.sc.Session(t.session).Users
 	curFlowTo := w.aw.SessionFlowAgents(t.session)
 	capture := func() {
@@ -388,7 +382,7 @@ func (o *Orchestrator) walkBest(t reoptTask, w *workerState, memo *core.WalkMemo
 	}
 	capture()
 	best := bestState{phi: startPhi, cfAgent: -1}
-	ws, err := core.WalkSession(w.aw, t.session, o.ev, w.snap, o.cfg.Core, w.rng, w.scr, memo, o.cfg.HopBudget,
+	ws, err := core.WalkSession(w.aw, t.session, o.ev, w.snap, o.cfg.Core, w.rng, w.scr, o.memo, o.cfg.HopBudget,
 		func(res core.HopResult) {
 			if res.Moved && res.PhiAfter < best.phi-improvementEps {
 				best = bestState{phi: res.PhiAfter, improved: true,

@@ -54,15 +54,8 @@ func (f *Footprint) Normalize() { slices.Sort(f.Sessions) }
 
 // ContainsSession reports whether the (normalized) session set contains s.
 func (f Footprint) ContainsSession(s int32) bool {
-	for _, x := range f.Sessions {
-		if x == s {
-			return true
-		}
-		if x > s {
-			return false
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(f.Sessions, s)
+	return ok
 }
 
 // Exec is one event's work, supplied at Submit. The scheduler calls the

@@ -8,7 +8,7 @@
 // Determinism contract: the merged stream is a pure function of the
 // sources. Events order by (TimeS, Event.Rank, source registration order,
 // per-source sequence) — the order faults.Merge gives the same streams as
-// slices. The engine's Clock is the single time authority: it advances to
+// slices. The engine's clock is the single time authority: it advances to
 // each popped event's timestamp and never regresses (a source yielding out
 // of order, or a NaN or infinite time, is an engine error, not a silent
 // reorder).
@@ -32,15 +32,6 @@ type EventSource interface {
 	Err() error
 }
 
-// Clock is the engine's virtual time authority: Now is the timestamp of
-// the last event popped from the merged stream.
-type Clock struct {
-	now float64
-}
-
-// Now returns the current virtual time in seconds.
-func (c *Clock) Now() float64 { return c.now }
-
 // entry is one source's lookahead event.
 type entry struct {
 	src  EventSource
@@ -53,7 +44,7 @@ type entry struct {
 // its buffering — and linear-scans for the minimum, which beats a heap for
 // the two-to-three-source shapes this repo merges (churn + faults).
 type Engine struct {
-	clock   Clock
+	now     float64 // the last popped event's TimeS
 	entries []entry
 	seq     uint64
 	err     error
@@ -117,12 +108,12 @@ func (e *Engine) Next() (workload.Event, bool) {
 		return workload.Event{}, false
 	}
 	ev := e.entries[min].ev
-	if ev.TimeS < e.clock.now {
+	if ev.TimeS < e.now {
 		e.err = fmt.Errorf("sim: source %d regressed virtual time: %v after %v",
-			min, ev.TimeS, e.clock.now)
+			min, ev.TimeS, e.now)
 		return workload.Event{}, false
 	}
-	e.clock.now = ev.TimeS
+	e.now = ev.TimeS
 	e.seq++
 	e.pull(min, &ev)
 	return ev, true
@@ -131,11 +122,8 @@ func (e *Engine) Next() (workload.Event, bool) {
 // Err reports the first engine or source failure.
 func (e *Engine) Err() error { return e.err }
 
-// Clock returns the engine's virtual clock.
-func (e *Engine) Clock() *Clock { return &e.clock }
-
 // Now returns the current virtual time (the last popped event's timestamp).
-func (e *Engine) Now() float64 { return e.clock.now }
+func (e *Engine) Now() float64 { return e.now }
 
 // SliceSource adapts a pre-sorted event slice to the EventSource contract,
 // so recorded or hand-built schedules mix with the lazy generators.
