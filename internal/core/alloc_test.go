@@ -110,35 +110,50 @@ func TestSessionTotalRateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFitsRepairDeltaZeroAllocs pins the repair check's one scan
+// (RepairRefusalRange, also behind FitsRepairDelta) at zero
+// allocations on a neighbour it accepts and, on the fleet scaled to 0, on
+// the same neighbour refused, with the refusal's witness taken and checked
+// again.
 func TestFitsRepairDeltaZeroAllocs(t *testing.T) {
 	ev, a, ledger := allocFixture(t, 3)
 	scr := ev.NewScratch()
 	ev.BeginSession(a, 0, scr)
 	own := scr.CurLoad()
+	n, tight := ev.Scenario().NumAgents(), ledger.Clone()
+	for l := range n {
+		if err := tight.SetCapacityScale(model.AgentID(l), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var cand *cost.SparseLoad
+	x := -1
 	for _, d := range a.AppendSessionNeighborDecisions(nil, 0) {
 		load, err := ev.NeighbourLoad(a, 0, d, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ledger.FitsRepairDelta(load, own) {
+		if x = tight.RepairRefusalRange(load, own, 0, n); x >= 0 && ledger.FitsRepairDelta(load, own) {
 			cand = load
 			break
 		}
 	}
 	if cand == nil {
-		t.Fatal("no neighbour of session 0 fits")
+		t.Fatal("no neighbour of session 0 fits the fleet and is refused by a fleet of no capacity")
 	}
 
 	res := testing.Benchmark(func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			if !ledger.FitsRepairDelta(cand, own) {
+		for range b.N {
+			if !ledger.FitsRepairDelta(cand, own) || ledger.RepairRefusalRange(cand, own, 0, n) >= 0 {
 				b.Fatal("unexpected infeasible")
+			}
+			if tight.RepairRefusalRange(cand, own, 0, n) != x || !tight.Refuses(cost.RefusalAt(cand, own, x)) {
+				b.Fatal("unexpected feasible")
 			}
 		}
 	})
 	if allocs := res.AllocsPerOp(); allocs != 0 {
-		t.Errorf("FitsRepairDelta allocates %d allocs/op, want 0", allocs)
+		t.Errorf("the repair check allocates %d allocs/op, want 0", allocs)
 	}
 }
 

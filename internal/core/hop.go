@@ -63,12 +63,12 @@ type HopScratch struct {
 	vals      []float64
 	key       []int32
 	memo      walkMemo
-	// bounds are the per-agent maxima of the candidate loads price folds,
-	// envAt maps an agent to 1 + its index in them (0 otherwise), and env
-	// is their envelope at rest.
-	bounds   []loadBound
-	envAt    []int32
+	// env is the envelope of the candidate loads price folds, envAt maps an
+	// agent to 1 + its index in it (0 otherwise), and wit holds the
+	// witnesses of the neighbors price refused for capacity.
 	env      []cost.EnvelopeAgent
+	envAt    []int32
+	wit      []cost.Refusal
 	readings []float64 // noisy Φ readings (cfg.Noise only)
 	weights  []float64
 	// nbrIdx is the proximity index backing Config.NeighborWindow > 0:
@@ -205,7 +205,7 @@ func WalkSession(
 		be := ev.BeginSession(a, s, es)
 		if own == nil {
 			ledger.Remove(es.CurLoad())
-			memo.renewUnless(s, ledger.FitsEnvelope)
+			memo.check(s, ledger)
 		}
 		own = es.CurLoad()
 		ds, phis, src, err := scr.candidateSet(a, s, ev, ledger, cfg, memo)
@@ -254,76 +254,62 @@ func WalkSession(
 // stays in the prepared state. The cost package prices the neighbours one decision
 // variable at a time: what moving a member or flow leaves behind once per
 // variable, then per target agent only the change the target makes to the
-// load (NeighbourLoad), a touched-agents capacity check, and the delays of
-// the flows the decision moved (CandidatePhi). With fold, the loads
-// of the candidates are folded into per-agent maxima, O(touched) each, and
-// certified reports that no neighbor was refused for capacity and that the
-// envelope of the maxima (scr.env) fits.
+// load (NeighbourLoad), a touched-agents capacity check that names the
+// agent refusing it, if any, and the delays of the flows the decision moved
+// (CandidatePhi). With fold, the candidates' loads are folded into their
+// envelope (scr.env), O(touched) each, a neighbor refused for capacity at a
+// degraded agent leaves its witness in scr.wit, and certified reports that
+// no other neighbor was refused for capacity and the envelope fits.
 func (scr *HopScratch) price(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, fold bool) (certified bool, err error) {
 	es := scr.eval
 	curLoad := es.CurLoad()
-	scr.vals = scr.vals[:0]
-	scr.bounds = scr.bounds[:0]
-	if n := a.Scenario().NumAgents(); fold && len(scr.envAt) != n {
+	scr.vals, scr.env, scr.wit = scr.vals[:0], scr.env[:0], scr.wit[:0]
+	n := a.Scenario().NumAgents()
+	if fold && len(scr.envAt) != n {
 		scr.envAt = make([]int32, n)
 	}
 	defer func() {
-		for _, b := range scr.bounds {
-			scr.envAt[b.agent] = 0
+		for _, e := range scr.env {
+			scr.envAt[e.Agent] = 0
 		}
 	}()
-	refused := false
 	for _, d := range scr.decisions {
 		load, err := ev.NeighbourLoad(a, s, d, es)
 		if err != nil {
 			return false, err
 		}
 		val := math.NaN()
-		// FitsRepairDelta (not Fits) so that after a runtime capacity
+		// The repair check (not Fits) so that after a runtime capacity
 		// degradation, sessions can still migrate off the overloaded agent
 		// instead of freezing; on a fully-feasible ledger it is identical
 		// to Fits.
-		if !ledger.FitsRepairDelta(load, curLoad) {
-			refused = true
+		if x := ledger.RepairRefusalRange(load, curLoad, 0, n); x >= 0 {
+			// Only a fault outlasts the walks that meet it: a healthy
+			// agent's refusal, lifted by other sessions' moves, ends certification.
+			if fold = fold && ledger.Degraded(x); fold {
+				scr.wit = append(scr.wit, cost.RefusalAt(load, curLoad, x))
+			}
 		} else if phi, ok := ev.CandidatePhi(a, s, d, es); ok {
 			val = phi
-			if fold && !refused {
-				scr.foldBounds(load)
+			if fold {
+				scr.fold(load)
 			}
 		}
 		scr.vals = append(scr.vals, val)
 	}
-	if !fold || refused {
-		return false, nil
-	}
-	scr.env = scr.env[:0]
-	for _, b := range scr.bounds {
-		e := cost.EnvelopeAgent{Agent: b.agent}
-		e.Raise(b.down, b.up, b.tasks)
-		scr.env = append(scr.env, e)
-	}
-	return ledger.FitsEnvelope(scr.env), nil
+	return fold && ledger.FitsEnvelope(scr.env), nil
 }
 
-// loadBound is one agent's largest down, up and tasks over folded loads.
-type loadBound struct {
-	agent    int32
-	tasks    int
-	down, up float64
-}
-
-// foldBounds raises scr.bounds to cover load, O(touched).
-func (scr *HopScratch) foldBounds(load *cost.SparseLoad) {
+// fold raises scr.env to cover load, O(touched).
+func (scr *HopScratch) fold(load *cost.SparseLoad) {
 	for _, l := range load.Touched() {
 		i := scr.envAt[l] - 1
 		if i < 0 {
-			scr.bounds = append(scr.bounds, loadBound{agent: l})
-			i = int32(len(scr.bounds) - 1)
+			i, scr.env = int32(len(scr.env)), append(scr.env, cost.EnvelopeAgent{Agent: l})
 			scr.envAt[l] = i + 1
 		}
 		down, up, _, tasks := load.At(model.AgentID(l))
-		b := &scr.bounds[i]
-		b.down, b.up, b.tasks = max(b.down, down), max(b.up, up), max(b.tasks, tasks)
+		scr.env[i].Raise(down, up, tasks)
 	}
 }
 
@@ -337,8 +323,9 @@ const (
 // candidateSet returns the feasible candidates of the state a holds and
 // their noiseless Φ: from the walk's memo when the walk has been in this
 // state before, else from the memo table (when given) when an earlier walk
-// certified it, else by price — storing the state in the table when
-// certified. Either of the last two becomes the walk memo's set.
+// certified it, else by price — storing the state in the table, with its
+// envelope and its refusals' witnesses, when certified. Either of the last
+// two becomes the walk memo's set.
 func (scr *HopScratch) candidateSet(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger, cfg Config, memo *MemoTable) (ds []assign.Decision, phis []float64, src int, err error) {
 	scr.key = appendKey(scr.key[:0], a, s)
 	if phis, ds, ok := scr.memo.lookup(scr.key); ok {
@@ -354,7 +341,7 @@ func (scr *HopScratch) candidateSet(a *assign.Assignment, s model.SessionID, ev 
 			return nil, nil, 0, err
 		}
 		if certified {
-			memo.store(s, scr.key, scr.vals, scr.env, scr.envAt)
+			memo.store(s, scr.key, scr.vals, scr.env, scr.wit, scr.envAt)
 		}
 	}
 	ds, phis = scr.memo.keep(scr.key, scr.decisions, scr.vals)

@@ -77,18 +77,25 @@ func (m *walkMemo) keep(key []int32, decisions []assign.Decision, vals []float64
 // decisions — a pure function of the state and the candidate window, which
 // a hit enumerates again. A table serves one evaluator and one window.
 //
-// A state is stored only with price's certificate: no candidate was refused
-// for capacity, and the envelope of the candidates' loads fits. A session
-// keeps the envelope of what it stored and a generation; a state is keyed
-// by (session, generation, member agents, flow agents), and a lookup
-// compares the whole key. Each walk checks the envelope against its
-// background once, right after taking the session's own load out; where it
-// no longer fits, or Restrict finds an agent the walk's ledger does not
-// cover, the session moves to a new generation with an empty envelope,
-// which orphans all its states at once. Φ and delay feasibility are a pure
-// function of the state, so a served state prices exactly as a fresh
-// evaluation would. A departure drops nothing: a re-arrival's first walk
-// checks the envelope against its new background like any other walk.
+// A state is stored only with price's certificate: the envelope of its
+// candidates' loads fits, and each neighbor refused for capacity was
+// refused by a degraded agent (a capacity fault, which outlasts walks) and
+// left a witness (cost.Refusal) of it there. A session keeps the
+// envelope and the distinct witnesses of what it stored, and a generation;
+// a state is keyed by (session, generation, member agents, flow agents),
+// and a lookup compares the whole key. Each walk checks the certificate
+// once, right after taking the session's own load out: unless the envelope
+// fits and every witness still refuses, the session moves to a new
+// generation with an empty certificate, orphaning all its states at once.
+// The check is exact: where the envelope fits, every stored candidate
+// fits; the repair check is an AND over agents, so a witness that still
+// refuses gives the NaN a fresh evaluation would; Φ and delay feasibility
+// are a pure function of the state. A departure drops nothing: a
+// re-arrival's first walk checks the certificate like any other. A walk's
+// ledger need be current only where its reachable states' candidates read,
+// in the members' windows and under the session's members and flows (as a
+// route's snapshot is): a stale value elsewhere can fail the check, costing
+// reuse, or pass it, serving no state that reads it.
 //
 // The states lie end to end in a ring of words, found through chains of an
 // index, one per eight words, that a hash of the key picks. Ring and index
@@ -99,7 +106,7 @@ func (m *walkMemo) keep(key []int32, decisions []assign.Decision, vals []float64
 // time.
 type MemoTable struct {
 	// mu guards the ring and the index. A session's generation and
-	// envelope belong to the walk that owns the session.
+	// certificate belong to the walk that owns the session.
 	mu sync.Mutex
 	// ring holds the states from tail to head, wrapping at wrap when
 	// wrapped, and grows to at most most words; index[i] is 1 + the ring
@@ -120,10 +127,11 @@ type MemoTable struct {
 const memoHeader = 3
 
 // memoSession is one session's certificate: the generation its states are
-// keyed by and the envelope of every state stored under it.
+// keyed by, and the envelope and witnesses of the states stored under it.
 type memoSession struct {
 	gen uint64
 	env []cost.EnvelopeAgent
+	wit []cost.Refusal
 }
 
 // NewMemoTable returns an empty table for sessions 0 … sessions−1 whose ring
@@ -140,23 +148,29 @@ func (t *MemoTable) Bytes() int {
 	return 8*cap(t.ring) + 4*cap(t.index)
 }
 
-// Restrict moves session s to a new generation unless covered holds for
-// every agent of its envelope: a walk whose ledger is current only on some
-// agents can certify nothing that reads the others.
-func (t *MemoTable) Restrict(s model.SessionID, covered func(model.AgentID) bool) {
-	t.renewUnless(s, func(env []cost.EnvelopeAgent) bool {
-		return !slices.ContainsFunc(env, func(e cost.EnvelopeAgent) bool { return !covered(model.AgentID(e.Agent)) })
-	})
+// Witnesses returns the most witnesses one session holds and how many the
+// sessions' lists, which Bytes leaves out, have room for.
+func (t *MemoTable) Witnesses() (most, room int) {
+	for _, ms := range t.sess {
+		most, room = max(most, len(ms.wit)), room+cap(ms.wit)
+	}
+	return most, room
 }
 
-// renewUnless moves session s to a new generation with an empty envelope,
-// which orphans all its states, unless ok holds for its envelope.
-func (t *MemoTable) renewUnless(s model.SessionID, ok func([]cost.EnvelopeAgent) bool) {
+// check moves session s to a new generation with an empty certificate,
+// which orphans all its states, unless its envelope fits the ledger and
+// each of its witnesses still refuses there.
+func (t *MemoTable) check(s model.SessionID, g *cost.Ledger) {
 	if t == nil {
 		return
 	}
-	if ms := &t.sess[s]; !ok(ms.env) {
-		ms.gen, ms.env = ms.gen+1, ms.env[:0]
+	ms := &t.sess[s]
+	ok := g.FitsEnvelope(ms.env)
+	for i := 0; ok && i < len(ms.wit); i++ {
+		ok = g.Refuses(ms.wit[i])
+	}
+	if !ok {
+		ms.gen, ms.env, ms.wit = ms.gen+1, ms.env[:0], ms.wit[:0]
 	}
 }
 
@@ -186,17 +200,18 @@ func (t *MemoTable) lookup(s model.SessionID, key []int32, dst []float64) ([]flo
 }
 
 // store records session s's state keyed by key, with vals one Φ per
-// neighbor, and widens the session's envelope by env, the state's certified
-// envelope (at: see widen).
-func (t *MemoTable) store(s model.SessionID, key []int32, vals []float64, env []cost.EnvelopeAgent, at []int32) {
+// neighbor, and adds the state's certificate — its envelope env (at: see
+// widen) and its witnesses wit — to the session's; not a state that would
+// grow the session's witnesses past its own neighbor count.
+func (t *MemoTable) store(s model.SessionID, key []int32, vals []float64, env []cost.EnvelopeAgent, wit []cost.Refusal, at []int32) {
+	ms := &t.sess[s]
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	kw := t.pack(key)
 	size := memoHeader + len(kw) + len(vals)
-	if size > t.most {
+	if size > t.most || len(ms.wit)+len(wit) > len(vals) {
+		t.mu.Unlock()
 		return
 	}
-	ms := &t.sess[s]
 	off := t.alloc(size)
 	t.ring[off], t.ring[off+1], t.ring[off+2] = uint64(size)<<32, memoID(s, key), ms.gen
 	copy(t.ring[off+memoHeader:], kw)
@@ -204,7 +219,13 @@ func (t *MemoTable) store(s model.SessionID, key []int32, vals []float64, env []
 		t.ring[off+memoHeader+len(kw)+i] = math.Float64bits(v)
 	}
 	t.link(off)
+	t.mu.Unlock()
 	ms.widen(env, at)
+	for _, w := range wit {
+		if !slices.Contains(ms.wit, w) {
+			ms.wit = append(ms.wit, w)
+		}
+	}
 }
 
 func memoID(s model.SessionID, key []int32) uint64 {
@@ -319,7 +340,7 @@ func (ms *memoSession) widen(env []cost.EnvelopeAgent, at []int32) {
 			i, ms.env = int32(len(ms.env)), append(ms.env, cost.EnvelopeAgent{Agent: e.Agent})
 			at[e.Agent] = i + 1
 		}
-		ms.env[i].Raise(float64(e.Down), float64(e.Up), int(e.Tasks))
+		ms.env[i].Raise(e.Down, e.Up, int(e.Tasks))
 	}
 	for _, e := range ms.env {
 		at[e.Agent] = 0

@@ -32,15 +32,9 @@ type LedgerAPI interface {
 	// separate Fits-then-Add could. Bootstrap policies must use it for
 	// their final admission step.
 	TryAdd(load *SparseLoad) bool
-	// FitsRepairDelta is the repair-semantics check (see
-	// Ledger.FitsRepairDelta): replacing current with candidate must not
-	// worsen any already-overloaded agent.
-	FitsRepairDelta(candidate, current *SparseLoad) bool
 	// FitsTouched is the strict check restricted to the candidate's touched
 	// agents (callers must guard a degraded background; see sparse.go).
 	FitsTouched(candidate *SparseLoad) bool
-	// Violations lists agents over their (scaled) capacity.
-	Violations() []model.AgentID
 	// Usage returns copies of the per-agent usage vectors; UsageAt reads one
 	// agent's entries without copying the fleet.
 	Usage() (down, up []float64, tasks []int)
@@ -102,10 +96,11 @@ func (g *Ledger) RemoveRange(sl *SparseLoad, lo, hi int) {
 	}
 }
 
-// FitsRepairDeltaRange is FitsRepairDelta restricted to agents in [lo, hi).
-// The per-agent repair condition is independent across agents, so ANDing
-// the results over a partition of the agent space equals the global check.
-func (g *Ledger) FitsRepairDeltaRange(candidate, current *SparseLoad, lo, hi int) bool {
+// RepairRefusalRange returns the first agent in [lo, hi) where replacing
+// current with candidate fails FitsRepairDelta's condition, or -1 where none
+// does: the condition is per agent, so the ranges of a partition of the
+// agent space find no refusal exactly when FitsRepairDelta accepts.
+func (g *Ledger) RepairRefusalRange(candidate, current *SparseLoad, lo, hi int) int {
 	for _, l32 := range candidate.touched {
 		l := int(l32)
 		if l < lo || l >= hi {
@@ -113,7 +108,7 @@ func (g *Ledger) FitsRepairDeltaRange(candidate, current *SparseLoad, lo, hi int
 		}
 		if !g.fitsRepairAt(l, candidate.down[l], candidate.up[l], candidate.tasks[l],
 			current.down[l], current.up[l], current.tasks[l]) {
-			return false
+			return l
 		}
 	}
 	for _, l32 := range current.touched {
@@ -122,10 +117,10 @@ func (g *Ledger) FitsRepairDeltaRange(candidate, current *SparseLoad, lo, hi int
 			continue
 		}
 		if !g.fitsRepairAt(l, 0, 0, 0, current.down[l], current.up[l], current.tasks[l]) {
-			return false
+			return l
 		}
 	}
-	return true
+	return -1
 }
 
 // CopyRangeFrom overwrites the [lo, hi) agent range of this ledger (usage

@@ -880,7 +880,7 @@ func (g *Ledger) fitsRepairAt(l int, candDown, candUp float64, candTasks int, cu
 // agent both loads contribute zero, so the condition holds trivially there
 // whatever the background ledger.
 func (g *Ledger) FitsRepairDelta(candidate, current *SparseLoad) bool {
-	return g.FitsRepairDeltaRange(candidate, current, 0, len(g.down))
+	return g.RepairRefusalRange(candidate, current, 0, len(g.down)) < 0
 }
 
 // FitsTouched is the strict capacity check (constraints (5)–(7)) restricted
@@ -898,28 +898,40 @@ func (g *Ledger) FitsTouched(candidate *SparseLoad) bool {
 	return true
 }
 
-// EnvelopeAgent is one agent's entry of a load envelope at rest: upper
-// bounds on the download, upload and tasks a set of loads puts on the agent.
-// The bandwidths are float32 rounded up, so they stay upper bounds.
+// Refusal is a witness that a candidate stays refused: the agent
+// RepairRefusalRange named and the candidate's and current load's entries
+// there.
+type Refusal struct {
+	Agent, CandTasks, CurTasks       int32
+	CandDown, CandUp, CurDown, CurUp float64
+}
+
+// RefusalAt returns the witness of candidate's refusal at agent l.
+func RefusalAt(candidate, current *SparseLoad, l int) Refusal {
+	return Refusal{int32(l), int32(candidate.tasks[l]), int32(current.tasks[l]),
+		candidate.down[l], candidate.up[l], current.down[l], current.up[l]}
+}
+
+// Refuses reports whether r's agent still fails the repair condition: then
+// FitsRepairDelta, an AND over agents, still refuses r's candidate.
+func (g *Ledger) Refuses(r Refusal) bool {
+	return !g.fitsRepairAt(int(r.Agent), r.CandDown, r.CandUp, int(r.CandTasks), r.CurDown, r.CurUp, int(r.CurTasks))
+}
+
+// Degraded reports whether agent l runs under a capacity fault, a scale
+// below 1.
+func (g *Ledger) Degraded(l int) bool { return g.scale != nil && g.scale[l] < 1 }
+
+// EnvelopeAgent is one agent's entry of a load envelope: the largest
+// download, upload and tasks a set of loads puts on the agent.
 type EnvelopeAgent struct {
-	Agent    int32
-	Tasks    int32
-	Down, Up float32
+	Agent, Tasks int32
+	Down, Up     float64
 }
 
 // Raise lifts the entry to cover a load of down, up and tasks on its agent.
 func (e *EnvelopeAgent) Raise(down, up float64, tasks int) {
-	e.Down = max(e.Down, roundUp32(down))
-	e.Up = max(e.Up, roundUp32(up))
-	e.Tasks = max(e.Tasks, int32(tasks))
-}
-
-func roundUp32(x float64) float32 {
-	f := float32(x)
-	if float64(f) < x {
-		f = math.Nextafter32(f, float32(math.Inf(1)))
-	}
-	return f
+	e.Down, e.Up, e.Tasks = max(e.Down, down), max(e.Up, up), max(e.Tasks, int32(tasks))
 }
 
 // FitsEnvelope reports whether the envelope's bounds, added to the ledger's
@@ -930,7 +942,7 @@ func roundUp32(x float64) float32 {
 // whatever the current load.
 func (g *Ledger) FitsEnvelope(env []EnvelopeAgent) bool {
 	for _, e := range env {
-		if g.overAt(int(e.Agent), float64(e.Down), float64(e.Up), int(e.Tasks)) {
+		if g.overAt(int(e.Agent), e.Down, e.Up, int(e.Tasks)) {
 			return false
 		}
 	}

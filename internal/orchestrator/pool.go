@@ -252,10 +252,6 @@ func (o *Orchestrator) refine(t reoptTask, w *workerState) {
 		startPhi := o.ev.BeginSession(w.aw, t.session, es).Phi
 		w.cur.CopyFrom(es.CurLoad())
 
-		if o.nbrIdx != nil {
-			// Stripes outside the route hold stale values in the snapshot.
-			o.memo.Restrict(t.session, func(l model.AgentID) bool { return o.ledger.Routes(&w.snapRoute, l) })
-		}
 		best, err := o.walkBest(t, w, startPhi)
 		if err != nil {
 			o.reportErr(err)

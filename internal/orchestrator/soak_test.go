@@ -4,7 +4,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"vconf/internal/cost"
 	"vconf/internal/faults"
 	"vconf/internal/sim"
 	"vconf/internal/workload"
@@ -39,13 +41,25 @@ func (c *chunkSource) Next() (workload.Event, bool) {
 
 func (c *chunkSource) Err() error { return c.src.Err() }
 
+// witnesses fails the test if the sessions' witness lists, which the memo
+// table keeps outside its byte limit, have allocated more than an eighth of
+// that limit (a four-day run of the soak's seeds peaked at 16 KiB).
+func witnesses(t *testing.T, o *Orchestrator) {
+	t.Helper()
+	most, room := o.memo.Witnesses()
+	if bytes := room * int(unsafe.Sizeof(cost.Refusal{})); bytes > memoTableBytes/8 {
+		t.Fatalf("the witness lists allocated %d bytes (most in one session: %d), over %d", bytes, most, memoTableBytes/8)
+	}
+}
+
 // TestVirtualDaySoak drives seeded virtual days of churn and faults through
 // the orchestrator. At one event in flight, a run without the memo table
 // (and so without any memo that outlives a walk) must retire the same
 // decision stream, report for report, and end in the same assignment and
 // objective bits as a run with it, on five seeds with and without a
 // candidate window. At four events in flight on two workers, the invariants
-// must hold after every fifty events.
+// must hold after every fifty events. The table's witness lists must stay
+// small at the end of every run and after every fifty events.
 func TestVirtualDaySoak(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		fc := chaosFleet(80 + seed)
@@ -73,6 +87,9 @@ func TestVirtualDaySoak(t *testing.T) {
 			}
 			finals[i] = o.Assignment().Encode()
 			hops[i] = o.Stats()
+			if i == 0 {
+				witnesses(t, o)
+			}
 			if err := o.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -113,6 +130,7 @@ func TestVirtualDaySoak(t *testing.T) {
 			t.Fatalf("after %d events: %v", o.Stats().Events, err)
 		}
 		checks++
+		witnesses(t, o)
 		if chunk.n > 0 {
 			break
 		}

@@ -41,7 +41,7 @@
 // which the equivalence tests pin bit for bit.
 //
 // All float arithmetic lives in internal/cost range primitives
-// (AddRange, FitsRepairDeltaRange, ...); this package contributes
+// (AddRange, RepairRefusalRange, ...); this package contributes
 // only routing, locking, and epochs, so sharded and dense results are
 // bit-identical by construction.
 package shard
@@ -261,15 +261,6 @@ func (sl *Ledger) TryAdd(load *cost.SparseLoad) bool {
 	return true
 }
 
-// FitsRepairDelta is the sparse repair-semantics check over the whole
-// ledger. Concurrent committers use CommitDelta instead, which validates
-// and applies atomically.
-func (sl *Ledger) FitsRepairDelta(candidate, current *cost.SparseLoad) bool {
-	sl.lockAll()
-	defer sl.unlockAll()
-	return sl.inner.FitsRepairDelta(candidate, current)
-}
-
 // FitsTouched is the strict capacity check over the candidate's touched
 // agents.
 func (sl *Ledger) FitsTouched(candidate *cost.SparseLoad) bool {
@@ -378,9 +369,6 @@ func (sl *Ledger) RouteAgents(r *Route, agents []model.AgentID) {
 // ResetRoute clears a route for this ledger's shard count.
 func (sl *Ledger) ResetRoute(r *Route) { r.reset(len(sl.shards)) }
 
-// Routes reports whether the route covers agent l's shard.
-func (sl *Ledger) Routes(r *Route, l model.AgentID) bool { return r.mark[sl.shardOf[l]] }
-
 // SnapshotRoute is SnapshotInto restricted to the routed shards: only
 // their agent ranges are copied (under each shard's lock) and only their
 // entries in the returned full-length epoch vector are meaningful. Ranges
@@ -437,7 +425,7 @@ func (sl *Ledger) CommitDelta(candidate, current *cost.SparseLoad, snap Epochs, 
 	}
 	ok := true
 	for _, si := range route.list {
-		if !sl.inner.FitsRepairDeltaRange(candidate, current, int(sl.bounds[si]), int(sl.bounds[si+1])) {
+		if sl.inner.RepairRefusalRange(candidate, current, int(sl.bounds[si]), int(sl.bounds[si+1])) >= 0 {
 			ok = false
 			break
 		}

@@ -90,10 +90,16 @@ func TestShardedMatchesDenseSequential(t *testing.T) {
 				}
 			})
 		}
+		// The per-stripe range checks CommitDelta runs, over each
+		// stripe's partition, against the whole-fleet check.
 		wantFits := dense.FitsRepairDelta(cand, cur[s])
 		for i, sl := range sharded {
-			if got := sl.FitsRepairDelta(cand, cur[s]); got != wantFits {
-				t.Fatalf("step %d: %d-shard FitsRepairDelta = %v, dense = %v", step, shardCounts[i], got, wantFits)
+			got := true
+			for si := range sl.shards {
+				got = got && sl.inner.RepairRefusalRange(cand, cur[s], int(sl.bounds[si]), int(sl.bounds[si+1])) < 0
+			}
+			if got != wantFits {
+				t.Fatalf("step %d: %d-shard range checks = %v, dense FitsRepairDelta = %v", step, shardCounts[i], got, wantFits)
 			}
 		}
 		// Dense path applies the same swap sequence the pipeline would.
