@@ -6,13 +6,17 @@
 // Usage:
 //
 //	vcsim [-seed N] [-duration S] [-beta B] [-init agrank|nrst] [-users N] [-interval S]
-//	vcsim -churn [-rate λ] [-hold S] [-shards N] [-hops N] ...
+//	vcsim -churn|-chaos [-virtual] [-rate λ] [-hold S] [-shards N] [-hops N] ...
+//	vcsim -virtual [-record-trace F] [-replay-trace F] ...
 //
-// The -churn mode replaces the static solve with the online orchestrator: a
-// Poisson arrival/departure schedule drives event-by-event incremental
-// re-optimization on a sharded solver pool, and the final objective is
-// compared against a from-scratch re-solve oracle. -chaos adds seeded fault
-// injection; -virtual drives the control plane from the virtual clock.
+// The online modes replace the static solve with one driver: a lazy Poisson
+// arrival/departure source (merged with seeded fault injection under
+// -chaos, or a recorded trace under -replay-trace) streams through
+// Orchestrator.RunSource, re-optimized event by event on a sharded solver
+// pool, and the final objective is compared against a from-scratch re-solve
+// oracle. The stream stops at each -interval boundary to print the data
+// plane beside the per-event log; -virtual streams the whole horizon at
+// once with no data plane and reports the virtual/wall rate.
 // -trace-out and -span-out write the decision and span rings as JSONL and
 // print how many records each ring overwrote, so a wrapped ring never reads
 // as complete; the other -*-out flags write the JSON documents -listen serves.
@@ -24,7 +28,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"vconf/internal/agrank"
@@ -35,8 +38,6 @@ import (
 	"vconf/internal/cost"
 	"vconf/internal/faults"
 	"vconf/internal/model"
-	"vconf/internal/orchestrator"
-	"vconf/internal/sim"
 	"vconf/internal/telemetry"
 	"vconf/internal/workload"
 )
@@ -50,7 +51,7 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vcsim", flag.ContinueOnError)
-	// The -churn/-chaos/-virtual knobs land in opts and the fault rates in
+	// The online-mode knobs land in opts and the fault rates in
 	// fc; the remaining flags shape the scenario and the static solve.
 	var (
 		opts churnOpts
@@ -61,29 +62,29 @@ func run(args []string, w io.Writer) error {
 	beta := fs.Float64("beta", 400, "Markov approximation β")
 	fs.StringVar(&opts.initName, "init", "agrank", "bootstrap policy: agrank or nrst")
 	users := fs.Int("users", 38, "number of conferencing users")
-	fs.Float64Var(&opts.interval, "interval", 10, "telemetry print interval (virtual seconds)")
+	fs.Float64Var(&opts.interval, "interval", 10, "telemetry print interval (virtual seconds, finite and > 0)")
 
 	churn := fs.Bool("churn", false, "online mode: Poisson churn through the orchestrator")
-	virtual := fs.Bool("virtual", false, "virtual-clock mode: drive the orchestrator from the lazy discrete-event engine (control plane only, decoupled from wall time)")
+	fs.BoolVar(&opts.virtual, "virtual", false, "virtual-clock mode: stream the whole horizon through the orchestrator at once (control plane only, no per-event log, decoupled from wall time)")
 	fs.StringVar(&opts.recordTrace, "record-trace", "", "virtual: record the merged event stream + decision digests as a versioned JSONL trace (implies -virtual)")
 	fs.StringVar(&opts.replayTrace, "replay-trace", "", "virtual: replay a recorded trace and verify every decision digest; scenario flags must match the recording run (implies -virtual)")
-	fs.Float64Var(&opts.rate, "rate", 0.05, "churn: session arrival rate λ (per virtual second)")
-	fs.Float64Var(&opts.hold, "hold", 120, "churn: mean session hold time (virtual seconds)")
-	fs.IntVar(&opts.shards, "shards", 0, "churn: solver pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&opts.hopBudget, "hops", 0, "churn: refinement hop budget per task (0 = default)")
+	fs.Float64Var(&opts.churnCfg.ArrivalRatePerS, "rate", 0.05, "session arrival rate λ (per virtual second)")
+	fs.Float64Var(&opts.churnCfg.MeanHoldS, "hold", 120, "mean session hold time (virtual seconds)")
+	fs.IntVar(&opts.shards, "shards", 0, "solver pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.hopBudget, "hops", 0, "refinement hop budget per task (0 = default)")
 
-	fs.StringVar(&opts.listen, "listen", "", "churn: serve the telemetry documents and pprof on this address (e.g. 127.0.0.1:9464)")
-	fs.StringVar(&opts.traceOut, "trace-out", "", "churn: write the per-decision trace as JSONL to this file")
-	fs.StringVar(&opts.spanOut, "span-out", "", "churn: write the finished causal spans as JSONL to this file")
-	fs.Float64Var(&opts.linger, "linger", 0, "churn: keep the -listen endpoint up this many wall seconds after the run")
+	fs.StringVar(&opts.listen, "listen", "", "serve the telemetry documents and pprof on this address (e.g. 127.0.0.1:9464)")
+	fs.StringVar(&opts.traceOut, "trace-out", "", "write the per-decision trace as JSONL to this file")
+	fs.StringVar(&opts.spanOut, "span-out", "", "write the finished causal spans as JSONL to this file")
+	fs.Float64Var(&opts.linger, "linger", 0, "keep the -listen endpoint up this many wall seconds after the run")
 
-	fs.BoolVar(&opts.slo, "slo", false, "churn: evaluate burn-rate SLO alerts over the health sampler windows and print the alert timeline")
-	fs.Float64Var(&opts.sloDelayMS, "slo-delay-ms", 400, "churn: per-class p-high session-delay SLO target (ms) for -slo")
-	fs.Float64Var(&opts.sampleEvery, "sample-every", 1, "churn: health sampler window length (virtual seconds; 0 disables sampling)")
-	fs.StringVar(&opts.metricsOut, "metrics-out", "", "churn: write the final /metrics.json snapshot to this file")
-	fs.StringVar(&opts.tsOut, "timeseries-out", "", "churn: write the health sampler windows (/timeseries.json) to this file")
-	fs.StringVar(&opts.alertsOut, "alerts-out", "", "churn: write the SLO alert timeline (/alerts.json) to this file")
-	fs.StringVar(&opts.flightOut, "flightrec-out", "", "churn: write the flight-recorder dumps (/flightrec.json) to this file")
+	fs.BoolVar(&opts.slo, "slo", false, "evaluate burn-rate SLO alerts over the health sampler windows and print the alert timeline")
+	fs.Float64Var(&opts.sloDelayMS, "slo-delay-ms", 400, "per-class p-high session-delay SLO target (ms) for -slo")
+	fs.Float64Var(&opts.sampleEvery, "sample-every", 1, "health sampler window length (virtual seconds; 0 disables sampling)")
+	fs.StringVar(&opts.metricsOut, "metrics-out", "", "write the final /metrics.json snapshot to this file")
+	fs.StringVar(&opts.tsOut, "timeseries-out", "", "write the health sampler windows (/timeseries.json) to this file")
+	fs.StringVar(&opts.alertsOut, "alerts-out", "", "write the SLO alert timeline (/alerts.json) to this file")
+	fs.StringVar(&opts.flightOut, "flightrec-out", "", "write the flight-recorder dumps (/flightrec.json) to this file")
 
 	fs.BoolVar(&opts.chaos, "chaos", false, "chaos mode: regional fleet churn with seeded fault injection (agent failures, regional outages, degradations, flash crowds)")
 	agents := fs.Int("agents", 24, "chaos: fleet size")
@@ -99,12 +100,13 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !(opts.interval > 0) || math.IsInf(opts.interval, 1) {
+		return fmt.Errorf("-interval must be finite and greater than 0, got %v", opts.interval)
+	}
 
 	var (
-		sc          *model.Scenario
-		homes       []int
-		agentRegion []int
-		err         error
+		sc  *model.Scenario
+		err error
 	)
 	if opts.chaos {
 		fleet := workload.DefaultFleetConfig(opts.seed)
@@ -113,11 +115,11 @@ func run(args []string, w io.Writer) error {
 		fleet.Regions = *regions
 		fleet.AgentBandwidthMbps = 500
 		fleet.AgentTranscodeSlots = 16
-		sc, homes, err = workload.GenerateSyntheticFleetRegions(fleet)
+		sc, opts.homes, err = workload.GenerateSyntheticFleetRegions(fleet)
 		if err != nil {
 			return err
 		}
-		agentRegion = workload.AgentRegions(*agents, *regions)
+		opts.agentRegion = workload.AgentRegions(*agents, *regions)
 	} else {
 		wl := workload.Prototype(opts.seed)
 		wl.NumUsers = *users
@@ -150,24 +152,16 @@ func run(args []string, w io.Writer) error {
 
 	coreCfg := core.DefaultConfig(opts.seed)
 	coreCfg.Beta = *beta
-	virtualMode := *virtual || opts.recordTrace != "" || opts.replayTrace != ""
-	if *churn || opts.chaos || virtualMode {
-		opts.params = p
-		opts.boot = boot
-		opts.core = coreCfg
-		opts.agentRegion = agentRegion
-		opts.homes = homes
-		opts.churnCfg = workload.ChurnConfig{
-			Seed:            opts.seed,
-			HorizonS:        opts.duration,
-			ArrivalRatePerS: opts.rate,
-			MeanHoldS:       opts.hold,
-			NumSessions:     sc.NumSessions(),
-		}
+	opts.virtual = opts.virtual || opts.recordTrace != "" || opts.replayTrace != ""
+	if *churn || opts.chaos || opts.virtual {
+		opts.boot, opts.core = boot, coreCfg
+		opts.churnCfg.Seed, opts.churnCfg.HorizonS = opts.seed, opts.duration
+		opts.churnCfg.NumSessions = sc.NumSessions()
 		if opts.chaos {
 			// Churn draws from the front of the session pool; flash crowds
 			// burst from the remaining sessions, grouped by home region, so
 			// the two generators can never double-arrive a session.
+			homes := opts.homes
 			nChurn := len(homes) * 3 / 5
 			opts.churnCfg.NumSessions = nChurn
 			fc.FlashSessions = make([][]int, *regions)
@@ -177,19 +171,11 @@ func run(args []string, w io.Writer) error {
 			fc.Seed = opts.seed + 1
 			fc.HorizonS = opts.duration
 			fc.NumAgents = *agents
-			fc.AgentRegion = agentRegion
-			fc.FlashHoldS = opts.hold / 2
+			fc.AgentRegion = opts.agentRegion
+			fc.FlashHoldS = opts.churnCfg.MeanHoldS / 2
 			opts.faultCfg = &fc
 		}
-		src, closeSrc, err := eventSource(opts)
-		if err != nil {
-			return err
-		}
-		defer closeSrc()
-		if virtualMode {
-			return runVirtual(w, sc, ev, src, opts)
-		}
-		return runChurn(w, sc, ev, src, opts)
+		return runOnline(w, ev, opts)
 	}
 	eng, err := core.NewEngine(ev, coreCfg)
 	if err != nil {
@@ -248,20 +234,29 @@ func run(args []string, w io.Writer) error {
 // span ring: degrade (scale application), evict (teardown), re-home
 // (re-bootstrap) and re-balance (post-recovery reopt selection), printed
 // as per-incident means next to the TTR percentiles so a slow recovery
-// points at its slow phase.
+// points at its slow phase. A wrapped ring has dropped the oldest spans:
+// the line before says how many incidents' heal spans are gone, and each
+// mean covers the spans of its phase still in the ring.
 func printHealBreakdown(w io.Writer, sink *telemetry.Sink, incidents int) {
 	if sink == nil || incidents == 0 {
 		return
 	}
-	sums := map[string]time.Duration{}
+	sums, counts := map[string]time.Duration{}, map[string]int{}
 	for _, sp := range sink.Spans().Items() {
-		switch sp.Name {
-		case "heal", "degrade", "evict", "re-home", "re-balance":
-			sums[sp.Name] += time.Duration(sp.DurNs)
+		sums[sp.Name] += time.Duration(sp.DurNs)
+		counts[sp.Name]++
+	}
+	if kept := counts["heal"]; kept < incidents {
+		fmt.Fprintf(w, "heal phases: %d of %d incidents dropped from the span ring\n", incidents-kept, incidents)
+		if kept == 0 {
+			return
 		}
 	}
-	per := func(name string) time.Duration {
-		return (sums[name] / time.Duration(incidents)).Round(time.Microsecond)
+	per := func(name string) string {
+		if counts[name] == 0 {
+			return "n/a"
+		}
+		return (sums[name] / time.Duration(counts[name])).Round(time.Microsecond).String()
 	}
 	fmt.Fprintf(w, "heal phases (mean/incident): total %s = degrade %s + evict %s + re-home %s; re-balance %s across recoveries\n",
 		per("heal"), per("degrade"), per("evict"), per("re-home"),
@@ -310,16 +305,13 @@ func writeDoc(path string, doc any) error {
 	return werr
 }
 
-// churnOpts bundles the -churn mode knobs (the flag surface of runChurn).
+// churnOpts bundles the online-mode knobs (the flag surface of runOnline).
 type churnOpts struct {
-	params    cost.Params
 	boot      core.Bootstrapper
 	core      core.Config
 	seed      int64
 	duration  float64
 	interval  float64
-	rate      float64
-	hold      float64
 	shards    int
 	hopBudget int
 	initName  string
@@ -343,233 +335,11 @@ type churnOpts struct {
 	chaos       bool
 	agentRegion []int
 	homes       []int
-	// churnCfg/faultCfg are the generator specs of the event source
-	// (faultCfg nil outside chaos mode); recordTrace/replayTrace are the
-	// virtual mode's sim-trace file paths.
+	// churnCfg/faultCfg specify the event source (faultCfg nil outside
+	// chaos mode); virtual runs it in one pass without a data plane.
+	virtual     bool
 	churnCfg    workload.ChurnConfig
 	faultCfg    *faults.Config
 	recordTrace string
 	replayTrace string
-}
-
-// runChurn drives the online orchestrator over the drained event source and
-// reports per-interval telemetry plus the final drift vs a from-scratch
-// re-solve oracle.
-func runChurn(w io.Writer, sc *model.Scenario, ev *cost.Evaluator, src sim.EventSource, opts churnOpts) error {
-	// The whole schedule is drained up front: its length sizes the
-	// telemetry rings.
-	var events []workload.Event
-	for e, ok := src.Next(); ok; e, ok = src.Next() {
-		events = append(events, e)
-	}
-	if err := src.Err(); err != nil {
-		return err
-	}
-
-	// The sink stays nil unless asked for: a nil *telemetry.Sink is the
-	// zero-overhead disabled state on every orchestrator hot path. Chaos
-	// mode always builds one — the heal-phase breakdown reads the span
-	// ring.
-	var sink *telemetry.Sink
-	if opts.listen != "" || opts.traceOut != "" || opts.spanOut != "" || opts.chaos || opts.slo ||
-		opts.metricsOut != "" || opts.tsOut != "" || opts.alertsOut != "" || opts.flightOut != "" {
-		cfg := telemetry.Config{
-			TraceCapacity: len(events) + 8,
-			SessionRegion: opts.homes,
-			SpanCapacity:  16 * (len(events) + 8),
-			Classes:       workload.SLOClassNames,
-			SessionClass:  workload.SessionClasses(sc, 0),
-			SampleEveryS:  opts.sampleEvery,
-		}
-		if opts.slo {
-			targets := make(map[string]int64, len(workload.SLOClassNames))
-			for _, c := range workload.SLOClassNames {
-				targets[c] = int64(opts.sloDelayMS * 1000)
-			}
-			cfg.SLO = telemetry.DefaultSLORules(workload.SLOClassNames, targets)
-		}
-		sink = telemetry.New(cfg)
-	}
-	if opts.listen != "" {
-		srv, err := telemetry.Serve(sink, opts.listen)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(w, "telemetry: serving %s, /debug/pprof on http://%s\n", strings.Join(telemetry.Documents(), ", "), srv.Addr())
-	}
-
-	ocfg := orchestrator.DefaultConfig(opts.seed)
-	ocfg.Core = opts.core
-	ocfg.Shards = opts.shards
-	ocfg.HopBudget = opts.hopBudget
-	ocfg.Telemetry = sink
-	ocfg.AgentRegion = opts.agentRegion
-	orc, err := orchestrator.New(ev, opts.boot, ocfg)
-	if err != nil {
-		return err
-	}
-	defer orc.Close()
-	rt, err := confsim.New(sc, opts.params, confsim.DefaultConfig(opts.seed))
-	if err != nil {
-		return err
-	}
-	orc.AttachRuntime(rt)
-
-	fmt.Fprintf(w, "vcsim churn: %d sessions pool, %d agents, init=%s, λ=%.3f/s, hold=%.0fs, %d events\n",
-		sc.NumSessions(), sc.NumAgents(), opts.initName, opts.rate, opts.hold, len(events))
-
-	// Process events interval by interval so the telemetry log interleaves
-	// churn with data-plane measurements. The horizon itself is always the
-	// last boundary, so a duration that is not a multiple of the interval
-	// still processes the tail events and ticks the data plane to the end.
-	i := 0
-	for t := math.Min(opts.interval, opts.duration); ; t = math.Min(t+opts.interval, opts.duration) {
-		for i < len(events) && events[i].TimeS <= t {
-			e := events[i]
-			if dt := e.TimeS - rt.Now(); dt > 1e-9 {
-				if _, err := rt.Tick(dt); err != nil {
-					return err
-				}
-			}
-			rep, err := orc.HandleEvent(e)
-			if err != nil {
-				return err
-			}
-			if e.Kind.IsFault() {
-				fmt.Fprintf(w, "t=%7.1fs fault %-13s agent=%d region=%d scale=%.2f orphans=%d evac=%d rej=%d Φ=%.2f live=%d\n",
-					e.TimeS, e.Kind, e.Agent, e.Region, e.Scale,
-					rep.Orphans, rep.Evacuated, rep.EvacRejects, rep.Objective, rep.ActiveSessions)
-				i++
-				continue
-			}
-			kind := "arrive"
-			if e.Kind == workload.EventDeparture {
-				kind = "depart"
-			}
-			note := ""
-			if !rep.Admitted {
-				// An unadmitted arrival was dropped; an unadmitted departure
-				// is the benign echo of an earlier drop.
-				if e.Kind == workload.EventArrival {
-					note = " (dropped)"
-				} else {
-					note = " (skipped)"
-				}
-			}
-			fmt.Fprintf(w, "t=%7.1fs %s session %2d%s: reopt=%d commits=%d latency=%s Φ=%.2f live=%d\n",
-				e.TimeS, kind, e.Session, note, len(rep.Reopt), rep.Commits,
-				rep.Latency.Round(10*time.Microsecond), rep.Objective, rep.ActiveSessions)
-			i++
-		}
-		if dt := t - rt.Now(); dt > 1e-9 {
-			if _, err := rt.Tick(dt); err != nil {
-				return err
-			}
-		}
-		tel, err := rt.Tick(1e-3)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "t=%7.1fs traffic=%8.2f Mbps (steady %.2f + overhead %.2f) delay=%6.1f ms live=%d\n",
-			t, tel.InterAgentMbps, tel.SteadyMbps, tel.OverheadMbps, tel.MeanDelayMS, tel.ActiveSessions)
-		if t >= opts.duration-1e-9 {
-			break
-		}
-	}
-
-	// Close the partial tail window so the final series, alert evaluation
-	// and file dumps cover the whole horizon.
-	sink.Flush()
-
-	st := orc.Stats()
-	rts := rt.Stats()
-	meanLat := "n/a"
-	if st.Events > 0 {
-		meanLat = (st.ReoptTotal / time.Duration(st.Events)).Round(10 * time.Microsecond).String()
-	}
-	reused, across := "n/a", "n/a"
-	if st.WalkHops > 0 {
-		reused = fmt.Sprintf("%.1f%%", 100*float64(st.WalkReused)/float64(st.WalkHops))
-		across = fmt.Sprintf("%.1f%%", 100*float64(st.WalkReusedAcross)/float64(st.WalkHops))
-	}
-	fmt.Fprintf(w, "churn: %d arrivals (%d dropped), %d departures (%d skipped), %d tasks, %d commits, %d rejects; %d hops walked, %s reused, %s reused across walks\n",
-		st.Arrivals, st.Dropped, st.Departures, st.Skipped, st.Tasks, st.Commits, st.Rejects, st.WalkHops, reused, across)
-	fmt.Fprintf(w, "reopt latency: mean %s, p50 %s, p99 %s, max %s; data plane: %d migrations, overhead %.2f Mbps·s\n",
-		meanLat, st.ReoptP50.Round(10*time.Microsecond), st.ReoptP99.Round(10*time.Microsecond),
-		st.ReoptMax.Round(10*time.Microsecond), rts.Migrations, rts.TotalOverheadMbpsS)
-	if opts.chaos || st.Incidents > 0 {
-		fmt.Fprintf(w, "incidents: %d (orphans %d, evacuated %d, rejected %d), time-to-recovery p50 %s p99 %s, rejects during degradation %d\n",
-			st.Incidents, st.Orphans, st.Evacuated, st.EvacRejects,
-			st.RecoverP50.Round(10*time.Microsecond), st.RecoverP99.Round(10*time.Microsecond),
-			st.DegradedRejects)
-		printHealBreakdown(w, sink, st.Incidents)
-	}
-	printHealthSummary(w, sink)
-
-	active := orc.ActiveSessions()
-	switch {
-	case len(active) == 0:
-		fmt.Fprintln(w, "final: no live sessions at horizon")
-	default:
-		// The yardstick re-solves from scratch on the surviving fleet: any
-		// capacity still lost to unrecovered incidents degrades the oracle's
-		// engine the same way it degrades the live ledger.
-		_, oraclePhi, err := orchestrator.OracleDegraded(ev, active, opts.boot, opts.core, 200, orc.CapacityScales())
-		if err != nil {
-			// The oracle re-bootstraps from scratch; under tight capacity it
-			// can fail where the incrementally-built live state is feasible.
-			// That is a limitation of the yardstick, not of this run.
-			fmt.Fprintf(w, "final: online Φ=%.2f; oracle unavailable (%v)\n", orc.Objective(), err)
-			break
-		}
-		online := orc.Objective()
-		drift := 0.0
-		if oraclePhi > 0 {
-			drift = 100 * (online - oraclePhi) / oraclePhi
-		}
-		fmt.Fprintf(w, "final: online Φ=%.2f vs oracle Φ=%.2f (drift %+.1f%%) over %d live sessions\n",
-			online, oraclePhi, drift, len(active))
-	}
-	if n, mean, p99 := sink.CounterfactualSummary(); n > 0 {
-		fmt.Fprintf(w, "counterfactual-k: %d committed decisions, regret vs 2nd-best mean %.3f p99 %.3f\n",
-			n, mean, p99)
-	}
-	if err := orc.CheckInvariants(); err != nil {
-		return fmt.Errorf("final state infeasible: %w", err)
-	}
-	fmt.Fprintln(w, "final state feasible: capacities and delay caps hold")
-	if sink != nil {
-		// Each document asked for goes to its file, followed by a line saying
-		// what it held.
-		recs, spans := sink.Recorder(), sink.Spans()
-		ts, alerts, flight := sink.TimeseriesDoc(), sink.AlertsDoc(), sink.FlightDoc()
-		for _, out := range []struct {
-			flag, path string
-			doc        any
-			note       string
-		}{
-			{"trace-out", opts.traceOut, recs, fmt.Sprintf("trace: wrote %d decision records to %s (%d dropped)", recs.Len(), opts.traceOut, recs.Dropped())},
-			{"span-out", opts.spanOut, spans, fmt.Sprintf("spans: wrote %d span records to %s (%d dropped)", spans.Len(), opts.spanOut, spans.Dropped())},
-			{"metrics-out", opts.metricsOut, telemetry.MetricsDoc{Metrics: sink.Registry().Snapshot()}, "metrics: wrote final snapshot to " + opts.metricsOut},
-			{"timeseries-out", opts.tsOut, ts, fmt.Sprintf("timeseries: wrote %d windows to %s", ts.WindowsTotal, opts.tsOut)},
-			{"alerts-out", opts.alertsOut, alerts, fmt.Sprintf("alerts: wrote %d transitions to %s", len(alerts.Events), opts.alertsOut)},
-			{"flightrec-out", opts.flightOut, flight, fmt.Sprintf("flightrec: wrote %d dumps to %s", len(flight.Dumps), opts.flightOut)},
-		} {
-			if out.path == "" {
-				continue
-			}
-			if err := writeDoc(out.path, out.doc); err != nil {
-				return fmt.Errorf("%s: %w", out.flag, err)
-			}
-			fmt.Fprintln(w, out.note)
-		}
-	}
-	if opts.listen != "" && opts.linger > 0 {
-		// Keep the endpoint alive so an external scraper (e.g. the CI smoke
-		// test) can read the finished run's metrics before we exit.
-		fmt.Fprintf(w, "telemetry: lingering %.0fs for scrapes\n", opts.linger)
-		time.Sleep(time.Duration(opts.linger * float64(time.Second)))
-	}
-	return nil
 }

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vconf/internal/telemetry"
 )
 
 func TestRunEndToEnd(t *testing.T) {
@@ -343,5 +345,128 @@ func TestRunChurnHealthFileOutputs(t *testing.T) {
 	}
 	if tsDoc.IntervalS != 1 || len(tsDoc.Windows) == 0 {
 		t.Fatalf("timeseries doc wrong: interval=%v windows=%d", tsDoc.IntervalS, len(tsDoc.Windows))
+	}
+}
+
+// TestRunRejectsBadInterval pins the -interval check: a print interval
+// that is not finite and positive never advances the interval loop, so it
+// must be refused before any mode runs rather than spin.
+func TestRunRejectsBadInterval(t *testing.T) {
+	for _, iv := range []string{"0", "-5", "NaN", "+Inf"} {
+		done := make(chan error, 1)
+		go func() {
+			var buf bytes.Buffer
+			done <- run([]string{"-churn", "-interval", iv, "-duration", "20", "-users", "16"}, &buf)
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("-interval %s accepted", iv)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("-interval %s: run did not return", iv)
+		}
+	}
+}
+
+// TestHealBreakdownCountsDroppedIncidents fills span rings too small for
+// the heal spans emitted into them: each phase's mean must cover only its
+// spans still in the ring, and the line must say how many incidents' heal
+// spans were dropped.
+func TestHealBreakdownCountsDroppedIncidents(t *testing.T) {
+	// Incident k's phases last k, 10k and 100k µs; one re-balance span of
+	// 7 µs follows them.
+	breakdown := func(capacity int) string {
+		sink := telemetry.New(telemetry.Config{SpanCapacity: capacity})
+		for k := 1; k <= 4; k++ {
+			heal := sink.StartRoot("heal", "event", 1)
+			for i, name := range []string{"degrade", "evict", "re-home"} {
+				dur := time.Duration(k) * []time.Duration{time.Microsecond, 10 * time.Microsecond, 100 * time.Microsecond}[i]
+				sink.EmitSpan(name, "event", heal, 1, time.Now(), dur.Nanoseconds(), 0)
+			}
+			heal.End()
+		}
+		sink.EmitSpan("re-balance", "event", telemetry.Span{}, 1, time.Now(), (7 * time.Microsecond).Nanoseconds(), 0)
+		var buf bytes.Buffer
+		printHealBreakdown(&buf, sink, 4)
+		return buf.String()
+	}
+	for _, c := range []struct {
+		capacity int
+		want     []string
+		absent   string
+	}{
+		// Nothing dropped: the means average incidents 1..4.
+		{64, []string{"degrade 3µs + evict 25µs + re-home 250µs; re-balance 7µs across recoveries\n"}, "dropped"},
+		// The ring keeps incident 3's re-home and heal spans and all of
+		// incident 4.
+		{7, []string{"heal phases: 2 of 4 incidents dropped from the span ring\n", "degrade 4µs + evict 40µs + re-home 350µs"}, ""},
+		{3, []string{"heal phases: 3 of 4 incidents dropped from the span ring\n", "degrade n/a + evict n/a + re-home 400µs"}, ""},
+		{1, []string{"heal phases: 4 of 4 incidents dropped from the span ring\n"}, "mean/incident"},
+	} {
+		out := breakdown(c.capacity)
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Fatalf("span capacity %d: output missing %q:\n%s", c.capacity, want, out)
+			}
+		}
+		if c.absent != "" && strings.Contains(out, c.absent) {
+			t.Fatalf("span capacity %d: output has %q:\n%s", c.capacity, c.absent, out)
+		}
+	}
+}
+
+// TestRunVirtualHealthDocsMatchIntervalRun pins that -virtual streams the
+// same decisions into the same sink as the interval run: its alert
+// timeline and health windows are byte-identical.
+func TestRunVirtualHealthDocsMatchIntervalRun(t *testing.T) {
+	dir := t.TempDir()
+	docs := func(name string, extra ...string) (alerts, ts []byte) {
+		al, tsPath := filepath.Join(dir, name+"-alerts.json"), filepath.Join(dir, name+"-ts.json")
+		var buf bytes.Buffer
+		if err := run(sloFlags(append(extra, "-alerts-out", al, "-timeseries-out", tsPath)...), &buf); err != nil {
+			t.Fatalf("run %s: %v", name, err)
+		}
+		a, err := os.ReadFile(al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(tsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, b
+	}
+	alI, tsI := docs("interval")
+	alV, tsV := docs("virtual", "-virtual")
+	if !bytes.Equal(alI, alV) {
+		t.Fatal("-virtual alert timeline differs from the interval run's")
+	}
+	if !bytes.Equal(tsI, tsV) {
+		t.Fatal("-virtual health windows differ from the interval run's")
+	}
+}
+
+// TestRunVirtualRingOutputs pins that -virtual writes the decision and
+// span rings, and that the decision ring, sized from the source, drops
+// nothing.
+func TestRunVirtualRingOutputs(t *testing.T) {
+	dir := t.TempDir()
+	trace, spans := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "spans.jsonl")
+	var buf bytes.Buffer
+	if err := run([]string{"-churn", "-virtual", "-duration", "120", "-rate", "0.1", "-hold", "60",
+		"-users", "24", "-shards", "2", "-trace-out", trace, "-span-out", spans}, &buf); err != nil {
+		t.Fatalf("run -virtual: %v", err)
+	}
+	log := buf.String()
+	for _, want := range []string{`trace: wrote \d+ decision records to \S+ \(0 dropped\)`, `spans: wrote \d+ span records to \S+`, `virtual: \d+ events`} {
+		if !regexp.MustCompile(want).MatchString(log) {
+			t.Fatalf("output missing %q:\n%s", want, log)
+		}
+	}
+	for _, path := range []string{trace, spans} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s missing or empty (%v)", path, err)
+		}
 	}
 }

@@ -431,7 +431,7 @@ func (o *Orchestrator) AttachRuntime(rt *confsim.Runtime) {
 // it triggers. It submits the event to the scheduler and blocks until the
 // event retires — which, since events retire in arrival order, also means
 // the orchestrator is quiesced when it returns; stream events through Run
-// or RunSource to overlap them.
+// or RunSource at MaxInFlight > 1 to overlap them.
 func (o *Orchestrator) HandleEvent(e workload.Event) (EventReport, error) {
 	if err := o.takeRefErr(); err != nil {
 		return EventReport{}, err

@@ -18,16 +18,17 @@ import (
 
 // RunSource processes events pulled from src in order until exhaustion,
 // admitting up to Config.MaxInFlight events ahead of the one
-// re-optimization running. Each finished report — churn and fault alike —
-// is passed to onReport (nil to discard) in schedule order from the
-// scheduler's dispatcher. onReport stops the stream by returning an error,
-// which RunSource returns, or by calling Close: RunSource then stops at its
-// next submission, with pipeline.ErrClosed. An event's admission error
-// also stops pulling and surfaces from RunSource. Before a fault event is
-// submitted the scheduler drains, because healing rewrites sessions that
-// in-flight events may own. With a runtime attached, the data plane is
-// ticked to each event's time as it is admitted and to horizonS after the
-// final drain.
+// re-optimization running; at MaxInFlight 1 it pulls each event once the
+// one before it has retired, so no admission stalls. Each finished report —
+// churn and fault alike — is passed to onReport (nil to discard) in
+// schedule order from the scheduler's dispatcher. onReport stops the stream
+// by returning an error, which RunSource returns, or by calling Close:
+// RunSource then stops at its next submission, with pipeline.ErrClosed. An
+// event's admission error also stops pulling and surfaces from RunSource.
+// Before a fault event is submitted the scheduler drains, because healing
+// rewrites sessions that in-flight events may own. With a runtime attached,
+// the data plane is ticked to each event's time as it is admitted and to
+// horizonS after the final drain.
 func (o *Orchestrator) RunSource(src sim.EventSource, horizonS float64, onReport func(EventReport) error) error {
 	var cbMu sync.Mutex
 	var cbErr error
@@ -76,11 +77,17 @@ func (o *Orchestrator) RunSource(src sim.EventSource, horizonS float64, onReport
 				return err
 			}
 		}
-		if _, _, err := o.submitEvent(e, emit); err != nil {
+		_, retired, err := o.submitEvent(e, emit)
+		if err != nil {
 			if derr := o.pipe.Drain(); derr != nil {
 				err = derr
 			}
 			return err
+		}
+		if o.cfg.MaxInFlight == 1 {
+			// Pulling ahead admits nothing sooner here; it only makes the
+			// next event's stall flag depend on goroutine timing.
+			<-retired
 		}
 	}
 	if err := o.pipe.Drain(); err != nil {
