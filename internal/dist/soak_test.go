@@ -113,8 +113,15 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
+// probeAckWait bounds the probe's wait for its COMMIT acknowledgement. The
+// lock being free is what the grant bound checks; the acknowledgement only
+// has to arrive, so it gets a deadline of its own that a loaded host cannot
+// eat into from the grant's.
+const probeAckWait = 10 * time.Second
+
 // probeFreeze checks that the freeze lock is free: a fresh FREEZE must be
-// GRANTED, and its no-move COMMIT acknowledged, within wait.
+// GRANTED within wait, and its no-move COMMIT then acknowledged within
+// probeAckWait.
 func probeFreeze(pn *pipeNet, wait time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()
@@ -132,6 +139,7 @@ func probeFreeze(pn *pipeNet, wait time.Duration) error {
 	if err := dec.Decode(&g); err != nil || g.Type != frameGranted {
 		return fmt.Errorf("freeze lock not free within %v: %+v, %v", wait, g, err)
 	}
+	conn.SetDeadline(time.Now().Add(probeAckWait))
 	if err := enc.Encode(frame{Type: frameCommit}); err != nil {
 		return err
 	}

@@ -25,11 +25,11 @@ package orchestrator
 //     active sessions whose candidate windows can reach the recovered
 //     agents (all of them without a window) re-enter the walk, capped at
 //     MaxReoptSessions.
-//   - Healing re-assigns sessions that in-flight events may own, so
-//     RunSource drains the scheduler before it submits a fault event
-//     (HandleEvent callers are quiesced already). The attached data plane
-//     is ticked to the fault's time at its admission, so it has seen every
-//     earlier migration.
+//   - Healing re-assigns sessions that in-flight events may own, so a
+//     fault event carries no trigger session and the scheduler admits it
+//     only when nothing is in flight. The attached data plane is ticked to
+//     the fault's time at its admission, so it has seen every earlier
+//     migration.
 //
 // Effective capacity scale per agent = 0 if the agent or its region is
 // failed, else its base scale (EventCapacityDegrade). Every change goes

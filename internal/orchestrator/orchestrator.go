@@ -12,10 +12,11 @@
 //     authoritative assignment under the state lock: arrivals bootstrap
 //     through the configured policy (AgRank or Nrst), departures release
 //     their load from the capacity ledger. Admission also fixes the
-//     event's footprint — the sessions it owns. Events re-optimize one at
-//     a time, in admission order, and admission may run up to
-//     Config.MaxInFlight events ahead of re-optimization (default 1: one
-//     event at a time). Reports retire in arrival order.
+//     event's footprint — the sessions it owns. Events are admitted,
+//     re-optimize and retire in arrival order, re-optimizing one at a
+//     time; admission may run up to Config.MaxInFlight events ahead of
+//     retirement (default 1: one event at a time), and an event waits
+//     while an in-flight footprint claims its session.
 //  2. The event then triggers incremental re-optimization of the *touched*
 //     session set — the arriving/departing session plus active sessions
 //     sharing agents with it — on a sharded solver pool: worker goroutines
@@ -45,8 +46,8 @@
 // sessions on violating agents, re-homing them through the bootstrap
 // policy — and the re-homed or re-balanced sessions are the event's
 // re-optimization set; retire does the incident accounting. Healing
-// rewrites sessions no footprint names, so RunSource drains the scheduler
-// before it submits a fault.
+// rewrites sessions no footprint names, so the scheduler admits a fault
+// only when nothing is in flight.
 //
 // The hot path uses delta cost evaluation (cost.ObjectiveCache): because
 // Φ = Σ_s Φ_s and Φ_s depends only on session s's own variables, a commit
@@ -88,14 +89,14 @@ type Config struct {
 	// Deprecated: Pipeline has no effect. Every event goes through the
 	// scheduler; MaxInFlight sets how far admission runs ahead.
 	Pipeline bool
-	// MaxInFlight bounds the events in flight at once (admitted,
-	// re-optimization not yet complete). Events re-optimize one at a time,
-	// in admission order; MaxInFlight is how far admission may run ahead of
-	// that, so the next events' admissions overlap the current
-	// re-optimization. Reports retire in arrival order either way. Defaults
-	// to 1, which runs one event at a time, deterministically. Public
-	// snapshot methods (Assignment, CheckInvariants, ...) must only be
-	// called quiesced: between HandleEvent calls or after Run returns.
+	// MaxInFlight bounds the events in flight at once (admitted, not yet
+	// retired). Events are admitted, re-optimize and retire in arrival
+	// order, re-optimizing one at a time; MaxInFlight is how far admission
+	// may run ahead of that, so the next events' admissions overlap the
+	// current re-optimization. Defaults to 1, which runs one event at a
+	// time, deterministically. Public snapshot methods (Assignment,
+	// CheckInvariants, ...) must only be called quiesced: between
+	// HandleEvent calls or after Run returns.
 	MaxInFlight int
 	// AgentRegion maps agent → region (len NumAgents). Required to handle
 	// regional fault events (EventRegionOutage/EventRegionRecover); nil
@@ -234,11 +235,11 @@ type Stats struct {
 	RecoverP50 time.Duration
 	RecoverP99 time.Duration
 	// AdmissionStalls, ReoptWaits, QueueDepthPeak and InFlightPeak are
-	// event-scheduler telemetry: events whose admission had to wait
-	// (in-flight cap or a claimed trigger session), events whose
-	// re-optimization waited for an earlier-admitted event's to finish, and
-	// the high-water marks of the pending queue and the in-flight set. They
-	// depend on goroutine timing.
+	// event-scheduler telemetry: events whose admission had to wait at the
+	// queue head (in-flight cap or a claimed trigger session), events
+	// admitted while an earlier event was still in flight (so their
+	// re-optimization waited for it), and the high-water marks of the
+	// pending queue and the in-flight set. They depend on goroutine timing.
 	AdmissionStalls int
 	ReoptWaits      int
 	QueueDepthPeak  int

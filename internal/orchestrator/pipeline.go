@@ -2,10 +2,10 @@ package orchestrator
 
 // This file is the event path: every event — arrival, departure or fault —
 // goes through the scheduler in internal/pipeline as admit → re-optimize →
-// retire. Re-optimization runs one event at a time, in admission order;
-// up to Config.MaxInFlight events may be admitted ahead of it, so the next
-// event's admission overlaps the current one's re-optimization instead of
-// waiting for it.
+// retire, all three in arrival order. Re-optimization and retirement run
+// one event at a time; up to Config.MaxInFlight events may be admitted
+// ahead of them, so the next event's admission overlaps the current one's
+// re-optimization instead of waiting for it.
 //
 // Consistency story (what makes that overlap safe):
 //
@@ -16,9 +16,9 @@ package orchestrator
 //     live in disjoint slice ranges (internal/assign) and refinement tasks
 //     touch only their own session, all unlocked assignment accesses stay
 //     single-owner. A fault has no trigger (-1) and its healing rewrites
-//     sessions no footprint names, so RunSource drains the scheduler before
-//     submitting one; while its re-optimization runs, later events may be
-//     admitted as usual.
+//     sessions no footprint names, so the scheduler admits it only when
+//     nothing is in flight; while its re-optimization runs, later events
+//     may be admitted as usual.
 //   - Touched-set consistency. Admissions must discover which sessions
 //     share agents with the trigger (or with a fault's violating agents)
 //     *without* reading in-flight sessions' assignment state. touchIdx[s] —
@@ -73,9 +73,10 @@ type eventState struct {
 	// stalled records whether this event's admission waited in the
 	// scheduler (the OnAdmit hook), for the decision record.
 	stalled bool
-	// admitErr records this event's admission failure (written in the
-	// dispatcher before the retire channel closes), so HandleEvent can tell
-	// "this event never happened" from errors surfaced by other machinery.
+	// admitErr records this event's admission failure (written by the
+	// scheduler's admitting goroutine before the retire channel closes), so
+	// HandleEvent can tell "this event never happened" from errors surfaced
+	// by other machinery.
 	admitErr error
 	// healStart is set when a fault's admission starts healing, which makes
 	// the event an incident: retire observes its time to recovery.
@@ -84,7 +85,8 @@ type eventState struct {
 	// spans nest under it (zero when telemetry is off).
 	span telemetry.Span
 	// emit, when non-nil, receives the finished report at retire
-	// (RunSource's stream; retires are serialized by the scheduler).
+	// (RunSource's stream; retires are serialized by the scheduler, and
+	// may run beside a later event's admission).
 	emit func(EventReport)
 }
 
@@ -108,8 +110,14 @@ func (o *Orchestrator) submitEvent(e workload.Event, emit func(EventReport)) (*e
 	// part of the event's story.
 	st.span = o.tel.StartRoot(eventSpanName(e.Kind), "event", 1+int32(st.seq%pipelineLanes))
 	o.eventIdx++
+	trigger := int32(e.Session)
+	if e.Kind.IsFault() {
+		// Healing may rewrite any session: admit only into an empty
+		// scheduler, whatever Session the event carries.
+		trigger = -1
+	}
 	ch, err := o.pipe.Submit(pipeline.Exec{
-		Trigger: int32(e.Session),
+		Trigger: trigger,
 		OnAdmit: func(stalled bool) { st.stalled = stalled },
 		Admit:   st.admit,
 		Reopt:   st.reoptStage,
@@ -288,9 +296,7 @@ func (st *eventState) reoptStage() error {
 		st.rep.Latency = o.dispatch(st.rep.Reopt, st.seq, st.results, st.span)
 		st.foldTasks()
 	}
-	// Read the trigger's delay now, while this event still owns its
-	// footprint — the scheduler releases it when this stage returns, before
-	// retire runs.
+	// Read the trigger's delay while this event still owns its footprint.
 	st.delayMS = o.observeDelay(st.e, st.rep.Admitted)
 	return nil
 }

@@ -17,15 +17,17 @@ import (
 )
 
 // RunSource processes events pulled from src in order until exhaustion,
-// admitting up to Config.MaxInFlight events ahead of the one
+// admitting up to Config.MaxInFlight events, in order, ahead of the one
 // re-optimization running; at MaxInFlight 1 it pulls each event once the
 // one before it has retired, so no admission stalls. Each finished report —
 // churn and fault alike — is passed to onReport (nil to discard) in
-// schedule order from the scheduler's dispatcher. onReport stops the stream
-// by returning an error, which RunSource returns, or by calling Close:
-// RunSource then stops at its next submission, with pipeline.ErrClosed. An
-// event's admission error also stops pulling and surfaces from RunSource.
-// Before a fault event is submitted the scheduler drains, because healing
+// schedule order from the scheduler's retiring goroutine, possibly beside
+// a later event's admission. onReport stops the stream by returning an
+// error, which RunSource returns, or by calling Close: RunSource then stops
+// at its next submission, with pipeline.ErrClosed. An event's admission
+// error also stops pulling and surfaces from RunSource. A fault is admitted
+// only once every earlier event has retired (the scheduler holds an event
+// without a trigger session until nothing is in flight), because healing
 // rewrites sessions that in-flight events may own. With a runtime attached,
 // the data plane is ticked to each event's time as it is admitted and to
 // horizonS after the final drain.
@@ -70,12 +72,6 @@ func (o *Orchestrator) RunSource(src sim.EventSource, horizonS float64, onReport
 		if err := takeCbErr(); err != nil {
 			o.pipe.Drain()
 			return err
-		}
-		if e.Kind.IsFault() {
-			// Healing rewrites sessions in-flight events may own.
-			if err := o.pipe.Drain(); err != nil {
-				return err
-			}
 		}
 		_, retired, err := o.submitEvent(e, emit)
 		if err != nil {

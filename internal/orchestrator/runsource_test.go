@@ -463,9 +463,9 @@ func TestStopFromReportCallback(t *testing.T) {
 	}
 }
 
-// TestCloseFromReportCallback: onReport runs on the scheduler's
-// dispatcher, and a Close made from inside it returns instead of waiting
-// for that dispatcher. RunSource then stops at its next submission with
+// TestCloseFromReportCallback: onReport runs on the scheduler's retiring
+// goroutine, and a Close made from inside it returns instead of waiting
+// for that goroutine. RunSource then stops at its next submission with
 // ErrClosed, the state holds its invariants, and HandleEvent afterwards
 // returns an error. Run under -race in CI.
 func TestCloseFromReportCallback(t *testing.T) {

@@ -2,52 +2,38 @@
 // lets the orchestrator admit the next event while the current one
 // re-optimizes, instead of barriering per event.
 //
-// The paper's online setting is a stream of join/leave events, each
-// triggering incremental re-optimization of a handful of sessions. Φ =
-// Σ_s Φ_s decomposes by session, and capacity is the only cross-session
-// coupling. Each submitted event names a trigger session, and its admission
-// returns a Footprint: the session set the event exclusively owns during
-// re-optimization. The scheduler:
+// Each submitted event names a trigger session, and its admission returns
+// a Footprint: the sessions it owns until it retires (Φ = Σ_s Φ_s
+// decomposes by session; capacity is the client ledger's job). The
+// scheduler is one bounded FIFO: submission, admission, re-optimization
+// and retirement follow one order.
 //
-//  1. admits an event (runs its serialized state-mutating admission, which
-//     derives the footprint) as soon as its trigger session is unclaimed
-//     and the in-flight cap allows, possibly out of submission order;
-//  2. re-optimizes admitted events one at a time, in admission order: an
-//     event's Reopt starts only after every event admitted before it has
-//     finished its own. The one overlap across events is an admission
-//     running beside a re-optimization;
-//  3. retires events strictly in submission order, so the *shape* of
-//     reporting — which event retires when, relative to its peers — is
-//     deterministic no matter how execution interleaved. (Values sampled
-//     at retire time may still reflect later events' admissions at
-//     MaxInFlight > 1; only cap 1 pins them bit-for-bit.)
+//  1. It admits only the head of the pending queue, serially, once fewer
+//     than MaxInFlight events are in flight and no in-flight footprint
+//     claims the head's trigger. A head without a trigger (a fault, which
+//     may rewrite any session) waits until nothing is in flight.
+//  2. An event is in flight from admission until it retires. One
+//     long-lived goroutine takes the oldest in-flight event and runs its
+//     Reopt, then its Retire; the one overlap across events is an
+//     admission running beside that goroutine.
 //
-// The footprint is what keeps an admission off the sessions a
-// re-optimization is walking: the client must guarantee an event's
-// execution touches only sessions in its footprint, and the scheduler never
-// admits an event whose trigger an in-flight event's footprint claims.
-//
-// With MaxInFlight = 1 the scheduler degenerates to strict serial
-// execution: admit → re-optimize → retire, one event at a time, in
-// submission order — the orchestrator's default, whose decision stream is
-// pinned against recordings (the orchestrator's golden decision streams).
+// At MaxInFlight = 1 (the orchestrator's default, whose decision stream is
+// pinned against recordings) this is strictly serial: admit → re-optimize
+// → retire, one event at a time.
 package pipeline
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 )
 
-// Footprint is the session set one event owns, treated as an unordered ID
-// set; Normalize sorts it for ContainsSession.
-type Footprint struct {
-	// Sessions are the session IDs the event exclusively owns while
-	// executing: the trigger plus its re-optimization set. The event must
-	// touch no session outside this set.
-	Sessions []int32
-}
+// Footprint is the session set one event owns until it retires: the
+// trigger plus its re-optimization set. The event must touch no session
+// outside it. Normalize sorts it for ContainsSession.
+type Footprint struct{ Sessions []int32 }
 
 // Normalize sorts the session set ascending.
 func (f *Footprint) Normalize() { slices.Sort(f.Sessions) }
@@ -59,33 +45,27 @@ func (f Footprint) ContainsSession(s int32) bool {
 }
 
 // Exec is one event's work, supplied at Submit. The scheduler calls the
-// three stages without holding its own lock, so they may freely take client
-// locks.
+// stages without holding its lock, so they may take client locks.
 type Exec struct {
-	// Trigger is the session whose state the admission stage mutates. An
-	// event's admission is deferred while its trigger is claimed by an
-	// earlier un-admitted event with the same trigger or by any in-flight
-	// event's footprint.
+	// Trigger is the session the admission stage mutates; admission waits
+	// while an in-flight footprint claims it. A negative trigger is
+	// admitted only when nothing is in flight.
 	Trigger int32
 	// Admit applies the event's state mutation (bootstrap/release) and
-	// derives its footprint. Admissions are serialized — the scheduler never
-	// runs two concurrently — but may run while an earlier event's Reopt
-	// stage is executing, and may run out of submission order. An error
-	// aborts the stream (no further admissions; see Drain).
+	// derives its footprint. Admissions are serialized, in submission
+	// order, and may run beside an earlier event's Reopt or Retire. An
+	// error aborts the stream: every pending event is discarded.
 	Admit func() (Footprint, error)
-	// OnAdmit, when non-nil, is called immediately before Admit with the
-	// event's stall flag: true iff this admission waited at least once —
-	// exactly the condition counted by Stats.AdmissionStalls, so per-event
-	// observers reconcile with the aggregate counter. Called on the
-	// dispatcher goroutine, outside the scheduler lock.
+	// OnAdmit, when non-nil, is called right before Admit with the event's
+	// stall flag: true iff its admission waited at least once — exactly
+	// what Stats.AdmissionStalls counts. Called outside the scheduler lock.
 	OnAdmit func(stalled bool)
-	// Reopt runs the event's re-optimization stage, after every event
-	// admitted before it has finished its own: Reopt stages never overlap.
-	// It may run beside a later event's Admit, and must touch only sessions
-	// in the event's footprint.
+	// Reopt runs the event's re-optimization once every earlier event has
+	// retired; it must touch only sessions in the event's footprint. An
+	// error aborts the stream: neither this event nor any later one
+	// retires, and the later in-flight ones skip their stages.
 	Reopt func() error
-	// Retire runs after the event and every earlier event have finished;
-	// retires are serialized in submission order.
+	// Retire runs right after a successful Reopt, on the same goroutine.
 	Retire func()
 }
 
@@ -94,143 +74,98 @@ var ErrClosed = errors.New("pipeline: submit after close")
 
 // Config tunes the scheduler.
 type Config struct {
-	// MaxInFlight bounds the events between admission and re-optimization
-	// completion: how far admission may run ahead of the one
-	// re-optimization running. 1 degenerates to strict serial execution in
-	// submission order. Defaults to 1. It also sizes the submit window:
-	// Submit blocks while 4 × MaxInFlight submissions await admission
-	// (backpressure, and what makes the queue-depth telemetry meaningful).
+	// MaxInFlight bounds the events between admission and retirement.
+	// Defaults to 1, strict serial execution. Submit blocks while
+	// 4 × MaxInFlight submissions await admission (backpressure).
 	MaxInFlight int
-}
-
-func (c Config) withDefaults() (Config, error) {
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 1
-	}
-	if c.MaxInFlight < 1 {
-		return c, fmt.Errorf("pipeline: invalid config: max in-flight %d", c.MaxInFlight)
-	}
-	return c, nil
 }
 
 // Stats are scheduler activity counters.
 type Stats struct {
 	Submitted int
 	Retired   int
-	// AdmissionStalls counts events whose admission had to wait at least
-	// once — on the in-flight cap (admission already MaxInFlight events
-	// ahead of re-optimization), on an earlier same-trigger event, or on an
-	// in-flight event claiming their trigger session.
+	// AdmissionStalls counts events found blocked at the queue head at
+	// least once — on the in-flight cap or on a claimed trigger.
 	AdmissionStalls int
-	// ReoptWaits counts events whose re-optimization stage had to wait for
-	// an earlier-admitted event's to finish.
+	// ReoptWaits counts events admitted while an earlier event was still
+	// in flight, so their re-optimization waited for it.
 	ReoptWaits int
-	// QueueDepthPeak is the high-water mark of submitted-but-unadmitted
-	// events.
+	// QueueDepthPeak and InFlightPeak are the high-water marks of pending
+	// (unadmitted) and in-flight (admitted, unretired) events.
 	QueueDepthPeak int
-	// InFlightPeak is the high-water mark of concurrently in-flight events
-	// (admitted, re-optimization not yet complete).
-	InFlightPeak int
+	InFlightPeak   int
 }
 
-type evPhase int
-
-const (
-	phasePending  evPhase = iota // submitted, not admitted
-	phaseInFlight                // admitted; re-optimization waiting or running
-	phaseDone                    // re-optimization complete, not yet retired
-)
-
 type event struct {
-	seq     int
 	exec    Exec
-	phase   evPhase
 	fp      Footprint
-	ticket  int  // admission order: re-optimization runs in ticket order
-	stalled bool // passed over by at least one admission scan
-	skipped bool // aborted without running (admission error or stream abort)
+	stalled bool // found blocked at the queue head at least once
 	retired chan struct{}
 }
 
-// Scheduler runs submitted events per the package contract. One dispatcher
-// goroutine owns admissions and retirements; each in-flight event gets a
-// goroutine for its turn wait + Reopt. Submit/Drain/Close follow the
-// orchestrator's single-caller discipline, though they are internally
-// locked.
+// Scheduler runs submitted events per the package contract: one goroutine
+// admits the queue head, another re-optimizes and retires the oldest
+// in-flight event. Submit/Drain/Close follow the orchestrator's
+// single-caller discipline, though they are internally locked.
 type Scheduler struct {
-	cfg Config
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	// queue holds every un-retired event in ascending submission order.
-	queue   []*event
-	nextSeq int
-	tickets int
-	// reopted counts finished Reopt stages: the ticket whose turn it is.
-	reopted  int
-	inFlight int
-	pending  int
+	cfg      Config
+	mu       sync.Mutex
+	cond     *sync.Cond
+	pending  []*event // submitted, unadmitted, in submission order
+	inFlight []*event // admitted, unretired, in submission order
+	open     int      // events whose retire channel is still open
 	err      error
-	// errSeq is the failing event's submission seq while err is set:
-	// retirement is suppressed from that seq on, so the retired stream is
-	// always a strict prefix of the submission order — an abort loses no
-	// event before the failing one and reports none after it.
-	errSeq int
-	closed bool
-	stats  Stats
-
-	done chan struct{} // dispatcher exited
+	closed   bool
+	// admitting is cleared when the admitting goroutine exits after Close.
+	admitting bool
+	stats     Stats
+	done      chan struct{} // closed once both goroutines have exited
 }
 
 // New starts a scheduler. Call Close when done.
 func New(cfg Config) (*Scheduler, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if cfg.MaxInFlight == 0 {
+		cfg.MaxInFlight = 1
 	}
-	s := &Scheduler{cfg: cfg, done: make(chan struct{})}
+	if cfg.MaxInFlight < 1 {
+		return nil, fmt.Errorf("pipeline: invalid config: max in-flight %d", cfg.MaxInFlight)
+	}
+	s := &Scheduler{cfg: cfg, admitting: true, done: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
-	go s.dispatch()
+	go s.admitLoop()
+	go s.retireLoop()
 	return s, nil
 }
 
 // Submit enqueues one event and returns a channel closed when it retires
-// (or is discarded by a stream abort). Blocks while the pending queue is at
-// the submit window. Returns ErrClosed after Close.
+// or is discarded. Blocks while the pending queue is at the submit window
+// (which moves during an abort too: discarded heads leave it). Returns
+// ErrClosed after Close.
 func (s *Scheduler) Submit(exec Exec) (<-chan struct{}, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The window holds even while a stream error is draining: the
-	// dispatcher keeps discarding pending heads (broadcasting each time),
-	// so blocked submitters make progress without ever buffering the whole
-	// remaining schedule.
-	for !s.closed && s.pending >= 4*s.cfg.MaxInFlight {
+	for !s.closed && len(s.pending) >= 4*s.cfg.MaxInFlight {
 		s.cond.Wait()
 	}
 	if s.closed {
 		return nil, ErrClosed
 	}
-	e := &event{seq: s.nextSeq, exec: exec, retired: make(chan struct{})}
-	s.nextSeq++
-	s.queue = append(s.queue, e)
-	s.pending++
-	if s.pending > s.stats.QueueDepthPeak {
-		s.stats.QueueDepthPeak = s.pending
-	}
+	e := &event{exec: exec, retired: make(chan struct{})}
+	s.pending = append(s.pending, e)
+	s.open++
+	s.stats.QueueDepthPeak = max(s.stats.QueueDepthPeak, len(s.pending))
 	s.stats.Submitted++
 	s.cond.Broadcast()
 	return e.retired, nil
 }
 
-// Drain blocks until every submitted event has retired (or been discarded)
-// and returns the stream's first error, if any, clearing it — so one bad
-// event aborts the in-flight stream (pending events are discarded, as an
-// aborted Run stops at its failing event) without permanently wedging the
-// scheduler: the next submission after a Drain admits normally.
+// Drain blocks until every submitted event has retired or been discarded
+// and returns the stream's first error, clearing it: one bad event aborts
+// the stream without wedging the scheduler.
 func (s *Scheduler) Drain() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.queue) > 0 {
+	for s.open > 0 {
 		s.cond.Wait()
 	}
 	err := s.err
@@ -252,177 +187,112 @@ func (s *Scheduler) Stats() Stats {
 	return s.stats
 }
 
-// Close stops the scheduler: Submit returns ErrClosed from now on, and the
-// dispatcher exits once the queue empties (in-flight events finish; a
-// stream error discards what remains). Close does not wait for that exit —
-// Retire runs on the dispatcher, so a Close from inside it could not — and
-// returns a channel closed when the dispatcher has exited.
+// Close stops new submissions (ErrClosed) and returns at once — Retire may
+// call it — with a channel closed once both goroutines have finished the
+// queue and exited.
 func (s *Scheduler) Close() <-chan struct{} {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		s.cond.Broadcast()
-	}
+	s.closed = true
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	return s.done
 }
 
-// dispatch is the scheduler's single dispatcher loop: it retires done
-// events in submission order, admits eligible pending events (running their
-// Admit serially), and spawns the per-event execution goroutines.
-func (s *Scheduler) dispatch() {
+// finishLocked closes the retire channel of an event leaving the
+// scheduler, retired or discarded.
+func (s *Scheduler) finishLocked(e *event) {
+	s.open--
+	close(e.retired)
+	s.cond.Broadcast()
+}
+
+// admissibleLocked reports whether the queue head may be admitted now.
+func (s *Scheduler) admissibleLocked(trigger int32) bool {
+	if len(s.inFlight) >= s.cfg.MaxInFlight || trigger < 0 && len(s.inFlight) > 0 {
+		return false
+	}
+	for _, f := range s.inFlight {
+		if f.fp.ContainsSession(trigger) {
+			return false
+		}
+	}
+	return true
+}
+
+// admitLoop admits the pending queue's head, one event at a time, and
+// discards every pending event while the stream is aborted.
+func (s *Scheduler) admitLoop() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.pending) > 0 || !s.closed {
+		if len(s.pending) == 0 || s.err == nil && !s.admissibleLocked(s.pending[0].exec.Trigger) {
+			if len(s.pending) > 0 {
+				s.pending[0].stalled = true
+			}
+			s.cond.Wait()
+			continue
+		}
+		e := s.pending[0]
+		s.pending = s.pending[1:]
+		if s.err == nil {
+			if e.stalled {
+				s.stats.AdmissionStalls++
+			}
+			if len(s.inFlight) > 0 {
+				s.stats.ReoptWaits++
+			}
+			s.mu.Unlock()
+			if e.exec.OnAdmit != nil {
+				e.exec.OnAdmit(e.stalled)
+			}
+			fp, err := e.exec.Admit()
+			s.mu.Lock()
+			s.err = cmp.Or(s.err, err) // keep the stream's first error
+			fp.Normalize()
+			e.fp = fp
+		}
+		if s.err != nil {
+			// An abort, this admission's failure, or a Reopt that failed while
+			// it ran: nothing from this event on retires.
+			s.finishLocked(e)
+			continue
+		}
+		s.inFlight = append(s.inFlight, e)
+		s.stats.InFlightPeak = max(s.stats.InFlightPeak, len(s.inFlight))
+		s.cond.Broadcast()
+	}
+	s.admitting = false
+	s.cond.Broadcast()
+}
+
+// retireLoop re-optimizes and retires the oldest in-flight event, one at a
+// time. A failed Reopt discards it and every later in-flight event.
+func (s *Scheduler) retireLoop() {
 	defer close(s.done)
 	s.mu.Lock()
-	for {
-		// Retirement: strictly head-of-queue, in submission order. An
-		// aborted stream retires nothing from the failing seq on (even
-		// events that finished executing), so the retired stream is always
-		// a strict prefix of the submission order.
-		if len(s.queue) > 0 {
-			h := s.queue[0]
-			switch {
-			case h.phase == phaseDone:
-				suppressed := h.skipped || (s.err != nil && h.seq >= s.errSeq)
-				s.mu.Unlock()
-				if !suppressed {
-					h.exec.Retire()
-				}
-				s.mu.Lock()
-				s.queue = s.queue[1:]
-				if !suppressed {
-					s.stats.Retired++
-				}
-				close(h.retired)
-				s.cond.Broadcast()
-				continue
-			case h.phase == phasePending && s.err != nil:
-				// Stream aborted before this event was admitted: discard.
-				h.skipped = true
-				s.queue = s.queue[1:]
-				s.pending--
-				close(h.retired)
-				s.cond.Broadcast()
-				continue
-			}
-		}
-
-		// Admission: first eligible pending event in submission order.
-		if s.err == nil {
-			if e := s.eligibleLocked(); e != nil {
-				stalled := e.stalled
-				if stalled {
-					s.stats.AdmissionStalls++
-				}
-				s.mu.Unlock()
-				if e.exec.OnAdmit != nil {
-					e.exec.OnAdmit(stalled)
-				}
-				fp, err := e.exec.Admit()
-				s.mu.Lock()
-				if err != nil {
-					if s.err == nil {
-						s.err = err
-						s.errSeq = e.seq
-					}
-					e.phase = phaseDone
-					e.skipped = true
-					s.pending--
-				} else {
-					fp.Normalize()
-					e.fp = fp
-					e.phase = phaseInFlight
-					e.ticket = s.tickets
-					s.tickets++
-					s.pending--
-					s.inFlight++
-					if s.inFlight > s.stats.InFlightPeak {
-						s.stats.InFlightPeak = s.inFlight
-					}
-					go s.run(e)
-				}
-				s.cond.Broadcast()
-				continue
-			}
-		}
-
-		if s.closed && len(s.queue) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		s.cond.Wait()
-	}
-}
-
-// eligibleLocked returns the first pending event admissible now, marking as
-// stalled every pending event it had to pass over (and the queue head when
-// the in-flight cap blocks all admission).
-func (s *Scheduler) eligibleLocked() *event {
-	if s.inFlight >= s.cfg.MaxInFlight {
-		for _, e := range s.queue {
-			if e.phase == phasePending {
-				e.stalled = true
-				break
-			}
-		}
-		return nil
-	}
-	for i, e := range s.queue {
-		if e.phase != phasePending {
-			continue
-		}
-		if s.triggerBlockedLocked(e, i) {
-			e.stalled = true
-			continue
-		}
-		return e
-	}
-	return nil
-}
-
-// triggerBlockedLocked reports whether event e (at queue index idx) must
-// wait before its admission may mutate its trigger session: an earlier
-// un-admitted event with the same trigger preserves per-session event
-// order, and any in-flight event claiming the trigger in its footprint
-// still owns that session's variables.
-func (s *Scheduler) triggerBlockedLocked(e *event, idx int) bool {
-	for i, f := range s.queue {
-		switch f.phase {
-		case phasePending:
-			if i < idx && f.exec.Trigger == e.exec.Trigger {
-				return true
-			}
-		case phaseInFlight:
-			if f.fp.ContainsSession(e.exec.Trigger) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// run executes one admitted event: wait until every event admitted before
-// it has finished re-optimizing (tickets are admission order), then run the
-// re-optimization stage.
-func (s *Scheduler) run(e *event) {
-	s.mu.Lock()
-	if s.reopted < e.ticket {
-		s.stats.ReoptWaits++
-		for s.reopted < e.ticket {
+	defer s.mu.Unlock()
+	for len(s.inFlight) > 0 || s.admitting {
+		if len(s.inFlight) == 0 {
 			s.cond.Wait()
+			continue
 		}
+		e := s.inFlight[0]
+		s.mu.Unlock()
+		err := e.exec.Reopt()
+		if err == nil {
+			e.exec.Retire()
+		}
+		s.mu.Lock()
+		if err == nil {
+			s.inFlight = s.inFlight[1:]
+			s.stats.Retired++
+			s.finishLocked(e)
+			continue
+		}
+		s.err = cmp.Or(s.err, err)
+		for _, f := range s.inFlight {
+			s.finishLocked(f)
+		}
+		s.inFlight = s.inFlight[:0]
 	}
-	s.mu.Unlock()
-
-	err := e.exec.Reopt()
-
-	s.mu.Lock()
-	if err != nil && s.err == nil {
-		s.err = err
-		s.errSeq = e.seq
-	}
-	e.phase = phaseDone
-	s.inFlight--
-	s.reopted++
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }

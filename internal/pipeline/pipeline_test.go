@@ -148,73 +148,56 @@ func TestRetireOrder(t *testing.T) {
 	}
 }
 
-// TestReoptRunsInAdmissionOrder pins the re-optimization order: a later
-// event with a disjoint footprint is admitted while an earlier one
-// re-optimizes but does not start its own Reopt until that one finishes,
-// and an event admitted out of submission order re-optimizes in admission
-// order.
+// logged returns an Exec whose stages append name to their recorders;
+// reopt, when non-nil, runs inside Reopt and supplies its error.
+func logged(name string, trigger int32, fp []int32, admits, reopts, retires *recorder, reopt func() error) Exec {
+	return Exec{
+		Trigger: trigger,
+		Admit:   func() (Footprint, error) { admits.add(name); return Footprint{Sessions: fp}, nil },
+		Reopt: func() error {
+			reopts.add(name)
+			if reopt != nil {
+				return reopt()
+			}
+			return nil
+		},
+		Retire: func() { retires.add(name) },
+	}
+}
+
+// TestReoptRunsInAdmissionOrder pins the one order: an event whose trigger
+// an in-flight footprint claims holds the queue, so a later event with a
+// disjoint footprint waits behind it instead of being admitted first, and
+// admission, re-optimization and retirement all follow submission order.
 func TestReoptRunsInAdmissionOrder(t *testing.T) {
 	s, err := New(Config{MaxInFlight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	admits, reopts, retires := &recorder{}, &recorder{}, &recorder{}
-	var mu sync.Mutex
-	aRunning := false
 	aStarted := make(chan struct{})
 	release := make(chan struct{})
-	ev := func(name string, trigger int32, fp []int32, reopt func()) Exec {
-		return Exec{
-			Trigger: trigger,
-			Admit:   func() (Footprint, error) { admits.add(name); return Footprint{Sessions: fp}, nil },
-			Reopt: func() error {
-				reopts.add(name)
-				if reopt != nil {
-					reopt()
-				}
-				return nil
-			},
-			Retire: func() { retires.add(name) },
-		}
-	}
-	notWhileA := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if aRunning {
-			t.Error("a later event re-optimized while an earlier one was still re-optimizing")
-		}
-	}
 	// A owns sessions {1, 5} and blocks in Reopt until released.
-	if _, err := s.Submit(ev("A", 1, []int32{1, 5}, func() {
-		mu.Lock()
-		aRunning = true
-		mu.Unlock()
+	if _, err := s.Submit(logged("A", 1, []int32{1, 5}, admits, reopts, retires, func() error {
 		close(aStarted)
 		<-release
-		mu.Lock()
-		aRunning = false
-		mu.Unlock()
+		return nil
 	})); err != nil {
 		t.Fatal(err)
 	}
 	<-aStarted
-	// B's trigger 5 is claimed by A: its admission waits for A. C is
-	// disjoint from A, so it is admitted first, out of submission order.
-	if _, err := s.Submit(ev("B", 5, []int32{5}, notWhileA)); err != nil {
+	// B's trigger 5 is claimed by A: B waits for A to retire. C is disjoint
+	// from A but queued behind B, so it waits too.
+	if _, err := s.Submit(logged("B", 5, []int32{5}, admits, reopts, retires, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(ev("C", 3, []int32{3}, notWhileA)); err != nil {
+	if _, err := s.Submit(logged("C", 3, []int32{3}, admits, reopts, retires, nil)); err != nil {
 		t.Fatal(err)
 	}
-	// C's Reopt registers its wait for A once C is admitted.
-	for deadline := time.Now().Add(5 * time.Second); s.Stats().ReoptWaits == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the disjoint event's re-optimization never waited for the running one")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := reopts.snapshot(); len(got) != 1 {
-		t.Fatalf("re-optimizations started while A runs: %v, want [A]", got)
+	// Give the scheduler a chance to (incorrectly) admit C ahead of B.
+	time.Sleep(20 * time.Millisecond)
+	if got := fmt.Sprint(admits.snapshot()); got != "[A]" {
+		t.Fatalf("admitted while A re-optimizes: %s, want [A]", got)
 	}
 	close(release)
 	if err := s.Drain(); err != nil {
@@ -224,18 +207,17 @@ func TestReoptRunsInAdmissionOrder(t *testing.T) {
 	for _, c := range []struct {
 		what string
 		got  []string
-		want string
 	}{
-		{"admission", admits.snapshot(), "[A C B]"},
-		{"re-optimization", reopts.snapshot(), "[A C B]"},
-		{"retire", retires.snapshot(), "[A B C]"},
+		{"admission", admits.snapshot()},
+		{"re-optimization", reopts.snapshot()},
+		{"retire", retires.snapshot()},
 	} {
-		if got := fmt.Sprint(c.got); got != c.want {
-			t.Fatalf("%s order %s, want %s", c.what, got, c.want)
+		if got := fmt.Sprint(c.got); got != "[A B C]" {
+			t.Fatalf("%s order %s, want [A B C]", c.what, got)
 		}
 	}
-	if st := s.Stats(); st.InFlightPeak != 2 {
-		t.Fatalf("InFlightPeak = %d, want 2 (A and C)", st.InFlightPeak)
+	if st := s.Stats(); st.AdmissionStalls != 1 {
+		t.Fatalf("AdmissionStalls = %d, want 1 (B, on A's claim)", st.AdmissionStalls)
 	}
 }
 
@@ -283,7 +265,7 @@ func TestTriggerGuard(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Give the dispatcher a chance to (incorrectly) admit B early.
+	// Give the scheduler a chance to (incorrectly) admit B early.
 	time.Sleep(20 * time.Millisecond)
 	close(release)
 	if err := s.Drain(); err != nil {
@@ -354,68 +336,124 @@ func TestErrorAbortsStream(t *testing.T) {
 	}
 }
 
-// TestAbortRetiresStrictPrefix pins the abort contract: when event k
-// fails, nothing from seq k on retires — even a later event that was
-// admitted out of order and finished executing — so the retired stream is
-// always a strict prefix of the submission order, like the serial path.
+// TestAbortRetiresStrictPrefix pins the abort contract: when event k's
+// Reopt fails, the events before it retire, k and the events admitted
+// after it do not (nor do they re-optimize), and every pending event is
+// discarded unadmitted — so the retired stream is a strict prefix of the
+// submission order, like the serial path.
 func TestAbortRetiresStrictPrefix(t *testing.T) {
-	s, err := New(Config{MaxInFlight: 3})
+	s, err := New(Config{MaxInFlight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recorder{}
+	admits, reopts, retires := &recorder{}, &recorder{}, &recorder{}
 	release := make(chan struct{})
 	boom := fmt.Errorf("boom")
-
-	// Event 0: owns session 1, blocks in reopt until released.
-	if _, err := s.Submit(Exec{
-		Trigger: 1,
-		Admit:   func() (Footprint, error) { return Footprint{Sessions: []int32{1}}, nil },
-		Reopt:   func() error { <-release; return nil },
-		Retire:  func() { rec.add("retire-0") },
-	}); err != nil {
-		t.Fatal(err)
+	var admitted sync.WaitGroup
+	admitted.Add(3)
+	execs := []Exec{
+		// 0 blocks in Reopt until released, then retires.
+		logged("0", 0, []int32{0}, admits, reopts, retires, func() error { <-release; return nil }),
+		// 1 is k: admitted behind 0, its Reopt fails. It claims session 2.
+		logged("1", 1, []int32{1, 2}, admits, reopts, retires, func() error { return boom }),
+		// 2 is admitted behind 1 before the failure.
+		logged("2", 3, []int32{3}, admits, reopts, retires, nil),
+		// 3's trigger is claimed by 1: it holds the queue, and 4 waits
+		// behind it although 4 is disjoint from every in-flight event.
+		logged("3", 2, []int32{2}, admits, reopts, retires, nil),
+		logged("4", 4, []int32{4}, admits, reopts, retires, nil),
 	}
-	// Event 1: same trigger → admission waits for event 0, then fails.
-	if _, err := s.Submit(Exec{
-		Trigger: 1,
-		Admit:   func() (Footprint, error) { return Footprint{}, boom },
-		Reopt:   func() error { return nil },
-		Retire:  func() { rec.add("retire-1") },
-	}); err != nil {
-		t.Fatal(err)
+	var chans []<-chan struct{}
+	for i, exec := range execs {
+		if i < 3 {
+			exec.OnAdmit = func(bool) { admitted.Done() }
+		}
+		ch, err := s.Submit(exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
 	}
-	// Event 2: disjoint → admitted out of order while event 0 is still
-	// blocked, and re-optimizes after it; its retire must be suppressed by
-	// event 1's abort.
-	admitted, ran := make(chan struct{}), make(chan struct{})
-	if _, err := s.Submit(Exec{
-		Trigger: 3,
-		OnAdmit: func(bool) { close(admitted) },
-		Admit:   func() (Footprint, error) { return Footprint{Sessions: []int32{3}}, nil },
-		Reopt:   func() error { close(ran); return nil },
-		Retire:  func() { rec.add("retire-2") },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-admitted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("disjoint event was never admitted out of order")
-	}
+	admitted.Wait()
+	// Give the scheduler a chance to (incorrectly) admit 4 ahead of 3.
+	time.Sleep(20 * time.Millisecond)
 	close(release)
 	if got := s.Drain(); got != boom {
 		t.Fatalf("Drain = %v, want %v", got, boom)
 	}
 	s.Close()
-	select {
-	case <-ran:
-	default:
-		t.Fatal("the admitted event never re-optimized")
+	for i, ch := range chans {
+		select {
+		case <-ch:
+		default:
+			t.Fatalf("event %d's retire channel is still open after Drain", i)
+		}
 	}
-	log := rec.snapshot()
-	if len(log) != 1 || log[0] != "retire-0" {
-		t.Fatalf("aborted stream retired %v, want strict prefix [retire-0]", log)
+	for _, c := range []struct {
+		what, want string
+		got        []string
+	}{
+		{"admitted", "[0 1 2]", admits.snapshot()},
+		{"re-optimized", "[0 1]", reopts.snapshot()},
+		{"retired", "[0]", retires.snapshot()},
+	} {
+		if got := fmt.Sprint(c.got); got != c.want {
+			t.Fatalf("aborted stream %s %s, want %s", c.what, got, c.want)
+		}
+	}
+	if st := s.Stats(); st.Retired != 1 {
+		t.Fatalf("Stats.Retired = %d, want 1", st.Retired)
+	}
+}
+
+// TestFaultWaitsForEmptyScheduler pins the trigger-less event: at cap 4 an
+// event with trigger -1 submitted behind a blocked in-flight event is not
+// admitted until that event retires, and no later event is admitted ahead
+// of it.
+func TestFaultWaitsForEmptyScheduler(t *testing.T) {
+	s, err := New(Config{MaxInFlight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admits, reopts, retires := &recorder{}, &recorder{}, &recorder{}
+	started, release := make(chan struct{}), make(chan struct{})
+	if _, err := s.Submit(logged("A", 0, []int32{0}, admits, reopts, retires, func() error {
+		close(started)
+		<-release
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	fault := logged("F", -1, []int32{7}, admits, reopts, retires, nil)
+	admitF := fault.Admit
+	fault.Admit = func() (Footprint, error) {
+		if got := fmt.Sprint(retires.snapshot()); got != "[A]" {
+			t.Errorf("fault admitted with retired %s, want [A]: an earlier event was still in flight", got)
+		}
+		return admitF()
+	}
+	if _, err := s.Submit(fault); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(logged("B", 3, []int32{3}, admits, reopts, retires, nil)); err != nil {
+		t.Fatal(err)
+	}
+	// Give the scheduler a chance to (incorrectly) admit F or B early.
+	time.Sleep(20 * time.Millisecond)
+	if got := fmt.Sprint(admits.snapshot()); got != "[A]" {
+		t.Fatalf("admitted while A is in flight: %s, want [A]", got)
+	}
+	close(release)
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if got := fmt.Sprint(admits.snapshot()); got != "[A F B]" {
+		t.Fatalf("admission order %s, want [A F B]", got)
+	}
+	if got := fmt.Sprint(retires.snapshot()); got != "[A F B]" {
+		t.Fatalf("retire order %s, want [A F B]", got)
 	}
 }
 
@@ -506,10 +544,11 @@ func TestOnAdmitMirrorsAdmissionStalls(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Give the dispatcher its wake-up from Submit: it must scan past event 1
-	// (marking it stalled at the full in-flight cap) before event 0 is
-	// released. The sleep only makes the stall deterministic; the
-	// flags-vs-stats reconciliation below holds regardless of timing.
+	// Give the admitting goroutine its wake-up from Submit: it must find
+	// event 1 blocked at the head (marking it stalled at the full in-flight
+	// cap) before event 0 is released. The sleep only makes the stall
+	// deterministic; the flags-vs-stats reconciliation below holds
+	// regardless of timing.
 	time.Sleep(100 * time.Millisecond)
 	close(release)
 	if err := s.Drain(); err != nil {
@@ -541,13 +580,13 @@ func TestOnAdmitMirrorsAdmissionStalls(t *testing.T) {
 }
 
 // TestSchedulerStorm races the scheduler on a random stream: 1 500 events
-// whose triggers and footprints are drawn over 48 sessions, some
-// re-optimizations slow, at in-flight caps 1, 2 and 4. At every moment at
-// most one Reopt runs; no admission touches a session an in-flight event
-// owns; events sharing a trigger are admitted in submission order;
-// re-optimization follows admission order and retirement submission order;
-// and admission runs the full cap ahead of re-optimization (InFlightPeak
-// equals the cap). Run under -race in CI.
+// whose triggers and footprints are drawn over 48 sessions (one in 50 with
+// no trigger, like a fault), some re-optimizations slow, at in-flight caps
+// 1, 2 and 4. At every moment at most one Reopt runs; no admission touches
+// a session an unretired event owns, and a trigger-less event is admitted
+// only when nothing is in flight; admission, re-optimization and
+// retirement all follow submission order; and admission runs the full cap
+// ahead of retirement (InFlightPeak equals the cap). Run under -race in CI.
 func TestSchedulerStorm(t *testing.T) {
 	const n, sessions = 1500, 48
 	for _, limit := range []int{1, 2, 4} {
@@ -559,19 +598,19 @@ func TestSchedulerStorm(t *testing.T) {
 		var (
 			mu          sync.Mutex
 			owned       [sessions]int
+			inFlight    int
 			running     int
-			lastAdmit   [sessions]int
 			admitOrder  []int
 			reoptOrder  []int
 			retireOrder []int
 		)
-		for i := range lastAdmit {
-			lastAdmit[i] = -1
-		}
 		for seq := 0; seq < n; seq++ {
 			seq := seq
 			trigger := int32(rng.Intn(sessions))
 			fp := []int32{trigger}
+			if rng.Intn(50) == 0 {
+				trigger, fp = -1, nil
+			}
 			for k := rng.Intn(4); k > 0; k-- {
 				if x := int32(rng.Intn(sessions)); !slices.Contains(fp, x) {
 					fp = append(fp, x)
@@ -583,13 +622,13 @@ func TestSchedulerStorm(t *testing.T) {
 				Admit: func() (Footprint, error) {
 					mu.Lock()
 					defer mu.Unlock()
-					if owned[trigger] > 0 {
+					if trigger < 0 && inFlight > 0 {
+						t.Errorf("limit %d: trigger-less event %d admitted beside %d in-flight events", limit, seq, inFlight)
+					}
+					if trigger >= 0 && owned[trigger] > 0 {
 						t.Errorf("limit %d: event %d admitted while its trigger %d is owned", limit, seq, trigger)
 					}
-					if lastAdmit[trigger] > seq {
-						t.Errorf("limit %d: event %d admitted after event %d with the same trigger", limit, seq, lastAdmit[trigger])
-					}
-					lastAdmit[trigger] = seq
+					inFlight++
 					for _, x := range fp {
 						owned[x]++
 					}
@@ -608,14 +647,15 @@ func TestSchedulerStorm(t *testing.T) {
 					}
 					mu.Lock()
 					running--
-					for _, x := range fp {
-						owned[x]--
-					}
 					mu.Unlock()
 					return nil
 				},
 				Retire: func() {
 					mu.Lock()
+					inFlight--
+					for _, x := range fp {
+						owned[x]--
+					}
 					retireOrder = append(retireOrder, seq)
 					mu.Unlock()
 				},
@@ -628,16 +668,21 @@ func TestSchedulerStorm(t *testing.T) {
 		}
 		s.Close()
 		mu.Lock()
-		if !slices.Equal(reoptOrder, admitOrder) {
-			t.Fatalf("limit %d: re-optimization order differs from admission order", limit)
-		}
-		if len(retireOrder) != n || !slices.IsSorted(retireOrder) {
-			t.Fatalf("limit %d: %d events retired, not in submission order", limit, len(retireOrder))
+		for _, c := range []struct {
+			what  string
+			order []int
+		}{{"admission", admitOrder}, {"re-optimization", reoptOrder}, {"retirement", retireOrder}} {
+			if len(c.order) != n || !slices.IsSorted(c.order) {
+				t.Fatalf("limit %d: %d events in %s, not in submission order", limit, len(c.order), c.what)
+			}
 		}
 		mu.Unlock()
 		st := s.Stats()
 		if st.Retired != n || st.InFlightPeak != limit {
 			t.Fatalf("limit %d: retired %d of %d, InFlightPeak %d", limit, st.Retired, n, st.InFlightPeak)
+		}
+		if (st.ReoptWaits == 0) != (limit == 1) {
+			t.Fatalf("limit %d: ReoptWaits %d", limit, st.ReoptWaits)
 		}
 		t.Logf("limit %d: stalls %d, reopt waits %d, queue peak %d, in-flight peak %d",
 			limit, st.AdmissionStalls, st.ReoptWaits, st.QueueDepthPeak, st.InFlightPeak)
